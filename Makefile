@@ -43,7 +43,8 @@ bench-serve:
 	DUR=$(or $(DUR),5s) CONC=$(or $(CONC),8) scripts/bench_serve.sh
 
 # Planner-costing benchmark: DPsize join-order enumeration across costing
-# paths (scalar Flat baseline, memoized scalars, level-batched packed tier),
+# paths, all on treec.Packed (scalar without the open-pipeline memo as the
+# baseline, scalar with it, level-batched over the rows kernel),
 # plan-quality execution, and the batched-dispatch scheduling comparison,
 # into BENCH_planner.json; asserts bit-identical plans and the batched
 # speedup floor. `make bench-planner FULL=1 MIN_SPEEDUP=4` passes through.
@@ -58,6 +59,7 @@ FUZZTIME ?= 20s
 fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzExecDifferential$$' -fuzztime $(FUZZTIME) ./internal/engine/exec/
 	go test -run xxx -fuzz '^FuzzTreeTiers$$' -fuzztime $(FUZZTIME) ./internal/treec/
+	go test -run xxx -fuzz '^FuzzDecodePacked$$' -fuzztime $(FUZZTIME) ./internal/treec/
 	go test -run xxx -fuzz '^FuzzPlanIO$$' -fuzztime $(FUZZTIME) ./internal/planio/
 	go test -run xxx -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME) ./internal/sql/
 	go test -run xxx -fuzz '^FuzzHistogramMerge$$' -fuzztime $(FUZZTIME) ./internal/obs/

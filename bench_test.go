@@ -21,6 +21,7 @@ import (
 	"t3/internal/engine/plan"
 	"t3/internal/experiments"
 	"t3/internal/gbdt"
+	"t3/internal/par"
 	"t3/internal/treec"
 )
 
@@ -96,10 +97,10 @@ func BenchmarkTable1_StageHierarchy(b *testing.B) {
 }
 
 // Model-only evaluation on the checked-in default model: interpreted node
-// walking vs flattened arrays vs ahead-of-time generated Go code (the
-// repository's lleaves analogue). This isolates the 22us -> 4us contrast of
-// the paper's Table 1.
-func defaultModelVectors(b *testing.B) (*gbdt.Model, *treec.Flat, [][]float64) {
+// walking (the reference) vs the packed serving tier vs ahead-of-time
+// generated Go code (the repository's lleaves analogue). This isolates the
+// 22us -> 4us contrast of the paper's Table 1.
+func defaultModelVectors(b *testing.B) (*gbdt.Model, [][]float64) {
 	b.Helper()
 	m, err := gbdt.Load("models/t3_default.json")
 	if err != nil {
@@ -119,27 +120,19 @@ func defaultModelVectors(b *testing.B) (*gbdt.Model, *treec.Flat, [][]float64) {
 		}
 		vs[i] = v
 	}
-	return m, treec.Flatten(m), vs
+	return m, vs
 }
 
 func BenchmarkTable1_ModelEvalInterpreted(b *testing.B) {
-	m, _, vs := defaultModelVectors(b)
+	m, vs := defaultModelVectors(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		m.Predict(vs[i%len(vs)])
 	}
 }
 
-func BenchmarkTable1_ModelEvalFlattened(b *testing.B) {
-	_, flat, vs := defaultModelVectors(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		flat.Predict(vs[i%len(vs)])
-	}
-}
-
 func BenchmarkTable1_ModelEvalGenerated(b *testing.B) {
-	_, _, vs := defaultModelVectors(b)
+	_, vs := defaultModelVectors(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		compiled.Predict(vs[i%len(vs)])
@@ -147,7 +140,7 @@ func BenchmarkTable1_ModelEvalGenerated(b *testing.B) {
 }
 
 func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
-	m, _, vs := defaultModelVectors(b)
+	m, vs := defaultModelVectors(b)
 	packed := treec.Pack(m)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -155,20 +148,20 @@ func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
 	}
 }
 
-// BenchmarkPredictSingle contrasts the pre-packed hot path (allocate fresh
-// vectors via PlanVectors, evaluate on the flattened float64 tier) with the
-// allocation-free scratch path over the packed tier. The packed/scratch row
-// must win on ns/op and report 0 allocs/op.
+// BenchmarkPredictSingle contrasts, on the one packed tier, the allocating
+// hot path (fresh vectors via PlanVectors per plan) with the allocation-free
+// scratch path. The packed-scratch row must win on ns/op and report
+// 0 allocs/op.
 func BenchmarkPredictSingle(b *testing.B) {
 	m, test := benchQueries(b)
-	flat := m.Compiled()
-	b.Run("flat-featurize", func(b *testing.B) {
+	packed := m.Packed()
+	b.Run("packed-featurize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			root := test[i%len(test)].Query.Root
 			vecs, _ := m.Registry().PlanVectors(root, t3.TrueCards)
 			for _, v := range vecs {
-				flat.Predict(v)
+				packed.Predict(v)
 			}
 		}
 	})
@@ -336,11 +329,11 @@ func benchPipelineVectors(b *testing.B, n int) ([][]float64, *t3.Model) {
 
 func benchmarkFig5Compiled(b *testing.B, n int) {
 	vs, m := benchPipelineVectors(b, n)
-	flat := m.Compiled()
+	packed := m.Packed()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		for _, v := range vs {
-			flat.Predict(v)
+			packed.Predict(v)
 		}
 	}
 }
@@ -369,10 +362,16 @@ func BenchmarkFig5_Interpreted_1000(b *testing.B) {
 
 func BenchmarkFig5_InterpretedMT_1000(b *testing.B) {
 	vs, m := benchPipelineVectors(b, 1000)
-	flat := m.Compiled()
+	gbm := m.Boosted()
+	pool := par.Sized(0)
+	chunk := len(vs)/(4*pool.Workers()) + 1
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		flat.PredictBatchParallel(vs, 0)
+		pool.For(len(vs), chunk, func(lo, hi int) {
+			for j := lo; j < hi; j++ {
+				gbm.Predict(vs[j])
+			}
+		})
 	}
 }
 

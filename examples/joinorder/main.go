@@ -57,7 +57,7 @@ func main() {
 		coutCalls += cm.Calls()
 
 		start = time.Now()
-		t3cm := joinorder.NewT3Cost(model.Compiled(), model.Registry(), imdb, sp, oracle)
+		t3cm := joinorder.NewT3Cost(model.Packed(), model.Registry(), imdb, sp, oracle)
 		t3Res, err := joinorder.DPSize(sp, t3cm)
 		if err != nil {
 			log.Fatal(err)

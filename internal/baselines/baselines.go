@@ -25,8 +25,8 @@ import (
 
 // PerQuery predicts whole-query times from a single summed feature vector.
 type PerQuery struct {
-	reg  *feature.Registry
-	flat *treec.Flat
+	reg    *feature.Registry
+	packed *treec.Packed
 }
 
 // sumVectors adds all pipeline vectors of a plan into one query vector.
@@ -58,19 +58,19 @@ func TrainPerQuery(benched []*benchdata.BenchedQuery, mode plan.CardMode, p gbdt
 	if err != nil {
 		return nil, fmt.Errorf("baselines: per-query training: %w", err)
 	}
-	return &PerQuery{reg: reg, flat: treec.Flatten(gbm)}, nil
+	return &PerQuery{reg: reg, packed: treec.Pack(gbm)}, nil
 }
 
 // PredictSeconds predicts the query execution time in seconds.
 func (m *PerQuery) PredictSeconds(root *plan.Node, mode plan.CardMode) float64 {
-	return benchdata.InverseTarget(m.flat.Predict(sumVectors(m.reg, root, mode)))
+	return benchdata.InverseTarget(m.packed.Predict(sumVectors(m.reg, root, mode)))
 }
 
 // PerPipelineDirect predicts each pipeline's total time directly (without
 // tuple-centric scaling) and sums.
 type PerPipelineDirect struct {
-	reg  *feature.Registry
-	flat *treec.Flat
+	reg    *feature.Registry
+	packed *treec.Packed
 }
 
 // TrainPerPipelineDirect fits the direct per-pipeline variant with targets
@@ -92,7 +92,7 @@ func TrainPerPipelineDirect(benched []*benchdata.BenchedQuery, mode plan.CardMod
 	if err != nil {
 		return nil, fmt.Errorf("baselines: per-pipeline-direct training: %w", err)
 	}
-	return &PerPipelineDirect{reg: reg, flat: treec.Flatten(gbm)}, nil
+	return &PerPipelineDirect{reg: reg, packed: treec.Pack(gbm)}, nil
 }
 
 // PredictSeconds predicts the query execution time in seconds.
@@ -100,7 +100,7 @@ func (m *PerPipelineDirect) PredictSeconds(root *plan.Node, mode plan.CardMode) 
 	vecs, _ := m.reg.PlanVectors(root, mode)
 	total := 0.0
 	for _, v := range vecs {
-		total += benchdata.InverseTarget(m.flat.Predict(v))
+		total += benchdata.InverseTarget(m.packed.Predict(v))
 	}
 	return total
 }

@@ -74,8 +74,8 @@ func filteredRegistry(keep func(string) bool) *feature.Registry {
 
 // ablatedModel is a T3 variant over a reduced registry.
 type ablatedModel struct {
-	reg  *feature.Registry
-	flat *treec.Flat
+	reg    *feature.Registry
+	packed *treec.Packed
 }
 
 // predictSeconds predicts a whole query with tuple-centric scaling.
@@ -83,7 +83,7 @@ func (m *ablatedModel) predictSeconds(root *plan.Node) float64 {
 	vecs, ps := m.reg.PlanVectors(root, plan.TrueCards)
 	total := 0.0
 	for i, v := range vecs {
-		perTuple := benchdata.InverseTarget(m.flat.Predict(v))
+		perTuple := benchdata.InverseTarget(m.packed.Predict(v))
 		total += perTuple * feature.SourceCard(ps[i], plan.TrueCards)
 	}
 	return total
@@ -96,7 +96,7 @@ func trainAblated(reg *feature.Registry, train []*benchdata.BenchedQuery, p gbdt
 	if err != nil {
 		return nil, err
 	}
-	return &ablatedModel{reg: reg, flat: treec.Flatten(gbm)}, nil
+	return &ablatedModel{reg: reg, packed: treec.Pack(gbm)}, nil
 }
 
 // RunFeatureAblation trains one model per feature-set variant and evaluates

@@ -174,11 +174,11 @@ func (e *Env) RunTable5() (*Table5, error) {
 
 	// T3.
 	calls = 0
-	flat := job.t3m.Compiled()
+	packed := job.t3m.Packed()
 	reg := job.t3m.Registry()
 	start = time.Now()
 	for i, sp := range job.specs {
-		cm := joinorder.NewT3Cost(flat, reg, job.inst, sp, oracles[i])
+		cm := joinorder.NewT3Cost(packed, reg, job.inst, sp, oracles[i])
 		if _, err := joinorder.DPSize(sp, cm); err != nil {
 			return nil, err
 		}
@@ -218,7 +218,7 @@ func (e *Env) RunTable6() (*Table6, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat := job.t3m.Compiled()
+	packed := job.t3m.Packed()
 	reg := job.t3m.Registry()
 
 	var coutTotal, t3Total, nativeTotal time.Duration
@@ -229,7 +229,7 @@ func (e *Env) RunTable6() (*Table6, error) {
 		if err != nil {
 			return nil, err
 		}
-		t3Res, err := joinorder.DPSize(sp, joinorder.NewT3Cost(flat, reg, job.inst, sp, oracle))
+		t3Res, err := joinorder.DPSize(sp, joinorder.NewT3Cost(packed, reg, job.inst, sp, oracle))
 		if err != nil {
 			return nil, err
 		}

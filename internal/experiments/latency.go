@@ -33,8 +33,9 @@ func timeIt(reps int, f func()) time.Duration {
 }
 
 // Table1 reproduces the prediction-latency comparison: Zero Shot (NN only),
-// Stage (cache/DT/NN hierarchy with a realized average), T3 interpreted, and
-// T3 compiled.
+// Stage (cache/DT/NN hierarchy with a realized average), T3 interpreted (the
+// gbdt reference), and T3 compiled (treec.Packed, the tier every prediction
+// is served from).
 type Table1 struct {
 	ZeroShotNN time.Duration
 	StageCache time.Duration
@@ -42,27 +43,28 @@ type Table1 struct {
 	StageNN    time.Duration
 	StageAvg   time.Duration
 	// T3Interp and T3Compiled measure the full prediction path
-	// (decomposition + featurization + model).
+	// (decomposition + featurization + model): T3Interp on the interpreter
+	// (PredictInterpreted), T3Compiled on the packed tier through
+	// PredictPlan, which builds a fresh scratch per call.
 	T3Interp   time.Duration
 	T3Compiled time.Duration
-	// T3Packed measures the full path on the allocation-free scratch API
-	// over the packed (16-byte node) tier, with per-query latency
+	// T3Packed is the same packed-tier path over a reused scratch
+	// (PredictPlanScratch, what the server runs), with per-query latency
 	// percentiles and steady-state heap allocations per prediction.
 	T3Packed       time.Duration
 	T3PackedP50    time.Duration
 	T3PackedP99    time.Duration
 	T3PackedAllocs float64
-	// T3ModelInterp and T3ModelCompiled isolate the model-evaluation step
-	// on pre-featurized vectors — the direct analogue of the paper's
-	// LightGBM-interpreted vs lleaves-compiled contrast (22us -> 4us).
-	// T3ModelPacked is the same step on the packed tier, and T3ModelGenGo
+	// T3ModelInterp and T3ModelPacked isolate the model-evaluation step on
+	// pre-featurized vectors — the direct analogue of the paper's
+	// LightGBM-interpreted vs lleaves-compiled contrast (22us -> 4us) — on
+	// the interpreter and on the packed tier; T3ModelGenGo is the same step
 	// on the ahead-of-time generated Go code (zero when the checked-in
 	// generated model does not match the registry).
-	T3ModelInterp   time.Duration
-	T3ModelCompiled time.Duration
-	T3ModelPacked   time.Duration
-	T3ModelGenGo    time.Duration
-	AvgPipelines    float64
+	T3ModelInterp time.Duration
+	T3ModelPacked time.Duration
+	T3ModelGenGo  time.Duration
+	AvgPipelines  float64
 }
 
 // latencyPercentiles times f once per (query, rep) pair and returns the p50
@@ -144,17 +146,7 @@ func (e *Env) RunTable1() (*Table1, error) {
 		vs, _ := m.Registry().PlanVectors(b.Query.Root, plan.TrueCards)
 		queryVecs = append(queryVecs, vs)
 	}
-	flat := m.Compiled()
 	gbm := m.Boosted()
-	res.T3ModelCompiled = timeIt(7, func() {
-		for _, vs := range queryVecs {
-			for i := 0; i < inner; i++ {
-				for _, v := range vs {
-					flat.Predict(v)
-				}
-			}
-		}
-	}) / time.Duration(len(test)*inner)
 	res.T3ModelInterp = timeIt(7, func() {
 		for _, vs := range queryVecs {
 			for i := 0; i < inner; i++ {
@@ -226,11 +218,12 @@ func (t *Table1) Format() string {
 	fmt.Fprintf(&sb, "%-16s %10s %10s %10s %10s\n", "Stage", fmtDur(t.StageCache), fmtDur(t.StageDT), fmtDur(t.StageNN), fmtDur(t.StageAvg))
 	fmt.Fprintf(&sb, "%-16s %10s %10s %10s %10s\n", "T3 interpreted", "-", fmtDur(t.T3Interp), "-", fmtDur(t.T3Interp))
 	fmt.Fprintf(&sb, "%-16s %10s %10s %10s %10s\n", "T3 (ours)", "-", fmtDur(t.T3Compiled), "-", fmtDur(t.T3Compiled))
-	fmt.Fprintf(&sb, "%-16s %10s %10s %10s %10s\n", "T3 packed", "-", fmtDur(t.T3Packed), "-", fmtDur(t.T3Packed))
-	fmt.Fprintf(&sb, "T3 packed percentiles: p50 %s, p99 %s, %.0f allocs/op (scratch path)\n",
+	fmt.Fprintf(&sb, "%-16s %10s %10s %10s %10s\n", "T3 (scratch)", "-", fmtDur(t.T3Packed), "-", fmtDur(t.T3Packed))
+	fmt.Fprintf(&sb, "T3 (scratch) percentiles: p50 %s, p99 %s, %.0f allocs/op\n",
 		fmtDur(t.T3PackedP50), fmtDur(t.T3PackedP99), t.T3PackedAllocs)
-	fmt.Fprintf(&sb, "model eval only: interpreted %s, compiled %s, packed %s per query",
-		fmtDur(t.T3ModelInterp), fmtDur(t.T3ModelCompiled), fmtDur(t.T3ModelPacked))
+	fmt.Fprintf(&sb, "tiers: T3 interpreted = gbdt interpreter; T3 (ours) = treec.Packed via PredictPlan; T3 (scratch) = treec.Packed via PredictPlanScratch\n")
+	fmt.Fprintf(&sb, "model eval only: interpreted %s, packed %s per query",
+		fmtDur(t.T3ModelInterp), fmtDur(t.T3ModelPacked))
 	if t.T3ModelGenGo > 0 {
 		fmt.Fprintf(&sb, ", genGo %s", fmtDur(t.T3ModelGenGo))
 	}
@@ -415,7 +408,8 @@ func (f *Fig1) Format() string {
 }
 
 // Fig5 reproduces prediction latency by pipeline count: compiled
-// single-threaded vs interpreted single- and multi-threaded.
+// single-threaded (treec.Packed.Predict per vector) vs interpreted
+// (gbdt.Model.Predict) single- and multi-threaded.
 type Fig5 struct {
 	Counts     []int
 	CompiledST []time.Duration
@@ -449,7 +443,7 @@ func (e *Env) RunFig5() (*Fig5, error) {
 	wp := par.New(e.Cfg.Workers)
 	defer wp.Close()
 	f := &Fig5{Counts: []int{1, 2, 3, 5, 10, 30, 100, 300, 1000}, Workers: wp.Workers()}
-	flat := m.Compiled()
+	packed := m.Packed()
 	gbm := m.Boosted()
 	for _, k := range f.Counts {
 		vs := make([][]float64, k)
@@ -459,7 +453,7 @@ func (e *Env) RunFig5() (*Fig5, error) {
 		chunk := len(vs)/(4*wp.Workers()) + 1
 		f.CompiledST = append(f.CompiledST, timeIt(9, func() {
 			for _, v := range vs {
-				flat.Predict(v)
+				packed.Predict(v)
 			}
 		}))
 		f.InterpST = append(f.InterpST, timeIt(9, func() {
@@ -482,6 +476,7 @@ func (e *Env) RunFig5() (*Fig5, error) {
 func (f *Fig5) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 5: prediction latency by number of pipelines (MT = %d workers)\n", f.Workers)
+	sb.WriteString("compiled = treec.Packed.Predict per vector; interp = gbdt.Model.Predict\n")
 	fmt.Fprintf(&sb, "%10s %14s %14s %14s\n", "pipelines", "compiled ST", "interp ST", "interp MT")
 	for i, k := range f.Counts {
 		fmt.Fprintf(&sb, "%10d %14s %14s %14s\n", k, fmtDur(f.CompiledST[i]), fmtDur(f.InterpST[i]), fmtDur(f.InterpMT[i]))

@@ -14,13 +14,14 @@ import (
 
 // Planner is the planner-costing benchmark (make bench-planner →
 // BENCH_planner.json): per synthetic join graph, DPsize enumeration
-// wall-clock and model/oracle-call accounting across costing paths — the
-// historical scalar Flat tier, memoized scalar tiers, and the level-batched
-// packed tier — plus plan-quality (executed T3 vs Cout trees, Table-6-style)
-// and the batched-dispatch scheduling uplift (§1).
+// wall-clock and model/oracle-call accounting across costing paths, all on
+// treec.Packed — scalar DPSize without and with the open-pipeline memo, and
+// level-batched DPSizeBatched over the rows kernel — plus plan-quality
+// (executed T3 vs Cout trees, Table-6-style) and the batched-dispatch
+// scheduling uplift (§1).
 type Planner struct {
-	Cases []PlannerCase      `json:"cases"`
-	Sched []PlannerSchedRow  `json:"sched"`
+	Cases []PlannerCase     `json:"cases"`
+	Sched []PlannerSchedRow `json:"sched"`
 }
 
 // PlannerCase is one join graph's enumeration comparison.
@@ -55,7 +56,7 @@ type PlannerRow struct {
 	Pruned int     `json:"pruned"`
 	Cost   float64 `json:"cost"`
 	// TreeMatches reports whether this path chose the same tree as the
-	// scalar-flat-nomemo baseline.
+	// scalar-packed-nomemo baseline.
 	TreeMatches bool `json:"tree_matches"`
 	// Speedup is baseline wall-clock / this wall-clock.
 	Speedup float64 `json:"speedup"`
@@ -74,8 +75,8 @@ type PlannerSchedRow struct {
 }
 
 // plannerCases are the benchmarked synthetic join graphs. The 8+ relation
-// cases carry the paper-style headline: batched packed-tier costing vs the
-// scalar Flat path.
+// cases carry the paper-style headline: batched costing vs the scalar
+// no-memo path, both on the packed tier.
 var plannerCases = []struct {
 	shape string
 	n     int
@@ -97,7 +98,7 @@ func (e *Env) RunPlanner() (*Planner, error) {
 	if err != nil {
 		return nil, err
 	}
-	flat, packed, reg := m.Compiled(), m.Packed(), m.Registry()
+	packed, reg := m.Packed(), m.Registry()
 	res := &Planner{}
 
 	for ci, c := range plannerCases {
@@ -117,13 +118,10 @@ func (e *Env) RunPlanner() (*Planner, error) {
 			run  func() (*joinorder.Result, error)
 		}
 		paths := []path{
-			{"scalar-flat-nomemo", func() (*joinorder.Result, error) {
-				cm := joinorder.NewT3Cost(flat, reg, inst, sp, oracle)
+			{"scalar-packed-nomemo", func() (*joinorder.Result, error) {
+				cm := joinorder.NewT3Cost(packed, reg, inst, sp, oracle)
 				cm.NoMemo = true
 				return joinorder.DPSize(sp, cm)
-			}},
-			{"scalar-flat-memo", func() (*joinorder.Result, error) {
-				return joinorder.DPSize(sp, joinorder.NewT3Cost(flat, reg, inst, sp, oracle))
 			}},
 			{"scalar-packed-memo", func() (*joinorder.Result, error) {
 				return joinorder.DPSize(sp, joinorder.NewT3Cost(packed, reg, inst, sp, oracle))

@@ -11,9 +11,9 @@ import (
 )
 
 // plannerT3 trains a small T3-shaped model with splits across several planner
-// features and returns both compiled tiers (same trained trees, so the packed
-// scalar path and the batched path share one prediction function).
-func plannerT3(t testing.TB) (*treec.Flat, *treec.Packed, *feature.Registry) {
+// features and packs it: the scalar path and the batched path share this one
+// prediction function.
+func plannerT3(t testing.TB) (*treec.Packed, *feature.Registry) {
 	t.Helper()
 	reg := feature.NewDefaultRegistry()
 	n := 600
@@ -34,7 +34,7 @@ func plannerT3(t testing.TB) (*treec.Flat, *treec.Packed, *feature.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return treec.Flatten(m), treec.Pack(m), reg
+	return treec.Pack(m), reg
 }
 
 // TestBatchedMatchesScalar is the batched-vs-scalar determinism property:
@@ -42,7 +42,7 @@ func plannerT3(t testing.TB) (*treec.Flat, *treec.Packed, *feature.Registry) {
 // count and flush size must return bit-identical costs and the same optimal
 // tree as the scalar DPSize reference running the same packed predictor.
 func TestBatchedMatchesScalar(t *testing.T) {
-	_, packed, reg := plannerT3(t)
+	packed, reg := plannerT3(t)
 	cases := []struct {
 		shape string
 		n     int
@@ -97,7 +97,7 @@ func TestBatchedMatchesScalar(t *testing.T) {
 // TestBatchedSingleRelation covers the degenerate one-relation spec, where the
 // whole plan is one open pipeline.
 func TestBatchedSingleRelation(t *testing.T) {
-	_, packed, reg := plannerT3(t)
+	packed, reg := plannerT3(t)
 	inst, sp := workload.SyntheticJoinBench(workload.ShapeChain, 1, 64, 3)
 	ref, err := DPSize(sp, NewT3Cost(packed, reg, inst, sp, NewEstOracle(inst, sp)))
 	if err != nil {
@@ -118,7 +118,7 @@ func TestBatchedSingleRelation(t *testing.T) {
 // re-predict-per-Total behaviour (NoMemo), which in turn pays the classic
 // >= 2x-Cout price.
 func TestTotalMemoizationCutsCalls(t *testing.T) {
-	_, packed, reg := plannerT3(t)
+	packed, reg := plannerT3(t)
 	inst, sp := workload.SyntheticJoinBench(workload.ShapeStar, 7, 256, 11)
 
 	memo := NewT3Cost(packed, reg, inst, sp, NewEstOracle(inst, sp))
@@ -162,7 +162,7 @@ func TestBatchedSteadyStateAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts inflated under -race")
 	}
-	_, packed, reg := plannerT3(t)
+	packed, reg := plannerT3(t)
 	inst, sp := workload.SyntheticJoinBench(workload.ShapeChain, 10, 256, 5)
 	oracle := NewMemoOracle(NewEstOracle(inst, sp), len(sp.Rels))
 	cfg := BatchConfig{Workers: 1}

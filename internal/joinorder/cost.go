@@ -7,6 +7,7 @@ import (
 	"t3/internal/engine/plan"
 	"t3/internal/engine/stats"
 	"t3/internal/feature"
+	"t3/internal/treec"
 	"t3/internal/workload"
 )
 
@@ -38,13 +39,6 @@ func (c *CoutModel) Total(s State) float64 { return s.(float64) }
 
 // Calls reports model invocations.
 func (c *CoutModel) Calls() int { return c.calls }
-
-// Predictor is the scalar evaluation surface shared by the compiled tree
-// tiers: both *treec.Flat and *treec.Packed satisfy it, so the cost model can
-// run on either tier without caring which.
-type Predictor interface {
-	Predict(v []float64) float64
-}
 
 // scaleSeconds converts a raw model score (the transformed per-tuple target)
 // into pipeline seconds for the given source cardinality. Both the scalar and
@@ -79,22 +73,21 @@ type t3State struct {
 // pipeline, and one — memoized per state — for the extended open pipeline
 // the first time Total compares it.
 type T3CostModel struct {
-	pred   Predictor
+	pred   *treec.Packed
 	feat   *t3feat
 	oracle Oracle
 	calls  int
 
 	// NoMemo disables the open-pipeline prediction memo, restoring the
 	// historical behaviour of re-running the model on every Total call. It
-	// exists only as the benchmark baseline for the batched path; leave it
-	// false everywhere else.
+	// exists only as the planner benchmark's scalar-packed-nomemo baseline;
+	// leave it false everywhere else.
 	NoMemo bool
 }
 
-// NewT3Cost builds the T3 cost model. pred is a compiled tier (*treec.Flat or
-// *treec.Packed) and reg its registry; the oracle supplies subset
-// cardinalities.
-func NewT3Cost(pred Predictor, reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec, oracle Oracle) *T3CostModel {
+// NewT3Cost builds the T3 cost model over the packed evaluator pred and its
+// registry reg; the oracle supplies subset cardinalities.
+func NewT3Cost(pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec, oracle Oracle) *T3CostModel {
 	return &T3CostModel{pred: pred, feat: newT3Feat(reg, inst, spec), oracle: oracle}
 }
 

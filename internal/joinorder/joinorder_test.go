@@ -122,7 +122,7 @@ func TestGreedyProducesConnectedTree(t *testing.T) {
 
 // tinyT3 trains a minimal T3-shaped model on synthetic pipeline vectors so
 // the cost model has something to call.
-func tinyT3(t *testing.T) (*treec.Flat, *feature.Registry) {
+func tinyT3(t *testing.T) (*treec.Packed, *feature.Registry) {
 	t.Helper()
 	reg := feature.NewDefaultRegistry()
 	n := 500
@@ -142,12 +142,12 @@ func tinyT3(t *testing.T) (*treec.Flat, *feature.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return treec.Flatten(m), reg
+	return treec.Pack(m), reg
 }
 
 func TestDPSizeWithT3CostModel(t *testing.T) {
 	in := imdbInst(t)
-	flat, reg := tinyT3(t)
+	packed, reg := tinyT3(t)
 	specs := workload.JOBJoinSpecs(in)
 	tested := 0
 	for _, sp := range specs {
@@ -155,7 +155,7 @@ func TestDPSizeWithT3CostModel(t *testing.T) {
 			continue
 		}
 		oracle := NewExactOracle(in, sp)
-		cm := NewT3Cost(flat, reg, in, sp, oracle)
+		cm := NewT3Cost(packed, reg, in, sp, oracle)
 		res, err := DPSize(sp, cm)
 		if err != nil {
 			t.Fatalf("%s: %v", sp.Name, err)

@@ -20,6 +20,7 @@ package par
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Pool is a fixed-size worker pool for fork-join parallelism.
@@ -27,7 +28,7 @@ type Pool struct {
 	workers int
 	tasks   chan func()
 	close   sync.Once
-	// persistent marks process-wide cached pools (Shared, Sized) whose
+	// persistent marks the process-wide cached pools of Sized, whose
 	// goroutines must outlive any single caller; Close is a no-op on them.
 	persistent bool
 }
@@ -53,44 +54,47 @@ func New(workers int) *Pool {
 	return p
 }
 
+// sizedPools maps a requested worker count to its cached pool. The map is
+// immutable once published: Sized reads it with one atomic load and no lock,
+// and a miss republishes a copy under sizedMu.
 var (
-	sharedOnce sync.Once
-	shared     *Pool
-
 	sizedMu    sync.Mutex
-	sizedPools map[int]*Pool
+	sizedPools atomic.Pointer[map[int]*Pool]
 )
 
-// Shared returns the process-wide pool, sized to GOMAXPROCS at first use and
-// never closed. It is the default executor for batched prediction.
-func Shared() *Pool {
-	sharedOnce.Do(func() {
-		shared = New(0)
-		shared.persistent = true
-	})
-	return shared
-}
-
-// Sized returns a process-wide cached pool with exactly the given worker
-// count (0 or GOMAXPROCS map to the shared pool). Unlike New, repeated calls
-// with the same count reuse one long-lived pool, so hot paths that honour a
-// per-call worker override never pay goroutine construction or teardown.
-// Cached pools are never closed; Close on them is a no-op.
+// Sized returns the process-wide cached pool with exactly the given worker
+// count; 0 means the current GOMAXPROCS, read at every call, so
+// Sized(n).Workers() == n for every n > 0 whatever GOMAXPROCS is or was.
+// Unlike New, repeated calls with the same count reuse one long-lived pool,
+// so hot paths that honour a per-call worker override never pay goroutine
+// construction or teardown. Cached pools are never closed; Close on them is a
+// no-op.
 func Sized(workers int) *Pool {
-	if workers <= 0 || workers == runtime.GOMAXPROCS(0) {
-		return Shared()
+	if workers <= 0 {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	if m := sizedPools.Load(); m != nil {
+		if p, ok := (*m)[workers]; ok {
+			return p
+		}
 	}
 	sizedMu.Lock()
 	defer sizedMu.Unlock()
-	if p, ok := sizedPools[workers]; ok {
-		return p
+	old := sizedPools.Load()
+	if old != nil {
+		if p, ok := (*old)[workers]; ok {
+			return p
+		}
 	}
 	p := New(workers)
 	p.persistent = true
-	if sizedPools == nil {
-		sizedPools = make(map[int]*Pool)
+	m := map[int]*Pool{workers: p}
+	if old != nil {
+		for k, v := range *old {
+			m[k] = v
+		}
 	}
-	sizedPools[workers] = p
+	sizedPools.Store(&m)
 	return p
 }
 

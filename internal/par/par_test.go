@@ -117,21 +117,29 @@ func TestNestedDo(t *testing.T) {
 	}
 }
 
-func TestSharedIsSingleton(t *testing.T) {
-	if Shared() != Shared() {
-		t.Fatal("Shared returned different pools")
-	}
-	if Shared().Workers() < 1 {
-		t.Fatalf("shared pool has %d workers", Shared().Workers())
+// TestSizedWorkersMatchRequest pins the contract hot paths branch on:
+// Sized(n) has exactly n workers for every n > 0, whatever GOMAXPROCS is now
+// or was when a pool of another size was first built (testing.AllocsPerRun
+// pins GOMAXPROCS to 1 around its body), and Sized(0) tracks the current
+// GOMAXPROCS.
+func TestSizedWorkersMatchRequest(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 3, 4} {
+		runtime.GOMAXPROCS(procs)
+		for n := 1; n <= 9; n++ {
+			if got := Sized(n).Workers(); got != n {
+				t.Fatalf("GOMAXPROCS=%d: Sized(%d) has %d workers", procs, n, got)
+			}
+		}
+		if got := Sized(0).Workers(); got != procs {
+			t.Fatalf("GOMAXPROCS=%d: Sized(0) has %d workers", procs, got)
+		}
 	}
 }
 
 func TestSizedPoolsAreCached(t *testing.T) {
-	if Sized(0) != Shared() {
-		t.Fatal("Sized(0) should be the shared pool")
-	}
-	if Sized(runtime.GOMAXPROCS(0)) != Shared() {
-		t.Fatal("Sized(GOMAXPROCS) should be the shared pool")
+	if Sized(0) != Sized(runtime.GOMAXPROCS(0)) {
+		t.Fatal("Sized(0) should be the GOMAXPROCS-sized pool")
 	}
 	p1, p2 := Sized(3), Sized(3)
 	if p1 != p2 {

@@ -379,8 +379,9 @@ func TestConcurrentClientsWithModelSwaps(t *testing.T) {
 			}
 		}(g)
 	}
-	done := make(chan struct{})
+	done, swapped := make(chan struct{}), make(chan struct{})
 	go func() {
+		defer close(swapped)
 		for {
 			select {
 			case <-done:
@@ -396,6 +397,9 @@ func TestConcurrentClientsWithModelSwaps(t *testing.T) {
 	}()
 	wg.Wait()
 	close(done)
+	// Join the swapper: a model load still running here would allocate
+	// inside the AllocsPerRun guards of the tests that follow.
+	<-swapped
 }
 
 func TestCacheDisabled(t *testing.T) {

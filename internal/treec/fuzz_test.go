@@ -9,7 +9,7 @@ import (
 )
 
 // genTree builds a random regression tree; about a fifth are single-leaf
-// (constant) trees, which the compiled tiers fold into the base score.
+// (constant) trees, which Pack and GenGo fold into the base score.
 func genTree(rng *rand.Rand, nFeatures int, exact32 bool) gbdt.Tree {
 	if rng.Intn(5) == 0 {
 		return gbdt.Tree{Leaves: []float64{rng.Float64()*4 - 2}}
@@ -37,9 +37,9 @@ func genTree(rng *rand.Rand, nFeatures int, exact32 bool) gbdt.Tree {
 	return t
 }
 
-// refFoldPredict is an independent full-precision reference with the
-// compiled tiers' summation order: base score plus constant trees first (in
-// tree order), then multi-node trees (in tree order).
+// refFoldPredict is the float64 reference: the interpreter's per-tree walk
+// (gbdt.Tree.Predict) summed in the compiled order — base score plus constant
+// trees first (in tree order), then multi-node trees (in tree order).
 func refFoldPredict(m *gbdt.Model, v []float64) float64 {
 	s := m.BaseScore
 	for i := range m.Trees {
@@ -91,19 +91,23 @@ func simGenGo(m *gbdt.Model, v []float64) float64 {
 }
 
 // genVectors produces random probe vectors plus adversarial ones pinned at
-// and around thresholds: the exact threshold, one ulp to either side, the
-// rounded-up float32 threshold, and one ulp past it — the boundary inputs of
-// the (t, thr32] rounding-gap contract.
-func genVectors(rng *rand.Rand, f *Flat, nFeatures, n int) [][]float64 {
+// and around the model's trained thresholds: the exact threshold, one ulp to
+// either side, the rounded-up float32 threshold, and one ulp past it — the
+// boundary inputs of the (t, thr32] rounding-gap contract.
+func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
+	var nodes []gbdt.Node
+	for i := range m.Trees {
+		nodes = append(nodes, m.Trees[i].Nodes...)
+	}
 	vs := make([][]float64, 0, n)
 	for i := 0; i < n; i++ {
-		v := make([]float64, nFeatures)
+		v := make([]float64, m.NumFeatures)
 		for j := range v {
 			v[j] = rng.Float64()*24 - 12
 		}
-		if len(f.Threshold) > 0 && i%2 == 0 {
-			ni := rng.Intn(len(f.Threshold))
-			t64 := f.Threshold[ni]
+		if len(nodes) > 0 && i%2 == 0 {
+			nd := nodes[rng.Intn(len(nodes))]
+			t64 := nd.Threshold
 			up := float64(RoundThreshold32(t64))
 			probes := []float64{
 				t64,
@@ -112,14 +116,16 @@ func genVectors(rng *rand.Rand, f *Flat, nFeatures, n int) [][]float64 {
 				up,
 				math.Nextafter(up, math.Inf(1)),
 			}
-			v[f.Feature[ni]] = probes[rng.Intn(len(probes))]
+			v[nd.Feature] = probes[rng.Intn(len(probes))]
 		}
 		vs = append(vs, v)
 	}
 	return vs
 }
 
-// checkTreeTiers asserts the full tier-equivalence contract for one model.
+// checkTreeTiers asserts the full equivalence contract for one model:
+// interpreter reference ↔ Packed.Predict ↔ PredictRowsInto ↔ generated-code
+// semantics.
 func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -131,29 +137,25 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 		m.Trees = append(m.Trees, genTree(rng, nFeatures, exact32))
 	}
 
-	flat := Flatten(m)
+	gaps := Flatten(m)
 	packed := Pack(m)
 	if exact32 && !packed.Exact {
 		t.Fatalf("seed=%d: all thresholds float32-exact but Packed.Exact=false", seed)
 	}
 
-	vs := genVectors(rng, flat, nFeatures, 4+int(nvec%64))
+	vs := genVectors(rng, m, 4+int(nvec%64))
 	for vi, v := range vs {
-		fp := flat.Predict(v)
-		if ref := refFoldPredict(m, v); math.Float64bits(fp) != math.Float64bits(ref) {
-			t.Fatalf("seed=%d vec=%d: flat=%v reference=%v", seed, vi, fp, ref)
-		}
-
+		ref := refFoldPredict(m, v)
 		pp := packed.Predict(v)
-		if math.Float64bits(pp) != math.Float64bits(fp) {
+		if math.Float64bits(pp) != math.Float64bits(ref) {
 			// Divergence is legal only on inexact models AND inside the
 			// documented rounding gap.
 			if packed.Exact {
-				t.Fatalf("seed=%d vec=%d: exact packed diverges: flat=%v packed=%v", seed, vi, fp, pp)
+				t.Fatalf("seed=%d vec=%d: exact packed diverges: reference=%v packed=%v", seed, vi, ref, pp)
 			}
-			if !flat.InRoundingGap(v) {
-				t.Fatalf("seed=%d vec=%d: packed diverges outside the rounding gap: flat=%v packed=%v v=%v",
-					seed, vi, fp, pp, v)
+			if !gaps.InRoundingGap(v) {
+				t.Fatalf("seed=%d vec=%d: packed diverges outside the rounding gap: reference=%v packed=%v v=%v",
+					seed, vi, ref, pp, v)
 			}
 		}
 
@@ -163,23 +165,22 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 		}
 	}
 
-	// Batch kernels are bit-identical to their single-vector loops.
+	// The rows kernel is bit-identical to the scalar walk, row for row.
+	rows := make([]float64, 0, len(vs)*nFeatures)
+	for _, v := range vs {
+		rows = append(rows, v...)
+	}
 	out := make([]float64, len(vs))
-	packed.PredictInto(vs, out)
+	packed.PredictRowsInto(rows, nFeatures, out, nil)
 	for i, v := range vs {
 		if math.Float64bits(out[i]) != math.Float64bits(packed.Predict(v)) {
-			t.Fatalf("seed=%d vec=%d: PredictInto=%v Predict=%v", seed, i, out[i], packed.Predict(v))
-		}
-	}
-	for i, got := range flat.PredictBatch(vs) {
-		if math.Float64bits(got) != math.Float64bits(flat.Predict(vs[i])) {
-			t.Fatalf("seed=%d vec=%d: flat batch=%v single=%v", seed, i, got, flat.Predict(vs[i]))
+			t.Fatalf("seed=%d vec=%d: PredictRowsInto=%v Predict=%v", seed, i, out[i], packed.Predict(v))
 		}
 	}
 }
 
-// FuzzTreeTiers fuzzes the flat/packed/generated-code equivalence contract
-// over random models and threshold-adversarial probe vectors.
+// FuzzTreeTiers fuzzes the reference/packed/rows/generated-code equivalence
+// contract over random models and threshold-adversarial probe vectors.
 func FuzzTreeTiers(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint64(seed*17))

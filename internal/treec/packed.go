@@ -45,7 +45,7 @@ type Packed struct {
 	Base        float64
 	NumFeatures int
 	// Exact is true when every threshold round-trips through float32, i.e.
-	// predictions are bit-identical to the float64 Flat tier for all inputs.
+	// every tree routes every input exactly as the float64 interpreter does.
 	Exact bool
 
 	// rowsL is the flat-row batch kernel's private layout (see rows.go),
@@ -56,9 +56,8 @@ type Packed struct {
 
 // RoundThreshold32 returns the smallest float32 whose float64 value is ≥ t —
 // the rounding direction that keeps every trained v <= t decision (ties
-// included) on its original side. Pack, GenGo, and the generated code all use
-// this same threshold, which is what makes the tiers bit-equivalent to each
-// other.
+// included) on its original side. Pack and GenGo both use this same
+// threshold, which is what makes the generated code bit-equivalent to Packed.
 func RoundThreshold32(t float64) float32 {
 	f := float32(t)
 	if float64(f) < t {
@@ -78,8 +77,8 @@ func Pack(m *gbdt.Model) *Packed {
 	for ti := range m.Trees {
 		t := &m.Trees[ti]
 		if len(t.Nodes) == 0 {
-			// Constant tree: fold into the base score (same order as Flatten
-			// and GenGo, so all tiers share one Base).
+			// Constant tree: fold into the base score (same order as GenGo,
+			// so both share one Base).
 			p.Base += t.Leaves[0]
 			continue
 		}
@@ -133,6 +132,15 @@ func Pack(m *gbdt.Model) *Packed {
 	return p
 }
 
+// treeEnd returns one past the last node of tree ti: the next tree's root, or
+// the end of Nodes for the last tree.
+func (p *Packed) treeEnd(ti int) int32 {
+	if ti+1 < len(p.Roots) {
+		return p.Roots[ti+1]
+	}
+	return int32(len(p.Nodes))
+}
+
 // Predict evaluates the packed ensemble for one feature vector.
 func (p *Packed) Predict(v []float64) float64 {
 	s := p.Base
@@ -155,70 +163,6 @@ func (p *Packed) Predict(v []float64) float64 {
 	return s
 }
 
-// predictBlockK is the number of vectors evaluated per tree pass in the
-// blocked batch kernel: each tree's hot nodes are loaded once and reused
-// across K walks instead of being evicted between full-ensemble traversals.
-const predictBlockK = 8
-
-// PredictInto evaluates many vectors into a caller-owned output slice
-// (len(out) must equal len(vs)) without allocating. Vectors are processed in
-// blocks of K per tree pass; per output element, tree contributions are still
-// added in tree order, so results are bit-identical to Predict.
-func (p *Packed) PredictInto(vs [][]float64, out []float64) {
-	if len(out) != len(vs) {
-		panic(fmt.Sprintf("treec: PredictInto out has len %d, want %d", len(out), len(vs)))
-	}
-	nodes, leaves := p.Nodes, p.Leaves
-	for lo := 0; lo < len(vs); lo += predictBlockK {
-		hi := min(lo+predictBlockK, len(vs))
-		blk, o := vs[lo:hi], out[lo:hi]
-		for k := range o {
-			o[k] = p.Base
-		}
-		for _, root := range p.Roots {
-			for k, v := range blk {
-				i := root
-				for {
-					n := &nodes[i]
-					if v[n.Feature] <= float64(n.Thr) {
-						i = n.Left
-					} else {
-						i = n.Right
-					}
-					if i < 0 {
-						o[k] += leaves[^i]
-						break
-					}
-				}
-			}
-		}
-	}
-}
-
-// PredictBatch evaluates many vectors through the blocked kernel.
-func (p *Packed) PredictBatch(vs [][]float64) []float64 {
-	out := make([]float64, len(vs))
-	p.PredictInto(vs, out)
-	return out
-}
-
-// PredictBatchParallel evaluates many vectors across a cached worker pool
-// (0 means the shared GOMAXPROCS-sized pool); no pool is constructed or torn
-// down per call. Chunks are multiples of the block size so the blocked kernel
-// runs at full width on every worker.
-func (p *Packed) PredictBatchParallel(vs [][]float64, workers int) []float64 {
-	out := make([]float64, len(vs))
-	pool := par.Sized(workers)
-	chunk := len(vs)/(4*pool.Workers()) + 1
-	if r := chunk % predictBlockK; r != 0 {
-		chunk += predictBlockK - r
-	}
-	pool.For(len(vs), chunk, func(lo, hi int) {
-		p.PredictInto(vs[lo:hi], out[lo:hi])
-	})
-	return out
-}
-
 // PredictRowsInto evaluates nrows = len(out) row-major feature vectors stored
 // contiguously in rows (row i is rows[i*stride : (i+1)*stride]) into the
 // caller-owned out slice, fanning block-aligned chunks across the given pool
@@ -231,10 +175,10 @@ func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool
 	if stride <= 0 || len(rows) < nrows*stride {
 		panic(fmt.Sprintf("treec: PredictRowsInto rows has %d floats, want >= %d x %d", len(rows), nrows, stride))
 	}
-	if pool.Workers() > 1 && nrows >= 2*predictBlockK {
+	if pool.Workers() > 1 && nrows >= 2*rowsLanes {
 		chunk := nrows/(4*pool.Workers()) + 1
-		if r := chunk % predictBlockK; r != 0 {
-			chunk += predictBlockK - r
+		if r := chunk % rowsLanes; r != 0 {
+			chunk += rowsLanes - r
 		}
 		pool.For(nrows, chunk, func(lo, hi int) {
 			p.predictRows(rows[lo*stride:hi*stride], stride, out[lo:hi])
@@ -245,51 +189,44 @@ func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool
 }
 
 // predictRows is the serial flat-row kernel behind PredictRowsInto: the
-// branchless fixed-depth layout when the ensemble fits it (see rows.go), the
-// generic blocked walker otherwise.
+// branchless 8-wide layout when the ensemble fits it (see rows.go), one
+// Predict per row otherwise — the same walker the kernel's tail rows use.
 func (p *Packed) predictRows(rows []float64, stride int, out []float64) {
 	if g := p.rowsKernel(); g.ok {
 		p.predictRowsFast(g, rows, stride, out)
 		return
 	}
-	p.predictRowsBlocked(rows, stride, out)
+	for r := range out {
+		out[r] = p.Predict(rows[r*stride : (r+1)*stride])
+	}
 }
 
-// predictRowsBlocked is the generic blocked fallback walker.
-func (p *Packed) predictRowsBlocked(rows []float64, stride int, out []float64) {
-	nodes, leaves := p.Nodes, p.Leaves
-	for lo := 0; lo < len(out); lo += predictBlockK {
-		hi := min(lo+predictBlockK, len(out))
-		o := out[lo:hi]
-		for k := range o {
-			o[k] = p.Base
-		}
-		for _, root := range p.Roots {
-			for k := range o {
-				v := rows[(lo+k)*stride : (lo+k+1)*stride]
-				i := root
-				for {
-					n := &nodes[i]
-					if v[n.Feature] <= float64(n.Thr) {
-						i = n.Left
-					} else {
-						i = n.Right
-					}
-					if i < 0 {
-						o[k] += leaves[^i]
-						break
-					}
-				}
-			}
+// Flat is the trained float64 threshold table of an ensemble: one
+// (feature, threshold) pair per decision node. It evaluates nothing; it keeps
+// what Pack rounds away, so InRoundingGap can tell whether a disagreement
+// between Packed and the float64 interpreter is the documented one.
+type Flat struct {
+	Feature   []int32
+	Threshold []float64
+}
+
+// Flatten collects the threshold table of a model.
+func Flatten(m *gbdt.Model) *Flat {
+	f := &Flat{}
+	for ti := range m.Trees {
+		for _, n := range m.Trees[ti].Nodes {
+			f.Feature = append(f.Feature, n.Feature)
+			f.Threshold = append(f.Threshold, n.Threshold)
 		}
 	}
+	return f
 }
 
 // InRoundingGap reports whether any feature value of v lies inside the
 // float32 rounding gap of any node threshold of f: the half-open interval
 // (t64, float64(RoundThreshold32(t64))]. Those are exactly the inputs on
-// which the packed tier (and the generated code, which shares its thresholds)
-// may legitimately disagree with the float64 Flat tier; tests use this to pin
+// which Packed (and the generated code, which shares its thresholds) may
+// legitimately disagree with the float64 interpreter; tests use this to pin
 // the equivalence contract.
 func (f *Flat) InRoundingGap(v []float64) bool {
 	for i, t64 := range f.Threshold {

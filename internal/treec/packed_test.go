@@ -99,24 +99,19 @@ func TestPackedFoldsConstantTrees(t *testing.T) {
 	if len(p.Roots) != 0 {
 		t.Fatalf("constant trees should fold away, got %d roots", len(p.Roots))
 	}
-	f := Flatten(m)
-	if p.Base != f.Base {
-		t.Fatalf("packed base %v != flat base %v", p.Base, f.Base)
-	}
 	if got := p.Predict([]float64{7}); got != 1.25 {
 		t.Fatalf("folded base = %v, want 1.25", got)
 	}
 }
 
 // TestPackedExactEquivalence: when every threshold round-trips through
-// float32, all tiers are bit-identical on every input.
+// float32, Packed is bit-identical to the interpreter on every input.
 func TestPackedExactEquivalence(t *testing.T) {
 	rng := rand.New(rand.NewSource(21))
 	for trial := 0; trial < 20; trial++ {
 		m := randomEnsemble(rng, 1+rng.Intn(8), 6, func() float64 {
 			return float64(float32(rng.NormFloat64() * 100))
 		})
-		f := Flatten(m)
 		p := Pack(m)
 		if !p.Exact {
 			t.Fatalf("trial %d: float32 thresholds must pack exactly", trial)
@@ -127,9 +122,6 @@ func TestPackedExactEquivalence(t *testing.T) {
 				v[j] = rng.NormFloat64() * 100
 			}
 			want := m.Predict(v)
-			if got := f.Predict(v); got != want {
-				t.Fatalf("trial %d: flat %v != interpreted %v", trial, got, want)
-			}
 			if got := p.Predict(v); got != want {
 				t.Fatalf("trial %d: packed %v != interpreted %v", trial, got, want)
 			}
@@ -138,7 +130,7 @@ func TestPackedExactEquivalence(t *testing.T) {
 }
 
 // TestPackedGapContract: with arbitrary float64 thresholds, packed may only
-// disagree with the float64 tiers when some feature value lies in a
+// disagree with the float64 interpreter when some feature value lies in a
 // documented rounding gap — and ties always stay on the trained side.
 func TestPackedGapContract(t *testing.T) {
 	rng := rand.New(rand.NewSource(22))
@@ -154,18 +146,18 @@ func TestPackedGapContract(t *testing.T) {
 			for j := range v {
 				if rng.Intn(4) == 0 {
 					// Reuse an exact threshold value: a tie, which must
-					// resolve identically (left) in every tier.
+					// resolve identically (left) in both.
 					v[j] = f.Threshold[rng.Intn(len(f.Threshold))]
 				} else {
 					v[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
 				}
 			}
-			want := f.Predict(v)
+			want := m.Predict(v)
 			got := p.Predict(v)
 			if got != want {
 				disagreements++
 				if !f.InRoundingGap(v) {
-					t.Fatalf("trial %d: packed %v != flat %v but no feature value in a rounding gap", trial, got, want)
+					t.Fatalf("trial %d: packed %v != interpreted %v but no feature value in a rounding gap", trial, got, want)
 				}
 			}
 		}
@@ -176,7 +168,7 @@ func TestPackedGapContract(t *testing.T) {
 // TestPackedGapDirected plants feature values exactly inside rounding gaps —
 // random vectors essentially never land in the ~1-ulp windows — and checks
 // that (a) InRoundingGap flags them, and (b) packed sends them left (the
-// <= side) where the float64 tiers send them right.
+// <= side) where the float64 interpreter sends them right.
 func TestPackedGapDirected(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	m := randomEnsemble(rng, 6, 6, func() float64 {
@@ -200,15 +192,15 @@ func TestPackedGapDirected(t *testing.T) {
 		}
 		// The planted value compares differently at this node: packed takes
 		// the left (<=) branch (up <= float64(thr32) by construction), the
-		// float64 tiers the right — which requires it to sit strictly above
+		// interpreter the right — which requires it to sit strictly above
 		// the trained threshold.
 		if up <= t64 {
 			t.Fatalf("node %d: planted value %v not strictly above threshold %v", i, up, t64)
 		}
 		probed++
-		// And packed vs flat whole-model disagreement, when it happens, is
-		// always explained.
-		if p.Predict(v) != f.Predict(v) && !f.InRoundingGap(v) {
+		// And packed vs interpreted whole-model disagreement, when it
+		// happens, is always explained.
+		if p.Predict(v) != m.Predict(v) && !f.InRoundingGap(v) {
 			t.Fatalf("node %d: unexplained disagreement", i)
 		}
 	}
@@ -228,10 +220,7 @@ func TestPackedBreadthFirstLayout(t *testing.T) {
 	// internal child index stays within [root, nextRoot) and is strictly
 	// greater than its parent (BFS property).
 	for ti, root := range p.Roots {
-		end := int32(len(p.Nodes))
-		if ti+1 < len(p.Roots) {
-			end = p.Roots[ti+1]
-		}
+		end := p.treeEnd(ti)
 		for i := root; i < end; i++ {
 			n := p.Nodes[i]
 			for _, c := range []int32{n.Left, n.Right} {
@@ -249,71 +238,36 @@ func TestPackedBreadthFirstLayout(t *testing.T) {
 	}
 }
 
-func TestPackedPredictIntoMatchesPredict(t *testing.T) {
-	m := trainToy(t, 30, 12, 32)
-	p := Pack(m)
-	rng := rand.New(rand.NewSource(33))
-	// Sizes around the block boundary, plus a large one.
-	for _, n := range []int{0, 1, 7, 8, 9, 16, 100, 1000} {
-		vs := make([][]float64, n)
-		for i := range vs {
-			vs[i] = []float64{rng.Float64() * 8, rng.Float64() * 200, float64(rng.Intn(10))}
-		}
-		out := make([]float64, n)
-		p.PredictInto(vs, out)
-		for i, v := range vs {
-			if want := p.Predict(v); out[i] != want {
-				t.Fatalf("n=%d row %d: PredictInto %v != Predict %v", n, i, out[i], want)
-			}
-		}
-		for _, workers := range []int{0, 1, 2, 5} {
-			par := p.PredictBatchParallel(vs, workers)
-			for i := range out {
-				if par[i] != out[i] {
-					t.Fatalf("n=%d workers=%d row %d: %v != %v", n, workers, i, par[i], out[i])
-				}
-			}
-		}
-	}
-}
-
-func TestPackedPredictIntoZeroAlloc(t *testing.T) {
+func TestPackedPredictZeroAlloc(t *testing.T) {
 	m := trainToy(t, 30, 12, 34)
 	p := Pack(m)
-	rng := rand.New(rand.NewSource(35))
-	vs := make([][]float64, 64)
-	for i := range vs {
-		vs[i] = []float64{rng.Float64() * 8, rng.Float64() * 200, float64(rng.Intn(10))}
-	}
-	out := make([]float64, len(vs))
+	v := []float64{3, 120, 4}
 	if allocs := testing.AllocsPerRun(100, func() {
-		p.PredictInto(vs, out)
-	}); allocs != 0 {
-		t.Fatalf("PredictInto allocates %.1f objects per run, want 0", allocs)
-	}
-	if allocs := testing.AllocsPerRun(100, func() {
-		p.Predict(vs[0])
+		p.Predict(v)
 	}); allocs != 0 {
 		t.Fatalf("Predict allocates %.1f objects per run, want 0", allocs)
 	}
 }
 
-// TestGenGoMatchesPackedSemantics: the emitted thresholds are exactly the
-// packed tier's effective thresholds, checked at source level.
-func TestPackedMatchesFlattenedStructure(t *testing.T) {
+// TestPackedMatchesModelStructure: Pack keeps every decision node and every
+// leaf of the multi-node trees, one root per such tree.
+func TestPackedMatchesModelStructure(t *testing.T) {
 	m := trainToy(t, 25, 16, 36)
-	f := Flatten(m)
 	p := Pack(m)
-	if len(p.Nodes) != len(f.Feature) {
-		t.Fatalf("packed has %d nodes, flat has %d", len(p.Nodes), len(f.Feature))
+	var nodes, leaves, roots int
+	for i := range m.Trees {
+		if len(m.Trees[i].Nodes) == 0 {
+			continue
+		}
+		nodes += len(m.Trees[i].Nodes)
+		leaves += len(m.Trees[i].Leaves)
+		roots++
 	}
-	if len(p.Leaves) != len(f.Leaves) {
-		t.Fatalf("packed has %d leaves, flat has %d", len(p.Leaves), len(f.Leaves))
+	if len(p.Nodes) != nodes || len(p.Leaves) != leaves || len(p.Roots) != roots {
+		t.Fatalf("packed has %d nodes, %d leaves, %d roots; model has %d, %d, %d",
+			len(p.Nodes), len(p.Leaves), len(p.Roots), nodes, leaves, roots)
 	}
-	if p.Base != f.Base {
-		t.Fatalf("packed base %v != flat base %v", p.Base, f.Base)
-	}
-	if len(p.Roots) != len(f.TreeStart) {
-		t.Fatalf("packed has %d roots, flat has %d", len(p.Roots), len(f.TreeStart))
+	if f := Flatten(m); len(f.Threshold) != nodes || len(f.Feature) != nodes {
+		t.Fatalf("threshold table has %d/%d entries, want %d", len(f.Threshold), len(f.Feature), nodes)
 	}
 }

@@ -13,9 +13,9 @@ import "math"
 // carry the float64 leaf value in a parallel array, so per-row sums remain
 // bit-identical to Predict.
 //
-// ok is false when a tree exceeds the uint8 index space (≥ 256 local nodes,
-// i.e. ensembles beyond ~127 leaves per tree); the kernel then falls back to
-// the generic blocked walker.
+// ok is false when a tree exceeds the uint8 index space (128 or more interior
+// nodes, i.e. ensembles beyond ~127 leaves per tree); PredictRowsInto then
+// scores every row through Predict.
 type rowsLayout struct {
 	ok    bool
 	nodes []uint64
@@ -23,6 +23,10 @@ type rowsLayout struct {
 	off   []int32 // per-tree start into nodes/val
 	depth []int32 // fixed walk depth per tree (deepest terminal)
 }
+
+// rowsLanes is the number of rows the kernel walks in lockstep; parallel
+// chunks are multiples of it so every worker runs the kernel at full width.
+const rowsLanes = 8
 
 // rowsNode packs one relative node: threshold bits low, feature, then the two
 // uint8 child offsets.
@@ -40,11 +44,7 @@ func (p *Packed) rowsKernel() *rowsLayout {
 func buildRowsLayout(p *Packed) *rowsLayout {
 	g := &rowsLayout{ok: true}
 	for ti, root := range p.Roots {
-		end := int32(len(p.Nodes))
-		if ti+1 < len(p.Roots) {
-			end = p.Roots[ti+1]
-		}
-		cnt := end - root
+		cnt := p.treeEnd(ti) - root
 		// Interior nodes plus one terminal per leaf reference; every interior
 		// has two children, so terminals ≤ cnt+1 and the local index space is
 		// 2*cnt+1. Reject trees that overflow uint8 offsets.

@@ -44,22 +44,8 @@ func benchRows(nrows, stride int) []float64 {
 	return rows
 }
 
-// BenchmarkPredictRowsFlatScalar is the historical planner costing path: one
-// scalar Flat-tier call per row.
-func BenchmarkPredictRowsFlatScalar(b *testing.B) {
-	f := Flatten(trainWide(b, 80, 117))
-	const nrows, stride = 1024, 117
-	rows := benchRows(nrows, stride)
-	out := make([]float64, nrows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		for r := 0; r < nrows; r++ {
-			out[r] = f.Predict(rows[r*stride : (r+1)*stride])
-		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
-}
-
+// BenchmarkPredictRowsPackedScalar is the scalar planner costing path: one
+// Packed.Predict call per row.
 func BenchmarkPredictRowsPackedScalar(b *testing.B) {
 	p := Pack(trainWide(b, 80, 117))
 	const nrows, stride = 1024, 117
@@ -70,19 +56,6 @@ func BenchmarkPredictRowsPackedScalar(b *testing.B) {
 		for r := 0; r < nrows; r++ {
 			out[r] = p.Predict(rows[r*stride : (r+1)*stride])
 		}
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
-}
-
-// BenchmarkPredictRowsBlocked pins the generic blocked fallback walker.
-func BenchmarkPredictRowsBlocked(b *testing.B) {
-	p := Pack(trainWide(b, 80, 117))
-	const nrows, stride = 1024, 117
-	rows := benchRows(nrows, stride)
-	out := make([]float64, nrows)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		p.predictRowsBlocked(rows, stride, out)
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
 }

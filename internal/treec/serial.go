@@ -57,7 +57,9 @@ func AppendPacked(dst []byte, p *Packed) []byte {
 
 // DecodePacked parses an AppendPacked encoding. The returned Packed shares
 // nothing with b. Truncated or over-long input is an error — the encoding
-// is self-delimiting, so trailing garbage means corruption.
+// is self-delimiting, so trailing garbage means corruption — and so is any
+// index the walkers would otherwise have to trust (see validate): a decoded
+// Packed terminates and stays in bounds on every vector of NumFeatures values.
 func DecodePacked(b []byte) (*Packed, error) {
 	d := &packedReader{b: b}
 	ver := d.u32()
@@ -102,7 +104,63 @@ func DecodePacked(b []byte) (*Packed, error) {
 	if d.off != len(b) {
 		return nil, fmt.Errorf("treec: %d trailing bytes after packed encoding", len(b)-d.off)
 	}
+	if err := p.validate(); err != nil {
+		return nil, err
+	}
 	return p, nil
+}
+
+// validate checks the structure Pack produces and the evaluators rely on
+// without testing: roots strictly ascending from 0, so every tree owns the
+// node block up to the next root; every feature id below NumFeatures; every
+// leaf reference inside Leaves; every child inside its own tree's block, past
+// its parent (the breadth-first order that bounds every walk and that
+// buildRowsLayout computes depths from), and every non-root node under
+// exactly one parent (a second parent would let that depth come out short, an
+// orphan would break the terminals <= interior+1 bound its uint8 offsets
+// assume).
+func (p *Packed) validate() error {
+	if p.NumFeatures > math.MaxUint16+1 {
+		return fmt.Errorf("treec: packed feature count %d exceeds uint16 feature ids", p.NumFeatures)
+	}
+	if len(p.Nodes) > 0 && len(p.Roots) == 0 {
+		return fmt.Errorf("treec: %d packed nodes but no roots", len(p.Nodes))
+	}
+	for ti, root := range p.Roots {
+		if (ti == 0 && root != 0) || (ti > 0 && root <= p.Roots[ti-1]) || int(root) >= len(p.Nodes) {
+			return fmt.Errorf("treec: packed root %d of tree %d not strictly ascending from 0 within %d nodes", root, ti, len(p.Nodes))
+		}
+	}
+	hasParent := make([]bool, len(p.Nodes))
+	for ti, root := range p.Roots {
+		end := p.treeEnd(ti)
+		for i := root; i < end; i++ {
+			n := &p.Nodes[i]
+			// Children lie past their parent, so by node i every possible
+			// parent of i has been seen.
+			if i > root && !hasParent[i] {
+				return fmt.Errorf("treec: packed node %d of tree %d has no parent", i, ti)
+			}
+			if int(n.Feature) >= p.NumFeatures {
+				return fmt.Errorf("treec: packed node %d tests feature %d of %d", i, n.Feature, p.NumFeatures)
+			}
+			for _, c := range [2]int32{n.Left, n.Right} {
+				switch {
+				case c < 0:
+					if int(^c) >= len(p.Leaves) {
+						return fmt.Errorf("treec: packed node %d references leaf %d of %d", i, ^c, len(p.Leaves))
+					}
+				case c <= i || c >= end:
+					return fmt.Errorf("treec: packed node %d has child %d outside (%d, %d)", i, c, i, end)
+				case hasParent[c]:
+					return fmt.Errorf("treec: packed node %d has two parents", c)
+				default:
+					hasParent[c] = true
+				}
+			}
+		}
+	}
+	return nil
 }
 
 func appendU32(dst []byte, v uint32) []byte {

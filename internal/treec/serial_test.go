@@ -2,6 +2,7 @@ package treec
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -106,4 +107,123 @@ func TestPackedCodecRejectsCorruption(t *testing.T) {
 	if _, err := DecodePacked(hostile); err == nil {
 		t.Fatal("hostile node count decoded without error")
 	}
+}
+
+// clonePacked deep-copies the encoded fields of p.
+func clonePacked(p *Packed) *Packed {
+	return &Packed{
+		Nodes:       append([]PackedNode(nil), p.Nodes...),
+		Roots:       append([]int32(nil), p.Roots...),
+		Leaves:      append([]float64(nil), p.Leaves...),
+		Base:        p.Base,
+		NumFeatures: p.NumFeatures,
+		Exact:       p.Exact,
+	}
+}
+
+// TestDecodePackedRejectsBadStructure corrupts one field of a valid packed
+// ensemble per case. Each would otherwise be found by a walker — as an index
+// panic, a walk that never ends, or a rows-kernel answer that differs from
+// Predict — so DecodePacked must refuse all of them.
+func TestDecodePackedRejectsBadStructure(t *testing.T) {
+	good := Pack(serialModel(t))
+	if len(good.Roots) < 3 {
+		t.Fatalf("need at least 3 multi-node trees, have %d", len(good.Roots))
+	}
+	// interior is a node of tree 1 with an interior left child; tree 1 sits
+	// between two other trees, so both neighbours' blocks are in range.
+	interior := int32(-1)
+	for i := good.Roots[1]; i < good.Roots[2]; i++ {
+		if good.Nodes[i].Left >= 0 && good.Nodes[i].Right >= 0 {
+			interior = i
+			break
+		}
+	}
+	if interior < 0 {
+		t.Fatal("tree 1 has no node with two interior children")
+	}
+	cases := []struct {
+		name    string
+		corrupt func(p *Packed)
+	}{
+		{"feature == NumFeatures", func(p *Packed) { p.Nodes[interior].Feature = uint16(p.NumFeatures) }},
+		{"NumFeatures beyond uint16 ids", func(p *Packed) { p.NumFeatures = math.MaxUint16 + 2 }},
+		{"child is its own parent", func(p *Packed) { p.Nodes[interior].Left = interior }},
+		{"child before its parent", func(p *Packed) { p.Nodes[interior].Right = p.Roots[1] }},
+		{"child in the previous tree", func(p *Packed) { p.Nodes[interior].Left = p.Roots[0] }},
+		{"child in the next tree", func(p *Packed) { p.Nodes[interior].Left = p.Roots[2] }},
+		{"child beyond all nodes", func(p *Packed) { p.Nodes[interior].Right = int32(len(p.Nodes)) }},
+		{"child with two parents", func(p *Packed) { p.Nodes[interior].Left = p.Nodes[interior].Right }},
+		{"child with no parent", func(p *Packed) { p.Nodes[interior].Left = ^0 }},
+		{"leaf == len(Leaves)", func(p *Packed) { p.Nodes[len(p.Nodes)-1].Left = ^int32(len(p.Leaves)) }},
+		{"leaf far out of range", func(p *Packed) { p.Nodes[0].Right = math.MinInt32 }},
+		{"first root not 0", func(p *Packed) { p.Roots[0] = 1 }},
+		{"roots not ascending", func(p *Packed) { p.Roots[1], p.Roots[2] = p.Roots[2], p.Roots[1] }},
+		{"duplicate root", func(p *Packed) { p.Roots[2] = p.Roots[1] }},
+		{"root beyond all nodes", func(p *Packed) { p.Roots[len(p.Roots)-1] = int32(len(p.Nodes)) }},
+		{"negative root", func(p *Packed) { p.Roots[1] = -1 }},
+		{"nodes without roots", func(p *Packed) { p.Roots = nil }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			p := clonePacked(good)
+			tc.corrupt(p)
+			if _, err := DecodePacked(AppendPacked(nil, p)); err == nil {
+				t.Fatal("decoded without error")
+			}
+		})
+	}
+	if _, err := DecodePacked(AppendPacked(nil, clonePacked(good))); err != nil {
+		t.Fatalf("uncorrupted clone rejected: %v", err)
+	}
+}
+
+// TestDecodePackedRejectsOrphans: 127 nodes fit the rows kernel's uint8
+// layout only because a connected tree has at most one terminal more than it
+// has interior nodes. A root over node 126 plus 125 unreachable nodes holding
+// two leaves each has 253 terminals, whose offsets would wrap.
+func TestDecodePackedRejectsOrphans(t *testing.T) {
+	p := &Packed{NumFeatures: 1, Roots: []int32{0}, Nodes: make([]PackedNode, 127)}
+	leaf := func(v float64) int32 {
+		p.Leaves = append(p.Leaves, v)
+		return ^int32(len(p.Leaves) - 1)
+	}
+	p.Nodes[0] = PackedNode{Left: 126, Right: leaf(1)}
+	for i := 1; i < 127; i++ {
+		p.Nodes[i] = PackedNode{Left: leaf(float64(2 * i)), Right: leaf(float64(2*i + 1))}
+	}
+	if _, err := DecodePacked(AppendPacked(nil, p)); err == nil {
+		t.Fatal("decoded a tree with unreachable nodes")
+	}
+}
+
+// FuzzDecodePacked: any byte string either fails to decode or yields an
+// ensemble both entry points evaluate without panicking, to the same bits.
+func FuzzDecodePacked(f *testing.F) {
+	for _, seed := range []int64{1, 2, 3} {
+		rng := rand.New(rand.NewSource(seed))
+		m := randomEnsemble(rng, 1+rng.Intn(4), 1+rng.Intn(5), rng.NormFloat64)
+		f.Add(AppendPacked(nil, Pack(m)))
+	}
+	f.Add(AppendPacked(nil, &Packed{Base: 1.5, NumFeatures: 2}))
+	f.Fuzz(func(t *testing.T, b []byte) {
+		p, err := DecodePacked(b)
+		if err != nil {
+			return
+		}
+		const nrows = rowsLanes + 1 // one kernel block and a tail row
+		stride := max(p.NumFeatures, 1)
+		rows := make([]float64, nrows*stride)
+		rng := rand.New(rand.NewSource(int64(len(b))))
+		for i := range rows {
+			rows[i] = rng.NormFloat64() * 100
+		}
+		out := make([]float64, nrows)
+		p.PredictRowsInto(rows, stride, out, nil)
+		for r := range out {
+			if want := p.Predict(rows[r*stride : (r+1)*stride]); math.Float64bits(out[r]) != math.Float64bits(want) {
+				t.Fatalf("row %d: PredictRowsInto %v != Predict %v", r, out[r], want)
+			}
+		}
+	})
 }

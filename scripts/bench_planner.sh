@@ -2,13 +2,14 @@
 # bench_planner.sh — planner-costing benchmark for the join-order enumerator.
 #
 # Runs the t3bench "planner" experiment: DPsize enumeration over synthetic
-# chain/star/clique join graphs, timed under each costing path (the historical
-# scalar Flat tier, memoized scalar tiers, and level-batched packed-tier
-# costing), plus plan-quality execution of the chosen trees and the
-# batched-dispatch scheduling comparison. Structured results land in
-# BENCH_planner.json (t3/bench-results/v1), and the script asserts the
-# headline: on the best 8+ relation graph, batched packed-tier costing must
-# beat the scalar Flat path by >= MIN_SPEEDUP, choosing a plan bit-identical
+# chain/star/clique join graphs, timed under each costing path, all on
+# treec.Packed (scalar DPSize without the open-pipeline memo as the baseline,
+# scalar with it, and level-batched costing over the rows kernel), plus
+# plan-quality execution of the chosen trees and the batched-dispatch
+# scheduling comparison. Structured results land in BENCH_planner.json
+# (t3/bench-results/v1), and the script asserts the headline: on the best 8+
+# relation graph, batched costing must beat the scalar no-memo path
+# (scalar-packed-nomemo) by >= MIN_SPEEDUP, choosing a plan bit-identical
 # to the scalar packed reference on every case. The default floor (2.5x) is a
 # single-threaded regression guard tolerant of model-training variance and
 # noisy runners; measured single-core clique-8 runs land near 4x, and

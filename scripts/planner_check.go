@@ -8,7 +8,7 @@
 //   - every batched row actually batched (batches > 0) and did model work
 //     (model_calls > 0);
 //   - among the 8+ relation cases — where the paper-style headline lives —
-//     the best batched speedup over the scalar Flat path meets the floor.
+//     the best batched speedup over the scalar no-memo path meets the floor.
 //
 // The speedup floor applies to the best 8+ relation case, not every case:
 // chain graphs have too few candidate pairs per DP level for batching to
@@ -81,7 +81,7 @@ func main() {
 			}
 			// Bit-identity: same packed predictor, so the chosen plan must
 			// match the scalar reference exactly — equal cost down to the
-			// last float bit and the same agreement with the Flat baseline.
+			// last float bit and the same agreement with the no-memo baseline.
 			if r.Cost != ref.Cost || r.TreeMatches != ref.TreeMatches {
 				fatal("%s %s: diverged from scalar-packed reference (cost %v vs %v, tree match %v vs %v)",
 					c.Spec, r.Path, r.Cost, ref.Cost, r.TreeMatches, ref.TreeMatches)

@@ -12,7 +12,7 @@
 //     to push one tuple through the pipeline and multiplies by the
 //     pipeline's input cardinality (§2.4).
 //   - Compiled decision trees: a gradient-boosted ensemble evaluated in a
-//     flattened, compiled form for microsecond-level latency (§2.6).
+//     cache-packed, compiled form for microsecond-level latency (§2.6).
 //
 // The typical flow is: build or obtain annotated plans (see
 // internal/workload and internal/benchdata for generators and the
@@ -72,10 +72,12 @@ func DefaultParams() Params { return gbdt.DefaultParams() }
 // Model is a trained T3 performance predictor. All prediction methods are
 // safe for concurrent use.
 type Model struct {
-	reg    *feature.Registry
-	gbm    *gbdt.Model
-	flat   *treec.Flat
+	reg *feature.Registry
+	gbm *gbdt.Model
+	// packed is the one evaluator every prediction runs on; gaps keeps the
+	// trained float64 thresholds it rounds away (see Compiled).
 	packed *treec.Packed
+	gaps   *treec.Flat
 	// workers sizes the pool PredictBatch fans out over (0 = the shared
 	// GOMAXPROCS-sized pool).
 	workers int
@@ -93,14 +95,16 @@ func (m *Model) SetWorkers(n int) { m.workers = n }
 func (m *Model) Registry() *feature.Registry { return m.reg }
 
 // Boosted returns the underlying gradient-boosted ensemble (the interpreted
-// form).
+// form, the float64 reference for Packed).
 func (m *Model) Boosted() *gbdt.Model { return m.gbm }
 
-// Compiled returns the flattened (compiled) evaluator.
-func (m *Model) Compiled() *treec.Flat { return m.flat }
+// Compiled returns the trained float64 threshold table. It evaluates
+// nothing: its InRoundingGap says whether a vector sits where Packed's
+// float32 thresholds may legitimately route differently from Boosted.
+func (m *Model) Compiled() *treec.Flat { return m.gaps }
 
-// Packed returns the cache-packed evaluator — the tier behind PredictPlan
-// and the batch paths.
+// Packed returns the cache-packed evaluator — the one tier behind every
+// prediction path.
 func (m *Model) Packed() *treec.Packed { return m.packed }
 
 // Tier names the evaluation tier serving Model predictions.
@@ -146,7 +150,7 @@ func NewModel(gbm *gbdt.Model) (*Model, error) {
 	if gbm.NumFeatures != reg.NumFeatures() {
 		return nil, fmt.Errorf("t3: model has %d features, registry has %d", gbm.NumFeatures, reg.NumFeatures())
 	}
-	return &Model{reg: reg, gbm: gbm, flat: treec.Flatten(gbm), packed: treec.Pack(gbm)}, nil
+	return &Model{reg: reg, gbm: gbm, packed: treec.Pack(gbm), gaps: treec.Flatten(gbm)}, nil
 }
 
 // PipelinePrediction is the predicted execution of one pipeline.
@@ -310,14 +314,6 @@ func (m *Model) PredictBatchInto(roots []*Plan, mode CardMode, out []time.Durati
 	})
 }
 
-// PredictPipeline predicts the execution time of a single pipeline.
-func (m *Model) PredictPipeline(p *Pipeline, mode CardMode) PipelinePrediction {
-	v := m.reg.PipelineVector(p, mode)
-	pred := m.predictVec(v, p, mode)
-	pred.Index = p.Index
-	return pred
-}
-
 func (m *Model) predictVec(v []float64, p *Pipeline, mode CardMode) PipelinePrediction {
 	t := m.packed.Predict(v)
 	perTuple := benchdata.InverseTarget(t)
@@ -330,8 +326,8 @@ func (m *Model) predictVec(v []float64, p *Pipeline, mode CardMode) PipelinePred
 }
 
 // PredictInterpreted predicts a whole query using the interpreted (struct
-// walking) evaluator instead of the compiled one — the "T3 interpreted" row
-// of Table 1.
+// walking) evaluator instead of the packed one — the "T3 interpreted" row
+// of Table 1, and the reference the benchmark checks predictions against.
 func (m *Model) PredictInterpreted(root *Plan, mode CardMode) time.Duration {
 	start := time.Now()
 	vecs, pipelines := m.reg.PlanVectors(root, mode)

@@ -39,12 +39,12 @@ func TestGeneratedPlanPredictionSumsOverPipelines(t *testing.T) {
 		}
 		var sum int64
 		for i, p := range pipes {
-			pred := m.PredictPipeline(p, TrueCards)
-			if pred.Total != per[i].Total {
+			alone := packedPipeline(m, p, TrueCards)
+			if alone != per[i].Total {
 				t.Fatalf("seed=%d scenario=%s pipeline %d: standalone %v != in-plan %v",
-					g.Seed, g.Scenario, i, pred.Total, per[i].Total)
+					g.Seed, g.Scenario, i, alone, per[i].Total)
 			}
-			sum += int64(pred.Total)
+			sum += int64(alone)
 		}
 		if int64(total) != sum {
 			t.Fatalf("seed=%d scenario=%s: total %d != pipeline sum %d", g.Seed, g.Scenario, total, sum)

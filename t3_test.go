@@ -10,6 +10,8 @@ import (
 
 	"t3/internal/benchdata"
 	"t3/internal/engine/exec"
+	"t3/internal/feature"
+	"t3/internal/gbdt"
 	"t3/internal/obs"
 	"t3/internal/qerror"
 	"t3/internal/workload"
@@ -184,24 +186,6 @@ func TestTrainErrorsOnEmptyInput(t *testing.T) {
 	}
 }
 
-func TestPredictPipeline(t *testing.T) {
-	c := smallCorpus(t)
-	m := trainSmall(t, c)
-	b := c.AllTest()[0]
-	total, per := m.PredictPlan(b.Query.Root, TrueCards)
-	var sum float64
-	for i, p := range b.Pipelines {
-		single := m.PredictPipeline(p, TrueCards)
-		if single.Total != per[i].Total {
-			t.Fatalf("pipeline %d: PredictPipeline %v != PredictPlan %v", i, single.Total, per[i].Total)
-		}
-		sum += single.Total.Seconds()
-	}
-	if math.Abs(sum-total.Seconds()) > 1e-6 {
-		t.Errorf("pipeline sum %v != plan total %v", sum, total.Seconds())
-	}
-}
-
 func TestModelAccessors(t *testing.T) {
 	c := smallCorpus(t)
 	m := trainSmall(t, c)
@@ -338,8 +322,35 @@ func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 	m.SetWorkers(0)
 }
 
+// foldedReference is the float64 reference for one vector: the interpreter's
+// per-tree walks summed in Packed's order (constant trees folded into the base
+// first), so agreement outside a rounding gap is exact, not approximate.
+func foldedReference(m *gbdt.Model, v []float64) float64 {
+	s := m.BaseScore
+	for i := range m.Trees {
+		if len(m.Trees[i].Nodes) == 0 {
+			s += m.Trees[i].Leaves[0]
+		}
+	}
+	for i := range m.Trees {
+		if len(m.Trees[i].Nodes) > 0 {
+			s += m.Trees[i].Predict(v)
+		}
+	}
+	return s
+}
+
+// packedPipeline scores one pipeline on its own from the model's public
+// pieces: its standalone feature vector through Model.Packed, scaled
+// tuple-centrically.
+func packedPipeline(m *Model, p *Pipeline, mode CardMode) time.Duration {
+	v := m.Registry().PipelineVector(p, mode)
+	perTuple := benchdata.InverseTarget(m.Packed().Predict(v))
+	return time.Duration(perTuple * feature.SourceCard(p, mode) * float64(time.Second))
+}
+
 // TestPackedTierServesPredictions pins that the public prediction path runs
-// on the packed tier and that it agrees with the flat tier on real plans
+// on the packed tier and that it agrees with the interpreter on real plans
 // (any disagreement must be a documented float32 rounding gap).
 func TestPackedTierServesPredictions(t *testing.T) {
 	c := smallCorpus(t)
@@ -350,18 +361,26 @@ func TestPackedTierServesPredictions(t *testing.T) {
 	if m.Tier() == "" {
 		t.Fatal("model reports no tier")
 	}
-	flat, packed := m.Compiled(), m.Packed()
 	gaps := 0
 	for _, b := range c.AllTest() {
-		vecs, _ := m.Registry().PlanVectors(b.Query.Root, TrueCards)
-		for _, v := range vecs {
-			pf, pp := flat.Predict(v), packed.Predict(v)
-			if pf != pp {
+		total, per := m.PredictPlan(b.Query.Root, TrueCards)
+		vecs, pipes := m.Registry().PlanVectors(b.Query.Root, TrueCards)
+		var sum time.Duration
+		for i, v := range vecs {
+			if pr, pp := foldedReference(m.Boosted(), v), m.Packed().Predict(v); pr != pp {
 				gaps++
-				if !flat.InRoundingGap(v) {
-					t.Fatalf("%s: packed %v != flat %v with no rounding gap", b.Query.Name, pp, pf)
+				if !m.Compiled().InRoundingGap(v) {
+					t.Fatalf("%s: packed %v != interpreted %v with no rounding gap", b.Query.Name, pp, pr)
 				}
 			}
+			want := packedPipeline(m, pipes[i], TrueCards)
+			if per[i].Total != want {
+				t.Fatalf("%s pipeline %d: served %v, packed tier gives %v", b.Query.Name, i, per[i].Total, want)
+			}
+			sum += want
+		}
+		if total != sum {
+			t.Fatalf("%s: served total %v != packed pipeline sum %v", b.Query.Name, total, sum)
 		}
 	}
 	t.Logf("%d pipeline vectors hit rounding gaps", gaps)

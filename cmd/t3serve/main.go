@@ -1,13 +1,13 @@
 // Command t3serve serves a trained T3 model over HTTP and raw TCP:
 // prediction and execution endpoints, a high-throughput binary wire
-// protocol with request coalescing and a fingerprint-keyed prediction
-// cache, plus the full observability surface of internal/obs.
+// protocol with a fingerprint-keyed prediction cache and per-connection
+// batching of cache misses, plus the full observability surface of
+// internal/obs.
 //
 // Usage:
 //
 //	t3serve [-addr :8080] [-tcp :8091] [-model models/t3_default.json]
-//	        [-cache 65536] [-coalesce-batch 64] [-coalesce-wait 20us]
-//	        [-workers 0] [-log text|json]
+//	        [-cache 65536] [-log text|json]
 //	        [-drift-tick 5s] [-drift-window 12] [-drift-threshold 2.0]
 //	        [-drift-quantile 0.9]
 //	        [-retrain-registry dir] [-retrain-instance tpch|tpcds|imdb]
@@ -23,7 +23,7 @@
 //	                         ?cards=true|est selects cardinality annotations.
 //	POST /predict.bin        binary wire frame in (see internal/wire), wire
 //	                         response frame out. Served through the
-//	                         coalescing/caching core.
+//	                         caching core (internal/serve).
 //	POST /run                predict the plan and score the q-error into the
 //	                         drift histogram. ?actual_ns=N supplies the
 //	                         caller's measured execution time (the normal
@@ -63,7 +63,9 @@
 //
 // With -tcp the same binary wire protocol is served on a raw TCP listener:
 // any number of length-prefixed request frames per connection, one response
-// frame each, in order (pipelining encouraged — see cmd/t3loadgen).
+// frame each, in order. Pipelining is encouraged (see cmd/t3loadgen): the
+// frames one read brings in are answered as one batch, their cache misses
+// priced in a single model call, their responses written at once.
 //
 // Example:
 //
@@ -315,15 +317,12 @@ func instrument(log *slog.Logger, name string, h http.HandlerFunc) http.HandlerF
 
 func main() {
 	var (
-		addr          = flag.String("addr", ":8080", "HTTP listen address")
-		tcpAddr       = flag.String("tcp", "", "raw TCP wire-protocol listen address (empty = disabled)")
-		modelPath     = flag.String("model", "models/t3_default.json", "trained model (JSON)")
-		workers       = flag.Int("workers", 0, "parallel workers for batched prediction (0 = GOMAXPROCS)")
-		cacheEntries  = flag.Int("cache", serve.DefaultCacheEntries, "prediction cache entries (0 disables)")
-		coalesceBatch = flag.Int("coalesce-batch", 64, "max requests per coalesced dispatch")
-		coalesceWait  = flag.Duration("coalesce-wait", 20*time.Microsecond, "max coalescing window wait (0 disables coalescing)")
-		logFormat     = flag.String("log", "text", "log format: text|json")
-		verbose       = flag.Bool("v", false, "debug logging (per-request access logs)")
+		addr         = flag.String("addr", ":8080", "HTTP listen address")
+		tcpAddr      = flag.String("tcp", "", "raw TCP wire-protocol listen address (empty = disabled)")
+		modelPath    = flag.String("model", "models/t3_default.json", "trained model (JSON)")
+		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "prediction cache entries (0 disables)")
+		logFormat    = flag.String("log", "text", "log format: text|json")
+		verbose      = flag.Bool("v", false, "debug logging (per-request access logs)")
 
 		driftTick      = flag.Duration("drift-tick", 5*time.Second, "drift detector epoch period")
 		driftWindow    = flag.Int("drift-window", 12, "drift window size in epochs (span = (epochs-1) x tick)")
@@ -352,16 +351,10 @@ func main() {
 		logger.Error("loading model", "path", *modelPath, "err", err)
 		os.Exit(1)
 	}
-	model.SetWorkers(*workers)
 
-	cfg := serve.Config{MaxBatch: *coalesceBatch, MaxWait: *coalesceWait}
+	cfg := serve.Config{CacheEntries: *cacheEntries}
 	if *cacheEntries <= 0 {
 		cfg.CacheEntries = -1
-	} else {
-		cfg.CacheEntries = *cacheEntries
-	}
-	if *coalesceWait == 0 {
-		cfg.NoCoalesce = true
 	}
 	core := serve.New(model, cfg)
 	drift := trace.NewQErrorDetector(trace.DetectorConfig{
@@ -489,7 +482,7 @@ func main() {
 	}
 
 	logger.Info("t3serve listening", "addr", *addr, "model", *modelPath, "tier", model.Tier(),
-		"cache", cfg.CacheEntries, "coalesce_batch", cfg.MaxBatch, "coalesce_wait", cfg.MaxWait)
+		"cache", cfg.CacheEntries)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- fmt.Errorf("http server: %w", err)

@@ -1,6 +1,15 @@
 // Package coalesce batches concurrent single-plan predict requests into
 // one batched prediction call.
 //
+// Nothing serves through it any more. internal/serve batches per connection
+// — the frames one read brings in, priced in one model call on the
+// connection's own goroutine — because the timer this package waits on took
+// 0.4–1 ms to fire a 20 µs window and gathered fewer than two requests
+// (bench/README.md, first latency budget). Its one importer is bench/'s
+// mirror of the old request path, which a gain-claiming change may not edit;
+// the package leaves with the next benchmark change. What follows describes
+// it as it was used.
+//
 // The packed tier predicts a plan in ~µs, but every serving request still
 // pays per-call overhead: scratch checkout, pool dispatch, instrumentation.
 // Under concurrency those calls arrive together, so the serving tier

@@ -38,7 +38,7 @@ func (s *driftingSource) CollectLabels(attempt int) (*workload.LabelSet, error) 
 // Every request must get a valid response frame: zero failures, under
 // -race in CI.
 func TestConcurrentTrafficAcrossControllerSwaps(t *testing.T) {
-	srv := serve.New(seedModel(t), serve.Config{MaxWait: 50 * time.Microsecond})
+	srv := serve.New(seedModel(t), serve.Config{})
 	h := httptest.NewServer(srv.PredictBinHandler())
 	defer h.Close()
 	l, err := net.Listen("tcp", "127.0.0.1:0")

@@ -238,11 +238,39 @@ func (r *Registry) AppendVec(dst []float64, p *plan.Pipeline, mode plan.CardMode
 // Scratch holds reusable storage for allocation-free plan featurization:
 // pipeline decomposition state, one flat buffer backing all pipeline
 // vectors, and the vector views into it. The zero value is ready to use.
+//
+// The same buffer serves as a batch's row arena (ResetRows, AppendPlanRows,
+// Rows): the pipeline rows of many plans back to back, each with its source
+// cardinality, in the row-major shape treec.Packed.PredictRowsInto reads.
 type Scratch struct {
 	Pipes plan.PipelineScratch
 	buf   []float64
 	vecs  [][]float64
+	cards []float64
 }
+
+// ResetRows empties the row arena.
+func (s *Scratch) ResetRows() {
+	s.buf = s.buf[:0]
+	s.cards = s.cards[:0]
+}
+
+// AppendPlanRows decomposes a plan and appends one feature row per pipeline
+// to the scratch's row arena, in execution order, with the row's source
+// cardinality beside it. It returns how many rows the arena now holds, which
+// is where the next plan's rows begin.
+func (r *Registry) AppendPlanRows(s *Scratch, root *plan.Node, mode plan.CardMode) int {
+	for _, p := range plan.DecomposeInto(root, &s.Pipes) {
+		s.buf = r.AppendVec(s.buf, p, mode)
+		s.cards = append(s.cards, effectiveSourceCard(p, mode))
+	}
+	return len(s.cards)
+}
+
+// Rows returns the row arena: len(cards) rows of NumFeatures values each,
+// row-major, and the source cardinality T3 scales each row's prediction by.
+// Both alias the scratch and are valid until its next use.
+func (s *Scratch) Rows() (rows, cards []float64) { return s.buf, s.cards }
 
 // FeaturizeInto decomposes a plan and encodes every pipeline into the
 // scratch, returning the vectors and pipelines. Both alias the scratch and

@@ -90,9 +90,9 @@ var (
 	CollectThroughput = Default.NewGauge("t3_collect_queries_per_second",
 		"Throughput of the last label-collection run.")
 
-	// Serving tier (internal/serve, internal/predcache, internal/coalesce):
-	// the binary wire endpoints, the fingerprint-keyed prediction cache, and
-	// the request coalescer in front of batched prediction.
+	// Serving tier (internal/serve, internal/predcache): the binary wire
+	// endpoints, the fingerprint-keyed prediction cache, and the
+	// per-connection miss batches in front of batched prediction.
 
 	// ServeBinRequests counts binary-protocol predict requests
 	// (/predict.bin and the raw TCP listener).
@@ -103,7 +103,7 @@ var (
 	ServeBinErrors = Default.NewCounter("t3_serve_bin_errors_total",
 		"Binary-protocol predict requests answered with an error.")
 	// ServeBinLatency is the server-side handling latency of binary
-	// predict requests (decode + cache/coalesce + respond).
+	// predict requests (decode + cache or model + respond).
 	ServeBinLatency = Default.NewHistogram("t3_serve_bin_request_seconds",
 		"Server-side binary predict request latency.", UnitNanoseconds)
 	// ServeCacheHits counts prediction-cache hits.
@@ -122,14 +122,16 @@ var (
 	// the serving tier (HTTP handlers plus in-flight TCP wire requests).
 	ServeInflight = Default.NewGauge("t3_serve_inflight_requests",
 		"Requests currently being handled by the serving tier.")
-	// ServeCoalesceBatches counts coalesced dispatches into batched
-	// prediction.
+	// ServeCoalesceBatches counts the model calls of the serving miss path:
+	// one per read of a connection that held at least one cache miss. The
+	// series keep the names they had when a cross-connection coalescer
+	// formed the batches; dashboards and bench/ read them.
 	ServeCoalesceBatches = Default.NewCounter("t3_serve_coalesce_batches_total",
-		"Coalesced prediction dispatches.")
-	// ServeCoalesceBatchSize is the distribution of coalesced batch sizes
-	// (requests per dispatch); mass above 1 is amortization won.
+		"Model calls of the serving miss path (one per connection read with a miss).")
+	// ServeCoalesceBatchSize is the distribution of misses priced per model
+	// call; mass above 1 is pipelined frames sharing one kernel call.
 	ServeCoalesceBatchSize = Default.NewHistogram("t3_serve_coalesce_batch_size",
-		"Requests per coalesced prediction dispatch.", UnitCount)
+		"Cache misses priced per model call of the serving miss path.", UnitCount)
 
 	// Join-order enumeration (internal/joinorder): DPsize driven by the
 	// T3 cost model, scalar or level-batched.

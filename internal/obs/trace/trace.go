@@ -8,9 +8,10 @@
 //   - Flight recorder (this file + ring.go): pooled fixed-capacity Trace
 //     values record begin/end span pairs with numeric stage ids — no
 //     strings, no maps, no allocation on the hot path — along the serving
-//     path (wire decode → cache lookup → coalesce wait → decompose →
-//     featurize → tree eval) and the exec path (pipelines → morsel
-//     partitions → ordered merge, lifted from exec.PipelineTiming).
+//     path (wire decode → cache lookup → batch evaluation, or for a
+//     lone miss decompose → featurize → tree eval) and the exec path
+//     (pipelines → morsel partitions → ordered merge, lifted from
+//     exec.PipelineTiming).
 //     Completed traces are published into a lock-free ring of the most
 //     recent queries; sampling reuses obs.Sampler so the always-on cost of
 //     an untraced query is one atomic add.
@@ -48,9 +49,9 @@ const (
 	// StageCacheLookup is plan fingerprinting plus the prediction-cache
 	// probe.
 	StageCacheLookup
-	// StageCoalesce is the time a request spent inside the coalescer:
-	// waiting for its batch window plus the shared batched dispatch.
-	StageCoalesce
+	// StageBatchEval is the one model call that priced every cache miss of
+	// the request's batch (Arg carries how many plans it priced).
+	StageBatchEval
 	// StageDecompose is plan → pipeline decomposition.
 	StageDecompose
 	// StageFeaturize is pipeline → feature-vector encoding.
@@ -69,7 +70,7 @@ const (
 )
 
 var stageNames = [NumStages]string{
-	"wire_decode", "cache_lookup", "coalesce", "decompose", "featurize",
+	"wire_decode", "cache_lookup", "batch_eval", "decompose", "featurize",
 	"tree_eval", "pipeline", "merge",
 }
 
@@ -86,8 +87,7 @@ type Kind uint8
 
 // Trace kinds.
 const (
-	// KindPredict is Model.PredictPlanScratch called directly (including
-	// from batch prediction and coalesced dispatches).
+	// KindPredict is Model.PredictPlanScratch called directly.
 	KindPredict Kind = iota
 	// KindServeBin is the binary serving path (/predict.bin or raw TCP).
 	KindServeBin
@@ -111,8 +111,9 @@ func (k Kind) String() string {
 const (
 	// FlagCacheHit marks a request answered from the prediction cache.
 	FlagCacheHit = 1 << iota
-	// FlagCoalesced marks a request that went through the coalescer.
-	FlagCoalesced
+	// FlagBatched marks a request whose miss was priced together with
+	// other misses of the same read (see StageBatchEval).
+	FlagBatched
 	// FlagError marks a request that failed (decode or execution error).
 	FlagError
 )
@@ -123,8 +124,8 @@ func FlagNames(flags uint8) []string {
 	if flags&FlagCacheHit != 0 {
 		names = append(names, "cache_hit")
 	}
-	if flags&FlagCoalesced != 0 {
-		names = append(names, "coalesced")
+	if flags&FlagBatched != 0 {
+		names = append(names, "batched")
 	}
 	if flags&FlagError != 0 {
 		names = append(names, "error")

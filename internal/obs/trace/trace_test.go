@@ -79,7 +79,7 @@ func TestSpanOverflowKeepsEarliest(t *testing.T) {
 func TestRingRoundtrip(t *testing.T) {
 	r := NewRecorder(8, 1)
 	tr := r.ForceBegin(KindServeBin, 2)
-	tr.Flags = FlagCacheHit | FlagCoalesced
+	tr.Flags = FlagCacheHit | FlagBatched
 	tr.Fingerprint = 0xdeadbeefcafe
 	tr.PredictedNs = 12345
 	tr.ActualNs = 23456
@@ -96,7 +96,7 @@ func TestRingRoundtrip(t *testing.T) {
 	}
 	g := got[0]
 	if g.ID != 1 || g.Kind != KindServeBin || g.Mode != 2 ||
-		g.Flags != FlagCacheHit|FlagCoalesced || g.NSpans != 3 {
+		g.Flags != FlagCacheHit|FlagBatched || g.NSpans != 3 {
 		t.Fatalf("header mangled: %+v", g)
 	}
 	if g.StartUnixNs != start || g.TotalNs < 0 {

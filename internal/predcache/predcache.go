@@ -16,6 +16,9 @@
 //   - Model swaps must invalidate atomically without blocking readers on a
 //     global lock: a generation counter is bumped once; entries stamped
 //     with an older generation read as misses and are reclaimed lazily.
+//     An entry carries the generation its value was computed under
+//     (PutGen), not the one current when it arrives, so a prediction that
+//     lost a race with the swap is never served.
 //   - Sharding (by the key's own hash bits) keeps lock hold times short
 //     under concurrent serving.
 //
@@ -141,20 +144,33 @@ func (c *Cache) Get(k Key) (time.Duration, bool) {
 	return time.Duration(v), true
 }
 
-// Put stores a prediction for k, evicting the shard's least recently used
-// entry when full. A Put racing an Invalidate stores a stale generation and
-// simply reads as a miss afterwards — never a wrong value.
-func (c *Cache) Put(k Key, v time.Duration) {
-	gen := c.gen.Load()
+// Put stores a prediction for k under the current generation. It is for
+// callers whose value cannot predate an Invalidate; one that computes the
+// value from a model another goroutine may swap must use PutGen.
+func (c *Cache) Put(k Key, v time.Duration) { c.PutGen(c.gen.Load(), k, v) }
+
+// PutGen stores a prediction for k that was computed under generation gen,
+// evicting the shard's least recently used entry when full. The caller reads
+// Generation before it loads the model it predicts with, so a value from a
+// model that has since been swapped out carries the generation the swap
+// ended: PutGen drops it, and one that slips in beside a concurrent
+// Invalidate is stamped with the old generation and reads as a miss. Either
+// way no entry of the current generation ever holds an older model's answer.
+func (c *Cache) PutGen(gen uint64, k Key, v time.Duration) {
+	if gen != c.gen.Load() {
+		return
+	}
 	s := c.shardOf(k)
 	s.mu.Lock()
 	if i, ok := s.idx[k]; ok {
 		e := &s.ents[i]
-		e.val = int64(v)
-		e.gen = gen
-		if s.head != i {
-			s.unlink(i)
-			s.pushFront(i)
+		if e.gen <= gen { // never replace a newer model's answer
+			e.val = int64(v)
+			e.gen = gen
+			if s.head != i {
+				s.unlink(i)
+				s.pushFront(i)
+			}
 		}
 		s.mu.Unlock()
 		return

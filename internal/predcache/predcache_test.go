@@ -33,6 +33,38 @@ func TestGetPutRoundtrip(t *testing.T) {
 	}
 }
 
+// TestPutGenNeverServesAcrossInvalidate is the miss path losing its race
+// with a model swap, step by step: the generation is captured, the swap
+// invalidates, and the old model's answer arrives afterwards. It must read
+// as a miss, and must not displace an answer the new model already stored.
+func TestPutGenNeverServesAcrossInvalidate(t *testing.T) {
+	c := New(64)
+	k := key(3, 4)
+
+	gen := c.Generation() // the miss path reads this before it loads the model
+	c.Invalidate()        // SetModel
+	c.PutGen(gen, k, 11*time.Microsecond)
+	if v, ok := c.Get(k); ok {
+		t.Fatalf("an answer computed before the swap is served after it: %v", v)
+	}
+	if c.Len() != 0 {
+		t.Fatalf("Len = %d after a stale put, want 0", c.Len())
+	}
+
+	c.PutGen(c.Generation(), k, 22*time.Microsecond) // the new model's answer
+	c.PutGen(gen, k, 11*time.Microsecond)            // the straggler again
+	if v, ok := c.Get(k); !ok || v != 22*time.Microsecond {
+		t.Fatalf("got (%v, %v), want the new model's (22µs, true)", v, ok)
+	}
+
+	// A put that passed the generation check just before the bump is stamped
+	// with the generation it was computed under, not the one it arrives in.
+	c.shardOf(k).ents[c.shardOf(k).idx[k]].gen = gen
+	if _, ok := c.Get(k); ok {
+		t.Fatal("an entry of an older generation read as a hit")
+	}
+}
+
 // TestPlanFingerprintKeys exercises the cache with real plan fingerprints:
 // the same plan hits, and plans differing only in cardinality annotations
 // do not collide.

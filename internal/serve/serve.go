@@ -1,22 +1,42 @@
-// Package serve is the high-throughput serving core behind cmd/t3serve:
-// the binary wire endpoints (/predict.bin over HTTP and a raw TCP
-// listener), the fingerprint-keyed prediction cache, request coalescing
-// into batched prediction, and atomic model hot-swapping.
+// Package serve is the serving core behind cmd/t3serve: the binary wire
+// endpoints (/predict.bin over HTTP and a raw TCP listener), the
+// fingerprint-keyed prediction cache, per-connection batching of cache
+// misses into one model call, and atomic model hot-swapping.
 //
-// The request path, in order:
+// A connection is the unit of parallelism. Its goroutine owns a scratch
+// (read buffer, plan-decode arena, prediction scratch, response buffer) and
+// nothing on the request path leaves that goroutine: no timer, no hand-over,
+// no worker pool. After each blocking read the connection answers every
+// complete frame the read brought in, at most maxBatchFrames, as one batch:
 //
-//  1. Decode the wire frame into a pooled per-connection scratch
-//     (wire.Decoder arena — no steady-state allocation).
-//  2. Fingerprint the plan (wire.PlanKey) and probe the prediction cache;
-//     a hit answers immediately without touching the model.
-//  3. On a miss, hand the plan to the card-mode's coalescer, which gathers
-//     concurrent misses into one Model.PredictBatchInto call, then insert
-//     the result into the cache.
+//  1. Decode each frame into its own region of the connection's arena
+//     (wire.Decoder.DecodeNext — no steady-state allocation).
+//  2. Fingerprint each plan (wire.PlanKey) and probe the prediction cache;
+//     a hit is answered without touching the model.
+//  3. Price all misses of the batch in one model call on the connection's
+//     own scratch — Model.PredictBatchScratch, one 8-wide kernel call over
+//     every pipeline of every missed plan; a lone miss takes
+//     Model.PredictPlanScratch, as /predict.bin's single frame does — and
+//     insert the results under the cache generation read before the model
+//     was loaded.
+//  4. Append the responses in request order and write them once.
+//
+// A client that sends one frame and waits gets exactly that frame's path and
+// two socket calls; a client that pipelines gets its batch for free, sized
+// by what it sent rather than by a timer. The server never waits on the
+// socket while it owes an answer.
+//
+// Where a hot round trip goes (bench/README.md, serve_rtt_hot on two cores):
+// 70 % of it is outside the server — the client's own socket calls, the
+// kernel's wake-ups and queueing for a core — 28 % is the server's read and
+// write, and wire decode, fingerprint, cache probe and response encoding
+// together are 1.5 %. A cache miss adds the model on top: about two thirds of
+// what the server spends on one.
 //
 // Model swaps (SetModel) are an atomic pointer store plus one cache
-// generation bump: in-flight requests finish against whichever model their
-// dispatch loaded, and no request ever observes a stale cached prediction
-// from the previous model.
+// generation bump: in-flight requests finish against whichever model they
+// loaded, and what they insert afterwards carries the old generation, so no
+// request ever observes a cached prediction from a previous model.
 package serve
 
 import (
@@ -31,7 +51,6 @@ import (
 	"time"
 
 	"t3"
-	"t3/internal/coalesce"
 	"t3/internal/engine/plan"
 	"t3/internal/obs"
 	"t3/internal/obs/trace"
@@ -39,51 +58,73 @@ import (
 	"t3/internal/wire"
 )
 
-// Config tunes the serving core. The zero value enables the cache and the
-// coalescer with defaults.
+// Config tunes the serving core. The zero value enables the cache at its
+// default size.
 type Config struct {
-	// MaxBatch caps requests per coalesced dispatch (0 = 64).
-	MaxBatch int
-	// MaxWait bounds how long the first request of a coalescing window
-	// waits for company (0 = 20µs).
-	MaxWait time.Duration
 	// CacheEntries bounds the prediction cache (0 = 65536). Negative
 	// disables caching.
 	CacheEntries int
-	// NoCoalesce disables request coalescing: every miss dispatches its
-	// own single-plan prediction (for A/B benchmarking).
-	NoCoalesce bool
 }
 
 // DefaultCacheEntries is the default prediction-cache bound. At 40 bytes a
 // slot this is ~2.6 MiB — small against the model itself.
 const DefaultCacheEntries = 1 << 16
 
+const (
+	// maxBatchFrames caps how many frames of one read are answered as one
+	// batch, and with it the connection's arenas. It is also the width at
+	// which the row kernel has long since amortized its set-up.
+	maxBatchFrames = 64
+	// readBufSize is the connection's read buffer: frames that fit are
+	// decoded in place, larger ones (up to wire.MaxPayload) are copied out.
+	readBufSize = 64 << 10
+	// maxPooledBody is the largest frame buffer a scratch may take back to
+	// the pool when its connection ends.
+	maxPooledBody = 64 << 10
+)
+
 // Server is the serving core. Safe for concurrent use.
 type Server struct {
 	model atomic.Pointer[t3.Model]
 	cache *predcache.Cache // nil when disabled
-	// One coalescer per card mode: a batch dispatches a single
-	// PredictBatchInto call, which takes the mode once.
-	batchers [2]*coalesce.Batcher
-	conns    sync.Pool // *connScratch
-	cfg      Config
+	conns sync.Pool        // *connScratch
+}
+
+// frame is one request of a batch: its plan in the connection's decode
+// arena, and what became of it.
+type frame struct {
+	root *plan.Node // nil when err is set
+	err  error      // the payload is not a plan; poisons only this frame
+	mode plan.CardMode
+	miss bool // the model has to answer (cache miss, or no cache)
+	key  predcache.Key
+	ns   int64
+	tr   *trace.Trace // non-nil for the sampled few
 }
 
 // connScratch is the per-connection reusable state of the binary request
-// path: frame read buffer, plan-decode arena, response write buffer, and a
-// prediction scratch for uncoalesced dispatches.
+// path: frame buffer, plan-decode arena, the batch being answered, the
+// prediction scratch its misses are priced on, and the response buffer.
 type connScratch struct {
-	hdr  [wire.HeaderSize]byte
-	body []byte
-	resp []byte
-	dec  wire.Decoder
+	hdr    [wire.HeaderSize]byte
+	body   []byte
+	resp   []byte
+	dec    wire.Decoder
+	frames []frame // the batch; at most maxBatchFrames
+	// gen is the cache generation read before the model that priced the
+	// batch's misses was loaded; fill inserts under it.
+	gen  uint64
 	pred t3.PredictScratch
+	// The misses of one card mode, gathered for one model call: their
+	// plans, their indices in frames, and the call's output.
+	roots []*plan.Node
+	slots []int
+	durs  [maxBatchFrames]time.Duration
 }
 
 // New builds a serving core around the given model.
 func New(model *t3.Model, cfg Config) *Server {
-	s := &Server{cfg: cfg}
+	s := &Server{}
 	s.model.Store(model)
 	if cfg.CacheEntries >= 0 {
 		n := cfg.CacheEntries
@@ -92,12 +133,6 @@ func New(model *t3.Model, cfg Config) *Server {
 		}
 		s.cache = predcache.New(n)
 	}
-	for mode := range s.batchers {
-		m := plan.CardMode(mode)
-		s.batchers[mode] = coalesce.New(func(roots []*plan.Node, out []time.Duration) {
-			s.model.Load().PredictBatchInto(roots, m, out)
-		}, cfg.MaxBatch, cfg.MaxWait)
-	}
 	return s
 }
 
@@ -105,7 +140,7 @@ func New(model *t3.Model, cfg Config) *Server {
 func (s *Server) Model() *t3.Model { return s.model.Load() }
 
 // SetModel atomically swaps the served model and invalidates every cached
-// prediction. In-flight dispatches complete on the model they loaded.
+// prediction. In-flight requests complete on the model they loaded.
 func (s *Server) SetModel(m *t3.Model) {
 	s.model.Store(m)
 	if s.cache != nil {
@@ -138,75 +173,162 @@ func (s *Server) getConn() *connScratch {
 	return &connScratch{}
 }
 
-// predictPayload serves one binary plan payload: decode, cache probe,
-// coalesced predict, cache fill. It returns the predicted nanoseconds.
-//
-// A sampled subset of requests (trace.Default) records a flight-recorder
-// trace of the whole path — decode, cache lookup, coalesce wait or model
-// stages — without allocating; the untraced majority pays one atomic add.
-func (s *Server) predictPayload(c *connScratch, payload []byte, mode plan.CardMode) (int64, error) {
-	tr := trace.Default.Begin(trace.KindServeBin, uint8(mode))
+// putConn takes a scratch back when its connection ends — unless one large
+// frame grew it toward wire.MaxPayload, which the pool would then hold on to
+// for a server full of 200-byte plans.
+func (s *Server) putConn(c *connScratch) {
+	if cap(c.body) <= maxPooledBody {
+		s.conns.Put(c)
+	}
+}
+
+// reset starts a new batch, invalidating the previous one's plans.
+func (c *connScratch) reset() {
+	c.dec.Reset()
+	c.frames = c.frames[:0]
+}
+
+// add decodes one plan payload as the batch's next frame. A sampled subset
+// of frames (trace.Default) records a flight-recorder trace of the whole
+// path without allocating; the untraced majority pays one atomic add.
+func (c *connScratch) add(payload []byte, mode plan.CardMode) {
+	f := frame{mode: mode, tr: trace.Default.Begin(trace.KindServeBin, uint8(mode))}
 	var t0 time.Time
-	if tr != nil {
-		t0 = tr.Start()
+	if f.tr != nil {
+		t0 = f.tr.Start()
 	}
-	root, err := c.dec.Decode(payload)
-	if err != nil {
-		if tr != nil {
-			tr.Flags |= trace.FlagError
-			trace.Default.Publish(tr)
+	f.root, f.err = c.dec.DecodeNext(payload)
+	if f.tr != nil {
+		if f.err != nil {
+			f.tr.Flags |= trace.FlagError
+		} else {
+			f.tr.Record(trace.StageWireDecode, t0, uint32(len(payload)))
 		}
-		return 0, err
 	}
-	tr.Record(trace.StageWireDecode, t0, uint32(len(payload)))
-	var key predcache.Key
-	if s.cache != nil {
-		if tr != nil {
-			t0 = time.Now()
+	c.frames = append(c.frames, f)
+}
+
+// serve answers the batch in c.frames: hits from the cache, every miss from
+// one model call per card mode.
+func (s *Server) serve(c *connScratch) {
+	if s.lookup(c) > 0 {
+		s.price(c)
+		s.fill(c)
+	}
+	for i := range c.frames {
+		f := &c.frames[i]
+		if f.tr == nil {
+			continue
 		}
-		key = predcache.Key(wire.PlanKey(root, mode))
-		d, ok := s.cache.Get(key)
-		if tr != nil {
-			tr.Record(trace.StageCacheLookup, t0, 0)
-			tr.Fingerprint = trace.KeyFingerprint(wire.Key(key))
-		}
-		if ok {
-			if tr != nil {
-				tr.Flags |= trace.FlagCacheHit
-				tr.PredictedNs = d.Nanoseconds()
-				trace.Default.Publish(tr)
+		if f.err == nil {
+			if s.cache == nil {
+				f.tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(f.root, f.mode))
 			}
-			return d.Nanoseconds(), nil
+			f.tr.PredictedNs = f.ns
 		}
+		trace.Default.Publish(f.tr)
 	}
-	var d time.Duration
-	if s.cfg.NoCoalesce {
-		// Direct dispatch over the connection's own scratch: the model's
-		// decompose/featurize/tree-eval spans land on this request's trace.
-		c.pred.AttachTrace(tr)
-		d, _ = s.Model().PredictPlanScratch(root, mode, &c.pred)
-		c.pred.AttachTrace(nil)
-	} else {
-		if tr != nil {
-			t0 = time.Now()
+}
+
+// lookup fingerprints every decoded frame and answers what the cache holds.
+// It returns how many frames are left to the model.
+func (s *Server) lookup(c *connScratch) (misses int) {
+	for i := range c.frames {
+		f := &c.frames[i]
+		if f.err != nil {
+			continue
 		}
-		d = s.batchers[mode].Predict(root)
-		if tr != nil {
-			tr.Record(trace.StageCoalesce, t0, 0)
-			tr.Flags |= trace.FlagCoalesced
+		if s.cache != nil {
+			var t0 time.Time
+			if f.tr != nil {
+				t0 = time.Now()
+			}
+			f.key = predcache.Key(wire.PlanKey(f.root, f.mode))
+			d, ok := s.cache.Get(f.key)
+			if f.tr != nil {
+				f.tr.Record(trace.StageCacheLookup, t0, 0)
+				f.tr.Fingerprint = trace.KeyFingerprint(wire.Key(f.key))
+			}
+			if ok {
+				f.ns = d.Nanoseconds()
+				if f.tr != nil {
+					f.tr.Flags |= trace.FlagCacheHit
+				}
+				continue
+			}
 		}
+		f.miss = true
+		misses++
 	}
+	return misses
+}
+
+// price answers the batch's misses from the model: all of a card mode's in
+// one PredictBatchScratch call on the connection's scratch, a lone one
+// through PredictPlanScratch, whose decompose, featurize and tree-eval spans
+// land on the request's own trace.
+func (s *Server) price(c *connScratch) {
+	// The generation is read before the model: an answer computed on a model
+	// that SetModel has since replaced then carries a generation the swap
+	// has ended, and predcache drops it (see predcache.PutGen).
 	if s.cache != nil {
-		s.cache.Put(key, d)
+		c.gen = s.cache.Generation()
 	}
-	if tr != nil {
-		if s.cache == nil {
-			tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(root, mode))
+	m := s.model.Load()
+	for _, mode := range [...]plan.CardMode{plan.TrueCards, plan.EstCards} {
+		c.roots, c.slots = c.roots[:0], c.slots[:0]
+		for i := range c.frames {
+			if f := &c.frames[i]; f.miss && f.mode == mode {
+				c.roots = append(c.roots, f.root)
+				c.slots = append(c.slots, i)
+			}
 		}
-		tr.PredictedNs = d.Nanoseconds()
-		trace.Default.Publish(tr)
+		n := len(c.roots)
+		if n == 0 {
+			continue
+		}
+		obs.ServeCoalesceBatches.Inc()
+		obs.ServeCoalesceBatchSize.Record(uint64(n))
+		if n == 1 {
+			f := &c.frames[c.slots[0]]
+			c.pred.AttachTrace(f.tr)
+			d, _ := m.PredictPlanScratch(f.root, mode, &c.pred)
+			c.pred.AttachTrace(nil)
+			f.ns = d.Nanoseconds()
+			continue
+		}
+		t0 := time.Now()
+		m.PredictBatchScratch(c.roots, mode, c.durs[:n], &c.pred)
+		for j, i := range c.slots {
+			f := &c.frames[i]
+			f.ns = c.durs[j].Nanoseconds()
+			if f.tr != nil {
+				f.tr.Record(trace.StageBatchEval, t0, uint32(n))
+				f.tr.Flags |= trace.FlagBatched
+			}
+		}
 	}
-	return d.Nanoseconds(), nil
+}
+
+// fill inserts what price computed, under the generation price read.
+func (s *Server) fill(c *connScratch) {
+	if s.cache == nil {
+		return
+	}
+	for i := range c.frames {
+		if f := &c.frames[i]; f.miss {
+			s.cache.PutGen(c.gen, f.key, time.Duration(f.ns))
+		}
+	}
+}
+
+// predictPayload serves one plan payload as a batch of one and returns the
+// predicted nanoseconds.
+func (s *Server) predictPayload(c *connScratch, payload []byte, mode plan.CardMode) (int64, error) {
+	c.reset()
+	c.add(payload, mode)
+	s.serve(c)
+	return c.frames[0].ns, c.frames[0].err
 }
 
 // PredictBinHandler returns the HTTP handler of POST /predict.bin: the
@@ -224,7 +346,7 @@ func (s *Server) PredictBinHandler() http.HandlerFunc {
 			return
 		}
 		c := s.getConn()
-		defer s.conns.Put(c)
+		defer s.putConn(c)
 		ns, status, err := s.handleFrame(c, r.Body)
 		w.Header().Set("Content-Type", "application/octet-stream")
 		c.resp = c.resp[:0]
@@ -249,11 +371,7 @@ func (s *Server) handleFrame(c *connScratch, rd io.Reader) (int64, byte, error) 
 	if err != nil {
 		return 0, wire.StatusBadRequest, err
 	}
-	if cap(c.body) < n {
-		c.body = make([]byte, n)
-	}
-	c.body = c.body[:n]
-	if _, err := io.ReadFull(rd, c.body); err != nil {
+	if err := c.readBody(rd, n); err != nil {
 		return 0, wire.StatusBadRequest, fmt.Errorf("reading frame payload: %w", err)
 	}
 	ns, err := s.predictPayload(c, c.body, mode)
@@ -261,6 +379,16 @@ func (s *Server) handleFrame(c *connScratch, rd io.Reader) (int64, byte, error) 
 		return 0, wire.StatusBadRequest, err
 	}
 	return ns, wire.StatusOK, nil
+}
+
+// readBody fills c.body with the next n bytes of rd.
+func (c *connScratch) readBody(rd io.Reader, n int) error {
+	if cap(c.body) < n {
+		c.body = make([]byte, n)
+	}
+	c.body = c.body[:n]
+	_, err := io.ReadFull(rd, c.body)
+	return err
 }
 
 // ServeTCP accepts connections on l and speaks the framed wire protocol on
@@ -279,60 +407,101 @@ func (s *Server) ServeTCP(l net.Listener) error {
 	}
 }
 
-// serveConn runs one connection's request loop over pooled scratch.
+// serveConn runs one connection's request loop over pooled scratch. Each
+// turn blocks for one frame, takes along every further frame that read
+// already completed, answers them as one batch and writes the answers
+// before it blocks again.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
 	c := s.getConn()
-	defer s.conns.Put(c)
-	rd := bufio.NewReaderSize(conn, 64<<10)
-	wr := bufio.NewWriterSize(conn, 32<<10)
+	defer s.putConn(c)
+	rd := bufio.NewReaderSize(conn, readBufSize)
 	for {
-		if _, err := io.ReadFull(rd, c.hdr[:]); err != nil {
-			return // EOF or torn connection: drop it
-		}
-		start := time.Now()
-		obs.ServeBinRequests.Inc()
-		obs.ServeInflight.Inc()
-		mode, n, err := wire.ParseHeader(c.hdr[:])
-		if err != nil {
-			// Framing is broken; answer once and hang up.
-			obs.ServeBinErrors.Inc()
-			obs.ServeInflight.Dec()
-			c.resp = wire.AppendErrorResponse(c.resp[:0], wire.StatusBadRequest, err.Error())
-			_, _ = wr.Write(c.resp)
-			_ = wr.Flush()
-			return
-		}
-		if cap(c.body) < n {
-			c.body = make([]byte, n)
-		}
-		c.body = c.body[:n]
-		if _, err := io.ReadFull(rd, c.body); err != nil {
-			obs.ServeInflight.Dec()
-			return
-		}
-		c.resp = c.resp[:0]
-		if ns, perr := s.predictPayload(c, c.body, mode); perr != nil {
-			// A malformed plan poisons only this request; the frame
-			// boundary is intact, so the connection survives.
-			obs.ServeBinErrors.Inc()
-			c.resp = wire.AppendErrorResponse(c.resp, wire.StatusBadRequest, perr.Error())
-		} else {
-			c.resp = wire.AppendResponse(c.resp, ns)
-		}
-		if _, err := wr.Write(c.resp); err != nil {
-			obs.ServeInflight.Dec()
-			return
-		}
-		// Flush only when no further request is already buffered, so
-		// pipelined clients batch response writes too.
-		if rd.Buffered() < wire.HeaderSize {
-			if err := wr.Flush(); err != nil {
-				obs.ServeInflight.Dec()
+		c.reset()
+		var start time.Time
+		var badHeader error
+		for len(c.frames) < maxBatchFrames {
+			// Only the batch's first frame may wait for the socket; the
+			// rest must be complete in the buffer, so nothing decoded ever
+			// sits unanswered behind a read.
+			first := len(c.frames) == 0
+			if !first && rd.Buffered() < wire.HeaderSize {
+				break
+			}
+			hdr, err := rd.Peek(wire.HeaderSize)
+			if err != nil {
+				return // EOF or torn connection: drop it
+			}
+			if first {
+				start = time.Now()
+			}
+			mode, n, err := wire.ParseHeader(hdr)
+			if err != nil {
+				badHeader = err
+				break
+			}
+			if !first && rd.Buffered() < wire.HeaderSize+n {
+				break
+			}
+			if err := c.take(rd, mode, n); err != nil {
 				return
 			}
 		}
-		obs.ServeInflight.Dec()
-		obs.ServeBinLatency.Since(start)
+
+		n := len(c.frames)
+		obs.ServeBinRequests.Add(uint64(n))
+		obs.ServeInflight.Add(float64(n))
+		s.serve(c)
+		c.resp = c.resp[:0]
+		for i := range c.frames {
+			if f := &c.frames[i]; f.err != nil {
+				// A malformed plan poisons only its own request; the frame
+				// boundary is intact, so the connection survives.
+				obs.ServeBinErrors.Inc()
+				c.resp = wire.AppendErrorResponse(c.resp, wire.StatusBadRequest, f.err.Error())
+			} else {
+				c.resp = wire.AppendResponse(c.resp, f.ns)
+			}
+		}
+		if badHeader != nil {
+			// Framing is broken: answer everything before it, then this
+			// once, and hang up.
+			obs.ServeBinRequests.Inc()
+			obs.ServeBinErrors.Inc()
+			c.resp = wire.AppendErrorResponse(c.resp, wire.StatusBadRequest, badHeader.Error())
+		}
+		_, err := conn.Write(c.resp)
+		obs.ServeInflight.Add(float64(-n))
+		if err != nil || badHeader != nil {
+			return
+		}
+		d := time.Since(start)
+		for range n {
+			obs.ServeBinLatency.Observe(d)
+		}
 	}
+}
+
+// take decodes the frame at the front of rd, whose header announced n
+// payload bytes, as the batch's next frame and consumes it. It blocks until
+// the frame is complete.
+func (c *connScratch) take(rd *bufio.Reader, mode plan.CardMode, n int) error {
+	if size := wire.HeaderSize + n; size <= rd.Size() {
+		b, err := rd.Peek(size)
+		if err != nil {
+			return err
+		}
+		c.add(b[wire.HeaderSize:], mode) // decoding copies; nothing aliases b
+		_, err = rd.Discard(size)
+		return err
+	}
+	// Larger than the read buffer: copy the payload out.
+	if _, err := rd.Discard(wire.HeaderSize); err != nil {
+		return err
+	}
+	if err := c.readBody(rd, n); err != nil {
+		return err
+	}
+	c.add(c.body, mode)
+	return nil
 }

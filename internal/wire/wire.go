@@ -290,9 +290,10 @@ var keyZero = []int{0}
 const nodeSlabSize = 32
 
 // Decoder decodes binary plan payloads over a reusable arena. After a few
-// decodes the arena capacities stabilize and Decode stops allocating. The
-// returned plan aliases the arena and is valid only until the next Decode.
-// A Decoder must not be used concurrently; keep one per connection.
+// decodes the arena capacities stabilize and decoding stops allocating.
+// Decoded plans alias the arena: Decode keeps one plan at a time, Reset and
+// DecodeNext keep every plan of a batch until the next Reset. A Decoder must
+// not be used concurrently; keep one per connection.
 type Decoder struct {
 	slabs []*[nodeSlabSize]plan.Node
 	used  int
@@ -312,18 +313,35 @@ func (d *Decoder) next() *plan.Node {
 	return n
 }
 
-// Decode parses one plan payload. The result aliases the decoder's arena.
-func (d *Decoder) Decode(payload []byte) (*plan.Node, error) {
+// Reset empties the arena, invalidating every plan decoded from it.
+func (d *Decoder) Reset() {
 	d.used = 0
 	d.cols = d.cols[:0]
 	d.preds = d.preds[:0]
 	d.sels = d.sels[:0]
+}
+
+// Decode parses one plan payload. The result aliases the decoder's arena
+// and is valid only until the next Decode or Reset.
+func (d *Decoder) Decode(payload []byte) (*plan.Node, error) {
+	d.Reset()
+	return d.DecodeNext(payload)
+}
+
+// DecodeNext parses one more plan payload into the arena, beside the plans
+// decoded since the last Reset, which stay valid: nodes live in slabs that
+// never move, and a column, predicate or selectivity list that outgrows its
+// backing array leaves the earlier plans' views on the old one. A payload
+// that fails to decode takes no arena space.
+func (d *Decoder) DecodeNext(payload []byte) (*plan.Node, error) {
+	used, cols, preds, sels := d.used, len(d.cols), len(d.preds), len(d.sels)
 	n, rest, err := d.decodeNode(payload)
-	if err != nil {
-		return nil, err
+	if err == nil && len(rest) != 0 {
+		err = fmt.Errorf("wire: %d trailing bytes after plan", len(rest))
 	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("wire: %d trailing bytes after plan", len(rest))
+	if err != nil {
+		d.used, d.cols, d.preds, d.sels = used, d.cols[:cols], d.preds[:preds], d.sels[:sels]
+		return nil, err
 	}
 	return n, nil
 }
@@ -431,12 +449,18 @@ func (d *Decoder) decodeNode(b []byte) (*plan.Node, []byte, error) {
 		if len(n.Schema) == 0 {
 			return nil, nil, errors.New("wire: TableScan without columns")
 		}
+		if n.Left != nil || n.Right != nil {
+			return nil, nil, errors.New("wire: TableScan takes no input")
+		}
 	default:
 		if n.Left == nil {
 			return nil, nil, fmt.Errorf("wire: %s requires an input", op)
 		}
 	}
-	if n.Schema == nil {
+	// Decided by the flag, not by whether the column list came out nil: an
+	// explicit empty list is nil only in a decoder that has never seen a
+	// column, and a plan must not decode differently warm and cold.
+	if flags&flagCols == 0 {
 		n.Schema = n.Left.Schema
 	}
 	return n, b, nil

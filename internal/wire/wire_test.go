@@ -179,6 +179,11 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 		"truncated": payload[:len(payload)/2],
 		"trailing":  append(append([]byte{}, payload...), 0xAB),
 		"bad op":    {0xEE, 0},
+		// A scan (one int64 column) under a scan: a leaf with an input.
+		"scan with input": append(leafScan(flagLeft), leafScan(0)...),
+	}
+	if _, err := dec.Decode(leafScan(0)); err != nil {
+		t.Errorf("a bare scan: %v", err)
 	}
 	for name, data := range cases {
 		if _, err := dec.Decode(data); err == nil {
@@ -195,6 +200,12 @@ func TestDecodeRejectsMalformedInput(t *testing.T) {
 	}
 }
 
+// leafScan encodes a table scan of one int64 column with zero cardinalities
+// and no predicates, with extra flag bits set.
+func leafScan(flags byte) []byte {
+	return append([]byte{byte(plan.TableScanOp), flagCols | flags, 1, 0}, make([]byte, 8+8+8+1)...)
+}
+
 func TestHeaderModeValidation(t *testing.T) {
 	h := make([]byte, HeaderSize)
 	PutHeader(h, plan.EstCards, 0)
@@ -208,5 +219,79 @@ func TestHeaderModeValidation(t *testing.T) {
 	}
 	if math.Float64bits(0) != 0 { // paranoia anchor for the fixed-width float encoding
 		t.Fatal("float64 encoding assumption broken")
+	}
+}
+
+// TestDecodeIsTheSameWarmAndCold: an explicit but empty column list must not
+// decode as "inherit the child's columns" in a decoder that has never seen a
+// column and as "no columns" in one that has.
+func TestDecodeIsTheSameWarmAndCold(t *testing.T) {
+	f64 := make([]byte, 8)
+	filter := append(append([]byte{byte(plan.FilterOp), flagLeft | flagCols, 0}, append(f64, f64...)...), leafScan(0)...)
+
+	var cold, warm Decoder
+	if _, err := warm.Decode(AppendPlan(nil, benchPlans(t)[0])); err != nil {
+		t.Fatal(err)
+	}
+	a, err := cold.Decode(filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := warm.Decode(filter)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(a.Schema) != 0 || len(b.Schema) != 0 {
+		t.Fatalf("explicit empty column list decoded to %d columns cold, %d warm; want 0 and 0", len(a.Schema), len(b.Schema))
+	}
+	if PlanKey(a, plan.TrueCards) != PlanKey(b, plan.TrueCards) {
+		t.Fatal("the same payload keys differently in a cold and a warm decoder")
+	}
+}
+
+// TestDecodeNextKeepsEarlierPlans: the plans of a batch share one arena;
+// decoding the next one, or failing to, must leave the earlier ones as they
+// were, and a warm arena must take a whole batch without allocating.
+func TestDecodeNextKeepsEarlierPlans(t *testing.T) {
+	roots := benchPlans(t)
+	var payloads [][]byte
+	for _, root := range roots {
+		payloads = append(payloads, AppendPlan(nil, root))
+	}
+	var dec Decoder
+	decodeAll := func() []*plan.Node {
+		dec.Reset()
+		got := make([]*plan.Node, 0, len(payloads))
+		for i, p := range payloads {
+			if _, err := dec.DecodeNext(p[:len(p)/2]); err == nil {
+				t.Fatalf("q%d: half a payload decoded", i)
+			}
+			n, err := dec.DecodeNext(p)
+			if err != nil {
+				t.Fatalf("q%d: %v", i, err)
+			}
+			got = append(got, n)
+		}
+		return got
+	}
+	for pass := range 2 { // cold, then over the reused arena
+		for i, n := range decodeAll() {
+			if PlanKey(n, plan.TrueCards) != PlanKey(roots[i], plan.TrueCards) {
+				t.Fatalf("pass %d: plan %d of the batch no longer keys like its original", pass, i)
+			}
+		}
+	}
+	if raceEnabled {
+		return
+	}
+	if allocs := testing.AllocsPerRun(50, func() {
+		dec.Reset()
+		for _, p := range payloads {
+			if _, err := dec.DecodeNext(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); allocs != 0 {
+		t.Fatalf("a warm arena allocates %.1f times per %d-plan batch, want 0", allocs, len(payloads))
 	}
 }

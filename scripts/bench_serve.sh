@@ -2,8 +2,8 @@
 # bench_serve.sh — serving-tier benchmark matrix for cmd/t3serve.
 #
 # Boots t3serve and drives cmd/t3loadgen over every protocol, then once
-# more against a cache-disabled, coalescing-disabled server to isolate what
-# the prediction cache and request coalescing buy. Results accumulate as
+# more against a cache-disabled server to isolate what the prediction cache
+# buys. Results accumulate as
 # JSON lines in BENCH_serve.json (one t3/metrics-snapshot/v1 record per
 # line: the run under "run", client-side latency metrics under "metrics").
 # After each phase the server's own /metrics.json snapshot — the same
@@ -69,25 +69,25 @@ qps() { # extract qps of the named record from $OUT
 
 : >"$OUT"
 
-echo "=== cache + coalescing enabled ==="
+echo "=== cache enabled ==="
 start_serve
 gen json-baseline      json "$HTTP_ADDR"
-gen bin-coalesced      bin  "$HTTP_ADDR"
-gen tcp-coalesced      tcp  "$TCP_ADDR"
+gen bin-cached         bin  "$HTTP_ADDR"
+gen tcp-cached         tcp  "$TCP_ADDR"
 gen tcp-cache-hot      tcp  "$TCP_ADDR" -distinct 1
 snap cached
 stop_serve
 
-echo "=== cache + coalescing disabled (isolation run) ==="
-start_serve -cache 0 -coalesce-wait 0
+echo "=== cache disabled (isolation run) ==="
+start_serve -cache 0
 gen bin-nocache        bin  "$HTTP_ADDR"
 gen tcp-nocache        tcp  "$TCP_ADDR" -distinct 1
 snap nocache
 stop_serve
 
 json_qps=$(qps json-baseline)
-bin_qps=$(qps bin-coalesced)
-tcp_qps=$(qps tcp-coalesced)
+bin_qps=$(qps bin-cached)
+tcp_qps=$(qps tcp-cached)
 hot_qps=$(qps tcp-cache-hot)
 cold_qps=$(qps tcp-nocache)
 

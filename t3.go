@@ -82,7 +82,7 @@ type Model struct {
 	// GOMAXPROCS-sized pool).
 	workers int
 	// scratches recycles PredictScratch values across internal prediction
-	// calls (PredictPlan, batch workers) so the steady-state hot path is
+	// calls (PredictBatchInto, PredictAndRun) so their steady state is
 	// allocation-free.
 	scratches sync.Pool
 }
@@ -179,6 +179,15 @@ type PredictScratch struct {
 	// instead of an independently sampled flight-recorder trace (see
 	// AttachTrace).
 	tr *trace.Trace
+	// Batch state (PredictBatchScratch): where each plan's rows end in the
+	// feature scratch's row arena, and the kernel's output per row.
+	ends  []int
+	evals []float64
+	// pool is what the row kernel may fan a batch's rows over. It is nil in
+	// a caller's own scratch, which keeps the whole batch on the calling
+	// goroutine; PredictBatchInto sets the model's pool on the scratch it
+	// borrows.
+	pool *par.Pool
 }
 
 // AttachTrace routes the next prediction's stage spans into a caller-owned
@@ -274,11 +283,12 @@ func (m *Model) getScratch() *PredictScratch {
 	return &PredictScratch{}
 }
 
-// PredictBatch predicts the execution time of many plans at once,
-// featurizing and evaluating them across the worker pool (see SetWorkers).
-// out[i] corresponds to roots[i]. For throughput-bound callers — schedulers
-// admitting a queue of queries, join enumeration over candidate plans — this
-// replaces the one-plan-at-a-time PredictPlan loop.
+// PredictBatch predicts the execution time of many plans at once through
+// the 8-wide row kernel (see PredictBatchScratch), fanning large batches
+// across the worker pool (see SetWorkers). out[i] corresponds to roots[i].
+// For throughput-bound callers — schedulers admitting a queue of queries,
+// join enumeration over candidate plans — this replaces the
+// one-plan-at-a-time PredictPlan loop.
 func (m *Model) PredictBatch(roots []*Plan, mode CardMode) []time.Duration {
 	out := make([]time.Duration, len(roots))
 	m.PredictBatchInto(roots, mode, out)
@@ -286,32 +296,69 @@ func (m *Model) PredictBatch(roots []*Plan, mode CardMode) []time.Duration {
 }
 
 // PredictBatchInto is PredictBatch into a caller-owned output slice
-// (len(out) must equal len(roots)). Worker pools are cached process-wide and
-// per-chunk scratches are recycled, so nothing is constructed per call; with
-// one worker the batch loop itself is allocation-free.
+// (len(out) must equal len(roots)): PredictBatchScratch over a recycled
+// scratch, with the row kernel free to fan the batch's rows over the
+// model's worker pool (see SetWorkers). Nothing is constructed per call.
 func (m *Model) PredictBatchInto(roots []*Plan, mode CardMode, out []time.Duration) {
+	s := m.getScratch()
+	s.pool = par.Sized(m.workers)
+	m.PredictBatchScratch(roots, mode, out, s)
+	s.pool = nil
+	m.scratches.Put(s)
+}
+
+// PredictBatchScratch is PredictBatchInto over a caller-owned scratch, on
+// the calling goroutine alone — what a server whose connections are already
+// its unit of parallelism wants. After the scratch warms up it allocates
+// nothing.
+//
+// The batch is priced in three passes: every plan is decomposed and
+// featurized into one row-major arena, one row per pipeline, with the row's
+// source cardinality and each plan's last row kept beside it; one
+// Packed.PredictRowsInto call evaluates all rows × all trees; one scalar
+// pass transforms, scales and sums the rows of each plan. The kernel's rows
+// are bit-identical to Packed.Predict and the last pass adds pipelines in
+// PredictPlan's order, so out[i] equals PredictPlan(roots[i]) to the
+// nanosecond.
+//
+// Every plan counts into obs.Predictions; the latency and per-stage
+// histograms describe single predictions and are fed by PredictPlanScratch
+// only.
+func (m *Model) PredictBatchScratch(roots []*Plan, mode CardMode, out []time.Duration, s *PredictScratch) {
 	if len(out) != len(roots) {
-		panic(fmt.Sprintf("t3: PredictBatchInto out has len %d, want %d", len(out), len(roots)))
+		panic(fmt.Sprintf("t3: PredictBatchScratch out has len %d, want %d", len(out), len(roots)))
 	}
 	obs.PredictBatches.Inc()
 	obs.PredictBatchSize.Record(uint64(len(roots)))
-	pool := par.Sized(m.workers)
-	if pool.Workers() == 1 || len(roots) == 1 {
-		s := m.getScratch()
-		for i, root := range roots {
-			out[i], _ = m.PredictPlanScratch(root, mode, s)
-		}
-		m.scratches.Put(s)
-		return
+	obs.Predictions.Add(uint64(len(roots)))
+
+	s.feat.ResetRows()
+	s.ends = s.ends[:0]
+	for _, root := range roots {
+		s.ends = append(s.ends, m.reg.AppendPlanRows(&s.feat, root, mode))
 	}
-	chunk := len(roots)/(4*pool.Workers()) + 1
-	pool.For(len(roots), chunk, func(lo, hi int) {
-		s := m.getScratch()
-		for i := lo; i < hi; i++ {
-			out[i], _ = m.PredictPlanScratch(roots[i], mode, s)
+	rows, cards := s.feat.Rows()
+	if cap(s.evals) < len(cards) {
+		s.evals = make([]float64, len(cards), 2*len(cards))
+	}
+	s.evals = s.evals[:len(cards)]
+	m.packed.PredictRowsInto(rows, m.reg.NumFeatures(), s.evals, s.pool)
+
+	r := 0
+	for i, end := range s.ends {
+		var total time.Duration
+		for ; r < end; r++ {
+			total += pipelineTotal(benchdata.InverseTarget(s.evals[r]), cards[r])
 		}
-		m.scratches.Put(s)
-	})
+		out[i] = total
+	}
+}
+
+// pipelineTotal scales a per-tuple prediction in seconds by the pipeline's
+// source cardinality. Both prediction paths round through it, pipeline by
+// pipeline, which is what keeps them equal to the nanosecond.
+func pipelineTotal(perTuple, card float64) time.Duration {
+	return time.Duration(perTuple * card * float64(time.Second))
 }
 
 func (m *Model) predictVec(v []float64, p *Pipeline, mode CardMode) PipelinePrediction {
@@ -321,7 +368,7 @@ func (m *Model) predictVec(v []float64, p *Pipeline, mode CardMode) PipelinePred
 	return PipelinePrediction{
 		PerTupleSeconds: perTuple,
 		Cardinality:     card,
-		Total:           time.Duration(perTuple * card * float64(time.Second)),
+		Total:           pipelineTotal(perTuple, card),
 	}
 }
 

@@ -1,6 +1,7 @@
 package t3
 
 import (
+	"fmt"
 	"math"
 	"os"
 	"path/filepath"
@@ -275,8 +276,8 @@ func TestPredictScratchZeroAlloc(t *testing.T) {
 	}
 }
 
-// TestPredictBatchIntoZeroAlloc: the single-worker batch loop reuses pooled
-// scratches and a caller-owned output slice, so it allocates nothing either.
+// TestPredictBatchIntoZeroAlloc: the batch path reuses a pooled scratch's
+// row arena and a caller-owned output slice, so it allocates nothing either.
 func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
@@ -298,28 +299,47 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictBatchIntoMatchesPredictPlan: the arena path — all plans' rows
+// through one kernel call, then a scalar pass per plan — answers every plan
+// exactly as PredictPlan does, at batch sizes on both sides of the kernel's
+// eight lanes, with the rows on one goroutine or fanned over a pool, and
+// through a caller's own scratch.
 func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 	c := smallCorpus(t)
 	m := trainSmall(t, c)
+	defer m.SetWorkers(0)
 	var roots []*Plan
 	for _, b := range c.AllTest() {
 		roots = append(roots, b.Query.Root)
+	}
+	for len(roots) < 64 {
+		roots = append(roots, roots...)
 	}
 	var want []time.Duration
 	for _, r := range roots {
 		d, _ := m.PredictPlan(r, TrueCards)
 		want = append(want, d)
 	}
-	for _, workers := range []int{0, 1, 2, 7} {
-		m.SetWorkers(workers)
-		got := m.PredictBatch(roots, TrueCards)
-		for i := range want {
-			if got[i] != want[i] {
-				t.Fatalf("workers=%d plan %d: batch %v != single %v", workers, i, got[i], want[i])
+	check := func(name string, off int, got []time.Duration) {
+		t.Helper()
+		for i := range got {
+			if got[i] != want[off+i] {
+				t.Fatalf("%s, plan %d of %d: batch %v != single %v", name, i, len(got), got[i], want[off+i])
 			}
 		}
 	}
-	m.SetWorkers(0)
+	var own PredictScratch
+	for _, size := range []int{1, 7, 8, 9, 64, len(roots)} {
+		for off := 0; off+size <= len(roots); off += size {
+			for _, workers := range []int{0, 1, 2, 7} {
+				m.SetWorkers(workers)
+				check(fmt.Sprintf("workers=%d", workers), off, m.PredictBatch(roots[off:off+size], TrueCards))
+			}
+			out := make([]time.Duration, size)
+			m.PredictBatchScratch(roots[off:off+size], TrueCards, out, &own)
+			check("own scratch", off, out)
+		}
+	}
 }
 
 // foldedReference is the float64 reference for one vector: the interpreter's

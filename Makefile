@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench bench-baseline bench-predict bench-engine bench-serve bench-planner fuzz-smoke train compile experiments serve clean
+.PHONY: all build test vet bench microbench fuzz-smoke train compile experiments serve clean
 
 all: build vet test
 
@@ -13,43 +13,17 @@ vet:
 test:
 	go test ./...
 
-# Full benchmark harness: one benchmark per paper table/figure.
+# The system benchmark (BENCHMARK.json): six workloads, each in a child
+# process, medians over counted repeats. Every system performance number
+# quoted in this repository is one of its metrics; see bench/README.md.
 bench:
-	go test -bench=. -benchmem -run xxx .
+	cd bench && go run .
 
-# Training/prediction perf baseline: BenchmarkTrain across worker counts plus
-# batched prediction, as machine-readable JSON for the perf trajectory.
-bench-baseline:
-	go test -run xxx -bench '^(BenchmarkTrain|BenchmarkPredictBatch)$$' -benchmem -json . > BENCH_train.json
-
-# Prediction hot-path smoke: single/batch prediction benchmarks with alloc
-# counts, as machine-readable JSON (mirrors the CI bench-smoke job).
-bench-predict:
-	go test -run xxx -bench=Predict -benchtime=100x -benchmem -json . > BENCH_predict.json
-
-# Engine-kernel baseline: hash-join and group-by kernels (open-addressing vs
-# the map baseline on identical inputs), morsel-parallel single-pipeline
-# scaling, and label-collection throughput by worker count, as
-# machine-readable JSON.
-bench-engine:
-	go test -run xxx -bench '^(BenchmarkHashJoin|BenchmarkGroupBy|BenchmarkParallelPipeline)$$' -benchmem -json ./internal/engine/exec/ > BENCH_engine.json
-	go test -run xxx -bench '^BenchmarkLabelCollect$$' -benchmem -json ./internal/workload/ >> BENCH_engine.json
-
-# Serving-tier benchmark matrix: boots t3serve and drives t3loadgen over
-# JSON, binary HTTP, and raw TCP, with and without the prediction cache and
-# request coalescing, into BENCH_serve.json. `make bench-serve DUR=10s CONC=16`
-# passes through to the script.
-bench-serve:
-	DUR=$(or $(DUR),5s) CONC=$(or $(CONC),8) scripts/bench_serve.sh
-
-# Planner-costing benchmark: DPsize join-order enumeration across costing
-# paths, all on treec.Packed (scalar without the open-pipeline memo as the
-# baseline, scalar with it, level-batched over the rows kernel),
-# plan-quality execution, and the batched-dispatch scheduling comparison,
-# into BENCH_planner.json; asserts bit-identical plans and the batched
-# speedup floor. `make bench-planner FULL=1 MIN_SPEEDUP=4` passes through.
-bench-planner:
-	FULL=$(or $(FULL),0) MIN_SPEEDUP=$(or $(MIN_SPEEDUP),2.5) scripts/bench_planner.sh
+# The testing.B loops of every package (ns/op, allocs/op): the single-step
+# numbers behind cmd/t3bench's Table 1 and Figure 5, the exec and treec
+# kernels, label collection and training by worker count.
+microbench:
+	go test -run xxx -bench . -benchmem ./...
 
 # Short fuzzing pass over every native fuzz target, starting from the
 # checked-in corpora under testdata/fuzz/. Override the per-target budget

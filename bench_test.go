@@ -1,11 +1,12 @@
 package t3_test
 
-// Benchmark harness: one benchmark per table and figure of the paper's
-// evaluation (§5). Latency-style results come out as ns/op; accuracy-style
-// experiments run once per benchmark and report their q-errors through
-// b.ReportMetric, so `go test -bench=. -benchmem` regenerates every row and
-// series the paper reports. cmd/t3bench prints the same results as formatted
-// tables.
+// Micro-benchmarks (`make microbench`): the single steps behind the paper's
+// latency results — Table 1's prediction and model-evaluation tiers, Figure
+// 5's scaling by pipeline count — plus training by worker count and batched
+// prediction, each a b.N loop reporting ns/op and allocs/op. The paper's
+// tables and figures themselves are printed by cmd/t3bench; every system
+// number (latency over a socket, throughput, enumeration, execution,
+// retraining) is a metric of bench/.
 
 import (
 	"fmt"
@@ -83,17 +84,6 @@ func BenchmarkTable1_ZeroShotNN(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		nn.PredictSeconds(test[i%len(test)].Query.Root, plan.TrueCards)
 	}
-}
-
-func BenchmarkTable1_StageHierarchy(b *testing.B) {
-	res, err := env(b).RunTable1()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(float64(res.StageCache.Nanoseconds()), "cache-ns")
-	b.ReportMetric(float64(res.StageDT.Nanoseconds()), "dt-ns")
-	b.ReportMetric(float64(res.StageNN.Nanoseconds()), "nn-ns")
-	b.ReportMetric(float64(res.StageAvg.Nanoseconds()), "avg-ns")
 }
 
 // Model-only evaluation on the checked-in default model: interpreted node
@@ -191,119 +181,6 @@ func BenchmarkPredictSingle(b *testing.B) {
 		// Report per-plan cost so the row is comparable to the others.
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(roots)), "ns/plan")
 	})
-}
-
-// --- Table 2: throughput ---------------------------------------------------
-
-func BenchmarkTable2_Throughput(b *testing.B) {
-	res, err := env(b).RunTable2()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		switch r.Model {
-		case "T3 (compiled)":
-			b.ReportMetric(r.Single, "t3-single-qps")
-			b.ReportMetric(r.Batched, "t3-batched-qps")
-		case "T3 interpreted":
-			b.ReportMetric(r.Single, "interp-single-qps")
-		case "Zero Shot NN":
-			b.ReportMetric(r.Single, "nn-single-qps")
-		}
-	}
-}
-
-// --- Table 3: benchmark deviations ------------------------------------------
-
-func BenchmarkTable3_Deviations(b *testing.B) {
-	res, err := env(b).RunTable3()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Summary.Avg, "avg-qerr")
-	b.ReportMetric(res.Summary.P50, "p50-qerr")
-	b.ReportMetric(res.Summary.P90, "p90-qerr")
-}
-
-// --- Table 4: headline accuracy ---------------------------------------------
-
-func BenchmarkTable4_Accuracy(b *testing.B) {
-	res, err := env(b).RunTable4()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		switch r.Split {
-		case "Train Queries":
-			b.ReportMetric(r.Summary.Avg, "train-avg-qerr")
-		case "All TPC-DS Test Queries":
-			b.ReportMetric(r.Summary.Avg, "test-avg-qerr")
-			b.ReportMetric(r.Summary.P50, "test-p50-qerr")
-			b.ReportMetric(r.Summary.P90, "test-p90-qerr")
-		case "TPC-DS Benchmark Queries":
-			b.ReportMetric(r.Summary.Avg, "fixed-avg-qerr")
-		}
-	}
-}
-
-// --- Table 5: join-ordering optimization time --------------------------------
-
-func BenchmarkTable5_DPsize(b *testing.B) {
-	res, err := env(b).RunTable5()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		switch r.CostModel {
-		case "Cout":
-			b.ReportMetric(float64(r.OptTime.Microseconds()), "cout-opt-us")
-			b.ReportMetric(float64(r.ModelCalls), "cout-calls")
-		case "T3":
-			b.ReportMetric(float64(r.OptTime.Microseconds()), "t3-opt-us")
-			b.ReportMetric(float64(r.ModelCalls), "t3-calls")
-			b.ReportMetric(float64(r.TimePerCall().Nanoseconds()), "t3-ns/call")
-		}
-	}
-}
-
-// --- Table 6: plan quality ---------------------------------------------------
-
-func BenchmarkTable6_PlanQuality(b *testing.B) {
-	res, err := env(b).RunTable6()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		switch r.CostModel {
-		case "Cout":
-			b.ReportMetric(r.ExecTime.Seconds()*1e3, "cout-exec-ms")
-		case "T3":
-			b.ReportMetric(r.ExecTime.Seconds()*1e3, "t3-exec-ms")
-		case "Native DB":
-			b.ReportMetric(r.ExecTime.Seconds()*1e3, "native-exec-ms")
-		}
-	}
-}
-
-// --- Figure 1: latency vs accuracy scatter -----------------------------------
-
-func BenchmarkFig1_Scatter(b *testing.B) {
-	res, err := env(b).RunFig1()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, p := range res.Points {
-		switch p.Model {
-		case "T3 (compiled)":
-			b.ReportMetric(float64(p.Latency.Nanoseconds()), "t3-ns")
-			b.ReportMetric(p.P50, "t3-p50-qerr")
-		case "Zero Shot NN":
-			b.ReportMetric(float64(p.Latency.Nanoseconds()), "nn-ns")
-			b.ReportMetric(p.P50, "nn-p50-qerr")
-		case "AutoWLM-style DT":
-			b.ReportMetric(p.P50, "dt-p50-qerr")
-		}
-	}
 }
 
 // --- Figure 5: latency by pipeline count --------------------------------------
@@ -453,107 +330,4 @@ func BenchmarkPredictBatch(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		m.PredictBatch(roots, t3.TrueCards)
 	}
-}
-
-// --- Figures 6-14: accuracy experiments ---------------------------------------
-
-func BenchmarkFig6_RunningTimes(b *testing.B) {
-	res, err := env(b).RunFig6()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.Min*1e6, "min-us")
-	b.ReportMetric(res.Max*1e3, "max-ms")
-}
-
-func BenchmarkFig7_ErrorDistribution(b *testing.B) {
-	res, err := env(b).RunFig7()
-	if err != nil {
-		b.Fatal(err)
-	}
-	total, small := 0, 0
-	for i, c := range res.Hist.Counts {
-		total += c
-		if i < 4 { // q-error <= 1.5
-			small += c
-		}
-	}
-	b.ReportMetric(float64(small)/float64(total)*100, "pct-below-1.5")
-}
-
-func BenchmarkFig8_QueryTypes(b *testing.B) {
-	res, err := env(b).RunFig8()
-	if err != nil {
-		b.Fatal(err)
-	}
-	for _, r := range res.Rows {
-		if r.Group == "Fixed" {
-			b.ReportMetric(r.Summary.P50, "fixed-p50-qerr")
-		}
-		if r.Group == "SeJSiA" {
-			b.ReportMetric(r.Summary.P50, "sejsia-p50-qerr")
-		}
-	}
-}
-
-func BenchmarkFig9_LeaveOneOut(b *testing.B) {
-	res, err := env(b).RunFig9()
-	if err != nil {
-		b.Fatal(err)
-	}
-	worst := 0.0
-	for _, r := range res.Rows {
-		if r.Summary.P50 > worst {
-			worst = r.Summary.P50
-		}
-	}
-	b.ReportMetric(worst, "worst-p50-qerr")
-}
-
-func BenchmarkFig10_JOBComparison(b *testing.B) {
-	res, err := env(b).RunFig10()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.T3.P50, "t3-p50-qerr")
-	b.ReportMetric(res.ZeroShot.P50, "nn-p50-qerr")
-}
-
-func BenchmarkFig11_CardinalityModes(b *testing.B) {
-	res, err := env(b).RunFig11()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.TrainPerfectEvalPerfect.P50, "perfect-p50")
-	b.ReportMetric(res.TrainPerfectEvalEst.P50, "est-eval-p50")
-	b.ReportMetric(res.TrainEstEvalEst.P50, "est-both-p50")
-}
-
-func BenchmarkFig12_Degradation(b *testing.B) {
-	res, err := env(b).RunFig12()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.T3P50[0], "t3-exact-p50")
-	b.ReportMetric(res.T3P50[len(res.T3P50)-1], "t3-1000x-p50")
-	b.ReportMetric(res.NNP50[len(res.NNP50)-1], "nn-1000x-p50")
-}
-
-func BenchmarkFig13_Ablation(b *testing.B) {
-	res, err := env(b).RunFig13()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.PerTuple.P50, "per-tuple-p50")
-	b.ReportMetric(res.PerPipeline.P50, "per-pipeline-p50")
-	b.ReportMetric(res.PerQuery.P50, "per-query-p50")
-}
-
-func BenchmarkFig14_BenchmarkRuns(b *testing.B) {
-	res, err := env(b).RunFig14()
-	if err != nil {
-		b.Fatal(err)
-	}
-	b.ReportMetric(res.P50[0], "runs1-p50")
-	b.ReportMetric(res.P50[len(res.P50)-1], "runs10-p50")
 }

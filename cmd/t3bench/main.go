@@ -10,7 +10,7 @@
 //	fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //	ablation (feature-set ablation, an extension beyond the paper)
 //	scheduling (prediction-driven scheduling, §1 extension)
-//	planner (batched packed-tier plan costing; -results BENCH_planner.json)
+//	planner (batched packed-tier plan costing, plan quality, batched dispatch)
 //	all (default)
 //
 // The default (quick) configuration finishes in a few minutes; -full uses
@@ -20,8 +20,7 @@
 // metrics accumulated while the experiments ran) to stderr; -json swaps the
 // formatted tables for a JSON document containing the experiment list and
 // the metrics snapshot (the schema cmd/t3serve serves at /metrics.json),
-// so CI can diff runs. -results FILE writes each experiment's structured
-// result (the Go structs, JSON-encoded) to FILE.
+// so CI can diff runs.
 //
 // -cpuprofile/-memprofile write pprof profiles covering the whole suite, for
 // chasing regressions in training or prediction hot paths:
@@ -79,20 +78,12 @@ type jsonOutput struct {
 	Metrics     obs.Snapshot      `json:"metrics"`
 }
 
-// resultsOutput is the -results FILE schema: each experiment's structured
-// result keyed by name (e.g. BENCH_planner.json for the planner benchmark).
-type resultsOutput struct {
-	Schema  string         `json:"schema"`
-	Results map[string]any `json:"results"`
-}
-
 func main() {
 	full := flag.Bool("full", false, "run the paper-scale configuration (slower)")
 	workers := flag.Int("workers", 0, "parallel workers for training and batched prediction (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list available experiments")
 	stats := flag.Bool("stats", false, "dump the observability registry to stderr on exit")
 	jsonOut := flag.Bool("json", false, "emit experiment list + metrics snapshot as JSON instead of tables")
-	resultsPath := flag.String("results", "", "write structured experiment results (JSON) to this file")
 	logFormat := flag.String("log", "text", "log format: text|json")
 	cpuProf := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProf := flag.String("memprofile", "", "write a heap profile to this file on exit")
@@ -144,7 +135,6 @@ func main() {
 		byName[r.name] = r
 	}
 	ran := make(map[string]string)
-	results := make(map[string]any)
 	failed := false
 	for _, name := range want {
 		r, ok := byName[name]
@@ -162,7 +152,6 @@ func main() {
 		}
 		elapsed := time.Since(start).Round(time.Millisecond)
 		ran[name] = elapsed.String()
-		results[name] = res
 		if !*jsonOut {
 			fmt.Printf("\n=== %s (%v) ===\n%s", name, elapsed, res.Format())
 		}
@@ -176,16 +165,6 @@ func main() {
 			Metrics:     obs.Default.Snapshot(),
 		}); err != nil {
 			slog.Error("encoding output", "err", err)
-			failed = true
-		}
-	}
-	if *resultsPath != "" {
-		buf, err := json.MarshalIndent(resultsOutput{Schema: "t3/bench-results/v1", Results: results}, "", "  ")
-		if err == nil {
-			err = os.WriteFile(*resultsPath, append(buf, '\n'), 0o644)
-		}
-		if err != nil {
-			slog.Error("writing results file", "path", *resultsPath, "err", err)
 			failed = true
 		}
 	}

@@ -143,7 +143,6 @@ func main() {
 			fmt.Printf("%-30s %14v\n", flag.Arg(i), d)
 		}
 		lat := measureLatency(model, roots, mode, 100)
-		fmt.Printf("evaluation tier: %s\n", model.Tier())
 		fmt.Printf("per-query prediction latency: p50 %v, p95 %v, p99 %v (n=%d)\n",
 			lat.QuantileDuration(0.50), lat.QuantileDuration(0.95), lat.QuantileDuration(0.99), lat.Count)
 		return
@@ -153,8 +152,8 @@ func main() {
 	total, per := model.PredictPlan(root, mode)
 	fmt.Printf("predicted execution time: %v\n", total)
 	lat := measureLatency(model, roots, mode, 300)
-	fmt.Printf("evaluation tier: %s; prediction latency: p50 %v, p95 %v, p99 %v (n=%d)\n",
-		model.Tier(), lat.QuantileDuration(0.50), lat.QuantileDuration(0.95), lat.QuantileDuration(0.99), lat.Count)
+	fmt.Printf("prediction latency: p50 %v, p95 %v, p99 %v (n=%d)\n",
+		lat.QuantileDuration(0.50), lat.QuantileDuration(0.95), lat.QuantileDuration(0.99), lat.Count)
 	fmt.Printf("%-10s %14s %14s %14s\n", "pipeline", "per-tuple", "cardinality", "total")
 	for _, p := range per {
 		fmt.Printf("P%-9d %12.3gs %14.0f %14v\n", p.Index, p.PerTupleSeconds, p.Cardinality, p.Total)

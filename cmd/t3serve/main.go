@@ -63,15 +63,14 @@
 //
 // With -tcp the same binary wire protocol is served on a raw TCP listener:
 // any number of length-prefixed request frames per connection, one response
-// frame each, in order. Pipelining is encouraged (see cmd/t3loadgen): the
-// frames one read brings in are answered as one batch, their cache misses
-// priced in a single model call, their responses written at once.
+// frame each, in order. Pipelining is encouraged: the frames one read
+// brings in are answered as one batch, their cache misses priced in a
+// single model call, their responses written at once.
 //
 // Example:
 //
 //	t3serve -model models/t3_default.json -tcp :8091 &
 //	curl -s -X POST --data-binary @plan.json localhost:8080/predict
-//	t3loadgen -proto tcp -addr localhost:8091 -duration 5s
 //	go tool pprof http://localhost:8080/debug/pprof/profile?seconds=5
 package main
 
@@ -136,7 +135,6 @@ func (s *server) model() *t3.Model { return s.core.Model() }
 type predictResponse struct {
 	PredictedNs int64              `json:"predicted_ns"`
 	Predicted   string             `json:"predicted"`
-	Tier        string             `json:"tier"`
 	Pipelines   []pipelinePredJSON `json:"pipelines"`
 }
 
@@ -184,9 +182,8 @@ func (s *server) handlePredict(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m := s.model()
-	total, per := m.PredictPlan(root, mode)
-	writeJSON(w, predictResp(m, total, per))
+	total, per := s.model().PredictPlan(root, mode)
+	writeJSON(w, predictResp(total, per))
 }
 
 func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
@@ -201,6 +198,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	}
 	m := s.model()
 	var predicted, actual time.Duration
+	var per []t3.PipelinePrediction
 	var q float64
 	if v := r.URL.Query().Get("actual_ns"); v != "" {
 		// The caller executed the query elsewhere and reports the measured
@@ -217,7 +215,7 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		tr := trace.Default.ForceBegin(trace.KindRun, uint8(mode))
 		var ps t3.PredictScratch
 		ps.AttachTrace(tr)
-		predicted, _ = m.PredictPlanScratch(root, mode, &ps)
+		predicted, per = m.PredictPlanScratch(root, mode, &ps)
 		q = t3.RecordObservedPlan(root, mode, predicted, actual)
 		if tr != nil {
 			tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(root, mode))
@@ -228,14 +226,13 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 			}
 			trace.Default.Publish(tr)
 		}
-	} else if predicted, actual, q, err = m.PredictAndRun(root, mode); err != nil {
+	} else if predicted, per, actual, q, err = m.PredictAndRun(root, mode); err != nil {
 		httpError(w, http.StatusUnprocessableEntity,
 			err.Error()+" (plans decoded from JSON carry no data; pass ?actual_ns=N with the measured time instead)")
 		return
 	}
-	_, per := m.PredictPlan(root, mode)
 	writeJSON(w, runResponse{
-		predictResponse: predictResp(m, predicted, per),
+		predictResponse: predictResp(predicted, per),
 		ActualNs:        actual.Nanoseconds(),
 		Actual:          actual.String(),
 		QError:          q,
@@ -257,15 +254,14 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	s.core.SetModel(model)
-	s.log.Info("model reloaded", "path", s.modelPath, "tier", model.Tier())
-	writeJSON(w, map[string]string{"status": "reloaded", "model": s.modelPath, "tier": model.Tier()})
+	s.log.Info("model reloaded", "path", s.modelPath)
+	writeJSON(w, map[string]string{"status": "reloaded", "model": s.modelPath})
 }
 
-func predictResp(m *t3.Model, total time.Duration, per []t3.PipelinePrediction) predictResponse {
+func predictResp(total time.Duration, per []t3.PipelinePrediction) predictResponse {
 	resp := predictResponse{
 		PredictedNs: total.Nanoseconds(),
 		Predicted:   total.String(),
-		Tier:        m.Tier(),
 		Pipelines:   make([]pipelinePredJSON, len(per)),
 	}
 	for i, p := range per {
@@ -481,8 +477,7 @@ func main() {
 		}()
 	}
 
-	logger.Info("t3serve listening", "addr", *addr, "model", *modelPath, "tier", model.Tier(),
-		"cache", cfg.CacheEntries)
+	logger.Info("t3serve listening", "addr", *addr, "model", *modelPath, "cache", cfg.CacheEntries)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- fmt.Errorf("http server: %w", err)

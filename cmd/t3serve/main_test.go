@@ -1,0 +1,103 @@
+package main
+
+import (
+	"bytes"
+	"encoding/json"
+	"io"
+	"log/slog"
+	"net/http"
+	"net/http/httptest"
+	"os"
+	"regexp"
+	"testing"
+
+	"t3"
+	"t3/internal/engine/exec"
+	"t3/internal/obs"
+	"t3/internal/planio"
+	"t3/internal/serve"
+	"t3/internal/workload"
+)
+
+// TestHandlersPredictOnce drives /predict and /run through their handlers:
+// each request is one model prediction — t3_predictions_total moves by
+// exactly 1 — and the pipelines in the answer are those of that prediction,
+// so their totals sum to predicted_ns.
+func TestHandlersPredictOnce(t *testing.T) {
+	model, err := t3.Load("../../models/t3_default.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := &server{
+		core: serve.New(model, serve.Config{}),
+		log:  slog.New(slog.NewTextHandler(io.Discard, nil)),
+	}
+	in := workload.MustGenerate(workload.TPCHSpec("tpch_t3serve", 0.01, 3))
+	root := workload.TPCHBenchmarkQueries(in)[0].Root
+	if err := exec.AnnotateTrueCards(root); err != nil {
+		t.Fatal(err)
+	}
+	body, err := planio.Marshal(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	for _, c := range []struct {
+		url     string
+		handler http.HandlerFunc
+	}{
+		{"/predict", s.handlePredict},
+		{"/predict?cards=est", s.handlePredict},
+		{"/run?actual_ns=1500000", s.handleRun},
+	} {
+		before := obs.Predictions.Value()
+		rec := httptest.NewRecorder()
+		c.handler(rec, httptest.NewRequest(http.MethodPost, c.url, bytes.NewReader(body)))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", c.url, rec.Code, rec.Body)
+		}
+		if n := obs.Predictions.Value() - before; n != 1 {
+			t.Errorf("%s: counted %d predictions for one request", c.url, n)
+		}
+		var resp predictResponse
+		if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+			t.Fatalf("%s: %v", c.url, err)
+		}
+		var sum int64
+		for _, p := range resp.Pipelines {
+			sum += p.TotalNs
+		}
+		if len(resp.Pipelines) == 0 || resp.PredictedNs <= 0 || sum != resp.PredictedNs {
+			t.Errorf("%s: %d pipelines summing to %d ns, predicted_ns %d",
+				c.url, len(resp.Pipelines), sum, resp.PredictedNs)
+		}
+	}
+}
+
+// TestUsageNamesRegisteredFlags keeps the package comment's usage block and
+// the flags main registers from drifting apart: Go's flag package matches
+// names exactly, so a documented -retrain-promote that is really
+// -retrain-promote-ratio is a command line that does not start.
+func TestUsageNamesRegisteredFlags(t *testing.T) {
+	src, err := os.ReadFile("main.go")
+	if err != nil {
+		t.Fatal(err)
+	}
+	registered := map[string]bool{}
+	for _, m := range regexp.MustCompile(`flag\.\w+\("([a-z-]+)"`).FindAllSubmatch(src, -1) {
+		registered[string(m[1])] = true
+	}
+	start, end := bytes.Index(src, []byte("// Usage:")), bytes.Index(src, []byte("// Endpoints:"))
+	if start < 0 || end < start {
+		t.Fatal("package comment has no Usage block before Endpoints")
+	}
+	used := regexp.MustCompile(`\[-([a-z][a-z-]*)`).FindAllSubmatch(src[start:end], -1)
+	if len(used) < 10 || len(registered) < len(used) {
+		t.Fatalf("found %d flags in the usage block and %d registered", len(used), len(registered))
+	}
+	for _, m := range used {
+		if !registered[string(m[1])] {
+			t.Errorf("usage documents -%s, which main does not register", m[1])
+		}
+	}
+}

@@ -107,11 +107,12 @@ func TestCoalescingAmortizes(t *testing.T) {
 
 func TestMaxBatchDetachesEarly(t *testing.T) {
 	f := &fakeDispatch{}
-	// Long wait: only the size bound can close windows quickly.
-	b := New(f.dispatch, 4, 50*time.Millisecond)
+	// A wait no request outlives: only the size bound can close a window, so
+	// 16 requests leave as exactly four full batches (were the bound
+	// ignored, all 16 would sit in one window until the timer fired).
+	b := New(f.dispatch, 4, 10*time.Second)
 	const n = 16
 	var wg sync.WaitGroup
-	start := time.Now()
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
@@ -120,19 +121,14 @@ func TestMaxBatchDetachesEarly(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	// 16 requests in batches of ≤4 → ≥4 dispatches; if every window waited
-	// out its 50ms timer sequentially this would take ~200ms, but full
-	// batches dispatch immediately. Allow two timer windows of slack for
-	// stragglers that miss a closing batch.
-	if elapsed > 120*time.Millisecond {
-		t.Fatalf("full batches did not dispatch early: took %v", elapsed)
-	}
 	f.mu.Lock()
 	defer f.mu.Unlock()
+	if len(f.batches) != n/4 {
+		t.Fatalf("%d dispatches %v, want %d full batches", len(f.batches), f.batches, n/4)
+	}
 	for _, sz := range f.batches {
-		if sz > 4 {
-			t.Fatalf("batch of %d exceeds maxBatch 4", sz)
+		if sz != 4 {
+			t.Fatalf("batch of %d, want maxBatch 4 (%v)", sz, f.batches)
 		}
 	}
 }

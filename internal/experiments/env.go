@@ -1,8 +1,9 @@
 // Package experiments reproduces every table and figure of the paper's
 // evaluation (§5). Each experiment is a function on a shared Env that
 // returns a structured result with a Format method printing the same rows or
-// series the paper reports. cmd/t3bench and the repository's benchmark suite
-// drive these entry points; EXPERIMENTS.md records paper-vs-measured.
+// series the paper reports. cmd/t3bench drives these entry points;
+// EXPERIMENTS.md records paper-vs-measured. System performance is not
+// measured here but by bench/.
 package experiments
 
 import (
@@ -20,9 +21,8 @@ import (
 	"t3/internal/zeroshot"
 )
 
-// Config sizes the experiment suite. Quick mode keeps everything small
-// enough for the repository's `go test -bench` run; the full mode matches
-// cmd/t3bench defaults.
+// Config sizes the experiment suite: QuickConfig is cmd/t3bench's default
+// (minutes), FullConfig its -full mode.
 type Config struct {
 	// Corpus sizes the training/evaluation workload.
 	Corpus benchdata.Config
@@ -48,8 +48,9 @@ type Config struct {
 	Workers int
 }
 
-// QuickConfig returns the configuration used by the repository benchmarks:
-// small instances, a few queries per group, reduced rounds.
+// QuickConfig returns cmd/t3bench's default configuration (also the corpus
+// and model behind the root micro-benchmarks): small instances, a few
+// queries per group, reduced rounds.
 func QuickConfig() Config {
 	return Config{
 		Corpus:               benchdata.Config{Scale: 0.05, PerGroup: 3, Runs: 3, Seed: 9, ReleaseTables: true},

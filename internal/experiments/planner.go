@@ -12,66 +12,67 @@ import (
 	"t3/internal/workload"
 )
 
-// Planner is the planner-costing benchmark (make bench-planner →
-// BENCH_planner.json): per synthetic join graph, DPsize enumeration
-// wall-clock and model/oracle-call accounting across costing paths, all on
+// Planner is the planner-costing experiment (t3bench planner →
+// EXPERIMENTS.md): per synthetic join graph, DPsize enumeration wall-clock
+// and model/oracle-call accounting across costing paths, all on
 // treec.Packed — scalar DPSize without and with the open-pipeline memo, and
 // level-batched DPSizeBatched over the rows kernel — plus plan-quality
 // (executed T3 vs Cout trees, Table-6-style) and the batched-dispatch
-// scheduling uplift (§1).
+// scheduling uplift (§1). The same four graphs are bench/'s plan_enum
+// workload, which is where enumeration time is measured over repeats.
 type Planner struct {
-	Cases []PlannerCase     `json:"cases"`
-	Sched []PlannerSchedRow `json:"sched"`
+	Cases []PlannerCase
+	Sched []PlannerSchedRow
 }
 
 // PlannerCase is one join graph's enumeration comparison.
 type PlannerCase struct {
-	Spec      string `json:"spec"`
-	Shape     string `json:"shape"`
-	Relations int    `json:"relations"`
-	DPSteps   int    `json:"dp_steps"`
+	Spec      string
+	Shape     string
+	Relations int
+	DPSteps   int
 	// OracleSubsets is how many distinct subsets the shared, pre-warmed memo
 	// oracle computed: every timed run below pays map lookups only, so oracle
 	// cost cannot masquerade as model cost.
-	OracleSubsets int          `json:"oracle_subsets"`
-	Rows          []PlannerRow `json:"rows"`
+	OracleSubsets int
+	Rows          []PlannerRow
 
 	// Plan quality: measured execution of the chosen trees (Table-6-style).
-	CoutTree      string        `json:"cout_tree"`
-	T3Tree        string        `json:"t3_tree"`
-	CoutExec      time.Duration `json:"cout_exec_ns"`
-	T3Exec        time.Duration `json:"t3_exec_ns"`
-	QualityUplift float64       `json:"quality_uplift"` // cout_exec / t3_exec
+	CoutTree      string
+	T3Tree        string
+	CoutExec      time.Duration
+	T3Exec        time.Duration
+	QualityUplift float64 // CoutExec / T3Exec
 }
 
 // PlannerRow is one costing path's timed enumeration (best of reps).
 type PlannerRow struct {
-	Path       string        `json:"path"`
-	WallClock  time.Duration `json:"wall_ns"`
-	ModelCalls int           `json:"model_calls"`
-	Batches    int           `json:"batches"`
-	MaxBatch   int           `json:"max_batch"`
+	Path       string
+	WallClock  time.Duration
+	ModelCalls int
+	Batches    int
+	MaxBatch   int
 	// Pruned counts candidates the batched path rejected through the exact
 	// incumbent bound without featurizing or predicting them.
-	Pruned int     `json:"pruned"`
-	Cost   float64 `json:"cost"`
+	Pruned int
+	Cost   float64
 	// TreeMatches reports whether this path chose the same tree as the
 	// scalar-packed-nomemo baseline.
-	TreeMatches bool `json:"tree_matches"`
+	TreeMatches bool
 	// Speedup is baseline wall-clock / this wall-clock.
-	Speedup float64 `json:"speedup"`
+	Speedup float64
 }
 
 // PlannerSchedRow is one dispatch regime's simulated scheduling outcome over
 // the benchmarked test workload.
 type PlannerSchedRow struct {
-	Dispatch         string        `json:"dispatch"`
-	Makespan         time.Duration `json:"makespan_ns"`
-	MeanCompletion   time.Duration `json:"mean_ns"`
-	P95Completion    time.Duration `json:"p95_ns"`
-	DispatchOverhead time.Duration `json:"dispatch_overhead_ns"`
+	Dispatch         string
+	Makespan         time.Duration
+	MeanCompletion   time.Duration
+	P95Completion    time.Duration
+	DispatchOverhead time.Duration
 	// MakespanUplift is serialized makespan / this makespan.
-	MakespanUplift float64 `json:"makespan_uplift"`
+	MakespanUplift float64
 }
 
 // plannerCases are the benchmarked synthetic join graphs. The 8+ relation

@@ -107,9 +107,6 @@ func (m *Model) Compiled() *treec.Flat { return m.gaps }
 // prediction path.
 func (m *Model) Packed() *treec.Packed { return m.packed }
 
-// Tier names the evaluation tier serving Model predictions.
-func (m *Model) Tier() string { return "packed (16-byte nodes, float32 thresholds)" }
-
 // TrainOptions configures Train.
 type TrainOptions struct {
 	// Params are the boosting parameters (DefaultParams when zero).
@@ -412,17 +409,19 @@ func RecordObservedPlan(root *Plan, mode CardMode, predicted, actual time.Durati
 // PredictAndRun predicts the plan, then actually executes it on the
 // in-memory engine and feeds the resulting q-error into the drift
 // histogram and the exemplar store via RecordObservedPlan. It returns the
-// prediction, the measured execution time, and the q-error between them.
+// prediction with its per-pipeline breakdown (as PredictPlan does), the
+// measured execution time, and the q-error between the two totals.
 //
 // Every round records a full flight-recorder trace (predict stages, one
 // span per executed pipeline with its morsel/parallelism shape, merge
 // spans): rounds are engine-execution-bound, so tracing them all costs
 // nothing by comparison and /debug/queries always shows ground truth.
-func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted, actual time.Duration, q float64, err error) {
+func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted time.Duration, pipelines []PipelinePrediction, actual time.Duration, q float64, err error) {
 	tr := trace.Default.ForceBegin(trace.KindRun, uint8(mode))
 	s := m.getScratch()
 	s.tr = tr
-	predicted, _ = m.PredictPlanScratch(root, mode, s)
+	predicted, per := m.PredictPlanScratch(root, mode, s)
+	pipelines = append(pipelines, per...) // per aliases the pooled scratch
 	s.tr = nil
 	m.scratches.Put(s)
 
@@ -432,7 +431,7 @@ func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted, actual time
 		tr.Flags |= trace.FlagError
 		tr.PredictedNs = predicted.Nanoseconds()
 		trace.Default.Publish(tr)
-		return predicted, 0, 0, fmt.Errorf("t3: executing plan: %w", err)
+		return predicted, pipelines, 0, 0, fmt.Errorf("t3: executing plan: %w", err)
 	}
 	actual = res.Total
 	q = RecordObservedPlan(root, mode, predicted, actual)
@@ -458,7 +457,7 @@ func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted, actual time
 		tr.QErrorMilli = uint64(qm)
 	}
 	trace.Default.Publish(tr)
-	return predicted, actual, q, nil
+	return predicted, pipelines, actual, q, nil
 }
 
 // Save writes the model to a JSON file.

@@ -378,9 +378,6 @@ func TestPackedTierServesPredictions(t *testing.T) {
 	if m.Packed() == nil {
 		t.Fatal("model has no packed evaluator")
 	}
-	if m.Tier() == "" {
-		t.Fatal("model reports no tier")
-	}
 	gaps := 0
 	for _, b := range c.AllTest() {
 		total, per := m.PredictPlan(b.Query.Root, TrueCards)
@@ -444,9 +441,16 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal(err)
 	}
 	driftBefore := obs.QErrorDrift.Snapshot().Count
-	pred, actual, q, err := m.PredictAndRun(root, TrueCards)
+	pred, per, actual, q, err := m.PredictAndRun(root, TrueCards)
 	if err != nil {
 		t.Fatal(err)
+	}
+	var sum time.Duration
+	for _, p := range per {
+		sum += p.Total
+	}
+	if sum != pred || len(per) == 0 {
+		t.Fatalf("PredictAndRun: %d pipelines summing to %v, predicted %v", len(per), sum, pred)
 	}
 	if pred <= 0 || actual <= 0 || q < 1 {
 		t.Fatalf("implausible PredictAndRun result: pred=%v actual=%v q=%v", pred, actual, q)

@@ -170,19 +170,19 @@ func handleDebugWorstFrame(w http.ResponseWriter, r *http.Request) {
 func (s *server) handleDebugDrift(w http.ResponseWriter, _ *http.Request) {
 	st := s.drift.Status()
 	writeJSON(w, struct {
-		Raised           bool          `json:"alarm_raised"`
-		WindowQuantile   float64       `json:"window_qerror"`
-		WindowCount      uint64        `json:"window_observations"`
-		WindowSpan       string        `json:"window_span"`
-		LifetimeQuantile float64       `json:"lifetime_qerror"`
-		LifetimeCount    uint64        `json:"lifetime_observations"`
-		Ticks            uint64        `json:"ticks"`
-		LastTransition   *time.Time    `json:"last_transition,omitempty"`
-		WatchedQuantile  float64       `json:"watched_quantile"`
-		Threshold        float64       `json:"threshold"`
-		Clear            float64       `json:"clear"`
-		MinCount         uint64        `json:"min_observations"`
-		Epochs           int           `json:"window_epochs"`
+		Raised           bool       `json:"alarm_raised"`
+		WindowQuantile   float64    `json:"window_qerror"`
+		WindowCount      uint64     `json:"window_observations"`
+		WindowSpan       string     `json:"window_span"`
+		LifetimeQuantile float64    `json:"lifetime_qerror"`
+		LifetimeCount    uint64     `json:"lifetime_observations"`
+		Ticks            uint64     `json:"ticks"`
+		LastTransition   *time.Time `json:"last_transition,omitempty"`
+		WatchedQuantile  float64    `json:"watched_quantile"`
+		Threshold        float64    `json:"threshold"`
+		Clear            float64    `json:"clear"`
+		MinCount         uint64     `json:"min_observations"`
+		Epochs           int        `json:"window_epochs"`
 	}{
 		Raised:           st.Raised,
 		WindowQuantile:   st.WindowQuantile,

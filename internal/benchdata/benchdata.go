@@ -189,12 +189,6 @@ type Config struct {
 	Progress func(string)
 }
 
-// DefaultConfig returns the full-size corpus configuration used by
-// cmd/t3train.
-func DefaultConfig() Config {
-	return Config{Scale: 1, PerGroup: 8, Runs: 3, Seed: 1, ReleaseTables: true}
-}
-
 // Corpus is the full benchmarked dataset: per-instance training sets and the
 // held-out TPC-DS test sets.
 type Corpus struct {

@@ -159,6 +159,50 @@ func TestValidateDetectsBadLeafCount(t *testing.T) {
 	}
 }
 
+// TestValidateRejectsBadStructure corrupts one field of a valid tree per case.
+// Each would otherwise surface downstream — as an index panic, a walk that
+// never ends, or a compiled ensemble larger than the file that described it —
+// so Validate, which every loaded model passes through, must refuse them all.
+func TestValidateRejectsBadStructure(t *testing.T) {
+	// Node 0 has two interior children; nodes 1 and 2 hold the four leaves.
+	good := func() *Model {
+		return &Model{NumFeatures: 2, Trees: []Tree{{
+			Nodes: []Node{
+				{Feature: 0, Threshold: 1, Left: 1, Right: 2},
+				{Feature: 1, Threshold: 2, Left: ^0, Right: ^1},
+				{Feature: 1, Threshold: 3, Left: ^2, Right: ^3},
+			},
+			Leaves: []float64{1, 2, 3, 4},
+		}}}
+	}
+	if err := good().Validate(); err != nil {
+		t.Fatalf("uncorrupted tree rejected: %v", err)
+	}
+	cases := []struct {
+		name    string
+		corrupt func(n []Node)
+	}{
+		{"feature == NumFeatures", func(n []Node) { n[1].Feature = 2 }},
+		{"negative feature", func(n []Node) { n[1].Feature = -1 }},
+		{"child is its own parent", func(n []Node) { n[1].Left = 1 }},
+		{"child before its parent", func(n []Node) { n[2].Left = 1 }},
+		{"child beyond all nodes", func(n []Node) { n[2].Right = 3 }},
+		{"child with two parents", func(n []Node) { n[0].Left = 2 }},
+		{"child with no parent", func(n []Node) { n[0].Right = ^0 }},
+		{"leaf == len(Leaves)", func(n []Node) { n[2].Right = ^4 }},
+		{"leaf far out of range", func(n []Node) { n[1].Left = math.MinInt32 }},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m := good()
+			tc.corrupt(m.Trees[0].Nodes)
+			if err := m.Validate(); err == nil {
+				t.Fatal("validated without error")
+			}
+		})
+	}
+}
+
 func TestTrainErrors(t *testing.T) {
 	if _, _, err := Train(DefaultParams(), nil, nil, nil, nil); err == nil {
 		t.Error("empty training set should fail")

@@ -38,8 +38,11 @@ func Load(path string) (*Model, error) {
 	return &m, nil
 }
 
-// Validate checks structural integrity of the model: child references in
-// range, every leaf reachable, features within bounds.
+// Validate checks the structure every evaluator and compiler downstream
+// trusts without testing: features within bounds, child references forward and
+// in range, and every non-root node under exactly one parent. A node shared by
+// two parents would make a tree of n nodes unfold to up to 2ⁿ when compiled;
+// Load and registry.Decode both go through here, so no model file can do that.
 func (m *Model) Validate() error {
 	if m.NumFeatures <= 0 {
 		return fmt.Errorf("NumFeatures = %d", m.NumFeatures)
@@ -55,7 +58,13 @@ func (m *Model) Validate() error {
 		if len(t.Leaves) != len(t.Nodes)+1 {
 			return fmt.Errorf("tree %d: %d nodes with %d leaves, want %d", ti, len(t.Nodes), len(t.Leaves), len(t.Nodes)+1)
 		}
+		hasParent := make([]bool, len(t.Nodes))
 		for ni, n := range t.Nodes {
+			// Children lie past their parent, so by node ni every possible
+			// parent of ni has been seen.
+			if ni > 0 && !hasParent[ni] {
+				return fmt.Errorf("tree %d node %d: no parent", ti, ni)
+			}
 			if n.Feature < 0 || int(n.Feature) >= m.NumFeatures {
 				return fmt.Errorf("tree %d node %d: feature %d out of range", ti, ni, n.Feature)
 			}
@@ -67,6 +76,10 @@ func (m *Model) Validate() error {
 					if c <= int32(ni) {
 						return fmt.Errorf("tree %d node %d: non-forward child %d", ti, ni, c)
 					}
+					if hasParent[c] {
+						return fmt.Errorf("tree %d node %d: child %d already has a parent", ti, ni, c)
+					}
+					hasParent[c] = true
 				} else if int(^c) >= len(t.Leaves) {
 					return fmt.Errorf("tree %d node %d: leaf %d out of range", ti, ni, ^c)
 				}

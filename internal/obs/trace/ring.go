@@ -43,9 +43,6 @@ func NewRing(n int) *Ring {
 	return &Ring{slots: make([]slot, n)}
 }
 
-// Cap returns the ring capacity.
-func (r *Ring) Cap() int { return len(r.slots) }
-
 // Published returns the total number of slot claims (publishes attempted).
 func (r *Ring) Published() uint64 { return r.cur.Load() }
 

@@ -31,9 +31,9 @@ func TestStageAndKindNames(t *testing.T) {
 func TestPipelineArgRoundtrip(t *testing.T) {
 	cases := []struct{ idx, morsels, par int }{
 		{0, 0, 0}, {1, 1, 1}, {3, 16, 4}, {12, 255, 8},
-		{0xffff, 0xff, 0xff},   // at saturation
-		{1 << 20, 1000, 4000},  // past saturation
-		{-1, -5, -9},           // negative clamps to zero
+		{0xffff, 0xff, 0xff},  // at saturation
+		{1 << 20, 1000, 4000}, // past saturation
+		{-1, -5, -9},          // negative clamps to zero
 	}
 	for _, c := range cases {
 		idx, m, p := UnpackPipelineArg(PipelineArg(c.idx, c.morsels, c.par))

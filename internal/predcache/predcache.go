@@ -98,11 +98,6 @@ func New(capacity int) *Cache {
 	return c
 }
 
-// Capacity returns the total entry capacity.
-func (c *Cache) Capacity() int {
-	return len(c.shards[0].ents) * numShards
-}
-
 // shardOf picks the shard from the key's own hash bits. Struct and Cards
 // are already FNV-1a digests; mixing them spreads single-plan workloads
 // with varying annotations across shards.

@@ -1,11 +1,12 @@
 // Package registry is the versioned on-disk model store of the
 // continuous-learning control plane. Every artifact bundles the trained
-// ensemble (the authoritative JSON form), the compiled packed tier
-// (internal/treec binary encoding), and training metadata — including the
-// fingerprint of the held-out label set the model was shadow-evaluated on —
-// in one checksummed file, so a promotion can always be traced back to what
-// it was trained and judged on, and a rollback restores the previous model
-// bit-for-bit.
+// ensemble in its JSON form — the one form a model has at rest — and training
+// metadata, including the fingerprint of the held-out label set the model was
+// shadow-evaluated on, in one checksummed file, so a promotion can always be
+// traced back to what it was trained and judged on, and a rollback restores
+// the previous model bit-for-bit. Nothing compiled is stored: t3.NewModel
+// compiles a loaded ensemble once, and the compiled layout is free to change
+// without touching this format.
 //
 // Artifacts are immutable once written: Put writes to a temp file and
 // renames it into place, Load verifies a SHA-256 trailer over the entire
@@ -29,13 +30,12 @@ import (
 
 	"t3/internal/gbdt"
 	"t3/internal/obs"
-	"t3/internal/treec"
 )
 
 // FormatVersion is the artifact file format version. Bump on any layout
 // change; Decode rejects versions it does not know, and the golden
 // round-trip test in CI is gated on it.
-const FormatVersion = 1
+const FormatVersion = 2
 
 // magic opens every artifact file. The trailing byte is the format
 // generation so old readers fail fast on future major layouts.
@@ -84,22 +84,16 @@ type Meta struct {
 	Note string `json:"note,omitempty"`
 }
 
-// Artifact is one versioned model: metadata, the trained ensemble, and its
-// compiled packed tier.
+// Artifact is one versioned model: metadata and the trained ensemble.
 type Artifact struct {
 	Meta Meta
-	// GBM is the authoritative trained ensemble.
-	GBM *gbdt.Model
-	// Packed is the compiled tier. Encode derives it from GBM when nil;
-	// Decode verifies the stored tier matches a fresh compile of GBM, so a
-	// loaded artifact's two representations can never disagree.
-	Packed *treec.Packed
+	GBM  *gbdt.Model
 }
 
 // Encode serializes the artifact to its canonical byte form:
 //
 //	magic[8] | u32 metaLen, meta JSON | u32 gbmLen, gbm JSON |
-//	u32 packedLen, packed binary | sha256[32] over everything above
+//	sha256[32] over everything above
 func Encode(a *Artifact) ([]byte, error) {
 	if a.GBM == nil {
 		return nil, fmt.Errorf("registry: artifact has no model")
@@ -112,26 +106,18 @@ func Encode(a *Artifact) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: marshal model: %w", err)
 	}
-	packed := a.Packed
-	if packed == nil {
-		packed = treec.Pack(a.GBM)
-	}
-	packedBin := treec.AppendPacked(nil, packed)
 
 	var buf bytes.Buffer
 	buf.Write(magic[:])
 	writeSection(&buf, metaJSON)
 	writeSection(&buf, gbmJSON)
-	writeSection(&buf, packedBin)
 	sum := sha256.Sum256(buf.Bytes())
 	buf.Write(sum[:])
 	return buf.Bytes(), nil
 }
 
-// Decode parses and fully verifies an Encode'd artifact: magic, format
-// version, SHA-256 trailer, model structural validity, and packed-tier
-// equivalence (the stored compiled tier must be byte-identical to
-// recompiling the stored ensemble).
+// Decode parses and fully verifies an Encode'd artifact: magic, SHA-256
+// trailer, format version, and model structural validity.
 func Decode(data []byte) (*Artifact, error) {
 	if len(data) < len(magic)+sha256.Size {
 		return nil, fmt.Errorf("registry: artifact truncated (%d bytes)", len(data))
@@ -149,24 +135,21 @@ func Decode(data []byte) (*Artifact, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: meta section: %w", err)
 	}
-	gbmJSON, rest, err := readSection(rest)
-	if err != nil {
-		return nil, fmt.Errorf("registry: model section: %w", err)
-	}
-	packedBin, rest, err := readSection(rest)
-	if err != nil {
-		return nil, fmt.Errorf("registry: packed section: %w", err)
-	}
-	if len(rest) != 0 {
-		return nil, fmt.Errorf("registry: %d trailing bytes in artifact body", len(rest))
-	}
-
+	// The version is judged before the rest of the layout, so a file of
+	// another format is reported as that and not as a malformed section.
 	a := &Artifact{}
 	if err := json.Unmarshal(metaJSON, &a.Meta); err != nil {
 		return nil, fmt.Errorf("registry: parse meta: %w", err)
 	}
 	if a.Meta.FormatVersion != FormatVersion {
 		return nil, fmt.Errorf("registry: artifact format version %d, want %d", a.Meta.FormatVersion, FormatVersion)
+	}
+	gbmJSON, rest, err := readSection(rest)
+	if err != nil {
+		return nil, fmt.Errorf("registry: model section: %w", err)
+	}
+	if len(rest) != 0 {
+		return nil, fmt.Errorf("registry: %d trailing bytes in artifact body", len(rest))
 	}
 	a.GBM = &gbdt.Model{}
 	if err := json.Unmarshal(gbmJSON, a.GBM); err != nil {
@@ -175,13 +158,6 @@ func Decode(data []byte) (*Artifact, error) {
 	if err := a.GBM.Validate(); err != nil {
 		return nil, fmt.Errorf("registry: invalid model: %w", err)
 	}
-	// The packed tier must be exactly what compiling the stored ensemble
-	// yields — a drifted compiler or a partial write can't slip through.
-	recompiled := treec.Pack(a.GBM)
-	if !bytes.Equal(packedBin, treec.AppendPacked(nil, recompiled)) {
-		return nil, fmt.Errorf("registry: packed tier does not match stored ensemble")
-	}
-	a.Packed = recompiled
 	return a, nil
 }
 
@@ -308,8 +284,8 @@ func (r *Registry) Put(a *Artifact) (int, error) {
 }
 
 // Load reads and fully verifies one version. Corruption — a flipped bit, a
-// truncated write, a packed tier that disagrees with the ensemble — is an
-// error, never a silently wrong model.
+// truncated write, a malformed ensemble — is an error, never a silently wrong
+// model.
 func (r *Registry) Load(version int) (*Artifact, error) {
 	data, err := os.ReadFile(r.Path(version))
 	if err != nil {

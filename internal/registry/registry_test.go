@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"t3/internal/gbdt"
@@ -114,8 +115,8 @@ func TestPutLoadRoundTrip(t *testing.T) {
 	}
 
 	// The stored ensemble must serve bit-identical predictions to the
-	// in-memory one, on both tiers.
-	packed := treec.Pack(gbm)
+	// in-memory one, interpreted and compiled.
+	packed, loaded := treec.Pack(gbm), treec.Pack(a.GBM)
 	rng := rand.New(rand.NewSource(7))
 	for i := 0; i < 100; i++ {
 		v := make([]float64, gbm.NumFeatures)
@@ -125,8 +126,8 @@ func TestPutLoadRoundTrip(t *testing.T) {
 		if got, want := a.GBM.Predict(v), gbm.Predict(v); got != want {
 			t.Fatalf("loaded gbm predicts %v, want %v", got, want)
 		}
-		if got, want := a.Packed.Predict(v), packed.Predict(v); got != want {
-			t.Fatalf("loaded packed tier predicts %v, want %v", got, want)
+		if got, want := loaded.Predict(v), packed.Predict(v); got != want {
+			t.Fatalf("loaded ensemble compiles to predict %v, want %v", got, want)
 		}
 	}
 }
@@ -286,7 +287,7 @@ func TestListSkipsCorruptEntries(t *testing.T) {
 // reproduce it byte for byte. Gated on FormatVersion — bumping the format
 // requires regenerating the golden with -update and reviewing the diff.
 func TestArtifactGoldenRoundTrip(t *testing.T) {
-	golden := filepath.Join("testdata", "artifact_v1.t3m")
+	golden := filepath.Join("testdata", "artifact_v2.t3m")
 	a := &Artifact{
 		Meta: Meta{
 			FormatVersion:      FormatVersion,
@@ -297,7 +298,7 @@ func TestArtifactGoldenRoundTrip(t *testing.T) {
 			HoldoutLabels:      4,
 			HoldoutFingerprint: 0x0123456789ABCDEF,
 			ParentVersion:      0,
-			Note:               "format-v1 golden artifact",
+			Note:               "format-v2 golden artifact",
 		},
 		GBM: handModel(),
 	}
@@ -333,5 +334,66 @@ func TestArtifactGoldenRoundTrip(t *testing.T) {
 	if !bytes.Equal(enc, want) {
 		t.Fatalf("encoding drifted from golden (%d vs %d bytes): the artifact format changed without a FormatVersion bump",
 			len(enc), len(want))
+	}
+}
+
+// TestV1ArtifactRefused: a file of the previous format (which carried a third,
+// packed-blob section) is refused as a format-version skew — not read, and not
+// misreported as a malformed section — and Load counts it as a reject.
+func TestV1ArtifactRefused(t *testing.T) {
+	v1, err := os.ReadFile(filepath.Join("testdata", "artifact_v1.t3m"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(v1); err == nil || !strings.Contains(err.Error(), "format version 1") {
+		t.Fatalf("Decode(v1 artifact) = %v, want a format-version error", err)
+	}
+	r := openTemp(t)
+	if err := os.WriteFile(r.Path(1), v1, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := CorruptRejects.Value()
+	if _, err := r.Load(1); err == nil {
+		t.Fatal("v1 artifact loaded")
+	}
+	if got := CorruptRejects.Value() - before; got != 1 {
+		t.Fatalf("t3_registry_corrupt_total advanced by %d, want 1", got)
+	}
+}
+
+// sharedChildModel is one tree of n nodes in which both children of every
+// node are the next node: forward, in range, n+1 leaves — and 2ⁿ−1 nodes once
+// a compiler follows both edges.
+func sharedChildModel(n int) *gbdt.Model {
+	tree := gbdt.Tree{Nodes: make([]gbdt.Node, n), Leaves: make([]float64, n+1)}
+	for i := range tree.Nodes {
+		tree.Nodes[i] = gbdt.Node{Left: int32(i + 1), Right: int32(i + 1)}
+	}
+	tree.Nodes[n-1] = gbdt.Node{Left: ^int32(0), Right: ^int32(1)}
+	return &gbdt.Model{NumFeatures: 1, Trees: []gbdt.Tree{tree}}
+}
+
+// TestSharedChildModelRefused: a 600-byte model file must not be able to make
+// the server compile 2⁴⁰ nodes. Both doors a model file comes in through
+// refuse it. Validate is checked first and fatally: where it passes, compiling
+// this model would take the machine down.
+func TestSharedChildModelRefused(t *testing.T) {
+	m := sharedChildModel(40)
+	if err := m.Validate(); err == nil {
+		t.Fatal("Validate accepts a node with two parents")
+	}
+	path := filepath.Join(t.TempDir(), "shared.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gbdt.Load(path); err == nil {
+		t.Fatal("gbdt.Load accepts a node with two parents")
+	}
+	enc, err := Encode(&Artifact{Meta: Meta{FormatVersion: FormatVersion, Version: 1}, GBM: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), "invalid model") {
+		t.Fatalf("Decode(shared-child artifact) = %v, want an invalid-model error", err)
 	}
 }

@@ -55,12 +55,6 @@ type boundTable struct {
 	tbl  *storage.Table
 }
 
-// conjunct is one WHERE/ON conjunct with the tables it references.
-type conjunct struct {
-	e      Expr
-	tables map[string]bool
-}
-
 // binder carries the state of planning one statement.
 type binder struct {
 	pl   *Planner

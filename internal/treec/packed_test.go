@@ -3,6 +3,7 @@ package treec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 	"unsafe"
 
@@ -269,5 +270,17 @@ func TestPackedMatchesModelStructure(t *testing.T) {
 	}
 	if f := Flatten(m); len(f.Threshold) != nodes || len(f.Feature) != nodes {
 		t.Fatalf("threshold table has %d/%d entries, want %d", len(f.Threshold), len(f.Feature), nodes)
+	}
+}
+
+// TestPackDeterministic: compiling the same ensemble twice yields the same
+// layout. A stored model is compiled afresh on every load, so bit-identical
+// rollback rests on this.
+func TestPackDeterministic(t *testing.T) {
+	m := trainToy(t, 25, 16, 36)
+	a, b := Pack(m), Pack(m)
+	if !slices.Equal(a.Nodes, b.Nodes) || !slices.Equal(a.Roots, b.Roots) ||
+		!slices.Equal(a.Leaves, b.Leaves) || a.Base != b.Base {
+		t.Fatal("two Packs of the same model differ")
 	}
 }

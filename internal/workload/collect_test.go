@@ -171,10 +171,10 @@ func TestCollectLabelsIntraParallelDeterministic(t *testing.T) {
 	in := collectInstance(t)
 	var ref []byte
 	for _, cfg := range []CollectConfig{
-		{Workers: 1, IntraWorkers: -1},           // fully serial baseline
+		{Workers: 1, IntraWorkers: -1},                // fully serial baseline
 		{Workers: 1, IntraWorkers: 4, MorselRows: 64}, // intra only
-		{Workers: 4, IntraWorkers: -1},           // inter only
-		{Workers: 4, MorselRows: 64},             // both, intra inherits workers
+		{Workers: 4, IntraWorkers: -1},                // inter only
+		{Workers: 4, MorselRows: 64},                  // both, intra inherits workers
 		{Workers: 2, IntraWorkers: 3, MorselRows: 32},
 	} {
 		cfg.Runs = 1

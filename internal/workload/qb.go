@@ -204,11 +204,6 @@ func InIntsP(col string, vals ...int64) func(Ref) expr.BoolExpr {
 	return func(r Ref) expr.BoolExpr { return expr.NewInListInts(r(col), vals) }
 }
 
-// InStrsP builds a string IN-list predicate builder.
-func InStrsP(col string, vals ...string) func(Ref) expr.BoolExpr {
-	return func(r Ref) expr.BoolExpr { return expr.NewInListStrings(r(col), vals) }
-}
-
 // LikeP builds a LIKE predicate builder.
 func LikeP(col, pattern string) func(Ref) expr.BoolExpr {
 	return func(r Ref) expr.BoolExpr { return expr.NewLike(r(col), pattern) }
@@ -219,6 +214,3 @@ func Int(v int64) *expr.Const { return expr.ConstInt(v) }
 
 // Float returns a float constant.
 func Float(v float64) *expr.Const { return expr.ConstFloat(v) }
-
-// Str returns a string constant.
-func Str(v string) *expr.Const { return expr.ConstString(v) }

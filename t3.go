@@ -22,10 +22,8 @@
 package t3
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"sync"
 	"time"
 
@@ -461,13 +459,7 @@ func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted time.Duratio
 }
 
 // Save writes the model to a JSON file.
-func (m *Model) Save(path string) error {
-	data, err := json.Marshal(m.gbm)
-	if err != nil {
-		return fmt.Errorf("t3: marshal model: %w", err)
-	}
-	return os.WriteFile(path, data, 0o644)
-}
+func (m *Model) Save(path string) error { return m.gbm.Save(path) }
 
 // Load reads a model written by Save.
 func Load(path string) (*Model, error) {

@@ -19,11 +19,13 @@ import (
 	"t3"
 	"t3/internal/benchdata"
 	"t3/internal/compiled"
+	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
 	"t3/internal/experiments"
 	"t3/internal/gbdt"
 	"t3/internal/par"
 	"t3/internal/treec"
+	"t3/internal/workload"
 )
 
 var (
@@ -136,6 +138,55 @@ func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		packed.Predict(vs[i%len(vs)])
 	}
+}
+
+// BenchmarkTreeKernels is the regenerable half of EXPERIMENTS.md "Tree
+// kernels": the two evaluators treec.Packed keeps — the scalar walker behind
+// Predict and the bitvector kernel behind PredictRowsInto — on the checked-in
+// default model over real pipeline vectors (the TPC-H benchmark and generated
+// queries, true cardinalities), ns per vector.
+func BenchmarkTreeKernels(b *testing.B) {
+	m, err := t3.Load("models/t3_default.json")
+	if err != nil {
+		b.Skipf("default model unavailable: %v", err)
+	}
+	inst, err := workload.Generate(workload.TPCHSpec("tpch_kernels", 0.01, 1))
+	if err != nil {
+		b.Fatal(err)
+	}
+	qs := append(workload.TPCHBenchmarkQueries(inst),
+		workload.GenerateQueries(inst, workload.GenConfig{PerGroup: 6, Seed: 1})...)
+	var vecs [][]float64
+	var rows []float64
+	for _, q := range qs {
+		if err := exec.AnnotateTrueCards(q.Root); err != nil {
+			b.Fatal(err)
+		}
+		vs, _ := m.Registry().PlanVectors(q.Root, t3.TrueCards)
+		for _, v := range vs {
+			vecs = append(vecs, v)
+			rows = append(rows, v...)
+		}
+	}
+	packed, stride := m.Packed(), m.Registry().NumFeatures()
+	out := make([]float64, len(vecs))
+	perVector := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(vecs)), "ns/vector")
+	}
+	b.Run("walker", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			for r, v := range vecs {
+				out[r] = packed.Predict(v)
+			}
+		}
+		perVector(b)
+	})
+	b.Run("rows", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			packed.PredictRowsInto(rows, stride, out, nil)
+		}
+		perVector(b)
+	})
 }
 
 // BenchmarkPredictSingle contrasts, on the one packed tier, the allocating

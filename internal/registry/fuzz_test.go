@@ -70,7 +70,9 @@ func FuzzRegistryDecode(f *testing.F) {
 			t.Fatalf("ensemble of %d nodes compiled to %d", nodes, len(p.Nodes))
 		}
 
-		const nrows = 9 // one 8-wide kernel block and a tail row
+		// The batch kernel scores rows one by one, so the count only sets how
+		// many probe vectors a model gets.
+		const nrows = 4
 		gaps := treec.Flatten(m)
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		rows := make([]float64, nrows*m.NumFeatures)

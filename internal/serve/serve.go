@@ -14,7 +14,7 @@
 //  2. Fingerprint each plan (wire.PlanKey) and probe the prediction cache;
 //     a hit is answered without touching the model.
 //  3. Price all misses of the batch in one model call on the connection's
-//     own scratch — Model.PredictBatchScratch, one 8-wide kernel call over
+//     own scratch — Model.PredictBatchScratch, one batch-kernel call over
 //     every pipeline of every missed plan; a lone miss takes
 //     Model.PredictPlanScratch, as /predict.bin's single frame does — and
 //     insert the results under the cache generation read before the model

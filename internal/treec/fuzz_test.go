@@ -6,28 +6,60 @@ import (
 	"testing"
 
 	"t3/internal/gbdt"
+	"t3/internal/par"
 )
 
-// genTree builds a random regression tree; about a fifth are single-leaf
-// (constant) trees, which Pack and GenGo fold into the base score.
-func genTree(rng *rand.Rand, nFeatures int, exact32 bool) gbdt.Tree {
+// edgeValues are the float64s a sorted-threshold evaluator can get wrong:
+// both zeros, both infinities, magnitudes beyond float32 and at the end of
+// float64, float64 and float32 subnormals, and NaN (last, so that a caller
+// can leave it out).
+var edgeValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	1e39, -1e39, math.MaxFloat64, -math.MaxFloat64,
+	5e-324, -5e-324, 1e-45, -1e-45,
+	math.NaN(),
+}
+
+// genThreshold draws one node's (feature, threshold): mostly a random split,
+// sometimes an edge value, sometimes a split the model already uses — the
+// same threshold on the same feature in several trees (or twice in one),
+// which is a tie in the kernel's sort. exact32 models take only thresholds a
+// float32 holds: ±0 and ±Inf of the edge values.
+func genThreshold(rng *rand.Rand, nFeatures int, exact32 bool, used *[]gbdt.Node) (int32, float64) {
+	feat, thr := int32(rng.Intn(nFeatures)), rng.Float64()*20-10
+	switch k := rng.Intn(8); {
+	case k == 0 && exact32:
+		thr = edgeValues[rng.Intn(4)]
+	case k == 0:
+		thr = edgeValues[rng.Intn(len(edgeValues))]
+	case k == 1 && len(*used) > 0:
+		n := (*used)[rng.Intn(len(*used))]
+		return n.Feature, n.Threshold
+	case exact32 || k < 5:
+		thr = float64(float32(thr)) // representable in float32: no rounding gap
+	}
+	*used = append(*used, gbdt.Node{Feature: feat, Threshold: thr})
+	return feat, thr
+}
+
+// genTree builds a random regression tree of at most 2^maxDepth leaves; about
+// a fifth are single-leaf (constant) trees, which Pack and GenGo fold into
+// the base score.
+func genTree(rng *rand.Rand, nFeatures, maxDepth int, exact32 bool, used *[]gbdt.Node) gbdt.Tree {
 	if rng.Intn(5) == 0 {
 		return gbdt.Tree{Leaves: []float64{rng.Float64()*4 - 2}}
 	}
 	var t gbdt.Tree
 	var build func(depth int) int32
 	build = func(depth int) int32 {
-		if depth >= 4 || (depth > 0 && rng.Intn(3) == 0) {
+		if depth >= maxDepth || (depth > 0 && rng.Intn(maxDepth) == 0) {
 			t.Leaves = append(t.Leaves, rng.Float64()*4-2)
 			return ^int32(len(t.Leaves) - 1)
 		}
 		idx := int32(len(t.Nodes))
 		t.Nodes = append(t.Nodes, gbdt.Node{})
-		thr := rng.Float64()*20 - 10
-		if exact32 || rng.Intn(2) == 0 {
-			thr = float64(float32(thr)) // representable in float32: no rounding gap
-		}
-		n := gbdt.Node{Feature: int32(rng.Intn(nFeatures)), Threshold: thr}
+		var n gbdt.Node
+		n.Feature, n.Threshold = genThreshold(rng, nFeatures, exact32, used)
 		n.Left = build(depth + 1)
 		n.Right = build(depth + 1)
 		t.Nodes[idx] = n
@@ -90,10 +122,11 @@ func simGenGo(m *gbdt.Model, v []float64) float64 {
 	return s
 }
 
-// genVectors produces random probe vectors plus adversarial ones pinned at
-// and around the model's trained thresholds: the exact threshold, one ulp to
-// either side, the rounded-up float32 threshold, and one ulp past it — the
-// boundary inputs of the (t, thr32] rounding-gap contract.
+// genVectors produces random probe vectors, an eighth of their values edge
+// values, plus adversarial ones pinned at and around the model's trained
+// thresholds: the exact threshold, the rounded-up float32 threshold, and the
+// float64 and float32 neighbours of both — the boundary inputs of the
+// (t, thr32] rounding-gap contract and of the kernel's sorted scan.
 func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 	var nodes []gbdt.Node
 	for i := range m.Trees {
@@ -104,17 +137,24 @@ func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 		v := make([]float64, m.NumFeatures)
 		for j := range v {
 			v[j] = rng.Float64()*24 - 12
+			if rng.Intn(8) == 0 {
+				v[j] = edgeValues[rng.Intn(len(edgeValues))]
+			}
 		}
 		if len(nodes) > 0 && i%2 == 0 {
 			nd := nodes[rng.Intn(len(nodes))]
 			t64 := nd.Threshold
-			up := float64(RoundThreshold32(t64))
+			up32 := RoundThreshold32(t64)
+			up := float64(up32)
 			probes := []float64{
 				t64,
 				math.Nextafter(t64, math.Inf(-1)),
 				math.Nextafter(t64, math.Inf(1)),
 				up,
+				math.Nextafter(up, math.Inf(-1)),
 				math.Nextafter(up, math.Inf(1)),
+				float64(math.Nextafter32(up32, float32(math.Inf(-1)))),
+				float64(math.Nextafter32(up32, float32(math.Inf(1)))),
 			}
 			v[nd.Feature] = probes[rng.Intn(len(probes))]
 		}
@@ -123,19 +163,35 @@ func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 	return vs
 }
 
+// genModel draws the model of one fuzz input: 1-6 trees, or up to three
+// kernel blocks of them when nvec has bit 6 set; up to 16 leaves a tree, up
+// to 64 (a full bitvector), or up to 128, where one tree past 64 sends the
+// whole ensemble to the walker. A quarter of the models have only
+// float32-exact thresholds.
+func genModel(rng *rand.Rand, nvec uint64) (m *gbdt.Model, exact32 bool) {
+	nFeatures := 1 + rng.Intn(8)
+	nTrees := 1 + rng.Intn(6)
+	if nvec&64 != 0 {
+		nTrees += rng.Intn(700)
+	}
+	maxDepth := []int{4, 4, 6, 7}[rng.Intn(4)]
+	exact32 = rng.Intn(4) == 0
+	m = &gbdt.Model{BaseScore: rng.Float64()*2 - 1, NumFeatures: nFeatures}
+	var used []gbdt.Node
+	for i := 0; i < nTrees; i++ {
+		m.Trees = append(m.Trees, genTree(rng, nFeatures, maxDepth, exact32, &used))
+	}
+	return m, exact32
+}
+
 // checkTreeTiers asserts the full equivalence contract for one model:
 // interpreter reference ↔ Packed.Predict ↔ PredictRowsInto ↔ generated-code
 // semantics.
 func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	nFeatures := 1 + rng.Intn(8)
-	nTrees := 1 + rng.Intn(6)
-	exact32 := rng.Intn(4) == 0 // some models have only float32-exact thresholds
-	m := &gbdt.Model{BaseScore: rng.Float64()*2 - 1, NumFeatures: nFeatures}
-	for i := 0; i < nTrees; i++ {
-		m.Trees = append(m.Trees, genTree(rng, nFeatures, exact32))
-	}
+	m, exact32 := genModel(rng, nvec)
+	nFeatures := m.NumFeatures
 
 	gaps := Flatten(m)
 	packed := Pack(m)
@@ -165,22 +221,37 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 		}
 	}
 
-	// The rows kernel is bit-identical to the scalar walk, row for row.
+	// The rows kernel is bit-identical to the scalar walk, row for row: run
+	// serially, and split across a pool (the vectors repeated until the batch
+	// is long enough to be split).
+	want := make([]float64, len(vs))
 	rows := make([]float64, 0, len(vs)*nFeatures)
-	for _, v := range vs {
+	for i, v := range vs {
+		want[i] = packed.Predict(v)
 		rows = append(rows, v...)
 	}
-	out := make([]float64, len(vs))
-	packed.PredictRowsInto(rows, nFeatures, out, nil)
-	for i, v := range vs {
-		if math.Float64bits(out[i]) != math.Float64bits(packed.Predict(v)) {
-			t.Fatalf("seed=%d vec=%d: PredictRowsInto=%v Predict=%v", seed, i, out[i], packed.Predict(v))
+	for len(want) <= 2*rowsPerTask {
+		want = append(want, want[:len(vs)]...)
+		rows = append(rows, rows[:len(vs)*nFeatures]...)
+	}
+	out := make([]float64, len(want))
+	for _, pool := range []*par.Pool{nil, par.Sized(3)} {
+		clear(out)
+		packed.PredictRowsInto(rows, nFeatures, out, pool)
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed=%d vec=%d workers=%d: PredictRowsInto=%v Predict=%v", seed, i%len(vs), pool.Workers(), out[i], want[i])
+			}
 		}
 	}
 }
 
 // FuzzTreeTiers fuzzes the reference/packed/rows/generated-code equivalence
-// contract over random models and threshold-adversarial probe vectors.
+// contract over random models and threshold-adversarial probe vectors. The
+// named corpus files under testdata/fuzz pin the shapes the bitvector kernel
+// has limits on: one, exactly-full and three blocks of trees, a 63-leaf tree,
+// an oversized tree (walker fallback), and NaN, ±Inf and ±0 thresholds tied on
+// one feature.
 func FuzzTreeTiers(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint64(seed*17))

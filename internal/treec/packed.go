@@ -3,7 +3,6 @@ package treec
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"t3/internal/gbdt"
 	"t3/internal/par"
@@ -48,10 +47,10 @@ type Packed struct {
 	// every tree routes every input exactly as the float64 interpreter does.
 	Exact bool
 
-	// rowsL is the flat-row batch kernel's private layout (see rows.go),
-	// compiled lazily on first use.
-	rowsOnce sync.Once
-	rowsL    *rowsLayout
+	// quick is the batch kernel's layout of the same trees (quickscorer.go);
+	// nil when a tree has more leaves than a bitvector holds, and
+	// PredictRowsInto then scores every row through Predict.
+	quick []qsBlock
 }
 
 // RoundThreshold32 returns the smallest float32 whose float64 value is ≥ t —
@@ -74,6 +73,8 @@ func Pack(m *gbdt.Model) *Packed {
 		panic(fmt.Sprintf("treec: %d features exceed packed uint16 feature ids", m.NumFeatures))
 	}
 	p := &Packed{Base: m.BaseScore, NumFeatures: m.NumFeatures, Exact: true}
+	var quick []qsBlock
+	fits := true // every tree so far has a bitvector's worth of leaves or fewer
 	for ti := range m.Trees {
 		t := &m.Trees[ti]
 		if len(t.Nodes) == 0 {
@@ -128,17 +129,19 @@ func Pack(m *gbdt.Model) *Packed {
 			})
 		}
 		p.Leaves = append(p.Leaves, t.Leaves...)
+		// Every reachable node has two children, so the tree has one more
+		// leaf than len(bfs) nodes.
+		if fits = fits && len(bfs) < qsMaxLeaves; fits {
+			quick = qsAdd(quick, t)
+		}
+	}
+	if fits {
+		for i := range quick {
+			quick[i].seal()
+		}
+		p.quick = quick
 	}
 	return p
-}
-
-// treeEnd returns one past the last node of tree ti: the next tree's root, or
-// the end of Nodes for the last tree.
-func (p *Packed) treeEnd(ti int) int32 {
-	if ti+1 < len(p.Roots) {
-		return p.Roots[ti+1]
-	}
-	return int32(len(p.Nodes))
 }
 
 // Predict evaluates the packed ensemble for one feature vector.
@@ -165,35 +168,39 @@ func (p *Packed) Predict(v []float64) float64 {
 
 // PredictRowsInto evaluates nrows = len(out) row-major feature vectors stored
 // contiguously in rows (row i is rows[i*stride : (i+1)*stride]) into the
-// caller-owned out slice, fanning block-aligned chunks across the given pool
-// (nil or single-worker runs serially and allocation-free). Every row's tree
-// contributions are added in tree order regardless of blocking, chunking, or
-// worker count, so each out[i] is bit-identical to Predict(row i) — the
-// determinism contract the level-batched join enumerator is built on.
+// caller-owned out slice, fanning chunks of rows across the given pool (nil
+// or single-worker runs serially and allocation-free). Every row's tree
+// contributions are added in tree order regardless of chunking or worker
+// count, so each out[i] is bit-identical to Predict(row i) — the determinism
+// contract the level-batched join enumerator is built on.
 func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool *par.Pool) {
 	nrows := len(out)
-	if stride <= 0 || len(rows) < nrows*stride {
-		panic(fmt.Sprintf("treec: PredictRowsInto rows has %d floats, want >= %d x %d", len(rows), nrows, stride))
+	if nrows == 0 {
+		return
 	}
-	if pool.Workers() > 1 && nrows >= 2*rowsLanes {
-		chunk := nrows/(4*pool.Workers()) + 1
-		if r := chunk % rowsLanes; r != 0 {
-			chunk += rowsLanes - r
-		}
-		pool.For(nrows, chunk, func(lo, hi int) {
+	if stride < p.NumFeatures || len(rows) < nrows*stride {
+		panic(fmt.Sprintf("treec: PredictRowsInto rows has %d floats, want >= %d x %d at a stride of >= %d features",
+			len(rows), nrows, stride, p.NumFeatures))
+	}
+	if pool.Workers() > 1 && nrows >= 2*rowsPerTask {
+		pool.For(nrows, rowsPerTask, func(lo, hi int) {
 			p.predictRows(rows[lo*stride:hi*stride], stride, out[lo:hi])
 		})
 		return
 	}
-	p.predictRows(rows[:nrows*stride], stride, out)
+	p.predictRows(rows, stride, out)
 }
 
-// predictRows is the serial flat-row kernel behind PredictRowsInto: the
-// branchless 8-wide layout when the ensemble fits it (see rows.go), one
-// Predict per row otherwise — the same walker the kernel's tail rows use.
+// rowsPerTask is the pool split of PredictRowsInto: at about 2 µs a row one
+// task is some 120 µs of work, two orders of magnitude over what handing it
+// to a worker and waking that worker cost.
+const rowsPerTask = 64
+
+// predictRows scores rows serially: the bitvector kernel when the ensemble
+// fits it, one Predict per row otherwise.
 func (p *Packed) predictRows(rows []float64, stride int, out []float64) {
-	if g := p.rowsKernel(); g.ok {
-		p.predictRowsFast(g, rows, stride, out)
+	if p.quick != nil {
+		p.scoreRows(rows, stride, out)
 		return
 	}
 	for r := range out {

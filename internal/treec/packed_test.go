@@ -221,7 +221,10 @@ func TestPackedBreadthFirstLayout(t *testing.T) {
 	// internal child index stays within [root, nextRoot) and is strictly
 	// greater than its parent (BFS property).
 	for ti, root := range p.Roots {
-		end := p.treeEnd(ti)
+		end := int32(len(p.Nodes))
+		if ti+1 < len(p.Roots) {
+			end = p.Roots[ti+1]
+		}
 		for i := root; i < end; i++ {
 			n := p.Nodes[i]
 			for _, c := range []int32{n.Left, n.Right} {
@@ -274,13 +277,39 @@ func TestPackedMatchesModelStructure(t *testing.T) {
 }
 
 // TestPackDeterministic: compiling the same ensemble twice yields the same
-// layout. A stored model is compiled afresh on every load, so bit-identical
-// rollback rests on this.
+// layout — the walker's arrays and every array of the bitvector kernel's
+// blocks, whose scan lists are sorted, so ties must not depend on the sort. A
+// stored model is compiled afresh on every load, so bit-identical rollback
+// rests on this.
 func TestPackDeterministic(t *testing.T) {
 	m := trainToy(t, 25, 16, 36)
+	// More trees than one block holds, and each threshold many times over.
+	for len(m.Trees) < 2*qsBlockTrees+10 {
+		m.Trees = append(m.Trees, m.Trees[:25]...)
+	}
 	a, b := Pack(m), Pack(m)
 	if !slices.Equal(a.Nodes, b.Nodes) || !slices.Equal(a.Roots, b.Roots) ||
 		!slices.Equal(a.Leaves, b.Leaves) || a.Base != b.Base {
 		t.Fatal("two Packs of the same model differ")
+	}
+	if len(a.quick) != 3 || !slices.EqualFunc(a.quick, b.quick, func(x, y qsBlock) bool {
+		return slices.Equal(x.listEnd, y.listEnd) && slices.Equal(x.nodes, y.nodes) &&
+			slices.Equal(x.leafOff, y.leafOff) && slices.Equal(x.leaves, y.leaves)
+	}) {
+		t.Fatalf("two Packs of the same model differ in the kernel layout (%d blocks)", len(a.quick))
+	}
+	// Within a scan list thresholds ascend, and equal ones keep tree order.
+	for _, blk := range a.quick {
+		at := int32(0)
+		for _, end := range blk.listEnd {
+			for i := at + 1; i < end; i++ {
+				x, y := blk.nodes[i-1], blk.nodes[i]
+				if x.feat != y.feat || x.thr > y.thr || (x.thr == y.thr && x.tree > y.tree) {
+					t.Fatalf("feature %d: node %d (thr %v, tree %d) sorts after node %d (feature %d, thr %v, tree %d)",
+						x.feat, i-1, x.thr, x.tree, i, y.feat, y.thr, y.tree)
+				}
+			}
+			at = end
+		}
 	}
 }

@@ -60,14 +60,14 @@ func BenchmarkPredictRowsPackedScalar(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
 }
 
-// BenchmarkPredictRowsInto is the production batch kernel: branchless
-// fixed-depth 8-wide walks over the 8-byte relative node layout.
+// BenchmarkPredictRowsInto is the production batch kernel: the bitvector scan
+// of quickscorer.go, one row at a time.
 func BenchmarkPredictRowsInto(b *testing.B) {
 	p := Pack(trainWide(b, 80, 117))
 	const nrows, stride = 1024, 117
 	rows := benchRows(nrows, stride)
 	out := make([]float64, nrows)
-	p.PredictRowsInto(rows, stride, out, nil) // build the lazy layout
+	p.PredictRowsInto(rows, stride, out, nil)
 	for i := 0; i < nrows; i++ {
 		if want := p.Predict(rows[i*stride : (i+1)*stride]); out[i] != want {
 			b.Fatalf("row %d: %v != %v", i, out[i], want)

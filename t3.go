@@ -279,7 +279,7 @@ func (m *Model) getScratch() *PredictScratch {
 }
 
 // PredictBatch predicts the execution time of many plans at once through
-// the 8-wide row kernel (see PredictBatchScratch), fanning large batches
+// the batch kernel (see PredictBatchScratch), fanning large batches
 // across the worker pool (see SetWorkers). out[i] corresponds to roots[i].
 // For throughput-bound callers — schedulers admitting a queue of queries,
 // join enumeration over candidate plans — this replaces the

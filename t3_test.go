@@ -301,9 +301,9 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 
 // TestPredictBatchIntoMatchesPredictPlan: the arena path — all plans' rows
 // through one kernel call, then a scalar pass per plan — answers every plan
-// exactly as PredictPlan does, at batch sizes on both sides of the kernel's
-// eight lanes, with the rows on one goroutine or fanned over a pool, and
-// through a caller's own scratch.
+// exactly as PredictPlan does, from a batch of one plan to one with rows
+// enough for the pool to split, with the rows on one goroutine or fanned
+// over a pool, and through a caller's own scratch.
 func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 	c := smallCorpus(t)
 	m := trainSmall(t, c)

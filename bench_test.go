@@ -23,6 +23,7 @@ import (
 	"t3/internal/engine/plan"
 	"t3/internal/experiments"
 	"t3/internal/gbdt"
+	"t3/internal/joinorder"
 	"t3/internal/par"
 	"t3/internal/treec"
 	"t3/internal/workload"
@@ -142,9 +143,11 @@ func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
 
 // BenchmarkTreeKernels is the regenerable half of EXPERIMENTS.md "Tree
 // kernels": the two evaluators treec.Packed keeps — the scalar walker behind
-// Predict and the bitvector kernel behind PredictRowsInto — on the checked-in
-// default model over real pipeline vectors (the TPC-H benchmark and generated
-// queries, true cardinalities), ns per vector.
+// Predict and the block-wise bitvector kernel behind PredictRowsInto — on the
+// checked-in default model over real pipeline vectors (the TPC-H benchmark
+// and generated queries, true cardinalities), ns per vector. "rows" sends
+// them as one batch, full blocks of eight; "rows-short" as one call per plan,
+// 2.8 vectors on average, which is the kernel's one-row tail path.
 func BenchmarkTreeKernels(b *testing.B) {
 	m, err := t3.Load("models/t3_default.json")
 	if err != nil {
@@ -158,6 +161,7 @@ func BenchmarkTreeKernels(b *testing.B) {
 		workload.GenerateQueries(inst, workload.GenConfig{PerGroup: 6, Seed: 1})...)
 	var vecs [][]float64
 	var rows []float64
+	var ends []int // per plan, the end of its vectors
 	for _, q := range qs {
 		if err := exec.AnnotateTrueCards(q.Root); err != nil {
 			b.Fatal(err)
@@ -167,6 +171,7 @@ func BenchmarkTreeKernels(b *testing.B) {
 			vecs = append(vecs, v)
 			rows = append(rows, v...)
 		}
+		ends = append(ends, len(vecs))
 	}
 	packed, stride := m.Packed(), m.Registry().NumFeatures()
 	out := make([]float64, len(vecs))
@@ -181,12 +186,75 @@ func BenchmarkTreeKernels(b *testing.B) {
 		}
 		perVector(b)
 	})
+	// masks/vector is the kernel's work as a count (Packed.MaskCounts): mask
+	// applications, those shared by a block of eight counted once.
+	perVectorMasks := func(b *testing.B, shared, own int) {
+		perVector(b)
+		b.ReportMetric(float64(shared+own)/float64(len(vecs)), "masks/vector")
+	}
 	b.Run("rows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			packed.PredictRowsInto(rows, stride, out, nil)
 		}
-		perVector(b)
+		shared, own, _ := packed.MaskCounts(rows, stride, len(vecs))
+		perVectorMasks(b, shared, own)
 	})
+	b.Run("rows-short", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			at := 0
+			for _, end := range ends {
+				packed.PredictRowsInto(rows[at*stride:end*stride], stride, out[at:end], nil)
+				at = end
+			}
+		}
+		shared, own, at := 0, 0, 0
+		for _, end := range ends {
+			s, o, _ := packed.MaskCounts(rows[at*stride:], stride, end-at)
+			shared, own, at = shared+s, own+o, end
+		}
+		perVectorMasks(b, shared, own)
+	})
+}
+
+// BenchmarkJoinEnum is join-order enumeration on the batch kernel: the four
+// graphs of bench/inputs.go (its shapes, sizes and seeds) through
+// DPSizeBatched on the calling goroutine, the oracle's memo warm. ns/row is
+// the elapsed time over the rows the enumerator sent to the model
+// (Result.ModelCalls) — featurization and the dynamic program included, so it
+// is an upper bound on what the kernel takes per candidate.
+func BenchmarkJoinEnum(b *testing.B) {
+	m, err := t3.Load("models/t3_default.json")
+	if err != nil {
+		b.Skipf("default model unavailable: %v", err)
+	}
+	for _, g := range []struct {
+		name, shape string
+		n           int
+		seed        int64
+	}{
+		{"chain-10", workload.ShapeChain, 10, 101},
+		{"star-10", workload.ShapeStar, 10, 102},
+		{"clique-8", workload.ShapeClique, 8, 103},
+		{"chain-12", workload.ShapeChain, 12, 104},
+	} {
+		b.Run(g.name, func(b *testing.B) {
+			inst, spec := workload.SyntheticJoinBench(g.shape, g.n, 4000, g.seed)
+			oracle := joinorder.NewMemoOracle(joinorder.NewEstOracle(inst, spec), g.n)
+			enumerate := func() *joinorder.Result {
+				res, err := joinorder.DPSizeBatched(spec, m.Packed(), m.Registry(), inst, oracle, joinorder.BatchConfig{Workers: 1})
+				if err != nil {
+					b.Fatal(err)
+				}
+				return res
+			}
+			calls := enumerate().ModelCalls
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				enumerate()
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/row")
+		})
+	}
 }
 
 // BenchmarkPredictSingle contrasts, on the one packed tier, the allocating

@@ -28,7 +28,9 @@ import (
 //   - Vectors are produced by the same t3feat transition functions
 //     (leafInto / closeBuildInto / extendProbeInto), so they are equal by
 //     construction. Copy-on-extend happens directly into the arena.
-//   - Packed.PredictRowsInto adds tree contributions in tree order per row,
+//   - Packed.PredictRowsInto takes the arena eight rows at a time and applies
+//     the decision nodes all eight fail once for the eight, but it still adds
+//     every row's tree contributions to that row's own sum in tree order,
 //     independent of blocking, flush boundaries, and worker count, so every
 //     prediction is bit-identical to a scalar Packed.Predict of the same row.
 //   - Seconds are accumulated in the scalar path's exact float order:
@@ -59,6 +61,14 @@ import (
 // DefaultMaxBatch bounds feature rows per prediction flush when
 // BatchConfig.MaxBatch is zero. Chunked flushing keeps each packed-tier call
 // cache-friendly on clique-shaped graphs whose waves hold thousands of rows.
+//
+// Batching pays twice. It is one kernel call for a wave instead of one per
+// candidate; and the rows of a wave are neighbours — extensions of the same
+// few subplans, equal in most features — which the kernel scores in blocks of
+// eight that share every node all eight fail (treec/quickscorer.go): a
+// candidate priced in a wave of eight or more costs about a third of the mask
+// applications it costs alone. Keep MaxBatch a multiple of eight, or every
+// flush ends in rows that share nothing.
 const DefaultMaxBatch = 2048
 
 // BatchConfig tunes the level-batched enumerator.

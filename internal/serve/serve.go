@@ -15,7 +15,8 @@
 //     a hit is answered without touching the model.
 //  3. Price all misses of the batch in one model call on the connection's
 //     own scratch — Model.PredictBatchScratch, one batch-kernel call over
-//     every pipeline of every missed plan; a lone miss takes
+//     every pipeline of every missed plan, scored in blocks of eight rows
+//     that share the tree nodes all eight fail; a lone miss takes
 //     Model.PredictPlanScratch, as /predict.bin's single frame does — and
 //     insert the results under the cache generation read before the model
 //     was loaded.
@@ -72,8 +73,9 @@ const DefaultCacheEntries = 1 << 16
 
 const (
 	// maxBatchFrames caps how many frames of one read are answered as one
-	// batch, and with it the connection's arenas. It is also the width at
-	// which the row kernel has long since amortized its set-up.
+	// batch, and with it the connection's arenas. Its some 180 pipeline rows
+	// are twenty-odd of the row kernel's eight-row blocks, so all but the
+	// last few rows are scored in full blocks.
 	maxBatchFrames = 64
 	// readBufSize is the connection's read buffer: frames that fit are
 	// decoded in place, larger ones (up to wire.MaxPayload) are copied out.

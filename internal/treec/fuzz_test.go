@@ -3,6 +3,7 @@ package treec
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"t3/internal/gbdt"
@@ -163,6 +164,32 @@ func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 	return vs
 }
 
+// shapeBatch turns the probe vectors into the batches the block kernel splits
+// differently, by the bits of nvec above the ones genModel reads. Bit 7:
+// near-duplicates — every row becomes vs[0] with one to three features kept
+// from its own draw, so the rows of a block fail almost the same prefixes
+// (min k > 0) and the shared bitvector carries most nodes. Bits 8-9: one row,
+// anywhere, is all NaN, all -Inf or all +Inf, which fails every list to its
+// end or fails nothing, so in its block min k is the whole list or zero.
+func shapeBatch(rng *rand.Rand, vs [][]float64, nvec uint64) {
+	if nvec&128 != 0 {
+		for _, v := range vs[1:] {
+			drawn := slices.Clone(v)
+			copy(v, vs[0])
+			for c := 1 + rng.Intn(3); c > 0; c-- {
+				j := rng.Intn(len(v))
+				v[j] = drawn[j]
+			}
+		}
+	}
+	if kind := nvec >> 8 & 3; kind != 0 {
+		v := vs[rng.Intn(len(vs))]
+		for j := range v {
+			v[j] = []float64{math.NaN(), math.Inf(-1), math.Inf(1)}[kind-1]
+		}
+	}
+}
+
 // genModel draws the model of one fuzz input: 1-6 trees, or up to three
 // kernel blocks of them when nvec has bit 6 set; up to 16 leaves a tree, up
 // to 64 (a full bitvector), or up to 128, where one tree past 64 sends the
@@ -200,6 +227,7 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	}
 
 	vs := genVectors(rng, m, 4+int(nvec%64))
+	shapeBatch(rng, vs, nvec)
 	for vi, v := range vs {
 		ref := refFoldPredict(m, v)
 		pp := packed.Predict(v)
@@ -221,29 +249,32 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 		}
 	}
 
-	// The rows kernel is bit-identical to the scalar walk, row for row: run
-	// serially, and split across a pool (the vectors repeated until the batch
-	// is long enough to be split).
+	// The rows kernel is bit-identical to the scalar walk, row for row: the 4
+	// to 67 vectors as they are, serially (full blocks of eight and a tail, or
+	// a tail alone), then repeated until the batch is long enough to be split
+	// across a pool.
 	want := make([]float64, len(vs))
 	rows := make([]float64, 0, len(vs)*nFeatures)
 	for i, v := range vs {
 		want[i] = packed.Predict(v)
 		rows = append(rows, v...)
 	}
+	check := func(pool *par.Pool) {
+		out := make([]float64, len(want))
+		packed.PredictRowsInto(rows, nFeatures, out, pool)
+		for i := range out {
+			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("seed=%d rows=%d vec=%d workers=%d: PredictRowsInto=%v Predict=%v", seed, len(out), i%len(vs), pool.Workers(), out[i], want[i])
+			}
+		}
+	}
+	check(nil)
 	for len(want) <= 2*rowsPerTask {
 		want = append(want, want[:len(vs)]...)
 		rows = append(rows, rows[:len(vs)*nFeatures]...)
 	}
-	out := make([]float64, len(want))
-	for _, pool := range []*par.Pool{nil, par.Sized(3)} {
-		clear(out)
-		packed.PredictRowsInto(rows, nFeatures, out, pool)
-		for i := range out {
-			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
-				t.Fatalf("seed=%d vec=%d workers=%d: PredictRowsInto=%v Predict=%v", seed, i%len(vs), pool.Workers(), out[i], want[i])
-			}
-		}
-	}
+	check(nil)
+	check(par.Sized(3))
 }
 
 // FuzzTreeTiers fuzzes the reference/packed/rows/generated-code equivalence
@@ -251,7 +282,9 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 // named corpus files under testdata/fuzz pin the shapes the bitvector kernel
 // has limits on: one, exactly-full and three blocks of trees, a 63-leaf tree,
 // an oversized tree (walker fallback), and NaN, ±Inf and ±0 thresholds tied on
-// one feature.
+// one feature; and the batches its block split turns on (shapeBatch):
+// near-duplicate rows, alone and over three blocks of trees, and a uniform
+// batch with one all-NaN, all -Inf or all +Inf row.
 func FuzzTreeTiers(f *testing.F) {
 	for seed := int64(0); seed < 8; seed++ {
 		f.Add(seed, uint64(seed*17))
@@ -262,9 +295,10 @@ func FuzzTreeTiers(f *testing.F) {
 }
 
 // TestTreeTiersMany is the deterministic property-test mode of the same
-// harness.
+// harness: the low bits of nvec (vector count, several blocks of trees) as
+// they come, every combination of shapeBatch's three bits in turn.
 func TestTreeTiersMany(t *testing.T) {
 	for seed := int64(0); seed < 300; seed++ {
-		checkTreeTiers(t, seed, uint64(seed))
+		checkTreeTiers(t, seed, uint64(seed)&127|uint64(seed%8)<<7)
 	}
 }

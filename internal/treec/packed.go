@@ -191,13 +191,16 @@ func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool
 	p.predictRows(rows, stride, out)
 }
 
-// rowsPerTask is the pool split of PredictRowsInto: at about 2 µs a row one
-// task is some 120 µs of work, two orders of magnitude over what handing it
-// to a worker and waking that worker cost.
+// rowsPerTask is the pool split of PredictRowsInto: at 1 to 1.5 µs a row one
+// task is 60 to 100 µs of work, well over what handing it to a worker and
+// waking that worker cost. It is a multiple of the kernel's block of qsRows
+// rows, so a chunk boundary never cuts a block into tails, and the rows that
+// share a block — and with it their prefixes — are the same at any worker
+// count.
 const rowsPerTask = 64
 
-// predictRows scores rows serially: the bitvector kernel when the ensemble
-// fits it, one Predict per row otherwise.
+// predictRows scores rows serially: the block-wise bitvector kernel when the
+// ensemble fits it, one Predict per row otherwise.
 func (p *Packed) predictRows(rows []float64, stride int, out []float64) {
 	if p.quick != nil {
 		p.scoreRows(rows, stride, out)

@@ -293,23 +293,31 @@ func TestPackDeterministic(t *testing.T) {
 		t.Fatal("two Packs of the same model differ")
 	}
 	if len(a.quick) != 3 || !slices.EqualFunc(a.quick, b.quick, func(x, y qsBlock) bool {
-		return slices.Equal(x.listEnd, y.listEnd) && slices.Equal(x.nodes, y.nodes) &&
-			slices.Equal(x.leafOff, y.leafOff) && slices.Equal(x.leaves, y.leaves)
+		return slices.Equal(x.lists, y.lists) && slices.Equal(x.thr, y.thr) && slices.Equal(x.tree, y.tree) &&
+			slices.Equal(x.mask, y.mask) && slices.Equal(x.leafOff, y.leafOff) && slices.Equal(x.leaves, y.leaves)
 	}) {
 		t.Fatalf("two Packs of the same model differ in the kernel layout (%d blocks)", len(a.quick))
 	}
 	// Within a scan list thresholds ascend, and equal ones keep tree order.
 	for _, blk := range a.quick {
+		if blk.feat != nil {
+			t.Fatal("sealed block still holds its build-time feature array")
+		}
 		at := int32(0)
-		for _, end := range blk.listEnd {
-			for i := at + 1; i < end; i++ {
-				x, y := blk.nodes[i-1], blk.nodes[i]
-				if x.feat != y.feat || x.thr > y.thr || (x.thr == y.thr && x.tree > y.tree) {
-					t.Fatalf("feature %d: node %d (thr %v, tree %d) sorts after node %d (feature %d, thr %v, tree %d)",
-						x.feat, i-1, x.thr, x.tree, i, y.feat, y.thr, y.tree)
+		for li, l := range blk.lists {
+			if l.end <= at || l.first != blk.thr[at] || (li > 0 && l.feat <= blk.lists[li-1].feat) {
+				t.Fatalf("list %d (feature %d, first %v) spans [%d, %d), first threshold there %v", li, l.feat, l.first, at, l.end, blk.thr[at])
+			}
+			for i := at + 1; i < l.end; i++ {
+				if blk.thr[i-1] > blk.thr[i] || (blk.thr[i-1] == blk.thr[i] && blk.tree[i-1] > blk.tree[i]) {
+					t.Fatalf("feature %d: node %d (thr %v, tree %d) sorts after node %d (thr %v, tree %d)",
+						l.feat, i-1, blk.thr[i-1], blk.tree[i-1], i, blk.thr[i], blk.tree[i])
 				}
 			}
-			at = end
+			at = l.end
+		}
+		if int(at) != len(blk.thr) || len(blk.tree) != len(blk.thr) || len(blk.mask) != len(blk.thr) {
+			t.Fatalf("lists end at %d of %d/%d/%d nodes", at, len(blk.thr), len(blk.tree), len(blk.mask))
 		}
 	}
 }

@@ -8,39 +8,55 @@ import (
 	"t3/internal/gbdt"
 )
 
-// The batch kernel is QuickScorer (Lucchese et al., SIGIR 2015): instead of
-// walking each tree from its root, every tree starts with a bitvector of
-// candidate exit leaves, all set, and the kernel visits only the decision
-// nodes whose test is false for the row — each of those rules out the leaves
-// of its left subtree, one AND. What survives leftmost is the exit leaf.
-// False nodes are found without touching the true ones: per feature, the
-// nodes are sorted by ascending threshold, so they are a prefix of the list.
+// The batch kernel is QuickScorer (Lucchese et al., SIGIR 2015) in its
+// block-wise form: instead of walking each tree from its root, every tree
+// starts with a bitvector of candidate exit leaves, all set, and the kernel
+// visits only the decision nodes whose test is false for the row — each of
+// those rules out the leaves of its left subtree, one AND. What survives
+// leftmost is the exit leaf. False nodes are found without touching the true
+// ones: per feature, the nodes are sorted by ascending threshold, so they are
+// a prefix of the list, and a binary search gives its length k.
+//
+// Rows are taken qsRows at a time. The nodes all of them fail, the first
+// min k of each list, are applied once to one shared bitvector per tree;
+// only nodes [min k, k_r) go to row r's own. Neighbouring rows of a batch —
+// the candidates of one enumeration wave, the pipelines of one plan — fail
+// nearly the same prefixes, so most masks are applied once per block rather
+// than once per row.
 //
 // Trees are grouped into blocks of at most qsBlockTrees so one block's
-// bitvectors, a fixed array in the kernel's frame, stay in L1 and a tree id
+// bitvectors, fixed arrays in the kernel's frame, stay in L1 and a tree id
 // fits a byte.
 const (
 	qsBlockTrees = 256
 	qsMaxLeaves  = 64
+	qsRows       = 8
 )
 
-// qsNode is one decision node in a feature's scan list.
-type qsNode struct {
-	mask uint64  // clears the leaves of the node's left subtree
-	thr  float32 // the PackedNode threshold, compared the same way
-	feat uint16
-	tree uint8 // tree within the block
+// qsList is one feature's scan list: nodes [previous list's end, end) of the
+// block's arrays. first repeats the list's first threshold, so a row that
+// passes the whole list — a zero feature, mostly — is told by one compare
+// against this small array, the node arrays untouched.
+type qsList struct {
+	first float32
+	feat  uint16
+	end   int32
 }
 
-// qsBlock holds up to qsBlockTrees consecutive multi-node trees: their nodes
-// as one scan list per feature some node tests, list i being
-// nodes[listEnd[i-1]:listEnd[i]], and their leaves per tree in left-to-right
+// qsBlock holds up to qsBlockTrees consecutive multi-node trees: their
+// decision nodes as parallel arrays (13 bytes a node) cut into one scan list
+// per feature some node tests, and their leaves per tree in left-to-right
 // order of reference, which is the bit order of the masks.
 type qsBlock struct {
-	nodes   []qsNode
-	listEnd []int32
+	thr   []float32 // the PackedNode threshold, compared the same way
+	tree  []uint8   // tree within the block
+	mask  []uint64  // clears the leaves of the node's left subtree
+	lists []qsList
+
 	leafOff []int32 // per tree, start of its leaves
 	leaves  []float64
+
+	feat []uint16 // per node while the block is built; seal turns it into lists
 }
 
 // qsAdd appends a multi-node tree of at most qsMaxLeaves leaves to the last
@@ -63,13 +79,16 @@ func qsAdd(blocks []qsBlock, t *gbdt.Tree) []qsBlock {
 			return
 		}
 		n := &t.Nodes[c]
-		at := len(b.nodes)
-		b.nodes = append(b.nodes, qsNode{thr: RoundThreshold32(n.Threshold), feat: uint16(n.Feature), tree: tree})
+		at := len(b.mask)
+		b.thr = append(b.thr, RoundThreshold32(n.Threshold))
+		b.feat = append(b.feat, uint16(n.Feature))
+		b.tree = append(b.tree, tree)
+		b.mask = append(b.mask, 0)
 		lo := len(b.leaves) - first
 		number(n.Left)
 		mid := len(b.leaves) - first
 		number(n.Right)
-		b.nodes[at].mask = ^((uint64(1)<<(mid-lo) - 1) << lo)
+		b.mask[at] = ^((uint64(1)<<(mid-lo) - 1) << lo)
 	}
 	number(0)
 	return blocks
@@ -77,52 +96,216 @@ func qsAdd(blocks []qsBlock, t *gbdt.Tree) []qsBlock {
 
 // seal sorts the block's nodes into its scan lists: by feature, then
 // ascending threshold, ties staying in the order the trees were added, so the
-// layout is deterministic. cmp.Compare orders floats the way the scan needs:
-// ±0 tie, and NaN — false for every row, since the walker's v <= NaN never
-// holds — sorts before all others, where every scan passes it.
+// layout is deterministic. cmp.Compare orders floats the way the search
+// needs: ±0 tie, and NaN — false for every row, since the walker's v <= NaN
+// never holds — sorts before all others, where every false prefix covers it.
 func (b *qsBlock) seal() {
-	slices.SortStableFunc(b.nodes, func(x, y qsNode) int {
-		return cmp.Or(cmp.Compare(x.feat, y.feat), cmp.Compare(x.thr, y.thr))
-	})
-	for i := 1; i < len(b.nodes); i++ {
-		if b.nodes[i].feat != b.nodes[i-1].feat {
-			b.listEnd = append(b.listEnd, int32(i))
-		}
+	order := make([]int32, len(b.thr))
+	for i := range order {
+		order[i] = int32(i)
 	}
-	b.listEnd = append(b.listEnd, int32(len(b.nodes)))
+	slices.SortFunc(order, func(x, y int32) int {
+		return cmp.Or(cmp.Compare(b.feat[x], b.feat[y]), cmp.Compare(b.thr[x], b.thr[y]), cmp.Compare(x, y))
+	})
+	thr, tree, mask := make([]float32, len(order)), make([]uint8, len(order)), make([]uint64, len(order))
+	for i, o := range order {
+		thr[i], tree[i], mask[i] = b.thr[o], b.tree[o], b.mask[o]
+		if i == 0 || b.feat[o] != b.feat[order[i-1]] {
+			b.lists = append(b.lists, qsList{first: thr[i], feat: b.feat[o]})
+		}
+		b.lists[len(b.lists)-1].end = int32(i + 1)
+	}
+	b.thr, b.tree, b.mask, b.feat = thr, tree, mask, nil
 }
 
-// scoreRows is the kernel behind PredictRowsInto. The scan stops on the
-// walker's own predicate, not its complement, so a NaN feature value is
-// false at every node and goes right everywhere, as in Predict; leaves are
-// added to Base in tree order, so every sum is bit-identical to Predict's.
+// falseCount returns how many nodes of scan list l, which begins at thr[at],
+// are false for the feature value x. It searches on the walker's own
+// predicate, not its complement: x <= float64(thr) is false along a prefix
+// and true from there on (NaN thresholds sort first), and never true for a
+// NaN x, which so fails the whole list and goes right at every node, as in
+// Predict.
+func falseCount(thr []float32, at int, l qsList, x float64) int {
+	if x <= float64(l.first) {
+		return 0
+	}
+	lo, hi := at+1, int(l.end)
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if x <= float64(thr[mid]) {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo - at
+}
+
+// falseCounts is falseCount for the qsRows rows at v, a stride apart: k[r] for
+// row r, and the least of them — the block split, the prefix of the list that
+// every row fails.
+func falseCounts(thr []float32, at int, l qsList, v []float64, stride int, k *[qsRows]int) (minK int) {
+	minK = int(l.end) - at
+	for r := range k {
+		k[r] = falseCount(thr, at, l, v[r*stride+int(l.feat)])
+		minK = min(minK, k[r])
+	}
+	return minK
+}
+
+// andMasks applies a run of nodes to the bitvectors of their trees. It and
+// andMasksLane are kept out of line: inlined into the kernels, where every
+// register is taken, these loops kept their counter in memory and ran at half
+// the speed.
+//
+//go:noinline
+func andMasks(bv *[qsBlockTrees]uint64, tree []uint8, mask []uint64) {
+	mask = mask[:len(tree)]
+	b := bv[:]
+	for i, t := range tree {
+		b[t] &= mask[i]
+	}
+}
+
+// andMasksLane is andMasks on one row of a block's tree-major bitvectors.
+//
+//go:noinline
+func andMasksLane(bv *[qsBlockTrees][qsRows]uint64, lane uint, tree []uint8, mask []uint64) {
+	mask = mask[:len(tree)]
+	b := bv[:]
+	lane %= qsRows
+	for i, t := range tree {
+		b[t][lane] &= mask[i]
+	}
+}
+
+// scoreRows is the kernel behind PredictRowsInto: full blocks of qsRows rows,
+// then what is left over row by row. Either way a row's leaves are added to
+// Base in tree order, so every sum is bit-identical to Predict's.
 func (p *Packed) scoreRows(rows []float64, stride int, out []float64) {
+	full := len(out) &^ (qsRows - 1)
+	if full > 0 {
+		p.scoreBlocks(rows, stride, out[:full])
+	}
+	if full < len(out) {
+		p.scoreTail(rows[full*stride:], stride, out[full:])
+	}
+}
+
+// scoreBlocks scores len(out) rows, a multiple of qsRows. The bitvectors are
+// tree-major, so one cache line holds a tree's eight rows, and the eight sums
+// are locals, not an array, so they stay in registers.
+func (p *Packed) scoreBlocks(rows []float64, stride int, out []float64) {
+	var shared [qsBlockTrees]uint64
+	var own [qsBlockTrees][qsRows]uint64
+	for r0 := 0; r0+qsRows <= len(out); r0 += qsRows {
+		v := rows[r0*stride : (r0+qsRows-1)*stride+p.NumFeatures]
+		s0, s1, s2, s3, s4, s5, s6, s7 := p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base
+		for bi := range p.quick {
+			b := &p.quick[bi]
+			b.failBlock(v, stride, &shared, &own)
+			leaves := b.leaves
+			for t, off := range b.leafOff {
+				sh, o, lv := shared[uint8(t)], &own[uint8(t)], leaves[off:]
+				s0 += lv[bits.TrailingZeros64(o[0]&sh)]
+				s1 += lv[bits.TrailingZeros64(o[1]&sh)]
+				s2 += lv[bits.TrailingZeros64(o[2]&sh)]
+				s3 += lv[bits.TrailingZeros64(o[3]&sh)]
+				s4 += lv[bits.TrailingZeros64(o[4]&sh)]
+				s5 += lv[bits.TrailingZeros64(o[5]&sh)]
+				s6 += lv[bits.TrailingZeros64(o[6]&sh)]
+				s7 += lv[bits.TrailingZeros64(o[7]&sh)]
+			}
+		}
+		o := out[r0 : r0+qsRows : r0+qsRows]
+		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+	}
+}
+
+// failBlock sets the bitvectors of the block's trees for the qsRows rows at
+// v: all leaves, minus those the rows' false nodes rule out — in shared the
+// nodes every row fails, in own[t][r] the rest of row r's.
+func (b *qsBlock) failBlock(v []float64, stride int, shared *[qsBlockTrees]uint64, own *[qsBlockTrees][qsRows]uint64) {
+	var all [qsRows]uint64
+	for r := range all {
+		all[r] = ^uint64(0)
+	}
+	for t := range b.leafOff {
+		shared[uint8(t)], own[uint8(t)] = ^uint64(0), all
+	}
+	thr, tree, mask := b.thr, b.tree, b.mask
+	at := 0
+	for _, l := range b.lists {
+		var k [qsRows]int
+		minK := falseCounts(thr, at, l, v, stride, &k)
+		lt, lm := tree[at:l.end], mask[at:l.end]
+		at = int(l.end)
+		if minK > 0 {
+			andMasks(shared, lt[:minK], lm[:minK])
+		}
+		for r := range k {
+			if kr := k[r]; kr > minK {
+				andMasksLane(own, uint(r), lt[minK:kr], lm[minK:kr])
+			}
+		}
+	}
+}
+
+// scoreTail scores fewer than qsRows rows one at a time: the same search and
+// apply on one bitvector per tree, nothing to share. Its frame is a ninth of
+// scoreBlocks's, which a call of two or three rows would otherwise clear.
+func (p *Packed) scoreTail(rows []float64, stride int, out []float64) {
 	var bv [qsBlockTrees]uint64
 	for r := range out {
 		v := rows[r*stride : r*stride+p.NumFeatures]
 		s := p.Base
 		for bi := range p.quick {
 			b := &p.quick[bi]
-			live := bv[:len(b.leafOff)]
-			for t := range live {
-				live[t] = ^uint64(0)
+			thr, tree, mask, leaves := b.thr, b.tree, b.mask, b.leaves
+			for t := range b.leafOff {
+				bv[uint8(t)] = ^uint64(0)
 			}
-			at := int32(0)
-			for _, end := range b.listEnd {
-				list := b.nodes[at:end]
-				x := v[list[0].feat]
-				for _, n := range list {
-					if x <= float64(n.thr) {
-						break
-					}
-					bv[n.tree] &= n.mask
+			at := 0
+			for _, l := range b.lists {
+				if k := falseCount(thr, at, l, v[l.feat]); k > 0 {
+					andMasks(&bv, tree[at:at+k], mask[at:at+k])
 				}
-				at = end
+				at = int(l.end)
 			}
 			for t, off := range b.leafOff {
-				s += b.leaves[int(off)+bits.TrailingZeros64(live[t])]
+				s += leaves[int(off)+bits.TrailingZeros64(bv[uint8(t)])]
 			}
 		}
 		out[r] = s
 	}
+}
+
+// MaskCounts runs the kernel's search and block split over n rows laid out
+// as for PredictRowsInto, without scoring them, and returns how many masks
+// the kernel applies: shared, once for a whole block of qsRows rows, and own,
+// to a single row's bitvector. perRow is what a kernel without the split
+// applies — every row's false nodes, Σ k. Rows past the last full block share
+// nothing: their false nodes all count as own. An ensemble the kernel does not
+// hold counts nothing.
+func (p *Packed) MaskCounts(rows []float64, stride, n int) (shared, own, perRow int) {
+	full := n &^ (qsRows - 1)
+	for bi := range p.quick {
+		b := &p.quick[bi]
+		at := 0
+		for _, l := range b.lists {
+			for r0 := 0; r0 < full; r0 += qsRows {
+				var k [qsRows]int
+				minK := falseCounts(b.thr, at, l, rows[r0*stride:], stride, &k)
+				shared += minK
+				for _, kr := range k {
+					own, perRow = own+kr-minK, perRow+kr
+				}
+			}
+			for r := full; r < n; r++ {
+				k := falseCount(b.thr, at, l, rows[r*stride+int(l.feat)])
+				own, perRow = own+k, perRow+k
+			}
+			at = int(l.end)
+		}
+	}
+	return shared, own, perRow
 }

@@ -60,8 +60,9 @@ func BenchmarkPredictRowsPackedScalar(b *testing.B) {
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*nrows), "ns/row")
 }
 
-// BenchmarkPredictRowsInto is the production batch kernel: the bitvector scan
-// of quickscorer.go, one row at a time.
+// BenchmarkPredictRowsInto is the production batch kernel: the block-wise
+// bitvector kernel of quickscorer.go, on independent uniform rows — full
+// blocks of eight whose rows have next to nothing to share.
 func BenchmarkPredictRowsInto(b *testing.B) {
 	p := Pack(trainWide(b, 80, 117))
 	const nrows, stride = 1024, 117

@@ -106,35 +106,75 @@ func chainTree(rng *rand.Rand, leaves, numFeat int, leftDeep bool) gbdt.Tree {
 	return t
 }
 
-// checkRowsMatchWalker scores batches of 1 to 200 rows (the last long enough
-// for the pool to split) on one and on three workers and requires every row
-// to be bit-identical to Predict, and equal to the interpreter's fold
-// outside a rounding gap. The first rows are all-NaN (right at every node),
-// all -Inf (left at every node) and all +Inf, so the last and the first leaf
-// of every tree are reached whatever its thresholds.
+// blockSizes are the batch lengths around the kernel's block of qsRows rows
+// and the pool's chunk of rowsPerTask: a tail alone, exactly one and two
+// blocks, one row either side of each, and the lengths the pool splits.
+var blockSizes = []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129, 200}
+
+// nearDuplicateRows fills n rows of the given stride with the shape of one
+// enumeration wave: every row is one normal base vector (sd 10) with one to
+// three features redrawn, so the rows of a block fail almost the same
+// prefixes and the shared bitvector carries most nodes.
+func nearDuplicateRows(rng *rand.Rand, n, stride int) []float64 {
+	base := make([]float64, stride)
+	for j := range base {
+		base[j] = rng.NormFloat64() * 10
+	}
+	rows := make([]float64, 0, n*stride)
+	for r := 0; r < n; r++ {
+		rows = append(rows, base...)
+		for c := 1 + rng.Intn(3); c > 0; c-- {
+			rows[r*stride+rng.Intn(stride)] = rng.NormFloat64() * 10
+		}
+	}
+	return rows
+}
+
+// waveRows is nearDuplicateRows with every ninth row from the second — one to
+// a block, at a different lane each time — instead all NaN (fails every list
+// to its end), all -Inf (fails nothing but NaN thresholds, so min k drops to
+// zero) or all +Inf (fails all but +Inf thresholds).
+func waveRows(rng *rand.Rand, n, stride int) []float64 {
+	rows := nearDuplicateRows(rng, n, stride)
+	for r := 1; r < n; r += 9 {
+		for j := r * stride; j < (r+1)*stride; j++ {
+			rows[j] = []float64{math.NaN(), math.Inf(-1), math.Inf(1)}[r/9%3]
+		}
+	}
+	return rows
+}
+
+// checkRowsMatchWalker scores batches of every length in blockSizes, of
+// independent rows and of waveRows, on one and on three workers, and requires
+// every row to be bit-identical to Predict, and equal to the interpreter's
+// fold outside a rounding gap. The first independent rows are all-NaN (right
+// at every node), all -Inf (left at every node) and all +Inf, so the last and
+// the first leaf of every tree are reached whatever its thresholds.
 func checkRowsMatchWalker(t *testing.T, label string, m *gbdt.Model, rng *rand.Rand) {
 	t.Helper()
 	p := Pack(m)
 	stride := m.NumFeatures
 	gaps := Flatten(m)
-	for _, n := range []int{1, 8, 9, 100, 200} {
-		rows := make([]float64, n*stride)
-		for i := range rows {
-			rows[i] = rng.NormFloat64() * 10
+	for _, n := range blockSizes {
+		independent := make([]float64, n*stride)
+		for i := range independent {
+			independent[i] = rng.NormFloat64() * 10
 			if r := i / stride; r < 3 && n > 3 {
-				rows[i] = []float64{math.NaN(), math.Inf(-1), math.Inf(1)}[r]
+				independent[i] = []float64{math.NaN(), math.Inf(-1), math.Inf(1)}[r]
 			}
 		}
-		for _, workers := range []int{1, 3} {
-			out := make([]float64, n)
-			p.PredictRowsInto(rows, stride, out, par.Sized(workers))
-			for i := range out {
-				v := rows[i*stride : (i+1)*stride]
-				if want := p.Predict(v); math.Float64bits(out[i]) != math.Float64bits(want) {
-					t.Fatalf("%s, n=%d workers=%d row %d: PredictRowsInto %v != Predict %v", label, n, workers, i, out[i], want)
-				}
-				if ref := refFoldPredict(m, v); out[i] != ref && !gaps.InRoundingGap(v) {
-					t.Fatalf("%s, row %d: %v != interpreter %v outside a rounding gap", label, i, out[i], ref)
+		for kind, rows := range [][]float64{independent, waveRows(rng, n, stride)} {
+			for _, workers := range []int{1, 3} {
+				out := make([]float64, n)
+				p.PredictRowsInto(rows, stride, out, par.Sized(workers))
+				for i := range out {
+					v := rows[i*stride : (i+1)*stride]
+					if want := p.Predict(v); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("%s, n=%d kind=%d workers=%d row %d: PredictRowsInto %v != Predict %v", label, n, kind, workers, i, out[i], want)
+					}
+					if ref := refFoldPredict(m, v); out[i] != ref && !gaps.InRoundingGap(v) {
+						t.Fatalf("%s, n=%d kind=%d row %d: %v != interpreter %v outside a rounding gap", label, n, kind, i, out[i], ref)
+					}
 				}
 			}
 		}
@@ -208,9 +248,9 @@ func TestNaNThresholdGoesRight(t *testing.T) {
 		leafy(-inf, 1, 2), leafy(0, 4, 8), leafy(nan, 16, 32), leafy(inf, 64, 128), leafy(nan, 256, 512),
 	}}
 	p := Pack(m)
-	if b := p.quick[0]; len(b.listEnd) != 1 || b.nodes[0].thr == b.nodes[0].thr || b.nodes[1].thr == b.nodes[1].thr ||
-		b.nodes[0].tree != 2 || b.nodes[1].tree != 4 {
-		t.Fatalf("NaN thresholds not first in (tree, node) order: %+v", b.nodes)
+	if b := p.quick[0]; len(b.lists) != 1 || b.thr[0] == b.thr[0] || b.thr[1] == b.thr[1] || b.lists[0].first == b.lists[0].first ||
+		b.tree[0] != 2 || b.tree[1] != 4 {
+		t.Fatalf("NaN thresholds not first in (tree, node) order: thr %v tree %v", b.thr, b.tree)
 	}
 	rows := []float64{-inf, -1, 0, 1, inf, nan}
 	want := []float64{1 + 4 + 32 + 64 + 512, 2 + 4 + 32 + 64 + 512, 2 + 4 + 32 + 64 + 512, 2 + 8 + 32 + 64 + 512, 2 + 8 + 32 + 64 + 512, 2 + 8 + 32 + 128 + 512}
@@ -259,6 +299,71 @@ func TestPredictRowsIntoArguments(t *testing.T) {
 }
 
 func parPool(workers int) *par.Pool { return par.Sized(workers) }
+
+// TestMaskCountsSharedPrefix is the kernel's speed-up as a count, not a
+// duration: on a wave of near-duplicate rows the block split applies at most
+// half the masks a row-at-a-time kernel does. The input is synthetic and
+// seeded: 200 random trees of 30 nodes over 64 features (normal thresholds,
+// sd 10), and 256 nearDuplicateRows — so of a block's 64 lists some 16 differ
+// between its rows and the other 48 are failed to the same node by all eight.
+func TestMaskCountsSharedPrefix(t *testing.T) {
+	const stride, n = 64, 256
+	rng := rand.New(rand.NewSource(21))
+	m := &gbdt.Model{BaseScore: 1, NumFeatures: stride}
+	for i := 0; i < 200; i++ {
+		m.Trees = append(m.Trees, wideTree(rng, 30, stride))
+	}
+	p := Pack(m)
+	rows := nearDuplicateRows(rng, n, stride)
+	// falseNodes counts, from the walker's layout, the nodes rows [lo, hi)
+	// fail: what any QuickScorer applies without sharing.
+	falseNodes := func(lo, hi int) (c int) {
+		for r := lo; r < hi; r++ {
+			for _, nd := range p.Nodes {
+				if !(rows[r*stride+int(nd.Feature)] <= float64(nd.Thr)) {
+					c++
+				}
+			}
+		}
+		return c
+	}
+
+	shared, own, perRow := p.MaskCounts(rows, stride, n)
+	if perRow != falseNodes(0, n) || qsRows*shared+own != perRow {
+		t.Fatalf("%d rows: shared %d, own %d, perRow %d; the rows fail %d nodes", n, shared, own, perRow, falseNodes(0, n))
+	}
+	if 2*(shared+own) > perRow {
+		t.Fatalf("full blocks apply %d shared + %d own masks, more than half of the %d a row-at-a-time kernel applies", shared, own, perRow)
+	}
+	t.Logf("masks per row: %.0f shared + %.0f own against %.0f unshared", float64(shared)/n, float64(own)/n, float64(perRow)/n)
+
+	// Fewer rows than a block share nothing, wherever in the wave they are.
+	for k := 0; k < qsRows; k++ {
+		shared, own, perRow := p.MaskCounts(rows[k*stride:], stride, k)
+		if shared != 0 || own != perRow || perRow != falseNodes(k, 2*k) {
+			t.Fatalf("%d rows: shared %d, own %d, perRow %d, want 0, %d, %d", k, shared, own, perRow, falseNodes(k, 2*k), falseNodes(k, 2*k))
+		}
+	}
+
+	// The pool cuts a batch at multiples of rowsPerTask, a multiple of the
+	// block: no cut moves a row into another block, so the counts add up.
+	const long = 200 // 25 blocks, no tail; cut also where the second part is 8 rows
+	s0, o0, p0 := p.MaskCounts(rows, stride, long)
+	for cut := rowsPerTask; cut < long; cut += rowsPerTask {
+		s1, o1, p1 := p.MaskCounts(rows, stride, cut)
+		s2, o2, p2 := p.MaskCounts(rows[cut*stride:], stride, long-cut)
+		if s1+s2 != s0 || o1+o2 != o0 || p1+p2 != p0 {
+			t.Fatalf("cut at %d: (%d, %d, %d) + (%d, %d, %d) != (%d, %d, %d)", cut, s1, o1, p1, s2, o2, p2, s0, o0, p0)
+		}
+	}
+	if rowsPerTask%qsRows != 0 {
+		t.Fatalf("rowsPerTask %d is not a multiple of the block of %d rows: a chunk boundary would make a tail", rowsPerTask, qsRows)
+	}
+
+	if allocs := testing.AllocsPerRun(10, func() { p.MaskCounts(rows, stride, n) }); allocs != 0 {
+		t.Fatalf("MaskCounts allocates %.1f objects per run, want 0", allocs)
+	}
+}
 
 // TestPredictRowsIntoZeroAlloc: the serial kernel must not allocate, from the
 // first call on — Pack builds its layout, nothing is left to build lazily.

@@ -310,11 +310,14 @@ func (m *Model) PredictBatchInto(roots []*Plan, mode CardMode, out []time.Durati
 // The batch is priced in three passes: every plan is decomposed and
 // featurized into one row-major arena, one row per pipeline, with the row's
 // source cardinality and each plan's last row kept beside it; one
-// Packed.PredictRowsInto call evaluates all rows × all trees; one scalar
-// pass transforms, scales and sums the rows of each plan. The kernel's rows
-// are bit-identical to Packed.Predict and the last pass adds pipelines in
-// PredictPlan's order, so out[i] equals PredictPlan(roots[i]) to the
-// nanosecond.
+// Packed.PredictRowsInto call evaluates all rows × all trees, eight rows at
+// a time, the decision nodes all eight fail applied once for the eight — so
+// a plan's pipelines, adjacent in the arena, and neighbouring plans of a
+// kind cost less together than apart; one scalar pass transforms, scales and
+// sums the rows of each plan. The kernel's rows are bit-identical to
+// Packed.Predict whatever block they fall in and the last pass adds
+// pipelines in PredictPlan's order, so out[i] equals PredictPlan(roots[i])
+// to the nanosecond.
 //
 // Every plan counts into obs.Predictions; the latency and per-stage
 // histograms describe single predictions and are fed by PredictPlanScratch

@@ -47,49 +47,62 @@ func (r ShadowResult) Win(promoteRatio float64) bool {
 // shadowEval scores live and cand over the holdout labels and the exemplar
 // store's replayed frames. live may be nil (cold start): the result then
 // carries only the candidate's numbers and LiveQ stays 0.
+//
+// The evidence is collected per cardinality mode and each model prices a
+// mode's plans in one PredictBatchScratch call, whose nanoseconds are
+// PredictPlan's.
 func (c *Controller) shadowEval(live, cand *t3.Model, holdout *workload.LabelSet) ShadowResult {
 	res := ShadowResult{Quantile: c.cfg.ShadowQuantile}
-	var liveQs, candQs []float64
-	var liveScratch, candScratch t3.PredictScratch
-
-	score := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {
+	var roots [2][]*plan.Node // by plan.CardMode
+	var actuals [2][]float64  // seconds, beside roots
+	add := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {
 		if root == nil || actual <= 0 {
 			return
 		}
-		cp, _ := cand.PredictPlanScratch(root, mode, &candScratch)
-		candQs = append(candQs, qerror.QError(cp.Seconds(), actual.Seconds()))
-		if live != nil {
-			lp, _ := live.PredictPlanScratch(root, mode, &liveScratch)
-			liveQs = append(liveQs, qerror.QError(lp.Seconds(), actual.Seconds()))
-		}
+		roots[mode] = append(roots[mode], root)
+		actuals[mode] = append(actuals[mode], actual.Seconds())
 	}
 
 	for _, l := range holdout.Labels {
-		score(l.Root, plan.TrueCards, medianDuration(l.Totals))
+		add(l.Root, plan.TrueCards, medianDuration(l.Totals))
 		res.HoldoutN++
 	}
 
 	if c.cfg.Exemplars != nil {
-		var dec wire.Decoder
+		var dec wire.Decoder // keeps every replayed plan until the models have priced them
 		for _, e := range c.cfg.Exemplars.Snapshot() {
 			if len(e.Frame) <= wire.HeaderSize {
 				continue
 			}
-			mode, n, err := wire.ParseHeader(e.Frame)
+			mode, n, err := wire.ParseHeader(e.Frame) // mode is TrueCards or EstCards, or err
 			if err != nil || wire.HeaderSize+n > len(e.Frame) {
 				continue
 			}
-			root, err := dec.Decode(e.Frame[wire.HeaderSize : wire.HeaderSize+n])
+			root, err := dec.DecodeNext(e.Frame[wire.HeaderSize : wire.HeaderSize+n])
 			if err != nil {
 				continue
 			}
-			score(root, mode, time.Duration(e.ActualNs))
+			add(root, mode, time.Duration(e.ActualNs))
 			res.ExemplarN++
 		}
 	}
 
-	res.CandidateQ = quantileOf(candQs, res.Quantile)
-	res.LiveQ = quantileOf(liveQs, res.Quantile)
+	qerrors := func(m *t3.Model) []float64 {
+		var qs []float64
+		var scratch t3.PredictScratch
+		for mode := range roots {
+			preds := make([]time.Duration, len(roots[mode]))
+			m.PredictBatchScratch(roots[mode], plan.CardMode(mode), preds, &scratch)
+			for i, p := range preds {
+				qs = append(qs, qerror.QError(p.Seconds(), actuals[mode][i]))
+			}
+		}
+		return qs
+	}
+	res.CandidateQ = quantileOf(qerrors(cand), res.Quantile)
+	if live != nil {
+		res.LiveQ = quantileOf(qerrors(live), res.Quantile)
+	}
 	return res
 }
 

@@ -139,6 +139,17 @@ func TestConcurrentTrafficAcrossControllerSwaps(t *testing.T) {
 		}(g)
 	}
 
+	// The clients must be under way before the first swap: on one core four
+	// short retrain episodes can be over before a client goroutine has run.
+	for deadline := time.Now().Add(10 * time.Second); requests.Load() == 0 && failures.Load() == 0; {
+		if time.Now().After(deadline) {
+			close(stop)
+			wg.Wait()
+			t.Fatal("no request completed within 10 s")
+		}
+		time.Sleep(time.Millisecond)
+	}
+
 	// Swap pressure: each Retrain trains on a different drift scale and
 	// promotes, so the model pointer and cache generation churn under the
 	// live traffic above.

@@ -71,13 +71,6 @@ type Params struct {
 	// Seed regardless of the worker count, so Workers is an execution
 	// detail, not a model property — it is excluded from serialization.
 	Workers int `json:"-"`
-	// NoHistSubtraction disables the histogram-subtraction optimization
-	// (deriving the larger child's histograms as parent − smaller child)
-	// and rebuilds every child histogram by scanning rows. Both paths grow
-	// the same trees up to floating-point rounding in the subtraction; this
-	// switch exists for A/B benchmarks and equivalence tests, so like
-	// Workers it is an execution detail excluded from serialization.
-	NoHistSubtraction bool `json:"-"`
 }
 
 // Validate reports whether the parameters can train a model. The zero Params
@@ -277,11 +270,7 @@ func newBinner(pool *par.Pool, xs [][]float64, numFeatures, maxBins int) *binner
 func (b *binner) bin(f int, v float64) uint8 {
 	e := b.edges[f]
 	// First edge >= v; bin covers (edges[i-1], edges[i]].
-	i := sort.SearchFloat64s(e, v)
-	if i < len(e) && e[i] == v {
-		return uint8(i)
-	}
-	return uint8(i)
+	return uint8(sort.SearchFloat64s(e, v))
 }
 
 // numBins returns the bin count of feature f.
@@ -290,25 +279,62 @@ func (b *binner) numBins(f int) int { return len(b.edges[f]) + 1 }
 // threshold returns the real-valued split threshold for "bin ≤ bin".
 func (b *binner) threshold(f int, bin uint8) float64 { return b.edges[f][bin] }
 
-// trainData holds binned, feature-major training data.
+// trainData holds the binned training data twice: feature-major in full,
+// which partitioning and out-of-bag scoring read, and row-major without the
+// cells that sit in their feature's default bin, which histograms are built
+// from.
 type trainData struct {
 	bins [][]uint8 // [feature][row]
 	y    []float64
 	n    int
 	f    int
+
+	// Histogram layout: feature f's bins live at [featOff[f], featOff[f+1])
+	// of a histSet, and binFeat maps such an index back to its feature.
+	featOff []int32
+	binFeat []int32
+	// defBin[f] is feature f's most frequent bin over the training rows,
+	// the lowest on a tie.
+	defBin []uint8
+	// Row r's cells outside their feature's default bin, as histogram
+	// indices featOff[f]+bin in feature order: cells[cellOff[r]:cellOff[r+1]].
+	cellOff []int32
+	cells   []int32
 }
 
 func newTrainData(pool *par.Pool, b *binner, xs [][]float64, ys []float64) *trainData {
 	n := len(xs)
 	f := len(b.edges)
-	td := &trainData{y: ys, n: n, f: f, bins: make([][]uint8, f)}
+	td := &trainData{y: ys, n: n, f: f, bins: make([][]uint8, f),
+		featOff: make([]int32, f+1), defBin: make([]uint8, f), cellOff: make([]int32, n+1)}
 	pool.Do(f, func(fi int) {
 		col := make([]uint8, n)
+		counts := make([]int, b.numBins(fi))
 		for i, x := range xs {
 			col[i] = b.bin(fi, x[fi])
+			counts[col[i]]++
 		}
 		td.bins[fi] = col
+		for bin, c := range counts {
+			if c > counts[td.defBin[fi]] {
+				td.defBin[fi] = uint8(bin)
+			}
+		}
 	})
+	for fi := 0; fi < f; fi++ {
+		td.featOff[fi+1] = td.featOff[fi] + int32(b.numBins(fi))
+		for range b.numBins(fi) {
+			td.binFeat = append(td.binFeat, int32(fi))
+		}
+	}
+	for r := 0; r < n; r++ {
+		for fi, col := range td.bins {
+			if col[r] != td.defBin[fi] {
+				td.cells = append(td.cells, td.featOff[fi]+int32(col[r]))
+			}
+		}
+		td.cellOff[r+1] = int32(len(td.cells))
+	}
 	return td
 }
 
@@ -369,6 +395,12 @@ type TrainResult struct {
 	// TrainLoss and ValLoss trace the objective per round.
 	TrainLoss []float64
 	ValLoss   []float64
+	// RowsScanned and CellUpdates count, over all rounds, the rows histogram
+	// builds visited and the cells (one feature of one row) they wrote: a
+	// build touches only the cells outside their feature's most frequent
+	// bin. Both depend on (Params, xs, ys) only, not on the worker count.
+	RowsScanned int64
+	CellUpdates int64
 }
 
 // rowChunk is the fixed chunk size of the parallel row loops in Train.
@@ -394,8 +426,7 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 	trainStart := time.Now()
 	obs.TrainSessions.Inc()
 	rng := rand.New(rand.NewSource(p.Seed))
-	pool := par.New(p.Workers)
-	defer pool.Close()
+	pool := par.Sized(p.Workers)
 
 	if valX == nil && p.ValidationFraction > 0 && len(xs) >= 10 {
 		perm := rng.Perm(len(xs))
@@ -448,8 +479,8 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 
 	for round := 0; round < p.NumRounds; round++ {
 		roundStart := time.Now()
-		// Gradient/hessian computation and score updates write disjoint
-		// per-row slots, so chunked fan-out cannot change the result.
+		// Gradient/hessian computation writes disjoint per-row slots, so
+		// chunked fan-out cannot change the result.
 		pool.For(td.n, rowChunk, func(lo, hi int) {
 			gradients(p.Objective, preds[lo:hi], ys[lo:hi], g[lo:hi], h[lo:hi])
 		})
@@ -458,11 +489,7 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 		obs.TrainGrowTime.Since(growStart)
 		m.Trees = append(m.Trees, *tree)
 
-		pool.For(td.n, rowChunk, func(lo, hi int) {
-			for i := lo; i < hi; i++ {
-				preds[i] += grower.predictBinned(tree, i)
-			}
-		})
+		grower.addScores(tree, preds)
 		res.TrainLoss = append(res.TrainLoss, loss(pool, p.Objective, preds, ys))
 		stop := false
 		if valX != nil {
@@ -492,6 +519,7 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 		bestIter = len(m.Trees)
 	}
 	m.BestIteration = bestIter
+	res.RowsScanned, res.CellUpdates = grower.rowsScanned, grower.cellUpdates
 	if elapsed := time.Since(trainStart).Seconds(); elapsed > 0 {
 		obs.TrainRowsPerSec.Set(float64(td.n) * float64(len(m.Trees)) / elapsed)
 	}

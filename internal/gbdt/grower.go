@@ -21,34 +21,29 @@ type leafCand struct {
 	bestBin  uint8
 	bestLG   float64 // left-side gradient sums of the best split
 	bestLH   float64
-	bestLC   int
 }
 
-// histSet is one leaf candidate's per-feature histograms, stored as flat
-// arrays of totBins entries addressed by the grower's featOff layout. Keeping
-// whole sets alive per candidate (instead of one shared per-feature scratch)
-// is what enables the histogram-subtraction trick: a split's larger child
-// derives its set as parent − smaller child in O(bins) instead of rescanning
-// its rows in O(rows).
+// histBin is one histogram bin: gradient sum, hessian sum and row count.
+type histBin struct {
+	g, h float64
+	c    int32
+}
+
+// histSet is one leaf candidate's per-feature histograms, one entry per bin
+// addressed by trainData's featOff layout — without the default bins. A
+// feature's default bin is never written: scanHist derives it as the leaf's
+// totals minus the feature's other bins. Keeping whole sets alive per
+// candidate is what enables histogram subtraction: a split's larger child
+// derives its set as parent − smaller child instead of rescanning its rows.
 type histSet struct {
-	g []float64
-	h []float64
-	c []int32
+	bins []histBin
+	// nd[f] counts the leaf's rows outside feature f's default bin, and
+	// feats lists the features with a bin written since the set was drawn:
+	// for a built set exactly those with nd > 0, for the larger child of a
+	// split — it inherits its parent's list — a superset of them.
+	feats []int32
+	nd    []int32
 }
-
-// featSplit is the best split one feature offers for a leaf candidate.
-type featSplit struct {
-	gain   float64
-	feat   int
-	bin    uint8
-	lg, lh float64
-	lc     int
-}
-
-// minParallelRows is the smallest leaf for which per-feature histogram
-// construction fans out across the pool; below it, task-dispatch overhead
-// dominates the histogram work.
-const minParallelRows = 2048
 
 // grower grows one tree per boosting round, reusing its buffers.
 type grower struct {
@@ -62,21 +57,24 @@ type grower struct {
 	tmp  []int32 // partition scratch
 	feat []int   // features considered for the current tree
 
-	// Histogram layout: feature f's bins live at [featOff[f],
-	// featOff[f]+numBins(f)) in every histSet's flat arrays.
-	featOff []int
-	totBins int
+	// cands are the leaf candidates of the tree being grown; when grow
+	// returns, cands[i] is leaf i of the tree and idx[lo:hi] the in-bag rows
+	// it receives.
+	cands []leafCand
+	inBag int // idx[:inBag] was grown on; idx[inBag:] is out of bag
 
 	// sets is the histSet arena, reset (cursor only, buffers kept) at the
 	// start of every grow. Each split retires the parent's set to one child
-	// and draws at most one fresh set for the other, so the arena never
-	// holds more than NumLeaves+1 sets.
+	// and draws at most one fresh set for the other, plus one per extra row
+	// chunk while a build runs, so the arena never holds more than
+	// NumLeaves + ⌈n/rowChunk⌉ sets.
 	sets  []*histSet
 	nsets int
+	parts []*histSet // per-chunk sets of the build in progress
 
-	// featBest collects each feature's candidate split, indexed by position
-	// in feat, so the cross-feature reduction can run in fixed order.
-	featBest []featSplit
+	// rowsScanned and cellUpdates count the rows histogram builds visited
+	// and the cells they wrote, over the grower's lifetime.
+	rowsScanned, cellUpdates int64
 
 	// nodeBins mirrors tree.Nodes with the split bin, letting training
 	// predict on binned rows without keeping raw feature values.
@@ -87,27 +85,27 @@ func newGrower(td *trainData, bnr *binner, p Params, rng *rand.Rand, pool *par.P
 	g := &grower{td: td, bnr: bnr, p: p, rng: rng, pool: pool}
 	g.idx = make([]int32, td.n)
 	g.tmp = make([]int32, td.n)
-	g.featOff = make([]int, td.f)
-	for f := 0; f < td.f; f++ {
-		g.featOff[f] = g.totBins
-		g.totBins += bnr.numBins(f)
-	}
-	g.featBest = make([]featSplit, td.f)
+	g.cands = make([]leafCand, 0, p.NumLeaves)
 	return g
 }
 
-// newHistSet draws the next set from the arena, allocating flat buffers only
-// the first time each slot is used across the grower's lifetime.
+// newHistSet draws the next set from the arena, allocating buffers only the
+// first time each slot is used across the grower's lifetime. A recycled set
+// is zero outside the features it lists, so only those ranges are cleared.
 func (gr *grower) newHistSet() *histSet {
 	if gr.nsets == len(gr.sets) {
 		gr.sets = append(gr.sets, &histSet{
-			g: make([]float64, gr.totBins),
-			h: make([]float64, gr.totBins),
-			c: make([]int32, gr.totBins),
+			bins: make([]histBin, len(gr.td.binFeat)),
+			nd:   make([]int32, gr.td.f),
 		})
 	}
 	hs := gr.sets[gr.nsets]
 	gr.nsets++
+	for _, f := range hs.feats {
+		clear(hs.bins[gr.td.featOff[f]:gr.td.featOff[f+1]])
+		hs.nd[f] = 0
+	}
+	hs.feats = hs.feats[:0]
 	return hs
 }
 
@@ -117,22 +115,23 @@ func (gr *grower) grow(grad, hess []float64) *Tree {
 	td := gr.td
 	gr.nsets = 0 // recycle the histogram arena from the previous tree
 
-	// Row bagging.
+	// Row bagging: the first n rows of a permutation are grown on, the rest
+	// stay behind them in idx for out-of-bag scoring.
 	n := td.n
 	if p.BaggingFraction < 1 {
 		n = int(float64(td.n) * p.BaggingFraction)
 		if n < 1 {
 			n = 1
 		}
-		perm := gr.rng.Perm(td.n)
-		for i := 0; i < n; i++ {
-			gr.idx[i] = int32(perm[i])
+		for i, r := range gr.rng.Perm(td.n) {
+			gr.idx[i] = int32(r)
 		}
 	} else {
 		for i := 0; i < td.n; i++ {
 			gr.idx[i] = int32(i)
 		}
 	}
+	gr.inBag = n
 
 	// Feature sampling.
 	gr.feat = gr.feat[:0]
@@ -155,7 +154,7 @@ func (gr *grower) grow(grad, hess []float64) *Tree {
 	gr.nodeBins = gr.nodeBins[:0]
 	minSplit := 2 * p.MinDataInLeaf
 
-	root := &leafCand{lo: 0, hi: n, parent: -1}
+	root := leafCand{lo: 0, hi: n, parent: -1}
 	// Root gradient sums: fixed-size chunks folded in order, so the
 	// floating-point result is identical for every worker count.
 	rs := par.MapReduce(gr.pool, n, rowChunk, func(lo, hi int) [2]float64 {
@@ -173,16 +172,16 @@ func (gr *grower) grow(grad, hess []float64) *Tree {
 	// The root is always built by a row scan; subtraction needs a parent.
 	if n >= minSplit {
 		root.hist = gr.newHistSet()
-		gr.buildHist(root, grad, hess)
+		gr.buildHist(&root, grad, hess)
 	}
-	gr.findBestSplit(root)
+	gr.findBestSplit(&root)
 
-	cands := []*leafCand{root}
+	cands := append(gr.cands[:0], root)
 	for len(cands) < p.NumLeaves {
 		// Pick the candidate with the highest gain (leaf-wise growth).
 		best := -1
-		for i, c := range cands {
-			if c.bestGain > 0 && (best < 0 || c.bestGain > cands[best].bestGain) {
+		for i := range cands {
+			if cands[i].bestGain > 0 && (best < 0 || cands[i].bestGain > cands[best].bestGain) {
 				best = i
 			}
 		}
@@ -198,60 +197,46 @@ func (gr *grower) grow(grad, hess []float64) *Tree {
 			Threshold: gr.bnr.threshold(c.bestFeat, c.bestBin),
 		})
 		gr.nodeBins = append(gr.nodeBins, c.bestBin)
-		gr.patchParent(tree, c, nodeIdx)
+		gr.patchParent(tree, &c, nodeIdx)
 
 		// Partition rows: bin <= bestBin goes left (stable).
 		mid := gr.partition(c.lo, c.hi, c.bestFeat, c.bestBin)
 
-		left := &leafCand{lo: c.lo, hi: mid, sumG: c.bestLG, sumH: c.bestLH, parent: nodeIdx, isLeft: true}
-		right := &leafCand{lo: mid, hi: c.hi, sumG: c.sumG - c.bestLG, sumH: c.sumH - c.bestLH, parent: nodeIdx}
+		left := leafCand{lo: c.lo, hi: mid, sumG: c.bestLG, sumH: c.bestLH, parent: nodeIdx, isLeft: true}
+		right := leafCand{lo: mid, hi: c.hi, sumG: c.sumG - c.bestLG, sumH: c.sumH - c.bestLH, parent: nodeIdx}
 
-		small, large := left, right
+		small, large := &left, &right
 		if right.hi-right.lo < left.hi-left.lo {
-			small, large = right, left
+			small, large = &right, &left
 		}
-		if !p.NoHistSubtraction && large.hi-large.lo >= minSplit {
+		if large.hi-large.lo >= minSplit {
 			// Histogram subtraction: scan only the smaller child's rows,
 			// then derive the larger child's histograms in place as
-			// parent − smaller, reusing the parent's buffers.
+			// parent − smaller, reusing the parent's buffers and its
+			// feature list.
 			small.hist = gr.newHistSet()
 			gr.buildHist(small, grad, hess)
-			gr.subtractHist(c.hist, small.hist)
+			subtractHist(td, c.hist, small.hist)
 			large.hist = c.hist
 			if small.hi-small.lo < minSplit {
 				// Too small to ever split; its histogram only fed the
-				// subtraction.
+				// subtraction, and its set is the arena's last draw.
 				small.hist = nil
-			}
-		} else {
-			// Rescan each splittable child directly. The first reuses the
-			// parent's buffers (rebuilt from zero), so this path allocates
-			// exactly like — and computes bit-identically to — the
-			// pre-subtraction algorithm.
-			avail := c.hist
-			for _, ch := range [2]*leafCand{left, right} {
-				if ch.hi-ch.lo < minSplit {
-					continue
-				}
-				if avail != nil {
-					ch.hist, avail = avail, nil
-				} else {
-					ch.hist = gr.newHistSet()
-				}
-				gr.buildHist(ch, grad, hess)
+				gr.nsets--
 			}
 		}
-		c.hist = nil
 
-		gr.findBestSplit(left)
-		gr.findBestSplit(right)
+		gr.findBestSplit(&left)
+		gr.findBestSplit(&right)
 
 		cands[best] = left
 		cands = append(cands, right)
 	}
+	gr.cands = cands
 
 	// Remaining candidates become leaves.
-	for _, c := range cands {
+	for i := range cands {
+		c := &cands[i]
 		leafIdx := int32(len(tree.Leaves))
 		w := -c.sumG / (c.sumH + gr.p.Lambda) * gr.p.LearningRate
 		tree.Leaves = append(tree.Leaves, w)
@@ -301,108 +286,142 @@ func (gr *grower) partition(lo, hi, f int, b uint8) int {
 	return w
 }
 
-// buildHist fills the candidate's histograms by scanning its rows, one
-// sampled feature per task (features are independent, each writing only its
-// own slice of the flat buffers).
+// buildHist fills the candidate's (freshly drawn) set from the non-default
+// cells of its rows. A leaf of more than rowChunk rows is built chunk by
+// chunk — the first chunk into the set itself, every further one into its
+// own set from the arena — and the chunk sets are folded in ascending chunk
+// order, so the sums do not depend on the worker count.
 func (gr *grower) buildHist(c *leafCand, grad, hess []float64) {
-	pool := gr.pool
-	if c.hi-c.lo < minParallelRows {
-		pool = nil // leaf too small: run the feature scans inline
+	n := c.hi - c.lo
+	rows := gr.idx[c.lo:c.hi]
+	gr.rowsScanned += int64(n)
+	if n <= rowChunk {
+		gr.cellUpdates += gr.td.accumulate(c.hist, rows, grad, hess)
+		return
 	}
-	hs := c.hist
-	pool.Do(len(gr.feat), func(fi int) {
-		f := gr.feat[fi]
-		nb := gr.bnr.numBins(f)
-		if nb < 2 {
-			return // constant feature: never splittable, never scanned
+	mark := gr.nsets
+	gr.parts = append(gr.parts[:0], c.hist)
+	for lo := rowChunk; lo < n; lo += rowChunk {
+		gr.parts = append(gr.parts, gr.newHistSet())
+	}
+	gr.cellUpdates += par.MapReduce(gr.pool, n, rowChunk, func(lo, hi int) int64 {
+		return gr.td.accumulate(gr.parts[lo/rowChunk], rows[lo:hi], grad, hess)
+	}, func(a, b int64) int64 { return a + b }, 0)
+	for _, part := range gr.parts[1:] {
+		addHist(gr.td, c.hist, part)
+	}
+	gr.nsets = mark // the chunk sets go back to the arena
+}
+
+// accumulate adds the non-default cells of the given rows to hs and returns
+// how many cells that was.
+func (td *trainData) accumulate(hs *histSet, rows []int32, grad, hess []float64) int64 {
+	cells := int64(0)
+	for _, r := range rows {
+		g, h := grad[r], hess[r]
+		row := td.cells[td.cellOff[r]:td.cellOff[r+1]]
+		cells += int64(len(row))
+		for _, i := range row {
+			f := td.binFeat[i]
+			if hs.nd[f] == 0 {
+				hs.feats = append(hs.feats, f)
+			}
+			hs.nd[f]++
+			b := &hs.bins[i]
+			b.g += g
+			b.h += h
+			b.c++
 		}
-		off := gr.featOff[f]
-		hg := hs.g[off : off+nb]
-		hh := hs.h[off : off+nb]
-		hc := hs.c[off : off+nb]
-		for b := 0; b < nb; b++ {
-			hg[b], hh[b], hc[b] = 0, 0, 0
+	}
+	return cells
+}
+
+// addHist folds a chunk's set into dst over the features the chunk wrote.
+func addHist(td *trainData, dst, part *histSet) {
+	for _, f := range part.feats {
+		if dst.nd[f] == 0 {
+			dst.feats = append(dst.feats, f)
 		}
-		bins := gr.td.bins[f]
-		for i := c.lo; i < c.hi; i++ {
-			r := gr.idx[i]
-			b := bins[r]
-			hg[b] += grad[r]
-			hh[b] += hess[r]
-			hc[b]++
+		dst.nd[f] += part.nd[f]
+		for i := td.featOff[f]; i < td.featOff[f+1]; i++ {
+			dst.bins[i].g += part.bins[i].g
+			dst.bins[i].h += part.bins[i].h
+			dst.bins[i].c += part.bins[i].c
 		}
-	})
+	}
 }
 
 // subtractHist turns parent's histograms into the sibling's in place:
-// parent −= small over every sampled feature's bin range. O(totBins) —
-// cheap enough to stay inline on the growing goroutine.
-func (gr *grower) subtractHist(parent, small *histSet) {
-	for _, f := range gr.feat {
-		nb := gr.bnr.numBins(f)
-		if nb < 2 {
-			continue
-		}
-		off := gr.featOff[f]
-		for b := off; b < off+nb; b++ {
-			parent.g[b] -= small.g[b]
-			parent.h[b] -= small.h[b]
-			parent.c[b] -= small.c[b]
+// parent −= small over the features small has written. On every other
+// feature small's rows all sit in the default bin, which no set holds, so
+// the parent's bins already are the sibling's.
+func subtractHist(td *trainData, parent, small *histSet) {
+	for _, f := range small.feats {
+		parent.nd[f] -= small.nd[f]
+		for i := td.featOff[f]; i < td.featOff[f+1]; i++ {
+			parent.bins[i].g -= small.bins[i].g
+			parent.bins[i].h -= small.bins[i].h
+			parent.bins[i].c -= small.bins[i].c
 		}
 	}
 }
 
-// findBestSplit fills the candidate's best split fields from its histograms:
-// every considered feature proposes its best split in parallel, and the
-// cross-feature winner is then reduced sequentially in feature order — the
-// same tie-breaking the serial scan had, for any worker count. A candidate
-// without histograms (too small to split) keeps gain 0.
+// findBestSplit fills the candidate's best split fields from its
+// histograms, scanning the sampled features in order so that the earliest
+// feature wins a tie. A feature with fewer than MinDataInLeaf of the leaf's
+// rows off its default bin is skipped — one the set does not list has none:
+// the default bin falls on one side of any split, so the other side would be
+// too small. A candidate without histograms (too small to split) keeps
+// gain 0.
 func (gr *grower) findBestSplit(c *leafCand) {
 	c.bestGain = 0
 	if c.hist == nil {
 		return
 	}
 	parentScore := c.sumG * c.sumG / (c.sumH + gr.p.Lambda)
-
-	pool := gr.pool
-	if c.hi-c.lo < minParallelRows {
-		pool = nil // leaf too small: run the split scans inline
-	}
-	best := gr.featBest[:len(gr.feat)]
-	pool.Do(len(gr.feat), func(fi int) {
-		best[fi] = gr.scanHist(gr.feat[fi], c, parentScore)
-	})
-	for _, fb := range best {
-		if fb.gain > c.bestGain {
-			c.bestGain = fb.gain
-			c.bestFeat = fb.feat
-			c.bestBin = fb.bin
-			c.bestLG, c.bestLH, c.bestLC = fb.lg, fb.lh, fb.lc
+	for _, f := range gr.feat {
+		if int(c.hist.nd[f]) >= gr.p.MinDataInLeaf {
+			gr.scanHist(f, c, parentScore)
 		}
 	}
 }
 
-// scanHist walks feature f's histogram in the candidate's set and returns
-// the best split the feature offers (gain 0 if none).
-func (gr *grower) scanHist(f int, c *leafCand, parentScore float64) featSplit {
-	best := featSplit{feat: f}
-	nb := gr.bnr.numBins(f)
-	if nb < 2 {
-		return best
-	}
+// scanHist walks feature f's histogram in the candidate's set and raises the
+// candidate's best split to the best one the feature offers, if it gains
+// more. The default bin is the leaf's totals minus the feature's stored
+// bins, taken at its position in the prefix scan.
+func (gr *grower) scanHist(f int, c *leafCand, parentScore float64) {
+	td := gr.td
+	hist := c.hist.bins[td.featOff[f]:td.featOff[f+1]]
 	count := c.hi - c.lo
+	// Two partial sums each, so that consecutive bins do not wait on one
+	// another's additions.
+	var g0, g1, h0, h1 float64
+	i := 0
+	for ; i+1 < len(hist); i += 2 {
+		g0 += hist[i].g
+		h0 += hist[i].h
+		g1 += hist[i+1].g
+		h1 += hist[i+1].h
+	}
+	if i < len(hist) {
+		g0 += hist[i].g
+		h0 += hist[i].h
+	}
+	def := histBin{g: c.sumG - (g0 + g1), h: c.sumH - (h0 + h1), c: int32(count) - c.hist.nd[f]}
+	defBin := int(td.defBin[f])
 	lambda := gr.p.Lambda
-	off := gr.featOff[f]
-	hg := c.hist.g[off : off+nb]
-	hh := c.hist.h[off : off+nb]
-	hc := c.hist.c[off : off+nb]
 	var lg, lh float64
 	var lc int
 	// Split on "bin ≤ b" for b in [0, nb-2].
-	for b := 0; b < nb-1; b++ {
-		lg += hg[b]
-		lh += hh[b]
-		lc += int(hc[b])
+	for b := 0; b < len(hist)-1; b++ {
+		hb := &hist[b]
+		if b == defBin {
+			hb = &def
+		}
+		lg += hb.g
+		lh += hb.h
+		lc += int(hb.c)
 		if lc < gr.p.MinDataInLeaf {
 			continue
 		}
@@ -413,13 +432,31 @@ func (gr *grower) scanHist(f int, c *leafCand, parentScore float64) featSplit {
 		rg := c.sumG - lg
 		rh := c.sumH - lh
 		gain := lg*lg/(lh+lambda) + rg*rg/(rh+lambda) - parentScore
-		if gain > best.gain {
-			best.gain = gain
-			best.bin = uint8(b)
-			best.lg, best.lh, best.lc = lg, lh, lc
+		if gain > c.bestGain {
+			c.bestGain = gain
+			c.bestFeat = f
+			c.bestBin = uint8(b)
+			c.bestLG, c.bestLH = lg, lh
 		}
 	}
-	return best
+}
+
+// addScores adds the freshly grown tree's output to preds: every in-bag row
+// is in the partition range of the leaf it fell into, so a leaf's weight is
+// added over its range; only out-of-bag rows walk the tree.
+func (gr *grower) addScores(tree *Tree, preds []float64) {
+	for i := range gr.cands {
+		w := tree.Leaves[i]
+		for _, r := range gr.idx[gr.cands[i].lo:gr.cands[i].hi] {
+			preds[r] += w
+		}
+	}
+	oob := gr.idx[gr.inBag:]
+	gr.pool.For(len(oob), rowChunk, func(lo, hi int) {
+		for _, r := range oob[lo:hi] {
+			preds[r] += gr.predictBinned(tree, int(r))
+		}
+	})
 }
 
 // predictBinned evaluates the freshly grown tree for training row r using

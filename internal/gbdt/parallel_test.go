@@ -6,11 +6,10 @@ import (
 	"testing"
 )
 
-// trainJSON trains on a fixed synthetic problem with the given worker count
-// and returns the serialized model.
-func trainJSON(t *testing.T, workers int) []byte {
+// trainJSON trains on xs/ys with the given worker count and returns the
+// serialized model.
+func trainJSON(t *testing.T, xs [][]float64, ys []float64, workers int) []byte {
 	t.Helper()
-	xs, ys := synth(3000, 21)
 	p := DefaultParams()
 	p.NumRounds = 25
 	p.Seed = 42
@@ -32,11 +31,29 @@ func trainJSON(t *testing.T, workers int) []byte {
 }
 
 func TestParallelTrainingIsDeterministic(t *testing.T) {
-	serial := trainJSON(t, 1)
-	for _, workers := range []int{2, 3, 8} {
-		if got := trainJSON(t, workers); !bytes.Equal(got, serial) {
-			t.Errorf("workers=%d model differs from workers=1 model (%d vs %d bytes)",
-				workers, len(got), len(serial))
+	dx, dy := synth(3000, 21)
+	// Sparse rows, and enough of them that the bag of a tree (0.8 of the 0.8
+	// left by the validation split) spans more than two row chunks: the root
+	// and the first large leaves are built chunk by chunk and folded.
+	sx := sparseSynth(14000, 14, 22)
+	if bag := int(float64(len(sx)) * 0.8 * 0.8); bag <= 2*rowChunk {
+		t.Fatalf("bag of %d rows does not span more than two chunks of %d", bag, rowChunk)
+	}
+	sy := make([]float64, len(sx))
+	for i, x := range sx {
+		sy[i] = 3 + x[4] - 0.5*x[7]*x[9] + x[13]/50
+	}
+	for _, data := range []struct {
+		name string
+		xs   [][]float64
+		ys   []float64
+	}{{"dense", dx, dy}, {"sparse", sx, sy}} {
+		serial := trainJSON(t, data.xs, data.ys, 1)
+		for _, workers := range []int{2, 3, 8} {
+			if got := trainJSON(t, data.xs, data.ys, workers); !bytes.Equal(got, serial) {
+				t.Errorf("%s: workers=%d model differs from workers=1 model (%d vs %d bytes)",
+					data.name, workers, len(got), len(serial))
+			}
 		}
 	}
 }

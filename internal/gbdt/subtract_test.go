@@ -8,29 +8,48 @@ import (
 	"testing"
 )
 
-// dyadicGrads fills grad/hess with values of the form k/4 — exactly
-// representable in float64, so every histogram sum and every
-// parent − child subtraction is exact floating-point arithmetic. Under such
-// gradients the subtraction path must reproduce the scan path bit for bit.
-func dyadicGrads(rng *rand.Rand, grad, hess []float64) {
-	for i := range grad {
-		grad[i] = float64(rng.Intn(65))/4 - 8 // k/4 in [-8, 8]
-		hess[i] = float64(rng.Intn(8)+1) / 4  // k/4 in (0, 2]
+// sparseSynth generates rows shaped like T3's pipeline vectors: about 85 % of
+// a column's cells hold one value, which is not the column's smallest, so the
+// default bin sits inside the prefix scan; columns 0 and 1 are constant (at
+// zero and not), column 2 leaves its default in a single row, column 3 only
+// in the last third of the rows (in row order, no chunk but the last writes
+// it), and the last column has exactly 255 distinct values, one bin each at
+// MaxBins 255.
+func sparseSynth(n, f int, seed int64) [][]float64 {
+	rng := rand.New(rand.NewSource(seed))
+	xs := make([][]float64, n)
+	for i := range xs {
+		x := make([]float64, f)
+		x[1] = 7
+		if i == n/3 {
+			x[2] = 1
+		}
+		if i >= 2*n/3 {
+			x[3] = float64(rng.Intn(4))
+		}
+		for j := 4; j < f-1; j++ {
+			if rng.Float64() >= 0.85 {
+				x[j] = float64(rng.Intn(2*j) - j)
+			}
+		}
+		x[f-1] = float64(rng.Intn(255))
+		xs[i] = x
 	}
+	return xs
 }
 
-// growBoth grows `rounds` trees twice from identical state — once per
-// NoHistSubtraction setting — and hands each pair to check.
-func growBoth(t *testing.T, rounds int, check func(round int, sub, scan *Tree)) {
+// growBoth grows `rounds` trees on xs twice from identical state — the
+// production grower and the reference grower — under dyadic gradients and
+// hands each pair to check, after checking the production partition.
+// bagging < 1 exercises the rng-driven sampling paths too: both growers draw
+// the same bagging and feature permutations from identically seeded rngs.
+func growBoth(t *testing.T, xs [][]float64, bagging float64, rounds int, check func(round int, prod, ref *Tree)) {
 	t.Helper()
-	xs, _ := synth(3000, 5)
 	ys := make([]float64, len(xs))
 	p := DefaultParams()
 	p.NumLeaves = 31
 	p.MinDataInLeaf = 5
-	// Exercise the rng-driven sampling paths too: both growers draw the
-	// same bagging and feature permutations from identically seeded rngs.
-	p.BaggingFraction = 0.7
+	p.BaggingFraction = bagging
 	p.FeatureFraction = 0.8
 	if err := p.Validate(); err != nil {
 		t.Fatal(err)
@@ -38,55 +57,44 @@ func growBoth(t *testing.T, rounds int, check func(round int, sub, scan *Tree)) 
 
 	bnr := newBinner(nil, xs, len(xs[0]), p.MaxBins)
 	td := newTrainData(nil, bnr, xs, ys)
-
-	pSub, pScan := p, p
-	pSub.NoHistSubtraction = false
-	pScan.NoHistSubtraction = true
-	sub := newGrower(td, bnr, pSub, rand.New(rand.NewSource(11)), nil)
-	scan := newGrower(td, bnr, pScan, rand.New(rand.NewSource(11)), nil)
+	prod := newGrower(td, bnr, p, rand.New(rand.NewSource(11)), nil)
+	ref := &refGrower{td: td, bnr: bnr, p: p, rng: rand.New(rand.NewSource(11))}
 
 	grng := rand.New(rand.NewSource(99))
 	grad := make([]float64, td.n)
 	hess := make([]float64, td.n)
 	for round := 0; round < rounds; round++ {
 		dyadicGrads(grng, grad, hess)
-		check(round, sub.grow(grad, hess), scan.grow(grad, hess))
-	}
-}
-
-// requireTreesBitIdentical compares two trees down to the float bits of
-// thresholds and leaf weights.
-func requireTreesBitIdentical(t *testing.T, round int, a, b *Tree) {
-	t.Helper()
-	if len(a.Nodes) != len(b.Nodes) || len(a.Leaves) != len(b.Leaves) {
-		t.Fatalf("round %d: shape differs: %d/%d nodes, %d/%d leaves",
-			round, len(a.Nodes), len(b.Nodes), len(a.Leaves), len(b.Leaves))
-	}
-	for i := range a.Nodes {
-		an, bn := a.Nodes[i], b.Nodes[i]
-		if an.Feature != bn.Feature || an.Left != bn.Left || an.Right != bn.Right ||
-			math.Float64bits(an.Threshold) != math.Float64bits(bn.Threshold) {
-			t.Fatalf("round %d: node %d differs: %+v vs %+v", round, i, an, bn)
-		}
-	}
-	for i := range a.Leaves {
-		if math.Float64bits(a.Leaves[i]) != math.Float64bits(b.Leaves[i]) {
-			t.Fatalf("round %d: leaf %d differs: %v vs %v", round, i, a.Leaves[i], b.Leaves[i])
-		}
+		tree := prod.grow(grad, hess)
+		requirePartitionMatchesRouting(t, round, prod, tree)
+		check(round, tree, ref.grow(grad, hess))
 	}
 }
 
 // TestHistSubtractionBitIdenticalDyadic grows many trees under exactly
-// representable gradients and asserts the subtraction path and the
-// scan-everything path produce bit-identical trees: with exact sums, deriving
-// the larger child as parent − smaller is the same arithmetic as rescanning.
+// representable gradients, on dense rows and on sparse ones, and asserts the
+// production grower — non-default cells, derived default bin, feature lists,
+// subtraction, chunked builds — and the brute-force reference produce
+// bit-identical trees: with exact sums they are the same arithmetic. The
+// sparse rows span several row chunks; unbagged, the chunks hold them in row
+// order.
 func TestHistSubtractionBitIdenticalDyadic(t *testing.T) {
-	growBoth(t, 10, func(round int, sub, scan *Tree) {
-		requireTreesBitIdentical(t, round, sub, scan)
-		if round == 0 && len(sub.Nodes) < 5 {
-			t.Fatalf("degenerate tree (%d nodes); test exercises nothing", len(sub.Nodes))
-		}
-	})
+	dense, _ := synth(3000, 5)
+	sparse := sparseSynth(9000, 14, 6)
+	for _, tc := range []struct {
+		name    string
+		xs      [][]float64
+		bagging float64
+	}{{"dense", dense, 0.7}, {"sparse", sparse, 0.7}, {"sparse in row order", sparse, 1}} {
+		t.Run(tc.name, func(t *testing.T) {
+			growBoth(t, tc.xs, tc.bagging, 10, func(round int, prod, ref *Tree) {
+				requireTreesBitIdentical(t, round, prod, ref)
+				if round == 0 && len(prod.Nodes) < 5 {
+					t.Fatalf("degenerate tree (%d nodes); test exercises nothing", len(prod.Nodes))
+				}
+			})
+		})
+	}
 }
 
 // TestHistSubtractionBitIdenticalTrain asserts full-model bit identity
@@ -102,54 +110,103 @@ func TestHistSubtractionBitIdenticalTrain(t *testing.T) {
 		xs[i] = []float64{rng.Float64() * 10, rng.Float64(), float64(rng.Intn(7))}
 		ys[i] = float64(rng.Intn(129)) / 4 // dyadic targets in [0, 32]
 	}
-	train := func(noSub bool) []byte {
-		p := DefaultParams()
-		p.NumRounds = 1
-		p.Objective = ObjectiveL2
-		p.Seed = 3
-		p.MinDataInLeaf = 5
-		p.ValidationFraction = 0 // keep all 2^k rows: the mean stays exact
-		p.NoHistSubtraction = noSub
-		m, _, err := Train(p, xs, ys, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		data, err := json.Marshal(m)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return data
+	p := DefaultParams()
+	p.NumRounds = 1
+	p.Objective = ObjectiveL2
+	p.Seed = 3
+	p.MinDataInLeaf = 5
+	p.ValidationFraction = 0 // keep all 2^k rows: the mean stays exact
+	m, _, err := Train(p, xs, ys, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	withSub, withoutSub := train(false), train(true)
-	if !bytes.Equal(withSub, withoutSub) {
-		t.Fatal("models differ between subtraction and scan paths under exact gradients")
+	prod, err := json.Marshal(m)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ref, err := json.Marshal(refTrain(t, p, xs, ys))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(prod, ref) {
+		t.Fatal("Train and the reference trainer differ under exact gradients")
 	}
 }
 
 // TestHistSubtractionFullTrainingAgrees compares complete multi-round
-// training runs with arbitrary (non-dyadic) gradients. Subtraction can round
-// differently in the last ulp, so this checks the models agree functionally:
-// held-out predictions match to within a tight relative tolerance.
+// training runs with arbitrary (non-dyadic) gradients. A subtracted bin and a
+// derived default bin can round differently from a summed one in the last
+// ulp, so this checks the models agree functionally: held-out predictions
+// match to within a tight relative tolerance.
 func TestHistSubtractionFullTrainingAgrees(t *testing.T) {
 	xs, ys := synth(3000, 8)
-	train := func(noSub bool) *Model {
-		p := DefaultParams()
-		p.NumRounds = 40
-		p.Objective = ObjectiveL2
-		p.Seed = 9
-		p.NoHistSubtraction = noSub
-		m, _, err := Train(p, xs, ys, nil, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return m
+	p := DefaultParams()
+	p.NumRounds = 40
+	p.Objective = ObjectiveL2
+	p.Seed = 9
+	p.ValidationFraction = 0
+	prod, _, err := Train(p, xs, ys, nil, nil)
+	if err != nil {
+		t.Fatal(err)
 	}
-	withSub, withoutSub := train(false), train(true)
+	ref := refTrain(t, p, xs, ys)
 	tx, _ := synth(500, 10)
 	for i, x := range tx {
-		a, b := withSub.Predict(x), withoutSub.Predict(x)
+		a, b := prod.Predict(x), ref.Predict(x)
 		if d := math.Abs(a - b); d > 1e-9*(1+math.Abs(b)) {
 			t.Fatalf("row %d: predictions diverge: %v vs %v (diff %v)", i, a, b, d)
+		}
+	}
+}
+
+// TestTrainDataNonDefaultLayout pins the layout histograms are built from: a
+// feature's default bin is its most frequent one, the lowest on a tie, and a
+// row's cells are the histogram indices of exactly its features off their
+// default, in feature order.
+func TestTrainDataNonDefaultLayout(t *testing.T) {
+	xs := sparseSynth(500, 10, 4)
+	for i := range xs {
+		xs[i][4] = float64(i % 2) // a tie between two bins: the lower one is the default
+	}
+	bnr := newBinner(nil, xs, len(xs[0]), 255)
+	td := newTrainData(nil, bnr, xs, make([]float64, len(xs)))
+	if len(td.binFeat) != int(td.featOff[td.f]) {
+		t.Fatalf("featOff ends at %d, binFeat has %d entries", td.featOff[td.f], len(td.binFeat))
+	}
+	for f := 0; f < td.f; f++ {
+		counts := make([]int, bnr.numBins(f))
+		for _, b := range td.bins[f] {
+			counts[b]++
+		}
+		want := 0
+		for b, c := range counts {
+			if c > counts[want] {
+				want = b
+			}
+		}
+		if int(td.defBin[f]) != want {
+			t.Errorf("feature %d: default bin %d, most frequent (lowest on a tie) is %d of %v", f, td.defBin[f], want, counts)
+		}
+	}
+	if td.defBin[4] != 0 || td.defBin[5] == 0 {
+		t.Errorf("default bins of the tied and of a mid-range column: %d, %d", td.defBin[4], td.defBin[5])
+	}
+	for r := 0; r < td.n; r++ {
+		var want, feats []int32
+		for f := 0; f < td.f; f++ {
+			if b := td.bins[f][r]; b != td.defBin[f] {
+				want = append(want, td.featOff[f]+int32(b))
+				feats = append(feats, int32(f))
+			}
+		}
+		got := td.cells[td.cellOff[r]:td.cellOff[r+1]]
+		if len(got) != len(want) {
+			t.Fatalf("row %d: cells %v, want %v", r, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] || td.binFeat[got[i]] != feats[i] {
+				t.Fatalf("row %d: cells %v, want %v of features %v", r, got, want, feats)
+			}
 		}
 	}
 }

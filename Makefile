@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench microbench fuzz-smoke train compile experiments serve clean
+.PHONY: all build test vet bench microbench fuzz-smoke train experiments serve clean
 
 all: build vet test
 
@@ -8,10 +8,9 @@ build:
 	go build ./...
 
 # gofmt -l prints the files it would change; any output fails the target.
-# internal/compiled is generated by cmd/t3compile and left as emitted.
 vet:
 	go vet ./...
-	@out=$$(gofmt -l . | grep -v '^internal/compiled/'); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt -l:"; echo "$$out"; exit 1; fi
 
 test:
 	go test ./...
@@ -44,12 +43,9 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	go test -run xxx -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
-# Rebuild the checked-in model and its compiled form.
+# Rebuild the checked-in model.
 train:
 	go run ./cmd/t3train -scale 0.2 -pergroup 4 -runs 2 -rounds 200 -o models/t3_default.json
-
-compile:
-	go run ./cmd/t3compile -in models/t3_default.json -out internal/compiled/model_gen.go -pkg compiled
 
 # Reproduce every table and figure of the paper (quick config).
 experiments:

@@ -2,16 +2,18 @@
 // repository's analogue of the lleaves LLVM compiler (§2.6 of the paper).
 // Each decision node becomes one comparison and one branch, each leaf a
 // return; the Go compiler turns the output into native machine code when the
-// enclosing package is built.
+// enclosing package is built. Nothing in the repository serves from it: a
+// loaded model is compiled once by treec.Pack, and every prediction runs on
+// that layout.
 //
 // Usage:
 //
-//	t3compile -in models/t3_default.json -out internal/compiled/model_gen.go -pkg compiled
+//	t3compile -in models/t3_default.json > model_gen.go
+//	t3compile -in models/t3_default.json -pkg main -out DIR/model_gen.go
 package main
 
 import (
 	"flag"
-	"fmt"
 	"log"
 	"os"
 	"path/filepath"
@@ -25,7 +27,7 @@ func main() {
 	log.SetPrefix("t3compile: ")
 	var (
 		in  = flag.String("in", "models/t3_default.json", "trained model (JSON)")
-		out = flag.String("out", "internal/compiled/model_gen.go", "generated Go file")
+		out = flag.String("out", "", "generated Go file (default: standard output)")
 		pkg = flag.String("pkg", "compiled", "package name for the generated file")
 	)
 	flag.Parse()
@@ -34,21 +36,21 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	if dir := filepath.Dir(*out); dir != "." && dir != "" {
-		if err := os.MkdirAll(dir, 0o755); err != nil {
+	w, dest := os.Stdout, "standard output"
+	if *out != "" {
+		if err := os.MkdirAll(filepath.Dir(*out), 0o755); err != nil {
 			log.Fatal(err)
 		}
+		if w, err = os.Create(*out); err != nil {
+			log.Fatal(err)
+		}
+		dest = *out
 	}
-	f, err := os.Create(*out)
-	if err != nil {
+	if err := treec.GenGo(model, *pkg, w); err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
-	if err := treec.GenGo(model, *pkg, f); err != nil {
+	if err := w.Close(); err != nil {
 		log.Fatal(err)
 	}
-	if err := f.Close(); err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("compiled %d trees (%d nodes) to %s\n", len(model.Trees), model.NumNodes(), *out)
+	log.Printf("compiled %d trees (%d nodes) to %s", len(model.Trees), model.NumNodes(), dest)
 }

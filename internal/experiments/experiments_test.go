@@ -55,7 +55,7 @@ func TestTable1LatencyOrdering(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Log("\n" + r.Format())
-	for _, d := range []time.Duration{r.T3ModelPacked, r.T3ModelInterp, r.T3Compiled, r.ZeroShotNN, r.StageCache} {
+	for _, d := range []time.Duration{r.T3ModelPacked, r.T3ModelInterp, r.T3ModelKernel, r.T3Compiled, r.ZeroShotNN, r.StageCache} {
 		if d <= 0 {
 			t.Error("a latency row was not measured")
 			break

@@ -10,7 +10,6 @@ import (
 
 	t3 "t3"
 	"t3/internal/benchdata"
-	"t3/internal/compiled"
 	"t3/internal/engine/plan"
 	"t3/internal/par"
 	"t3/internal/qerror"
@@ -55,15 +54,16 @@ type Table1 struct {
 	T3PackedP50    time.Duration
 	T3PackedP99    time.Duration
 	T3PackedAllocs float64
-	// T3ModelInterp and T3ModelPacked isolate the model-evaluation step on
-	// pre-featurized vectors — the direct analogue of the paper's
-	// LightGBM-interpreted vs lleaves-compiled contrast (22us -> 4us) — on
-	// the interpreter and on the packed tier; T3ModelGenGo is the same step
-	// on the ahead-of-time generated Go code (zero when the checked-in
-	// generated model does not match the registry).
+	// T3ModelInterp, T3ModelPacked and T3ModelKernel isolate the
+	// model-evaluation step on pre-featurized vectors — the direct analogue
+	// of the paper's LightGBM-interpreted vs lleaves-compiled contrast
+	// (22us -> 4us) — on the interpreter, on the packed tier's scalar walker
+	// (Packed.Predict per vector) and on its bitvector kernel (one
+	// Packed.PredictRowsInto call over the query's rows, the call
+	// PredictBatchScratch makes).
 	T3ModelInterp time.Duration
 	T3ModelPacked time.Duration
-	T3ModelGenGo  time.Duration
+	T3ModelKernel time.Duration
 	AvgPipelines  float64
 }
 
@@ -140,11 +140,21 @@ func (e *Env) RunTable1() (*Table1, error) {
 		m.PredictPlanScratch(warmRoot, plan.TrueCards, &scratch)
 	})
 
-	// Model-only latency per query on pre-featurized pipeline vectors.
+	// Model-only latency per query on pre-featurized pipeline vectors, and
+	// the same vectors laid out row-major per query for the kernel.
+	stride := m.Registry().NumFeatures()
 	var queryVecs [][][]float64
+	var queryRows [][]float64
+	maxPipes := 0
 	for _, b := range test {
 		vs, _ := m.Registry().PlanVectors(b.Query.Root, plan.TrueCards)
 		queryVecs = append(queryVecs, vs)
+		rows := make([]float64, 0, len(vs)*stride)
+		for _, v := range vs {
+			rows = append(rows, v...)
+		}
+		queryRows = append(queryRows, rows)
+		maxPipes = max(maxPipes, len(vs))
 	}
 	gbm := m.Boosted()
 	res.T3ModelInterp = timeIt(7, func() {
@@ -166,19 +176,14 @@ func (e *Env) RunTable1() (*Table1, error) {
 			}
 		}
 	}) / time.Duration(len(test)*inner)
-	// The checked-in generated code only applies when it was compiled from a
-	// model with the same feature schema as this registry.
-	if compiled.NumFeatures() == m.Registry().NumFeatures() {
-		res.T3ModelGenGo = timeIt(7, func() {
-			for _, vs := range queryVecs {
-				for i := 0; i < inner; i++ {
-					for _, v := range vs {
-						compiled.Predict(v)
-					}
-				}
+	out := make([]float64, maxPipes)
+	res.T3ModelKernel = timeIt(7, func() {
+		for _, rows := range queryRows {
+			for i := 0; i < inner; i++ {
+				packed.PredictRowsInto(rows, stride, out[:len(rows)/stride], nil)
 			}
-		}) / time.Duration(len(test)*inner)
-	}
+		}
+	}) / time.Duration(len(test)*inner)
 	res.ZeroShotNN = perQuery(func(b *benchdata.BenchedQuery) { nn.PredictSeconds(b.Query.Root, plan.TrueCards) })
 	res.StageDT = perQuery(func(b *benchdata.BenchedQuery) { dt.PredictSeconds(b.Query.Root, plan.TrueCards) })
 
@@ -222,12 +227,9 @@ func (t *Table1) Format() string {
 	fmt.Fprintf(&sb, "T3 (scratch) percentiles: p50 %s, p99 %s, %.0f allocs/op\n",
 		fmtDur(t.T3PackedP50), fmtDur(t.T3PackedP99), t.T3PackedAllocs)
 	fmt.Fprintf(&sb, "tiers: T3 interpreted = gbdt interpreter; T3 (ours) = treec.Packed via PredictPlan; T3 (scratch) = treec.Packed via PredictPlanScratch\n")
-	fmt.Fprintf(&sb, "model eval only: interpreted %s, packed %s per query",
-		fmtDur(t.T3ModelInterp), fmtDur(t.T3ModelPacked))
-	if t.T3ModelGenGo > 0 {
-		fmt.Fprintf(&sb, ", genGo %s", fmtDur(t.T3ModelGenGo))
-	}
-	sb.WriteString("\n")
+	fmt.Fprintf(&sb, "model eval only, per query: interpreter %s, walker %s, kernel %s\n",
+		fmtDur(t.T3ModelInterp), fmtDur(t.T3ModelPacked), fmtDur(t.T3ModelKernel))
+	sb.WriteString("model eval tiers: interpreter = gbdt.Model.Predict; walker = treec.Packed.Predict per vector; kernel = one treec.Packed.PredictRowsInto over the query's rows\n")
 	return sb.String()
 }
 
@@ -408,8 +410,9 @@ func (f *Fig1) Format() string {
 }
 
 // Fig5 reproduces prediction latency by pipeline count: compiled
-// single-threaded (treec.Packed.Predict per vector) vs interpreted
-// (gbdt.Model.Predict) single- and multi-threaded.
+// single-threaded (the bitvector kernel, one treec.Packed.PredictRowsInto
+// call over the k rows) vs interpreted (gbdt.Model.Predict) single- and
+// multi-threaded.
 type Fig5 struct {
 	Counts     []int
 	CompiledST []time.Duration
@@ -443,18 +446,19 @@ func (e *Env) RunFig5() (*Fig5, error) {
 	wp := par.New(e.Cfg.Workers)
 	defer wp.Close()
 	f := &Fig5{Counts: []int{1, 2, 3, 5, 10, 30, 100, 300, 1000}, Workers: wp.Workers()}
-	packed := m.Packed()
+	packed, stride := m.Packed(), m.Registry().NumFeatures()
 	gbm := m.Boosted()
 	for _, k := range f.Counts {
 		vs := make([][]float64, k)
+		rows := make([]float64, 0, k*stride)
 		for i := range vs {
 			vs[i] = pool[rng.Intn(len(pool))]
+			rows = append(rows, vs[i]...)
 		}
+		out := make([]float64, k)
 		chunk := len(vs)/(4*wp.Workers()) + 1
 		f.CompiledST = append(f.CompiledST, timeIt(9, func() {
-			for _, v := range vs {
-				packed.Predict(v)
-			}
+			packed.PredictRowsInto(rows, stride, out, nil)
 		}))
 		f.InterpST = append(f.InterpST, timeIt(9, func() {
 			for _, v := range vs {
@@ -476,7 +480,7 @@ func (e *Env) RunFig5() (*Fig5, error) {
 func (f *Fig5) Format() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Figure 5: prediction latency by number of pipelines (MT = %d workers)\n", f.Workers)
-	sb.WriteString("compiled = treec.Packed.Predict per vector; interp = gbdt.Model.Predict\n")
+	sb.WriteString("compiled = one treec.Packed.PredictRowsInto over the k rows (bitvector kernel); interp = gbdt.Model.Predict per vector\n")
 	fmt.Fprintf(&sb, "%10s %14s %14s %14s\n", "pipelines", "compiled ST", "interp ST", "interp MT")
 	for i, k := range f.Counts {
 		fmt.Fprintf(&sb, "%10d %14s %14s %14s\n", k, fmtDur(f.CompiledST[i]), fmtDur(f.InterpST[i]), fmtDur(f.InterpMT[i]))

@@ -15,7 +15,7 @@ import (
 // Planner is the planner-costing experiment (t3bench planner →
 // EXPERIMENTS.md): per synthetic join graph, DPsize enumeration wall-clock
 // and model/oracle-call accounting across costing paths, all on
-// treec.Packed — scalar DPSize without and with the open-pipeline memo, and
+// treec.Packed — scalar DPSize with the open-pipeline memo, and
 // level-batched DPSizeBatched over the rows kernel — plus plan-quality
 // (executed T3 vs Cout trees, Table-6-style) and the batched-dispatch
 // scheduling uplift (§1). The same four graphs are bench/'s plan_enum
@@ -56,9 +56,6 @@ type PlannerRow struct {
 	// incumbent bound without featurizing or predicting them.
 	Pruned int
 	Cost   float64
-	// TreeMatches reports whether this path chose the same tree as the
-	// scalar-packed-nomemo baseline.
-	TreeMatches bool
 	// Speedup is baseline wall-clock / this wall-clock.
 	Speedup float64
 }
@@ -76,8 +73,8 @@ type PlannerSchedRow struct {
 }
 
 // plannerCases are the benchmarked synthetic join graphs. The 8+ relation
-// cases carry the paper-style headline: batched costing vs the scalar
-// no-memo path, both on the packed tier.
+// cases carry the paper-style headline: batched costing vs the scalar path,
+// both on the packed tier.
 var plannerCases = []struct {
 	shape string
 	n     int
@@ -118,12 +115,9 @@ func (e *Env) RunPlanner() (*Planner, error) {
 			name string
 			run  func() (*joinorder.Result, error)
 		}
+		// The first path is the baseline: every row's speed-up is against its
+		// wall clock, and every path must reproduce its cost and tree.
 		paths := []path{
-			{"scalar-packed-nomemo", func() (*joinorder.Result, error) {
-				cm := joinorder.NewT3Cost(packed, reg, inst, sp, oracle)
-				cm.NoMemo = true
-				return joinorder.DPSize(sp, cm)
-			}},
 			{"scalar-packed-memo", func() (*joinorder.Result, error) {
 				return joinorder.DPSize(sp, joinorder.NewT3Cost(packed, reg, inst, sp, oracle))
 			}},
@@ -135,10 +129,9 @@ func (e *Env) RunPlanner() (*Planner, error) {
 			}},
 		}
 
+		var base *joinorder.Result
 		var baseWall time.Duration
-		var baseTree string
-		var packedScalar *joinorder.Result
-		for pi, p := range paths {
+		for _, p := range paths {
 			var best *joinorder.Result
 			var bestWall time.Duration
 			for rep := 0; rep < plannerReps; rep++ {
@@ -152,32 +145,25 @@ func (e *Env) RunPlanner() (*Planner, error) {
 					best, bestWall = r, wall
 				}
 			}
-			if pi == 0 {
-				baseWall = bestWall
-				baseTree = best.Tree.String()
+			if base == nil {
+				base, baseWall = best, bestWall
 				pc.DPSteps = best.DPSteps
 			}
-			switch p.name {
-			case "scalar-packed-memo":
-				packedScalar = best
-			case "batched-w1", "batched":
-				// The determinism contract: batched must be bit-identical to
-				// the scalar reference on the same packed predictor.
-				if packedScalar != nil && (best.Cost != packedScalar.Cost || best.Tree.String() != packedScalar.Tree.String()) {
-					return nil, fmt.Errorf("planner %s: %s diverged from scalar-packed reference (cost %v vs %v)",
-						sp.Name, p.name, best.Cost, packedScalar.Cost)
-				}
+			// The determinism contract: batched must be bit-identical to the
+			// scalar reference on the same packed predictor.
+			if best.Cost != base.Cost || best.Tree.String() != base.Tree.String() {
+				return nil, fmt.Errorf("planner %s: %s diverged from scalar-packed reference (cost %v vs %v)",
+					sp.Name, p.name, best.Cost, base.Cost)
 			}
 			pc.Rows = append(pc.Rows, PlannerRow{
-				Path:        p.name,
-				WallClock:   bestWall,
-				ModelCalls:  best.ModelCalls,
-				Batches:     best.Batches,
-				MaxBatch:    best.MaxBatch,
-				Pruned:      best.Pruned,
-				Cost:        best.Cost,
-				TreeMatches: best.Tree.String() == baseTree,
-				Speedup:     float64(baseWall) / float64(bestWall),
+				Path:       p.name,
+				WallClock:  bestWall,
+				ModelCalls: best.ModelCalls,
+				Batches:    best.Batches,
+				MaxBatch:   best.MaxBatch,
+				Pruned:     best.Pruned,
+				Cost:       best.Cost,
+				Speedup:    float64(baseWall) / float64(bestWall),
 			})
 		}
 
@@ -315,11 +301,11 @@ func (p *Planner) Format() string {
 	for _, c := range p.Cases {
 		fmt.Fprintf(&sb, "\n%s (%d rels, %d DP steps, %d oracle subsets)\n",
 			c.Spec, c.Relations, c.DPSteps, c.OracleSubsets)
-		fmt.Fprintf(&sb, "  %-20s %10s %12s %8s %9s %7s %8s %6s\n",
-			"path", "wall", "model calls", "batches", "max batch", "pruned", "speedup", "tree=")
+		fmt.Fprintf(&sb, "  %-20s %10s %12s %8s %9s %7s %8s\n",
+			"path", "wall", "model calls", "batches", "max batch", "pruned", "speedup")
 		for _, r := range c.Rows {
-			fmt.Fprintf(&sb, "  %-20s %10s %12d %8d %9d %7d %7.2fx %6v\n",
-				r.Path, fmtDur(r.WallClock), r.ModelCalls, r.Batches, r.MaxBatch, r.Pruned, r.Speedup, r.TreeMatches)
+			fmt.Fprintf(&sb, "  %-20s %10s %12d %8d %9d %7d %7.2fx\n",
+				r.Path, fmtDur(r.WallClock), r.ModelCalls, r.Batches, r.MaxBatch, r.Pruned, r.Speedup)
 		}
 		fmt.Fprintf(&sb, "  plan quality: Cout %s vs T3 %s -> %.2fx (%s vs %s)\n",
 			fmtDur(c.CoutExec), fmtDur(c.T3Exec), c.QualityUplift, c.CoutTree, c.T3Tree)

@@ -77,12 +77,6 @@ type T3CostModel struct {
 	feat   *t3feat
 	oracle Oracle
 	calls  int
-
-	// NoMemo disables the open-pipeline prediction memo, restoring the
-	// historical behaviour of re-running the model on every Total call. It
-	// exists only as the planner benchmark's scalar-packed-nomemo baseline;
-	// leave it false everywhere else.
-	NoMemo bool
 }
 
 // NewT3Cost builds the T3 cost model over the packed evaluator pred and its
@@ -144,9 +138,6 @@ func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State 
 // candidate against the running best) are lookups, not model runs.
 func (m *T3CostModel) Total(s State) float64 {
 	st := s.(*t3State)
-	if m.NoMemo {
-		return st.closedSeconds + m.predict(st.openVec, st.openSrcCard)
-	}
 	if !st.openPredOK {
 		st.openPred = m.predict(st.openVec, st.openSrcCard)
 		st.openPredOK = true

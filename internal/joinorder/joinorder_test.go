@@ -167,7 +167,7 @@ func TestDPSizeWithT3CostModel(t *testing.T) {
 		// §5.5: T3 prices two pipelines per candidate but memoizes the open
 		// side, so calls land strictly between Cout's one-per-candidate and
 		// the un-memoized two-per-candidate. (TestTotalMemoizationCutsCalls
-		// pins the memo's saving against the NoMemo baseline.)
+		// pins the memo's saving against the re-predict-per-Total price.)
 		if res.ModelCalls <= coutRes.ModelCalls || res.ModelCalls > 2*coutRes.ModelCalls {
 			t.Errorf("%s: T3 calls %d outside (%d, %d]", sp.Name, res.ModelCalls, coutRes.ModelCalls, 2*coutRes.ModelCalls)
 		}

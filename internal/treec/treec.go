@@ -1,7 +1,7 @@
 // Package treec compiles gradient-boosted tree ensembles for low-latency
 // evaluation — the stand-in for the lleaves/LLVM compiler in the paper
-// (§2.6). It holds one runtime evaluator, and the rest of the repository
-// reaches no other:
+// (§2.6). Its compile step is Pack, run once per model load; it holds one
+// runtime evaluator, and the rest of the repository reaches no other:
 //
 //   - Serving tier: Packed (packed.go). Pack lays every decision node out as
 //     one 16-byte record (float32 threshold, uint16 feature id, int32
@@ -20,19 +20,17 @@
 //     paper's terms. Tests check Packed against it; Flat records the trained
 //     thresholds so they can tell a legitimate float32 rounding-gap
 //     disagreement (InRoundingGap) from a bug. Flat evaluates nothing.
-//   - Ahead-of-time exhibit: GenGo emits Go source in which each internal
-//     node is one comparison and one branch and each leaf a return — the
-//     instruction shape lleaves produces (§2.6, "Model Compilation").
-//     cmd/t3compile writes it to internal/compiled, where the Go compiler
-//     turns it into native code once, after training. It shares no code with
-//     Packed and nothing serves from it; it is kept because it is the only
-//     row that shows the paper's compile speed-up. Emitted thresholds follow
-//     Packed's float32 round-up contract, so generated code and Packed are
-//     bit-equivalent on every input.
+//   - Source emitter: GenGo writes Go source in which each internal node is
+//     one comparison and one branch and each leaf a return — the instruction
+//     shape lleaves produces (§2.6, "Model Compilation"). cmd/t3compile runs
+//     it on a saved model; nothing in the repository builds or serves from
+//     its output. It shares no code with Packed, but emitted thresholds
+//     follow Packed's float32 round-up contract, so generated code and
+//     Packed are bit-equivalent on every input.
 package treec
 
 import (
-	"bufio"
+	"bytes"
 	"fmt"
 	"io"
 	"math"
@@ -53,15 +51,10 @@ import (
 // the packed tier's contract: the float64 value of the float32 round-up of
 // the trained threshold (RoundThreshold32), so the generated code is
 // bit-equivalent to Pack on every input, and to the float64 interpreter on
-// every input outside the documented rounding gaps. The file carries a
+// every input outside the documented rounding gaps. The file imports math
+// only when a literal needs it (an infinite threshold), and carries a
 // "Code generated" marker so linters skip it.
 func GenGo(m *gbdt.Model, pkg string, w io.Writer) error {
-	bw := bufio.NewWriter(w)
-	fmt.Fprintf(bw, "// Code generated by t3compile; DO NOT EDIT.\n\n")
-	fmt.Fprintf(bw, "// Package %s is the ahead-of-time compiled form of a trained T3 model:\n", pkg)
-	fmt.Fprintf(bw, "// each decision node is a comparison and a branch, each leaf a return.\n")
-	fmt.Fprintf(bw, "package %s\n\n", pkg)
-
 	base := m.BaseScore
 	var funcs []int
 	for ti := range m.Trees {
@@ -72,31 +65,45 @@ func GenGo(m *gbdt.Model, pkg string, w io.Writer) error {
 		funcs = append(funcs, ti)
 	}
 
-	fmt.Fprintf(bw, "// NumFeatures returns the expected feature-vector length.\n")
-	fmt.Fprintf(bw, "func NumFeatures() int { return %d }\n\n", m.NumFeatures)
-	fmt.Fprintf(bw, "// NumTrees returns the number of compiled trees.\n")
-	fmt.Fprintf(bw, "func NumTrees() int { return %d }\n\n", len(funcs))
+	var body bytes.Buffer
+	fmt.Fprintf(&body, "// NumFeatures returns the expected feature-vector length.\n")
+	fmt.Fprintf(&body, "func NumFeatures() int { return %d }\n\n", m.NumFeatures)
+	fmt.Fprintf(&body, "// NumTrees returns the number of compiled trees.\n")
+	fmt.Fprintf(&body, "func NumTrees() int { return %d }\n\n", len(funcs))
 
-	fmt.Fprintf(bw, "// Predict evaluates the compiled ensemble for one feature vector.\n")
-	fmt.Fprintf(bw, "func Predict(v []float64) float64 {\n")
-	fmt.Fprintf(bw, "\ts := %s\n", gofloat(base))
+	fmt.Fprintf(&body, "// Predict evaluates the compiled ensemble for one feature vector.\n")
+	fmt.Fprintf(&body, "func Predict(v []float64) float64 {\n")
+	fmt.Fprintf(&body, "\ts := %s\n", gofloat(base))
 	for i := range funcs {
-		fmt.Fprintf(bw, "\ts += tree%d(v)\n", i)
+		fmt.Fprintf(&body, "\ts += tree%d(v)\n", i)
 	}
-	fmt.Fprintf(bw, "\treturn s\n}\n\n")
+	fmt.Fprintf(&body, "\treturn s\n}\n\n")
 
-	fmt.Fprintf(bw, "// PredictBatch evaluates the ensemble for many vectors.\n")
-	fmt.Fprintf(bw, "func PredictBatch(vs [][]float64) []float64 {\n")
-	fmt.Fprintf(bw, "\tout := make([]float64, len(vs))\n")
-	fmt.Fprintf(bw, "\tfor i, v := range vs {\n\t\tout[i] = Predict(v)\n\t}\n\treturn out\n}\n\n")
+	fmt.Fprintf(&body, "// PredictBatch evaluates the ensemble for many vectors.\n")
+	fmt.Fprintf(&body, "func PredictBatch(vs [][]float64) []float64 {\n")
+	fmt.Fprintf(&body, "\tout := make([]float64, len(vs))\n")
+	fmt.Fprintf(&body, "\tfor i, v := range vs {\n\t\tout[i] = Predict(v)\n\t}\n\treturn out\n}\n\n")
 
 	for i, ti := range funcs {
 		t := &m.Trees[ti]
-		fmt.Fprintf(bw, "func tree%d(v []float64) float64 {\n", i)
-		genNode(bw, t, 0, 1)
-		fmt.Fprintf(bw, "}\n\n")
+		fmt.Fprintf(&body, "func tree%d(v []float64) float64 {\n", i)
+		genNode(&body, t, 0, 1)
+		fmt.Fprintf(&body, "}\n\n")
 	}
-	return bw.Flush()
+
+	var head bytes.Buffer
+	fmt.Fprintf(&head, "// Code generated by t3compile; DO NOT EDIT.\n\n")
+	fmt.Fprintf(&head, "// Package %s is the ahead-of-time compiled form of a trained T3 model:\n", pkg)
+	fmt.Fprintf(&head, "// each decision node is a comparison and a branch, each leaf a return.\n")
+	fmt.Fprintf(&head, "package %s\n\n", pkg)
+	if bytes.Contains(body.Bytes(), []byte("math.")) {
+		fmt.Fprintf(&head, "import \"math\"\n\n")
+	}
+	if _, err := head.WriteTo(w); err != nil {
+		return err
+	}
+	_, err := body.WriteTo(w)
+	return err
 }
 
 // genNode emits the if/else chain for node ni of t at the given indent.

@@ -17,8 +17,9 @@
 // The typical flow is: build or obtain annotated plans (see
 // internal/workload and internal/benchdata for generators and the
 // benchmarking harness), train with Train, and predict with
-// Model.PredictPlan. Trained models serialize to JSON with Save/Load and
-// compile to Go source with internal/treec.GenGo (cmd/t3compile).
+// Model.PredictPlan. Trained models serialize to JSON with Save/Load; a
+// loaded or trained model is compiled once, by internal/treec.Pack, into the
+// layout every prediction runs on.
 package t3
 
 import (

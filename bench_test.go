@@ -136,9 +136,10 @@ func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
 // the interpreter they are checked against, on the checked-in default model
 // over real pipeline vectors (the TPC-H benchmark and generated queries, true
 // cardinalities), ns per vector. "rows" sends them as one batch, full blocks
-// of eight; "rows-short" as one call per plan, 2.8 vectors on average, which
-// is the kernel's one-row tail path. interpreter → walker → rows-short is the
-// paper's compile speed-up on the tier that serves.
+// of eight; "rows-short" as one call per plan, 2.8 vectors on average, so
+// mostly the one-row path, which takes calls of one to three rows.
+// interpreter → walker → rows-short is the paper's compile speed-up on the
+// tier that serves.
 func BenchmarkTreeKernels(b *testing.B) {
 	m, err := t3.Load("models/t3_default.json")
 	if err != nil {
@@ -187,7 +188,8 @@ func BenchmarkTreeKernels(b *testing.B) {
 		perVector(b)
 	})
 	// masks/vector is the kernel's work as a count (Packed.MaskCounts): mask
-	// applications, those shared by a block of eight counted once.
+	// applications and checkpoint entries, those shared by a block counted
+	// once.
 	perVectorMasks := func(b *testing.B, shared, own int) {
 		perVector(b)
 		b.ReportMetric(float64(shared+own)/float64(len(vecs)), "masks/vector")

@@ -28,8 +28,8 @@ import (
 //   - Vectors are produced by the same t3feat transition functions
 //     (leafInto / closeBuildInto / extendProbeInto), so they are equal by
 //     construction. Copy-on-extend happens directly into the arena.
-//   - Packed.PredictRowsInto takes the arena eight rows at a time and applies
-//     the decision nodes all eight fail once for the eight, but it still adds
+//   - Packed.PredictRowsInto takes the arena up to eight rows at a time and
+//     applies the decision nodes all of them fail once, but it still adds
 //     every row's tree contributions to that row's own sum in tree order,
 //     independent of blocking, flush boundaries, and worker count, so every
 //     prediction is bit-identical to a scalar Packed.Predict of the same row.
@@ -64,11 +64,12 @@ import (
 //
 // Batching pays twice. It is one kernel call for a wave instead of one per
 // candidate; and the rows of a wave are neighbours — extensions of the same
-// few subplans, equal in most features — which the kernel scores in blocks of
-// eight that share every node all eight fail (treec/quickscorer.go): a
-// candidate priced in a wave of eight or more costs about a third of the mask
-// applications it costs alone. Keep MaxBatch a multiple of eight, or every
-// flush ends in rows that share nothing.
+// few subplans, equal in most features, and placed next to each other — which
+// the kernel scores in blocks of up to eight that share every node all of
+// them fail (treec/quickscorer.go): with the kernel's checkpoints, a
+// candidate priced in a wave pays about a fifth of its false nodes in mask
+// applications. Only the one to three rows a flush leaves past a multiple of
+// eight share nothing.
 const DefaultMaxBatch = 2048
 
 // BatchConfig tunes the level-batched enumerator.
@@ -111,15 +112,6 @@ type candRef struct {
 	key       float64
 }
 
-// waveRef is one wave member: a candidate plus its arena rows for this wave
-// (closeRow is -1 when the build side's close prediction is already memoized
-// or queued earlier in the same wave).
-type waveRef struct {
-	cand     int32
-	closeRow int32
-	extRow   int32
-}
-
 // batchEnum is the pooled scratch of one enumeration: candidate arena, output
 // buffer, wave and ordering scratch, slot freelist, slot vector slab, and DP
 // index. Steady-state reuse via batchPool is what holds the CI-guarded
@@ -129,11 +121,11 @@ type batchEnum struct {
 	rows    []float64 // wave-local candidate arena, row-major
 	out     []float64
 	cands   []candRef // current level's candidates, in enumeration order
-	waves   []waveRef
-	order   []int32  // level candidates grouped by subset, cheapest key first
-	keys    []uint64 // per-segment sort scratch: float32 key bits | cand index
-	slotOff []int32  // order segment bounds per level slot
-	slotCur []int32  // per level slot cursor into order
+	wave    []uint64  // current wave: probe slot | cand index, arena row order
+	order   []int32   // level candidates grouped by subset, cheapest key first
+	keys    []uint64  // per-segment sort scratch: float32 key bits | cand index
+	slotOff []int32   // order segment bounds per level slot
+	slotCur []int32   // per level slot cursor into order
 	slots   []batchSlot
 	slotVec []float64 // persistent open-pipeline vectors, indexed by vecOff
 	zeroRow []float64 // stride zeros, append source for arena growth
@@ -161,7 +153,7 @@ func getBatchEnum(stride, maxRows, n int) *batchEnum {
 	e.stride = stride
 	e.rows = e.rows[:0]
 	e.cands = e.cands[:0]
-	e.waves = e.waves[:0]
+	e.wave = e.wave[:0]
 	e.order = e.order[:0]
 	e.slots = e.slots[:0]
 	e.slotVec = e.slotVec[:0]
@@ -331,8 +323,7 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		}
 		e.orderLevel(levelSlotLo, nslots)
 		for {
-			e.waves = e.waves[:0]
-			e.rows = e.rows[:0]
+			e.wave = e.wave[:0]
 			for s := 0; s < nslots; s++ {
 				cur := e.slotCur[s]
 				end := e.slotOff[s+1]
@@ -354,25 +345,35 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 							continue
 						}
 					}
-					b := &e.slots[c.buildSlot]
-					cr := int32(-1)
-					if !b.buildPredOK && e.closeRowOf[c.buildSlot] < 0 {
-						cr = e.addRow()
-						feat.closeBuildInto(e.row(cr), e.slotVecOf(c.buildSlot), b.card, b.openSrcCard, b.width)
-						e.closeRowOf[c.buildSlot] = cr
-						e.closeTouched = append(e.closeTouched, c.buildSlot)
-					}
-					p := &e.slots[c.probeSlot]
-					er := e.addRow()
-					feat.extendProbeInto(e.row(er), e.slotVecOf(c.probeSlot), b.card, b.width, p.card, p.openSrcCard, p.width, c.outCard)
-					e.waves = append(e.waves, waveRef{cand: ci, closeRow: cr, extRow: er})
+					e.wave = append(e.wave, uint64(c.probeSlot)<<32|uint64(uint32(ci)))
 					cur++
 					break
 				}
 				e.slotCur[s] = cur
 			}
-			if len(e.waves) == 0 {
+			if len(e.wave) == 0 {
 				return
+			}
+
+			// The arena holds the wave's extension rows first, grouped by probe
+			// slot — extensions of one subplan differ only in their build side,
+			// so a block of them shares most of what it fails in the kernel —
+			// and then one close row per build side not priced yet.
+			slices.Sort(e.wave)
+			e.rows = e.rows[:0]
+			for _, wv := range e.wave {
+				c := &e.cands[uint32(wv)]
+				b, p := &e.slots[c.buildSlot], &e.slots[c.probeSlot]
+				feat.extendProbeInto(e.row(e.addRow()), e.slotVecOf(c.probeSlot), b.card, b.width, p.card, p.openSrcCard, p.width, c.outCard)
+			}
+			for _, wv := range e.wave {
+				c := &e.cands[uint32(wv)]
+				if b := &e.slots[c.buildSlot]; !b.buildPredOK && e.closeRowOf[c.buildSlot] < 0 {
+					cr := e.addRow()
+					feat.closeBuildInto(e.row(cr), e.slotVecOf(c.buildSlot), b.card, b.openSrcCard, b.width)
+					e.closeRowOf[c.buildSlot] = cr
+					e.closeTouched = append(e.closeTouched, c.buildSlot)
+				}
 			}
 
 			nrows := len(e.rows) / stride
@@ -391,19 +392,24 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 			}
 			res.ModelCalls += nrows
 
-			for _, wr := range e.waves {
-				c := &e.cands[wr.cand]
-				b := &e.slots[c.buildSlot]
-				if wr.closeRow >= 0 {
-					b.buildPred = scaleSeconds(out[wr.closeRow], b.openSrcCard)
-					b.buildPredOK = true
-				}
-				p := &e.slots[c.probeSlot]
+			// Close rows replay first: every extension of the wave over a build
+			// side reads its buildPred, not only the one that queued the row.
+			for _, si := range e.closeTouched {
+				b := &e.slots[si]
+				b.buildPred = scaleSeconds(out[e.closeRowOf[si]], b.openSrcCard)
+				b.buildPredOK = true
+				e.closeRowOf[si] = -1
+			}
+			e.closeTouched = e.closeTouched[:0]
+			for er, wv := range e.wave {
+				ci := int32(uint32(wv))
+				c := &e.cands[ci]
+				b, p := &e.slots[c.buildSlot], &e.slots[c.probeSlot]
 				closed := b.closedSeconds + p.closedSeconds + b.buildPred
-				openPred := scaleSeconds(out[wr.extRow], p.openSrcCard)
+				openPred := scaleSeconds(out[er], p.openSrcCard)
 				total := closed + openPred
 				w := &e.slots[c.winSlot]
-				if !w.hasWinner || total < w.total || (total == w.total && wr.cand < w.winIdx) {
+				if !w.hasWinner || total < w.total || (total == w.total && ci < w.winIdx) {
 					w.hasWinner = true
 					w.closedSeconds = closed
 					w.openPred = openPred
@@ -412,14 +418,10 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 					w.card = c.outCard
 					w.width = p.width + b.width
 					w.bs, w.ps = c.bs, c.ps
-					w.winIdx = wr.cand
-					copy(e.slotVecOf(c.winSlot), e.row(wr.extRow))
+					w.winIdx = ci
+					copy(e.slotVecOf(c.winSlot), e.row(int32(er)))
 				}
 			}
-			for _, si := range e.closeTouched {
-				e.closeRowOf[si] = -1
-			}
-			e.closeTouched = e.closeTouched[:0]
 		}
 	}
 

@@ -1,6 +1,7 @@
 package joinorder
 
 import (
+	"math"
 	"testing"
 
 	"t3/internal/benchdata"
@@ -88,6 +89,35 @@ func TestBatchedMatchesScalar(t *testing.T) {
 				}
 				if res.ModelCalls > ref.ModelCalls {
 					t.Errorf("%s w%d mb%d: batched predicts %d rows > scalar's %d calls", sp.Name, workers, maxBatch, res.ModelCalls, ref.ModelCalls)
+				}
+			}
+		}
+	}
+}
+
+// TestBatchedSharedBuildSlot: at a star's second level every key is zero and
+// no subset has a winner yet, so the first wave holds the first-gathered
+// candidate of every hub–leaf subset — all of them building on the hub. The
+// hub's close row is priced once, after the wave's extension rows, and every
+// extension reads it, whatever order the wave's rows and replays take; with
+// flushes of two or three rows it also comes back in a later kernel call than
+// most of them. Cost bits and the tree must still be DPSize's.
+func TestBatchedSharedBuildSlot(t *testing.T) {
+	packed, reg := plannerT3(t)
+	for _, n := range []int{3, 6, 11} {
+		inst, sp := workload.SyntheticJoinBench(workload.ShapeStar, n, 256, int64(17*n))
+		ref, err := DPSize(sp, NewT3Cost(packed, reg, inst, sp, NewEstOracle(inst, sp)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, workers := range []int{1, 3} {
+			for _, maxBatch := range []int{0, 2, 3, 9} {
+				res, err := DPSizeBatched(sp, packed, reg, inst, NewEstOracle(inst, sp), BatchConfig{Workers: workers, MaxBatch: maxBatch})
+				if err != nil {
+					t.Fatal(err)
+				}
+				if math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) || res.Tree.String() != ref.Tree.String() {
+					t.Errorf("star-%d w%d mb%d: %v %s, scalar %v %s", n, workers, maxBatch, res.Cost, res.Tree, ref.Cost, ref.Tree)
 				}
 			}
 		}

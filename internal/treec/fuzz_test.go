@@ -250,9 +250,9 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	}
 
 	// The rows kernel is bit-identical to the scalar walk, row for row: the 4
-	// to 67 vectors as they are, serially (full blocks of eight and a tail, or
-	// a tail alone), then repeated until the batch is long enough to be split
-	// across a pool.
+	// to 67 vectors as they are, serially (full blocks of eight, then a
+	// narrower block or the last rows one by one), then repeated until the
+	// batch is long enough to be split across a pool.
 	want := make([]float64, len(vs))
 	rows := make([]float64, 0, len(vs)*nFeatures)
 	for i, v := range vs {

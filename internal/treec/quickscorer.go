@@ -17,12 +17,22 @@ import (
 // ones: per feature, the nodes are sorted by ascending threshold, so they are
 // a prefix of the list, and a binary search gives its length k.
 //
+// A prefix is not paid node by node. Every qsCkStride-th position of a list
+// holds a checkpoint: for each tree the nodes before it touch, the AND of that
+// tree's masks among them. A prefix of k nodes is the checkpoint below k plus
+// the at most qsCkStride-1 nodes past it — one AND per tree the prefix rules
+// on, not one per node, where a tree has many nodes on one feature.
+//
 // Rows are taken qsRows at a time. The nodes all of them fail, the first
-// min k of each list, are applied once to one shared bitvector per tree;
-// only nodes [min k, k_r) go to row r's own. Neighbouring rows of a batch —
-// the candidates of one enumeration wave, the pipelines of one plan — fail
-// nearly the same prefixes, so most masks are applied once per block rather
-// than once per row.
+// min k of each list, are applied once to one shared bitvector per tree; row
+// r's own bitvector gets nodes [min k, k_r), or its whole prefix through the
+// checkpoints when that is fewer ANDs — the shared part applied twice changes
+// nothing, AND being idempotent. Neighbouring rows of a batch — the
+// candidates of one enumeration wave, the pipelines of one plan — fail nearly
+// the same prefixes, so most masks are applied once per block rather than
+// once per row. A batch's last four to seven rows are one block of as many
+// lanes; its last one to three go through the one-row kernel, which for so
+// few is faster than a block's eight-lane set-up and read-out.
 //
 // Trees are grouped into blocks of at most qsBlockTrees so one block's
 // bitvectors, fixed arrays in the kernel's frame, stay in L1 and a tree id
@@ -31,27 +41,39 @@ const (
 	qsBlockTrees = 256
 	qsMaxLeaves  = 64
 	qsRows       = 8
+	qsMinBlock   = 4
+	qsCkStride   = 32
 )
 
 // qsList is one feature's scan list: nodes [previous list's end, end) of the
 // block's arrays. first repeats the list's first threshold, so a row that
 // passes the whole list — a zero feature, mostly — is told by one compare
-// against this small array, the node arrays untouched.
+// against this small array, the node arrays untouched. ck is the index in
+// ckOff of the list's first checkpoint.
 type qsList struct {
 	first float32
 	feat  uint16
+	ck    int32
 	end   int32
 }
 
 // qsBlock holds up to qsBlockTrees consecutive multi-node trees: their
 // decision nodes as parallel arrays (13 bytes a node) cut into one scan list
-// per feature some node tests, and their leaves per tree in left-to-right
-// order of reference, which is the bit order of the masks.
+// per feature some node tests, the lists' checkpoints (9 bytes an entry), and
+// the trees' leaves per tree in left-to-right order of reference, which is
+// the bit order of the masks.
 type qsBlock struct {
 	thr   []float32 // the PackedNode threshold, compared the same way
 	tree  []uint8   // tree within the block
 	mask  []uint64  // clears the leaves of the node's left subtree
 	lists []qsList
+
+	// Checkpoint j is entries [ckOff[j], ckOff[j+1]) of ckTree and ckMask, in
+	// tree order: each tree its list's nodes before the checkpoint touch, and
+	// the AND of their masks.
+	ckOff  []int32
+	ckTree []uint8
+	ckMask []uint64
 
 	leafOff []int32 // per tree, start of its leaves
 	leaves  []float64
@@ -99,6 +121,7 @@ func qsAdd(blocks []qsBlock, t *gbdt.Tree) []qsBlock {
 // layout is deterministic. cmp.Compare orders floats the way the search
 // needs: ±0 tie, and NaN — false for every row, since the walker's v <= NaN
 // never holds — sorts before all others, where every false prefix covers it.
+// Then it records every list's checkpoints.
 func (b *qsBlock) seal() {
 	order := make([]int32, len(b.thr))
 	for i := range order {
@@ -116,6 +139,82 @@ func (b *qsBlock) seal() {
 		b.lists[len(b.lists)-1].end = int32(i + 1)
 	}
 	b.thr, b.tree, b.mask, b.feat = thr, tree, mask, nil
+
+	// A mask clears at least one leaf, so a tree no node has touched yet is
+	// the one whose AND is still all ones. The walk runs twice: the first
+	// counts the entries, so that the second fills arrays of their final size.
+	var and [qsBlockTrees]uint64
+	entries, cks := 0, 0
+	for _, fill := range []bool{false, true} {
+		if fill {
+			b.ckOff = make([]int32, 1, cks+1)
+			b.ckTree, b.ckMask = make([]uint8, 0, entries), make([]uint64, 0, entries)
+		}
+		at := 0
+		for i := range b.lists {
+			l := &b.lists[i]
+			l.ck = int32(len(b.ckOff) - 1)
+			for t := range and {
+				and[t] = ^uint64(0)
+			}
+			for j := at; j < int(l.end); j++ {
+				if p := j - at; p > 0 && p%qsCkStride == 0 {
+					for t, m := range and[:len(b.leafOff)] {
+						if m == ^uint64(0) {
+							continue
+						}
+						if entries++; fill {
+							b.ckTree, b.ckMask = append(b.ckTree, uint8(t)), append(b.ckMask, m)
+						}
+					}
+					if cks++; fill {
+						b.ckOff = append(b.ckOff, int32(len(b.ckTree)))
+					}
+				}
+				and[tree[j]] &= mask[j]
+			}
+			at = int(l.end)
+		}
+	}
+}
+
+// checkpoint returns the checkpoint that a false prefix of k nodes of an
+// n-node list starts from, 0 for none: the last one at or below k. There is
+// none at position n itself, so a list whose length is a multiple of
+// qsCkStride, failed to its end, starts from the one before.
+func checkpoint(k, n int) int { return min(k, n-1) / qsCkStride }
+
+// prefix splits the first k nodes of list l, which begins at node at, into
+// the runs that apply them: the entries of its checkpoint (none for a prefix
+// shorter than a stride), then the nodes [from, at+k) past it.
+func (b *qsBlock) prefix(l qsList, at, k int) (ckTree []uint8, ckMask []uint64, from int) {
+	c := checkpoint(k, int(l.end)-at)
+	if c == 0 {
+		return nil, nil, at
+	}
+	j := int(l.ck) + c - 1
+	lo, hi := b.ckOff[j], b.ckOff[j+1]
+	return b.ckTree[lo:hi], b.ckMask[lo:hi], at + c*qsCkStride
+}
+
+// prefixCost is the number of ANDs that apply the first k nodes of list l
+// through prefix: never more than k, since a checkpoint has at most one entry
+// per node it stands for.
+func (b *qsBlock) prefixCost(l qsList, at, k int) int {
+	ckTree, _, from := b.prefix(l, at, k)
+	return len(ckTree) + at + k - from
+}
+
+// andPrefix applies the first k nodes of list l, which begins at node at, to
+// the bitvectors bv.
+func (b *qsBlock) andPrefix(bv *[qsBlockTrees]uint64, l qsList, at, k int) {
+	ckTree, ckMask, from := b.prefix(l, at, k)
+	if len(ckTree) > 0 {
+		andMasks(bv, ckTree, ckMask)
+	}
+	if from < at+k {
+		andMasks(bv, b.tree[from:at+k], b.mask[from:at+k])
+	}
 }
 
 // falseCount returns how many nodes of scan list l, which begins at thr[at],
@@ -140,10 +239,10 @@ func falseCount(thr []float32, at int, l qsList, x float64) int {
 	return lo - at
 }
 
-// falseCounts is falseCount for the qsRows rows at v, a stride apart: k[r] for
-// row r, and the least of them — the block split, the prefix of the list that
-// every row fails.
-func falseCounts(thr []float32, at int, l qsList, v []float64, stride int, k *[qsRows]int) (minK int) {
+// falseCounts is falseCount for the len(k) rows at v, a stride apart: k[r]
+// for row r, and the least of them — the block split, the prefix of the list
+// that every row fails.
+func falseCounts(thr []float32, at int, l qsList, v []float64, stride int, k []int) (minK int) {
 	minK = int(l.end) - at
 	for r := range k {
 		k[r] = falseCount(thr, at, l, v[r*stride+int(l.feat)])
@@ -178,31 +277,39 @@ func andMasksLane(bv *[qsBlockTrees][qsRows]uint64, lane uint, tree []uint8, mas
 	}
 }
 
-// scoreRows is the kernel behind PredictRowsInto: full blocks of qsRows rows,
-// then what is left over row by row. Either way a row's leaves are added to
-// Base in tree order, so every sum is bit-identical to Predict's.
+// scoreRows is the kernel behind PredictRowsInto: blocks of qsRows rows, the
+// last of them as short as the batch leaves it if that is at least qsMinBlock
+// rows, and otherwise those last rows one by one through scoreOne. Either way
+// a row's leaves are added to Base in tree order, so every sum is
+// bit-identical to Predict's.
 func (p *Packed) scoreRows(rows []float64, stride int, out []float64) {
-	full := len(out) &^ (qsRows - 1)
-	if full > 0 {
-		p.scoreBlocks(rows, stride, out[:full])
+	n := len(out)
+	if tail := n % qsRows; tail < qsMinBlock {
+		n -= tail
+		for r := n; r < len(out); r++ {
+			out[r] = p.scoreOne(rows[r*stride:])
+		}
 	}
-	if full < len(out) {
-		p.scoreTail(rows[full*stride:], stride, out[full:])
+	if n > 0 {
+		p.scoreBlocks(rows, stride, out[:n])
 	}
 }
 
-// scoreBlocks scores len(out) rows, a multiple of qsRows. The bitvectors are
-// tree-major, so one cache line holds a tree's eight rows, and the eight sums
-// are locals, not an array, so they stay in registers.
+// scoreBlocks scores len(out) rows, qsRows at a time and the rest, at least
+// qsMinBlock of them, as one narrower block. The bitvectors are tree-major,
+// so one cache line holds a tree's eight rows, and the eight sums are locals,
+// not an array, so they stay in registers; a narrower block's unused lanes
+// keep every leaf and are summed and dropped.
 func (p *Packed) scoreBlocks(rows []float64, stride int, out []float64) {
 	var shared [qsBlockTrees]uint64
 	var own [qsBlockTrees][qsRows]uint64
-	for r0 := 0; r0+qsRows <= len(out); r0 += qsRows {
-		v := rows[r0*stride : (r0+qsRows-1)*stride+p.NumFeatures]
+	for r0 := 0; r0 < len(out); r0 += qsRows {
+		m := min(qsRows, len(out)-r0)
+		v := rows[r0*stride : (r0+m-1)*stride+p.NumFeatures]
 		s0, s1, s2, s3, s4, s5, s6, s7 := p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base
 		for bi := range p.quick {
 			b := &p.quick[bi]
-			b.failBlock(v, stride, &shared, &own)
+			b.failBlock(v, stride, m, &shared, &own)
 			leaves := b.leaves
 			for t, off := range b.leafOff {
 				sh, o, lv := shared[uint8(t)], &own[uint8(t)], leaves[off:]
@@ -216,15 +323,21 @@ func (p *Packed) scoreBlocks(rows []float64, stride int, out []float64) {
 				s7 += lv[bits.TrailingZeros64(o[7]&sh)]
 			}
 		}
-		o := out[r0 : r0+qsRows : r0+qsRows]
-		o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		if m == qsRows {
+			o := out[r0 : r0+qsRows : r0+qsRows]
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = s0, s1, s2, s3, s4, s5, s6, s7
+		} else {
+			s := [qsRows]float64{s0, s1, s2, s3, s4, s5, s6, s7}
+			copy(out[r0:], s[:m])
+		}
 	}
 }
 
-// failBlock sets the bitvectors of the block's trees for the qsRows rows at
-// v: all leaves, minus those the rows' false nodes rule out — in shared the
-// nodes every row fails, in own[t][r] the rest of row r's.
-func (b *qsBlock) failBlock(v []float64, stride int, shared *[qsBlockTrees]uint64, own *[qsBlockTrees][qsRows]uint64) {
+// failBlock sets the bitvectors of the block's trees for the m <= qsRows rows
+// at v: all leaves, minus those the rows' false nodes rule out — in shared the
+// nodes every row fails, in own[t][r] the rest of row r's, or all of them
+// when that is fewer ANDs.
+func (b *qsBlock) failBlock(v []float64, stride, m int, shared *[qsBlockTrees]uint64, own *[qsBlockTrees][qsRows]uint64) {
 	var all [qsRows]uint64
 	for r := range all {
 		all[r] = ^uint64(0)
@@ -236,73 +349,79 @@ func (b *qsBlock) failBlock(v []float64, stride int, shared *[qsBlockTrees]uint6
 	at := 0
 	for _, l := range b.lists {
 		var k [qsRows]int
-		minK := falseCounts(thr, at, l, v, stride, &k)
-		lt, lm := tree[at:l.end], mask[at:l.end]
-		at = int(l.end)
+		minK := falseCounts(thr, at, l, v, stride, k[:m])
 		if minK > 0 {
-			andMasks(shared, lt[:minK], lm[:minK])
+			b.andPrefix(shared, l, at, minK)
 		}
-		for r := range k {
-			if kr := k[r]; kr > minK {
-				andMasksLane(own, uint(r), lt[minK:kr], lm[minK:kr])
+		for r, kr := range k[:m] {
+			if kr == minK {
+				continue
+			}
+			lo := at + minK
+			if ckTree, ckMask, from := b.prefix(l, at, kr); len(ckTree)+at+kr-from < kr-minK {
+				andMasksLane(own, uint(r), ckTree, ckMask)
+				lo = from
+			}
+			if lo < at+kr {
+				andMasksLane(own, uint(r), tree[lo:at+kr], mask[lo:at+kr])
 			}
 		}
+		at = int(l.end)
 	}
 }
 
-// scoreTail scores fewer than qsRows rows one at a time: the same search and
-// apply on one bitvector per tree, nothing to share. Its frame is a ninth of
-// scoreBlocks's, which a call of two or three rows would otherwise clear.
-func (p *Packed) scoreTail(rows []float64, stride int, out []float64) {
+// scoreOne scores the one row v: the same search, each list's whole prefix
+// applied through its checkpoint to one bitvector per tree. Its frame is a
+// ninth of scoreBlocks's, which a short call would otherwise clear.
+func (p *Packed) scoreOne(v []float64) float64 {
 	var bv [qsBlockTrees]uint64
-	for r := range out {
-		v := rows[r*stride : r*stride+p.NumFeatures]
-		s := p.Base
-		for bi := range p.quick {
-			b := &p.quick[bi]
-			thr, tree, mask, leaves := b.thr, b.tree, b.mask, b.leaves
-			for t := range b.leafOff {
-				bv[uint8(t)] = ^uint64(0)
-			}
-			at := 0
-			for _, l := range b.lists {
-				if k := falseCount(thr, at, l, v[l.feat]); k > 0 {
-					andMasks(&bv, tree[at:at+k], mask[at:at+k])
-				}
-				at = int(l.end)
-			}
-			for t, off := range b.leafOff {
-				s += leaves[int(off)+bits.TrailingZeros64(bv[uint8(t)])]
-			}
+	s := p.Base
+	for bi := range p.quick {
+		b := &p.quick[bi]
+		for t := range b.leafOff {
+			bv[uint8(t)] = ^uint64(0)
 		}
-		out[r] = s
+		at := 0
+		for _, l := range b.lists {
+			if k := falseCount(b.thr, at, l, v[l.feat]); k > 0 {
+				b.andPrefix(&bv, l, at, k)
+			}
+			at = int(l.end)
+		}
+		leaves := b.leaves
+		for t, off := range b.leafOff {
+			s += leaves[int(off)+bits.TrailingZeros64(bv[uint8(t)])]
+		}
 	}
+	return s
 }
 
-// MaskCounts runs the kernel's search and block split over n rows laid out
-// as for PredictRowsInto, without scoring them, and returns how many masks
-// the kernel applies: shared, once for a whole block of qsRows rows, and own,
-// to a single row's bitvector. perRow is what a kernel without the split
-// applies — every row's false nodes, Σ k. Rows past the last full block share
-// nothing: their false nodes all count as own. An ensemble the kernel does not
-// hold counts nothing.
+// MaskCounts runs the kernel's search, block split and checkpoint choices
+// over n rows laid out as for PredictRowsInto, without scoring them, and
+// returns how many masks the kernel applies — checkpoint entries included:
+// shared, once for a whole block of up to qsRows rows, and own, to a single
+// row's bitvector; the rows scored one by one count all theirs as own.
+// perRow is what a kernel with neither the split nor the checkpoints applies
+// — every row's false nodes, Σ k. An ensemble the kernel does not hold counts nothing.
 func (p *Packed) MaskCounts(rows []float64, stride, n int) (shared, own, perRow int) {
-	full := n &^ (qsRows - 1)
 	for bi := range p.quick {
 		b := &p.quick[bi]
 		at := 0
 		for _, l := range b.lists {
-			for r0 := 0; r0 < full; r0 += qsRows {
+			for r0 := 0; r0 < n; r0 += qsRows {
 				var k [qsRows]int
-				minK := falseCounts(b.thr, at, l, rows[r0*stride:], stride, &k)
-				shared += minK
-				for _, kr := range k {
-					own, perRow = own+kr-minK, perRow+kr
+				m := min(qsRows, n-r0)
+				minK := falseCounts(b.thr, at, l, rows[r0*stride:], stride, k[:m])
+				if m < qsMinBlock {
+					for _, kr := range k[:m] {
+						own, perRow = own+b.prefixCost(l, at, kr), perRow+kr
+					}
+					continue
 				}
-			}
-			for r := full; r < n; r++ {
-				k := falseCount(b.thr, at, l, rows[r*stride+int(l.feat)])
-				own, perRow = own+k, perRow+k
+				shared += b.prefixCost(l, at, minK)
+				for _, kr := range k[:m] {
+					own, perRow = own+min(kr-minK, b.prefixCost(l, at, kr)), perRow+kr
+				}
 			}
 			at = int(l.end)
 		}

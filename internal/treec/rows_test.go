@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -107,9 +108,10 @@ func chainTree(rng *rand.Rand, leaves, numFeat int, leftDeep bool) gbdt.Tree {
 }
 
 // blockSizes are the batch lengths around the kernel's block of qsRows rows
-// and the pool's chunk of rowsPerTask: a tail alone, exactly one and two
-// blocks, one row either side of each, and the lengths the pool splits.
-var blockSizes = []int{1, 7, 8, 9, 15, 16, 17, 63, 64, 65, 129, 200}
+// and the pool's chunk of rowsPerTask: a lone row, partial blocks of every
+// width alone and after a full block, exactly one and two blocks, one row
+// either side of each, and the lengths the pool splits.
+var blockSizes = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 15, 16, 17, 63, 64, 65, 71, 129, 200}
 
 // nearDuplicateRows fills n rows of the given stride with the shape of one
 // enumeration wave: every row is one normal base vector (sd 10) with one to
@@ -300,12 +302,43 @@ func TestPredictRowsIntoArguments(t *testing.T) {
 
 func parPool(workers int) *par.Pool { return par.Sized(workers) }
 
+// loneRowMasks counts, from the sorted layout and the walker's predicate but
+// not from the checkpoints, what the kernel should apply for row v alone: per
+// list its k false nodes (perRow) — or, when fewer, one AND per tree among the
+// nodes a checkpoint stands for plus the nodes past it, the checkpoint being
+// the last at a multiple of qsCkStride below the list's length (want).
+func loneRowMasks(p *Packed, v []float64) (want, perRow int) {
+	for bi := range p.quick {
+		b := &p.quick[bi]
+		at := 0
+		for _, l := range b.lists {
+			k := 0
+			for j := at; j < int(l.end); j++ {
+				if !(v[l.feat] <= float64(b.thr[j])) {
+					k++
+				}
+			}
+			c := min(k, int(l.end)-at-1) / qsCkStride
+			trees := map[uint8]bool{}
+			for j := at; j < at+c*qsCkStride; j++ {
+				trees[b.tree[j]] = true
+			}
+			want, perRow = want+min(k, len(trees)+k-c*qsCkStride), perRow+k
+			at = int(l.end)
+		}
+	}
+	return want, perRow
+}
+
 // TestMaskCountsSharedPrefix is the kernel's speed-up as a count, not a
-// duration: on a wave of near-duplicate rows the block split applies at most
-// half the masks a row-at-a-time kernel does. The input is synthetic and
-// seeded: 200 random trees of 30 nodes over 64 features (normal thresholds,
-// sd 10), and 256 nearDuplicateRows — so of a block's 64 lists some 16 differ
-// between its rows and the other 48 are failed to the same node by all eight.
+// duration. The input is synthetic and seeded: 200 random trees of 30 nodes
+// over 64 features (normal thresholds, sd 10), and 256 nearDuplicateRows — so
+// of a block's 64 lists some 16 differ between its rows and the other 48 are
+// failed to the same node by all of them. A lone row pays per list what its
+// checkpoint and the nodes past it cost, and so does each of one to three
+// rows, which go one by one; a block of four to eight rows pays its shared
+// prefix once and less than its rows would alone; a wave of them applies at
+// most a quarter of the masks a row-at-a-time kernel does.
 func TestMaskCountsSharedPrefix(t *testing.T) {
 	const stride, n = 64, 256
 	rng := rand.New(rand.NewSource(21))
@@ -315,39 +348,46 @@ func TestMaskCountsSharedPrefix(t *testing.T) {
 	}
 	p := Pack(m)
 	rows := nearDuplicateRows(rng, n, stride)
-	// falseNodes counts, from the walker's layout, the nodes rows [lo, hi)
-	// fail: what any QuickScorer applies without sharing.
-	falseNodes := func(lo, hi int) (c int) {
-		for r := lo; r < hi; r++ {
-			for _, nd := range p.Nodes {
-				if !(rows[r*stride+int(nd.Feature)] <= float64(nd.Thr)) {
-					c++
-				}
-			}
+
+	alone := make([]int, n) // masks row r costs in a call of its own
+	unshared := 0
+	for r := range alone {
+		want, perRow := loneRowMasks(p, rows[r*stride:(r+1)*stride])
+		shared, own, gotPerRow := p.MaskCounts(rows[r*stride:], stride, 1)
+		if shared != 0 || own != want || gotPerRow != perRow {
+			t.Fatalf("row %d alone: shared %d, own %d, perRow %d, want 0, %d, %d", r, shared, own, gotPerRow, want, perRow)
 		}
-		return c
+		alone[r], unshared = want, unshared+perRow
 	}
 
 	shared, own, perRow := p.MaskCounts(rows, stride, n)
-	if perRow != falseNodes(0, n) || qsRows*shared+own != perRow {
-		t.Fatalf("%d rows: shared %d, own %d, perRow %d; the rows fail %d nodes", n, shared, own, perRow, falseNodes(0, n))
+	if perRow != unshared {
+		t.Fatalf("%d rows: perRow %d, but the rows fail %d nodes", n, perRow, unshared)
 	}
-	if 2*(shared+own) > perRow {
-		t.Fatalf("full blocks apply %d shared + %d own masks, more than half of the %d a row-at-a-time kernel applies", shared, own, perRow)
+	if 4*(shared+own) > perRow {
+		t.Fatalf("blocks apply %d shared + %d own masks, more than a quarter of the %d a row-at-a-time kernel applies", shared, own, perRow)
 	}
 	t.Logf("masks per row: %.0f shared + %.0f own against %.0f unshared", float64(shared)/n, float64(own)/n, float64(perRow)/n)
 
-	// Fewer rows than a block share nothing, wherever in the wave they are.
-	for k := 0; k < qsRows; k++ {
-		shared, own, perRow := p.MaskCounts(rows[k*stride:], stride, k)
-		if shared != 0 || own != perRow || perRow != falseNodes(k, 2*k) {
-			t.Fatalf("%d rows: shared %d, own %d, perRow %d, want 0, %d, %d", k, shared, own, perRow, falseNodes(k, 2*k), falseNodes(k, 2*k))
+	// Every call length up to a block: below qsMinBlock rows each costs what it
+	// costs alone; from there on, near-duplicates share.
+	for m := 1; m <= qsRows; m++ {
+		for r0 := 0; r0+m <= n; r0 += 37 {
+			shared, own, _ := p.MaskCounts(rows[r0*stride:], stride, m)
+			sum := 0
+			for _, a := range alone[r0 : r0+m] {
+				sum += a
+			}
+			blocked := m >= qsMinBlock
+			if blocked != (shared > 0) || (blocked && shared+own >= sum) || (!blocked && own != sum) {
+				t.Fatalf("block of %d at row %d: shared %d + own %d against %d alone", m, r0, shared, own, sum)
+			}
 		}
 	}
 
 	// The pool cuts a batch at multiples of rowsPerTask, a multiple of the
 	// block: no cut moves a row into another block, so the counts add up.
-	const long = 200 // 25 blocks, no tail; cut also where the second part is 8 rows
+	const long = 200 // 25 blocks; cut also where the second part is 8 rows
 	s0, o0, p0 := p.MaskCounts(rows, stride, long)
 	for cut := rowsPerTask; cut < long; cut += rowsPerTask {
 		s1, o1, p1 := p.MaskCounts(rows, stride, cut)
@@ -357,11 +397,127 @@ func TestMaskCountsSharedPrefix(t *testing.T) {
 		}
 	}
 	if rowsPerTask%qsRows != 0 {
-		t.Fatalf("rowsPerTask %d is not a multiple of the block of %d rows: a chunk boundary would make a tail", rowsPerTask, qsRows)
+		t.Fatalf("rowsPerTask %d is not a multiple of the block of %d rows: a chunk boundary would make a partial block", rowsPerTask, qsRows)
 	}
 
 	if allocs := testing.AllocsPerRun(10, func() { p.MaskCounts(rows, stride, n) }); allocs != 0 {
 		t.Fatalf("MaskCounts allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// TestCheckpointLayout checks what seal records against the sorted nodes:
+// list by list, one checkpoint at every multiple of qsCkStride short of the
+// list's length, each listing in tree order every tree the nodes before it
+// touch, with the AND of those nodes' masks.
+func TestCheckpointLayout(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	for _, tc := range []struct{ trees, interior, feats int }{{3, 5, 1}, {40, 30, 3}, {300, 20, 6}} {
+		m := &gbdt.Model{NumFeatures: tc.feats}
+		for i := 0; i < tc.trees; i++ {
+			m.Trees = append(m.Trees, wideTree(rng, 1+rng.Intn(tc.interior), tc.feats))
+		}
+		for bi, b := range Pack(m).quick {
+			at, ck := 0, 0
+			for li, l := range b.lists {
+				if int(l.ck) != ck {
+					t.Fatalf("%d trees, block %d list %d: first checkpoint %d, want %d", tc.trees, bi, li, l.ck, ck)
+				}
+				for c := 1; c*qsCkStride < int(l.end)-at; c++ {
+					var and [qsBlockTrees]uint64
+					for i := range and {
+						and[i] = ^uint64(0)
+					}
+					for j := at; j < at+c*qsCkStride; j++ {
+						and[b.tree[j]] &= b.mask[j]
+					}
+					lo, hi := b.ckOff[ck], b.ckOff[ck+1]
+					var trees []uint8
+					for tr, a := range and {
+						if a != ^uint64(0) {
+							trees = append(trees, uint8(tr))
+						}
+					}
+					if !slices.Equal(b.ckTree[lo:hi], trees) {
+						t.Fatalf("%d trees, block %d list %d checkpoint %d: trees %v, want %v", tc.trees, bi, li, c, b.ckTree[lo:hi], trees)
+					}
+					for i, tr := range trees {
+						if b.ckMask[int(lo)+i] != and[tr] {
+							t.Fatalf("%d trees, block %d list %d checkpoint %d, tree %d: mask %#x, want %#x", tc.trees, bi, li, c, tr, b.ckMask[int(lo)+i], and[tr])
+						}
+					}
+					ck++
+				}
+				at = int(l.end)
+			}
+			if len(b.ckOff) != ck+1 {
+				t.Fatalf("%d trees, block %d: %d checkpoint offsets, want %d", tc.trees, bi, len(b.ckOff), ck+1)
+			}
+		}
+	}
+}
+
+// onFeature is wideTree with every node testing feature f.
+func onFeature(rng *rand.Rand, interior int, f int32) gbdt.Tree {
+	t := wideTree(rng, interior, 1)
+	for i := range t.Nodes {
+		t.Nodes[i].Feature = f
+	}
+	return t
+}
+
+// TestCheckpointListEnds covers a list whose length is a multiple of
+// qsCkStride, failed to its end: there is no checkpoint at the end, and the
+// index one past the list's last checkpoint is the next list's first (or past
+// the array, for the last list). Feature 0's list has 31 to 97 nodes, feature
+// 1's 40 and feature 2's 64; rows that are NaN or +Inf in a feature fail its
+// whole list and -Inf rows none of it, at every batch length, alone and in
+// blocks of every width.
+func TestCheckpointListEnds(t *testing.T) {
+	const stride = 3
+	nan, inf := math.NaN(), math.Inf(1)
+	for _, nodes := range []int{31, 32, 33, 63, 64, 65, 96, 97} {
+		rng := rand.New(rand.NewSource(int64(nodes)))
+		m := &gbdt.Model{BaseScore: 0.25, NumFeatures: stride}
+		for left := nodes; left > 0; left -= min(left, 12) {
+			m.Trees = append(m.Trees, onFeature(rng, min(left, 12), 0))
+		}
+		m.Trees = append(m.Trees, onFeature(rng, 20, 1), onFeature(rng, 20, 1), onFeature(rng, 32, 2), onFeature(rng, 32, 2))
+		p := Pack(m)
+		if l := p.quick[0].lists; len(l) != 3 || l[0].end != int32(nodes) || l[1].end-l[0].end != 40 || l[2].end-l[1].end != 64 {
+			t.Fatalf("%d nodes on feature 0: lists %+v", nodes, l)
+		}
+		specials := []float64{nan, inf, -inf}
+		var rows []float64
+		for _, a := range specials {
+			for _, b := range specials {
+				for _, c := range specials {
+					rows = append(rows, a, b, c)
+				}
+			}
+		}
+		for i := 0; i < 15*stride; i++ {
+			rows = append(rows, rng.NormFloat64()*10)
+		}
+		total := len(rows) / stride
+		for r := 0; r < total; r++ {
+			v := rows[r*stride : (r+1)*stride]
+			want, _ := loneRowMasks(p, v)
+			if _, own, _ := p.MaskCounts(v, stride, 1); own != want {
+				t.Fatalf("%d nodes, row %v: %d masks, want %d", nodes, v, own, want)
+			}
+		}
+		for n := 1; n <= total; n++ {
+			for lo := 0; lo+n <= total; lo += 5 {
+				out := make([]float64, n)
+				p.PredictRowsInto(rows[lo*stride:(lo+n)*stride], stride, out, nil)
+				for i := range out {
+					v := rows[(lo+i)*stride : (lo+i+1)*stride]
+					if want := p.Predict(v); math.Float64bits(out[i]) != math.Float64bits(want) {
+						t.Fatalf("%d nodes, %d rows from %d, row %v: PredictRowsInto %v != Predict %v", nodes, n, lo, v, out[i], want)
+					}
+				}
+			}
+		}
 	}
 }
 

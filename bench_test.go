@@ -44,7 +44,7 @@ func env(b *testing.B) *experiments.Env {
 }
 
 // benchQueries returns the TPC-DS test queries and the trained model.
-func benchQueries(b *testing.B) (*t3.Model, []*benchdata.BenchedQuery) {
+func benchQueries(b *testing.B) (*t3.Model, []*workload.Label) {
 	b.Helper()
 	e := env(b)
 	c, err := e.Corpus()
@@ -64,7 +64,7 @@ func BenchmarkTable1_T3Compiled(b *testing.B) {
 	m, test := benchQueries(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictPlan(test[i%len(test)].Query.Root, t3.TrueCards)
+		m.PredictPlan(test[i%len(test)].Root, t3.TrueCards)
 	}
 }
 
@@ -72,7 +72,7 @@ func BenchmarkTable1_T3Interpreted(b *testing.B) {
 	m, test := benchQueries(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		m.PredictInterpreted(test[i%len(test)].Query.Root, t3.TrueCards)
+		m.PredictInterpreted(test[i%len(test)].Root, t3.TrueCards)
 	}
 }
 
@@ -85,7 +85,7 @@ func BenchmarkTable1_ZeroShotNN(b *testing.B) {
 	_, test := benchQueries(b)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		nn.PredictSeconds(test[i%len(test)].Query.Root, plan.TrueCards)
+		nn.PredictSeconds(test[i%len(test)].Root, plan.TrueCards)
 	}
 }
 
@@ -269,7 +269,7 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.Run("packed-featurize", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
-			root := test[i%len(test)].Query.Root
+			root := test[i%len(test)].Root
 			vecs, _ := m.Registry().PlanVectors(root, t3.TrueCards)
 			for _, v := range vecs {
 				packed.Predict(v)
@@ -279,18 +279,18 @@ func BenchmarkPredictSingle(b *testing.B) {
 	b.Run("packed-scratch", func(b *testing.B) {
 		var s t3.PredictScratch
 		for _, q := range test {
-			m.PredictPlanScratch(q.Query.Root, t3.TrueCards, &s)
+			m.PredictPlanScratch(q.Root, t3.TrueCards, &s)
 		}
 		b.ReportAllocs()
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
-			m.PredictPlanScratch(test[i%len(test)].Query.Root, t3.TrueCards, &s)
+			m.PredictPlanScratch(test[i%len(test)].Root, t3.TrueCards, &s)
 		}
 	})
 	b.Run("packed-batch", func(b *testing.B) {
 		roots := make([]*t3.Plan, len(test))
 		for i, q := range test {
-			roots[i] = q.Query.Root
+			roots[i] = q.Root
 		}
 		out := make([]time.Duration, len(roots))
 		m.PredictBatchInto(roots, t3.TrueCards, out)
@@ -311,7 +311,7 @@ func benchPipelineVectors(b *testing.B, n int) ([][]float64, *t3.Model) {
 	m, test := benchQueries(b)
 	var pool [][]float64
 	for _, q := range test {
-		vs, _ := m.Registry().PlanVectors(q.Query.Root, plan.TrueCards)
+		vs, _ := m.Registry().PlanVectors(q.Root, plan.TrueCards)
 		pool = append(pool, vs...)
 		if len(pool) >= 2000 {
 			break
@@ -447,7 +447,7 @@ func BenchmarkPredictBatch(b *testing.B) {
 	m, test := benchQueries(b)
 	roots := make([]*t3.Plan, len(test))
 	for i, q := range test {
-		roots[i] = q.Query.Root
+		roots[i] = q.Root
 	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

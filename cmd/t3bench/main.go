@@ -10,7 +10,7 @@
 //	fig1 fig5 fig6 fig7 fig8 fig9 fig10 fig11 fig12 fig13 fig14
 //	ablation (feature-set ablation, an extension beyond the paper)
 //	scheduling (prediction-driven scheduling, §1 extension)
-//	planner (batched packed-tier plan costing, plan quality, batched dispatch)
+//	planner (batched packed-tier plan costing, plan quality)
 //	all (default)
 //
 // The default (quick) configuration finishes in a few minutes; -full uses

@@ -33,6 +33,7 @@ import (
 	"t3/internal/obs"
 	"t3/internal/qerror"
 	"t3/internal/registry"
+	"t3/internal/workload"
 )
 
 func main() {
@@ -116,7 +117,7 @@ func main() {
 	test := corpus.AllTest()
 	roots := make([]*t3.Plan, len(test))
 	for i, b := range test {
-		roots[i] = b.Query.Root
+		roots[i] = b.Root
 	}
 	preds := model.PredictBatch(roots, mode)
 	es := make([]float64, len(test))
@@ -147,7 +148,7 @@ func main() {
 				Source:             "t3train",
 				TrainLabels:        len(corpus.AllTrain()),
 				HoldoutLabels:      len(test),
-				HoldoutFingerprint: benchdata.Fingerprint(test),
+				HoldoutFingerprint: (&workload.LabelSet{Labels: test}).Fingerprint(),
 				Note: fmt.Sprintf("t3train -scale %g -pergroup %d -runs %d -rounds %d -seed %d (zero-shot p50 %.3f p90 %.3f)",
 					*scale, *perGroup, *runs, *rounds, *seed, s.P50, s.P90),
 			},

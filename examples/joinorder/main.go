@@ -28,7 +28,7 @@ func main() {
 	}
 	params := t3.DefaultParams()
 	params.NumRounds = 100
-	model, err := t3.Train(set.Queries, t3.TrainOptions{Params: params})
+	model, err := t3.Train(set.Labels, t3.TrainOptions{Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -30,13 +30,13 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("benchmarked %d queries\n", len(set.Queries))
+	fmt.Printf("benchmarked %d queries\n", len(set.Labels))
 
 	// 3. Train T3: every pipeline becomes one example with a tuple-centric
 	//    -log10 target.
 	params := t3.DefaultParams()
 	params.NumRounds = 100
-	model, err := t3.Train(set.Queries, t3.TrainOptions{Params: params})
+	model, err := t3.Train(set.Labels, t3.TrainOptions{Params: params})
 	if err != nil {
 		log.Fatal(err)
 	}

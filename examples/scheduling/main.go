@@ -34,8 +34,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	train := set.Queries[:len(set.Queries)/2]
-	incoming := set.Queries[len(set.Queries)/2:]
+	train := set.Labels[:len(set.Labels)/2]
+	incoming := set.Labels[len(set.Labels)/2:]
 	fmt.Printf("%d training queries, %d incoming queries to schedule\n", len(train), len(incoming))
 
 	params := t3.DefaultParams()
@@ -48,29 +48,29 @@ func main() {
 	nnCfg.Epochs = 10
 	nn := zeroshot.Train(train, plan.TrueCards, nnCfg)
 
-	jobs := func(predict func(b *benchdata.BenchedQuery) (time.Duration, time.Duration)) []sched.Job {
+	jobs := func(predict func(b *t3.Label) (time.Duration, time.Duration)) []sched.Job {
 		out := make([]sched.Job, len(incoming))
 		for i, b := range incoming {
 			p, lat := predict(b)
-			out[i] = sched.Job{ID: b.Query.Name, Actual: b.MedianTotal(), Predicted: p, PredLatency: lat}
+			out[i] = sched.Job{ID: b.Name, Actual: b.MedianTotal(), Predicted: p, PredLatency: lat}
 		}
 		return out
 	}
 
-	t3Jobs := jobs(func(b *benchdata.BenchedQuery) (time.Duration, time.Duration) {
+	t3Jobs := jobs(func(b *t3.Label) (time.Duration, time.Duration) {
 		start := time.Now()
-		p, _ := model.PredictPlan(b.Query.Root, t3.TrueCards)
+		p, _ := model.PredictPlan(b.Root, t3.TrueCards)
 		return p, time.Since(start)
 	})
-	nnJobs := jobs(func(b *benchdata.BenchedQuery) (time.Duration, time.Duration) {
+	nnJobs := jobs(func(b *t3.Label) (time.Duration, time.Duration) {
 		start := time.Now()
-		p := nn.PredictSeconds(b.Query.Root, plan.TrueCards)
+		p := nn.PredictSeconds(b.Root, plan.TrueCards)
 		return time.Duration(p * float64(time.Second)), time.Since(start)
 	})
-	oracleJobs := jobs(func(b *benchdata.BenchedQuery) (time.Duration, time.Duration) {
+	oracleJobs := jobs(func(b *t3.Label) (time.Duration, time.Duration) {
 		return b.MedianTotal(), 0
 	})
-	blindJobs := jobs(func(*benchdata.BenchedQuery) (time.Duration, time.Duration) { return 0, 0 })
+	blindJobs := jobs(func(*t3.Label) (time.Duration, time.Duration) { return 0, 0 })
 
 	fmt.Printf("\nscheduling %d queries onto %d clusters (LPT policy):\n", len(incoming), clusters)
 	fmt.Println("  " + sched.Simulate(oracleJobs, clusters, sched.LongestFirst).Format() + "   [oracle]")

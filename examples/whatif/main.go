@@ -25,8 +25,8 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	train := set.Queries[:2*len(set.Queries)/3]
-	eval := set.Queries[2*len(set.Queries)/3:]
+	train := set.Labels[:2*len(set.Labels)/3]
+	eval := set.Labels[2*len(set.Labels)/3:]
 
 	params := t3.DefaultParams()
 	params.NumRounds = 100
@@ -40,8 +40,8 @@ func main() {
 	for _, factor := range []float64{1, 2, 5, 10, 50, 100, 500, 1000} {
 		var es []float64
 		for qi, b := range eval {
-			stats.Distort(b.Query.Root, factor, int64(qi)*17+3)
-			pred, _ := model.PredictPlan(b.Query.Root, t3.EstCards)
+			stats.Distort(b.Root, factor, int64(qi)*17+3)
+			pred, _ := model.PredictPlan(b.Root, t3.EstCards)
 			es = append(es, qerror.QError(pred.Seconds(), b.MedianTotal().Seconds()))
 		}
 		s := qerror.Summarize(es)

@@ -21,6 +21,7 @@ import (
 	"t3/internal/feature"
 	"t3/internal/gbdt"
 	"t3/internal/treec"
+	"t3/internal/workload"
 )
 
 // PerQuery predicts whole-query times from a single summed feature vector.
@@ -43,15 +44,15 @@ func sumVectors(reg *feature.Registry, root *plan.Node, mode plan.CardMode) []fl
 
 // TrainPerQuery fits the per-query baseline with targets
 // -log10(median total runtime).
-func TrainPerQuery(benched []*benchdata.BenchedQuery, mode plan.CardMode, p gbdt.Params) (*PerQuery, error) {
-	if len(benched) == 0 {
+func TrainPerQuery(labels []*workload.Label, mode plan.CardMode, p gbdt.Params) (*PerQuery, error) {
+	if len(labels) == 0 {
 		return nil, errors.New("baselines: no training queries")
 	}
 	reg := feature.NewDefaultRegistry()
-	xs := make([][]float64, len(benched))
-	ys := make([]float64, len(benched))
-	for i, b := range benched {
-		xs[i] = sumVectors(reg, b.Query.Root, mode)
+	xs := make([][]float64, len(labels))
+	ys := make([]float64, len(labels))
+	for i, b := range labels {
+		xs[i] = sumVectors(reg, b.Root, mode)
 		ys[i] = benchdata.TargetTransform(b.MedianTotal().Seconds())
 	}
 	gbm, _, err := gbdt.Train(p, xs, ys, nil, nil)
@@ -75,14 +76,14 @@ type PerPipelineDirect struct {
 
 // TrainPerPipelineDirect fits the direct per-pipeline variant with targets
 // -log10(median pipeline runtime).
-func TrainPerPipelineDirect(benched []*benchdata.BenchedQuery, mode plan.CardMode, p gbdt.Params) (*PerPipelineDirect, error) {
-	if len(benched) == 0 {
+func TrainPerPipelineDirect(labels []*workload.Label, mode plan.CardMode, p gbdt.Params) (*PerPipelineDirect, error) {
+	if len(labels) == 0 {
 		return nil, errors.New("baselines: no training queries")
 	}
 	reg := feature.NewDefaultRegistry()
 	var xs [][]float64
 	var ys []float64
-	for _, b := range benched {
+	for _, b := range labels {
 		for pi, pl := range b.Pipelines {
 			xs = append(xs, reg.PipelineVector(pl, mode))
 			ys = append(ys, benchdata.TargetTransform(b.PipelineMedian(pi, 0).Seconds()))

@@ -24,7 +24,7 @@ func TestPerQueryLearns(t *testing.T) {
 	}
 	var es []float64
 	for _, b := range c.AllTest() {
-		es = append(es, qerror.QError(m.PredictSeconds(b.Query.Root, plan.TrueCards), b.MedianTotal().Seconds()))
+		es = append(es, qerror.QError(m.PredictSeconds(b.Root, plan.TrueCards), b.MedianTotal().Seconds()))
 	}
 	s := qerror.Summarize(es)
 	t.Logf("per-query baseline TPC-DS q-error: p50=%.2f p90=%.2f avg=%.2f", s.P50, s.P90, s.Avg)
@@ -41,7 +41,7 @@ func TestPerPipelineDirectLearns(t *testing.T) {
 	}
 	var es []float64
 	for _, b := range c.AllTest() {
-		es = append(es, qerror.QError(m.PredictSeconds(b.Query.Root, plan.TrueCards), b.MedianTotal().Seconds()))
+		es = append(es, qerror.QError(m.PredictSeconds(b.Root, plan.TrueCards), b.MedianTotal().Seconds()))
 	}
 	s := qerror.Summarize(es)
 	t.Logf("per-pipeline-direct TPC-DS q-error: p50=%.2f p90=%.2f avg=%.2f", s.P50, s.P90, s.Avg)
@@ -62,11 +62,11 @@ func TestPredictionsFiniteAndPositive(t *testing.T) {
 	}
 	for _, b := range c.AllTest()[:30] {
 		for _, v := range []float64{
-			q.PredictSeconds(b.Query.Root, plan.TrueCards),
-			d.PredictSeconds(b.Query.Root, plan.TrueCards),
+			q.PredictSeconds(b.Root, plan.TrueCards),
+			d.PredictSeconds(b.Root, plan.TrueCards),
 		} {
 			if v <= 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-				t.Fatalf("%s: prediction %v", b.Query.Name, v)
+				t.Fatalf("%s: prediction %v", b.Name, v)
 			}
 		}
 	}

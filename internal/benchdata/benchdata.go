@@ -1,102 +1,36 @@
-// Package benchdata runs query workloads on the engine to collect T3's
-// training and evaluation data (§4.3 of the paper).
+// Package benchdata builds T3's training and evaluation corpus (§4.3 of the
+// paper) and turns it into training examples.
 //
-// For every query it executes one "explain analyze" run that annotates true
-// cardinalities, then a configurable number of timing runs whose per-pipeline
-// medians become the training targets. It also assembles the per-pipeline
-// feature/target examples the model trains on and provides the
-// benchmark-deviation statistics of Table 3.
+// Labels come from workload.CollectQueries, run with one worker: for every
+// query one "explain analyze" run annotates true cardinalities, the
+// estimator annotates estimated ones, and a configurable number of timing
+// runs give the per-pipeline medians that become the training targets. This
+// package groups the labels into per-instance sets, persists them (SaveCorpus,
+// LoadCorpus), assembles the per-pipeline feature/target examples the model
+// trains on, and provides the benchmark-deviation statistics of Table 3.
 package benchdata
 
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
-	"time"
 
-	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
-	"t3/internal/engine/stats"
 	"t3/internal/feature"
 	"t3/internal/qerror"
 	"t3/internal/workload"
 )
 
-// BenchedQuery is one query with measured execution data.
-type BenchedQuery struct {
-	Query *workload.Query
-	// Pipelines are the decomposed pipelines of the plan (after the analyze
-	// run annotated true cardinalities).
-	Pipelines []*plan.Pipeline
-	// RunTotals holds the total query time of each timing run.
-	RunTotals []time.Duration
-	// PipelineRuns[r][p] is the time of pipeline p in run r.
-	PipelineRuns [][]time.Duration
-}
+// BenchedQuery is the label record. It stays as an alias only because the
+// benchmark module (bench/) names it; the next change there can use
+// workload.Label and delete this alias.
+type BenchedQuery = workload.Label
 
-// MedianTotal returns the median total query time over the timing runs.
-func (b *BenchedQuery) MedianTotal() time.Duration {
-	return medianDur(b.RunTotals)
-}
-
-// PipelineMedian returns the median time of pipeline p over the first
-// `runs` timing runs (0 = all runs). Figure 14 varies `runs`.
-func (b *BenchedQuery) PipelineMedian(p, runs int) time.Duration {
-	if runs <= 0 || runs > len(b.PipelineRuns) {
-		runs = len(b.PipelineRuns)
-	}
-	ts := make([]time.Duration, runs)
-	for r := 0; r < runs; r++ {
-		ts[r] = b.PipelineRuns[r][p]
-	}
-	return medianDur(ts)
-}
-
-func medianDur(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
-}
-
-// Benchmark executes the query once with annotation (explain analyze), fills
-// estimated cardinalities with est (if non-nil), then performs `runs` timing
-// runs.
-func Benchmark(q *workload.Query, runs int, est *stats.Estimator) (*BenchedQuery, error) {
-	if runs < 1 {
-		runs = 1
-	}
-	// Analyze run: annotate true cardinalities.
-	if _, err := exec.Run(q.Root, true); err != nil {
-		return nil, fmt.Errorf("analyze %s: %w", q.Name, err)
-	}
-	if est != nil {
-		est.Estimate(q.Root)
-	}
-	b := &BenchedQuery{Query: q, Pipelines: plan.Decompose(q.Root)}
-	for r := 0; r < runs; r++ {
-		res, err := exec.Run(q.Root, false)
-		if err != nil {
-			return nil, fmt.Errorf("run %d of %s: %w", r, q.Name, err)
-		}
-		times := make([]time.Duration, len(res.Pipelines))
-		for i, pt := range res.Pipelines {
-			times[i] = pt.Duration
-		}
-		b.PipelineRuns = append(b.PipelineRuns, times)
-		b.RunTotals = append(b.RunTotals, res.Total)
-	}
-	return b, nil
-}
-
-// ReleaseTables detaches base-table data from the plan so the instance can
-// be garbage collected. Featurization and prediction keep working (they read
-// only annotations); re-execution does not.
-func (b *BenchedQuery) ReleaseTables() {
-	b.Query.Root.Walk(func(n *plan.Node) { n.Table = nil })
-}
+// FromLabels returns the set's labels. It stays only because the benchmark
+// module (bench/) calls it; the next change there can read ls.Labels and
+// delete it.
+func FromLabels(ls *workload.LabelSet) []*workload.Label { return ls.Labels }
 
 // TargetTransform converts a per-tuple time in seconds into the model
 // target t' = -log10(t) (§2.4, Eq. 1). Per-tuple times range from ~1e-15 s
@@ -112,16 +46,15 @@ func TargetTransform(perTupleSeconds float64) float64 {
 // InverseTarget converts a model output back to a per-tuple time in seconds.
 func InverseTarget(t float64) float64 { return math.Pow(10, -t) }
 
-// Examples turns benched queries into per-pipeline training examples:
-// feature vectors (under the given cardinality mode) and transformed
-// per-tuple targets computed from the median of the first `runs` timing runs
-// (0 = all).
-func Examples(reg *feature.Registry, benched []*BenchedQuery, mode plan.CardMode, runs int) (xs [][]float64, ys []float64) {
-	for _, b := range benched {
-		for pi, p := range b.Pipelines {
+// Examples turns labels into per-pipeline training examples: feature vectors
+// (under the given cardinality mode) and transformed per-tuple targets
+// computed from the median of the first `runs` timing runs (0 = all).
+func Examples(reg *feature.Registry, labels []*workload.Label, mode plan.CardMode, runs int) (xs [][]float64, ys []float64) {
+	for _, l := range labels {
+		for pi, p := range l.Pipelines {
 			xs = append(xs, reg.PipelineVector(p, mode))
 			card := feature.SourceCard(p, plan.TrueCards)
-			t := b.PipelineMedian(pi, runs).Seconds() / card
+			t := l.PipelineMedian(pi, runs).Seconds() / card
 			ys = append(ys, TargetTransform(t))
 		}
 	}
@@ -131,18 +64,18 @@ func Examples(reg *feature.Registry, benched []*BenchedQuery, mode plan.CardMode
 // DeviationStats computes the benchmark-deviation q-errors of Table 3: for
 // each query, consider the most consistent two-thirds of the timing runs and
 // report the q-error of the one furthest from the median.
-func DeviationStats(benched []*BenchedQuery) qerror.Summary {
+func DeviationStats(labels []*workload.Label) qerror.Summary {
 	var es []float64
-	for _, b := range benched {
-		if len(b.RunTotals) < 3 {
+	for _, l := range labels {
+		if len(l.Totals) < 3 {
 			continue
 		}
-		med := b.MedianTotal().Seconds()
+		med := l.MedianTotal().Seconds()
 		if med <= 0 {
 			continue
 		}
-		devs := make([]float64, len(b.RunTotals))
-		for i, r := range b.RunTotals {
+		devs := make([]float64, len(l.Totals))
+		for i, r := range l.Totals {
 			devs[i] = qerror.QError(r.Seconds(), med)
 		}
 		sort.Float64s(devs)
@@ -150,23 +83,6 @@ func DeviationStats(benched []*BenchedQuery) qerror.Summary {
 		es = append(es, devs[keep-1])
 	}
 	return qerror.Summarize(es)
-}
-
-// InstanceSet groups the benched queries of one database instance.
-type InstanceSet struct {
-	Name    string
-	Queries []*BenchedQuery
-}
-
-// Split returns the subset of queries in the given structure group.
-func (s *InstanceSet) Split(g workload.Group) []*BenchedQuery {
-	var out []*BenchedQuery
-	for _, b := range s.Queries {
-		if b.Query.Group == g {
-			out = append(out, b)
-		}
-	}
-	return out
 }
 
 // Config sizes corpus construction.
@@ -182,58 +98,48 @@ type Config struct {
 	// Seed drives all generators.
 	Seed int64
 	// ReleaseTables drops base-table data after benchmarking each instance
-	// to bound memory usage. JOB/imdb instances are kept when KeepIMDB is
-	// set (the join-ordering experiments re-execute plans).
+	// to bound memory usage.
 	ReleaseTables bool
 	// Progress, when non-nil, receives one line per benchmarked instance.
 	Progress func(string)
 }
 
-// Corpus is the full benchmarked dataset: per-instance training sets and the
-// held-out TPC-DS test sets.
+// Corpus is the full benchmarked dataset: one label set per training
+// instance and the held-out TPC-DS test sets.
 type Corpus struct {
-	Train []*InstanceSet
-	Test  []*InstanceSet
+	Train []*workload.LabelSet
+	Test  []*workload.LabelSet
 }
 
-// AllTrain returns the concatenated training queries.
-func (c *Corpus) AllTrain() []*BenchedQuery {
-	var out []*BenchedQuery
-	for _, s := range c.Train {
-		out = append(out, s.Queries...)
-	}
-	return out
-}
+// AllTrain returns the concatenated training labels.
+func (c *Corpus) AllTrain() []*workload.Label { return c.TrainExcept() }
 
-// AllTest returns the concatenated test queries.
-func (c *Corpus) AllTest() []*BenchedQuery {
-	var out []*BenchedQuery
+// AllTest returns the concatenated test labels.
+func (c *Corpus) AllTest() []*workload.Label {
+	var out []*workload.Label
 	for _, s := range c.Test {
-		out = append(out, s.Queries...)
+		out = append(out, s.Labels...)
 	}
 	return out
 }
 
-// TrainExcept returns training queries from all instances except those named
+// TrainExcept returns training labels from all instances except those named
 // (used for leave-one-out evaluation and the JOB experiments).
-func (c *Corpus) TrainExcept(names ...string) []*BenchedQuery {
-	skip := make(map[string]bool, len(names))
-	for _, n := range names {
-		skip[n] = true
-	}
-	var out []*BenchedQuery
+func (c *Corpus) TrainExcept(names ...string) []*workload.Label {
+	var out []*workload.Label
 	for _, s := range c.Train {
-		if !skip[s.Name] {
-			out = append(out, s.Queries...)
+		if !slices.Contains(names, s.Instance) {
+			out = append(out, s.Labels...)
 		}
 	}
 	return out
 }
 
-// BenchmarkInstance generates and benchmarks all queries of one instance:
-// the 16 random groups plus any fixed benchmark queries appropriate for its
-// schema.
-func BenchmarkInstance(in *workload.Instance, cfg Config) (*InstanceSet, error) {
+// BenchmarkInstance generates and labels all queries of one instance: the 16
+// random groups plus any fixed benchmark queries appropriate for its schema.
+// It collects with one worker, so no query's timing runs share the machine
+// with another query's.
+func BenchmarkInstance(in *workload.Instance, cfg Config) (*workload.LabelSet, error) {
 	gen := workload.GenConfig{PerGroup: cfg.PerGroup, Seed: cfg.Seed + int64(len(in.Name))*31}
 	qs := workload.GenerateQueries(in, gen)
 	switch {
@@ -242,57 +148,43 @@ func BenchmarkInstance(in *workload.Instance, cfg Config) (*InstanceSet, error) 
 	case in.Table("store_sales") != nil:
 		qs = append(qs, workload.TPCDSBenchmarkQueries(in)...)
 	}
-	est := &stats.Estimator{DB: in.Stats}
-	set := &InstanceSet{Name: in.Name}
-	for _, q := range qs {
-		b, err := Benchmark(q, cfg.Runs, est)
-		if err != nil {
-			return nil, err
-		}
-		set.Queries = append(set.Queries, b)
-	}
-	return set, nil
+	return workload.CollectQueries(in, qs, workload.CollectConfig{Workers: 1, Runs: cfg.Runs})
 }
 
 // BuildCorpus generates, executes, and benchmarks the full training and test
-// workloads. Deterministic given cfg.
+// workloads. Everything but the measured durations is deterministic given
+// cfg.
 func BuildCorpus(cfg Config) (*Corpus, error) {
 	if cfg.Scale <= 0 {
 		cfg.Scale = 1
 	}
 	suite := workload.SuiteConfig{Scale: cfg.Scale, Seed: cfg.Seed}
-	c := &Corpus{}
-	for _, mk := range workload.TrainMakers(suite) {
-		in := mk.Make()
-		set, err := BenchmarkInstance(in, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("train instance %s: %w", mk.Name, err)
-		}
-		if cfg.ReleaseTables {
-			for _, b := range set.Queries {
-				b.ReleaseTables()
+	bench := func(kind string, makers []workload.Maker) ([]*workload.LabelSet, error) {
+		var sets []*workload.LabelSet
+		for _, mk := range makers {
+			set, err := BenchmarkInstance(mk.Make(), cfg)
+			if err != nil {
+				return nil, fmt.Errorf("%s instance %s: %w", kind, mk.Name, err)
+			}
+			if cfg.ReleaseTables {
+				for _, l := range set.Labels {
+					l.ReleaseTables()
+				}
+			}
+			sets = append(sets, set)
+			if cfg.Progress != nil {
+				cfg.Progress(fmt.Sprintf("benchmarked %s: %d queries", set.Instance, len(set.Labels)))
 			}
 		}
-		c.Train = append(c.Train, set)
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("benchmarked %s: %d queries", set.Name, len(set.Queries)))
-		}
+		return sets, nil
 	}
-	for _, mk := range workload.TestMakers(suite) {
-		in := mk.Make()
-		set, err := BenchmarkInstance(in, cfg)
-		if err != nil {
-			return nil, fmt.Errorf("test instance %s: %w", mk.Name, err)
-		}
-		if cfg.ReleaseTables {
-			for _, b := range set.Queries {
-				b.ReleaseTables()
-			}
-		}
-		c.Test = append(c.Test, set)
-		if cfg.Progress != nil {
-			cfg.Progress(fmt.Sprintf("benchmarked %s: %d queries", set.Name, len(set.Queries)))
-		}
+	train, err := bench("train", workload.TrainMakers(suite))
+	if err != nil {
+		return nil, err
 	}
-	return c, nil
+	test, err := bench("test", workload.TestMakers(suite))
+	if err != nil {
+		return nil, err
+	}
+	return &Corpus{Train: train, Test: test}, nil
 }

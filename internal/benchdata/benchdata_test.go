@@ -2,6 +2,7 @@ package benchdata
 
 import (
 	"math"
+	"slices"
 	"testing"
 	"testing/quick"
 	"time"
@@ -18,52 +19,77 @@ func smallInstance(t *testing.T) *workload.Instance {
 }
 
 func TestBenchmarkCollectsPerPipelineTimes(t *testing.T) {
-	in := smallInstance(t)
-	q := workload.TPCHBenchmarkQueries(in)[0]
-	est := &stats.Estimator{DB: in.Stats}
-	b, err := Benchmark(q, 4, est)
+	set, err := BenchmarkInstance(smallInstance(t), Config{PerGroup: 1, Runs: 4, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(b.RunTotals) != 4 {
-		t.Fatalf("runs = %d", len(b.RunTotals))
-	}
-	if len(b.PipelineRuns) != 4 {
-		t.Fatalf("pipeline runs = %d", len(b.PipelineRuns))
-	}
-	for r, times := range b.PipelineRuns {
-		if len(times) != len(b.Pipelines) {
-			t.Fatalf("run %d: %d times for %d pipelines", r, len(times), len(b.Pipelines))
+	for _, l := range set.Labels {
+		if len(l.Totals) != 4 || len(l.PipelineRuns) != 4 {
+			t.Fatalf("%s: %d totals and %d pipeline runs, want 4", l.Name, len(l.Totals), len(l.PipelineRuns))
 		}
-	}
-	if b.MedianTotal() <= 0 {
-		t.Error("median total must be positive")
-	}
-	// True cards and estimates must be annotated.
-	if q.Root.OutCard.True < 0 || q.Root.OutCard.Est <= 0 {
-		t.Errorf("annotations missing: %+v", q.Root.OutCard)
+		for r, times := range l.PipelineRuns {
+			if len(times) != len(l.Pipelines) {
+				t.Fatalf("%s run %d: %d times for %d pipelines", l.Name, r, len(times), len(l.Pipelines))
+			}
+		}
+		if l.MedianTotal() <= 0 {
+			t.Errorf("%s: median total must be positive", l.Name)
+		}
 	}
 }
 
-func TestPipelineMedian(t *testing.T) {
-	b := &BenchedQuery{
-		PipelineRuns: [][]time.Duration{
-			{10 * time.Microsecond},
-			{30 * time.Microsecond},
-			{20 * time.Microsecond},
-		},
-	}
-	if got := b.PipelineMedian(0, 0); got != 20*time.Microsecond {
-		t.Errorf("median over all runs = %v", got)
-	}
-	if got := b.PipelineMedian(0, 1); got != 10*time.Microsecond {
-		t.Errorf("median over first run = %v", got)
-	}
-	if got := b.PipelineMedian(0, 2); got != 30*time.Microsecond {
-		t.Errorf("median over two runs = %v (upper median)", got)
-	}
-	if got := b.PipelineMedian(0, 99); got != 20*time.Microsecond {
-		t.Errorf("overlong run count should clamp: %v", got)
+// TestBenchmarkInstanceShape pins what a corpus instance holds, without
+// reading a single measured duration: 16 groups × PerGroup generated queries
+// followed by the schema's fixed benchmark queries, every plan node annotated
+// by the estimator, source rows beside every pipeline, and the set named
+// after its instance.
+func TestBenchmarkInstanceShape(t *testing.T) {
+	const perGroup = 2
+	for _, tc := range []struct {
+		in    *workload.Instance
+		fixed func(*workload.Instance) []*workload.Query
+	}{
+		{smallInstance(t), workload.TPCHBenchmarkQueries},
+		{workload.MustGenerate(workload.TPCDSSpec("tpcds_bd", 0.02, 72)), workload.TPCDSBenchmarkQueries},
+	} {
+		set, err := BenchmarkInstance(tc.in, Config{PerGroup: perGroup, Runs: 2, Seed: 9})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if set.Instance != tc.in.Name {
+			t.Errorf("set named %q, instance %q", set.Instance, tc.in.Name)
+		}
+		est := &stats.Estimator{DB: tc.in.Stats}
+		fixed := tc.fixed(tc.in)
+		generated := len(workload.Groups) * perGroup
+		if len(set.Labels) != generated+len(fixed) {
+			t.Fatalf("%s: %d labels, want %d generated + %d fixed", tc.in.Name, len(set.Labels), generated, len(fixed))
+		}
+		inGroup := map[workload.Group]int{}
+		for i, l := range set.Labels {
+			if i < generated {
+				inGroup[l.Group]++
+			} else if want := fixed[i-generated].Name; l.Group != workload.GroupFixed || l.Name != want {
+				t.Errorf("label %d: %s (%s), want fixed query %s", i, l.Name, l.Group, want)
+			}
+			if len(l.SourceRows) != len(l.Pipelines) || len(l.PipelineRuns) != 2 {
+				t.Errorf("%s: %d source rows and %d runs for %d pipelines",
+					l.Name, len(l.SourceRows), len(l.PipelineRuns), len(l.Pipelines))
+			}
+			// The estimator overwrites every Est it annotates, so running it
+			// again changes nothing only if the label already carries its
+			// output on every node.
+			got := stats.SnapshotEst(l.Root)
+			est.Estimate(l.Root)
+			if want := stats.SnapshotEst(l.Root); !slices.Equal(got, want) {
+				t.Errorf("%s: estimates %v, estimator gives %v", l.Name, got, want)
+			}
+		}
+		for _, g := range workload.Groups {
+			if inGroup[g] != perGroup {
+				t.Errorf("%s: group %s has %d queries, want %d", tc.in.Name, g, inGroup[g], perGroup)
+			}
+		}
 	}
 }
 
@@ -92,19 +118,18 @@ func TestTargetTransformRoundtrip(t *testing.T) {
 }
 
 func TestExamplesShape(t *testing.T) {
-	in := smallInstance(t)
-	set, err := BenchmarkInstance(in, Config{PerGroup: 1, Runs: 2, Seed: 5})
+	set, err := BenchmarkInstance(smallInstance(t), Config{PerGroup: 1, Runs: 2, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
 	reg := feature.NewDefaultRegistry()
-	xs, ys := Examples(reg, set.Queries, plan.TrueCards, 0)
+	xs, ys := Examples(reg, set.Labels, plan.TrueCards, 0)
 	if len(xs) != len(ys) {
 		t.Fatal("example count mismatch")
 	}
 	wantRows := 0
-	for _, b := range set.Queries {
-		wantRows += len(b.Pipelines)
+	for _, l := range set.Labels {
+		wantRows += len(l.Pipelines)
 	}
 	if len(xs) != wantRows {
 		t.Fatalf("%d examples for %d pipelines", len(xs), wantRows)
@@ -117,11 +142,11 @@ func TestExamplesShape(t *testing.T) {
 }
 
 func TestDeviationStats(t *testing.T) {
-	mk := func(times ...time.Duration) *BenchedQuery {
-		return &BenchedQuery{RunTotals: times}
+	mk := func(times ...time.Duration) *workload.Label {
+		return &workload.Label{Totals: times}
 	}
 	// Identical runs deviate by exactly 1.0.
-	s := DeviationStats([]*BenchedQuery{
+	s := DeviationStats([]*workload.Label{
 		mk(time.Millisecond, time.Millisecond, time.Millisecond),
 	})
 	if s.N != 1 || s.Avg != 1 {
@@ -130,7 +155,7 @@ func TestDeviationStats(t *testing.T) {
 	// One run 2x the median, rest exact: with 3 runs, keep ceil(2) = 2
 	// closest; the furthest kept deviates 1.0 (the outlier is dropped...
 	// unless it is within the kept set).
-	s = DeviationStats([]*BenchedQuery{
+	s = DeviationStats([]*workload.Label{
 		mk(time.Millisecond, time.Millisecond, 2*time.Millisecond),
 	})
 	if s.N != 1 {
@@ -140,24 +165,22 @@ func TestDeviationStats(t *testing.T) {
 		t.Errorf("outlier should be trimmed: %+v", s)
 	}
 	// Queries with fewer than 3 runs are skipped.
-	s = DeviationStats([]*BenchedQuery{mk(time.Millisecond)})
+	s = DeviationStats([]*workload.Label{mk(time.Millisecond)})
 	if s.N != 0 {
 		t.Errorf("short queries should be skipped: %+v", s)
 	}
 }
 
 func TestReleaseTablesPreservesFeaturization(t *testing.T) {
-	in := smallInstance(t)
-	q := workload.TPCHBenchmarkQueries(in)[1]
-	est := &stats.Estimator{DB: in.Stats}
-	b, err := Benchmark(q, 2, est)
+	set, err := BenchmarkInstance(smallInstance(t), Config{PerGroup: 1, Runs: 1, Seed: 5})
 	if err != nil {
 		t.Fatal(err)
 	}
+	l := set.Labels[len(set.Labels)-1]
 	reg := feature.NewDefaultRegistry()
-	before, _ := reg.PlanVectors(q.Root, plan.TrueCards)
-	b.ReleaseTables()
-	after, _ := reg.PlanVectors(q.Root, plan.TrueCards)
+	before, _ := reg.PlanVectors(l.Root, plan.TrueCards)
+	l.ReleaseTables()
+	after, _ := reg.PlanVectors(l.Root, plan.TrueCards)
 	for i := range before {
 		for f := range before[i] {
 			if before[i][f] != after[i][f] {
@@ -165,6 +188,11 @@ func TestReleaseTablesPreservesFeaturization(t *testing.T) {
 			}
 		}
 	}
+	l.Root.Walk(func(n *plan.Node) {
+		if n.Table != nil {
+			t.Fatalf("%v node still holds table %s", n.Op, n.TableName)
+		}
+	})
 }
 
 func TestBuildCorpusTiny(t *testing.T) {
@@ -193,32 +221,11 @@ func TestBuildCorpusTiny(t *testing.T) {
 	without := len(c.TrainExcept("imdb"))
 	var imdbCount int
 	for _, s := range c.Train {
-		if s.Name == "imdb" {
-			imdbCount = len(s.Queries)
+		if s.Instance == "imdb" {
+			imdbCount = len(s.Labels)
 		}
 	}
 	if without != all-imdbCount {
 		t.Errorf("TrainExcept: %d != %d - %d", without, all, imdbCount)
-	}
-}
-
-func TestSplitByGroup(t *testing.T) {
-	in := smallInstance(t)
-	set, err := BenchmarkInstance(in, Config{PerGroup: 2, Runs: 1, Seed: 9})
-	if err != nil {
-		t.Fatal(err)
-	}
-	se := set.Split(workload.GroupSe)
-	if len(se) == 0 {
-		t.Fatal("no Se queries")
-	}
-	for _, b := range se {
-		if b.Query.Group != workload.GroupSe {
-			t.Errorf("wrong group %s", b.Query.Group)
-		}
-	}
-	fixed := set.Split(workload.GroupFixed)
-	if len(fixed) == 0 {
-		t.Error("TPC-H instance should include fixed benchmark queries")
 	}
 }

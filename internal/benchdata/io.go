@@ -19,7 +19,8 @@ import (
 // Model"). Saving the benchmarked corpus — annotated plans plus measured
 // per-pipeline times — lets models be retrained, re-configured, and ablated
 // without re-running a single query. Plans are stored in the planio JSON
-// format, so loaded corpora are featurizable but not executable.
+// format, so loaded corpora are featurizable but not executable. Loading and
+// saving a file reproduces it byte for byte.
 
 // corpusJSON is the serialized corpus document.
 type corpusJSON struct {
@@ -42,21 +43,25 @@ type queryJSON struct {
 	RunTotalsNS []int64 `json:"run_totals_ns"`
 	// PipelineRunsNS[r][p] is pipeline p's time in run r, in nanoseconds.
 	PipelineRunsNS [][]int64 `json:"pipeline_runs_ns"`
+	// SourceRows[p] is the number of tuples scanned at pipeline p's source
+	// (absent in files written before labels carried them).
+	SourceRows []int `json:"source_rows,omitempty"`
 }
 
-func encodeSet(s *InstanceSet) instanceSetJSON {
-	out := instanceSetJSON{Name: s.Name}
-	for _, b := range s.Queries {
+func encodeSet(s *workload.LabelSet) instanceSetJSON {
+	out := instanceSetJSON{Name: s.Instance}
+	for _, l := range s.Labels {
 		q := queryJSON{
-			Name:     b.Query.Name,
-			Group:    string(b.Query.Group),
-			Instance: b.Query.Instance,
-			Plan:     planio.Encode(b.Query.Root),
+			Name:       l.Name,
+			Group:      string(l.Group),
+			Instance:   s.Instance,
+			Plan:       planio.Encode(l.Root),
+			SourceRows: l.SourceRows,
 		}
-		for _, d := range b.RunTotals {
+		for _, d := range l.Totals {
 			q.RunTotalsNS = append(q.RunTotalsNS, d.Nanoseconds())
 		}
-		for _, run := range b.PipelineRuns {
+		for _, run := range l.PipelineRuns {
 			row := make([]int64, len(run))
 			for i, d := range run {
 				row[i] = d.Nanoseconds()
@@ -68,36 +73,37 @@ func encodeSet(s *InstanceSet) instanceSetJSON {
 	return out
 }
 
-func decodeSet(s instanceSetJSON) (*InstanceSet, error) {
-	out := &InstanceSet{Name: s.Name}
+func decodeSet(s instanceSetJSON) (*workload.LabelSet, error) {
+	out := &workload.LabelSet{Instance: s.Name}
 	for _, q := range s.Queries {
 		root, err := planio.Decode(q.Plan)
 		if err != nil {
 			return nil, fmt.Errorf("query %s: %w", q.Name, err)
 		}
-		b := &BenchedQuery{
-			Query: &workload.Query{
-				Name:     q.Name,
-				Group:    workload.Group(q.Group),
-				Instance: q.Instance,
-				Root:     root,
-			},
-			Pipelines: plan.Decompose(root),
+		l := &workload.Label{
+			Name:       q.Name,
+			Group:      workload.Group(q.Group),
+			Root:       root,
+			Pipelines:  plan.Decompose(root),
+			SourceRows: q.SourceRows,
+		}
+		if len(l.SourceRows) > 0 && len(l.SourceRows) != len(l.Pipelines) {
+			return nil, fmt.Errorf("query %s: %d source rows for %d pipelines", q.Name, len(l.SourceRows), len(l.Pipelines))
 		}
 		for _, ns := range q.RunTotalsNS {
-			b.RunTotals = append(b.RunTotals, time.Duration(ns))
+			l.Totals = append(l.Totals, time.Duration(ns))
 		}
 		for _, row := range q.PipelineRunsNS {
 			run := make([]time.Duration, len(row))
 			for i, ns := range row {
 				run[i] = time.Duration(ns)
 			}
-			if len(run) != len(b.Pipelines) {
-				return nil, fmt.Errorf("query %s: %d pipeline times for %d pipelines", q.Name, len(run), len(b.Pipelines))
+			if len(run) != len(l.Pipelines) {
+				return nil, fmt.Errorf("query %s: %d pipeline times for %d pipelines", q.Name, len(run), len(l.Pipelines))
 			}
-			b.PipelineRuns = append(b.PipelineRuns, run)
+			l.PipelineRuns = append(l.PipelineRuns, run)
 		}
-		out.Queries = append(out.Queries, b)
+		out.Labels = append(out.Labels, l)
 	}
 	return out, nil
 }

@@ -1,23 +1,25 @@
 package benchdata
 
 import (
+	"bytes"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"t3/internal/engine/plan"
 	"t3/internal/feature"
+	"t3/internal/workload"
 )
 
 // buildTinyCorpus makes a minimal corpus for persistence tests.
 func buildTinyCorpus(t *testing.T) *Corpus {
 	t.Helper()
-	in := smallInstance(t)
-	set, err := BenchmarkInstance(in, Config{PerGroup: 1, Runs: 2, Seed: 41})
+	set, err := BenchmarkInstance(smallInstance(t), Config{PerGroup: 1, Runs: 2, Seed: 41})
 	if err != nil {
 		t.Fatal(err)
 	}
-	return &Corpus{Train: []*InstanceSet{set}, Test: []*InstanceSet{{Name: "empty"}}}
+	return &Corpus{Train: []*workload.LabelSet{set}, Test: []*workload.LabelSet{{Instance: "empty"}}}
 }
 
 func TestCorpusRoundtrip(t *testing.T) {
@@ -33,21 +35,25 @@ func TestCorpusRoundtrip(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(back.Train) != 1 || back.Train[0].Name != c.Train[0].Name {
+		if len(back.Train) != 1 || back.Train[0].Instance != c.Train[0].Instance {
 			t.Fatalf("%s: structure lost", path)
 		}
-		orig := c.Train[0].Queries
-		got := back.Train[0].Queries
+		orig := c.Train[0].Labels
+		got := back.Train[0].Labels
 		if len(got) != len(orig) {
 			t.Fatalf("%s: %d queries, want %d", path, len(got), len(orig))
 		}
+		// Source rows survive, so the one fingerprint does too.
+		if back.Train[0].Fingerprint() != c.Train[0].Fingerprint() {
+			t.Fatalf("%s: fingerprint changed across save/load", path)
+		}
 		reg := feature.NewDefaultRegistry()
 		for i := range orig {
-			if got[i].Query.Name != orig[i].Query.Name || got[i].Query.Group != orig[i].Query.Group {
+			if got[i].Name != orig[i].Name || got[i].Group != orig[i].Group {
 				t.Fatalf("query %d metadata lost", i)
 			}
-			if got[i].MedianTotal() != orig[i].MedianTotal() {
-				t.Fatalf("query %d timings lost", i)
+			if got[i].MedianTotal() != orig[i].MedianTotal() || !slices.Equal(got[i].SourceRows, orig[i].SourceRows) {
+				t.Fatalf("query %d timings or source rows lost", i)
 			}
 			// The training examples derived from the loaded corpus must be
 			// identical: same vectors, same targets.
@@ -66,6 +72,42 @@ func TestCorpusRoundtrip(t *testing.T) {
 					}
 				}
 			}
+		}
+	}
+}
+
+// TestCheckedInCorpusRoundTrip: loading the checked-in corpus and saving it
+// again reproduces the file byte for byte, gzip included. The file predates
+// source rows, so this also pins that their absence stays absent, and that
+// a set without them fingerprints deterministically.
+func TestCheckedInCorpusRoundTrip(t *testing.T) {
+	const path = "../experiments/testdata/corpus.json.gz"
+	want, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := LoadCorpus(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := filepath.Join(t.TempDir(), "corpus.json.gz")
+	if err := SaveCorpus(c, out); err != nil {
+		t.Fatal(err)
+	}
+	got, err := os.ReadFile(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("re-saved corpus differs from %s: %d bytes, want %d", path, len(got), len(want))
+	}
+	again, err := LoadCorpus(out)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, s := range c.Test {
+		if s.Fingerprint() != again.Test[i].Fingerprint() {
+			t.Fatalf("test set %s: fingerprint differs between two loads", s.Instance)
 		}
 	}
 }

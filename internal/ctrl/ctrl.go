@@ -23,7 +23,6 @@ import (
 	"sync"
 	"time"
 
-	"t3/internal/benchdata"
 	"t3/internal/clock"
 	"t3/internal/obs"
 	"t3/internal/obs/trace"
@@ -97,9 +96,9 @@ type Swapper interface {
 	SetModel(*t3.Model)
 }
 
-// TrainFunc builds a candidate model from benched training queries. The
-// default wraps t3.Train; tests inject failures and degenerate models.
-type TrainFunc func(benched []*benchdata.BenchedQuery) (*t3.Model, error)
+// TrainFunc builds a candidate model from training labels. The default wraps
+// t3.Train; tests inject failures and degenerate models.
+type TrainFunc func(labels []*workload.Label) (*t3.Model, error)
 
 // Config configures a Controller. Zero fields take defaults.
 type Config struct {
@@ -156,8 +155,8 @@ func (c *Config) defaults() error {
 	}
 	if c.Train == nil {
 		opts := c.TrainOptions
-		c.Train = func(benched []*benchdata.BenchedQuery) (*t3.Model, error) {
-			return t3.Train(benched, opts)
+		c.Train = func(labels []*workload.Label) (*t3.Model, error) {
+			return t3.Train(labels, opts)
 		}
 	}
 	if c.HoldoutFraction == 0 {
@@ -406,7 +405,7 @@ func (c *Controller) Retrain(reason string) (RetrainResult, error) {
 	}
 
 	c.setState("training")
-	cand, err := c.cfg.Train(benchdata.FromLabels(trainSet))
+	cand, err := c.cfg.Train(trainSet.Labels)
 	if err != nil {
 		return RetrainResult{}, c.fail("training candidate", err)
 	}

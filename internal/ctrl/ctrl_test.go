@@ -8,7 +8,7 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/benchdata"
+	"t3/internal/workload"
 
 	t3 "t3"
 )
@@ -135,16 +135,16 @@ func TestShadowRegressionRejectsCandidate(t *testing.T) {
 	// predicting far slower than reality: it must lose the shadow
 	// comparison and never reach serving.
 	c, sw, _ := newHarness(t, func(cfg *Config) {
-		cfg.Train = func(benched []*benchdata.BenchedQuery) (*t3.Model, error) {
-			for _, b := range benched {
-				for r := range b.PipelineRuns {
-					for p := range b.PipelineRuns[r] {
-						b.PipelineRuns[r][p] *= 50
+		cfg.Train = func(labels []*workload.Label) (*t3.Model, error) {
+			for _, l := range labels {
+				for r := range l.PipelineRuns {
+					for p := range l.PipelineRuns[r] {
+						l.PipelineRuns[r][p] *= 50
 					}
-					b.RunTotals[r] *= 50
+					l.Totals[r] *= 50
 				}
 			}
-			return t3.Train(benched, t3.TrainOptions{Params: testParams()})
+			return t3.Train(labels, t3.TrainOptions{Params: testParams()})
 		}
 	})
 	boot := sw.Model()

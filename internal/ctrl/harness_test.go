@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/benchdata"
 	"t3/internal/clock"
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
@@ -99,7 +98,7 @@ func seedModel(t testing.TB) *t3.Model {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m, err := t3.Train(benchdata.FromLabels(ls), t3.TrainOptions{Params: testParams()})
+	m, err := t3.Train(ls.Labels, t3.TrainOptions{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

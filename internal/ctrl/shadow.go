@@ -64,7 +64,7 @@ func (c *Controller) shadowEval(live, cand *t3.Model, holdout *workload.LabelSet
 	}
 
 	for _, l := range holdout.Labels {
-		add(l.Root, plan.TrueCards, medianDuration(l.Totals))
+		add(l.Root, plan.TrueCards, l.MedianTotal())
 		res.HoldoutN++
 	}
 
@@ -112,13 +112,4 @@ func quantileOf(qs []float64, p float64) float64 {
 	}
 	sort.Float64s(qs)
 	return qerror.Percentile(qs, p)
-}
-
-func medianDuration(ds []time.Duration) time.Duration {
-	if len(ds) == 0 {
-		return 0
-	}
-	s := append([]time.Duration(nil), ds...)
-	sort.Slice(s, func(i, j int) bool { return s[i] < s[j] })
-	return s[len(s)/2]
 }

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/benchdata"
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
 	"t3/internal/obs/trace"
@@ -33,7 +32,7 @@ func shadowEvalPerPlan(c *Controller, live, cand *t3.Model, holdout *workload.La
 		}
 	}
 	for _, l := range holdout.Labels {
-		score(l.Root, plan.TrueCards, medianDuration(l.Totals))
+		score(l.Root, plan.TrueCards, l.MedianTotal())
 		res.HoldoutN++
 	}
 	if c.cfg.Exemplars != nil {
@@ -67,7 +66,7 @@ func TestShadowEvalMatchesPerPlanLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	train, holdout := labels.Split(0.25)
-	cand, err := t3.Train(benchdata.FromLabels(train), t3.TrainOptions{Params: testParams()})
+	cand, err := t3.Train(train.Labels, t3.TrainOptions{Params: testParams()})
 	if err != nil {
 		t.Fatal(err)
 	}

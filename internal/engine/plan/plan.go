@@ -305,6 +305,24 @@ func (n *Node) InWidth() int {
 // OutWidth returns the tuple width in bytes of the node's OUT stream.
 func (n *Node) OutWidth() int { return SchemaWidth(n.Schema) }
 
+// HashTupleWidth returns the bytes per tuple a hash join materializes in its
+// hash table: BuildWidth when set, else the widths of the build key and
+// payload columns. It is the one definition the featurizer, the wire codec
+// and the plan JSON codec share.
+func (n *Node) HashTupleWidth() int {
+	if n.BuildWidth > 0 {
+		return n.BuildWidth
+	}
+	w := 0
+	for _, ci := range n.BuildKeys {
+		w += n.Left.Schema[ci].Kind.Width()
+	}
+	for _, ci := range n.BuildPayload {
+		w += n.Left.Schema[ci].Kind.Width()
+	}
+	return w
+}
+
 // NewTableScan builds a table-scan node over the given columns of t with
 // pushed-down predicates. Column references inside the predicates must be
 // resolved against the scan's output schema (positions in cols).

@@ -10,6 +10,7 @@ import (
 	"t3/internal/gbdt"
 	"t3/internal/qerror"
 	"t3/internal/treec"
+	"t3/internal/workload"
 )
 
 // FeatureAblation extends the paper's ablation study (§5.7) to the feature
@@ -90,7 +91,7 @@ func (m *ablatedModel) predictSeconds(root *plan.Node) float64 {
 }
 
 // trainAblated trains a T3 variant on the reduced registry.
-func trainAblated(reg *feature.Registry, train []*benchdata.BenchedQuery, p gbdt.Params) (*ablatedModel, error) {
+func trainAblated(reg *feature.Registry, train []*workload.Label, p gbdt.Params) (*ablatedModel, error) {
 	xs, ys := benchdata.Examples(reg, train, plan.TrueCards, 0)
 	gbm, _, err := gbdt.Train(p, xs, ys, nil, nil)
 	if err != nil {
@@ -115,8 +116,8 @@ func (e *Env) RunFeatureAblation() (*FeatureAblation, error) {
 		if err != nil {
 			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
 		}
-		es := qerrors(func(b *benchdata.BenchedQuery) float64 {
-			return m.predictSeconds(b.Query.Root)
+		es := qerrors(func(b *workload.Label) float64 {
+			return m.predictSeconds(b.Root)
 		}, test)
 		res.Rows = append(res.Rows, FeatureAblationRow{
 			Variant:  v.name,

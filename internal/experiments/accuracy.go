@@ -64,7 +64,7 @@ func (e *Env) RunTable4() (*Table4, error) {
 	pred := t3Predict(m, plan.TrueCards)
 
 	t4 := &Table4{}
-	add := func(split string, qs []*benchdata.BenchedQuery) {
+	add := func(split string, qs []*workload.Label) {
 		t4.Rows = append(t4.Rows, Table4Row{Split: split, Summary: qerror.Summarize(qerrors(pred, qs))})
 	}
 
@@ -75,15 +75,15 @@ func (e *Env) RunTable4() (*Table4, error) {
 	add("Train Queries", train)
 	add("All TPC-DS Test Queries", c.AllTest())
 
-	var fixed, sf100, sf100fixed []*benchdata.BenchedQuery
+	var fixed, sf100, sf100fixed []*workload.Label
 	for _, set := range c.Test {
-		for _, b := range set.Queries {
-			if b.Query.Group == workload.GroupFixed {
+		for _, b := range set.Labels {
+			if b.Group == workload.GroupFixed {
 				fixed = append(fixed, b)
 			}
-			if set.Name == "tpcds_sf100" {
+			if set.Instance == "tpcds_sf100" {
 				sf100 = append(sf100, b)
-				if b.Query.Group == workload.GroupFixed {
+				if b.Group == workload.GroupFixed {
 					sf100fixed = append(sf100fixed, b)
 				}
 			}
@@ -242,9 +242,11 @@ func (e *Env) RunFig8() (*Fig8, error) {
 	groups := append([]workload.Group{workload.GroupFixed}, workload.Groups...)
 	f := &Fig8{}
 	for _, g := range groups {
-		var qs []*benchdata.BenchedQuery
-		for _, set := range c.Test {
-			qs = append(qs, set.Split(g)...)
+		var qs []*workload.Label
+		for _, l := range c.AllTest() {
+			if l.Group == g {
+				qs = append(qs, l)
+			}
 		}
 		if len(qs) == 0 {
 			continue
@@ -289,12 +291,12 @@ func (e *Env) RunFig9() (*Fig9, error) {
 	}
 	f := &Fig9{}
 	for _, held := range sets {
-		m, err := t3.Train(c.TrainExcept(held.Name), t3.TrainOptions{Params: e.Params()})
+		m, err := t3.Train(c.TrainExcept(held.Instance), t3.TrainOptions{Params: e.Params()})
 		if err != nil {
-			return nil, fmt.Errorf("leave-one-out %s: %w", held.Name, err)
+			return nil, fmt.Errorf("leave-one-out %s: %w", held.Instance, err)
 		}
-		es := qerrors(t3Predict(m, plan.TrueCards), held.Queries)
-		f.Rows = append(f.Rows, Fig9Row{Instance: held.Name, Summary: qerror.Summarize(es)})
+		es := qerrors(t3Predict(m, plan.TrueCards), held.Labels)
+		f.Rows = append(f.Rows, Fig9Row{Instance: held.Instance, Summary: qerror.Summarize(es)})
 	}
 	return f, nil
 }
@@ -381,16 +383,16 @@ func (e *Env) RunFig12() (*Fig12, error) {
 	// them with distorted true values.
 	snaps := make([][]float64, len(test))
 	for i, b := range test {
-		snaps[i] = stats.SnapshotEst(b.Query.Root)
+		snaps[i] = stats.SnapshotEst(b.Root)
 	}
 	f := &Fig12{Factors: []float64{1, 2, 5, 10, 50, 100, 500, 1000}}
 	for fi, factor := range f.Factors {
 		for _, b := range test {
-			stats.Distort(b.Query.Root, factor, int64(fi)*1001+7)
+			stats.Distort(b.Root, factor, int64(fi)*1001+7)
 		}
 		t3es := qerrors(t3Predict(m, plan.EstCards), test)
-		nnes := qerrors(func(b *benchdata.BenchedQuery) float64 {
-			return nn.PredictSeconds(b.Query.Root, plan.EstCards)
+		nnes := qerrors(func(b *workload.Label) float64 {
+			return nn.PredictSeconds(b.Root, plan.EstCards)
 		}, test)
 		st, sn := qerror.Summarize(t3es), qerror.Summarize(nnes)
 		f.T3P50 = append(f.T3P50, st.P50)
@@ -400,7 +402,7 @@ func (e *Env) RunFig12() (*Fig12, error) {
 	}
 	// Restore the original estimator annotations for later experiments.
 	for i, b := range test {
-		stats.RestoreEst(b.Query.Root, snaps[i])
+		stats.RestoreEst(b.Root, snaps[i])
 	}
 	return f, nil
 }
@@ -442,16 +444,16 @@ func (e *Env) RunFig13() (*Fig13, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.PerPipeline = qerror.Summarize(qerrors(func(b *benchdata.BenchedQuery) float64 {
-		return direct.PredictSeconds(b.Query.Root, plan.TrueCards)
+	f.PerPipeline = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
+		return direct.PredictSeconds(b.Root, plan.TrueCards)
 	}, test))
 
 	pq, err := e.PerQueryDT()
 	if err != nil {
 		return nil, err
 	}
-	f.PerQuery = qerror.Summarize(qerrors(func(b *benchdata.BenchedQuery) float64 {
-		return pq.PredictSeconds(b.Query.Root, plan.TrueCards)
+	f.PerQuery = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
+		return pq.PredictSeconds(b.Root, plan.TrueCards)
 	}, test))
 	return f, nil
 }

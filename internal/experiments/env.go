@@ -101,7 +101,7 @@ type Env struct {
 	dtErr  error
 
 	deepOnce sync.Once
-	deep     []*benchdata.BenchedQuery
+	deep     []*workload.Label
 	deepErr  error
 
 	jobOnce sync.Once
@@ -184,7 +184,7 @@ func (e *Env) PerQueryDT() (*baselines.PerQuery, error) {
 
 // DeepRunQueries builds (once) a smaller corpus benchmarked with 10 timing
 // runs per query, used by Table 3 and Figure 14.
-func (e *Env) DeepRunQueries() ([]*benchdata.BenchedQuery, error) {
+func (e *Env) DeepRunQueries() ([]*workload.Label, error) {
 	e.deepOnce.Do(func() {
 		cfg := e.Cfg.Corpus
 		cfg.Runs = e.Cfg.DeepRuns
@@ -202,20 +202,20 @@ func (e *Env) DeepRunQueries() ([]*benchdata.BenchedQuery, error) {
 				e.deepErr = err
 				return
 			}
-			for _, b := range set.Queries {
-				b.ReleaseTables()
+			for _, l := range set.Labels {
+				l.ReleaseTables()
 			}
-			e.deep = append(e.deep, set.Queries...)
+			e.deep = append(e.deep, set.Labels...)
 		}
 	})
 	return e.deep, e.deepErr
 }
 
-// qerrors evaluates a predictor over benched queries and returns the
-// q-errors of predicted vs. measured total times.
-func qerrors(predict func(*benchdata.BenchedQuery) float64, benched []*benchdata.BenchedQuery) []float64 {
-	es := make([]float64, 0, len(benched))
-	for _, b := range benched {
+// qerrors evaluates a predictor over labels and returns the q-errors of
+// predicted vs. measured total times.
+func qerrors(predict func(*workload.Label) float64, labels []*workload.Label) []float64 {
+	es := make([]float64, 0, len(labels))
+	for _, b := range labels {
 		es = append(es, qerror.QError(predict(b), b.MedianTotal().Seconds()))
 	}
 	return es
@@ -223,9 +223,9 @@ func qerrors(predict func(*benchdata.BenchedQuery) float64, benched []*benchdata
 
 // t3Predict returns a prediction closure for a T3 model under a cardinality
 // mode.
-func t3Predict(m *t3.Model, mode plan.CardMode) func(*benchdata.BenchedQuery) float64 {
-	return func(b *benchdata.BenchedQuery) float64 {
-		d, _ := m.PredictPlan(b.Query.Root, mode)
+func t3Predict(m *t3.Model, mode plan.CardMode) func(*workload.Label) float64 {
+	return func(b *workload.Label) float64 {
+		d, _ := m.PredictPlan(b.Root, mode)
 		return d.Seconds()
 	}
 }

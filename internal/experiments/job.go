@@ -6,10 +6,8 @@ import (
 	"time"
 
 	"t3"
-	"t3/internal/benchdata"
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
-	"t3/internal/engine/stats"
 	"t3/internal/joinorder"
 	"t3/internal/qerror"
 	"t3/internal/workload"
@@ -17,14 +15,14 @@ import (
 )
 
 // jobEnv bundles the artifacts of the JOB experiments: the imdb-lite
-// instance, the 113 join specs, the benchmarked JOB queries, and models
+// instance, the 113 join specs, the labeled JOB queries, and models
 // trained with imdb held out (as in the paper's Figure 10 setup).
 type jobEnv struct {
-	inst    *workload.Instance
-	specs   []*workload.JoinSpec
-	benched []*benchdata.BenchedQuery
-	t3m     *t3.Model
-	nn      *zeroshot.Model
+	inst   *workload.Instance
+	specs  []*workload.JoinSpec
+	labels []*workload.Label
+	t3m    *t3.Model
+	nn     *zeroshot.Model
 }
 
 // jobState caches the JOB environment on Env.
@@ -53,22 +51,21 @@ func (e *Env) jobOnceDo() {
 			specs = specs[:e.Cfg.JOBQueries]
 		}
 
-		// Benchmark the JOB queries themselves (left-deep plans).
-		est := &stats.Estimator{DB: inst.Stats}
-		var benched []*benchdata.BenchedQuery
-		for _, sp := range specs {
-			q := &workload.Query{
+		// Label the JOB queries themselves (left-deep plans), one query at a
+		// time as the corpus is.
+		qs := make([]*workload.Query, len(specs))
+		for i, sp := range specs {
+			qs[i] = &workload.Query{
 				Name:     fmt.Sprintf("%s/job_%s", inst.Name, sp.Name),
 				Group:    workload.GroupFixed,
 				Instance: inst.Name,
 				Root:     sp.LeftDeepPlan(inst),
 			}
-			b, err := benchdata.Benchmark(q, e.Cfg.Corpus.Runs, est)
-			if err != nil {
-				e.jobErr = err
-				return
-			}
-			benched = append(benched, b)
+		}
+		labels, err := workload.CollectQueries(inst, qs, workload.CollectConfig{Workers: 1, Runs: e.Cfg.Corpus.Runs})
+		if err != nil {
+			e.jobErr = err
+			return
 		}
 
 		// Train models with imdb data held out (Figure 10: "both are
@@ -84,7 +81,7 @@ func (e *Env) jobOnceDo() {
 		cfg.Seed = e.Cfg.Corpus.Seed + 3
 		nn := zeroshot.Train(train, plan.TrueCards, cfg)
 
-		e.job = &jobEnv{inst: inst, specs: specs, benched: benched, t3m: t3m, nn: nn}
+		e.job = &jobEnv{inst: inst, specs: specs, labels: labels.Labels, t3m: t3m, nn: nn}
 	})
 }
 
@@ -103,10 +100,10 @@ func (e *Env) RunFig10() (*Fig10, error) {
 		return nil, err
 	}
 	f := &Fig10{}
-	f.T3 = qerror.Summarize(qerrors(t3Predict(job.t3m, plan.TrueCards), job.benched))
-	f.ZeroShot = qerror.Summarize(qerrors(func(b *benchdata.BenchedQuery) float64 {
-		return job.nn.PredictSeconds(b.Query.Root, plan.TrueCards)
-	}, job.benched))
+	f.T3 = qerror.Summarize(qerrors(t3Predict(job.t3m, plan.TrueCards), job.labels))
+	f.ZeroShot = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
+		return job.nn.PredictSeconds(b.Root, plan.TrueCards)
+	}, job.labels))
 	return f, nil
 }
 

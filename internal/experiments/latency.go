@@ -14,6 +14,7 @@ import (
 	"t3/internal/par"
 	"t3/internal/qerror"
 	"t3/internal/stage"
+	"t3/internal/workload"
 )
 
 // timeIt measures the median wall-clock time of f over reps repetitions.
@@ -69,7 +70,7 @@ type Table1 struct {
 
 // latencyPercentiles times f once per (query, rep) pair and returns the p50
 // and p99 of the per-call latency distribution.
-func latencyPercentiles(test []*benchdata.BenchedQuery, reps int, f func(*benchdata.BenchedQuery)) (p50, p99 time.Duration) {
+func latencyPercentiles(test []*workload.Label, reps int, f func(*workload.Label)) (p50, p99 time.Duration) {
 	ds := make([]time.Duration, 0, len(test)*reps)
 	for r := 0; r < reps; r++ {
 		for _, b := range test {
@@ -112,7 +113,7 @@ func (e *Env) RunTable1() (*Table1, error) {
 	res.AvgPipelines = float64(pipes) / float64(len(test))
 
 	const inner = 20
-	perQuery := func(f func(*benchdata.BenchedQuery)) time.Duration {
+	perQuery := func(f func(*workload.Label)) time.Duration {
 		total := timeIt(5, func() {
 			for _, b := range test {
 				for i := 0; i < inner; i++ {
@@ -123,19 +124,19 @@ func (e *Env) RunTable1() (*Table1, error) {
 		return total / time.Duration(len(test)*inner)
 	}
 
-	res.T3Compiled = perQuery(func(b *benchdata.BenchedQuery) { m.PredictPlan(b.Query.Root, plan.TrueCards) })
-	res.T3Interp = perQuery(func(b *benchdata.BenchedQuery) { m.PredictInterpreted(b.Query.Root, plan.TrueCards) })
+	res.T3Compiled = perQuery(func(b *workload.Label) { m.PredictPlan(b.Root, plan.TrueCards) })
+	res.T3Interp = perQuery(func(b *workload.Label) { m.PredictInterpreted(b.Root, plan.TrueCards) })
 
 	// Packed tier over the reusable scratch: the allocation-free hot path.
 	var scratch t3.PredictScratch
-	m.PredictPlanScratch(test[0].Query.Root, plan.TrueCards, &scratch) // warm up
-	res.T3Packed = perQuery(func(b *benchdata.BenchedQuery) {
-		m.PredictPlanScratch(b.Query.Root, plan.TrueCards, &scratch)
+	m.PredictPlanScratch(test[0].Root, plan.TrueCards, &scratch) // warm up
+	res.T3Packed = perQuery(func(b *workload.Label) {
+		m.PredictPlanScratch(b.Root, plan.TrueCards, &scratch)
 	})
-	res.T3PackedP50, res.T3PackedP99 = latencyPercentiles(test, inner, func(b *benchdata.BenchedQuery) {
-		m.PredictPlanScratch(b.Query.Root, plan.TrueCards, &scratch)
+	res.T3PackedP50, res.T3PackedP99 = latencyPercentiles(test, inner, func(b *workload.Label) {
+		m.PredictPlanScratch(b.Root, plan.TrueCards, &scratch)
 	})
-	warmRoot := test[0].Query.Root
+	warmRoot := test[0].Root
 	res.T3PackedAllocs = testing.AllocsPerRun(100, func() {
 		m.PredictPlanScratch(warmRoot, plan.TrueCards, &scratch)
 	})
@@ -147,7 +148,7 @@ func (e *Env) RunTable1() (*Table1, error) {
 	var queryRows [][]float64
 	maxPipes := 0
 	for _, b := range test {
-		vs, _ := m.Registry().PlanVectors(b.Query.Root, plan.TrueCards)
+		vs, _ := m.Registry().PlanVectors(b.Root, plan.TrueCards)
 		queryVecs = append(queryVecs, vs)
 		rows := make([]float64, 0, len(vs)*stride)
 		for _, v := range vs {
@@ -184,20 +185,20 @@ func (e *Env) RunTable1() (*Table1, error) {
 			}
 		}
 	}) / time.Duration(len(test)*inner)
-	res.ZeroShotNN = perQuery(func(b *benchdata.BenchedQuery) { nn.PredictSeconds(b.Query.Root, plan.TrueCards) })
-	res.StageDT = perQuery(func(b *benchdata.BenchedQuery) { dt.PredictSeconds(b.Query.Root, plan.TrueCards) })
+	res.ZeroShotNN = perQuery(func(b *workload.Label) { nn.PredictSeconds(b.Root, plan.TrueCards) })
+	res.StageDT = perQuery(func(b *workload.Label) { dt.PredictSeconds(b.Root, plan.TrueCards) })
 
 	// Stage: realized behaviour on a workload where half the submissions
 	// repeat already-seen plans (hitting the cache tier).
 	h := stage.New(dt, nn, 4)
 	for _, b := range test[:len(test)/2] {
-		h.Observe(b.Query.Root, plan.TrueCards, b.MedianTotal().Seconds())
+		h.Observe(b.Root, plan.TrueCards, b.MedianTotal().Seconds())
 	}
-	res.StageCache = perQuery(func(b *benchdata.BenchedQuery) { stage.PlanHash(b.Query.Root, plan.TrueCards) })
-	res.StageAvg = perQuery(func(b *benchdata.BenchedQuery) { h.Predict(b.Query.Root, plan.TrueCards) })
+	res.StageCache = perQuery(func(b *workload.Label) { stage.PlanHash(b.Root, plan.TrueCards) })
+	res.StageAvg = perQuery(func(b *workload.Label) { h.Predict(b.Root, plan.TrueCards) })
 
 	// NN tier latency measured on the complex plans only.
-	var complexQ []*benchdata.BenchedQuery
+	var complexQ []*workload.Label
 	for _, b := range test {
 		if len(b.Pipelines) > 4 {
 			complexQ = append(complexQ, b)
@@ -206,7 +207,7 @@ func (e *Env) RunTable1() (*Table1, error) {
 	if len(complexQ) > 0 {
 		saved := test
 		test = complexQ
-		res.StageNN = perQuery(func(b *benchdata.BenchedQuery) { nn.PredictSeconds(b.Query.Root, plan.TrueCards) })
+		res.StageNN = perQuery(func(b *workload.Label) { nn.PredictSeconds(b.Root, plan.TrueCards) })
 		test = saved
 	} else {
 		res.StageNN = res.ZeroShotNN
@@ -272,8 +273,8 @@ func (e *Env) RunTable2() (*Table2, error) {
 	var cards []float64
 	roots := make([]*plan.Node, len(test))
 	for qi, b := range test {
-		roots[qi] = b.Query.Root
-		vs, ps := m.Registry().PlanVectors(b.Query.Root, plan.TrueCards)
+		roots[qi] = b.Root
+		vs, ps := m.Registry().PlanVectors(b.Root, plan.TrueCards)
 		vecs = append(vecs, vs...)
 		for _, p := range ps {
 			cards = append(cards, p.SourceCard(plan.TrueCards))
@@ -293,7 +294,7 @@ func (e *Env) RunTable2() (*Table2, error) {
 	// which fans featurization and evaluation out over the worker pool.
 	single := timeIt(5, func() {
 		for _, b := range test {
-			m.PredictPlan(b.Query.Root, plan.TrueCards)
+			m.PredictPlan(b.Root, plan.TrueCards)
 		}
 	})
 	batched := timeIt(5, func() {
@@ -304,7 +305,7 @@ func (e *Env) RunTable2() (*Table2, error) {
 	// T3 interpreted.
 	singleI := timeIt(3, func() {
 		for _, b := range test {
-			m.PredictInterpreted(b.Query.Root, plan.TrueCards)
+			m.PredictInterpreted(b.Root, plan.TrueCards)
 		}
 	})
 	batchedI := timeIt(3, func() {
@@ -326,7 +327,7 @@ func (e *Env) RunTable2() (*Table2, error) {
 	// EXPERIMENTS.md).
 	singleN := timeIt(3, func() {
 		for _, b := range test {
-			nn.PredictSeconds(b.Query.Root, plan.TrueCards)
+			nn.PredictSeconds(b.Root, plan.TrueCards)
 		}
 	})
 	t2.Rows = append(t2.Rows, Table2Row{"Zero Shot NN", qps(singleN, len(test)), qps(singleN, len(test))})
@@ -389,11 +390,11 @@ func (e *Env) RunFig1() (*Fig1, error) {
 	}
 	add("T3 (compiled)", t1.T3Compiled, qerrors(t3Predict(m, plan.TrueCards), test))
 	add("T3 interpreted", t1.T3Interp, qerrors(t3Predict(m, plan.TrueCards), test))
-	add("AutoWLM-style DT", t1.StageDT, qerrors(func(b *benchdata.BenchedQuery) float64 {
-		return dt.PredictSeconds(b.Query.Root, plan.TrueCards)
+	add("AutoWLM-style DT", t1.StageDT, qerrors(func(b *workload.Label) float64 {
+		return dt.PredictSeconds(b.Root, plan.TrueCards)
 	}, test))
-	add("Zero Shot NN", t1.ZeroShotNN, qerrors(func(b *benchdata.BenchedQuery) float64 {
-		return nn.PredictSeconds(b.Query.Root, plan.TrueCards)
+	add("Zero Shot NN", t1.ZeroShotNN, qerrors(func(b *workload.Label) float64 {
+		return nn.PredictSeconds(b.Root, plan.TrueCards)
 	}, test))
 	return f, nil
 }
@@ -436,7 +437,7 @@ func (e *Env) RunFig5() (*Fig5, error) {
 	// Pool of real pipeline vectors.
 	var pool [][]float64
 	for _, b := range c.AllTest() {
-		vs, _ := m.Registry().PlanVectors(b.Query.Root, plan.TrueCards)
+		vs, _ := m.Registry().PlanVectors(b.Root, plan.TrueCards)
 		pool = append(pool, vs...)
 		if len(pool) > 5000 {
 			break

@@ -6,9 +6,7 @@ import (
 	"time"
 
 	"t3/internal/engine/exec"
-	"t3/internal/engine/plan"
 	"t3/internal/joinorder"
-	"t3/internal/sched"
 	"t3/internal/workload"
 )
 
@@ -17,12 +15,12 @@ import (
 // and model/oracle-call accounting across costing paths, all on
 // treec.Packed — scalar DPSize with the open-pipeline memo, and
 // level-batched DPSizeBatched over the rows kernel — plus plan-quality
-// (executed T3 vs Cout trees, Table-6-style) and the batched-dispatch
-// scheduling uplift (§1). The same four graphs are bench/'s plan_enum
-// workload, which is where enumeration time is measured over repeats.
+// (executed T3 vs Cout trees, Table-6-style). The batched-dispatch
+// scheduling regimes are RunScheduling's. The same four graphs are bench/'s
+// plan_enum workload, which is where enumeration time is measured over
+// repeats.
 type Planner struct {
 	Cases []PlannerCase
-	Sched []PlannerSchedRow
 }
 
 // PlannerCase is one join graph's enumeration comparison.
@@ -60,18 +58,6 @@ type PlannerRow struct {
 	Speedup float64
 }
 
-// PlannerSchedRow is one dispatch regime's simulated scheduling outcome over
-// the benchmarked test workload.
-type PlannerSchedRow struct {
-	Dispatch         string
-	Makespan         time.Duration
-	MeanCompletion   time.Duration
-	P95Completion    time.Duration
-	DispatchOverhead time.Duration
-	// MakespanUplift is serialized makespan / this makespan.
-	MakespanUplift float64
-}
-
 // plannerCases are the benchmarked synthetic join graphs. The 8+ relation
 // cases carry the paper-style headline: batched costing vs the scalar path,
 // both on the packed tier.
@@ -89,8 +75,7 @@ var plannerCases = []struct {
 // clock is reported.
 const plannerReps = 3
 
-// RunPlanner benchmarks join-order enumeration across costing paths and the
-// batched-dispatch scheduler.
+// RunPlanner benchmarks join-order enumeration across costing paths.
 func (e *Env) RunPlanner() (*Planner, error) {
 	m, err := e.T3()
 	if err != nil {
@@ -190,9 +175,6 @@ func (e *Env) RunPlanner() (*Planner, error) {
 		res.Cases = append(res.Cases, pc)
 	}
 
-	if err := e.plannerSched(res); err != nil {
-		return nil, err
-	}
 	return res, nil
 }
 
@@ -213,87 +195,6 @@ func execTree(inst *workload.Instance, sp *workload.JoinSpec, tree *joinorder.Tr
 	return best, nil
 }
 
-// plannerSched compares serialized per-job dispatch against one batched
-// packed-tier prediction of the whole queue (per-tier latency measured on
-// this machine, not assumed), over the benchmarked test workload.
-func (e *Env) plannerSched(res *Planner) error {
-	c, err := e.Corpus()
-	if err != nil {
-		return err
-	}
-	m, err := e.T3()
-	if err != nil {
-		return err
-	}
-	test := c.AllTest()
-	if len(test) == 0 {
-		return fmt.Errorf("planner: empty test workload")
-	}
-	const clusters = 8
-
-	// Serialized: each job pays its measured scalar prediction latency.
-	jobs := make([]sched.Job, len(test))
-	for i, b := range test {
-		start := time.Now()
-		p, _ := m.PredictPlan(b.Query.Root, plan.TrueCards)
-		jobs[i] = sched.Job{
-			ID:          b.Query.Name,
-			Actual:      b.MedianTotal(),
-			Predicted:   p,
-			PredLatency: time.Since(start),
-		}
-	}
-	serial := sched.Simulate(jobs, clusters, sched.LongestFirst)
-
-	// Batched: the dispatcher prices the whole queue in one packed-tier
-	// batch; the measured batch latency is charged once.
-	roots := make([]*plan.Node, len(test))
-	for i, b := range test {
-		roots[i] = b.Query.Root
-	}
-	preds := make([]time.Duration, len(test))
-	start := time.Now()
-	m.PredictBatchInto(roots, plan.TrueCards, preds)
-	batchLat := time.Since(start)
-	bjobs := make([]sched.Job, len(test))
-	copy(bjobs, jobs)
-	for i := range bjobs {
-		bjobs[i].Predicted = preds[i]
-	}
-	batched := sched.SimulateBatchDispatch(bjobs, clusters, sched.LongestFirst, batchLat)
-
-	// Round-robin baseline: no predictions at all.
-	plain := make([]sched.Job, len(jobs))
-	copy(plain, jobs)
-	for i := range plain {
-		plain[i].Predicted, plain[i].PredLatency = 0, 0
-	}
-	rows := []struct {
-		name string
-		r    sched.Result
-	}{
-		{"serialized-per-job", serial},
-		{"batched-one-call", batched},
-		{"none-round-robin", sched.Simulate(plain, clusters, sched.RoundRobin)},
-	}
-
-	for _, row := range rows {
-		uplift := 0.0
-		if row.r.Makespan > 0 {
-			uplift = float64(serial.Makespan) / float64(row.r.Makespan)
-		}
-		res.Sched = append(res.Sched, PlannerSchedRow{
-			Dispatch:         row.name,
-			Makespan:         row.r.Makespan,
-			MeanCompletion:   row.r.MeanCompletion,
-			P95Completion:    row.r.P95Completion,
-			DispatchOverhead: row.r.DispatchOverhead,
-			MakespanUplift:   uplift,
-		})
-	}
-	return nil
-}
-
 // Format renders the planner benchmark as tables.
 func (p *Planner) Format() string {
 	var sb strings.Builder
@@ -309,13 +210,6 @@ func (p *Planner) Format() string {
 		}
 		fmt.Fprintf(&sb, "  plan quality: Cout %s vs T3 %s -> %.2fx (%s vs %s)\n",
 			fmtDur(c.CoutExec), fmtDur(c.T3Exec), c.QualityUplift, c.CoutTree, c.T3Tree)
-	}
-	sb.WriteString("\nScheduling dispatch (LPT, 8 clusters, measured prediction latencies)\n")
-	fmt.Fprintf(&sb, "  %-20s %12s %12s %12s %14s %8s\n", "dispatch", "makespan", "mean", "p95", "pred latency", "uplift")
-	for _, r := range p.Sched {
-		fmt.Fprintf(&sb, "  %-20s %12s %12s %12s %14s %7.2fx\n", r.Dispatch,
-			fmtDur(r.Makespan), fmtDur(r.MeanCompletion), fmtDur(r.P95Completion),
-			fmtDur(r.DispatchOverhead), r.MakespanUplift)
 	}
 	return sb.String()
 }

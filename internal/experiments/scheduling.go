@@ -51,7 +51,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 		for i, b := range test {
 			p, lat := predict(i)
 			jobs[i] = sched.Job{
-				ID:          b.Query.Name,
+				ID:          b.Name,
 				Actual:      b.MedianTotal(),
 				Predicted:   p,
 				PredLatency: lat,
@@ -69,7 +69,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	// T3: measured per-query prediction and latency.
 	t3Jobs := mkJobs(func(i int) (time.Duration, time.Duration) {
 		start := time.Now()
-		p, _ := m.PredictPlan(test[i].Query.Root, plan.TrueCards)
+		p, _ := m.PredictPlan(test[i].Root, plan.TrueCards)
 		return p, time.Since(start)
 	})
 	res.Rows = append(res.Rows, SchedulingRow{"T3", sched.Simulate(t3Jobs, clusters, sched.LongestFirst)})
@@ -78,7 +78,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	// packed-tier batch call and pays its measured latency once.
 	roots := make([]*plan.Node, len(test))
 	for i, b := range test {
-		roots[i] = b.Query.Root
+		roots[i] = b.Root
 	}
 	preds := make([]time.Duration, len(test))
 	batchStart := time.Now()
@@ -91,7 +91,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	// Zero Shot NN.
 	nnJobs := mkJobs(func(i int) (time.Duration, time.Duration) {
 		start := time.Now()
-		p := nn.PredictSeconds(test[i].Query.Root, plan.TrueCards)
+		p := nn.PredictSeconds(test[i].Root, plan.TrueCards)
 		return time.Duration(p * float64(time.Second)), time.Since(start)
 	})
 	res.Rows = append(res.Rows, SchedulingRow{"Zero Shot NN", sched.Simulate(nnJobs, clusters, sched.LongestFirst)})

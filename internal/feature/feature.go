@@ -354,22 +354,10 @@ func stageFeature(name string, p *plan.Pipeline, si int, src float64, mode plan.
 // tuple. Joins store only key and payload columns (cf. the paper's Q5
 // example where the hash table stores a single 8-byte key).
 func materializedWidth(n *plan.Node) int {
-	switch n.Op {
-	case plan.HashJoinOp:
-		if n.BuildWidth > 0 {
-			return n.BuildWidth
-		}
-		w := 0
-		for _, ci := range n.BuildKeys {
-			w += n.Left.Schema[ci].Kind.Width()
-		}
-		for _, ci := range n.BuildPayload {
-			w += n.Left.Schema[ci].Kind.Width()
-		}
-		return w
-	default:
-		return n.InWidth()
+	if n.Op == plan.HashJoinOp {
+		return n.HashTupleWidth()
 	}
+	return n.InWidth()
 }
 
 // exprClassPct computes, for a table scan, the fraction of scanned tuples on

@@ -132,14 +132,7 @@ func Encode(n *plan.Node) *Node {
 		}
 	}
 	if n.Op == plan.HashJoinOp {
-		w := 0
-		for _, ci := range n.BuildKeys {
-			w += n.Left.Schema[ci].Kind.Width()
-		}
-		for _, ci := range n.BuildPayload {
-			w += n.Left.Schema[ci].Kind.Width()
-		}
-		out.BuildWidth = w
+		out.BuildWidth = n.HashTupleWidth()
 	}
 	out.Left = Encode(n.Left)
 	out.Right = Encode(n.Right)

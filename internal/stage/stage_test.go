@@ -25,7 +25,7 @@ func buildHierarchy(t *testing.T) (*Predictor, []*plan.Node) {
 	nn := zeroshot.Train(train[:200], plan.TrueCards, cfg)
 	var roots []*plan.Node
 	for _, b := range c.AllTest() {
-		roots = append(roots, b.Query.Root)
+		roots = append(roots, b.Root)
 	}
 	return New(dt, nn, 4), roots
 }

@@ -85,7 +85,7 @@ func hashNode(k *Key, n *plan.Node, mode plan.CardMode) {
 			c = fnv64(c, math.Float64bits(n.PredSel[i].Get(mode)))
 		}
 	case plan.HashJoinOp:
-		h = fnv64(h, uint64(buildWidth(n)))
+		h = fnv64(h, uint64(n.HashTupleWidth()))
 	}
 	k.Struct, k.Cards = h, c
 	hashNode(k, n.Left, mode)

@@ -214,27 +214,11 @@ func AppendPlan(dst []byte, n *plan.Node) []byte {
 		}
 	}
 	if n.Op == plan.HashJoinOp {
-		dst = appendUvarint(dst, uint64(buildWidth(n)))
+		dst = appendUvarint(dst, uint64(n.HashTupleWidth()))
 	}
 	dst = AppendPlan(dst, n.Left)
 	dst = AppendPlan(dst, n.Right)
 	return dst
-}
-
-// buildWidth returns the bytes per tuple a hash join materializes: the
-// explicit override when set, else the sum of build key and payload widths.
-func buildWidth(n *plan.Node) int {
-	if n.BuildWidth > 0 {
-		return n.BuildWidth
-	}
-	w := 0
-	for _, ci := range n.BuildKeys {
-		w += n.Left.Schema[ci].Kind.Width()
-	}
-	for _, ci := range n.BuildPayload {
-		w += n.Left.Schema[ci].Kind.Width()
-	}
-	return w
 }
 
 func sameSchema(a, b []plan.ColMeta) bool {

@@ -5,25 +5,32 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 	"time"
 
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
+	"t3/internal/engine/stats"
 	"t3/internal/obs"
 	"t3/internal/par"
 )
 
 // Label is one collected training label: a query's annotated plan together
 // with the measured per-pipeline wall-clock times of every timing run — the
-// (plan, pipeline-time) pairs T3 trains on.
+// (plan, pipeline-time) pairs T3 trains on. It is the only label record:
+// the trainer, the baselines, the experiments and the corpus codec all take
+// labels.
 type Label struct {
 	Name  string
 	Group Group
-	Root  *plan.Node
+	// Root carries true cardinalities from the analyze run and estimated
+	// ones from stats.Estimator.
+	Root *plan.Node
 	// Pipelines is the plan decomposition after the analyze run annotated
 	// true cardinalities.
 	Pipelines []*plan.Pipeline
 	// SourceRows[p] is the number of tuples scanned at pipeline p's source.
+	// A label decoded from a corpus file written without them has none.
 	SourceRows []int
 	// Parallelism[p] is the morsel-parallelism degree pipeline p ran with in
 	// the analyze run (1 = serial). It describes how the label was measured,
@@ -35,6 +42,39 @@ type Label struct {
 	PipelineRuns [][]time.Duration
 	// Totals[r] is the summed pipeline time of timing run r.
 	Totals []time.Duration
+}
+
+// MedianTotal returns the median total query time over the timing runs.
+func (l *Label) MedianTotal() time.Duration { return median(l.Totals) }
+
+// PipelineMedian returns the median time of pipeline p over the first runs
+// timing runs (0 = all runs). Figure 14 varies runs.
+func (l *Label) PipelineMedian(p, runs int) time.Duration {
+	if runs <= 0 || runs > len(l.PipelineRuns) {
+		runs = len(l.PipelineRuns)
+	}
+	ts := make([]time.Duration, runs)
+	for r := range ts {
+		ts[r] = l.PipelineRuns[r][p]
+	}
+	return median(ts)
+}
+
+// ReleaseTables detaches base-table data from the plan so the instance can
+// be garbage collected. Featurization and prediction keep working (they read
+// only annotations); re-execution does not.
+func (l *Label) ReleaseTables() {
+	l.Root.Walk(func(n *plan.Node) { n.Table = nil })
+}
+
+// median returns the upper median of ds (0 when empty), leaving ds as it is.
+func median(ds []time.Duration) time.Duration {
+	if len(ds) == 0 {
+		return 0
+	}
+	s := slices.Clone(ds)
+	slices.Sort(s)
+	return s[len(s)/2]
 }
 
 // LabelSet is the result of one collection over an instance's workload.
@@ -63,10 +103,10 @@ type CollectConfig struct {
 	// Runs is the number of timing runs per query after the analyze run
 	// (default 1).
 	Runs int
-	// PerGroup is the number of generated queries per structure group
-	// (default 1).
+	// PerGroup is the number of queries per structure group CollectLabels
+	// generates (default 1).
 	PerGroup int
-	// Seed drives query generation.
+	// Seed drives CollectLabels' query generation.
 	Seed int64
 	// BatchSize overrides the executor batch size when > 0.
 	BatchSize int
@@ -77,24 +117,32 @@ type CollectConfig struct {
 	RunPlan func(ex *exec.Executor, root *plan.Node, annotate bool) (*exec.RunResult, error)
 }
 
-// CollectLabels generates the instance's workload and executes every query —
-// one analyze run to annotate true cardinalities, then cfg.Runs timing runs —
-// fanning independent queries out across a fixed worker set. Each worker owns
-// its own executor state (with Reuse set, so the steady-state loop recycles
-// plan/exec scratch and result buffers across queries), and big pipelines
-// additionally run morsel-parallel over the same pool. Every query's plan is
-// generated from a seed that depends only on the query's position, and the
-// executor's ordered partition merges make parallel results equal serial
-// ones, so for a fixed (instance, cfg minus Workers/IntraWorkers/MorselRows)
-// the collected label set is byte-stable (see StableBytes) for ANY worker
-// count — inter- or intra-query: parallelism changes wall-clock time, never
-// the data.
+// CollectLabels generates the instance's workload — cfg.PerGroup queries
+// per structure group from cfg.Seed — and labels it with CollectQueries.
 func CollectLabels(inst *Instance, cfg CollectConfig) (*LabelSet, error) {
+	return CollectQueries(inst, GenerateQueries(inst, GenConfig{PerGroup: cfg.PerGroup, Seed: cfg.Seed}), cfg)
+}
+
+// CollectQueries labels qs, which must run on inst. Each query gets one
+// analyze run that annotates true cardinalities, a stats.Estimator pass over
+// inst's statistics that annotates estimated ones, and cfg.Runs timing runs.
+// It is the only code that executes queries to produce training labels
+// (cfg.PerGroup and cfg.Seed are CollectLabels' and unused here).
+//
+// Independent queries fan out across a fixed worker set. Each worker owns its
+// own executor state (with Reuse set, so the steady-state loop recycles
+// plan/exec scratch and result buffers across queries), and big pipelines
+// additionally run morsel-parallel over the same pool. Labels come back in
+// query order, and the executor's ordered partition merges make parallel
+// results equal serial ones, so for fixed (inst, qs, cfg minus
+// Workers/IntraWorkers/MorselRows) the label set is byte-stable (see
+// StableBytes) for ANY worker count — inter- or intra-query: parallelism
+// changes wall-clock time, never the data. Callers whose durations train a
+// model (benchdata's corpus) pass one worker anyway, because queries running
+// side by side would change the times they measure.
+func CollectQueries(inst *Instance, qs []*Query, cfg CollectConfig) (*LabelSet, error) {
 	if cfg.Runs < 1 {
 		cfg.Runs = 1
-	}
-	if cfg.PerGroup < 1 {
-		cfg.PerGroup = 1
 	}
 	run := cfg.RunPlan
 	if run == nil {
@@ -103,7 +151,7 @@ func CollectLabels(inst *Instance, cfg CollectConfig) (*LabelSet, error) {
 		}
 	}
 
-	qs := GenerateQueries(inst, GenConfig{PerGroup: cfg.PerGroup, Seed: cfg.Seed})
+	est := &stats.Estimator{DB: inst.Stats} // stateless: shared by every worker
 	pool := par.Sized(cfg.Workers)
 	intra := cfg.IntraWorkers
 	switch {
@@ -139,6 +187,7 @@ func CollectLabels(inst *Instance, cfg CollectConfig) (*LabelSet, error) {
 				errs[i] = fmt.Errorf("analyze %s: %w", q.Name, err)
 				return
 			}
+			est.Estimate(q.Root)
 			l := &Label{
 				Name:      q.Name,
 				Group:     q.Group,
@@ -228,7 +277,9 @@ func (ls *LabelSet) Split(f float64) (train, holdout *LabelSet) {
 // source cardinalities, annotated true cardinalities and selectivities, and
 // the shape of the timing data — but NOT the measured durations themselves.
 // This is the determinism contract of parallel collection: StableBytes is
-// byte-identical for any worker count.
+// byte-identical for any worker count. Source rows are length-prefixed, so a
+// set decoded from a corpus file without them serializes deterministically
+// too. Fingerprint hashes these bytes; it is the one label-set fingerprint.
 func (ls *LabelSet) StableBytes() []byte {
 	var buf bytes.Buffer
 	buf.WriteString(ls.Instance)
@@ -239,13 +290,16 @@ func (ls *LabelSet) StableBytes() []byte {
 		buf.WriteString(string(l.Group))
 		writeUvarint(&buf, uint64(len(l.PipelineRuns)))
 		writeUvarint(&buf, uint64(len(l.Pipelines)))
-		for p, pl := range l.Pipelines {
+		for _, pl := range l.Pipelines {
 			writeUvarint(&buf, uint64(len(pl.Stages)))
 			for _, s := range pl.Stages {
 				writeUvarint(&buf, uint64(s.Node.Op))
 				writeUvarint(&buf, uint64(s.Stage))
 			}
-			writeUvarint(&buf, uint64(l.SourceRows[p]))
+		}
+		writeUvarint(&buf, uint64(len(l.SourceRows)))
+		for _, n := range l.SourceRows {
+			writeUvarint(&buf, uint64(n))
 		}
 		l.Root.Walk(func(n *plan.Node) {
 			writeUvarint(&buf, math.Float64bits(n.OutCard.True))

@@ -292,3 +292,46 @@ func TestLabelSetSplit(t *testing.T) {
 		t.Fatalf("Split(0.5) over 1 = %d/%d, want 1/0", len(tr.Labels), len(ho.Labels))
 	}
 }
+
+func TestPipelineMedian(t *testing.T) {
+	l := &Label{
+		PipelineRuns: [][]time.Duration{
+			{10 * time.Microsecond},
+			{30 * time.Microsecond},
+			{20 * time.Microsecond},
+		},
+	}
+	if got := l.PipelineMedian(0, 0); got != 20*time.Microsecond {
+		t.Errorf("median over all runs = %v", got)
+	}
+	if got := l.PipelineMedian(0, 1); got != 10*time.Microsecond {
+		t.Errorf("median over first run = %v", got)
+	}
+	if got := l.PipelineMedian(0, 2); got != 30*time.Microsecond {
+		t.Errorf("median over two runs = %v (upper median)", got)
+	}
+	if got := l.PipelineMedian(0, 99); got != 20*time.Microsecond {
+		t.Errorf("overlong run count should clamp: %v", got)
+	}
+}
+
+// TestStableBytesWithoutSourceRows: a label decoded from a corpus file has
+// pipelines but no source rows. Its set serializes deterministically, and
+// differently from the same set with source rows.
+func TestStableBytesWithoutSourceRows(t *testing.T) {
+	ls, err := CollectLabels(collectInstance(t), CollectConfig{Workers: 1, Runs: 1, PerGroup: 1, Seed: 3})
+	if err != nil {
+		t.Fatal(err)
+	}
+	with := ls.StableBytes()
+	for _, l := range ls.Labels {
+		l.SourceRows = nil
+	}
+	without := ls.StableBytes()
+	if !bytes.Equal(without, ls.StableBytes()) {
+		t.Fatal("stable bytes of a set without source rows are not deterministic")
+	}
+	if bytes.Equal(with, without) {
+		t.Fatal("dropping source rows left the stable bytes unchanged")
+	}
+}

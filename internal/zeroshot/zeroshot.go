@@ -19,6 +19,7 @@ import (
 	"t3/internal/benchdata"
 	"t3/internal/engine/plan"
 	"t3/internal/nn"
+	"t3/internal/workload"
 )
 
 // NumNodeFeatures is the per-node feature dimension.
@@ -155,7 +156,7 @@ func (m *Model) PredictSeconds(root *plan.Node, mode plan.CardMode) float64 {
 
 // Train fits the model on benchmarked queries with targets
 // -log10(median total runtime).
-func Train(benched []*benchdata.BenchedQuery, mode plan.CardMode, cfg TrainConfig) *Model {
+func Train(labels []*workload.Label, mode plan.CardMode, cfg TrainConfig) *Model {
 	if cfg.Hidden == 0 {
 		cfg = DefaultTrainConfig()
 	}
@@ -165,21 +166,21 @@ func Train(benched []*benchdata.BenchedQuery, mode plan.CardMode, cfg TrainConfi
 		Enc:    nn.NewMLP(rng, NumNodeFeatures+cfg.Hidden, cfg.Hidden, cfg.Hidden),
 		Head:   nn.NewMLP(rng, cfg.Hidden, cfg.Hidden, 1),
 	}
-	targets := make([]float64, len(benched))
-	for i, b := range benched {
+	targets := make([]float64, len(labels))
+	for i, b := range labels {
 		targets[i] = benchdata.TargetTransform(b.MedianTotal().Seconds())
 	}
 
-	order := rng.Perm(len(benched))
+	order := rng.Perm(len(labels))
 	step := 0
 	for epoch := 0; epoch < cfg.Epochs; epoch++ {
 		rng.Shuffle(len(order), func(i, j int) { order[i], order[j] = order[j], order[i] })
 		epochLoss := 0.0
 		inBatch := 0
 		for _, qi := range order {
-			b := benched[qi]
+			b := labels[qi]
 			rec := &recorder{}
-			rootIdx := m.forward(b.Query.Root, mode, rec)
+			rootIdx := m.forward(b.Root, mode, rec)
 			headTrace, out := m.Head.Forward(rec.states[rootIdx].emb)
 			diff := out[0] - targets[qi]
 			epochLoss += 0.5 * diff * diff
@@ -221,7 +222,7 @@ func Train(benched []*benchdata.BenchedQuery, mode plan.CardMode, cfg TrainConfi
 			m.Head.Adam(cfg.LR, step)
 		}
 		if cfg.Progress != nil {
-			cfg.Progress(epoch, epochLoss/float64(len(benched)))
+			cfg.Progress(epoch, epochLoss/float64(len(labels)))
 		}
 	}
 	return m

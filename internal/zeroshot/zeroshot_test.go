@@ -12,7 +12,7 @@ import (
 func TestNodeFeaturesShape(t *testing.T) {
 	c := testutil.SmallCorpus(t)
 	b := c.AllTrain()[0]
-	b.Query.Root.Walk(func(n *plan.Node) {
+	b.Root.Walk(func(n *plan.Node) {
 		f := nodeFeatures(n, plan.TrueCards, nil)
 		if len(f) != NumNodeFeatures {
 			t.Fatalf("feature dim %d, want %d", len(f), NumNodeFeatures)
@@ -55,7 +55,7 @@ func TestZeroShotLearns(t *testing.T) {
 	// baseline is allowed to be worse than T3, but must beat wild guessing.
 	var es []float64
 	for _, b := range c.AllTest() {
-		pred := m.PredictSeconds(b.Query.Root, plan.TrueCards)
+		pred := m.PredictSeconds(b.Root, plan.TrueCards)
 		es = append(es, qerror.QError(pred, b.MedianTotal().Seconds()))
 	}
 	s := qerror.Summarize(es)
@@ -71,7 +71,7 @@ func TestPredictionPositive(t *testing.T) {
 	cfg.Epochs = 3
 	m := Train(c.AllTrain()[:100], plan.TrueCards, cfg)
 	for _, b := range c.AllTest()[:20] {
-		p := m.PredictSeconds(b.Query.Root, plan.TrueCards)
+		p := m.PredictSeconds(b.Root, plan.TrueCards)
 		if p <= 0 || math.IsNaN(p) || math.IsInf(p, 0) {
 			t.Fatalf("prediction %v not a positive finite duration", p)
 		}

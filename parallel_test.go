@@ -4,13 +4,15 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"t3/internal/testutil"
 )
 
 // TestPredictBatchMatchesPredictPlan checks, over randomly drawn plan
 // subsets and worker counts, that batched prediction is exactly the
 // per-plan prediction loop.
 func TestPredictBatchMatchesPredictPlan(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	test := c.AllTest()
 
@@ -19,7 +21,7 @@ func TestPredictBatchMatchesPredictPlan(t *testing.T) {
 		n := 1 + rng.Intn(12)
 		roots := make([]*Plan, n)
 		for i := range roots {
-			roots[i] = test[rng.Intn(len(test))].Query.Root
+			roots[i] = test[rng.Intn(len(test))].Root
 		}
 		m.SetWorkers(int(rawWorkers % 9)) // 0..8 workers
 		batch := m.PredictBatch(roots, TrueCards)
@@ -42,12 +44,12 @@ func TestPredictBatchMatchesPredictPlan(t *testing.T) {
 }
 
 func TestPredictBatchEmptyAndSingle(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	if got := m.PredictBatch(nil, TrueCards); len(got) != 0 {
 		t.Fatalf("empty batch returned %d predictions", len(got))
 	}
-	root := c.AllTest()[0].Query.Root
+	root := c.AllTest()[0].Root
 	want, _ := m.PredictPlan(root, TrueCards)
 	if got := m.PredictBatch([]*Plan{root}, TrueCards); len(got) != 1 || got[0] != want {
 		t.Fatalf("single-plan batch %v, want [%v]", got, want)

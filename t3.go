@@ -14,9 +14,9 @@
 //   - Compiled decision trees: a gradient-boosted ensemble evaluated in a
 //     cache-packed, compiled form for microsecond-level latency (§2.6).
 //
-// The typical flow is: build or obtain annotated plans (see
-// internal/workload and internal/benchdata for generators and the
-// benchmarking harness), train with Train, and predict with
+// The typical flow is: collect labels — executed, annotated plans with their
+// pipeline times (internal/workload generates and executes queries,
+// internal/benchdata builds the corpus) — train with Train, and predict with
 // Model.PredictPlan. Trained models serialize to JSON with Save/Load; a
 // loaded or trained model is compiled once, by internal/treec.Pack, into the
 // layout every prediction runs on.
@@ -39,6 +39,7 @@ import (
 	"t3/internal/qerror"
 	"t3/internal/treec"
 	"t3/internal/wire"
+	"t3/internal/workload"
 )
 
 // Re-exported types so that API consumers can name the core concepts without
@@ -52,8 +53,9 @@ type (
 	CardMode = plan.CardMode
 	// Params configures gradient-boosted-tree training.
 	Params = gbdt.Params
-	// BenchedQuery is a benchmarked query with per-pipeline timings.
-	BenchedQuery = benchdata.BenchedQuery
+	// Label is one executed query: its annotated plan and the per-pipeline
+	// times of every timing run, the record Train learns from.
+	Label = workload.Label
 )
 
 // Cardinality modes.
@@ -119,10 +121,10 @@ type TrainOptions struct {
 	Runs int
 }
 
-// Train fits a T3 model on benchmarked queries: every pipeline of every
-// query becomes one example with a tuple-centric transformed target.
-func Train(benched []*BenchedQuery, opts TrainOptions) (*Model, error) {
-	if len(benched) == 0 {
+// Train fits a T3 model on labels: every pipeline of every query becomes one
+// example with a tuple-centric transformed target.
+func Train(labels []*Label, opts TrainOptions) (*Model, error) {
+	if len(labels) == 0 {
 		return nil, errors.New("t3: no training queries")
 	}
 	p := opts.Params
@@ -130,7 +132,7 @@ func Train(benched []*BenchedQuery, opts TrainOptions) (*Model, error) {
 		p = DefaultParams()
 	}
 	reg := feature.NewDefaultRegistry()
-	xs, ys := benchdata.Examples(reg, benched, opts.CardMode, opts.Runs)
+	xs, ys := benchdata.Examples(reg, labels, opts.CardMode, opts.Runs)
 	gbm, _, err := gbdt.Train(p, xs, ys, nil, nil)
 	if err != nil {
 		return nil, fmt.Errorf("t3: training failed: %w", err)

@@ -7,6 +7,7 @@ import (
 	"t3/internal/engine/plan"
 	"t3/internal/genplan"
 	"t3/internal/planio"
+	"t3/internal/testutil"
 )
 
 // genPlans draws a spread of generated plans across every scenario.
@@ -25,7 +26,7 @@ func genPlans(seeds int) []*genplan.Case {
 // must equal the sum of per-pipeline predictions obtained one pipeline at a
 // time.
 func TestGeneratedPlanPredictionSumsOverPipelines(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	for _, g := range genPlans(15) {
 		if !g.FiniteCards {
@@ -55,7 +56,7 @@ func TestGeneratedPlanPredictionSumsOverPipelines(t *testing.T) {
 // TestGeneratedPlanScratchReuse reuses one scratch across heterogeneous
 // generated plans and checks every prediction matches a fresh-scratch call.
 func TestGeneratedPlanScratchReuse(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	var s PredictScratch
 	for _, g := range genPlans(10) {
@@ -83,7 +84,7 @@ func TestGeneratedPlanScratchReuse(t *testing.T) {
 // through the JSON plan format and checks predictions are unchanged — the
 // serialized annotations carry everything the predictor reads.
 func TestGeneratedPlanPredictionSurvivesPlanIO(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	tripped := 0
 	for _, g := range genPlans(15) {
@@ -115,7 +116,7 @@ func TestGeneratedPlanPredictionSurvivesPlanIO(t *testing.T) {
 // at several worker counts and checks the batch output never depends on the
 // parallelism.
 func TestGeneratedPlanBatchWorkerInvariance(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	var roots []*Plan
 	for _, g := range genPlans(8) {

@@ -5,7 +5,6 @@ import (
 	"math"
 	"os"
 	"path/filepath"
-	"sync"
 	"testing"
 	"time"
 
@@ -15,28 +14,9 @@ import (
 	"t3/internal/gbdt"
 	"t3/internal/obs"
 	"t3/internal/qerror"
+	"t3/internal/testutil"
 	"t3/internal/workload"
 )
-
-// testCorpus builds a small shared corpus once per test binary: a handful of
-// training instances and the TPC-DS-lite test instances, all at tiny scale.
-var (
-	corpusOnce sync.Once
-	corpus     *benchdata.Corpus
-	corpusErr  error
-)
-
-func smallCorpus(t *testing.T) *benchdata.Corpus {
-	t.Helper()
-	corpusOnce.Do(func() {
-		cfg := benchdata.Config{Scale: 0.05, PerGroup: 3, Runs: 3, Seed: 2, ReleaseTables: true}
-		corpus, corpusErr = benchdata.BuildCorpus(cfg)
-	})
-	if corpusErr != nil {
-		t.Fatal(corpusErr)
-	}
-	return corpus
-}
 
 func trainSmall(t *testing.T, c *benchdata.Corpus) *Model {
 	t.Helper()
@@ -50,7 +30,7 @@ func trainSmall(t *testing.T, c *benchdata.Corpus) *Model {
 }
 
 func TestEndToEndTrainAndPredict(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	if len(c.Train) < 20 {
 		t.Fatalf("only %d training instances", len(c.Train))
 	}
@@ -64,7 +44,7 @@ func TestEndToEndTrainAndPredict(t *testing.T) {
 	// q-error to be sane (the paper reaches ~1.2 with 14k queries).
 	var es []float64
 	for _, b := range c.AllTest() {
-		pred, _ := m.PredictPlan(b.Query.Root, TrueCards)
+		pred, _ := m.PredictPlan(b.Root, TrueCards)
 		es = append(es, qerror.QError(pred.Seconds(), b.MedianTotal().Seconds()))
 	}
 	s := qerror.Summarize(es)
@@ -76,7 +56,7 @@ func TestEndToEndTrainAndPredict(t *testing.T) {
 	// Training-set accuracy should be clearly better than test.
 	var esTr []float64
 	for _, b := range c.AllTrain()[:200] {
-		pred, _ := m.PredictPlan(b.Query.Root, TrueCards)
+		pred, _ := m.PredictPlan(b.Root, TrueCards)
 		esTr = append(esTr, qerror.QError(pred.Seconds(), b.MedianTotal().Seconds()))
 	}
 	st := qerror.Summarize(esTr)
@@ -87,11 +67,11 @@ func TestEndToEndTrainAndPredict(t *testing.T) {
 }
 
 func TestCompiledMatchesInterpreted(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	for _, b := range c.AllTest()[:50] {
-		compiled, _ := m.PredictPlan(b.Query.Root, TrueCards)
-		interp := m.PredictInterpreted(b.Query.Root, TrueCards)
+		compiled, _ := m.PredictPlan(b.Root, TrueCards)
+		interp := m.PredictInterpreted(b.Root, TrueCards)
 		// The compiled form folds constant trees into the base score
 		// (summation order differs) and PredictPlan rounds each pipeline to
 		// integer nanoseconds. Allow up to 1ns per pipeline plus relative
@@ -101,7 +81,7 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		// InRoundingGap pins exactly.
 		floor := float64(len(b.Pipelines)+1) * 1e-9
 		if d := math.Abs(compiled.Seconds() - interp.Seconds()); d > floor+1e-6*compiled.Seconds() {
-			vecs, _ := m.Registry().PlanVectors(b.Query.Root, TrueCards)
+			vecs, _ := m.Registry().PlanVectors(b.Root, TrueCards)
 			gap := false
 			for _, v := range vecs {
 				if m.Compiled().InRoundingGap(v) {
@@ -111,17 +91,17 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 			}
 			if !gap {
 				t.Fatalf("%s: compiled %v != interpreted %v with no feature value in a float32 rounding gap",
-					b.Query.Name, compiled, interp)
+					b.Name, compiled, interp)
 			}
 		}
 	}
 }
 
 func TestPredictionsSumOverPipelines(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	b := c.AllTest()[0]
-	total, per := m.PredictPlan(b.Query.Root, TrueCards)
+	total, per := m.PredictPlan(b.Root, TrueCards)
 	if len(per) != len(b.Pipelines) {
 		t.Fatalf("%d pipeline predictions for %d pipelines", len(per), len(b.Pipelines))
 	}
@@ -142,7 +122,7 @@ func TestPredictionsSumOverPipelines(t *testing.T) {
 }
 
 func TestSaveLoadModel(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	path := filepath.Join(t.TempDir(), "t3.json")
 	if err := m.Save(path); err != nil {
@@ -153,18 +133,18 @@ func TestSaveLoadModel(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, b := range c.AllTest()[:20] {
-		a, _ := m.PredictPlan(b.Query.Root, TrueCards)
-		z, _ := m2.PredictPlan(b.Query.Root, TrueCards)
+		a, _ := m.PredictPlan(b.Root, TrueCards)
+		z, _ := m2.PredictPlan(b.Root, TrueCards)
 		if a != z {
-			t.Fatalf("%s: predictions diverged after save/load", b.Query.Name)
+			t.Fatalf("%s: predictions diverged after save/load", b.Name)
 		}
 	}
 }
 
 func TestFeaturize(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	b := c.AllTest()[0]
-	vecs, ps := Featurize(b.Query.Root, TrueCards)
+	vecs, ps := Featurize(b.Root, TrueCards)
 	if len(vecs) != len(ps) {
 		t.Fatalf("%d vectors for %d pipelines", len(vecs), len(ps))
 	}
@@ -188,7 +168,7 @@ func TestTrainErrorsOnEmptyInput(t *testing.T) {
 }
 
 func TestModelAccessors(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	if m.Registry() == nil || m.Boosted() == nil || m.Compiled() == nil {
 		t.Fatal("accessors returned nil")
@@ -214,12 +194,12 @@ func TestLoadErrors(t *testing.T) {
 }
 
 func TestEstCardPredictionUsesEstimates(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	// Find a query whose estimates diverge from truth; predictions under
 	// the two modes should then differ.
 	for _, b := range c.AllTest() {
-		root := b.Query.Root
+		root := b.Root
 		diverges := false
 		root.Walk(func(n *Plan) {
 			if n.OutCard.Est > 2*n.OutCard.True+10 || n.OutCard.True > 2*n.OutCard.Est+10 {
@@ -232,7 +212,7 @@ func TestEstCardPredictionUsesEstimates(t *testing.T) {
 		pTrue, _ := m.PredictPlan(root, TrueCards)
 		pEst, _ := m.PredictPlan(root, EstCards)
 		if pTrue == pEst {
-			t.Fatalf("%s: predictions identical despite diverging cards", b.Query.Name)
+			t.Fatalf("%s: predictions identical despite diverging cards", b.Name)
 		}
 		return
 	}
@@ -240,21 +220,21 @@ func TestEstCardPredictionUsesEstimates(t *testing.T) {
 }
 
 func TestPredictPlanScratchMatchesPredictPlan(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	var s PredictScratch
 	for _, b := range c.AllTest()[:50] {
-		want, wantPer := m.PredictPlan(b.Query.Root, TrueCards)
-		got, gotPer := m.PredictPlanScratch(b.Query.Root, TrueCards, &s)
+		want, wantPer := m.PredictPlan(b.Root, TrueCards)
+		got, gotPer := m.PredictPlanScratch(b.Root, TrueCards, &s)
 		if got != want {
-			t.Fatalf("%s: scratch total %v != %v", b.Query.Name, got, want)
+			t.Fatalf("%s: scratch total %v != %v", b.Name, got, want)
 		}
 		if len(gotPer) != len(wantPer) {
-			t.Fatalf("%s: %d pipeline predictions, want %d", b.Query.Name, len(gotPer), len(wantPer))
+			t.Fatalf("%s: %d pipeline predictions, want %d", b.Name, len(gotPer), len(wantPer))
 		}
 		for i := range gotPer {
 			if gotPer[i] != wantPer[i] {
-				t.Fatalf("%s pipeline %d: %+v != %+v", b.Query.Name, i, gotPer[i], wantPer[i])
+				t.Fatalf("%s pipeline %d: %+v != %+v", b.Name, i, gotPer[i], wantPer[i])
 			}
 		}
 	}
@@ -264,9 +244,9 @@ func TestPredictPlanScratchMatchesPredictPlan(t *testing.T) {
 // once a scratch has warmed up, a full featurize -> packed predict ->
 // per-pipeline sum cycle performs zero heap allocations.
 func TestPredictScratchZeroAlloc(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
-	root := c.AllTest()[0].Query.Root
+	root := c.AllTest()[0].Root
 	var s PredictScratch
 	m.PredictPlanScratch(root, TrueCards, &s) // warm the scratch
 	if allocs := testing.AllocsPerRun(200, func() {
@@ -282,13 +262,13 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates inside sync.Pool")
 	}
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	m.SetWorkers(1)
 	defer m.SetWorkers(0)
 	roots := make([]*Plan, 0, 16)
 	for _, b := range c.AllTest()[:16] {
-		roots = append(roots, b.Query.Root)
+		roots = append(roots, b.Root)
 	}
 	out := make([]time.Duration, len(roots))
 	m.PredictBatchInto(roots, TrueCards, out) // warm the pooled scratch
@@ -305,12 +285,12 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 // enough for the pool to split, with the rows on one goroutine or fanned
 // over a pool, and through a caller's own scratch.
 func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	defer m.SetWorkers(0)
 	var roots []*Plan
 	for _, b := range c.AllTest() {
-		roots = append(roots, b.Query.Root)
+		roots = append(roots, b.Root)
 	}
 	for len(roots) < 64 {
 		roots = append(roots, roots...)
@@ -373,31 +353,31 @@ func packedPipeline(m *Model, p *Pipeline, mode CardMode) time.Duration {
 // on the packed tier and that it agrees with the interpreter on real plans
 // (any disagreement must be a documented float32 rounding gap).
 func TestPackedTierServesPredictions(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	if m.Packed() == nil {
 		t.Fatal("model has no packed evaluator")
 	}
 	gaps := 0
 	for _, b := range c.AllTest() {
-		total, per := m.PredictPlan(b.Query.Root, TrueCards)
-		vecs, pipes := m.Registry().PlanVectors(b.Query.Root, TrueCards)
+		total, per := m.PredictPlan(b.Root, TrueCards)
+		vecs, pipes := m.Registry().PlanVectors(b.Root, TrueCards)
 		var sum time.Duration
 		for i, v := range vecs {
 			if pr, pp := foldedReference(m.Boosted(), v), m.Packed().Predict(v); pr != pp {
 				gaps++
 				if !m.Compiled().InRoundingGap(v) {
-					t.Fatalf("%s: packed %v != interpreted %v with no rounding gap", b.Query.Name, pp, pr)
+					t.Fatalf("%s: packed %v != interpreted %v with no rounding gap", b.Name, pp, pr)
 				}
 			}
 			want := packedPipeline(m, pipes[i], TrueCards)
 			if per[i].Total != want {
-				t.Fatalf("%s pipeline %d: served %v, packed tier gives %v", b.Query.Name, i, per[i].Total, want)
+				t.Fatalf("%s pipeline %d: served %v, packed tier gives %v", b.Name, i, per[i].Total, want)
 			}
 			sum += want
 		}
 		if total != sum {
-			t.Fatalf("%s: served total %v != packed pipeline sum %v", b.Query.Name, total, sum)
+			t.Fatalf("%s: served total %v != packed pipeline sum %v", b.Name, total, sum)
 		}
 	}
 	t.Logf("%d pipeline vectors hit rounding gaps", gaps)
@@ -407,14 +387,14 @@ func TestPackedTierServesPredictions(t *testing.T) {
 // paths feed the obs registry: counters advance, the latency histogram
 // fills, and PredictAndRun scores q-errors against real engine executions.
 func TestObservabilityIntegration(t *testing.T) {
-	c := smallCorpus(t)
+	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	test := c.AllTest()
 
 	before := obs.Predictions.Value()
 	latBefore := obs.PredictLatency.Snapshot().Count
 	for _, b := range test[:10] {
-		m.PredictPlan(b.Query.Root, TrueCards)
+		m.PredictPlan(b.Root, TrueCards)
 	}
 	if got := obs.Predictions.Value() - before; got < 10 {
 		t.Fatalf("predictions counter advanced by %d, want >= 10", got)
@@ -426,7 +406,7 @@ func TestObservabilityIntegration(t *testing.T) {
 	batchBefore := obs.PredictBatches.Value()
 	roots := make([]*Plan, 5)
 	for i, b := range test[:5] {
-		roots[i] = b.Query.Root
+		roots[i] = b.Root
 	}
 	m.PredictBatch(roots, TrueCards)
 	if obs.PredictBatches.Value() != batchBefore+1 {

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"t3/internal/engine/expr"
@@ -34,21 +35,31 @@ func hashString(h uint64, s string) uint64 {
 	return h
 }
 
-// hashRow hashes the values of the given columns at row i.
-func hashRow(cols []storage.Column, idxs []int, i int) uint64 {
-	h := fnvOffset
+// hashCols sets hs[i] to the hash of row i of the key columns idxs, for the
+// first len(hs) rows, one key column at a time: the FNV offset, then per key
+// column in key order mix of the value's bits or the FNV loop over a
+// string's bytes. Null flags are not hashed.
+func hashCols(cols []storage.Column, idxs []int, hs []uint64) {
+	for i := range hs {
+		hs[i] = fnvOffset
+	}
 	for _, ci := range idxs {
 		c := &cols[ci]
 		switch c.Kind {
 		case storage.Int64:
-			h = mix(h, uint64(c.Ints[i]))
+			for i, v := range c.Ints[:len(hs)] {
+				hs[i] = mix(hs[i], uint64(v))
+			}
 		case storage.Float64:
-			h = mix(h, math.Float64bits(c.Flts[i]))
+			for i, v := range c.Flts[:len(hs)] {
+				hs[i] = mix(hs[i], math.Float64bits(v))
+			}
 		case storage.String:
-			h = hashString(h, c.Strs[i])
+			for i, v := range c.Strs[:len(hs)] {
+				hs[i] = hashString(hs[i], v)
+			}
 		}
 	}
-	return h
 }
 
 // rowsEqual compares row a of cols (at idxs) against row b of keyCols.
@@ -120,7 +131,8 @@ type joinPartial struct {
 	rows    int
 }
 
-// appendVal appends value at row i of src to dst.
+// appendVal appends value at row i of src to dst: one value, such as a newly
+// discovered group's key.
 func appendVal(dst, src *storage.Column, i int) {
 	switch src.Kind {
 	case storage.Int64:
@@ -171,25 +183,33 @@ func (rt *runtime) newJoinState(n *plan.Node) *joinState {
 	return st
 }
 
-// buildBatch folds one batch into the join build state.
-func (st *joinState) buildBatch(n *plan.Node, b *expr.Batch) {
-	for i := 0; i < b.N; i++ {
-		h := hashRow(b.Cols, n.BuildKeys, i)
-		st.ht.insert(h) // entry id == st.rows (sequential inserts)
-		for k, ci := range n.BuildKeys {
-			appendVal(&st.keyCols[k], &b.Cols[ci], i)
-		}
-		for k, ci := range n.BuildPayload {
-			appendVal(&st.payload[k], &b.Cols[ci], i)
-		}
-		st.rows++
+// buildBatch folds one batch into the join build state: the batch's key
+// hashes into hs, then the table inserts in row order (entry id == st.rows,
+// sequential), then the key and payload columns in bulk.
+func (st *joinState) buildBatch(n *plan.Node, b *expr.Batch, hs []uint64) {
+	hs = hs[:b.N]
+	hashCols(b.Cols, n.BuildKeys, hs)
+	for _, h := range hs {
+		st.ht.insert(h)
+	}
+	appendCols(st.keyCols, b.Cols, n.BuildKeys, b.N)
+	appendCols(st.payload, b.Cols, n.BuildPayload, b.N)
+	st.rows += b.N
+}
+
+// appendCols bulk-appends the first n rows of the columns idxs of src to dst,
+// dst[k] receiving src[idxs[k]].
+func appendCols(dst, src []storage.Column, idxs []int, n int) {
+	for k, ci := range idxs {
+		appendCol(&dst[k], &src[ci], n)
 	}
 }
 
 func (rt *runtime) makeJoinBuild(n *plan.Node) (pushFn, func(), error) {
 	st := rt.newJoinState(n)
 	rt.states[n] = st
-	return func(b *expr.Batch) { st.buildBatch(n, b) }, nil, nil
+	hs := rt.scratch.hashBuf(rt.batchSize)
+	return func(b *expr.Batch) { st.buildBatch(n, b, hs) }, nil, nil
 }
 
 // shape prepares a partition-local join partial matching st's layout.
@@ -206,18 +226,15 @@ func (p *joinPartial) shape(st *joinState) {
 	}
 }
 
-// buildBatch folds one batch into the partition-local join partial.
+// buildBatch folds one batch into the partition-local join partial: the key
+// hashes straight into the tail of p.hashes, the columns in bulk.
 func (p *joinPartial) buildBatch(n *plan.Node, b *expr.Batch) {
-	for i := 0; i < b.N; i++ {
-		p.hashes = append(p.hashes, hashRow(b.Cols, n.BuildKeys, i))
-		for k, ci := range n.BuildKeys {
-			appendVal(&p.keyCols[k], &b.Cols[ci], i)
-		}
-		for k, ci := range n.BuildPayload {
-			appendVal(&p.payload[k], &b.Cols[ci], i)
-		}
-		p.rows++
-	}
+	at := len(p.hashes)
+	p.hashes = slices.Grow(p.hashes, b.N)[:at+b.N]
+	hashCols(b.Cols, n.BuildKeys, p.hashes[at:])
+	appendCols(p.keyCols, b.Cols, n.BuildKeys, b.N)
+	appendCols(p.payload, b.Cols, n.BuildPayload, b.N)
+	p.rows += b.N
 }
 
 // merge appends a partition's rows to the shared join state. Hashes were
@@ -228,15 +245,22 @@ func (st *joinState) merge(p *joinPartial) {
 		st.ht.insert(h)
 	}
 	for k := range st.keyCols {
-		appendCol(&st.keyCols[k], &p.keyCols[k])
+		appendCol(&st.keyCols[k], &p.keyCols[k], p.rows)
 	}
 	for k := range st.payload {
-		appendCol(&st.payload[k], &p.payload[k])
+		appendCol(&st.payload[k], &p.payload[k], p.rows)
 	}
 	st.rows += p.rows
 }
 
-// makeProbe wraps sink with the probe stage of a hash join.
+// makeProbe wraps sink with the probe stage of a hash join. Per batch it
+// hashes the probe keys, then walks probe rows in order and each row's chain
+// in build insertion order, collecting (probe row, build entry) pairs of
+// equal keys; every rt.batchSize pairs, and at the end of the batch, it
+// gathers the output column by column and pushes it. A LIMIT downstream sets
+// rt.stop during a push, and no further probe row starts, so the pairs, the
+// flush boundaries and the row where the pipeline stops are those of a
+// row-at-a-time probe.
 func (rt *runtime) makeProbe(n *plan.Node, sink pushFn) (pushFn, error) {
 	st, ok := rt.states[n].(*joinState)
 	if !ok {
@@ -246,43 +270,42 @@ func (rt *runtime) makeProbe(n *plan.Node, sink pushFn) (pushFn, error) {
 	nProbe := len(n.Right.Schema)
 	// One reusable output buffer for the whole probe stage: sinks consume
 	// batches synchronously and never retain them, so the buffer can be
-	// truncated and refilled after every flush.
+	// refilled after every flush.
 	out := rt.scratch.batchMeta(n.Schema)
-	on := 0
+	hs := rt.scratch.hashBuf(rt.batchSize)
+	rows := rt.scratch.idxBuf(rt.batchSize)
+	entries := rt.scratch.idxBuf(rt.batchSize)
+	on := 0 // pairs collected since the last flush
 	return func(b *expr.Batch) {
 		flush := func() {
-			if on > 0 {
-				nc.out += int64(on)
-				sink(out.attach(on))
-				out.truncate()
-				on = 0
+			if on == 0 {
+				return
 			}
+			for c := 0; c < nProbe; c++ {
+				gatherCol(&out.cols[c], &b.Cols[c], rows[:on])
+			}
+			for c := range st.payload {
+				gatherCol(&out.cols[nProbe+c], &st.payload[c], entries[:on])
+			}
+			nc.out += int64(on)
+			sink(out.attach(on))
+			on = 0
 		}
+		h := hs[:b.N]
+		hashCols(b.Cols, n.ProbeKeys, h)
 		for i := 0; i < b.N && !rt.stop; i++ {
-			h := hashRow(b.Cols, n.ProbeKeys, i)
-			for e := st.ht.lookup(h); e >= 0; e = st.ht.next[e] {
-				if !rowsEqualProbe(b.Cols, n.ProbeKeys, i, st.keyCols, int(e)) {
+			for e := st.ht.lookup(h[i]); e >= 0; e = st.ht.next[e] {
+				if !rowsEqual(b.Cols, n.ProbeKeys, i, st.keyCols, int(e)) {
 					continue
 				}
-				for c := 0; c < nProbe; c++ {
-					appendVal(&out.cols[c], &b.Cols[c], i)
-				}
-				for c := range st.payload {
-					appendVal(&out.cols[nProbe+c], &st.payload[c], int(e))
-				}
-				on++
-				if on >= rt.batchSize {
+				rows[on], entries[on] = int32(i), e
+				if on++; on >= rt.batchSize {
 					flush()
 				}
 			}
 		}
 		flush()
 	}, nil
-}
-
-// rowsEqualProbe compares probe row a (columns at idxs) with build key row b.
-func rowsEqualProbe(cols []storage.Column, idxs []int, a int, keyCols []storage.Column, b int) bool {
-	return rowsEqual(cols, idxs, a, keyCols, b)
 }
 
 // groupState is the hash-aggregation state of a group-by build. Groups are
@@ -388,10 +411,15 @@ func truncAccS(s [][]string, n int) [][]string {
 	return s
 }
 
-// update folds one batch into the group state.
-func (st *groupState) update(n *plan.Node, b *expr.Batch) {
-	for i := 0; i < b.N; i++ {
-		h := hashRow(b.Cols, n.GroupCols, i)
+// update folds one batch into the group state in two passes. The first
+// hashes the group columns into hs and resolves every row's group id into
+// gids in row order, adding the groups it discovers in discovery order. The
+// second folds each aggregate over the id vector, so each group's float sums
+// accumulate in row order.
+func (st *groupState) update(n *plan.Node, b *expr.Batch, hs []uint64, gids []int32) {
+	hs, gids = hs[:b.N], gids[:b.N]
+	hashCols(b.Cols, n.GroupCols, hs)
+	for i, h := range hs {
 		gi := int32(-1)
 		for cand := st.ht.lookup(h); cand >= 0; cand = st.ht.next[cand] {
 			if rowsEqual(b.Cols, n.GroupCols, i, st.keyCols, int(cand)) {
@@ -407,9 +435,10 @@ func (st *groupState) update(n *plan.Node, b *expr.Batch) {
 			}
 			st.addGroup(n.Aggs)
 		}
-		for a, agg := range n.Aggs {
-			updateAcc(st, a, agg, b, gi, i)
-		}
+		gids[i] = gi
+	}
+	for a, agg := range n.Aggs {
+		st.fold(a, agg, b, gids)
 	}
 }
 
@@ -479,6 +508,14 @@ func mergeAcc(st *groupState, a int, agg plan.Agg, src *groupState, gi int32, sg
 	st.counts[a][gi] += srcCount
 }
 
+// groupSink returns the push function that folds batches into st, with its
+// hash and group-id vectors checked out of rt's scratch.
+func (rt *runtime) groupSink(n *plan.Node, st *groupState) pushFn {
+	hs := rt.scratch.hashBuf(rt.batchSize)
+	gids := rt.scratch.idxBuf(rt.batchSize)
+	return func(b *expr.Batch) { st.update(n, b, hs, gids) }
+}
+
 func (rt *runtime) makeGroupByBuild(n *plan.Node) (pushFn, func(), error) {
 	// Presize from the group-by's own output-cardinality annotation: the
 	// number of entries is the number of distinct groups, which can never
@@ -487,7 +524,7 @@ func (rt *runtime) makeGroupByBuild(n *plan.Node) (pushFn, func(), error) {
 	// Register the build state; finalize replaces it with the materialized
 	// output, and a premature scan fails the *Materialized assertion.
 	rt.states[n] = st
-	push := func(b *expr.Batch) { st.update(n, b) }
+	push := rt.groupSink(n, st)
 	finalize := func() { rt.finalizeGroup(n, st) }
 	return push, finalize, nil
 }
@@ -504,7 +541,7 @@ func (rt *runtime) finalizeGroup(n *plan.Node, st *groupState) {
 	// and the output buffer are pooled, and aliasing would let a future
 	// checkout of one corrupt the other.
 	for k := range st.keyCols {
-		appendCol(&out.Cols[k], &st.keyCols[k])
+		appendCol(&out.Cols[k], &st.keyCols[k], st.groups)
 	}
 	for a, agg := range n.Aggs {
 		col := &out.Cols[ng+a]
@@ -528,48 +565,64 @@ func initialAcc(fn plan.AggFn) float64 {
 	}
 }
 
-// updateAcc folds row i of batch b into group gi's accumulator for agg a.
-func updateAcc(st *groupState, a int, agg plan.Agg, b *expr.Batch, gi int32, i int) {
+// fold folds every batch row i, in row order, into group gids[i]'s
+// accumulator for aggregate a.
+func (st *groupState) fold(a int, agg plan.Agg, b *expr.Batch, gids []int32) {
+	counts := st.counts[a]
 	if agg.Fn == plan.AggCount {
-		st.counts[a][gi]++
+		for _, g := range gids {
+			counts[g]++
+		}
 		return
 	}
 	c := &b.Cols[agg.Col]
-	if c.Kind == storage.String {
-		s := c.Strs[i]
-		first := st.counts[a][gi] == 0
-		switch agg.Fn {
-		case plan.AggMin:
-			if first || s < st.strMin[a][gi] {
-				st.strMin[a][gi] = s
+	switch c.Kind {
+	case storage.Int64:
+		foldNum(agg.Fn, st.sums[a], counts, c.Ints[:len(gids)], gids)
+	case storage.Float64:
+		foldNum(agg.Fn, st.sums[a], counts, c.Flts[:len(gids)], gids)
+	case storage.String:
+		mins, maxs := st.strMin[a], st.strMax[a]
+		for i, g := range gids {
+			s, first := c.Strs[i], counts[g] == 0
+			switch agg.Fn {
+			case plan.AggMin:
+				if first || s < mins[g] {
+					mins[g] = s
+				}
+			case plan.AggMax:
+				if first || s > maxs[g] {
+					maxs[g] = s
+				}
 			}
-		case plan.AggMax:
-			if first || s > st.strMax[a][gi] {
-				st.strMax[a][gi] = s
-			}
+			counts[g]++
 		}
-		st.counts[a][gi]++
-		return
 	}
-	var v float64
-	if c.Kind == storage.Int64 {
-		v = float64(c.Ints[i])
-	} else {
-		v = c.Flts[i]
-	}
-	switch agg.Fn {
+}
+
+// foldNum is fold for a numeric column, read as float64.
+func foldNum[T int64 | float64](fn plan.AggFn, sums []float64, counts []int64, xs []T, gids []int32) {
+	switch fn {
 	case plan.AggSum, plan.AggAvg:
-		st.sums[a][gi] += v
+		for i, g := range gids {
+			sums[g] += float64(xs[i])
+		}
 	case plan.AggMin:
-		if v < st.sums[a][gi] {
-			st.sums[a][gi] = v
+		for i, g := range gids {
+			if v := float64(xs[i]); v < sums[g] {
+				sums[g] = v
+			}
 		}
 	case plan.AggMax:
-		if v > st.sums[a][gi] {
-			st.sums[a][gi] = v
+		for i, g := range gids {
+			if v := float64(xs[i]); v > sums[g] {
+				sums[g] = v
+			}
 		}
 	}
-	st.counts[a][gi]++
+	for _, g := range gids {
+		counts[g]++
+	}
 }
 
 // writeAgg appends group g's final aggregate value for agg a to col.
@@ -759,25 +812,7 @@ func sortPerm(buf *Materialized, keys []int, desc []bool, perm []int32) []int32 
 func (rt *runtime) applyPerm(buf *Materialized, perm []int32, schema []plan.ColMeta) *Materialized {
 	out := rt.scratch.mat(schema)
 	for c := range buf.Cols {
-		src := &buf.Cols[c]
-		dst := &out.Cols[c]
-		switch src.Kind {
-		case storage.Int64:
-			dst.Ints = resizeInt64(dst.Ints, len(perm))
-			for i, p := range perm {
-				dst.Ints[i] = src.Ints[p]
-			}
-		case storage.Float64:
-			dst.Flts = resizeFloat64(dst.Flts, len(perm))
-			for i, p := range perm {
-				dst.Flts[i] = src.Flts[p]
-			}
-		case storage.String:
-			dst.Strs = resizeString(dst.Strs, len(perm))
-			for i, p := range perm {
-				dst.Strs[i] = src.Strs[p]
-			}
-		}
+		gatherCol(&out.Cols[c], &buf.Cols[c], perm)
 	}
 	out.N = len(perm)
 	return out

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 
 	"t3/internal/engine/plan"
@@ -15,7 +16,10 @@ import (
 // both the optimized engine and the reference interpreter, and fails on any
 // divergence. The engine's output order is deterministic (probe rows in
 // stream order, matches in build insertion order, groups in discovery
-// order), so the comparison is order-exact and value-bit-exact.
+// order), so the comparison is order-exact and value-bit-exact. The
+// morsel-parallel executor runs the case too and is held to the serial
+// output: order-exact, floats within the reassociation tolerance of
+// TestParallelDifferentialMany, and annotations identical.
 func runDifferential(t *testing.T, seed int64, sc genplan.Scenario, batchSize int) {
 	t.Helper()
 	c := genplan.Generate(seed, sc)
@@ -50,6 +54,25 @@ func runDifferential(t *testing.T, seed int64, sc genplan.Scenario, batchSize in
 	}
 	if err := diffResults(res2.Output, ref); err != nil {
 		t.Fatalf("seed=%d scenario=%s: post-annotate engine vs refexec: %v", seed, sc, err)
+	}
+
+	// Morsel-parallel, on a fresh copy of the case so its annotations start
+	// from the generated ones, like the serial executor's did.
+	pc := genplan.Generate(seed, sc)
+	pe := Executor{BatchSize: batchSize, Workers: 4, MorselRows: 16}
+	pres, err := pe.Run(pc.Root, false)
+	if err != nil {
+		t.Fatalf("seed=%d scenario=%s: morsel engine: %v", seed, sc, err)
+	}
+	if err := matDiffTol(pres.Output, res2.Output, parallelTol); err != nil {
+		t.Fatalf("seed=%d scenario=%s batch=%d: morsel vs serial engine: %v\nplan:\n%s",
+			seed, sc, batchSize, err, c.Root.Explain())
+	}
+	if _, err := pe.Run(pc.Root, true); err != nil {
+		t.Fatalf("seed=%d scenario=%s: morsel annotate run: %v", seed, sc, err)
+	}
+	if want, got := snapshotCards(c.Root), snapshotCards(pc.Root); !slices.Equal(got, want) {
+		t.Fatalf("seed=%d scenario=%s batch=%d: morsel annotations %v, serial %v", seed, sc, batchSize, got, want)
 	}
 }
 

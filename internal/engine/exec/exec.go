@@ -55,13 +55,18 @@ type Executor struct {
 
 	// Reuse makes Run recycle the RunResult and the output Materialized
 	// across calls: the returned result and its Output remain valid only
-	// until the next Run on this executor. An executor with Reuse set must
-	// not be shared between goroutines. Label-collection workers set it to
-	// keep the steady-state loop allocation-free.
+	// until the next Run on this executor. The executor also keeps its
+	// execution scratch — the run's own and one per morsel partition — instead
+	// of checking it out of the process-wide pool, which every GC empties. An
+	// executor with Reuse set must not be shared between goroutines.
+	// Label-collection workers set it to keep the steady-state loop
+	// allocation-free.
 	Reuse bool
 
-	res RunResult
-	out Materialized
+	res     RunResult
+	out     Materialized
+	scratch *execScratch   // the run's own scratch (Reuse)
+	parts   []*execScratch // partition k's scratch at index k (Reuse)
 }
 
 // PipelineTiming records the measured execution of one pipeline.
@@ -93,16 +98,7 @@ type Materialized struct {
 // appendBatch copies all rows of b into m.
 func (m *Materialized) appendBatch(b *expr.Batch) {
 	for c := range m.Cols {
-		dst := &m.Cols[c]
-		src := &b.Cols[c]
-		switch dst.Kind {
-		case storage.Int64:
-			dst.Ints = append(dst.Ints, src.Ints[:b.N]...)
-		case storage.Float64:
-			dst.Flts = append(dst.Flts, src.Flts[:b.N]...)
-		case storage.String:
-			dst.Strs = append(dst.Strs, src.Strs[:b.N]...)
-		}
+		appendCol(&m.Cols[c], &b.Cols[c], b.N)
 	}
 	m.N += b.N
 }
@@ -110,7 +106,7 @@ func (m *Materialized) appendBatch(b *expr.Batch) {
 // appendMat bulk-appends all rows of src to m (same schema).
 func (m *Materialized) appendMat(src *Materialized) {
 	for c := range m.Cols {
-		appendCol(&m.Cols[c], &src.Cols[c])
+		appendCol(&m.Cols[c], &src.Cols[c], src.N)
 	}
 	m.N += src.N
 }
@@ -154,9 +150,17 @@ func (e *Executor) Run(root *plan.Node, annotate bool) (*RunResult, error) {
 	if morsel <= 0 {
 		morsel = DefaultMorselRows
 	}
-	scratch := scratchPool.Get().(*execScratch)
+	var scratch *execScratch
+	if e.Reuse {
+		if e.scratch == nil {
+			e.scratch = &execScratch{}
+		}
+		scratch = e.scratch
+	} else {
+		scratch = scratchPool.Get().(*execScratch)
+		defer scratchPool.Put(scratch)
+	}
 	scratch.begin()
-	defer scratchPool.Put(scratch)
 	pipelines := plan.DecomposeInto(root, &scratch.pipes)
 	rt := &runtime{
 		batchSize: batchSize,
@@ -171,7 +175,7 @@ func (e *Executor) Run(root *plan.Node, annotate bool) (*RunResult, error) {
 	if e.Reuse {
 		res = &e.res
 		*res = RunResult{Pipelines: res.Pipelines[:0]}
-		rt.resultBuf = &e.out
+		rt.own = e
 	}
 	for _, p := range pipelines {
 		start := time.Now()
@@ -251,8 +255,9 @@ type runtime struct {
 	morsel  int       // rows per morsel for parallel eligibility/splitting
 	pool    *par.Pool // worker pool for morsel execution
 
-	// resultBuf, when set, is reused as the output Materialized (Reuse mode).
-	resultBuf *Materialized
+	// own, when set, is the Reuse executor whose output Materialized and
+	// partition scratches the run uses.
+	own *Executor
 
 	// lastPar/lastMorsels/lastMerge describe the most recent runPipeline
 	// call.
@@ -281,9 +286,9 @@ func (rt *runtime) count(n *plan.Node) *nodeCount {
 // executor-owned reusable buffer in Reuse mode, a fresh allocation otherwise
 // (the result escapes the run, so it cannot come from pooled scratch).
 func (rt *runtime) resultMat(schema []plan.ColMeta) *Materialized {
-	if rt.resultBuf != nil {
-		matShape(rt.resultBuf, schema)
-		return rt.resultBuf
+	if rt.own != nil {
+		matShape(&rt.own.out, schema)
+		return &rt.own.out
 	}
 	return newMaterialized(schema)
 }
@@ -309,7 +314,8 @@ func (rt *runtime) writeAnnotations(root *plan.Node) {
 	})
 }
 
-// pushFn consumes one batch.
+// pushFn consumes one batch. No batch holds more rows than the runtime's
+// batchSize, so stages size their per-batch vectors by it once.
 type pushFn func(b *expr.Batch)
 
 // runPipeline executes one pipeline and returns the number of source rows
@@ -381,8 +387,7 @@ func (rt *runtime) driveSource(n *plan.Node, sink pushFn) (int, error) {
 	}
 }
 
-// scanTable reads the base table in batches, applies pushed-down predicates
-// with short-circuit AND semantics, compacts, and pushes.
+// scanTable scans the whole base table (see scanTableRange).
 func (rt *runtime) scanTable(n *plan.Node, sink pushFn) (int, error) {
 	t := n.Table
 	if t == nil {
@@ -393,65 +398,115 @@ func (rt *runtime) scanTable(n *plan.Node, sink pushFn) (int, error) {
 	return total, nil
 }
 
-// scanTableRange scans base-table rows [lo, hi), applying pushed-down
-// predicates, compacting, and pushing. The caller guarantees n.Table is
-// bound. Morsel partitions call it with their block bounds; the serial path
-// with the full table.
+// scanTableRange scans base-table rows [lo, hi) in batches and pushes them.
+// The caller guarantees n.Table is bound. Morsel partitions call it with
+// their block bounds; the serial path with the full table.
+//
+// Pushed-down predicates run on a read-only view of the batch's rows in the
+// base table, with short-circuit AND semantics, and only the rows that pass
+// are gathered into the pooled batch buffer, column by column. The buffer is
+// a copy either way, because downstream stages (filter compaction, limit
+// truncation) mutate batch columns in place and must never write through to
+// the base table; a scan without predicates, or a batch where every row
+// passes, bulk-copies its rows.
 func (rt *runtime) scanTableRange(n *plan.Node, sink pushFn, lo, hi int) {
 	t := n.Table
 	nc := rt.count(n)
-	sel := rt.scratch.selBuf(rt.batchSize)
-	// One pooled batch buffer for the whole scan: tuples are copied out of
-	// the base table into it chunk by chunk, because downstream stages
-	// (filter compaction, limit truncation) mutate batch columns in place
-	// and must never write through to the base table.
 	bb := rt.scratch.batchMeta(n.Schema)
+	var (
+		view *expr.Batch
+		sel  []bool
+		idx  []int32
+	)
+	if len(n.Predicates) > 0 {
+		view = rt.scratch.view(len(n.ScanCols))
+		sel = rt.scratch.selBuf(rt.batchSize)
+		idx = rt.scratch.idxBuf(rt.batchSize)
+	}
 	for off := lo; off < hi && !rt.stop; off += rt.batchSize {
-		end := off + rt.batchSize
-		if end > hi {
-			end = hi
-		}
+		end := min(off+rt.batchSize, hi)
 		m := end - off
-		for i, ci := range n.ScanCols {
-			src := &t.Columns[ci]
-			dst := &bb.cols[i]
-			switch src.Kind {
-			case storage.Int64:
-				dst.Ints = append(dst.Ints[:0], src.Ints[off:end]...)
-			case storage.Float64:
-				dst.Flts = append(dst.Flts[:0], src.Flts[off:end]...)
-			case storage.String:
-				dst.Strs = append(dst.Strs[:0], src.Strs[off:end]...)
+		if view != nil {
+			for i, ci := range n.ScanCols {
+				sliceRows(&view.Cols[i], &t.Columns[ci], off, end)
 			}
-			if src.Nulls != nil {
-				dst.Nulls = append(dst.Nulls[:0], src.Nulls[off:end]...)
-			} else {
-				dst.Nulls = nil
-			}
+			view.N = m
+			idx = filterView(n, nc, view, sel[:m], idx)
 		}
-		b := bb.attach(m)
-		if len(n.Predicates) > 0 {
-			for i := 0; i < m; i++ {
-				sel[i] = true
+		if view == nil || len(idx) == m {
+			for i, ci := range n.ScanCols {
+				copyRows(&bb.cols[i], &t.Columns[ci], off, end)
 			}
-			for pi, pred := range n.Predicates {
-				evaluated := pred.EvalBool(b, sel[:m])
-				passed := 0
-				for i := 0; i < m; i++ {
-					if sel[i] {
-						passed++
-					}
-				}
-				nc.predEval[pi] += int64(evaluated)
-				nc.predPass[pi] += int64(passed)
+		} else {
+			for i := range n.ScanCols {
+				gatherRows(&bb.cols[i], &view.Cols[i], idx)
 			}
-			compact(b, sel[:m])
+			m = len(idx)
 		}
-		if b.N > 0 {
-			nc.out += int64(b.N)
-			sink(b)
+		if m > 0 {
+			nc.out += int64(m)
+			sink(bb.attach(m))
 		}
 	}
+	if view != nil {
+		// Views hold slices of the base table's columns; drop them so a
+		// retained scratch never pins a released table's arrays.
+		clear(view.Cols)
+	}
+}
+
+// filterView applies n's pushed-down predicates to the view's rows, counting
+// per predicate the rows it was evaluated on and the rows that passed, and
+// returns the passing rows in idx's storage. EvalBool returns the rows
+// selected on entry, so the rows passing predicate k are the rows predicate
+// k+1 was evaluated on, and the last predicate's are the returned rows.
+func filterView(n *plan.Node, nc *nodeCount, view *expr.Batch, sel []bool, idx []int32) []int32 {
+	for i := range sel {
+		sel[i] = true
+	}
+	for pi, pred := range n.Predicates {
+		evaluated := int64(pred.EvalBool(view, sel))
+		nc.predEval[pi] += evaluated
+		if pi > 0 {
+			nc.predPass[pi-1] += evaluated
+		}
+	}
+	idx = selectedRows(sel, idx)
+	nc.predPass[len(n.Predicates)-1] += int64(len(idx))
+	return idx
+}
+
+// sliceRows points dst at rows [lo, hi) of src without copying.
+func sliceRows(dst, src *storage.Column, lo, hi int) {
+	*dst = storage.Column{Name: src.Name, Kind: src.Kind}
+	switch src.Kind {
+	case storage.Int64:
+		dst.Ints = src.Ints[lo:hi]
+	case storage.Float64:
+		dst.Flts = src.Flts[lo:hi]
+	case storage.String:
+		dst.Strs = src.Strs[lo:hi]
+	}
+	if src.Nulls != nil {
+		dst.Nulls = src.Nulls[lo:hi]
+	}
+}
+
+// selectedRows returns the positions of the selected rows, ascending, in
+// idx's storage. Every position is written and the cursor advances only past
+// selected ones, which keeps the loop free of unpredictable branches.
+func selectedRows(sel []bool, idx []int32) []int32 {
+	idx = idx[:len(sel)]
+	k := 0
+	for i, s := range sel {
+		idx[k] = int32(i)
+		step := 0
+		if s {
+			step = 1
+		}
+		k += step
+	}
+	return idx[:k]
 }
 
 // scanMatRange pushes rows [lo, hi) of a breaker's materialized state in
@@ -460,68 +515,14 @@ func (rt *runtime) scanTableRange(n *plan.Node, sink pushFn, lo, hi int) {
 func (rt *runtime) scanMatRange(n *plan.Node, m *Materialized, sink pushFn, lo, hi int) {
 	bb := rt.scratch.batch(m.Cols)
 	for off := lo; off < hi && !rt.stop; off += rt.batchSize {
-		end := off + rt.batchSize
-		if end > hi {
-			end = hi
-		}
+		end := min(off+rt.batchSize, hi)
+		// Copy for the same reason as scanTableRange: downstream stages
+		// mutate batches in place.
 		for i := range m.Cols {
-			src := &m.Cols[i]
-			dst := &bb.cols[i]
-			// Copy for the same reason as scanTableRange: downstream stages
-			// mutate batches in place.
-			switch src.Kind {
-			case storage.Int64:
-				dst.Ints = append(dst.Ints[:0], src.Ints[off:end]...)
-			case storage.Float64:
-				dst.Flts = append(dst.Flts[:0], src.Flts[off:end]...)
-			case storage.String:
-				dst.Strs = append(dst.Strs[:0], src.Strs[off:end]...)
-			}
+			copyRows(&bb.cols[i], &m.Cols[i], off, end)
 		}
 		sink(bb.attach(end - off))
 	}
-}
-
-// compact removes unselected rows from b in place.
-func compact(b *expr.Batch, sel []bool) {
-	w := 0
-	for i := 0; i < b.N; i++ {
-		if !sel[i] {
-			continue
-		}
-		if w != i {
-			for c := range b.Cols {
-				col := &b.Cols[c]
-				switch col.Kind {
-				case storage.Int64:
-					col.Ints[w] = col.Ints[i]
-				case storage.Float64:
-					col.Flts[w] = col.Flts[i]
-				case storage.String:
-					col.Strs[w] = col.Strs[i]
-				}
-				if col.Nulls != nil {
-					col.Nulls[w] = col.Nulls[i]
-				}
-			}
-		}
-		w++
-	}
-	for c := range b.Cols {
-		col := &b.Cols[c]
-		switch col.Kind {
-		case storage.Int64:
-			col.Ints = col.Ints[:w]
-		case storage.Float64:
-			col.Flts = col.Flts[:w]
-		case storage.String:
-			col.Strs = col.Strs[:w]
-		}
-		if col.Nulls != nil {
-			col.Nulls = col.Nulls[:w]
-		}
-	}
-	b.N = w
 }
 
 // makeStage wraps sink with the given pass-through or probe stage.
@@ -531,16 +532,20 @@ func (rt *runtime) makeStage(s plan.StageRef, sink pushFn) (pushFn, error) {
 	case n.Op == plan.FilterOp:
 		nc := rt.count(n)
 		sel := rt.scratch.selBuf(rt.batchSize)
+		idx := rt.scratch.idxBuf(rt.batchSize)
 		return func(b *expr.Batch) {
-			if cap(sel) < b.N {
-				sel = make([]bool, b.N)
-			}
-			sel = sel[:b.N]
+			sel := sel[:b.N]
 			for i := range sel {
 				sel[i] = true
 			}
 			n.FilterPred.EvalBool(b, sel)
-			compact(b, sel)
+			// Compact in place, one column at a time.
+			if idx := selectedRows(sel, idx); len(idx) < b.N {
+				for c := range b.Cols {
+					gatherRows(&b.Cols[c], &b.Cols[c], idx)
+				}
+				b.N = len(idx)
+			}
 			if b.N > 0 {
 				nc.out += int64(b.N)
 				sink(b)

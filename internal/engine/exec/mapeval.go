@@ -58,17 +58,17 @@ func compileMap(e expr.ValueExpr) mapFn {
 			dst.Nulls = nil
 			switch c.Typ {
 			case storage.Int64:
-				dst.Ints = resizeInt64(dst.Ints, b.N)
+				dst.Ints = resize(dst.Ints, b.N)
 				for i := range dst.Ints {
 					dst.Ints[i] = c.I
 				}
 			case storage.Float64:
-				dst.Flts = resizeFloat64(dst.Flts, b.N)
+				dst.Flts = resize(dst.Flts, b.N)
 				for i := range dst.Flts {
 					dst.Flts[i] = c.F
 				}
 			case storage.String:
-				dst.Strs = resizeString(dst.Strs, b.N)
+				dst.Strs = resize(dst.Strs, b.N)
 				for i := range dst.Strs {
 					dst.Strs[i] = c.S
 				}
@@ -82,7 +82,7 @@ func compileMap(e expr.ValueExpr) mapFn {
 		return func(b *expr.Batch, dst *storage.Column) {
 			dst.Kind = storage.Float64
 			dst.Nulls = nil
-			dst.Flts = resizeFloat64(dst.Flts, b.N)
+			dst.Flts = resize(dst.Flts, b.N)
 			for i := 0; i < b.N; i++ {
 				dst.Flts[i] = num(b, i)
 			}
@@ -148,25 +148,4 @@ func compileNum(e expr.ValueExpr) numFn {
 	default:
 		return nil
 	}
-}
-
-func resizeInt64(s []int64, n int) []int64 {
-	if cap(s) < n {
-		return make([]int64, n)
-	}
-	return s[:n]
-}
-
-func resizeFloat64(s []float64, n int) []float64 {
-	if cap(s) < n {
-		return make([]float64, n)
-	}
-	return s[:n]
-}
-
-func resizeString(s []string, n int) []string {
-	if cap(s) < n {
-		return make([]string, n)
-	}
-	return s[:n]
 }

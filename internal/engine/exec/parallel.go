@@ -13,7 +13,8 @@ import (
 //
 // An eligible pipeline's source rows are split into `parts` contiguous
 // blocks. Each block runs the full stage chain — range scan, filters, maps,
-// probes — on a pool worker with its own checked-out execScratch, feeding a
+// probes — on a pool worker with its own execScratch (block k's is the Reuse
+// executor's partition scratch k, or one from the pool), feeding a
 // partition-local terminal (a joinPartial, a partition groupState, or a
 // partial Materialized). The driver then merges the partials back *in block
 // order*, which reproduces the serial engine's observable behaviour exactly:
@@ -95,7 +96,7 @@ func (rt *runtime) parallelism(p *plan.Pipeline) (parts, rows int, srcMat *Mater
 // counter merge).
 type partResult struct {
 	scratch *execScratch
-	rt      *runtime
+	rt      runtime
 	jp      *joinPartial  // join build partial
 	gs      *groupState   // group-by build partial
 	mat     *Materialized // sort/window/materialize buffer or result partial
@@ -145,13 +146,23 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 
 	src := p.Stages[0].Node
 	results := make([]partResult, parts)
+	if o := rt.own; o != nil {
+		for len(o.parts) < parts {
+			o.parts = append(o.parts, &execScratch{})
+		}
+	}
 	rt.pool.Do(parts, func(k int) {
 		start := time.Now()
 		res := &results[k]
-		scratch := scratchPool.Get().(*execScratch)
+		var scratch *execScratch
+		if rt.own != nil {
+			scratch = rt.own.parts[k]
+		} else {
+			scratch = scratchPool.Get().(*execScratch)
+		}
 		scratch.begin()
 		res.scratch = scratch
-		prt := &runtime{
+		res.rt = runtime{
 			batchSize: rt.batchSize,
 			states:    rt.states, // read-only inside partitions
 			counts:    scratch.counts,
@@ -159,7 +170,7 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 			workers:   1, // partitions never nest further splitting
 			morsel:    rt.morsel,
 		}
-		res.rt = prt
+		prt := &res.rt
 
 		// Partition-local terminal sink.
 		var sink pushFn
@@ -176,7 +187,7 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 				// input, and undershoot just means a local rehash.
 				gs := prt.newGroupState(buildNode, presize(buildNode.OutCard, buildNode.Left))
 				res.gs = gs
-				sink = func(b *expr.Batch) { gs.update(buildNode, b) }
+				sink = prt.groupSink(buildNode, gs)
 			default:
 				m := scratch.mat(buildNode.Left.Schema)
 				res.mat = m
@@ -215,8 +226,11 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 
 	mergeStart := time.Now()
 	defer func() {
-		// Partition partials live in their scratches; return them only after
-		// the merge copied everything out.
+		// Partition partials live in their scratches; return pooled ones
+		// only after the merge copied everything out.
+		if rt.own != nil {
+			return
+		}
 		for i := range results {
 			if results[i].scratch != nil {
 				scratchPool.Put(results[i].scratch)

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -497,5 +498,61 @@ func TestParallelExpressionStages(t *testing.T) {
 	// so even the float column is bit-exact.
 	if err := matDiff(serial.Output, parallel.Output); err != nil {
 		t.Fatalf("expression pipeline diverged: %v", err)
+	}
+}
+
+// TestReuseOwnsScratch: an executor with Reuse set keeps its execution
+// scratch — the run's own and one per morsel partition — across runs instead
+// of drawing from the process-wide pool, and two executors never share one.
+// An executor without Reuse keeps none.
+func TestReuseOwnsScratch(t *testing.T) {
+	build := mkTable("b", 600, 51)
+	probe := mkTable("p", 4000, 52)
+	run := func(e *Executor) {
+		t.Helper()
+		if _, err := e.Run(parallelJoinGroupPlan(build, probe), false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	a := &Executor{Workers: 2, MorselRows: 256, Reuse: true}
+	run(a)
+	own, parts := a.scratch, slices.Clone(a.parts)
+	if own == nil || len(parts) < 2 {
+		t.Fatalf("after a morsel run the executor owns a run scratch: %v, and %d partition scratches", own != nil, len(parts))
+	}
+	run(a)
+	if a.scratch != own {
+		t.Fatal("second run replaced the run scratch")
+	}
+	if !slices.Equal(a.parts, parts) {
+		t.Fatal("second run replaced a partition scratch")
+	}
+	// The run used them: a scratch's cursors stay where its last run left
+	// them until the next run begins.
+	for k, s := range append([]*execScratch{own}, parts...) {
+		if s.nb == 0 {
+			t.Fatalf("scratch %d handed out no batch buffer in the run", k)
+		}
+	}
+
+	b := &Executor{Workers: 2, MorselRows: 256, Reuse: true}
+	run(b)
+	owned := map[*execScratch]bool{a.scratch: true}
+	for _, s := range a.parts {
+		owned[s] = true
+	}
+	if len(owned) != 1+len(a.parts) {
+		t.Fatal("one executor's scratches alias each other")
+	}
+	for _, s := range append([]*execScratch{b.scratch}, b.parts...) {
+		if owned[s] {
+			t.Fatal("two executors share a scratch")
+		}
+	}
+
+	c := &Executor{Workers: 2, MorselRows: 256}
+	run(c)
+	if c.scratch != nil || c.parts != nil {
+		t.Fatal("an executor without Reuse kept its scratch")
 	}
 }

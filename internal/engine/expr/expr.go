@@ -256,23 +256,6 @@ func (c *Cmp) String() string {
 	return fmt.Sprintf("%s %s %s", c.Left, c.Op, c.Val)
 }
 
-func cmpInt(op CmpOp, a, b int64) bool {
-	switch op {
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Eq:
-		return a == b
-	case Ge:
-		return a >= b
-	case Gt:
-		return a > b
-	default:
-		return a != b
-	}
-}
-
 func cmpFloat(op CmpOp, a, b float64) bool {
 	switch op {
 	case Lt:
@@ -290,68 +273,115 @@ func cmpFloat(op CmpOp, a, b float64) bool {
 	}
 }
 
-func cmpString(op CmpOp, a, b string) bool {
-	switch op {
-	case Lt:
-		return a < b
-	case Le:
-		return a <= b
-	case Eq:
-		return a == b
-	case Ge:
-		return a >= b
-	case Gt:
-		return a > b
-	default:
-		return a != b
-	}
-}
-
-// EvalBool applies the comparison, ANDing into sel.
+// EvalBool applies the comparison, ANDing into sel. NULL fails; the constant
+// coerces to the column's kind, a float truncating toward zero against an
+// integer column.
 func (c *Cmp) EvalBool(b *Batch, sel []bool) int {
 	col := &b.Cols[c.Left.Idx]
-	evaluated := 0
+	sel = sel[:b.N]
+	var evaluated int
 	switch col.Kind {
 	case storage.Int64:
 		v := c.Val.I
 		if c.Val.Typ == storage.Float64 {
 			v = int64(c.Val.F)
 		}
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || !cmpInt(c.Op, col.Ints[i], v) {
-				sel[i] = false
-			}
-		}
+		evaluated = selectCmp(c.Op, col.Ints[:b.N], v, sel)
 	case storage.Float64:
 		v := c.Val.F
 		if c.Val.Typ == storage.Int64 {
 			v = float64(c.Val.I)
 		}
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || !cmpFloat(c.Op, col.Flts[i], v) {
-				sel[i] = false
-			}
-		}
+		evaluated = selectCmp(c.Op, col.Flts[:b.N], v, sel)
 	case storage.String:
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || !cmpString(c.Op, col.Strs[i], c.Val.S) {
-				sel[i] = false
-			}
+		evaluated = selectCmp(c.Op, col.Strs[:b.N], c.Val.S, sel)
+	default:
+		return 0
+	}
+	dropNulls(col.Nulls, sel)
+	return evaluated
+}
+
+// selectCmp ANDs x OP v into sel for every row x of xs and returns the number
+// of rows selected on entry. The operator is resolved once per call, and each
+// row's test is stored, not branched on.
+func selectCmp[T int64 | float64 | string](op CmpOp, xs []T, v T, sel []bool) int {
+	sel = sel[:len(xs)]
+	n, k := 0, 0
+	switch op {
+	case Lt:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x < v)
+			n += k
+		}
+	case Le:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x <= v)
+			n += k
+		}
+	case Eq:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x == v)
+			n += k
+		}
+	case Ge:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x >= v)
+			n += k
+		}
+	case Gt:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x > v)
+			n += k
+		}
+	default:
+		for i, x := range xs {
+			sel[i], k = keep(sel[i], x != v)
+			n += k
 		}
 	}
-	return evaluated
+	return n
+}
+
+// selectRange ANDs !(x < lo || x > hi) into sel for every row x of xs and
+// returns the number of rows selected on entry. Written as two negated
+// comparisons, so a NaN value passes a float range; refexec mirrors that.
+func selectRange[T int64 | float64 | string](xs []T, lo, hi T, sel []bool) int {
+	sel = sel[:len(xs)]
+	n, k := 0, 0
+	for i, x := range xs {
+		sel[i], k = keep(sel[i], !(x < lo) && !(x > hi))
+		n += k
+	}
+	return n
+}
+
+// keep returns a row's selection after a test c — c if the row was selected
+// (s), false if not — and 1 if it was selected. The compiler turns it into
+// conditional moves, so a selectivity near one half costs no mispredictions.
+func keep(s, c bool) (bool, int) {
+	k := 0
+	if s {
+		k = 1
+	} else {
+		c = false
+	}
+	return c, k
+}
+
+// dropNulls deselects the NULL rows of a column: NULL fails every predicate.
+// Rows deselected on entry stay deselected either way, so this can run after
+// the value loop instead of inside it.
+func dropNulls(nulls, sel []bool) {
+	if nulls == nil {
+		return
+	}
+	nulls = nulls[:len(sel)]
+	for i, null := range nulls {
+		if null {
+			sel[i] = false
+		}
+	}
 }
 
 // Between is a range predicate lower <= col <= upper.
@@ -377,45 +407,23 @@ func (e *Between) String() string {
 	return fmt.Sprintf("%s BETWEEN %s AND %s", e.Col, e.Lo, e.Hi)
 }
 
-// EvalBool applies the range check, ANDing into sel.
+// EvalBool applies the range check, ANDing into sel. NULL fails, and the
+// bounds are read from the field matching the column kind, without coercion.
 func (e *Between) EvalBool(b *Batch, sel []bool) int {
 	col := &b.Cols[e.Col.Idx]
-	evaluated := 0
+	sel = sel[:b.N]
+	var evaluated int
 	switch col.Kind {
 	case storage.Int64:
-		lo, hi := e.Lo.I, e.Hi.I
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || col.Ints[i] < lo || col.Ints[i] > hi {
-				sel[i] = false
-			}
-		}
+		evaluated = selectRange(col.Ints[:b.N], e.Lo.I, e.Hi.I, sel)
 	case storage.Float64:
-		lo, hi := e.Lo.F, e.Hi.F
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || col.Flts[i] < lo || col.Flts[i] > hi {
-				sel[i] = false
-			}
-		}
+		evaluated = selectRange(col.Flts[:b.N], e.Lo.F, e.Hi.F, sel)
 	case storage.String:
-		lo, hi := e.Lo.S, e.Hi.S
-		for i := 0; i < b.N; i++ {
-			if !sel[i] {
-				continue
-			}
-			evaluated++
-			if col.IsNull(i) || col.Strs[i] < lo || col.Strs[i] > hi {
-				sel[i] = false
-			}
-		}
+		evaluated = selectRange(col.Strs[:b.N], e.Lo.S, e.Hi.S, sel)
+	default:
+		return 0
 	}
+	dropNulls(col.Nulls, sel)
 	return evaluated
 }
 

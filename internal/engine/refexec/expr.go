@@ -11,7 +11,8 @@ import (
 // evaluators' documented semantics: NULL input fails every predicate,
 // constants coerce to the column's kind for simple comparisons (floats
 // truncate toward zero against integer columns), BETWEEN reads the constant
-// field matching the column kind without coercion, IN over float columns and
+// field matching the column kind without coercion (and passes a NaN value,
+// as the engine's !(x < lo || x > hi) does), IN over float columns and
 // LIKE over non-string columns are uniformly false, and column-column
 // comparisons go through float64 (strings read as 0).
 func evalBool(p expr.BoolExpr, r row) (bool, error) {
@@ -46,7 +47,8 @@ func evalBool(p expr.BoolExpr, r row) (bool, error) {
 		case storage.Int64:
 			return v.i >= e.Lo.I && v.i <= e.Hi.I, nil
 		case storage.Float64:
-			return v.f >= e.Lo.F && v.f <= e.Hi.F, nil
+			// Negated, like the engine's range loop, so a NaN value passes.
+			return !(v.f < e.Lo.F) && !(v.f > e.Hi.F), nil
 		default:
 			return v.s >= e.Lo.S && v.s <= e.Hi.S, nil
 		}

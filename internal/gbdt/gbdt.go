@@ -10,6 +10,11 @@
 //
 // Supported objectives are L2 and MAPE; the paper trains with the MAPE
 // objective on −log-transformed per-tuple times (§2.4, §2.5).
+//
+// Every split threshold is a float32 value held in a float64: the bin edge
+// rounded up to float32, the width the compiled form (treec.Pack) compares
+// at. So the interpreter, Model.Predict, and the compiled model are one
+// function on every input, and Validate refuses any other threshold.
 package gbdt
 
 import (
@@ -276,8 +281,26 @@ func (b *binner) bin(f int, v float64) uint8 {
 // numBins returns the bin count of feature f.
 func (b *binner) numBins(f int) int { return len(b.edges[f]) + 1 }
 
-// threshold returns the real-valued split threshold for "bin ≤ bin".
-func (b *binner) threshold(f int, bin uint8) float64 { return b.edges[f][bin] }
+// threshold returns the split threshold stored for "bin ≤ bin": the bin's
+// upper edge rounded up to float32 (roundThreshold32), the width the served
+// model compares at. Bins, partitions and the validation score keep the
+// float64 edge, so a value in (edge, threshold] — at most one float32 ulp
+// wide — trained on the right and goes left in the stored tree; every other
+// value, and every float32 value, goes the way it trained.
+func (b *binner) threshold(f int, bin uint8) float64 {
+	return float64(roundThreshold32(b.edges[f][bin]))
+}
+
+// roundThreshold32 returns the smallest float32 whose float64 value is ≥ t —
+// the rounding direction that keeps every trained v <= t decision, ties
+// included, on its trained side.
+func roundThreshold32(t float64) float32 {
+	f := float32(t)
+	if float64(f) < t {
+		f = math.Nextafter32(f, float32(math.Inf(1)))
+	}
+	return f
+}
 
 // trainData holds the binned training data twice: feature-major in full,
 // which partitioning and out-of-bag scoring read, and row-major without the
@@ -463,11 +486,19 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 		preds[i] = m.BaseScore
 	}
 	var valPreds []float64
+	var valBins [][]uint8 // [feature][row]: validation scores on the bins, as training does
 	if valX != nil {
 		valPreds = make([]float64, len(valX))
 		for i := range valPreds {
 			valPreds[i] = m.BaseScore
 		}
+		valBins = make([][]uint8, numFeatures)
+		pool.Do(numFeatures, func(f int) {
+			valBins[f] = make([]uint8, len(valX))
+			for i, x := range valX {
+				valBins[f][i] = bnr.bin(f, x[f])
+			}
+		})
 	}
 
 	g := make([]float64, td.n)
@@ -495,7 +526,7 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 		if valX != nil {
 			pool.For(len(valX), 256, func(lo, hi int) {
 				for i := lo; i < hi; i++ {
-					valPreds[i] += tree.Predict(valX[i])
+					valPreds[i] += grower.predictBinned(tree, valBins, i)
 				}
 			})
 			vl := loss(pool, p.Objective, valPreds, valY)

@@ -191,6 +191,7 @@ func TestValidateRejectsBadStructure(t *testing.T) {
 		{"child with no parent", func(n []Node) { n[0].Right = ^0 }},
 		{"leaf == len(Leaves)", func(n []Node) { n[2].Right = ^4 }},
 		{"leaf far out of range", func(n []Node) { n[1].Left = math.MinInt32 }},
+		{"threshold between two float32s", func(n []Node) { n[2].Threshold = 0.1 }},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -259,21 +260,126 @@ func TestBinnerMonotonic(t *testing.T) {
 	}
 }
 
+// TestBinnerThresholdConsistent: for any value and any bin edge, v <=
+// threshold(bin) iff bin(v) <= bin, except in (edge, threshold] — the stored
+// threshold is the edge rounded up to float32, and a value in between trained
+// on the right but goes left in the stored tree. That interval is the one
+// place the float64 bins and the float32 model differ; the explicit value
+// below sits in it.
 func TestBinnerThresholdConsistent(t *testing.T) {
 	xs, _ := synth(500, 10)
 	b := newBinner(nil, xs, 4, 32)
-	// Property: for any value and any bin edge, v <= threshold(bin) iff
-	// bin(v) <= bin. This is what makes real-valued tree thresholds
-	// equivalent to binned splits.
 	for f := 0; f < 4; f++ {
 		for bin := 0; bin < b.numBins(f)-1; bin++ {
-			thr := b.threshold(f, uint8(bin))
+			edge, thr := b.edges[f][bin], b.threshold(f, uint8(bin))
 			for _, x := range xs[:200] {
 				v := x[f]
-				if (v <= thr) != (b.bin(f, v) <= uint8(bin)) {
+				if (v <= thr) != (b.bin(f, v) <= uint8(bin)) && (v <= edge || v > thr) {
 					t.Fatalf("feature %d bin %d thr %v: inconsistent for v=%v (bin %d)", f, bin, thr, v, b.bin(f, v))
 				}
 			}
+		}
+	}
+
+	// 0.1 is not a float32, and its round-up is a distinct training value.
+	up := float64(roundThreshold32(0.1))
+	g := newBinner(nil, [][]float64{{0.1}, {up}, {0.5}}, 1, 32)
+	if g.threshold(0, 0) != up || g.bin(0, up) != 1 {
+		t.Fatalf("edge 0.1: threshold %v, bin(%v) = %d; want threshold %v and bin 1 — trained right, stored left",
+			g.threshold(0, 0), up, g.bin(0, up), up)
+	}
+}
+
+func TestRoundThreshold32Contract(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	for i := 0; i < 200000; i++ {
+		var x float64
+		switch rng.Intn(4) {
+		case 0:
+			x = rng.Float64()
+		case 1:
+			x = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
+		case 2:
+			x = float64(rng.Intn(1 << 30))
+		default:
+			x = math.Float64frombits(rng.Uint64() &^ (0x7ff << 52)) // finite, small exp
+		}
+		up := roundThreshold32(x)
+		if float64(up) < x {
+			t.Fatalf("roundThreshold32(%v) = %v < input", x, up)
+		}
+		if float64(up) > x {
+			// Must be the *smallest* such float32: one step down is below x.
+			down := math.Nextafter32(up, float32(math.Inf(-1)))
+			if float64(down) >= x {
+				t.Fatalf("roundThreshold32(%v) = %v not minimal (%v also >= input)", x, up, down)
+			}
+		}
+	}
+}
+
+// TestTrainedThresholdsAreFloat32: on columns whose values are mostly not
+// float32s — multiples of 0.1, and integers above 2²⁴ — every threshold the
+// trainer stores is one, the model validates, and Save/Load keeps every
+// threshold's bits and every prediction.
+func TestTrainedThresholdsAreFloat32(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	xs := make([][]float64, 3000)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		a, c := float64(rng.Intn(5000))*0.1, float64(1<<24+rng.Intn(1<<20))
+		xs[i] = []float64{a, c}
+		ys[i] = math.Sin(a/40) + float64(int(c)%7)/3
+	}
+	p := DefaultParams()
+	p.NumRounds = 30
+	p.Objective = ObjectiveL2
+	m, _, err := Train(p, xs, ys, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	inexact := 0
+	for _, x := range xs {
+		for _, v := range x {
+			if float64(float32(v)) != v {
+				inexact++
+			}
+		}
+	}
+	if inexact < len(xs) {
+		t.Fatalf("only %d of %d training values are not float32s", inexact, 2*len(xs))
+	}
+	for ti, tr := range m.Trees {
+		for ni, n := range tr.Nodes {
+			if float64(float32(n.Threshold)) != n.Threshold {
+				t.Fatalf("tree %d node %d: threshold %v is not a float32", ti, ni, n.Threshold)
+			}
+		}
+	}
+	if m.NumNodes() == 0 {
+		t.Fatal("model learned no splits")
+	}
+	if err := m.Validate(); err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "model.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	m2, err := Load(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for ti := range m.Trees {
+		for ni, n := range m.Trees[ti].Nodes {
+			if math.Float64bits(m2.Trees[ti].Nodes[ni].Threshold) != math.Float64bits(n.Threshold) {
+				t.Fatalf("tree %d node %d: threshold %v loads as %v", ti, ni, n.Threshold, m2.Trees[ti].Nodes[ni].Threshold)
+			}
+		}
+	}
+	for _, x := range xs[:500] {
+		if a, b := m.Predict(x), m2.Predict(x); math.Float64bits(a) != math.Float64bits(b) {
+			t.Fatalf("prediction diverged after Save/Load: %v vs %v", a, b)
 		}
 	}
 }

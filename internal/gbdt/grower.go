@@ -454,21 +454,23 @@ func (gr *grower) addScores(tree *Tree, preds []float64) {
 	oob := gr.idx[gr.inBag:]
 	gr.pool.For(len(oob), rowChunk, func(lo, hi int) {
 		for _, r := range oob[lo:hi] {
-			preds[r] += gr.predictBinned(tree, int(r))
+			preds[r] += gr.predictBinned(tree, gr.td.bins, int(r))
 		}
 	})
 }
 
-// predictBinned evaluates the freshly grown tree for training row r using
-// binned features (valid until the next grow call).
-func (gr *grower) predictBinned(tree *Tree, r int) float64 {
+// predictBinned evaluates the freshly grown tree for row r of the
+// feature-major binned columns bins (valid until the next grow call): each
+// split compares the row's bin with the split bin, which is the float64 bin
+// edge the tree trained on, not the float32 threshold it stores.
+func (gr *grower) predictBinned(tree *Tree, bins [][]uint8, r int) float64 {
 	if len(tree.Nodes) == 0 {
 		return tree.Leaves[0]
 	}
 	i := int32(0)
 	for {
 		n := &tree.Nodes[i]
-		if gr.td.bins[n.Feature][r] <= gr.nodeBins[i] {
+		if bins[n.Feature][r] <= gr.nodeBins[i] {
 			i = n.Left
 		} else {
 			i = n.Right

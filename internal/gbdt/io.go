@@ -3,6 +3,7 @@ package gbdt
 import (
 	"encoding/json"
 	"fmt"
+	"math"
 	"os"
 )
 
@@ -40,9 +41,13 @@ func Load(path string) (*Model, error) {
 
 // Validate checks the structure every evaluator and compiler downstream
 // trusts without testing: features within bounds, child references forward and
-// in range, and every non-root node under exactly one parent. A node shared by
-// two parents would make a tree of n nodes unfold to up to 2ⁿ when compiled;
-// Load and registry.Decode both go through here, so no model file can do that.
+// in range, every non-root node under exactly one parent, and every threshold
+// a float32. A node shared by two parents would make a tree of n nodes unfold
+// to up to 2ⁿ when compiled; a threshold between two float32s is one no
+// trainer here writes and the compiled float32 form cannot hold. Load and
+// registry.Decode both go through here, so no model file can do either. A NaN
+// threshold, which only a model built in memory can hold (JSON has none),
+// passes: every evaluator sends every row right at it.
 func (m *Model) Validate() error {
 	if m.NumFeatures <= 0 {
 		return fmt.Errorf("NumFeatures = %d", m.NumFeatures)
@@ -67,6 +72,9 @@ func (m *Model) Validate() error {
 			}
 			if n.Feature < 0 || int(n.Feature) >= m.NumFeatures {
 				return fmt.Errorf("tree %d node %d: feature %d out of range", ti, ni, n.Feature)
+			}
+			if t := n.Threshold; float64(float32(t)) != t && !math.IsNaN(t) {
+				return fmt.Errorf("tree %d node %d: threshold %v is not a float32", ti, ni, t)
 			}
 			for _, c := range [2]int32{n.Left, n.Right} {
 				if c >= 0 {

@@ -258,7 +258,7 @@ func requirePartitionMatchesRouting(t testing.TB, round int, gr *grower, tree *T
 			if got := routeBinned(gr.td, tree, gr.nodeBins, r); got != li {
 				t.Fatalf("round %d: row %d is in leaf %d's range but routes to leaf %d", round, r, li, got)
 			}
-			if w := gr.predictBinned(tree, int(r)); math.Float64bits(w) != math.Float64bits(tree.Leaves[li]) {
+			if w := gr.predictBinned(tree, gr.td.bins, int(r)); math.Float64bits(w) != math.Float64bits(tree.Leaves[li]) {
 				t.Fatalf("round %d: row %d: predictBinned %v, leaf %d weighs %v", round, r, w, li, tree.Leaves[li])
 			}
 		}

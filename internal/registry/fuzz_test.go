@@ -32,7 +32,7 @@ func foldPredict(m *gbdt.Model, v []float64) float64 {
 // FuzzRegistryDecode fuzzes the bytes the server does read: any input is
 // either refused by Decode, or holds an ensemble that compiles to exactly its
 // own nodes and that Predict, PredictRowsInto and the interpreter evaluate
-// without panicking, to the same bits outside rounding gaps.
+// without panicking, to the same bits.
 //
 // Random mutation almost never survives the SHA-256 trailer, so an input comes
 // in one of two shapes: a whole file (sealed false), or a file body that the
@@ -61,25 +61,26 @@ func FuzzRegistryDecode(f *testing.F) {
 		if m.NumFeatures > 1<<10 {
 			return
 		}
-		var nodes int
+		var thresholds []float64
 		for i := range m.Trees {
-			nodes += len(m.Trees[i].Nodes)
+			for _, n := range m.Trees[i].Nodes {
+				thresholds = append(thresholds, n.Threshold)
+			}
 		}
 		p := treec.Pack(m)
-		if len(p.Nodes) != nodes {
-			t.Fatalf("ensemble of %d nodes compiled to %d", nodes, len(p.Nodes))
+		if len(p.Nodes) != len(thresholds) {
+			t.Fatalf("ensemble of %d nodes compiled to %d", len(thresholds), len(p.Nodes))
 		}
 
 		// The batch kernel scores rows one by one, so the count only sets how
 		// many probe vectors a model gets.
 		const nrows = 4
-		gaps := treec.Flatten(m)
 		rng := rand.New(rand.NewSource(int64(len(data))))
 		rows := make([]float64, nrows*m.NumFeatures)
 		for i := range rows {
 			rows[i] = rng.NormFloat64() * 100
-			if len(gaps.Threshold) > 0 && rng.Intn(4) == 0 {
-				rows[i] = gaps.Threshold[rng.Intn(len(gaps.Threshold))]
+			if len(thresholds) > 0 && rng.Intn(4) == 0 {
+				rows[i] = thresholds[rng.Intn(len(thresholds))]
 			}
 		}
 		out := make([]float64, nrows)
@@ -90,8 +91,8 @@ func FuzzRegistryDecode(f *testing.F) {
 			if math.Float64bits(out[r]) != math.Float64bits(got) {
 				t.Fatalf("row %d: PredictRowsInto %v != Predict %v", r, out[r], got)
 			}
-			if want := foldPredict(m, v); math.Float64bits(got) != math.Float64bits(want) && !gaps.InRoundingGap(v) {
-				t.Fatalf("row %d: compiled %v != interpreted %v outside any rounding gap", r, got, want)
+			if want := foldPredict(m, v); math.Float64bits(got) != math.Float64bits(want) {
+				t.Fatalf("row %d: compiled %v != interpreted %v", r, got, want)
 			}
 		}
 	})

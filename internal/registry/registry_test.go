@@ -397,3 +397,38 @@ func TestSharedChildModelRefused(t *testing.T) {
 		t.Fatalf("Decode(shared-child artifact) = %v, want an invalid-model error", err)
 	}
 }
+
+// TestInexactThresholdRefused: a threshold between two float32s is outside
+// input, since the trainer stores only float32 values. Both doors a model file
+// comes in through refuse it, naming the tree and node, and Load counts it as
+// a reject — the compiled model is not left to round it.
+func TestInexactThresholdRefused(t *testing.T) {
+	m := handModel()
+	m.Trees[0].Nodes[1].Threshold = 0.1
+	const want = "tree 0 node 1: threshold 0.1 is not a float32"
+	path := filepath.Join(t.TempDir(), "inexact.json")
+	if err := m.Save(path); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gbdt.Load(path); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("gbdt.Load = %v, want an error containing %q", err, want)
+	}
+	enc, err := Encode(&Artifact{Meta: Meta{FormatVersion: FormatVersion, Version: 1}, GBM: m})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := Decode(enc); err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("Decode = %v, want an error containing %q", err, want)
+	}
+	r := openTemp(t)
+	if err := os.WriteFile(r.Path(1), enc, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := CorruptRejects.Value()
+	if _, err := r.Load(1); err == nil {
+		t.Fatal("artifact with threshold 0.1 loaded")
+	}
+	if got := CorruptRejects.Value() - before; got != 1 {
+		t.Fatalf("t3_registry_corrupt_total advanced by %d, want 1", got)
+	}
+}

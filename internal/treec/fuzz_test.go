@@ -10,10 +10,10 @@ import (
 	"t3/internal/par"
 )
 
-// edgeValues are the float64s a sorted-threshold evaluator can get wrong:
-// both zeros, both infinities, magnitudes beyond float32 and at the end of
-// float64, float64 and float32 subnormals, and NaN (last, so that a caller
-// can leave it out).
+// edgeValues are the float64s a sorted-threshold evaluator can get wrong as
+// inputs: both zeros, both infinities, magnitudes beyond float32 and at the
+// end of float64, float64 and float32 subnormals, and NaN (last, so that a
+// caller can leave it out).
 var edgeValues = []float64{
 	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
 	1e39, -1e39, math.MaxFloat64, -math.MaxFloat64,
@@ -21,32 +21,41 @@ var edgeValues = []float64{
 	math.NaN(),
 }
 
-// genThreshold draws one node's (feature, threshold): mostly a random split,
-// sometimes an edge value, sometimes a split the model already uses — the
-// same threshold on the same feature in several trees (or twice in one),
-// which is a tie in the kernel's sort. exact32 models take only thresholds a
-// float32 holds: ±0 and ±Inf of the edge values.
-func genThreshold(rng *rand.Rand, nFeatures int, exact32 bool, used *[]gbdt.Node) (int32, float64) {
-	feat, thr := int32(rng.Intn(nFeatures)), rng.Float64()*20-10
+// edgeThresholds are their float32 counterparts as thresholds, one for one:
+// both zeros, both infinities, the largest float32s, the smallest normal and
+// the smallest and largest subnormal float32s, and NaN.
+var edgeThresholds = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.MaxFloat32, -math.MaxFloat32, 0x1p-126, -0x1p-126,
+	math.SmallestNonzeroFloat32, -math.SmallestNonzeroFloat32, 0x1p-126 - 0x1p-149, -(0x1p-126 - 0x1p-149),
+	math.NaN(),
+}
+
+// genThreshold draws one node's (feature, threshold), always a float32 value:
+// mostly a random split, sometimes an edge threshold, sometimes a split the
+// model already uses — the same threshold on the same feature in several
+// trees (or twice in one), which is a tie in the kernel's sort. zerosAndInfs
+// models take their edge thresholds from ±0 and ±Inf only, so those tie more
+// often.
+func genThreshold(rng *rand.Rand, nFeatures int, zerosAndInfs bool, used *[]gbdt.Node) (int32, float64) {
+	feat, thr := int32(rng.Intn(nFeatures)), float64(float32(rng.Float64()*20-10))
 	switch k := rng.Intn(8); {
-	case k == 0 && exact32:
-		thr = edgeValues[rng.Intn(4)]
+	case k == 0 && zerosAndInfs:
+		thr = edgeThresholds[rng.Intn(4)]
 	case k == 0:
-		thr = edgeValues[rng.Intn(len(edgeValues))]
+		thr = edgeThresholds[rng.Intn(len(edgeThresholds))]
 	case k == 1 && len(*used) > 0:
 		n := (*used)[rng.Intn(len(*used))]
 		return n.Feature, n.Threshold
-	case exact32 || k < 5:
-		thr = float64(float32(thr)) // representable in float32: no rounding gap
 	}
 	*used = append(*used, gbdt.Node{Feature: feat, Threshold: thr})
 	return feat, thr
 }
 
 // genTree builds a random regression tree of at most 2^maxDepth leaves; about
-// a fifth are single-leaf (constant) trees, which Pack and GenGo fold into
-// the base score.
-func genTree(rng *rand.Rand, nFeatures, maxDepth int, exact32 bool, used *[]gbdt.Node) gbdt.Tree {
+// a fifth are single-leaf (constant) trees, which Pack folds into the base
+// score.
+func genTree(rng *rand.Rand, nFeatures, maxDepth int, zerosAndInfs bool, used *[]gbdt.Node) gbdt.Tree {
 	if rng.Intn(5) == 0 {
 		return gbdt.Tree{Leaves: []float64{rng.Float64()*4 - 2}}
 	}
@@ -60,7 +69,7 @@ func genTree(rng *rand.Rand, nFeatures, maxDepth int, exact32 bool, used *[]gbdt
 		idx := int32(len(t.Nodes))
 		t.Nodes = append(t.Nodes, gbdt.Node{})
 		var n gbdt.Node
-		n.Feature, n.Threshold = genThreshold(rng, nFeatures, exact32, used)
+		n.Feature, n.Threshold = genThreshold(rng, nFeatures, zerosAndInfs, used)
 		n.Left = build(depth + 1)
 		n.Right = build(depth + 1)
 		t.Nodes[idx] = n
@@ -88,46 +97,10 @@ func refFoldPredict(m *gbdt.Model, v []float64) float64 {
 	return s
 }
 
-// simGenGo walks the trees the way the generated Go code evaluates them:
-// identical structure to the interpreter but with every threshold rounded
-// through RoundThreshold32 — the documented reason GenGo output is
-// bit-equivalent to the packed tier.
-func simGenGo(m *gbdt.Model, v []float64) float64 {
-	s := m.BaseScore
-	for i := range m.Trees {
-		if len(m.Trees[i].Nodes) == 0 {
-			s += m.Trees[i].Leaves[0]
-		}
-	}
-	for ti := range m.Trees {
-		t := &m.Trees[ti]
-		if len(t.Nodes) == 0 {
-			continue
-		}
-		i := int32(0)
-		for {
-			n := &t.Nodes[i]
-			var next int32
-			if v[n.Feature] <= float64(RoundThreshold32(n.Threshold)) {
-				next = n.Left
-			} else {
-				next = n.Right
-			}
-			if next < 0 {
-				s += t.Leaves[^next]
-				break
-			}
-			i = next
-		}
-	}
-	return s
-}
-
 // genVectors produces random probe vectors, an eighth of their values edge
-// values, plus adversarial ones pinned at and around the model's trained
-// thresholds: the exact threshold, the rounded-up float32 threshold, and the
-// float64 and float32 neighbours of both — the boundary inputs of the
-// (t, thr32] rounding-gap contract and of the kernel's sorted scan.
+// values, plus adversarial ones pinned at and around the model's thresholds:
+// the threshold itself and its float64 and float32 neighbours — the boundary
+// inputs of the v <= t comparison and of the kernel's sorted scan.
 func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 	var nodes []gbdt.Node
 	for i := range m.Trees {
@@ -144,18 +117,13 @@ func genVectors(rng *rand.Rand, m *gbdt.Model, n int) [][]float64 {
 		}
 		if len(nodes) > 0 && i%2 == 0 {
 			nd := nodes[rng.Intn(len(nodes))]
-			t64 := nd.Threshold
-			up32 := RoundThreshold32(t64)
-			up := float64(up32)
+			t, t32 := nd.Threshold, float32(nd.Threshold)
 			probes := []float64{
-				t64,
-				math.Nextafter(t64, math.Inf(-1)),
-				math.Nextafter(t64, math.Inf(1)),
-				up,
-				math.Nextafter(up, math.Inf(-1)),
-				math.Nextafter(up, math.Inf(1)),
-				float64(math.Nextafter32(up32, float32(math.Inf(-1)))),
-				float64(math.Nextafter32(up32, float32(math.Inf(1)))),
+				t,
+				math.Nextafter(t, math.Inf(-1)),
+				math.Nextafter(t, math.Inf(1)),
+				float64(math.Nextafter32(t32, float32(math.Inf(-1)))),
+				float64(math.Nextafter32(t32, float32(math.Inf(1)))),
 			}
 			v[nd.Feature] = probes[rng.Intn(len(probes))]
 		}
@@ -193,59 +161,39 @@ func shapeBatch(rng *rand.Rand, vs [][]float64, nvec uint64) {
 // genModel draws the model of one fuzz input: 1-6 trees, or up to three
 // kernel blocks of them when nvec has bit 6 set; up to 16 leaves a tree, up
 // to 64 (a full bitvector), or up to 128, where one tree past 64 sends the
-// whole ensemble to the walker. A quarter of the models have only
-// float32-exact thresholds.
-func genModel(rng *rand.Rand, nvec uint64) (m *gbdt.Model, exact32 bool) {
+// whole ensemble to the walker. A quarter of the models take their edge
+// thresholds from ±0 and ±Inf only.
+func genModel(rng *rand.Rand, nvec uint64) *gbdt.Model {
 	nFeatures := 1 + rng.Intn(8)
 	nTrees := 1 + rng.Intn(6)
 	if nvec&64 != 0 {
 		nTrees += rng.Intn(700)
 	}
 	maxDepth := []int{4, 4, 6, 7}[rng.Intn(4)]
-	exact32 = rng.Intn(4) == 0
-	m = &gbdt.Model{BaseScore: rng.Float64()*2 - 1, NumFeatures: nFeatures}
+	zerosAndInfs := rng.Intn(4) == 0
+	m := &gbdt.Model{BaseScore: rng.Float64()*2 - 1, NumFeatures: nFeatures}
 	var used []gbdt.Node
 	for i := 0; i < nTrees; i++ {
-		m.Trees = append(m.Trees, genTree(rng, nFeatures, maxDepth, exact32, &used))
+		m.Trees = append(m.Trees, genTree(rng, nFeatures, maxDepth, zerosAndInfs, &used))
 	}
-	return m, exact32
+	return m
 }
 
-// checkTreeTiers asserts the full equivalence contract for one model:
-// interpreter reference ↔ Packed.Predict ↔ PredictRowsInto ↔ generated-code
-// semantics.
+// checkTreeTiers asserts the equivalence contract for one model: the
+// interpreter reference, Packed.Predict and PredictRowsInto give the same bits
+// on every probe vector.
 func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
-	m, exact32 := genModel(rng, nvec)
+	m := genModel(rng, nvec)
 	nFeatures := m.NumFeatures
-
-	gaps := Flatten(m)
 	packed := Pack(m)
-	if exact32 && !packed.Exact {
-		t.Fatalf("seed=%d: all thresholds float32-exact but Packed.Exact=false", seed)
-	}
 
 	vs := genVectors(rng, m, 4+int(nvec%64))
 	shapeBatch(rng, vs, nvec)
 	for vi, v := range vs {
-		ref := refFoldPredict(m, v)
-		pp := packed.Predict(v)
-		if math.Float64bits(pp) != math.Float64bits(ref) {
-			// Divergence is legal only on inexact models AND inside the
-			// documented rounding gap.
-			if packed.Exact {
-				t.Fatalf("seed=%d vec=%d: exact packed diverges: reference=%v packed=%v", seed, vi, ref, pp)
-			}
-			if !gaps.InRoundingGap(v) {
-				t.Fatalf("seed=%d vec=%d: packed diverges outside the rounding gap: reference=%v packed=%v v=%v",
-					seed, vi, ref, pp, v)
-			}
-		}
-
-		if gg := simGenGo(m, v); math.Float64bits(gg) != math.Float64bits(pp) {
-			t.Fatalf("seed=%d vec=%d: generated-code semantics=%v packed=%v (must be bit-identical)",
-				seed, vi, gg, pp)
+		if ref, pp := refFoldPredict(m, v), packed.Predict(v); math.Float64bits(pp) != math.Float64bits(ref) {
+			t.Fatalf("seed=%d vec=%d: reference=%v packed=%v v=%v", seed, vi, ref, pp, v)
 		}
 	}
 
@@ -277,10 +225,9 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	check(par.Sized(3))
 }
 
-// FuzzTreeTiers fuzzes the reference/packed/rows/generated-code equivalence
-// contract over random models and threshold-adversarial probe vectors. The
-// named corpus files under testdata/fuzz pin the shapes the bitvector kernel
-// has limits on: one, exactly-full and three blocks of trees, a 63-leaf tree,
+// FuzzTreeTiers fuzzes the reference/packed/rows equivalence contract over
+// random models and threshold-adversarial probe vectors. The named corpus
+// files under testdata/fuzz pin the shapes the bitvector kernel has limits on: one, exactly-full and three blocks of trees, a 63-leaf tree,
 // an oversized tree (walker fallback), and NaN, ±Inf and ±0 thresholds tied on
 // one feature; and the batches its block split turns on (shapeBatch):
 // near-duplicate rows, alone and over three blocks of trees, and a uniform

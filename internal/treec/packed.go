@@ -13,8 +13,8 @@ import (
 // absolute indices into Packed.Nodes; a negative child c refers to leaf ^c in
 // the unified Packed.Leaves array.
 //
-// Thr is the float32 round-up of the trained float64 threshold (see
-// RoundThreshold32); the comparison contract is v[Feature] <= float64(Thr).
+// Thr is the trained threshold, which the trainer stores as a float32 value;
+// the comparison is v[Feature] <= float64(Thr), exactly the interpreter's.
 type PackedNode struct {
 	Thr     float32
 	Feature uint16
@@ -26,15 +26,9 @@ type PackedNode struct {
 // Packed is the cache-packed compiled form of a tree ensemble: every node is
 // a 16-byte record, trees are laid out root-first in breadth-first order so
 // the hot top levels of consecutive trees stay within a few cache lines, and
-// all leaf values live in one unified float64 array.
-//
-// Threshold contract: thresholds are stored as float32, rounded toward +∞
-// (the smallest float32 ≥ the trained float64 threshold), and compared as
-// v <= float64(thr32). This preserves the trained partition exactly for every
-// input that satisfied v <= t64 — ties included — and for every input value
-// exactly representable in float32. The only inputs that can switch sides are
-// those in the half-open rounding gap (t64, float64(thr32)], at most one
-// float32 ulp wide; Exact reports whether the model has any such gap at all.
+// all leaf values live in one unified float64 array. Thresholds are float32 in
+// the model (gbdt.Model.Validate), so Packed stores each exactly and routes
+// every input as the float64 interpreter does.
 type Packed struct {
 	Nodes []PackedNode
 	// Roots holds the root node index of every multi-node tree.
@@ -43,9 +37,6 @@ type Packed struct {
 	// Base includes the model base score plus all single-leaf trees.
 	Base        float64
 	NumFeatures int
-	// Exact is true when every threshold round-trips through float32, i.e.
-	// every tree routes every input exactly as the float64 interpreter does.
-	Exact bool
 
 	// quick is the batch kernel's layout of the same trees (quickscorer.go);
 	// nil when a tree has more leaves than a bitvector holds, and
@@ -53,33 +44,21 @@ type Packed struct {
 	quick []qsBlock
 }
 
-// RoundThreshold32 returns the smallest float32 whose float64 value is ≥ t —
-// the rounding direction that keeps every trained v <= t decision (ties
-// included) on its original side. Pack and GenGo both use this same
-// threshold, which is what makes the generated code bit-equivalent to Packed.
-func RoundThreshold32(t float64) float32 {
-	f := float32(t)
-	if float64(f) < t {
-		f = math.Nextafter32(f, float32(math.Inf(1)))
-	}
-	return f
-}
-
 // Pack compiles a model into the packed form. It panics if the model exceeds
 // the packed index space (65536 features or 2³¹ nodes/leaves) — far beyond
-// any T3 configuration.
+// any T3 configuration — or holds a threshold that is not a float32, which
+// Validate refuses and the trainer never writes.
 func Pack(m *gbdt.Model) *Packed {
 	if m.NumFeatures > math.MaxUint16+1 {
 		panic(fmt.Sprintf("treec: %d features exceed packed uint16 feature ids", m.NumFeatures))
 	}
-	p := &Packed{Base: m.BaseScore, NumFeatures: m.NumFeatures, Exact: true}
+	p := &Packed{Base: m.BaseScore, NumFeatures: m.NumFeatures}
 	var quick []qsBlock
 	fits := true // every tree so far has a bitvector's worth of leaves or fewer
 	for ti := range m.Trees {
 		t := &m.Trees[ti]
 		if len(t.Nodes) == 0 {
-			// Constant tree: fold into the base score (same order as GenGo,
-			// so both share one Base).
+			// Constant tree: fold into the base score.
 			p.Base += t.Leaves[0]
 			continue
 		}
@@ -117,9 +96,9 @@ func Pack(m *gbdt.Model) *Packed {
 			} else {
 				r = ^(^r + leafOff)
 			}
-			thr := RoundThreshold32(n.Threshold)
-			if float64(thr) != n.Threshold {
-				p.Exact = false
+			thr := float32(n.Threshold)
+			if float64(thr) != n.Threshold && !math.IsNaN(n.Threshold) {
+				panic(fmt.Sprintf("treec: tree %d node %d: threshold %v is not a float32", ti, oi, n.Threshold))
 			}
 			p.Nodes = append(p.Nodes, PackedNode{
 				Thr:     thr,
@@ -209,44 +188,4 @@ func (p *Packed) predictRows(rows []float64, stride int, out []float64) {
 	for r := range out {
 		out[r] = p.Predict(rows[r*stride : (r+1)*stride])
 	}
-}
-
-// Flat is the trained float64 threshold table of an ensemble: one
-// (feature, threshold) pair per decision node. It evaluates nothing; it keeps
-// what Pack rounds away, so InRoundingGap can tell whether a disagreement
-// between Packed and the float64 interpreter is the documented one.
-type Flat struct {
-	Feature   []int32
-	Threshold []float64
-}
-
-// Flatten collects the threshold table of a model.
-func Flatten(m *gbdt.Model) *Flat {
-	f := &Flat{}
-	for ti := range m.Trees {
-		for _, n := range m.Trees[ti].Nodes {
-			f.Feature = append(f.Feature, n.Feature)
-			f.Threshold = append(f.Threshold, n.Threshold)
-		}
-	}
-	return f
-}
-
-// InRoundingGap reports whether any feature value of v lies inside the
-// float32 rounding gap of any node threshold of f: the half-open interval
-// (t64, float64(RoundThreshold32(t64))]. Those are exactly the inputs on
-// which Packed (and the generated code, which shares its thresholds) may
-// legitimately disagree with the float64 interpreter; tests use this to pin
-// the equivalence contract.
-func (f *Flat) InRoundingGap(v []float64) bool {
-	for i, t64 := range f.Threshold {
-		up := float64(RoundThreshold32(t64))
-		if up != t64 {
-			x := v[f.Feature[i]]
-			if x > t64 && x <= up {
-				return true
-			}
-		}
-	}
-	return false
 }

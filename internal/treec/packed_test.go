@@ -1,9 +1,9 @@
 package treec
 
 import (
-	"math"
-	"math/rand"
+	"fmt"
 	"slices"
+	"strings"
 	"testing"
 	"unsafe"
 
@@ -14,77 +14,6 @@ func TestPackedNodeIs16Bytes(t *testing.T) {
 	if s := unsafe.Sizeof(PackedNode{}); s != 16 {
 		t.Fatalf("PackedNode is %d bytes, want 16", s)
 	}
-}
-
-func TestRoundThreshold32Contract(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for i := 0; i < 200000; i++ {
-		var x float64
-		switch rng.Intn(4) {
-		case 0:
-			x = rng.Float64()
-		case 1:
-			x = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(17)-8))
-		case 2:
-			x = float64(rng.Intn(1 << 30))
-		default:
-			x = math.Float64frombits(rng.Uint64() &^ (0x7ff << 52)) // finite, small exp
-		}
-		up := RoundThreshold32(x)
-		if float64(up) < x {
-			t.Fatalf("RoundThreshold32(%v) = %v < input", x, up)
-		}
-		if float64(up) > x {
-			// Must be the *smallest* such float32: one step down is below x.
-			down := math.Nextafter32(up, float32(math.Inf(-1)))
-			if float64(down) >= x {
-				t.Fatalf("RoundThreshold32(%v) = %v not minimal (%v also >= input)", x, up, down)
-			}
-		}
-	}
-}
-
-// randomEnsemble builds a synthetic model directly (bypassing training) so
-// equivalence tests can control threshold representability. Thresholds are
-// drawn by thr; trees are random complete-ish binary trees.
-func randomEnsemble(rng *rand.Rand, trees, numFeat int, thr func() float64) *gbdt.Model {
-	m := &gbdt.Model{BaseScore: rng.NormFloat64(), NumFeatures: numFeat}
-	for t := 0; t < trees; t++ {
-		nNodes := 1 + rng.Intn(31)
-		tree := gbdt.Tree{}
-		// Sequentially grown left/right children: node i's children are
-		// either later nodes or fresh leaves.
-		nextLeaf := int32(0)
-		leaf := func() int32 {
-			l := nextLeaf
-			nextLeaf++
-			tree.Leaves = append(tree.Leaves, rng.NormFloat64())
-			return ^l
-		}
-		nextNode := int32(1)
-		child := func() int32 {
-			if int(nextNode) < nNodes && rng.Intn(3) > 0 {
-				n := nextNode
-				nextNode++
-				return n
-			}
-			return leaf()
-		}
-		for i := 0; i < nNodes; i++ {
-			n := gbdt.Node{Feature: int32(rng.Intn(numFeat)), Threshold: thr()}
-			n.Left = child()
-			n.Right = child()
-			tree.Nodes = append(tree.Nodes, n)
-		}
-		// Any declared-but-never-reached nodes would corrupt the walk; trim
-		// to the nodes actually linked.
-		tree.Nodes = tree.Nodes[:nextNode]
-		m.Trees = append(m.Trees, tree)
-	}
-	// No constant trees here: folding them into the base changes summation
-	// order vs the interpreted tier, which would break the bit-equality
-	// checks below. TestPackedFoldsConstantTrees covers folding.
-	return m
 }
 
 func TestPackedFoldsConstantTrees(t *testing.T) {
@@ -105,110 +34,19 @@ func TestPackedFoldsConstantTrees(t *testing.T) {
 	}
 }
 
-// TestPackedExactEquivalence: when every threshold round-trips through
-// float32, Packed is bit-identical to the interpreter on every input.
-func TestPackedExactEquivalence(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
-	for trial := 0; trial < 20; trial++ {
-		m := randomEnsemble(rng, 1+rng.Intn(8), 6, func() float64 {
-			return float64(float32(rng.NormFloat64() * 100))
-		})
-		p := Pack(m)
-		if !p.Exact {
-			t.Fatalf("trial %d: float32 thresholds must pack exactly", trial)
+// TestPackRefusesInexactThreshold: Pack stores every threshold as the float32
+// it is, so a threshold between two float32s — which Validate refuses and the
+// trainer never writes — is reported, not rounded.
+func TestPackRefusesInexactThreshold(t *testing.T) {
+	m := &gbdt.Model{NumFeatures: 1, Trees: []gbdt.Tree{
+		{Nodes: []gbdt.Node{{Feature: 0, Threshold: 0.1, Left: ^0, Right: ^1}}, Leaves: []float64{1, 2}},
+	}}
+	defer func() {
+		if r := recover(); !strings.Contains(fmt.Sprint(r), "tree 0 node 0: threshold 0.1 is not a float32") {
+			t.Fatalf("Pack of threshold 0.1: panic %v, want one naming tree 0 node 0", r)
 		}
-		for i := 0; i < 2000; i++ {
-			v := make([]float64, m.NumFeatures)
-			for j := range v {
-				v[j] = rng.NormFloat64() * 100
-			}
-			want := m.Predict(v)
-			if got := p.Predict(v); got != want {
-				t.Fatalf("trial %d: packed %v != interpreted %v", trial, got, want)
-			}
-		}
-	}
-}
-
-// TestPackedGapContract: with arbitrary float64 thresholds, packed may only
-// disagree with the float64 interpreter when some feature value lies in a
-// documented rounding gap — and ties always stay on the trained side.
-func TestPackedGapContract(t *testing.T) {
-	rng := rand.New(rand.NewSource(22))
-	disagreements := 0
-	for trial := 0; trial < 20; trial++ {
-		m := randomEnsemble(rng, 1+rng.Intn(8), 6, func() float64 {
-			return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
-		})
-		f := Flatten(m)
-		p := Pack(m)
-		for i := 0; i < 2000; i++ {
-			v := make([]float64, m.NumFeatures)
-			for j := range v {
-				if rng.Intn(4) == 0 {
-					// Reuse an exact threshold value: a tie, which must
-					// resolve identically (left) in both.
-					v[j] = f.Threshold[rng.Intn(len(f.Threshold))]
-				} else {
-					v[j] = rng.NormFloat64() * math.Pow(10, float64(rng.Intn(9)-4))
-				}
-			}
-			want := m.Predict(v)
-			got := p.Predict(v)
-			if got != want {
-				disagreements++
-				if !f.InRoundingGap(v) {
-					t.Fatalf("trial %d: packed %v != interpreted %v but no feature value in a rounding gap", trial, got, want)
-				}
-			}
-		}
-	}
-	t.Logf("%d/40000 vectors hit a rounding gap", disagreements)
-}
-
-// TestPackedGapDirected plants feature values exactly inside rounding gaps —
-// random vectors essentially never land in the ~1-ulp windows — and checks
-// that (a) InRoundingGap flags them, and (b) packed sends them left (the
-// <= side) where the float64 interpreter sends them right.
-func TestPackedGapDirected(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	m := randomEnsemble(rng, 6, 6, func() float64 {
-		return rng.NormFloat64() * math.Pow(10, float64(rng.Intn(7)-3))
-	})
-	f := Flatten(m)
-	p := Pack(m)
-	probed := 0
-	for i, t64 := range f.Threshold {
-		up := float64(RoundThreshold32(t64))
-		if up == t64 {
-			continue
-		}
-		v := make([]float64, m.NumFeatures)
-		for j := range v {
-			v[j] = rng.NormFloat64()
-		}
-		v[f.Feature[i]] = up // inside the half-open gap (t64, up]
-		if !f.InRoundingGap(v) {
-			t.Fatalf("node %d: value %v in gap (%v, %v] not flagged", i, up, t64, up)
-		}
-		// The planted value compares differently at this node: packed takes
-		// the left (<=) branch (up <= float64(thr32) by construction), the
-		// interpreter the right — which requires it to sit strictly above
-		// the trained threshold.
-		if up <= t64 {
-			t.Fatalf("node %d: planted value %v not strictly above threshold %v", i, up, t64)
-		}
-		probed++
-		// And packed vs interpreted whole-model disagreement, when it
-		// happens, is always explained.
-		if p.Predict(v) != m.Predict(v) && !f.InRoundingGap(v) {
-			t.Fatalf("node %d: unexplained disagreement", i)
-		}
-	}
-	if probed == 0 {
-		t.Skip("no non-round-tripping thresholds in this ensemble")
-	}
-	t.Logf("probed %d rounding gaps", probed)
+	}()
+	Pack(m)
 }
 
 func TestPackedBreadthFirstLayout(t *testing.T) {
@@ -270,9 +108,6 @@ func TestPackedMatchesModelStructure(t *testing.T) {
 	if len(p.Nodes) != nodes || len(p.Leaves) != leaves || len(p.Roots) != roots {
 		t.Fatalf("packed has %d nodes, %d leaves, %d roots; model has %d, %d, %d",
 			len(p.Nodes), len(p.Leaves), len(p.Roots), nodes, leaves, roots)
-	}
-	if f := Flatten(m); len(f.Threshold) != nodes || len(f.Feature) != nodes {
-		t.Fatalf("threshold table has %d/%d entries, want %d", len(f.Threshold), len(f.Feature), nodes)
 	}
 }
 

@@ -102,7 +102,7 @@ func qsAdd(blocks []qsBlock, t *gbdt.Tree) []qsBlock {
 		}
 		n := &t.Nodes[c]
 		at := len(b.mask)
-		b.thr = append(b.thr, RoundThreshold32(n.Threshold))
+		b.thr = append(b.thr, float32(n.Threshold))
 		b.feat = append(b.feat, uint16(n.Feature))
 		b.tree = append(b.tree, tree)
 		b.mask = append(b.mask, 0)

@@ -58,7 +58,7 @@ func wideTree(rng *rand.Rand, interior, numFeat int) gbdt.Tree {
 	newNode := func() int32 {
 		t.Nodes = append(t.Nodes, gbdt.Node{
 			Feature:   int32(rng.Intn(numFeat)),
-			Threshold: rng.NormFloat64() * 10,
+			Threshold: float64(float32(rng.NormFloat64() * 10)),
 			Left:      newLeaf(),
 			Right:     newLeaf(),
 		})
@@ -95,7 +95,7 @@ func chainTree(rng *rand.Rand, leaves, numFeat int, leftDeep bool) gbdt.Tree {
 		if i == leaves-2 {
 			next = ^int32(leaves - 1)
 		}
-		n := gbdt.Node{Feature: int32(rng.Intn(numFeat)), Threshold: rng.NormFloat64()*10 + bias, Left: ^int32(i), Right: next}
+		n := gbdt.Node{Feature: int32(rng.Intn(numFeat)), Threshold: float64(float32(rng.NormFloat64()*10 + bias)), Left: ^int32(i), Right: next}
 		if leftDeep {
 			n.Left, n.Right = n.Right, n.Left
 		}
@@ -148,15 +148,14 @@ func waveRows(rng *rand.Rand, n, stride int) []float64 {
 
 // checkRowsMatchWalker scores batches of every length in blockSizes, of
 // independent rows and of waveRows, on one and on three workers, and requires
-// every row to be bit-identical to Predict, and equal to the interpreter's
-// fold outside a rounding gap. The first independent rows are all-NaN (right
-// at every node), all -Inf (left at every node) and all +Inf, so the last and
-// the first leaf of every tree are reached whatever its thresholds.
+// every row to be bit-identical to Predict and to the interpreter's fold. The
+// first independent rows are all-NaN (right at every node), all -Inf (left at
+// every node) and all +Inf, so the last and the first leaf of every tree are
+// reached whatever its thresholds.
 func checkRowsMatchWalker(t *testing.T, label string, m *gbdt.Model, rng *rand.Rand) {
 	t.Helper()
 	p := Pack(m)
 	stride := m.NumFeatures
-	gaps := Flatten(m)
 	for _, n := range blockSizes {
 		independent := make([]float64, n*stride)
 		for i := range independent {
@@ -174,8 +173,8 @@ func checkRowsMatchWalker(t *testing.T, label string, m *gbdt.Model, rng *rand.R
 					if want := p.Predict(v); math.Float64bits(out[i]) != math.Float64bits(want) {
 						t.Fatalf("%s, n=%d kind=%d workers=%d row %d: PredictRowsInto %v != Predict %v", label, n, kind, workers, i, out[i], want)
 					}
-					if ref := refFoldPredict(m, v); out[i] != ref && !gaps.InRoundingGap(v) {
-						t.Fatalf("%s, n=%d kind=%d row %d: %v != interpreter %v outside a rounding gap", label, n, kind, i, out[i], ref)
+					if ref := refFoldPredict(m, v); math.Float64bits(out[i]) != math.Float64bits(ref) {
+						t.Fatalf("%s, n=%d kind=%d row %d: %v != interpreter %v", label, n, kind, i, out[i], ref)
 					}
 				}
 			}

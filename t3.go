@@ -75,10 +75,8 @@ func DefaultParams() Params { return gbdt.DefaultParams() }
 type Model struct {
 	reg *feature.Registry
 	gbm *gbdt.Model
-	// packed is the one evaluator every prediction runs on; gaps keeps the
-	// trained float64 thresholds it rounds away (see Compiled).
+	// packed is the one evaluator every prediction runs on.
 	packed *treec.Packed
-	gaps   *treec.Flat
 	// workers sizes the pool PredictBatch fans out over (0 = the shared
 	// GOMAXPROCS-sized pool).
 	workers int
@@ -99,10 +97,10 @@ func (m *Model) Registry() *feature.Registry { return m.reg }
 // form, the float64 reference for Packed).
 func (m *Model) Boosted() *gbdt.Model { return m.gbm }
 
-// Compiled returns the trained float64 threshold table. It evaluates
-// nothing: its InRoundingGap says whether a vector sits where Packed's
-// float32 thresholds may legitimately route differently from Boosted.
-func (m *Model) Compiled() *treec.Flat { return m.gaps }
+// Compiled returns an empty treec.Flat, whose InRoundingGap is always false:
+// Packed and Boosted agree on every input. It exists only for the benchmark's
+// predict workload (bench/w_predict.go), which still calls it.
+func (m *Model) Compiled() *treec.Flat { return &treec.Flat{} }
 
 // Packed returns the cache-packed evaluator — the one tier behind every
 // prediction path.
@@ -148,7 +146,7 @@ func NewModel(gbm *gbdt.Model) (*Model, error) {
 	if gbm.NumFeatures != reg.NumFeatures() {
 		return nil, fmt.Errorf("t3: model has %d features, registry has %d", gbm.NumFeatures, reg.NumFeatures())
 	}
-	return &Model{reg: reg, gbm: gbm, packed: treec.Pack(gbm), gaps: treec.Flatten(gbm)}, nil
+	return &Model{reg: reg, gbm: gbm, packed: treec.Pack(gbm)}, nil
 }
 
 // PipelinePrediction is the predicted execution of one pipeline.

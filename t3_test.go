@@ -75,24 +75,10 @@ func TestCompiledMatchesInterpreted(t *testing.T) {
 		// The compiled form folds constant trees into the base score
 		// (summation order differs) and PredictPlan rounds each pipeline to
 		// integer nanoseconds. Allow up to 1ns per pipeline plus relative
-		// reassociation noise. Beyond that, the packed tier's float32
-		// round-up thresholds may legitimately flip a comparison — but only
-		// when a feature value lands inside a documented rounding gap, which
-		// InRoundingGap pins exactly.
+		// reassociation noise; every tree routes every vector the same way.
 		floor := float64(len(b.Pipelines)+1) * 1e-9
 		if d := math.Abs(compiled.Seconds() - interp.Seconds()); d > floor+1e-6*compiled.Seconds() {
-			vecs, _ := m.Registry().PlanVectors(b.Root, TrueCards)
-			gap := false
-			for _, v := range vecs {
-				if m.Compiled().InRoundingGap(v) {
-					gap = true
-					break
-				}
-			}
-			if !gap {
-				t.Fatalf("%s: compiled %v != interpreted %v with no feature value in a float32 rounding gap",
-					b.Name, compiled, interp)
-			}
+			t.Fatalf("%s: compiled %v != interpreted %v", b.Name, compiled, interp)
 		}
 	}
 }
@@ -324,7 +310,7 @@ func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 
 // foldedReference is the float64 reference for one vector: the interpreter's
 // per-tree walks summed in Packed's order (constant trees folded into the base
-// first), so agreement outside a rounding gap is exact, not approximate.
+// first), so agreement is exact, not approximate.
 func foldedReference(m *gbdt.Model, v []float64) float64 {
 	s := m.BaseScore
 	for i := range m.Trees {
@@ -350,25 +336,21 @@ func packedPipeline(m *Model, p *Pipeline, mode CardMode) time.Duration {
 }
 
 // TestPackedTierServesPredictions pins that the public prediction path runs
-// on the packed tier and that it agrees with the interpreter on real plans
-// (any disagreement must be a documented float32 rounding gap).
+// on the packed tier and that it agrees with the interpreter, bit for bit, on
+// every pipeline vector of real plans.
 func TestPackedTierServesPredictions(t *testing.T) {
 	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
 	if m.Packed() == nil {
 		t.Fatal("model has no packed evaluator")
 	}
-	gaps := 0
 	for _, b := range c.AllTest() {
 		total, per := m.PredictPlan(b.Root, TrueCards)
 		vecs, pipes := m.Registry().PlanVectors(b.Root, TrueCards)
 		var sum time.Duration
 		for i, v := range vecs {
-			if pr, pp := foldedReference(m.Boosted(), v), m.Packed().Predict(v); pr != pp {
-				gaps++
-				if !m.Compiled().InRoundingGap(v) {
-					t.Fatalf("%s: packed %v != interpreted %v with no rounding gap", b.Name, pp, pr)
-				}
+			if pr, pp := foldedReference(m.Boosted(), v), m.Packed().Predict(v); math.Float64bits(pr) != math.Float64bits(pp) {
+				t.Fatalf("%s: packed %v != interpreted %v", b.Name, pp, pr)
 			}
 			want := packedPipeline(m, pipes[i], TrueCards)
 			if per[i].Total != want {
@@ -380,7 +362,6 @@ func TestPackedTierServesPredictions(t *testing.T) {
 			t.Fatalf("%s: served total %v != packed pipeline sum %v", b.Name, total, sum)
 		}
 	}
-	t.Logf("%d pipeline vectors hit rounding gaps", gaps)
 }
 
 // TestObservabilityIntegration pins that the prediction, batch, and drift

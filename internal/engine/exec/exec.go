@@ -12,10 +12,11 @@
 // engine's "explain analyze" (§4.3).
 //
 // With Workers > 1, eligible pipelines run morsel-driven parallel: the
-// source is split into contiguous blocks dispatched over a par.Pool, each
-// block runs the full stage chain into a partition-local sink, and the
-// partial states merge in block order so results (row order, group
-// discovery order, cardinality counters) match the serial engine exactly.
+// source is split into contiguous blocks pulled by the workers of a
+// par.Pool, each block runs the full stage chain into a partition-local
+// sink, and the partial states merge in block order as blocks finish, so
+// results (row order, group discovery order, cardinality counters) match
+// the serial engine exactly.
 // See parallel.go.
 package exec
 
@@ -49,8 +50,8 @@ type Executor struct {
 	// Pool supplies the workers for morsel execution. When nil and
 	// Workers > 1, the process-wide par.Sized(Workers) pool is used.
 	// Sharing one pool between inter-query fan-out (workload.CollectLabels)
-	// and intra-query morsels is safe: the pool's caller-runs overflow
-	// policy degrades to inline execution when saturated.
+	// and intra-query morsels is safe: Do never waits for a busy worker, so
+	// a saturated pool leaves the submitting goroutine to pull every morsel.
 	Pool *par.Pool
 
 	// Reuse makes Run recycle the RunResult and the output Materialized
@@ -84,8 +85,10 @@ type PipelineTiming struct {
 	Morsels int
 	// Duration is the wall-clock execution time of the pipeline.
 	Duration time.Duration
-	// Merge is the driver-side ordered merge of partition partials, already
-	// included in Duration (0 for serially executed pipelines).
+	// Merge is the pipeline's serial tail: from the end of its last
+	// partition block to the end of the pipeline, i.e. the ordered merge no
+	// block overlapped plus the finalize. It is included in Duration (0 for
+	// serially executed pipelines).
 	Merge time.Duration
 }
 

@@ -2,6 +2,8 @@ package exec
 
 import (
 	"fmt"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"t3/internal/engine/expr"
@@ -16,16 +18,20 @@ import (
 // probes — on a pool worker with its own execScratch (block k's is the Reuse
 // executor's partition scratch k, or one from the pool), feeding a
 // partition-local terminal (a joinPartial, a partition groupState, or a
-// partial Materialized). The driver then merges the partials back *in block
-// order*, which reproduces the serial engine's observable behaviour exactly:
+// partial Materialized). The partials merge back *in block order*, which
+// reproduces the serial engine's observable behaviour exactly. A block that
+// finishes marks itself done, and whichever participant then holds the
+// merge token folds every consecutive done partial into the shared state,
+// so the merge of early blocks overlaps the scan of later ones; the driver
+// merges only what is left once the pool returns:
 //
 //   - join builds: partitions precompute row hashes and buffer key/payload
-//     columns; the driver inserts the hashes into the shared open-addressing
+//     columns; the merge inserts the hashes into the shared open-addressing
 //     table sequentially in block order, so entry ids — and therefore probe
 //     chain order and probe output order — are bit-identical to a serial
 //     build;
 //   - group-by builds: partitions aggregate into local states recording each
-//     group's hash in discovery order; the driver folds partition groups in
+//     group's hash in discovery order; the merge folds partition groups in
 //     block order (lookup-or-add on the shared state), so merged group ids
 //     equal serial discovery order and the finalized output row order is
 //     identical. Only float SUM/AVG accumulators can differ, by reassociated
@@ -36,9 +42,10 @@ import (
 //     the serial append order.
 //
 // Per-node counters accumulate in partition-local maps and are summed into
-// the driver's counters (integer addition — exact), so annotations and
-// label fingerprints do not depend on the worker count. Pipelines containing
-// a LIMIT run serially: LIMIT's early-stop is inherently order-dependent.
+// the driver's counters by the same merge (integer addition — exact), so
+// annotations and label fingerprints do not depend on the worker count.
+// Pipelines containing a LIMIT run serially: LIMIT's early-stop is
+// inherently order-dependent.
 
 // DefaultMorselRows is the minimum number of source rows per partition
 // block. Pipelines smaller than two morsels run serially — below that, the
@@ -101,6 +108,14 @@ type partResult struct {
 	gs      *groupState   // group-by build partial
 	mat     *Materialized // sort/window/materialize buffer or result partial
 	err     error
+	end     time.Time   // when the block's scan returned
+	done    atomic.Bool // set once every field above is final
+}
+
+// ready reports whether block k has finished without error, so it can be
+// merged.
+func ready(results []partResult, k int) bool {
+	return k < len(results) && results[k].done.Load() && results[k].err == nil
 }
 
 // runPipelineParallel executes one pipeline morsel-parallel over `parts`
@@ -146,6 +161,12 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 
 	src := p.Stages[0].Node
 	results := make([]partResult, parts)
+	// mergeTok is the merge token: its holder folds done partials into the
+	// shared terminal and advances merged, the count of blocks merged so far.
+	var (
+		mergeTok sync.Mutex
+		merged   int
+	)
 	if o := rt.own; o != nil {
 		for len(o.parts) < parts {
 			o.parts = append(o.parts, &execScratch{})
@@ -171,6 +192,8 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 			morsel:    rt.morsel,
 		}
 		prt := &res.rt
+		lo := k * rows / parts
+		hi := (k + 1) * rows / parts
 
 		// Partition-local terminal sink.
 		var sink pushFn
@@ -182,10 +205,10 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 				res.jp = jp
 				sink = func(b *expr.Batch) { jp.buildBatch(buildNode, b) }
 			case plan.GroupByOp:
-				// Presize the partition state like the shared one; a
-				// partition can discover at most as many groups as the whole
-				// input, and undershoot just means a local rehash.
-				gs := prt.newGroupState(buildNode, presize(buildNode.OutCard, buildNode.Left))
+				// Presize the partition state like the shared one, but no
+				// larger than the block: it cannot discover more groups
+				// than it has rows.
+				gs := prt.newGroupState(buildNode, min(presize(buildNode.OutCard, buildNode.Left), hi-lo))
 				res.gs = gs
 				sink = prt.groupSink(buildNode, gs)
 			default:
@@ -209,22 +232,32 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 			sink, err = prt.makeStage(p.Stages[i], sink)
 			if err != nil {
 				res.err = err
-				obs.ExecPartitionTime.Since(start)
-				return
+				break
 			}
 		}
-
-		lo := k * rows / parts
-		hi := (k + 1) * rows / parts
-		if srcMat != nil {
-			prt.scanMatRange(src, srcMat, sink, lo, hi)
-		} else {
-			prt.scanTableRange(src, sink, lo, hi)
+		if res.err == nil {
+			if srcMat != nil {
+				prt.scanMatRange(src, srcMat, sink, lo, hi)
+			} else {
+				prt.scanTableRange(src, sink, lo, hi)
+			}
 		}
-		obs.ExecPartitionTime.Since(start)
+		res.end = time.Now()
+		obs.ExecPartitionTime.Observe(res.end.Sub(start))
+		res.done.Store(true)
+		// Merge what is ready while the other participants scan. A block
+		// that finishes while the token is held leaves its merge to the
+		// holder, which looks again after letting go.
+		for mergeTok.TryLock() {
+			next := rt.mergeParts(results, merged, jst, gst, bufMat, buildNode)
+			merged = next
+			mergeTok.Unlock()
+			if !ready(results, next) {
+				break
+			}
+		}
 	})
 
-	mergeStart := time.Now()
 	defer func() {
 		// Partition partials live in their scratches; return pooled ones
 		// only after the merge copied everything out.
@@ -245,23 +278,15 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 		}
 	}
 
-	// Ordered merge of terminal partials.
+	// The serial tail starts when the last block's scan returned: merges
+	// still running then, the rest of the merge and the finalize below.
+	var tailStart time.Time
 	for i := range results {
-		res := &results[i]
-		switch {
-		case res.jp != nil:
-			jst.merge(res.jp)
-		case res.gs != nil:
-			gst.merge(buildNode, res.gs)
-		case res.mat != nil:
-			bufMat.appendMat(res.mat)
-		}
-		// Fold partition counters into the driver's (integer adds — exact,
-		// so annotation results are independent of worker count and order).
-		for node, pc := range res.rt.counts {
-			rt.count(node).add(pc)
+		if results[i].end.After(tailStart) {
+			tailStart = results[i].end
 		}
 	}
+	rt.mergeParts(results, merged, jst, gst, bufMat, buildNode)
 
 	// Shared finalize, identical to the serial path.
 	if isBuild {
@@ -277,7 +302,32 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 			rt.count(buildNode).out = int64(bufMat.N)
 		}
 	}
-	rt.lastMerge = time.Since(mergeStart)
+	rt.lastMerge = time.Since(tailStart)
 	obs.ExecMergeTime.Observe(rt.lastMerge)
 	return rows, nil
+}
+
+// mergeParts folds the partials of blocks from, from+1, … into the shared
+// terminal, in block order, while they are ready, and returns the first
+// block it did not merge. Its caller holds the merge token, or is the driver
+// after every block finished.
+func (rt *runtime) mergeParts(results []partResult, from int, jst *joinState, gst *groupState, bufMat *Materialized, buildNode *plan.Node) int {
+	k := from
+	for ; ready(results, k); k++ {
+		res := &results[k]
+		switch {
+		case res.jp != nil:
+			jst.merge(res.jp)
+		case res.gs != nil:
+			gst.merge(buildNode, res.gs)
+		case res.mat != nil:
+			bufMat.appendMat(res.mat)
+		}
+		// Fold partition counters into the driver's (integer adds — exact,
+		// so annotation results are independent of worker count and order).
+		for node, pc := range res.rt.counts {
+			rt.count(node).add(pc)
+		}
+	}
+	return k
 }

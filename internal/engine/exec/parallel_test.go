@@ -435,6 +435,51 @@ func TestReuseSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestReuseParallelSteadyStateAllocs bounds the same loop with morsels on:
+// a Reuse executor with two workers splits both the join build and the
+// probe/group-by pipeline into blocks, pulled over the pool and merged as
+// they finish. Partition scratches are the executor's own, so there is no
+// buffer churn either.
+func TestReuseParallelSteadyStateAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's instrumentation allocates")
+	}
+	build := mkTable("b", 1000, 21)
+	probe := mkTable("p", 8000, 22)
+	root := parallelJoinGroupPlan(build, probe)
+	e := &Executor{Workers: 2, MorselRows: 256, Reuse: true}
+	res, err := e.Run(root, true)
+	if err != nil {
+		t.Fatal(err)
+	}
+	parallel := 0
+	for _, p := range res.Pipelines {
+		if p.Morsels > 1 {
+			parallel++
+		}
+	}
+	if parallel < 2 {
+		t.Fatalf("%d pipelines ran morsel-parallel, want the join build and the probe", parallel)
+	}
+	for i := 0; i < 3; i++ {
+		if _, err := e.Run(root, false); err != nil {
+			t.Fatal(err)
+		}
+	}
+	allocs := testing.AllocsPerRun(20, func() {
+		if _, err := e.Run(root, false); err != nil {
+			t.Fatal(err)
+		}
+	})
+	// 42 when the guard was set, on linux/amd64 with Go 1.24: the serial
+	// loop's stage closures plus, per parallel pipeline, the pool job, the
+	// block closure, the partition results and each block's sink and stage
+	// closures.
+	if allocs > 48 {
+		t.Fatalf("steady-state morsel-parallel Run allocates %.0f times, want <= 48", allocs)
+	}
+}
+
 // TestParallelConcurrentRuns exercises the morsel path from many goroutines
 // sharing base tables and the process-wide pool (the collection topology)
 // under the race detector.

@@ -177,7 +177,9 @@ var (
 	// through partial build), across all workers.
 	ExecPartitionTime = Default.NewHistogram("t3_exec_partition_seconds",
 		"Wall time per morsel partition of a parallel pipeline.", UnitNanoseconds)
-	// ExecMergeTime is the driver-side ordered merge of partition partials.
+	// ExecMergeTime is a parallel pipeline's serial tail: the ordered merge
+	// of partition partials left after the last partition finished, plus
+	// the finalize.
 	ExecMergeTime = Default.NewHistogram("t3_exec_merge_seconds",
-		"Wall time merging partition partials of a parallel pipeline.", UnitNanoseconds)
+		"Wall time of a parallel pipeline after its last partition finished: the merge left over and the finalize.", UnitNanoseconds)
 )

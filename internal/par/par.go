@@ -1,12 +1,16 @@
 // Package par provides the shared worker-pool abstraction behind parallel
-// GBDT training and batched prediction.
+// GBDT training, batched prediction, label collection and morsel-driven
+// query execution.
 //
-// A Pool owns workers-1 long-lived goroutines pulling tasks from an
-// unbuffered channel; the goroutine calling Do participates as the remaining
-// worker by running tasks inline whenever no pool worker is immediately
-// available. This caller-runs design keeps a one-worker pool entirely
-// allocation- and synchronization-free on the dispatch path, makes nested Do
-// calls deadlock-free, and lets a nil *Pool act as a serial executor.
+// A Pool owns workers-1 long-lived goroutines parked on an unbuffered
+// channel. Do pulls work: every participant — the calling goroutine and each
+// pool worker that accepts the call — takes the next index from one atomic
+// cursor until none is left. The caller offers the call to the workers that
+// are parked at that moment, never waits for a busy one, and pulls whatever
+// the others have not taken, so a slow-to-wake worker costs at most the
+// index it is running, nested Do calls cannot deadlock, a one-worker pool
+// stays allocation- and synchronization-free, and a nil *Pool acts as a
+// serial executor.
 //
 // Determinism: Do and For guarantee nothing about execution order, but chunk
 // *boundaries* in For and MapReduce depend only on (n, chunk) — never on the
@@ -26,7 +30,7 @@ import (
 // Pool is a fixed-size worker pool for fork-join parallelism.
 type Pool struct {
 	workers int
-	tasks   chan func()
+	tasks   chan *job
 	close   sync.Once
 	// persistent marks the process-wide cached pools of Sized, whose
 	// goroutines must outlive any single caller; Close is a no-op on them.
@@ -41,12 +45,12 @@ func New(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		p.tasks = make(chan func())
+		p.tasks = make(chan *job)
 		// workers-1 goroutines; the Do caller is the final worker.
 		for i := 1; i < workers; i++ {
 			go func() {
-				for task := range p.tasks {
-					task()
+				for j := range p.tasks {
+					j.help()
 				}
 			}()
 		}
@@ -116,6 +120,61 @@ func (p *Pool) Close() {
 	p.close.Do(func() { close(p.tasks) })
 }
 
+// job is one Do call as its participants share it: the index cursor they
+// pull from, and the pool workers that joined it.
+type job struct {
+	n       int
+	fn      func(w, i int)
+	next    atomic.Int64 // next index to hand out
+	helpers atomic.Int32 // participant ids handed to pool workers so far
+	wg      sync.WaitGroup
+}
+
+// pull runs fn(w, i) for every index i it takes from the cursor, until the
+// cursor passes n.
+func (j *job) pull(w int) {
+	for i := int(j.next.Add(1) - 1); i < j.n; i = int(j.next.Add(1) - 1) {
+		j.fn(w, i)
+	}
+}
+
+// help is a pool worker's part in a job it accepted: pull under the next
+// participant id, then report done.
+func (j *job) help() {
+	j.pull(int(j.helpers.Add(1)))
+	j.wg.Done()
+}
+
+// run is the pull loop behind Do and DoState: fn(w, i) for every i in
+// [0, n), where w < min(Workers, n) identifies the participant running the
+// call — 0 for the caller, 1, 2, … for the pool workers that joined — so a
+// participant runs its calls one after another under one w.
+func (p *Pool) run(n int, fn func(w, i int)) {
+	if p == nil || p.tasks == nil || n == 1 {
+		for i := 0; i < n; i++ {
+			fn(0, i)
+		}
+		return
+	}
+	j := &job{n: n, fn: fn}
+	// Offer the job to every parked worker, one send each. A failed send
+	// means none is parked now: the caller does not wait for a busy worker
+	// (it may be running the caller's own parent job) but pulls the rest
+	// itself, which keeps nested use deadlock-free.
+offer:
+	for h := 1; h < min(p.workers, n); h++ {
+		j.wg.Add(1)
+		select {
+		case p.tasks <- j:
+		default:
+			j.wg.Done()
+			break offer
+		}
+	}
+	j.pull(0)
+	j.wg.Wait()
+}
+
 // Do runs fn(0) … fn(n-1), distributing calls across the pool, and returns
 // once all have completed. On a nil or single-worker pool every call runs
 // inline on the caller. Tasks must not depend on execution order.
@@ -129,57 +188,25 @@ func (p *Pool) Do(n int, fn func(i int)) {
 		}
 		return
 	}
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for i := 0; i < n; i++ {
-		task := func() {
-			defer wg.Done()
-			fn(i)
-		}
-		// Hand the task to a parked worker if one is ready; otherwise the
-		// caller runs it, so the pool can never deadlock on nested use.
-		select {
-		case p.tasks <- task:
-		default:
-			task()
-		}
-	}
-	wg.Wait()
+	p.run(n, func(_, i int) { fn(i) })
 }
 
 // DoState runs fn(state, 0) … fn(state, n-1) across the pool like Do, but
-// hands every concurrent task one of min(Workers, n) per-worker states
-// created up front by newState. A state is owned exclusively by one task at a
-// time, so fn may mutate it freely; states are recycled between tasks, never
-// shared concurrently. On a nil or single-worker pool one state serves every
-// call inline. Like Do, execution order is unspecified — determinism must
-// come from tasks writing disjoint, index-keyed output slots.
+// hands every participant one of min(Workers, n) states created up front by
+// newState, which it keeps for all the calls it runs. A state is owned
+// exclusively by one participant, so fn may mutate it freely; states are
+// never shared concurrently. On a nil or single-worker pool one state serves
+// every call inline. Like Do, execution order is unspecified — determinism
+// must come from tasks writing disjoint, index-keyed output slots.
 func DoState[S any](p *Pool, n int, newState func() S, fn func(st S, i int)) {
 	if n <= 0 {
 		return
 	}
-	w := p.Workers()
-	if w > n {
-		w = n
+	states := make([]S, min(p.Workers(), n))
+	for w := range states {
+		states[w] = newState()
 	}
-	if p == nil || p.tasks == nil || w <= 1 || n == 1 {
-		st := newState()
-		for i := 0; i < n; i++ {
-			fn(st, i)
-		}
-		return
-	}
-	states := make(chan S, w)
-	for i := 0; i < w; i++ {
-		states <- newState()
-	}
-	// Do bounds concurrency by the pool's worker count >= w states, so a
-	// task never blocks on the channel longer than one in-flight peer.
-	p.Do(n, func(i int) {
-		st := <-states
-		defer func() { states <- st }()
-		fn(st, i)
-	})
+	p.run(n, func(w, i int) { fn(states[w], i) })
 }
 
 // For splits [0, n) into chunks of the given size and runs body(lo, hi) for

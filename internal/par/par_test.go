@@ -6,7 +6,42 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
+
+// hangGuard is how long a test waits for a Do call that should finish in
+// microseconds before it reports a deadlock. It is no timing assertion.
+const hangGuard = 30 * time.Second
+
+// finishes runs f on a new goroutine and fails the test if f has not
+// returned within hangGuard.
+func finishes(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(hangGuard):
+		t.Fatalf("%s did not return: deadlock", what)
+	}
+}
+
+// holdWorker parks a job on one of p's workers that blocks until the
+// returned release is called, so the worker is busy when the test calls Do.
+// release waits until the worker has let go of the job.
+func holdWorker(p *Pool) (release func()) {
+	hold := make(chan struct{})
+	j := &job{n: 1, fn: func(_, _ int) { <-hold }}
+	j.wg.Add(1)
+	p.tasks <- j // blocks until a worker takes it
+	return func() {
+		close(hold)
+		j.wg.Wait()
+	}
+}
 
 func TestDoRunsEveryIndexOnce(t *testing.T) {
 	for _, workers := range []int{1, 2, 4, 8} {
@@ -114,6 +149,74 @@ func TestNestedDo(t *testing.T) {
 	})
 	if total != 64 {
 		t.Fatalf("nested Do ran %d tasks, want 64", total)
+	}
+}
+
+// TestDoWithBusyHelper: while another caller holds the pool's only helper,
+// Do neither waits for it nor loses an index — the caller pulls them all.
+func TestDoWithBusyHelper(t *testing.T) {
+	p := New(2)
+	defer p.Close()
+	release := holdWorker(p)
+	for _, n := range []int{1, 2, 3, 64} {
+		counts := make([]int32, n)
+		finishes(t, fmt.Sprintf("Do(%d) beside a busy helper", n), func() {
+			p.Do(n, func(i int) { atomic.AddInt32(&counts[i], 1) })
+		})
+		for i, c := range counts {
+			if c != 1 {
+				t.Fatalf("n=%d: index %d ran %d times", n, i, c)
+			}
+		}
+	}
+	var states atomic.Int32
+	finishes(t, "DoState beside a busy helper", func() {
+		DoState(p, 10, func() int { return int(states.Add(1)) }, func(int, int) {})
+	})
+	if states.Load() != 2 {
+		t.Fatalf("DoState created %d states, want 2", states.Load())
+	}
+	release()
+	// The helper is free again and the pool still works.
+	var total atomic.Int64
+	finishes(t, "Do after release", func() {
+		p.Do(100, func(int) { total.Add(1) })
+	})
+	if total.Load() != 100 {
+		t.Fatalf("Do after release ran %d tasks, want 100", total.Load())
+	}
+}
+
+// TestDoNestedAndConcurrentCallers: callers on many goroutines share one
+// pool, each task calls Do again on the same pool, and one of the pool's
+// workers is held busy throughout. Every index of every call runs exactly
+// once and nothing deadlocks.
+func TestDoNestedAndConcurrentCallers(t *testing.T) {
+	const callers, outer, inner = 8, 20, 7
+	p := New(3)
+	defer p.Close()
+	release := holdWorker(p)
+	defer release()
+	counts := make([]int32, callers*outer*inner)
+	finishes(t, "nested Do from concurrent callers", func() {
+		var wg sync.WaitGroup
+		for c := range callers {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				p.Do(outer, func(o int) {
+					p.Do(inner, func(i int) {
+						atomic.AddInt32(&counts[(c*outer+o)*inner+i], 1)
+					})
+				})
+			}()
+		}
+		wg.Wait()
+	})
+	for i, c := range counts {
+		if c != 1 {
+			t.Fatalf("index %d ran %d times", i, c)
+		}
 	}
 }
 

@@ -166,8 +166,9 @@ func CollectQueries(inst *Instance, qs []*Query, cfg CollectConfig) (*LabelSet, 
 	start := time.Now()
 	// One pool serves both levels: DoState fans queries out across it, and
 	// each worker's executor splits big pipelines into morsels over the same
-	// pool. The pool's caller-runs overflow policy keeps that safe — when all
-	// workers are busy with queries, morsels just run inline.
+	// pool. Do never waits for a busy worker, which keeps that safe — when
+	// all workers are busy with queries, the submitting worker pulls every
+	// morsel itself.
 	par.DoState(pool, len(qs),
 		func() *exec.Executor {
 			return &exec.Executor{

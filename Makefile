@@ -1,6 +1,6 @@
 # Convenience targets; everything is plain `go` underneath.
 
-.PHONY: all build test vet bench microbench fuzz-smoke train experiments serve clean
+.PHONY: all build test vet loc bench microbench fuzz-smoke train experiments serve clean
 
 all: build vet test
 
@@ -14,6 +14,15 @@ vet:
 
 test:
 	go test ./...
+
+# Non-test Go lines per package, bench/ included, and their total: the
+# "non-test LOC before -> after" figure simplicity changes report.
+loc:
+	@{ go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./... && \
+	   cd bench && go list -f '{{.ImportPath}}{{range .GoFiles}} {{$$.Dir}}/{{.}}{{end}}' ./...; } | \
+	while read -r pkg files; do \
+		if [ -n "$$files" ]; then printf '%7d %s\n' "$$(cat $$files | wc -l)" "$$pkg"; fi; \
+	done | awk '{ print; total += $$1 } END { printf "%7d total\n", total }'
 
 # The system benchmark (BENCHMARK.json): six workloads, each in a child
 # process, medians over counted repeats. Every system performance number

@@ -74,10 +74,11 @@ func TestHandlersPredictOnce(t *testing.T) {
 	}
 }
 
-// TestUsageNamesRegisteredFlags keeps the package comment's usage block and
-// the flags main registers from drifting apart: Go's flag package matches
-// names exactly, so a documented -retrain-promote that is really
-// -retrain-promote-ratio is a command line that does not start.
+// TestUsageNamesRegisteredFlags keeps the package comment's usage block, the
+// drift and retrain flags README.md and DESIGN.md name, and the flags main
+// registers from drifting apart: Go's flag package matches names exactly, so
+// a documented -retrain-promote that is really -retrain-promote-ratio is a
+// command line that does not start.
 func TestUsageNamesRegisteredFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -98,6 +99,24 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 	for _, m := range used {
 		if !registered[string(m[1])] {
 			t.Errorf("usage documents -%s, which main does not register", m[1])
+		}
+	}
+	// The prose documents the drift and retrain flags too; the -drift-* and
+	// -retrain-* group wildcards name no flag and do not match.
+	prose := regexp.MustCompile(`(?:^|[^\w-])-((?:drift|retrain)(?:-[a-z]+)+)`)
+	for _, doc := range []string{"../../README.md", "../../DESIGN.md"} {
+		text, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		found := prose.FindAllSubmatch(text, -1)
+		if len(found) == 0 {
+			t.Errorf("%s names no -drift-/-retrain- flag", doc)
+		}
+		for _, m := range found {
+			if !registered[string(m[1])] {
+				t.Errorf("%s documents -%s, which main does not register", doc, m[1])
+			}
 		}
 	}
 }

@@ -122,8 +122,8 @@ type joinState struct {
 // joinPartial is one morsel partition's contribution to a hash-join build:
 // the key/payload rows plus their precomputed hashes, without a hash table.
 // Partials are merged into the shared joinState in block order, reproducing
-// the exact insertion order (and therefore probe output order) of a serial
-// build.
+// the exact insertion order (and therefore probe output order) of a
+// one-block build.
 type joinPartial struct {
 	hashes  []uint64
 	keyCols []storage.Column
@@ -141,24 +141,6 @@ func appendVal(dst, src *storage.Column, i int) {
 		dst.Flts = append(dst.Flts, src.Flts[i])
 	case storage.String:
 		dst.Strs = append(dst.Strs, src.Strs[i])
-	}
-}
-
-// makeBuild returns the push function and finalizer for a build stage.
-func (rt *runtime) makeBuild(n *plan.Node) (pushFn, func(), error) {
-	switch n.Op {
-	case plan.HashJoinOp:
-		return rt.makeJoinBuild(n)
-	case plan.GroupByOp:
-		return rt.makeGroupByBuild(n)
-	case plan.SortOp:
-		return rt.makeSortBuild(n)
-	case plan.WindowOp:
-		return rt.makeWindowBuild(n)
-	case plan.MaterializeOp:
-		return rt.makeMaterializeBuild(n)
-	default:
-		return nil, nil, fmt.Errorf("node %v has no build stage", n.Op)
 	}
 }
 
@@ -205,13 +187,6 @@ func appendCols(dst, src []storage.Column, idxs []int, n int) {
 	}
 }
 
-func (rt *runtime) makeJoinBuild(n *plan.Node) (pushFn, func(), error) {
-	st := rt.newJoinState(n)
-	rt.states[n] = st
-	hs := rt.scratch.hashBuf(rt.batchSize)
-	return func(b *expr.Batch) { st.buildBatch(n, b, hs) }, nil, nil
-}
-
 // shape prepares a partition-local join partial matching st's layout.
 func (p *joinPartial) shape(st *joinState) {
 	p.hashes = p.hashes[:0]
@@ -239,7 +214,7 @@ func (p *joinPartial) buildBatch(n *plan.Node, b *expr.Batch) {
 
 // merge appends a partition's rows to the shared join state. Hashes were
 // precomputed morsel-parallel; the table inserts are sequential and in block
-// order, so entry ids match a serial build exactly.
+// order, so entry ids match a one-block build exactly.
 func (st *joinState) merge(p *joinPartial) {
 	for _, h := range p.hashes {
 		st.ht.insert(h)
@@ -444,7 +419,7 @@ func (st *groupState) update(n *plan.Node, b *expr.Batch, hs []uint64, gids []in
 
 // merge folds a partition's groups into st, in the partition's discovery
 // order. Because partitions are merged in block order, the merged group
-// order equals the serial discovery order exactly.
+// order equals the one-block discovery order exactly.
 func (st *groupState) merge(n *plan.Node, src *groupState) {
 	for sg := 0; sg < src.groups; sg++ {
 		h := src.hashes[sg]
@@ -514,19 +489,6 @@ func (rt *runtime) groupSink(n *plan.Node, st *groupState) pushFn {
 	hs := rt.scratch.hashBuf(rt.batchSize)
 	gids := rt.scratch.idxBuf(rt.batchSize)
 	return func(b *expr.Batch) { st.update(n, b, hs, gids) }
-}
-
-func (rt *runtime) makeGroupByBuild(n *plan.Node) (pushFn, func(), error) {
-	// Presize from the group-by's own output-cardinality annotation: the
-	// number of entries is the number of distinct groups, which can never
-	// exceed the input row count.
-	st := rt.newGroupState(n, presize(n.OutCard, n.Left))
-	// Register the build state; finalize replaces it with the materialized
-	// output, and a premature scan fails the *Materialized assertion.
-	rt.states[n] = st
-	push := rt.groupSink(n, st)
-	finalize := func() { rt.finalizeGroup(n, st) }
-	return push, finalize, nil
 }
 
 // finalizeGroup materializes the group state as n's breaker output.
@@ -664,36 +626,12 @@ func writeAgg(col *storage.Column, st *groupState, a int, agg plan.Agg, g int32)
 	}
 }
 
-func (rt *runtime) makeSortBuild(n *plan.Node) (pushFn, func(), error) {
-	buf := rt.scratch.mat(n.Left.Schema)
-	push := func(b *expr.Batch) { buf.appendBatch(b) }
-	finalize := func() { rt.finalizeSort(n, buf) }
-	return push, finalize, nil
-}
-
 // finalizeSort materializes the sort breaker output from its input buffer.
 func (rt *runtime) finalizeSort(n *plan.Node, buf *Materialized) {
 	perm := sortPerm(buf, n.SortCols, n.SortDesc, rt.scratch.permBuf(buf.N))
 	out := rt.applyPerm(buf, perm, n.Schema)
 	rt.states[n] = out
 	rt.count(n).out = int64(out.N)
-}
-
-func (rt *runtime) makeMaterializeBuild(n *plan.Node) (pushFn, func(), error) {
-	buf := rt.scratch.mat(n.Left.Schema)
-	push := func(b *expr.Batch) { buf.appendBatch(b) }
-	finalize := func() {
-		rt.states[n] = buf
-		rt.count(n).out = int64(buf.N)
-	}
-	return push, finalize, nil
-}
-
-func (rt *runtime) makeWindowBuild(n *plan.Node) (pushFn, func(), error) {
-	buf := rt.scratch.mat(n.Left.Schema)
-	push := func(b *expr.Batch) { buf.appendBatch(b) }
-	finalize := func() { rt.finalizeWindow(n, buf) }
-	return push, finalize, nil
 }
 
 // finalizeWindow sorts the buffered input by partition+order keys and

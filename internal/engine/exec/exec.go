@@ -13,11 +13,11 @@
 //
 // With Workers > 1, eligible pipelines run morsel-driven parallel: the
 // source is split into contiguous blocks pulled by the workers of a
-// par.Pool, each block runs the full stage chain into a partition-local
-// sink, and the partial states merge in block order as blocks finish, so
-// results (row order, group discovery order, cardinality counters) match
-// the serial engine exactly.
-// See parallel.go.
+// par.Pool, each block runs the full stage chain into a block-local
+// partial of the pipeline's terminal, and the partials merge in block order
+// as blocks finish, so results (row order, group discovery order,
+// cardinality counters) match a one-block run exactly. Every other pipeline
+// runs as that one block, through the same runner. See parallel.go.
 package exec
 
 import (
@@ -77,18 +77,18 @@ type PipelineTiming struct {
 	// SourceRows is the number of tuples scanned at the pipeline source.
 	SourceRows int
 	// Parallelism is the number of workers that can execute the pipeline's
-	// partitions concurrently: min(executor workers, Morsels). 1 for
-	// serially executed pipelines.
+	// partitions concurrently: min(executor workers, Morsels). 1 for a
+	// pipeline run as one block.
 	Parallelism int
-	// Morsels is the number of source partitions the pipeline was split
-	// into (1 when it ran serially).
+	// Morsels is the number of source blocks the pipeline was split into (1
+	// when it ran as one block).
 	Morsels int
 	// Duration is the wall-clock execution time of the pipeline.
 	Duration time.Duration
 	// Merge is the pipeline's serial tail: from the end of its last
 	// partition block to the end of the pipeline, i.e. the ordered merge no
 	// block overlapped plus the finalize. It is included in Duration (0 for
-	// serially executed pipelines).
+	// a pipeline run as one block).
 	Merge time.Duration
 }
 
@@ -248,13 +248,16 @@ type runtime struct {
 	states    map[*plan.Node]any
 	counts    map[*plan.Node]*nodeCount
 	result    *Materialized
-	stop      bool // set by LIMIT once satisfied
+	// term is the running pipeline's terminal; in a partition's runtime,
+	// the block's partial of it.
+	term terminal
+	stop bool // set by LIMIT once satisfied
 	// scratch supplies pooled batch buffers, hash tables, selection
 	// vectors, materialized buffers, and build states; it is checked out
 	// for the duration of one Run (or one parallel partition).
 	scratch *execScratch
 
-	workers int       // intra-query parallelism degree (1 = serial)
+	workers int       // intra-query parallelism degree (1 = one block per pipeline)
 	morsel  int       // rows per morsel for parallel eligibility/splitting
 	pool    *par.Pool // worker pool for morsel execution
 
@@ -322,88 +325,180 @@ func (rt *runtime) writeAnnotations(root *plan.Node) {
 type pushFn func(b *expr.Batch)
 
 // runPipeline executes one pipeline and returns the number of source rows
-// scanned.
+// scanned. It is the engine's one pipeline runner: it resolves the source,
+// opens the pipeline's terminal — the join build state, the group-by state,
+// the sort/window/materialize input buffer or the query result — runs the
+// source rows through the stage chain as `parts` contiguous blocks, and
+// closes the terminal in one finalize. A single block feeds the terminal
+// directly: no partial, no merge, no pool. More blocks run morsel-parallel
+// (parallel.go).
 func (rt *runtime) runPipeline(p *plan.Pipeline, root *plan.Node) (int, error) {
 	rt.stop = false
 	rt.lastPar, rt.lastMorsels, rt.lastMerge = 1, 1, 0
-
-	if parts, rows, srcMat, ok := rt.parallelism(p); ok {
-		return rt.runPipelineParallel(p, root, parts, rows, srcMat)
-	}
-
-	// Build the push chain from the last stage backwards to the sink.
-	var sink pushFn
-	last := p.Stages[len(p.Stages)-1]
-	var finalize func()
-
-	if last.Stage == plan.StageBuild {
-		var err error
-		sink, finalize, err = rt.makeBuild(last.Node)
-		if err != nil {
-			return 0, err
-		}
-	} else {
-		// Final pipeline: materialize the query result.
-		out := rt.resultMat(root.Schema)
-		rt.result = out
-		sink = func(b *expr.Batch) { out.appendBatch(b) }
-	}
-
-	// Wrap intermediate stages (excluding source at 0 and a trailing build).
-	end := len(p.Stages)
-	if last.Stage == plan.StageBuild {
-		end--
-	}
-	for i := end - 1; i >= 1; i-- {
-		s := p.Stages[i]
-		var err error
-		sink, err = rt.makeStage(s, sink)
-		if err != nil {
-			return 0, err
-		}
-	}
-
-	srcRows, err := rt.driveSource(p.Stages[0].Node, sink)
+	rows, srcMat, err := rt.source(p.Stages[0].Node)
 	if err != nil {
 		return 0, err
 	}
-	if finalize != nil {
-		finalize()
+	if err := rt.openTerminal(p, root, nil, rows); err != nil {
+		return 0, err
 	}
-	return srcRows, nil
+	var tail time.Time // when the last of several blocks finished its scan
+	parts := rt.partitions(p, rows)
+	if parts == 1 {
+		err = rt.feed(p, srcMat, 0, rows)
+	} else {
+		tail, err = rt.runMorsels(p, root, srcMat, parts, rows)
+	}
+	if err != nil {
+		return 0, err
+	}
+	rt.finalize()
+	if parts > 1 {
+		rt.lastMerge = time.Since(tail)
+		obs.ExecMergeTime.Observe(rt.lastMerge)
+	}
+	return rows, nil
 }
 
-// driveSource scans the pipeline source and pushes batches into the chain.
-func (rt *runtime) driveSource(n *plan.Node, sink pushFn) (int, error) {
+// source resolves a pipeline source: its row count and, when it scans a
+// breaker's output, that materialized state (nil for a base table).
+func (rt *runtime) source(n *plan.Node) (int, *Materialized, error) {
 	switch n.Op {
 	case plan.TableScanOp:
-		return rt.scanTable(n, sink)
-	case plan.GroupByOp, plan.SortOp, plan.WindowOp, plan.MaterializeOp:
-		st, ok := rt.states[n].(*Materialized)
-		if !ok {
-			return 0, fmt.Errorf("scan of %v before its build ran", n.Op)
+		if n.Table == nil {
+			return 0, nil, fmt.Errorf("table scan %q has no bound table", n.TableName)
 		}
-		rt.scanMatRange(n, st, sink, 0, st.N)
-		return st.N, nil
+		return n.Table.NumRows(), nil, nil
+	case plan.GroupByOp, plan.SortOp, plan.WindowOp, plan.MaterializeOp:
+		m, ok := rt.states[n].(*Materialized)
+		if !ok {
+			return 0, nil, fmt.Errorf("scan of %v before its build ran", n.Op)
+		}
+		return m.N, m, nil
 	default:
-		return 0, fmt.Errorf("node %v cannot be a pipeline source", n.Op)
+		return 0, nil, fmt.Errorf("node %v cannot be a pipeline source", n.Op)
 	}
 }
 
-// scanTable scans the whole base table (see scanTableRange).
-func (rt *runtime) scanTable(n *plan.Node, sink pushFn) (int, error) {
-	t := n.Table
-	if t == nil {
-		return 0, fmt.Errorf("table scan %q has no bound table", n.TableName)
+// terminal is what a pipeline's last stage feeds: a build state or buffer,
+// or the query result. A block's partial has the same shape, with a
+// joinPartial in place of the joinState.
+type terminal struct {
+	node  *plan.Node // the build node; nil for the query result
+	join  *joinState
+	jp    *joinPartial
+	group *groupState
+	mat   *Materialized // sort/window/materialize input or the query result
+}
+
+// openTerminal sets up pipeline p's terminal as rt.term, on rt's scratch.
+// With shared nil it is the pipeline's own, registered where probes and
+// later pipelines look for it; otherwise it is a partial of shared for a
+// block of rows source rows.
+func (rt *runtime) openTerminal(p *plan.Pipeline, root *plan.Node, shared *terminal, rows int) error {
+	t := &rt.term
+	*t = terminal{}
+	last := p.Stages[len(p.Stages)-1]
+	if last.Stage != plan.StageBuild {
+		if shared == nil {
+			rt.result = rt.resultMat(root.Schema)
+			t.mat = rt.result
+		} else {
+			t.mat = rt.scratch.mat(root.Schema)
+		}
+		return nil
 	}
-	total := t.NumRows()
-	rt.scanTableRange(n, sink, 0, total)
-	return total, nil
+	n := last.Node
+	t.node = n
+	switch n.Op {
+	case plan.HashJoinOp:
+		if shared == nil {
+			t.join = rt.newJoinState(n)
+			rt.states[n] = t.join
+		} else {
+			t.jp = rt.scratch.joinPart()
+			t.jp.shape(shared.join)
+		}
+	case plan.GroupByOp:
+		// Presize from the group-by's own output-cardinality annotation; a
+		// block's state cannot discover more groups than the block has rows.
+		expected := presize(n.OutCard, n.Left)
+		if shared != nil {
+			expected = min(expected, rows)
+		}
+		t.group = rt.newGroupState(n, expected)
+		if shared == nil {
+			// finalize replaces the state with the materialized output, and
+			// a premature scan fails source's *Materialized assertion.
+			rt.states[n] = t.group
+		}
+	case plan.SortOp, plan.WindowOp, plan.MaterializeOp:
+		t.mat = rt.scratch.mat(n.Left.Schema)
+	default:
+		return fmt.Errorf("node %v has no build stage", n.Op)
+	}
+	return nil
+}
+
+// feed runs source rows [lo, hi) of pipeline p through its stage chain into
+// rt.term. srcMat is the source's materialized state, nil for a base table.
+func (rt *runtime) feed(p *plan.Pipeline, srcMat *Materialized, lo, hi int) error {
+	t := &rt.term
+	var sink pushFn
+	switch n := t.node; {
+	case t.join != nil:
+		st, hs := t.join, rt.scratch.hashBuf(rt.batchSize)
+		sink = func(b *expr.Batch) { st.buildBatch(n, b, hs) }
+	case t.jp != nil:
+		jp := t.jp
+		sink = func(b *expr.Batch) { jp.buildBatch(n, b) }
+	case t.group != nil:
+		sink = rt.groupSink(n, t.group)
+	default:
+		m := t.mat
+		sink = func(b *expr.Batch) { m.appendBatch(b) }
+	}
+	stages := p.Stages[1:] // the source drives the chain
+	if t.node != nil {
+		stages = stages[:len(stages)-1] // the build stage is the terminal
+	}
+	for i := len(stages) - 1; i >= 0; i-- {
+		var err error
+		if sink, err = rt.makeStage(stages[i], sink); err != nil {
+			return err
+		}
+	}
+	if src := p.Stages[0].Node; srcMat != nil {
+		rt.scanMatRange(src, srcMat, sink, lo, hi)
+	} else {
+		rt.scanTableRange(src, sink, lo, hi)
+	}
+	return nil
+}
+
+// finalize closes the pipeline's terminal once every block has fed it.
+// Join builds and the query result are complete as fed.
+func (rt *runtime) finalize() {
+	t := &rt.term
+	n := t.node
+	if n == nil {
+		return
+	}
+	switch n.Op {
+	case plan.GroupByOp:
+		rt.finalizeGroup(n, t.group)
+	case plan.SortOp:
+		rt.finalizeSort(n, t.mat)
+	case plan.WindowOp:
+		rt.finalizeWindow(n, t.mat)
+	case plan.MaterializeOp:
+		rt.states[n] = t.mat
+		rt.count(n).out = int64(t.mat.N)
+	}
 }
 
 // scanTableRange scans base-table rows [lo, hi) in batches and pushes them.
-// The caller guarantees n.Table is bound. Morsel partitions call it with
-// their block bounds; the serial path with the full table.
+// The caller guarantees n.Table is bound.
 //
 // Pushed-down predicates run on a read-only view of the batch's rows in the
 // base table, with short-circuit AND semantics, and only the rows that pass
@@ -571,11 +666,7 @@ func (rt *runtime) makeStage(s plan.StageRef, sink pushFn) (pushFn, error) {
 			}
 			for i := range n.MapExprs {
 				dst := &cols[i]
-				if f := comps[i]; f != nil {
-					f(b, dst)
-				} else {
-					*dst = n.MapExprs[i].Eval(b)
-				}
+				comps[i](b, dst)
 				dst.Name = n.MapNames[i]
 				outCols = append(outCols, *dst)
 			}

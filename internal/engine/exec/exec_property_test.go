@@ -6,6 +6,7 @@ import (
 	"t3/internal/engine/expr"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/storage"
+	"t3/internal/par"
 )
 
 // buildComplexPlan assembles a plan exercising every operator type.
@@ -187,7 +188,7 @@ func TestScanOfBreakerBeforeBuildFails(t *testing.T) {
 	scan := plan.NewTableScan(tab, []int{0})
 	srt := plan.NewSort(scan, []int{0}, []bool{false})
 	rt := &runtime{batchSize: 16, states: map[*plan.Node]any{}, counts: map[*plan.Node]*nodeCount{}, scratch: &execScratch{}}
-	if _, err := rt.driveSource(srt, func(*expr.Batch) {}); err == nil {
+	if _, _, err := rt.source(srt); err == nil {
 		t.Fatal("scanning a breaker before its build must fail")
 	}
 }
@@ -199,5 +200,42 @@ func TestUnboundTableFails(t *testing.T) {
 	scan.Table = nil
 	if _, err := Run(plan.NewMaterialize(scan), false); err == nil {
 		t.Fatal("executing a released plan must fail")
+	}
+}
+
+// TestPipelineSourceErrors runs pipelines whose source cannot be scanned
+// with one worker and with four: each fails with the same error, reported
+// before the pipeline's terminal is opened.
+func TestPipelineSourceErrors(t *testing.T) {
+	tab := mkTable("t", 100, 28)
+	unbound := plan.NewTableScan(tab, []int{0, 1})
+	unbound.Table = nil
+	scan := plan.NewTableScan(tab, []int{0})
+	cases := []struct {
+		name string
+		src  *plan.Node
+		want string
+	}{
+		{"unbound table", unbound, `table scan "t" has no bound table`},
+		{"breaker before its build", plan.NewSort(scan, []int{0}, []bool{false}), "scan of Sort before its build ran"},
+		{"not a source", plan.NewFilter(scan, expr.NewCmp(expr.Lt, expr.Col(0, "id", storage.Int64), expr.ConstInt(5))),
+			"node Filter cannot be a pipeline source"},
+	}
+	for _, c := range cases {
+		for _, workers := range []int{1, 4} {
+			rt := &runtime{batchSize: 16, states: map[*plan.Node]any{}, counts: map[*plan.Node]*nodeCount{},
+				scratch: &execScratch{}, workers: workers, morsel: 1}
+			if workers > 1 {
+				rt.pool = par.Sized(workers)
+			}
+			p := &plan.Pipeline{Stages: []plan.StageRef{{Node: c.src, Stage: plan.StageScan}}}
+			_, err := rt.runPipeline(p, c.src)
+			if err == nil || err.Error() != c.want {
+				t.Errorf("%s, %d workers: error %v, want %q", c.name, workers, err, c.want)
+			}
+			if rt.result != nil {
+				t.Errorf("%s, %d workers: the query result was opened before the source failed", c.name, workers)
+			}
+		}
 	}
 }

@@ -308,8 +308,8 @@ func TestGroupByLazyStringAccumulators(t *testing.T) {
 		{Fn: plan.AggMax, Col: 1}, // float
 	}, []string{"s", "c", "mn", "mx"})
 	rt := &runtime{batchSize: 64, states: map[*plan.Node]any{}, counts: map[*plan.Node]*nodeCount{}, scratch: &execScratch{}}
-	push, finalize, err := rt.makeGroupByBuild(n)
-	if err != nil {
+	build := plan.Decompose(n)[0]
+	if err := rt.openTerminal(build, n, nil, tab.NumRows()); err != nil {
 		t.Fatal(err)
 	}
 	st := rt.states[n].(*groupState)
@@ -319,10 +319,10 @@ func TestGroupByLazyStringAccumulators(t *testing.T) {
 	if st.strMin[2] == nil || st.strMax[2] == nil {
 		t.Fatal("string MIN aggregate must have string accumulators")
 	}
-	if _, err := rt.driveSource(in, push); err != nil {
+	if err := rt.feed(build, nil, 0, tab.NumRows()); err != nil {
 		t.Fatal(err)
 	}
-	finalize()
+	rt.finalize()
 	out := rt.states[n].(*Materialized)
 	if out.N == 0 {
 		t.Fatal("no groups produced")

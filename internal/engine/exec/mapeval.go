@@ -1,31 +1,26 @@
 package exec
 
 import (
+	"fmt"
+
 	"t3/internal/engine/expr"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/storage"
 )
 
-// Map-expression compilation: the map stage used to call ValueExpr.Eval per
-// batch, which allocates a fresh output column (and, for arithmetic, fresh
-// operand columns) every time — the single largest allocation source in the
-// label-collection loop. compileMapExprs lowers the three expression forms
-// the planner emits (column reference, constant, arithmetic) into closures
-// that write into a retained column owned by the map stage. Expression forms
-// it does not recognize fall back to Eval.
-//
-// The compiled closures are semantically exact replicas of Eval: a column
-// reference copies values and takes the kind of the *actual* input column
-// (dropping any null mask, as Eval does); a constant broadcasts; arithmetic
-// produces Float64 with mixed-type operands read through the same
-// numeric-coercion rules as expr.numAt (strings read as 0) and division by
-// zero yielding 0.
+// Map-expression compilation: compileMapExprs lowers the three value
+// expression forms (column reference, constant, arithmetic) into closures
+// that write into a retained column owned by the map stage, so the map stage
+// allocates nothing per batch. A column reference copies values and takes the
+// kind of the *actual* input column, dropping any null mask; a constant
+// broadcasts; arithmetic produces Float64, reads int operands as floats and
+// string operands as 0, and yields 0 for a division by zero or an unknown
+// operator. refexec's evalValue is the row-at-a-time oracle of these rules.
 
 // mapFn computes one map expression over b into the retained column dst.
 type mapFn func(b *expr.Batch, dst *storage.Column)
 
-// compileMapExprs compiles every map expression of n; entries are nil where
-// the expression form is not recognized (callers fall back to Eval).
+// compileMapExprs compiles every map expression of n.
 func compileMapExprs(n *plan.Node) []mapFn {
 	fns := make([]mapFn, len(n.MapExprs))
 	for i, e := range n.MapExprs {
@@ -74,11 +69,8 @@ func compileMap(e expr.ValueExpr) mapFn {
 				}
 			}
 		}
-	case *expr.Arith:
-		num := compileNum(v)
-		if num == nil {
-			return nil
-		}
+	default: // *expr.Arith
+		num := compileNum(e)
 		return func(b *expr.Batch, dst *storage.Column) {
 			dst.Kind = storage.Float64
 			dst.Nulls = nil
@@ -87,12 +79,10 @@ func compileMap(e expr.ValueExpr) mapFn {
 				dst.Flts[i] = num(b, i)
 			}
 		}
-	default:
-		return nil
 	}
 }
 
-// numFn reads one numeric value per row, mirroring expr.numAt coercion.
+// numFn reads one numeric value per row: ints as floats, strings as 0.
 type numFn func(b *expr.Batch, i int) float64
 
 func compileNum(e expr.ValueExpr) numFn {
@@ -118,14 +108,11 @@ func compileNum(e expr.ValueExpr) numFn {
 		case storage.Float64:
 			f = v.F
 		default:
-			f = 0 // strings coerce to 0, as numAt does
+			f = 0 // strings read as 0
 		}
 		return func(*expr.Batch, int) float64 { return f }
 	case *expr.Arith:
 		l, r := compileNum(v.Left), compileNum(v.Right)
-		if l == nil || r == nil {
-			return nil
-		}
 		switch v.Op {
 		case expr.Add:
 			return func(b *expr.Batch, i int) float64 { return l(b, i) + r(b, i) }
@@ -134,8 +121,8 @@ func compileNum(e expr.ValueExpr) numFn {
 		case expr.Mul:
 			return func(b *expr.Batch, i int) float64 { return l(b, i) * r(b, i) }
 		case expr.Div:
-			// Eval leaves the output at 0 when the divisor is 0; the left
-			// operand has no side effects, so skipping it is unobservable.
+			// A division by zero yields 0; the left operand has no side
+			// effects, so skipping it is unobservable.
 			return func(b *expr.Batch, i int) float64 {
 				if c := r(b, i); c != 0 {
 					return l(b, i) / c
@@ -143,9 +130,9 @@ func compileNum(e expr.ValueExpr) numFn {
 				return 0
 			}
 		default:
-			return nil
+			return func(*expr.Batch, int) float64 { return 0 }
 		}
 	default:
-		return nil
+		panic(fmt.Sprintf("exec: unknown value expression %T", e))
 	}
 }

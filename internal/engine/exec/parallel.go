@@ -1,57 +1,57 @@
 package exec
 
 import (
-	"fmt"
 	"sync"
 	"sync/atomic"
 	"time"
 
-	"t3/internal/engine/expr"
 	"t3/internal/engine/plan"
 	"t3/internal/obs"
 )
 
-// Morsel-driven parallel pipeline execution.
+// Morsel-driven pipeline execution: the k > 1 blocks case of runPipeline
+// (exec.go).
 //
-// An eligible pipeline's source rows are split into `parts` contiguous
-// blocks. Each block runs the full stage chain — range scan, filters, maps,
-// probes — on a pool worker with its own execScratch (block k's is the Reuse
-// executor's partition scratch k, or one from the pool), feeding a
-// partition-local terminal (a joinPartial, a partition groupState, or a
-// partial Materialized). The partials merge back *in block order*, which
-// reproduces the serial engine's observable behaviour exactly. A block that
-// finishes marks itself done, and whichever participant then holds the
-// merge token folds every consecutive done partial into the shared state,
-// so the merge of early blocks overlaps the scan of later ones; the driver
-// merges only what is left once the pool returns:
+// A pipeline splits into blocks only when the executor has more than one
+// worker, the pipeline holds no LIMIT (its early stop depends on push order)
+// and its source spans at least two morsels; every other pipeline runs as
+// one block that feeds its terminal directly, inline on the calling
+// goroutine. With k > 1 blocks, each block runs the same stage chain on a
+// pool worker with its own execScratch (block k's is the Reuse executor's
+// partition scratch k, or one from the pool) and feeds a block-local partial
+// of the terminal (a joinPartial, a block groupState, or a block
+// Materialized). The partials merge into the terminal *in block order*,
+// which reproduces the one-block run's observable behaviour exactly. A block
+// that finishes marks itself done, and whichever participant then holds the
+// merge token folds every consecutive done partial into the terminal, so the
+// merge of early blocks overlaps the scan of later ones; the driver merges
+// only what is left once the pool returns, and runPipeline finalizes:
 //
 //   - join builds: partitions precompute row hashes and buffer key/payload
 //     columns; the merge inserts the hashes into the shared open-addressing
 //     table sequentially in block order, so entry ids — and therefore probe
-//     chain order and probe output order — are bit-identical to a serial
+//     chain order and probe output order — are bit-identical to a one-block
 //     build;
 //   - group-by builds: partitions aggregate into local states recording each
 //     group's hash in discovery order; the merge folds partition groups in
 //     block order (lookup-or-add on the shared state), so merged group ids
-//     equal serial discovery order and the finalized output row order is
+//     equal one-block discovery order and the finalized output row order is
 //     identical. Only float SUM/AVG accumulators can differ, by reassociated
 //     rounding (ULPs); counts, min/max, keys, and every cardinality counter
 //     are exact;
 //   - sort/window/materialize builds and the final result: partition blocks
 //     materialize locally and concatenate in block order, bit-identical to
-//     the serial append order.
+//     the one-block append order.
 //
 // Per-node counters accumulate in partition-local maps and are summed into
 // the driver's counters by the same merge (integer addition — exact), so
 // annotations and label fingerprints do not depend on the worker count.
-// Pipelines containing a LIMIT run serially: LIMIT's early-stop is
-// inherently order-dependent.
 
 // DefaultMorselRows is the minimum number of source rows per partition
-// block. Pipelines smaller than two morsels run serially — below that, the
-// fixed cost of dispatching to the pool and merging partials outweighs the
-// scan work. 4096 rows ≈ a few hundred KiB of scanned columns, comfortably
-// L2-resident while amortizing dispatch.
+// block. Pipelines smaller than two morsels run as one block — below that,
+// the fixed cost of dispatching to the pool and merging partials outweighs
+// the scan work. 4096 rows ≈ a few hundred KiB of scanned columns,
+// comfortably L2-resident while amortizing dispatch.
 const DefaultMorselRows = 4096
 
 // maxPartsPerWorker bounds how many blocks each worker gets. More blocks
@@ -59,54 +59,25 @@ const DefaultMorselRows = 4096
 // too many shrinks blocks below useful sizes.
 const maxPartsPerWorker = 4
 
-// parallelism decides whether pipeline p is eligible for morsel-parallel
-// execution, returning the partition count, total source rows, and the
-// resolved source state (nil for base-table scans).
-func (rt *runtime) parallelism(p *plan.Pipeline) (parts, rows int, srcMat *Materialized, ok bool) {
+// partitions returns the number of blocks pipeline p's source, of rows
+// rows, splits into.
+func (rt *runtime) partitions(p *plan.Pipeline, rows int) int {
 	if rt.workers <= 1 || rt.pool == nil {
-		return 0, 0, nil, false
+		return 1
 	}
 	for _, s := range p.Stages {
 		if s.Node.Op == plan.LimitOp {
-			// LIMIT stops the pipeline after N rows; which rows survive
-			// depends on push order, so it stays serial.
-			return 0, 0, nil, false
+			return 1 // which rows LIMIT keeps depends on push order
 		}
 	}
-	src := p.Stages[0].Node
-	switch src.Op {
-	case plan.TableScanOp:
-		if src.Table == nil {
-			return 0, 0, nil, false // serial path reports the error
-		}
-		rows = src.Table.NumRows()
-	case plan.GroupByOp, plan.SortOp, plan.WindowOp, plan.MaterializeOp:
-		m, isMat := rt.states[src].(*Materialized)
-		if !isMat {
-			return 0, 0, nil, false // serial path reports the error
-		}
-		srcMat, rows = m, m.N
-	default:
-		return 0, 0, nil, false
-	}
-	parts = rows / rt.morsel
-	if limit := maxPartsPerWorker * rt.workers; parts > limit {
-		parts = limit
-	}
-	if parts < 2 {
-		return 0, 0, nil, false
-	}
-	return parts, rows, srcMat, true
+	return max(1, min(rows/rt.morsel, maxPartsPerWorker*rt.workers))
 }
 
-// partResult is one partition's terminal state plus its runtime (for the
-// counter merge).
+// partResult is one block's runtime, whose term is the block's partial and
+// whose counts the merge folds in.
 type partResult struct {
 	scratch *execScratch
 	rt      runtime
-	jp      *joinPartial  // join build partial
-	gs      *groupState   // group-by build partial
-	mat     *Materialized // sort/window/materialize buffer or result partial
 	err     error
 	end     time.Time   // when the block's scan returned
 	done    atomic.Bool // set once every field above is final
@@ -118,51 +89,18 @@ func ready(results []partResult, k int) bool {
 	return k < len(results) && results[k].done.Load() && results[k].err == nil
 }
 
-// runPipelineParallel executes one pipeline morsel-parallel over `parts`
-// contiguous source blocks and merges the partials in block order.
-func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts, rows int, srcMat *Materialized) (int, error) {
-	rt.lastPar = rt.workers
-	if parts < rt.lastPar {
-		rt.lastPar = parts
-	}
-	rt.lastMorsels = parts
+// runMorsels feeds pipeline p's source as `parts` contiguous blocks pulled
+// by the pool's workers and merges their partials into rt.term in block
+// order. It returns when the last block's scan returned: the start of the
+// pipeline's serial tail.
+func (rt *runtime) runMorsels(p *plan.Pipeline, root *plan.Node, srcMat *Materialized, parts, rows int) (time.Time, error) {
+	rt.lastPar, rt.lastMorsels = min(rt.workers, parts), parts
 	obs.ExecParallelPipelines.Inc()
 	obs.ExecMorsels.Add(uint64(parts))
 
-	last := p.Stages[len(p.Stages)-1]
-	isBuild := last.Stage == plan.StageBuild
-	buildNode := last.Node
-
-	// Set up the shared terminal on the driver before partitions launch, so
-	// probe stages inside partitions can look up earlier build states and
-	// the merge has a target.
-	var (
-		jst    *joinState
-		gst    *groupState
-		bufMat *Materialized
-	)
-	if isBuild {
-		switch buildNode.Op {
-		case plan.HashJoinOp:
-			jst = rt.newJoinState(buildNode)
-			rt.states[buildNode] = jst
-		case plan.GroupByOp:
-			gst = rt.newGroupState(buildNode, presize(buildNode.OutCard, buildNode.Left))
-			rt.states[buildNode] = gst
-		case plan.SortOp, plan.WindowOp, plan.MaterializeOp:
-			bufMat = rt.scratch.mat(buildNode.Left.Schema)
-		default:
-			return 0, fmt.Errorf("node %v has no build stage", buildNode.Op)
-		}
-	} else {
-		bufMat = rt.resultMat(root.Schema)
-		rt.result = bufMat
-	}
-
-	src := p.Stages[0].Node
 	results := make([]partResult, parts)
-	// mergeTok is the merge token: its holder folds done partials into the
-	// shared terminal and advances merged, the count of blocks merged so far.
+	// mergeTok is the merge token: its holder folds done partials into
+	// rt.term and advances merged, the count of blocks merged so far.
 	var (
 		mergeTok sync.Mutex
 		merged   int
@@ -191,56 +129,10 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 			workers:   1, // partitions never nest further splitting
 			morsel:    rt.morsel,
 		}
-		prt := &res.rt
-		lo := k * rows / parts
-		hi := (k + 1) * rows / parts
-
-		// Partition-local terminal sink.
-		var sink pushFn
-		if isBuild {
-			switch buildNode.Op {
-			case plan.HashJoinOp:
-				jp := scratch.joinPart()
-				jp.shape(jst)
-				res.jp = jp
-				sink = func(b *expr.Batch) { jp.buildBatch(buildNode, b) }
-			case plan.GroupByOp:
-				// Presize the partition state like the shared one, but no
-				// larger than the block: it cannot discover more groups
-				// than it has rows.
-				gs := prt.newGroupState(buildNode, min(presize(buildNode.OutCard, buildNode.Left), hi-lo))
-				res.gs = gs
-				sink = prt.groupSink(buildNode, gs)
-			default:
-				m := scratch.mat(buildNode.Left.Schema)
-				res.mat = m
-				sink = func(b *expr.Batch) { m.appendBatch(b) }
-			}
-		} else {
-			m := scratch.mat(root.Schema)
-			res.mat = m
-			sink = func(b *expr.Batch) { m.appendBatch(b) }
-		}
-
-		// Wrap intermediate stages (source at 0, terminal build excluded).
-		end := len(p.Stages)
-		if isBuild {
-			end--
-		}
-		for i := end - 1; i >= 1; i-- {
-			var err error
-			sink, err = prt.makeStage(p.Stages[i], sink)
-			if err != nil {
-				res.err = err
-				break
-			}
-		}
+		lo, hi := k*rows/parts, (k+1)*rows/parts
+		res.err = res.rt.openTerminal(p, root, &rt.term, hi-lo)
 		if res.err == nil {
-			if srcMat != nil {
-				prt.scanMatRange(src, srcMat, sink, lo, hi)
-			} else {
-				prt.scanTableRange(src, sink, lo, hi)
-			}
+			res.err = res.rt.feed(p, srcMat, lo, hi)
 		}
 		res.end = time.Now()
 		obs.ExecPartitionTime.Observe(res.end.Sub(start))
@@ -249,7 +141,7 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 		// that finishes while the token is held leaves its merge to the
 		// holder, which looks again after letting go.
 		for mergeTok.TryLock() {
-			next := rt.mergeParts(results, merged, jst, gst, bufMat, buildNode)
+			next := rt.mergeParts(results, merged)
 			merged = next
 			mergeTok.Unlock()
 			if !ready(results, next) {
@@ -272,60 +164,39 @@ func (rt *runtime) runPipelineParallel(p *plan.Pipeline, root *plan.Node, parts,
 	}()
 
 	// First error in block order, so failures are deterministic.
+	var tail time.Time
 	for i := range results {
 		if err := results[i].err; err != nil {
-			return 0, err
+			return tail, err
+		}
+		if results[i].end.After(tail) {
+			tail = results[i].end
 		}
 	}
-
-	// The serial tail starts when the last block's scan returned: merges
-	// still running then, the rest of the merge and the finalize below.
-	var tailStart time.Time
-	for i := range results {
-		if results[i].end.After(tailStart) {
-			tailStart = results[i].end
-		}
-	}
-	rt.mergeParts(results, merged, jst, gst, bufMat, buildNode)
-
-	// Shared finalize, identical to the serial path.
-	if isBuild {
-		switch buildNode.Op {
-		case plan.GroupByOp:
-			rt.finalizeGroup(buildNode, gst)
-		case plan.SortOp:
-			rt.finalizeSort(buildNode, bufMat)
-		case plan.WindowOp:
-			rt.finalizeWindow(buildNode, bufMat)
-		case plan.MaterializeOp:
-			rt.states[buildNode] = bufMat
-			rt.count(buildNode).out = int64(bufMat.N)
-		}
-	}
-	rt.lastMerge = time.Since(tailStart)
-	obs.ExecMergeTime.Observe(rt.lastMerge)
-	return rows, nil
+	rt.mergeParts(results, merged)
+	return tail, nil
 }
 
-// mergeParts folds the partials of blocks from, from+1, … into the shared
-// terminal, in block order, while they are ready, and returns the first
-// block it did not merge. Its caller holds the merge token, or is the driver
-// after every block finished.
-func (rt *runtime) mergeParts(results []partResult, from int, jst *joinState, gst *groupState, bufMat *Materialized, buildNode *plan.Node) int {
+// mergeParts folds the partials of blocks from, from+1, … into rt.term, in
+// block order, while they are ready, and returns the first block it did not
+// merge. Its caller holds the merge token, or is the driver after every
+// block finished.
+func (rt *runtime) mergeParts(results []partResult, from int) int {
+	term := &rt.term
 	k := from
 	for ; ready(results, k); k++ {
-		res := &results[k]
+		part := &results[k].rt.term
 		switch {
-		case res.jp != nil:
-			jst.merge(res.jp)
-		case res.gs != nil:
-			gst.merge(buildNode, res.gs)
-		case res.mat != nil:
-			bufMat.appendMat(res.mat)
+		case part.jp != nil:
+			term.join.merge(part.jp)
+		case part.group != nil:
+			term.group.merge(term.node, part.group)
+		default:
+			term.mat.appendMat(part.mat)
 		}
 		// Fold partition counters into the driver's (integer adds — exact,
 		// so annotation results are independent of worker count and order).
-		for node, pc := range res.rt.counts {
+		for node, pc := range results[k].rt.counts {
 			rt.count(node).add(pc)
 		}
 	}

@@ -204,8 +204,9 @@ func TestParallelSkewedKeys(t *testing.T) {
 	}
 }
 
-// TestParallelWorkers1BitIdentical: Workers=1 must take the serial path and
-// produce bit-identical output and annotations to the zero executor.
+// TestParallelWorkers1BitIdentical: Workers=1 must run every pipeline as one
+// block and produce bit-identical output and annotations to the zero
+// executor.
 func TestParallelWorkers1BitIdentical(t *testing.T) {
 	for seed := int64(0); seed < 20; seed++ {
 		for sc := genplan.Scenario(0); sc < genplan.NumScenarios; sc++ {

@@ -81,11 +81,11 @@ type BoolExpr interface {
 	EvalBool(b *Batch, sel []bool) int
 }
 
-// ValueExpr is an expression producing a typed value vector.
+// ValueExpr is an expression producing a typed value vector: a ColRef, a
+// Const or an Arith. The executor's map stage compiles it (exec/mapeval.go).
 type ValueExpr interface {
 	Expr
-	// Eval computes the expression for all rows of b into a fresh column.
-	Eval(b *Batch) storage.Column
+	valueExpr()
 }
 
 // CmpOp enumerates comparison operators.
@@ -139,27 +139,14 @@ func (c *ColRef) Kind() storage.Type { return c.Typ }
 // Class classifies column references as "other".
 func (c *ColRef) Class() Class { return ClassOther }
 
+func (c *ColRef) valueExpr() {}
+
 // String renders the reference.
 func (c *ColRef) String() string {
 	if c.Name != "" {
 		return c.Name
 	}
 	return fmt.Sprintf("#%d", c.Idx)
-}
-
-// Eval copies out the referenced column.
-func (c *ColRef) Eval(b *Batch) storage.Column {
-	src := b.Cols[c.Idx]
-	out := storage.Column{Name: c.Name, Kind: src.Kind}
-	switch src.Kind {
-	case storage.Int64:
-		out.Ints = append([]int64(nil), src.Ints[:b.N]...)
-	case storage.Float64:
-		out.Flts = append([]float64(nil), src.Flts[:b.N]...)
-	case storage.String:
-		out.Strs = append([]string(nil), src.Strs[:b.N]...)
-	}
-	return out
 }
 
 // Const is a typed constant.
@@ -185,6 +172,8 @@ func (c *Const) Kind() storage.Type { return c.Typ }
 // Class classifies constants as "other".
 func (c *Const) Class() Class { return ClassOther }
 
+func (c *Const) valueExpr() {}
+
 // String renders the constant.
 func (c *Const) String() string {
 	switch c.Typ {
@@ -197,30 +186,7 @@ func (c *Const) String() string {
 	}
 }
 
-// Eval broadcasts the constant over all rows.
-func (c *Const) Eval(b *Batch) storage.Column {
-	out := storage.Column{Kind: c.Typ}
-	switch c.Typ {
-	case storage.Int64:
-		out.Ints = make([]int64, b.N)
-		for i := range out.Ints {
-			out.Ints[i] = c.I
-		}
-	case storage.Float64:
-		out.Flts = make([]float64, b.N)
-		for i := range out.Flts {
-			out.Flts[i] = c.F
-		}
-	case storage.String:
-		out.Strs = make([]string, b.N)
-		for i := range out.Strs {
-			out.Strs[i] = c.S
-		}
-	}
-	return out
-}
-
-// numAt reads row i of column c as float64 for mixed-type arithmetic.
+// numAt reads row i of column c as float64 for mixed-type comparison.
 func numAt(c *storage.Column, i int) float64 {
 	switch c.Kind {
 	case storage.Int64:
@@ -717,30 +683,9 @@ func (e *Arith) Kind() storage.Type { return storage.Float64 }
 // Class classifies as other.
 func (e *Arith) Class() Class { return ClassOther }
 
+func (e *Arith) valueExpr() {}
+
 // String renders the expression.
 func (e *Arith) String() string {
 	return fmt.Sprintf("(%s %s %s)", e.Left, e.Op, e.Right)
-}
-
-// Eval computes the arithmetic expression vectorized.
-func (e *Arith) Eval(b *Batch) storage.Column {
-	l := e.Left.Eval(b)
-	r := e.Right.Eval(b)
-	out := storage.Column{Kind: storage.Float64, Flts: make([]float64, b.N)}
-	for i := 0; i < b.N; i++ {
-		a, c := numAt(&l, i), numAt(&r, i)
-		switch e.Op {
-		case Add:
-			out.Flts[i] = a + c
-		case Sub:
-			out.Flts[i] = a - c
-		case Mul:
-			out.Flts[i] = a * c
-		case Div:
-			if c != 0 {
-				out.Flts[i] = a / c
-			}
-		}
-	}
-	return out
 }

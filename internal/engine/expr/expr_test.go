@@ -203,32 +203,6 @@ func TestColCmp(t *testing.T) {
 	}
 }
 
-func TestArith(t *testing.T) {
-	b := batch3()
-	e := NewArith(Mul, Col(1, "f", storage.Float64),
-		NewArith(Sub, ConstFloat(1), ConstFloat(0.5)))
-	out := e.Eval(b)
-	if out.Kind != storage.Float64 {
-		t.Fatal("arith result should be float")
-	}
-	for i := 0; i < b.N; i++ {
-		want := b.Cols[1].Flts[i] * 0.5
-		if out.Flts[i] != want {
-			t.Errorf("row %d: %v, want %v", i, out.Flts[i], want)
-		}
-	}
-	// Division by zero yields zero, not a panic or Inf.
-	d := NewArith(Div, ConstFloat(1), ConstFloat(0)).Eval(b)
-	if d.Flts[0] != 0 {
-		t.Errorf("1/0 = %v, want 0", d.Flts[0])
-	}
-	// Int column arithmetic promotes to float.
-	s := NewArith(Add, Col(0, "i", storage.Int64), ConstInt(10)).Eval(b)
-	if s.Flts[2] != 13 {
-		t.Errorf("i+10 at row 2 = %v, want 13", s.Flts[2])
-	}
-}
-
 func TestNullsFailPredicates(t *testing.T) {
 	b := &Batch{
 		N: 3,
@@ -283,25 +257,6 @@ func TestStringRendering(t *testing.T) {
 	in := NewInListInts(Col(0, "k", storage.Int64), []int64{8, 9})
 	if s := in.String(); !strings.Contains(s, "IN (8, 9)") {
 		t.Errorf("in-list rendering: %q", s)
-	}
-}
-
-func TestConstEvalBroadcasts(t *testing.T) {
-	b := batch3()
-	for _, c := range []*Const{ConstInt(7), ConstFloat(1.25), ConstString("x")} {
-		out := c.Eval(b)
-		if out.Len() != b.N {
-			t.Errorf("%v: broadcast length %d", c, out.Len())
-		}
-	}
-}
-
-func TestColRefEvalCopies(t *testing.T) {
-	b := batch3()
-	out := Col(0, "i", storage.Int64).Eval(b)
-	out.Ints[0] = 999
-	if b.Cols[0].Ints[0] == 999 {
-		t.Fatal("ColRef.Eval must copy, not alias")
 	}
 }
 

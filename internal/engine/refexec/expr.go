@@ -103,8 +103,9 @@ func evalBool(p expr.BoolExpr, r row) (bool, error) {
 }
 
 // evalValue evaluates a value expression for one row. Column references drop
-// the null flag (the engine's ColRef.Eval copies values without nulls);
-// arithmetic is always float64 with division by zero yielding zero.
+// the null flag (the engine's map stage copies values without nulls);
+// arithmetic is always float64, with division by zero or an unknown operator
+// yielding zero.
 func evalValue(x expr.ValueExpr, r row) (value, error) {
 	switch e := x.(type) {
 	case *expr.ColRef:
@@ -143,7 +144,7 @@ func evalValue(x expr.ValueExpr, r row) (value, error) {
 }
 
 // numValue reads a value as float64 (strings read as 0), mirroring the
-// engine's numAt.
+// engine's numAt and its map stage.
 func numValue(v value) float64 {
 	switch v.k {
 	case storage.Int64:

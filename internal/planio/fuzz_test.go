@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"testing"
 
+	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
 	"t3/internal/genplan"
 )
@@ -11,7 +12,9 @@ import (
 // FuzzPlanIO feeds arbitrary bytes through Unmarshal. Inputs that parse must
 // survive Marshal∘Unmarshal from the first pass: the re-decoded plan carries
 // every annotation of the decoded one, build widths included, and marshals to
-// the same bytes.
+// the same bytes. A decoded plan is also handed to the engine, as
+// `POST /run` does, with one worker and with four: its scans have no bound
+// tables, so both runs must return the same error, and neither may panic.
 func FuzzPlanIO(f *testing.F) {
 	f.Add([]byte(`{"op":"TableScan","columns":[{"name":"k","type":"BIGINT"}],"card":{"true":8,"est":6},"table":"t0","scan_card":8}`))
 	f.Add([]byte(`{"op":"Limit","card":{},"left":{"op":"TableScan","columns":[{"name":"k","type":"BIGINT"}],"card":{}}}`))
@@ -42,6 +45,14 @@ func FuzzPlanIO(f *testing.F) {
 		}
 		if !bytes.Equal(m1, m2) {
 			t.Fatalf("marshal not a fixed point:\nfirst:\n%s\nsecond:\n%s", m1, m2)
+		}
+		_, err1 := (&exec.Executor{}).Run(p1, true)
+		_, err4 := (&exec.Executor{Workers: 4, MorselRows: 1}).Run(p1, true)
+		if err1 == nil || err4 == nil {
+			t.Fatalf("decoded plan executed: errors %v / %v", err1, err4)
+		}
+		if err1.Error() != err4.Error() {
+			t.Fatalf("decoded plan fails differently by worker count:\n1: %v\n4: %v", err1, err4)
 		}
 	})
 }

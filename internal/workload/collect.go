@@ -108,8 +108,6 @@ type CollectConfig struct {
 	PerGroup int
 	// Seed drives CollectLabels' query generation.
 	Seed int64
-	// BatchSize overrides the executor batch size when > 0.
-	BatchSize int
 	// RunPlan, when non-nil, replaces plan execution. Tests and the
 	// retrain controller's deterministic harness inject synthetic
 	// durations through it (typically: run the real executor, then
@@ -172,7 +170,6 @@ func CollectQueries(inst *Instance, qs []*Query, cfg CollectConfig) (*LabelSet, 
 	par.DoState(pool, len(qs),
 		func() *exec.Executor {
 			return &exec.Executor{
-				BatchSize:  cfg.BatchSize,
 				Workers:    intra,
 				MorselRows: cfg.MorselRows,
 				Pool:       pool,

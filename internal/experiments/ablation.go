@@ -73,6 +73,16 @@ func filteredRegistry(keep func(string) bool) *feature.Registry {
 	return feature.NewRegistry(out)
 }
 
+// AblationRegistries returns every feature-ablation variant's name and
+// registry, in the order RunFeatureAblation reports them.
+func AblationRegistries() (names []string, regs []*feature.Registry) {
+	for _, v := range ablationVariants {
+		names = append(names, v.name)
+		regs = append(regs, filteredRegistry(v.keep))
+	}
+	return names, regs
+}
+
 // ablatedModel is a T3 variant over a reduced registry.
 type ablatedModel struct {
 	reg    *feature.Registry
@@ -110,17 +120,17 @@ func (e *Env) RunFeatureAblation() (*FeatureAblation, error) {
 	train := c.AllTrain()
 	test := c.AllTest()
 	res := &FeatureAblation{}
-	for _, v := range ablationVariants {
-		reg := filteredRegistry(v.keep)
+	names, regs := AblationRegistries()
+	for i, reg := range regs {
 		m, err := trainAblated(reg, train, e.Params())
 		if err != nil {
-			return nil, fmt.Errorf("ablation %q: %w", v.name, err)
+			return nil, fmt.Errorf("ablation %q: %w", names[i], err)
 		}
 		es := qerrors(func(b *workload.Label) float64 {
 			return m.predictSeconds(b.Root)
 		}, test)
 		res.Rows = append(res.Rows, FeatureAblationRow{
-			Variant:  v.name,
+			Variant:  names[i],
 			Features: reg.NumFeatures(),
 			Summary:  qerror.Summarize(es),
 		})

@@ -113,15 +113,65 @@ type Registry struct {
 	index   map[StageKey]map[string]int
 	names   []string
 	numFeat int
-	// entries caches (feature name, index) pairs per stage indexed by
+	// entries caches each stage's features, resolved to kinds, indexed by
 	// [op][stage] for allocation-free featurization on the prediction path.
 	entries [plan.NumOpTypes][plan.NumStages][]regEntry
 }
 
-// regEntry pairs a feature name with its vector index.
+// featKind is a basic feature resolved from its name once, in NewRegistry, so
+// that featurizing a stage switches on an integer instead of comparing names.
+type featKind uint8
+
+const (
+	kindZero featKind = iota // a name no stage computes: contributes nothing
+	kindCount
+	kindInCard
+	kindInSize
+	kindInPct // in_percentage and right_percentage: IN stream over the source
+	kindOutPct
+	kindOutCard
+	kindOutSize
+	kindHTCard
+	kindExpr
+)
+
+// kindOf maps the basic feature names to their kinds; FExprPrefix names are
+// resolved separately, to kindExpr and a predicate class.
+var kindOf = map[string]featKind{
+	FCount:    kindCount,
+	FInCard:   kindInCard,
+	FInSize:   kindInSize,
+	FInPct:    kindInPct,
+	FRightPct: kindInPct,
+	FOutPct:   kindOutPct,
+	FOutCard:  kindOutCard,
+	FOutSize:  kindOutSize,
+	FHTCard:   kindHTCard,
+}
+
+// regEntry is one feature of a stage: its kind, its predicate class when the
+// kind is kindExpr, and its vector index.
 type regEntry struct {
-	name string
-	idx  int
+	kind  featKind
+	class expr.Class
+	idx   int
+}
+
+// resolveFeature resolves a basic feature name to its kind and, for
+// FExprPrefix names, the predicate class whose String the name embeds.
+func resolveFeature(name string) (featKind, expr.Class) {
+	if k, ok := kindOf[name]; ok {
+		return k, 0
+	}
+	if strings.HasPrefix(name, FExprPrefix) {
+		class := strings.TrimSuffix(strings.TrimPrefix(name, FExprPrefix), "_percentage")
+		for c := expr.Class(0); c < expr.NumClasses; c++ {
+			if c.String() == class {
+				return kindExpr, c
+			}
+		}
+	}
+	return kindZero, 0
 }
 
 // NewRegistry builds a registry from a spec with deterministic index
@@ -143,7 +193,8 @@ func NewRegistry(spec Spec) *Registry {
 		for _, f := range spec[k] {
 			m[f] = r.numFeat
 			r.names = append(r.names, k.String()+"_"+f)
-			r.entries[k.Op][k.Stage] = append(r.entries[k.Op][k.Stage], regEntry{name: f, idx: r.numFeat})
+			kind, class := resolveFeature(f)
+			r.entries[k.Op][k.Stage] = append(r.entries[k.Op][k.Stage], regEntry{kind: kind, class: class, idx: r.numFeat})
 			r.numFeat++
 		}
 		r.index[k] = m
@@ -199,23 +250,77 @@ func (r *Registry) PipelineVector(p *plan.Pipeline, mode plan.CardMode) []float6
 	return vec
 }
 
+// StageStats holds the quantities one operator stage's basic features are
+// computed from. The serving encoder fills it from an annotated pipeline; the
+// join-order planner fills it from cardinality estimates for the stages a
+// candidate join tree would have. Both fold it into a vector with AddStage,
+// so what a feature means is decided here alone.
+type StageStats struct {
+	// In is the cardinality of the stream entering the stage; for a
+	// pipeline's source stage, the scanned cardinality.
+	In float64
+	// Out is the cardinality of the stage operator's OUT stream.
+	Out float64
+	// OutWidth is the byte width of the operator's OUT tuples.
+	OutWidth float64
+	// HTCard is the OUT cardinality of the operator's left input: for a hash
+	// join, the build side that fills the hash table a probe stage probes.
+	HTCard float64
+	// MatWidth is the byte width a build stage materializes per tuple: a
+	// hash join's key and payload columns, any other breaker's input tuple.
+	MatWidth float64
+	// ExprPct holds, per predicate class, the fraction of scanned tuples a
+	// table scan evaluates predicates of that class on.
+	ExprPct [expr.NumClasses]float64
+}
+
+// AddStage folds one stage into vec (of length NumFeatures): every feature
+// the registry declares for stage k is computed from st and added to its
+// slot, which is how repeated stages of one pipeline sum (§3, "Duplicate
+// Operators"). src is the pipeline's clamped source cardinality (SourceCard),
+// which percentages are taken of. A stage the registry does not declare adds
+// nothing.
+func (r *Registry) AddStage(vec []float64, k StageKey, st *StageStats, src float64) {
+	for _, e := range r.entries[k.Op][k.Stage] {
+		var v float64
+		switch e.kind {
+		case kindCount:
+			v = 1
+		case kindInCard:
+			v = st.In
+		case kindInSize:
+			v = st.MatWidth
+		case kindInPct:
+			v = st.In / src
+		case kindOutPct:
+			v = st.Out / src
+		case kindOutCard:
+			v = st.Out
+		case kindOutSize:
+			v = st.OutWidth
+		case kindHTCard:
+			v = st.HTCard
+		case kindExpr:
+			v = st.ExprPct[e.class]
+		default:
+			continue
+		}
+		vec[e.idx] += v
+	}
+}
+
 // PipelineVectorInto encodes the pipeline into a caller-provided vector of
 // length NumFeatures (zeroing it first), avoiding allocation on the
 // prediction hot path.
 func (r *Registry) PipelineVectorInto(p *plan.Pipeline, mode plan.CardMode, vec []float64) {
-	for i := range vec {
-		vec[i] = 0
-	}
+	clear(vec)
 	src := effectiveSourceCard(p, mode)
+	var st StageStats
 	for si := range p.Stages {
 		s := &p.Stages[si]
-		for _, ent := range r.entries[s.Node.Op][s.Stage] {
-			if ent.name == FCount {
-				vec[ent.idx]++
-				continue
-			}
-			vec[ent.idx] += stageFeature(ent.name, p, si, src, mode)
-		}
+		k := StageKey{Op: s.Node.Op, Stage: s.Stage}
+		st.Fill(p, si, mode)
+		r.AddStage(vec, k, &st, src)
 	}
 }
 
@@ -311,42 +416,27 @@ func (r *Registry) PlanVectors(root *plan.Node, mode plan.CardMode) ([][]float64
 	return vecs, ps
 }
 
-// stageFeature computes the value of one named basic feature for stage si of
-// pipeline p. src is the clamped pipeline source cardinality.
-func stageFeature(name string, p *plan.Pipeline, si int, src float64, mode plan.CardMode) float64 {
-	s := p.Stages[si]
-	n := s.Node
-	switch name {
-	case FInCard:
-		if si == 0 {
-			return p.SourceCard(mode)
+// Fill sets st to stage si of pipeline p, as the plan's annotations in mode
+// describe it.
+func (st *StageStats) Fill(p *plan.Pipeline, si int, mode plan.CardMode) {
+	n := p.Stages[si].Node
+	*st = StageStats{
+		In:       p.ReachCard(si, mode),
+		Out:      n.OutCard.Get(mode),
+		OutWidth: float64(n.OutWidth()),
+		MatWidth: float64(materializedWidth(n)),
+	}
+	if n.Left != nil {
+		st.HTCard = n.Left.OutCard.Get(mode)
+	}
+	if n.Op == plan.TableScanOp {
+		// Predicates short-circuit in order, so predicate i is evaluated on
+		// the tuples passing predicates 0..i-1 (§3, "Table Scan Operators").
+		reach := 1.0
+		for i, pred := range n.Predicates {
+			st.ExprPct[pred.Class()] += reach
+			reach *= n.PredSel[i].Get(mode)
 		}
-		return p.ReachCard(si, mode)
-	case FInPct:
-		return p.ReachCard(si, mode) / src
-	case FRightPct:
-		// Probe stages consume the pipeline's running stream as their RIGHT
-		// input.
-		return p.ReachCard(si, mode) / src
-	case FOutPct:
-		return n.OutCard.Get(mode) / src
-	case FOutCard:
-		return n.OutCard.Get(mode)
-	case FOutSize:
-		return float64(n.OutWidth())
-	case FHTCard:
-		// Cardinality of the probed hash table: the build side's output.
-		if n.Left != nil {
-			return n.Left.OutCard.Get(mode)
-		}
-		return 0
-	case FInSize:
-		return float64(materializedWidth(n))
-	default:
-		if strings.HasPrefix(name, FExprPrefix) {
-			return exprClassPct(n, name, mode)
-		}
-		return 0
 	}
 }
 
@@ -358,26 +448,6 @@ func materializedWidth(n *plan.Node) int {
 		return n.HashTupleWidth()
 	}
 	return n.InWidth()
-}
-
-// exprClassPct computes, for a table scan, the fraction of scanned tuples on
-// which predicates of the class encoded in name are evaluated. Predicates
-// short-circuit in order, so predicate i is evaluated on the tuples passing
-// predicates 0..i-1 (§3, "Table Scan Operators").
-func exprClassPct(n *plan.Node, name string, mode plan.CardMode) float64 {
-	if n.Op != plan.TableScanOp {
-		return 0
-	}
-	class := strings.TrimSuffix(strings.TrimPrefix(name, FExprPrefix), "_percentage")
-	total := 0.0
-	reach := 1.0
-	for i, pred := range n.Predicates {
-		if pred.Class().String() == class {
-			total += reach
-		}
-		reach *= n.PredSel[i].Get(mode)
-	}
-	return total
 }
 
 // Describe renders a vector with feature names, omitting zeros — the format

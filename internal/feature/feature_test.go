@@ -1,6 +1,7 @@
 package feature
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -8,6 +9,7 @@ import (
 	"t3/internal/engine/expr"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/storage"
+	"t3/internal/genplan"
 )
 
 func TestRegistryAssignsStableDistinctIndices(t *testing.T) {
@@ -322,5 +324,86 @@ func TestFeaturizeIntoZeroAlloc(t *testing.T) {
 		r.FeaturizeInto(&s, root, plan.TrueCards)
 	}); allocs != 0 {
 		t.Fatalf("FeaturizeInto allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// refPipelineVector is the by-name reference encoder: every feature of every
+// stage is computed from its name and the pipeline, with no StageStats in
+// between. PipelineVectorInto must reproduce it bit for bit.
+func refPipelineVector(r *Registry, p *plan.Pipeline, mode plan.CardMode) []float64 {
+	vec := make([]float64, r.NumFeatures())
+	src := SourceCard(p, mode)
+	for si, s := range p.Stages {
+		n := s.Node
+		k := StageKey{Op: n.Op, Stage: s.Stage}
+		for _, name := range r.spec[k] {
+			var v float64
+			switch name {
+			case FCount:
+				v = 1
+			case FInCard:
+				v = p.ReachCard(si, mode)
+			case FInPct, FRightPct:
+				v = p.ReachCard(si, mode) / src
+			case FOutPct:
+				v = n.OutCard.Get(mode) / src
+			case FOutCard:
+				v = n.OutCard.Get(mode)
+			case FOutSize:
+				v = float64(n.OutWidth())
+			case FHTCard:
+				if n.Left != nil {
+					v = n.Left.OutCard.Get(mode)
+				}
+			case FInSize:
+				v = float64(materializedWidth(n))
+			default:
+				if n.Op != plan.TableScanOp || !strings.HasPrefix(name, FExprPrefix) {
+					break
+				}
+				class := strings.TrimSuffix(strings.TrimPrefix(name, FExprPrefix), "_percentage")
+				reach := 1.0
+				for i, pred := range n.Predicates {
+					if pred.Class().String() == class {
+						v += reach
+					}
+					reach *= n.PredSel[i].Get(mode)
+				}
+			}
+			vec[r.index[k][name]] += v
+		}
+	}
+	return vec
+}
+
+// TestPipelineVectorMatchesByNameReference holds the kind-resolved encoder to
+// the by-name reference on generated plans (every genplan scenario, hostile
+// annotations included) in both cardinality modes, over the default spec and
+// a spec that adds features to stages that do not compute them.
+func TestPipelineVectorMatchesByNameReference(t *testing.T) {
+	odd := DefaultSpec()
+	scan := StageKey{Op: plan.TableScanOp, Stage: plan.StageScan}
+	probe := StageKey{Op: plan.HashJoinOp, Stage: plan.StageProbe}
+	odd[scan] = append(odd[scan], FHTCard, FInSize, "expr_like", "no_such_feature")
+	odd[probe] = append(odd[probe], FInCard, FInSize, FOutCard, exprPctName(expr.ClassIn))
+	regs := []*Registry{NewDefaultRegistry(), NewRegistry(odd)}
+
+	for seed := int64(0); seed < 120; seed++ {
+		root := genplan.Generate(seed, genplan.Scenario(seed)%genplan.NumScenarios).Root
+		for _, mode := range []plan.CardMode{plan.TrueCards, plan.EstCards} {
+			for ri, r := range regs {
+				vecs, ps := r.PlanVectors(root, mode)
+				for i, p := range ps {
+					want := refPipelineVector(r, p, mode)
+					for j := range want {
+						got := vecs[i][j]
+						if math.Float64bits(got) != math.Float64bits(want[j]) && !(got != got && want[j] != want[j]) {
+							t.Fatalf("registry %d, seed %d, %s: %s = %v, reference %v",
+								ri, seed, p, r.Names()[j], got, want[j])
+						}
+					}
+				}
+			}
+		}
 	}
 }

@@ -25,17 +25,19 @@ import (
 // Determinism contract with the scalar path (DPSize + T3CostModel over the
 // same *treec.Packed):
 //
-//   - Vectors are produced by the same t3feat transition functions
-//     (leafInto / closeBuildInto / extendProbeInto), so they are equal by
-//     construction. Copy-on-extend happens directly into the arena.
+//   - Vectors are produced by the same encoder steps (leafInto /
+//     closeBuildInto / extendProbeInto, each one feature.Registry.AddStage
+//     call), so they are equal by construction. Copy-on-extend happens
+//     directly into the arena.
 //   - Packed.PredictRowsInto takes the arena up to eight rows at a time and
 //     applies the decision nodes all of them fail once, but it still adds
 //     every row's tree contributions to that row's own sum in tree order,
 //     independent of blocking, flush boundaries, and worker count, so every
 //     prediction is bit-identical to a scalar Packed.Predict of the same row.
 //   - Seconds are accumulated in the scalar path's exact float order:
-//     closed = (build.closed + probe.closed) + closePred; total = closed +
-//     openPred, both via the shared scaleSeconds.
+//     closed = (build.closed + probe.closed) + closePred; total = (closed +
+//     openPred) + tail, both via the shared scaleSeconds, where tail is the
+//     aggregate's scan pipeline at the full relation set and 0 below it.
 //   - The scalar loop keeps the first candidate (in enumeration order) that
 //     is strictly cheaper than the incumbent, which selects the minimum total
 //     with earliest-candidate tie-break. That selection is replay-order-free,
@@ -44,7 +46,8 @@ import (
 //
 // The incumbent prune is exact, with no epsilons: a candidate's gather key is
 // key = fl(build.closed + probe.closed), and its eventual cost is
-// total = fl(fl(key + buildPred) + openPred) with buildPred, openPred >= 0.
+// total = fl(fl(fl(key + buildPred) + openPred) + tail) with buildPred,
+// openPred, tail >= 0.
 // Float rounding of a sum of non-negatives is monotone, so total >= key.
 // Incumbent totals only decrease, so once key >= incumbent total the
 // candidate provably cannot win — it is dropped without being featurized or
@@ -85,13 +88,12 @@ type BatchConfig struct {
 // counterpart of t3State, stored flat in a reusable freelist-style slice with
 // its open-pipeline vector in a pooled slab (vecOff indexes batchEnum.slotVec).
 type batchSlot struct {
+	subtree
 	closedSeconds float64
 	openPred      float64 // memoized open-pipeline seconds of the winner
-	total         float64 // closedSeconds + openPred, the comparison key
-	openSrcCard   float64
-	card          float64
-	width         float64
+	total         float64 // closedSeconds + openPred + tail, the comparison key
 	buildPred     float64 // memoized close-build seconds (this slot as build side)
+	buildKeyW     float64 // key width buildPred is for, or is queued for
 	bs, ps        uint64  // winning split, for tree reconstruction
 	vecOff        int32   // open-pipeline vector offset into slotVec
 	winIdx        int32   // gather index of the winner, for tie-breaking
@@ -107,8 +109,10 @@ type candRef struct {
 	buildSlot int32
 	probeSlot int32
 	winSlot   int32
+	closeRow  int32 // arena row of its own close-build vector, when keyW is not its build slot's
 	bs, ps    uint64
 	outCard   float64
+	keyW      float64 // byte width of the join key on the build side
 	key       float64
 }
 
@@ -121,7 +125,7 @@ type batchEnum struct {
 	rows    []float64 // wave-local candidate arena, row-major
 	out     []float64
 	cands   []candRef // current level's candidates, in enumeration order
-	wave    []uint64  // current wave: probe slot | cand index, arena row order
+	wave    []uint64  // current wave in arena row order: rowKey of the probe slot
 	order   []int32   // level candidates grouped by subset, cheapest key first
 	keys    []uint64  // per-segment sort scratch: float32 key bits | cand index
 	slotOff []int32   // order segment bounds per level slot
@@ -214,6 +218,16 @@ func (e *batchEnum) row(r int32) []float64 {
 	return e.rows[int(r)*e.stride : (int(r)+1)*e.stride]
 }
 
+// rowKey packs a wave candidate for ordering the arena: the relation whose
+// scan starts slot si's open pipeline, then si, then the candidate index,
+// which the low 32 bits keep. Rows of one key prefix carry the same scan
+// stage (and, per slot, the same whole pipeline), so the kernel's blocks of
+// them share most nodes they fail. Any order is sound — a wave's replay is
+// order-free — so a slot index past 26 bits only loosens the grouping.
+func (e *batchEnum) rowKey(si, ci int32) uint64 {
+	return uint64(e.slots[si].scan)<<58 | uint64(si)<<32 | uint64(uint32(ci))
+}
+
 // orderLevel groups the level's candidates by subset slot and sorts each
 // group cheapest-key-first. Keys are compared through their float32 bits —
 // any deterministic order is sound (winner selection is order-free), and the
@@ -291,7 +305,7 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		maxRows = 2
 	}
 	pool := par.Sized(cfg.Workers)
-	feat := newT3Feat(reg, inst, spec)
+	enc := newEncoder(reg, inst, spec)
 	stride := reg.NumFeatures()
 
 	e := getBatchEnum(stride, maxRows, n)
@@ -301,12 +315,22 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 	res := &Result{}
 	adjacency := buildAdjacency(spec, n)
 
+	// aggScan prices the aggregate's scan pipeline in the arena, which holds
+	// no wave while it runs. Like T3CostModel, it leaves the call out of
+	// ModelCalls.
+	aggScan := func() float64 {
+		e.rows = e.rows[:0]
+		row := e.row(e.addRow())
+		src := enc.aggScanInto(row, oracle)
+		return scaleSeconds(pred.Predict(row), src)
+	}
+
 	// Leaves: one slot per relation, vector written straight into the slab.
 	for r := 0; r < n; r++ {
 		si := e.newSlot()
-		srcCard, card, width := feat.leafInto(e.slotVecOf(si), r)
+		t := enc.leafInto(e.slotVecOf(si), r)
 		s := &e.slots[si]
-		s.openSrcCard, s.card, s.width = srcCard, card, width
+		s.subtree = t
 		s.hasWinner = true
 		e.dp[uint64(1)<<uint(r)] = si
 		e.bySize[1] = append(e.bySize[1], uint64(1)<<uint(r))
@@ -316,7 +340,8 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 	// Each wave takes the cheapest not-yet-pruned candidate of every subset
 	// (skipping candidates whose exact closed-cost lower bound has reached
 	// the incumbent), predicts all wave rows batched, and replays exactly.
-	runLevel := func(levelSlotLo int32) {
+	// tail is added to every candidate's total.
+	runLevel := func(levelSlotLo int32, tail float64) {
 		nslots := len(e.slots) - int(levelSlotLo)
 		if nslots == 0 || len(e.cands) == 0 {
 			return
@@ -339,13 +364,13 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 							cur = end
 							break
 						}
-						if b := &e.slots[c.buildSlot]; b.buildPredOK && c.key+b.buildPred >= w.total {
+						if b := &e.slots[c.buildSlot]; b.buildPredOK && b.buildKeyW == c.keyW && c.key+b.buildPred >= w.total {
 							res.Pruned++
 							cur++
 							continue
 						}
 					}
-					e.wave = append(e.wave, uint64(c.probeSlot)<<32|uint64(uint32(ci)))
+					e.wave = append(e.wave, e.rowKey(c.probeSlot, ci))
 					cur++
 					break
 				}
@@ -355,23 +380,33 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 				return
 			}
 
-			// The arena holds the wave's extension rows first, grouped by probe
-			// slot — extensions of one subplan differ only in their build side,
-			// so a block of them shares most of what it fails in the kernel —
-			// and then one close row per build side not priced yet.
+			// The arena holds the wave's extension rows first, grouped by the
+			// scan starting the probe side's pipeline and then by probe slot —
+			// extensions of one subplan differ only in their build side, so a
+			// block of them shares most of what it fails in the kernel — and
+			// then one close row per build side and key width not priced yet.
+			// A slot memoizes the first key width it is priced for; a
+			// candidate keyed otherwise (only on specs whose join columns
+			// differ in width) gets a close row of its own.
 			slices.Sort(e.wave)
 			e.rows = e.rows[:0]
 			for _, wv := range e.wave {
 				c := &e.cands[uint32(wv)]
 				b, p := &e.slots[c.buildSlot], &e.slots[c.probeSlot]
-				feat.extendProbeInto(e.row(e.addRow()), e.slotVecOf(c.probeSlot), b.card, b.width, p.card, p.openSrcCard, p.width, c.outCard)
+				enc.extendProbeInto(e.row(e.addRow()), e.slotVecOf(c.probeSlot), b.subtree, p.subtree, c.bs|c.ps, c.outCard, c.keyW)
 			}
 			for _, wv := range e.wave {
 				c := &e.cands[uint32(wv)]
-				if b := &e.slots[c.buildSlot]; !b.buildPredOK && e.closeRowOf[c.buildSlot] < 0 {
-					cr := e.addRow()
-					feat.closeBuildInto(e.row(cr), e.slotVecOf(c.buildSlot), b.card, b.openSrcCard, b.width)
-					e.closeRowOf[c.buildSlot] = cr
+				b := &e.slots[c.buildSlot]
+				cr := e.closeRowOf[c.buildSlot]
+				if b.buildKeyW == c.keyW && (b.buildPredOK || cr >= 0) {
+					continue // priced in an earlier wave, or queued in this one
+				}
+				c.closeRow = e.addRow()
+				enc.closeBuildInto(e.row(c.closeRow), e.slotVecOf(c.buildSlot), b.subtree, c.keyW)
+				if !b.buildPredOK && cr < 0 {
+					b.buildKeyW = c.keyW
+					e.closeRowOf[c.buildSlot] = c.closeRow
 					e.closeTouched = append(e.closeTouched, c.buildSlot)
 				}
 			}
@@ -396,7 +431,7 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 			// side reads its buildPred, not only the one that queued the row.
 			for _, si := range e.closeTouched {
 				b := &e.slots[si]
-				b.buildPred = scaleSeconds(out[e.closeRowOf[si]], b.openSrcCard)
+				b.buildPred = scaleSeconds(out[e.closeRowOf[si]], b.src)
 				b.buildPredOK = true
 				e.closeRowOf[si] = -1
 			}
@@ -405,18 +440,20 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 				ci := int32(uint32(wv))
 				c := &e.cands[ci]
 				b, p := &e.slots[c.buildSlot], &e.slots[c.probeSlot]
-				closed := b.closedSeconds + p.closedSeconds + b.buildPred
-				openPred := scaleSeconds(out[er], p.openSrcCard)
-				total := closed + openPred
+				buildPred := b.buildPred
+				if b.buildKeyW != c.keyW {
+					buildPred = scaleSeconds(out[c.closeRow], b.src)
+				}
+				closed := b.closedSeconds + p.closedSeconds + buildPred
+				openPred := scaleSeconds(out[er], p.src)
+				total := closed + openPred + tail
 				w := &e.slots[c.winSlot]
 				if !w.hasWinner || total < w.total || (total == w.total && ci < w.winIdx) {
 					w.hasWinner = true
 					w.closedSeconds = closed
 					w.openPred = openPred
 					w.total = total
-					w.openSrcCard = p.openSrcCard
-					w.card = c.outCard
-					w.width = p.width + b.width
+					w.subtree = joined(b.subtree, p.subtree, c.outCard)
 					w.bs, w.ps = c.bs, c.ps
 					w.winIdx = ci
 					copy(e.slotVecOf(c.winSlot), e.row(int32(er)))
@@ -447,7 +484,9 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 						e.dp[set] = wi
 						e.bySize[size] = append(e.bySize[size], set)
 					}
-					for _, pair := range [2][2]uint64{{a, b}, {b, a}} {
+					outCard := oracle.Card(set)
+					keyW := enc.rels.keyWidths(a, b)
+					for k, pair := range [2][2]uint64{{a, b}, {b, a}} {
 						bs, ps := pair[0], pair[1]
 						var bSlot, pSlot int32
 						if bs == a {
@@ -456,7 +495,6 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 							bSlot, pSlot = sb, sa
 						}
 						steps++
-						outCard := oracle.Card(set)
 						e.cands = append(e.cands, candRef{
 							buildSlot: bSlot,
 							probeSlot: pSlot,
@@ -464,13 +502,18 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 							bs:        bs,
 							ps:        ps,
 							outCard:   outCard,
+							keyW:      keyW[k],
 							key:       e.slots[bSlot].closedSeconds + e.slots[pSlot].closedSeconds,
 						})
 					}
 				}
 			}
 		}
-		runLevel(levelSlotLo)
+		tail := 0.0
+		if size == n && len(e.cands) > 0 {
+			tail = aggScan()
+		}
+		runLevel(levelSlotLo, tail)
 	}
 
 	full := uint64(1)<<uint(n) - 1
@@ -479,10 +522,11 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		return nil, fmt.Errorf("joinorder: join graph of %s is disconnected", spec.Name)
 	}
 	if n == 1 {
-		// Single relation: the open pipeline is the whole plan.
+		// Single relation: its open pipeline ends in the aggregate.
 		s := &e.slots[si]
 		res.ModelCalls++
-		s.total = scaleSeconds(pred.Predict(e.slotVecOf(si)), s.openSrcCard)
+		s.openPred = scaleSeconds(pred.Predict(e.slotVecOf(si)), s.src)
+		s.total = s.closedSeconds + s.openPred + aggScan()
 	}
 	res.Tree = e.rebuildTree(full)
 	res.Cost = e.slots[si].total

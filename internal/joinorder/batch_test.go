@@ -2,9 +2,13 @@ package joinorder
 
 import (
 	"math"
+	"math/rand"
 	"testing"
 
+	"t3"
 	"t3/internal/benchdata"
+	"t3/internal/engine/plan"
+	"t3/internal/engine/stats"
 	"t3/internal/feature"
 	"t3/internal/gbdt"
 	"t3/internal/treec"
@@ -15,8 +19,13 @@ import (
 // features and packs it: the scalar path and the batched path share this one
 // prediction function.
 func plannerT3(t testing.TB) (*treec.Packed, *feature.Registry) {
-	t.Helper()
 	reg := feature.NewDefaultRegistry()
+	return treec.Pack(plannerModel(t, reg)), reg
+}
+
+// plannerModel trains plannerT3's model over the vectors of registry reg.
+func plannerModel(t testing.TB, reg *feature.Registry) *gbdt.Model {
+	t.Helper()
 	n := 600
 	xs := make([][]float64, n)
 	ys := make([]float64, n)
@@ -35,7 +44,7 @@ func plannerT3(t testing.TB) (*treec.Packed, *feature.Registry) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return treec.Pack(m), reg
+	return m
 }
 
 // TestBatchedMatchesScalar is the batched-vs-scalar determinism property:
@@ -125,9 +134,12 @@ func TestBatchedSharedBuildSlot(t *testing.T) {
 }
 
 // TestBatchedSingleRelation covers the degenerate one-relation spec, where the
-// whole plan is one open pipeline.
+// whole plan is the scan feeding the aggregate and the aggregate's scan: both
+// paths must agree, and price what PredictPlan predicts for that plan.
 func TestBatchedSingleRelation(t *testing.T) {
-	packed, reg := plannerT3(t)
+	reg := feature.NewDefaultRegistry()
+	gbm := plannerModel(t, reg)
+	packed := treec.Pack(gbm)
 	inst, sp := workload.SyntheticJoinBench(workload.ShapeChain, 1, 64, 3)
 	ref, err := DPSize(sp, NewT3Cost(packed, reg, inst, sp, NewEstOracle(inst, sp)))
 	if err != nil {
@@ -139,6 +151,100 @@ func TestBatchedSingleRelation(t *testing.T) {
 	}
 	if res.Cost != ref.Cost || res.Tree.String() != ref.Tree.String() {
 		t.Fatalf("single-relation mismatch: %v/%s vs %v/%s", res.Cost, res.Tree, ref.Cost, ref.Tree)
+	}
+	// One model call on both paths: the lone pipeline. The aggregate's scan
+	// pipeline is priced but, as Result.ModelCalls documents, not counted.
+	if res.ModelCalls != 1 || ref.ModelCalls != 1 {
+		t.Fatalf("single-relation model calls: batched %d, scalar %d, want 1 each", res.ModelCalls, ref.ModelCalls)
+	}
+
+	model, err := t3.NewModel(gbm)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := TreeToPlan(inst, sp, res.Tree)
+	(&stats.Estimator{DB: inst.Stats}).Estimate(root)
+	_, preds := model.PredictPlan(root, plan.EstCards)
+	sum := 0.0
+	for _, p := range preds {
+		sum += p.PerTupleSeconds * p.Cardinality
+	}
+	if len(preds) != 2 || math.Abs(res.Cost-sum) > 1e-9 {
+		t.Fatalf("single-relation cost %v s, PredictPlan's %d pipelines sum to %v s", res.Cost, len(preds), sum)
+	}
+}
+
+// mixedWidthSpec is a cyclic query over the imdb-lite tables whose edges
+// join 8-byte ids and 16-byte strings, so that the key a build side is hashed
+// on — the build column of the first edge crossing to the probe side, as
+// TreeToPlan picks it — depends on which probe side it meets.
+func mixedWidthSpec() *workload.JoinSpec {
+	return &workload.JoinSpec{
+		Name: "mixed-width",
+		Rels: []workload.RelSpec{
+			{Table: "name", ScanCols: []int{0, 2}},         // id, n_name
+			{Table: "company_name", ScanCols: []int{0, 2}}, // id, cn_name
+			{Table: "keyword", ScanCols: []int{0, 1}},      // id, k_keyword
+			{Table: "title", ScanCols: []int{0, 3}},        // id, t_title
+			{Table: "kind_type", ScanCols: []int{0, 1}},    // id, kind
+		},
+		Edges: []workload.EdgeSpec{
+			{A: 0, B: 1, ACol: 1, BCol: 1}, // strings
+			{A: 1, B: 2},
+			{A: 2, B: 3, ACol: 1, BCol: 1}, // strings
+			{A: 3, B: 4},
+			{A: 0, B: 3},
+			{A: 4, B: 1, ACol: 1, BCol: 1}, // strings
+		},
+	}
+}
+
+// TestBatchedMixedKeyWidths: where a build side meets probe sides over keys
+// of different widths, its close rows differ, and the batched path must price
+// one per width instead of reusing the first. The model here splits on
+// nothing but HashJoin_Build_in_size, so a close row priced for the wrong
+// width shows in the cost. Edge order decides which key TreeToPlan takes, so
+// the spec runs under many edge orders.
+func TestBatchedMixedKeyWidths(t *testing.T) {
+	reg := feature.NewDefaultRegistry()
+	loc := reg.Location(feature.StageKey{Op: plan.HashJoinOp, Stage: plan.StageBuild}, feature.FInSize)
+	xs := make([][]float64, 400)
+	ys := make([]float64, len(xs))
+	for i := range xs {
+		xs[i] = make([]float64, reg.NumFeatures())
+		xs[i][loc] = float64(8 * (i % 12))
+		ys[i] = benchdata.TargetTransform(1e-8 * (1 + xs[i][loc]))
+	}
+	p := gbdt.DefaultParams()
+	p.NumRounds = 20
+	p.ValidationFraction = 0
+	gbm, _, err := gbdt.Train(p, xs, ys, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	packed := treec.Pack(gbm)
+
+	inst := imdbInst(t)
+	base := mixedWidthSpec()
+	rng := rand.New(rand.NewSource(5))
+	for k := 0; k < 20; k++ {
+		sp := &workload.JoinSpec{Name: base.Name, Rels: base.Rels}
+		for _, i := range rng.Perm(len(base.Edges)) {
+			sp.Edges = append(sp.Edges, base.Edges[i])
+		}
+		ref, err := DPSize(sp, NewT3Cost(packed, reg, inst, sp, NewEstOracle(inst, sp)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, cfg := range []BatchConfig{{Workers: 1}, {Workers: 2, MaxBatch: 3}} {
+			res, err := DPSizeBatched(sp, packed, reg, inst, NewEstOracle(inst, sp), cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if math.Float64bits(res.Cost) != math.Float64bits(ref.Cost) || res.Tree.String() != ref.Tree.String() {
+				t.Fatalf("edge order %d, %+v: %v %s, scalar %v %s", k, cfg, res.Cost, res.Tree, ref.Cost, ref.Tree)
+			}
+		}
 	}
 }
 

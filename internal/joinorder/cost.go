@@ -41,14 +41,29 @@ func (c *CoutModel) Total(s State) float64 { return s.(float64) }
 func (c *CoutModel) Calls() int { return c.calls }
 
 // scaleSeconds converts a raw model score (the transformed per-tuple target)
-// into pipeline seconds for the given source cardinality. Both the scalar and
-// the batched costing paths share this exact function, which is part of the
-// bit-identical determinism contract between them.
-func scaleSeconds(raw, srcCard float64) float64 {
-	if srcCard < 1 {
-		srcCard = 1
-	}
-	return benchdata.InverseTarget(raw) * srcCard
+// into pipeline seconds for the pipeline's clamped source cardinality — the
+// product t3.Model.PredictPlan takes. Both the scalar and the batched costing
+// paths share this exact function, which is part of the bit-identical
+// determinism contract between them.
+func scaleSeconds(raw, src float64) float64 {
+	return benchdata.InverseTarget(raw) * src
+}
+
+// subtree is what featurizing a join needs of a subplan: the clamped source
+// cardinality of its open pipeline (what that pipeline's prediction scales
+// by), its output cardinality, and its output tuple width. scan is the
+// relation whose scan starts the open pipeline; DPSizeBatched orders its
+// arena rows by it.
+type subtree struct {
+	src, card, width float64
+	scan             int
+}
+
+// joined is the subtree a hash join building on b and probing with p
+// produces: p's pipeline stays open, and the output carries both sides'
+// columns (TreeToPlan's build payload is every build column).
+func joined(b, p subtree, outCard float64) subtree {
+	return subtree{src: p.src, card: outCard, width: p.width + b.width, scan: p.scan}
 }
 
 // t3State is the per-subtree memo of the T3 cost model: the total predicted
@@ -56,11 +71,12 @@ func scaleSeconds(raw, srcCard float64) float64 {
 // pipeline (§5.5: "we cache the cost for all other pipelines that already
 // finished in the subtrees").
 type t3State struct {
+	subtree
 	closedSeconds float64
 	openVec       []float64 // feature vector of the open pipeline so far
-	openSrcCard   float64   // scan cardinality driving the open pipeline
-	card          float64   // output cardinality of the subtree
-	width         float64   // approximate tuple width of the subtree output
+	// tail is the terminal aggregate's scan pipeline in seconds at the full
+	// relation set, and 0 below it.
+	tail float64
 	// openPred memoizes the open pipeline's predicted seconds. States are
 	// immutable once created — extending the pipeline builds a new state —
 	// so the memo can never go stale; it is simply computed on first use.
@@ -68,21 +84,32 @@ type t3State struct {
 	openPredOK bool
 }
 
-// T3CostModel prices join trees with a trained T3 model. Every DP step
-// makes at most two model calls: one for the build side's now-closed
-// pipeline, and one — memoized per state — for the extended open pipeline
-// the first time Total compares it.
+// T3CostModel prices join trees with a trained T3 model, on the vectors
+// feature.Registry encodes for the plan TreeToPlan builds (see encoder).
+// Every DP step makes at most two model calls: one for the build side's
+// now-closed pipeline, and one — memoized per state — for the extended open
+// pipeline the first time Total compares it. The terminal aggregate's scan
+// pipeline, the same for every tree, is priced once, when the model is built,
+// and is not counted in Calls (see Result.ModelCalls).
 type T3CostModel struct {
 	pred   *treec.Packed
-	feat   *t3feat
+	enc    *encoder
 	oracle Oracle
 	calls  int
+	tail   float64 // the aggregate's scan pipeline in seconds
 }
 
 // NewT3Cost builds the T3 cost model over the packed evaluator pred and its
-// registry reg; the oracle supplies subset cardinalities.
+// registry reg; the oracle supplies subset cardinalities. Pricing the
+// aggregate's scan pipeline asks it for the full join's.
 func NewT3Cost(pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec, oracle Oracle) *T3CostModel {
-	return &T3CostModel{pred: pred, feat: newT3Feat(reg, inst, spec), oracle: oracle}
+	m := &T3CostModel{pred: pred, enc: newEncoder(reg, inst, spec), oracle: oracle}
+	if len(spec.Rels) > 0 {
+		vec := make([]float64, reg.NumFeatures())
+		src := m.enc.aggScanInto(vec, oracle)
+		m.tail = scaleSeconds(pred.Predict(vec), src)
+	}
+	return m
 }
 
 // Name identifies the model.
@@ -90,21 +117,25 @@ func (m *T3CostModel) Name() string { return "T3" }
 
 // predict evaluates the compiled model for one pipeline vector and scales to
 // seconds.
-func (m *T3CostModel) predict(vec []float64, srcCard float64) float64 {
+func (m *T3CostModel) predict(vec []float64, src float64) float64 {
 	m.calls++
-	return scaleSeconds(m.pred.Predict(vec), srcCard)
+	return scaleSeconds(m.pred.Predict(vec), src)
+}
+
+// tailFor returns the seconds the terminal aggregate's scan pipeline adds to
+// a subtree over set: all of them at the full set, none below it.
+func (m *T3CostModel) tailFor(set uint64) float64 {
+	if set != m.enc.full {
+		return 0
+	}
+	return m.tail
 }
 
 // Leaf starts an open pipeline with the relation's scan stage.
 func (m *T3CostModel) Leaf(rel int) State {
-	vec := make([]float64, m.feat.reg.NumFeatures())
-	srcCard, card, width := m.feat.leafInto(vec, rel)
-	return &t3State{
-		openVec:     vec,
-		openSrcCard: srcCard,
-		card:        card,
-		width:       width,
-	}
+	vec := make([]float64, m.enc.reg.NumFeatures())
+	t := m.enc.leafInto(vec, rel)
+	return &t3State{subtree: t, openVec: vec, tail: m.tailFor(uint64(1) << uint(rel))}
 }
 
 // Join closes the build side's pipeline with a build stage (one model call)
@@ -113,189 +144,165 @@ func (m *T3CostModel) Leaf(rel int) State {
 func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State {
 	b := build.(*t3State)
 	p := probe.(*t3State)
+	keyW := m.enc.rels.keyWidths(buildSet, probeSet)[0]
 
 	// Close the build pipeline: append the hash-join build stage.
 	bvec := make([]float64, len(b.openVec))
-	m.feat.closeBuildInto(bvec, b.openVec, b.card, b.openSrcCard, b.width)
-	closed := b.closedSeconds + p.closedSeconds + m.predict(bvec, b.openSrcCard)
+	m.enc.closeBuildInto(bvec, b.openVec, b.subtree, keyW)
+	closed := b.closedSeconds + p.closedSeconds + m.predict(bvec, b.src)
 
 	// Extend the probe pipeline.
-	outCard := m.oracle.Card(buildSet | probeSet)
+	set := buildSet | probeSet
+	outCard := m.oracle.Card(set)
 	pvec := make([]float64, len(p.openVec))
-	m.feat.extendProbeInto(pvec, p.openVec, b.card, b.width, p.card, p.openSrcCard, p.width, outCard)
-	return &t3State{
-		closedSeconds: closed,
-		openVec:       pvec,
-		openSrcCard:   p.openSrcCard,
-		card:          outCard,
-		width:         p.width + b.width,
-	}
+	t := m.enc.extendProbeInto(pvec, p.openVec, b.subtree, p.subtree, set, outCard, keyW)
+	return &t3State{subtree: t, closedSeconds: closed, openVec: pvec, tail: m.tailFor(set)}
 }
 
-// Total prices the state: closed pipelines plus the current open pipeline.
-// The open-pipeline prediction is computed once per state and memoized —
-// states are immutable, so repeated Total calls (the DP compares every
-// candidate against the running best) are lookups, not model runs.
+// Total prices the state: closed pipelines, the current open pipeline, and
+// at the full set the aggregate's scan pipeline. The open-pipeline
+// prediction is computed once per state and memoized — states are immutable,
+// so repeated Total calls (the DP compares every candidate against the
+// running best) are lookups, not model runs.
 func (m *T3CostModel) Total(s State) float64 {
 	st := s.(*t3State)
 	if !st.openPredOK {
-		st.openPred = m.predict(st.openVec, st.openSrcCard)
+		st.openPred = m.predict(st.openVec, st.src)
 		st.openPredOK = true
 	}
-	return st.closedSeconds + st.openPred
+	return st.closedSeconds + st.openPred + st.tail
 }
 
 // Calls reports model invocations.
 func (m *T3CostModel) Calls() int { return m.calls }
 
-// t3feat translates join-tree state transitions into T3 feature-vector
-// edits. It is shared verbatim by the scalar cost model and the level-batched
-// enumerator, so the two paths produce bit-identical vectors by construction.
-type t3feat struct {
-	reg  *feature.Registry
-	rels *specEstimates
+// Stage keys of the plans TreeToPlan builds.
+var (
+	scanKey     = feature.StageKey{Op: plan.TableScanOp, Stage: plan.StageScan}
+	buildKey    = feature.StageKey{Op: plan.HashJoinOp, Stage: plan.StageBuild}
+	probeKey    = feature.StageKey{Op: plan.HashJoinOp, Stage: plan.StageProbe}
+	aggBuildKey = feature.StageKey{Op: plan.GroupByOp, Stage: plan.StageBuild}
+	aggScanKey  = feature.StageKey{Op: plan.GroupByOp, Stage: plan.StageScan}
+)
 
-	// cached registry locations
-	locScanCount, locScanCard, locScanOutPct                      int
-	locBuildCount, locBuildCard, locBuildSize, locBuildPct        int
-	locProbeCount, locProbeHT, locProbeRight, locProbeOut, locPOS int
-	// scan-predicate expression-percentage locations per relation, resolved
-	// once so leaf vectors need no map walks.
-	exprLocs [][]exprLoc
+// encoder writes the pipeline vectors of join trees over one spec. Each step
+// fills a feature.StageStats with what the stage TreeToPlan puts in the plan
+// would be annotated with — spec estimates for scans, oracle cardinalities
+// for joins — and folds it in with feature.Registry.AddStage, the serving
+// encoder's own code. So a tree's vectors are Registry.PlanVectors of its
+// plan, and the scalar cost model and the level-batched enumerator, which
+// share the encoder, produce bit-identical vectors by construction.
+type encoder struct {
+	reg      *feature.Registry
+	rels     *specEstimates
+	full     uint64  // the set of all relations
+	aggWidth float64 // output tuple width of the terminal aggregate
 }
 
-// exprLoc pairs a resolved vector index with the relation's precomputed
-// expression percentage.
-type exprLoc struct {
-	idx int
-	pct float64
+// newEncoder derives the spec's estimates and the terminal aggregate's shape.
+func newEncoder(reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec) *encoder {
+	return &encoder{
+		reg:      reg,
+		rels:     newSpecEstimator(inst, spec),
+		full:     uint64(1)<<uint(len(spec.Rels)) - 1,
+		aggWidth: float64(finalAgg(&plan.Node{}).OutWidth()),
+	}
 }
 
-// newT3Feat resolves registry locations and derives per-relation estimates.
-func newT3Feat(reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec) *t3feat {
-	f := &t3feat{reg: reg, rels: newSpecEstimator(inst, spec)}
-
-	scan := feature.StageKey{Op: plan.TableScanOp, Stage: plan.StageScan}
-	build := feature.StageKey{Op: plan.HashJoinOp, Stage: plan.StageBuild}
-	probe := feature.StageKey{Op: plan.HashJoinOp, Stage: plan.StageProbe}
-	f.locScanCount = reg.Location(scan, feature.FCount)
-	f.locScanCard = reg.Location(scan, feature.FInCard)
-	f.locScanOutPct = reg.Location(scan, feature.FOutPct)
-	f.locBuildCount = reg.Location(build, feature.FCount)
-	f.locBuildCard = reg.Location(build, feature.FInCard)
-	f.locBuildSize = reg.Location(build, feature.FInSize)
-	f.locBuildPct = reg.Location(build, feature.FInPct)
-	f.locProbeCount = reg.Location(probe, feature.FCount)
-	f.locProbeHT = reg.Location(probe, feature.FHTCard)
-	f.locProbeRight = reg.Location(probe, feature.FRightPct)
-	f.locProbeOut = reg.Location(probe, feature.FOutPct)
-	f.locPOS = reg.Location(probe, feature.FOutSize)
-
-	f.exprLocs = make([][]exprLoc, len(spec.Rels))
-	for rel := range spec.Rels {
-		for name, frac := range f.rels.exprPcts[rel] {
-			if i := reg.Location(scan, name); i >= 0 {
-				f.exprLocs[rel] = append(f.exprLocs[rel], exprLoc{idx: i, pct: frac})
-			}
-		}
+// leafInto writes relation rel's scan pipeline into vec (zeroing it first)
+// and returns the relation as a subtree. A lone relation is the whole plan,
+// so its pipeline also ends in the aggregate's build stage.
+func (e *encoder) leafInto(vec []float64, rel int) subtree {
+	clear(vec)
+	st := &e.rels.scans[rel]
+	src := st.In // clamped to one tuple, as feature.SourceCard clamps
+	if src < 1 {
+		src = 1
 	}
-	return f
+	e.reg.AddStage(vec, scanKey, st, src)
+	t := subtree{src: src, card: st.Out, width: st.OutWidth, scan: rel}
+	if uint64(1)<<uint(rel) == e.full {
+		e.finishInto(vec, t)
+	}
+	return t
 }
 
-// leafInto writes relation rel's scan-stage vector into vec (zeroing it
-// first) and returns the pipeline source cardinality, the relation's
-// estimated output cardinality, and its tuple width.
-func (f *t3feat) leafInto(vec []float64, rel int) (srcCard, card, width float64) {
-	for i := range vec {
-		vec[i] = 0
-	}
-	tableCard := f.rels.tableCards[rel]
-	relCard := f.rels.relCards[rel]
-	if f.locScanCount >= 0 {
-		vec[f.locScanCount] = 1
-	}
-	if f.locScanCard >= 0 {
-		vec[f.locScanCard] = tableCard
-	}
-	if f.locScanOutPct >= 0 && tableCard > 0 {
-		vec[f.locScanOutPct] = relCard / tableCard
-	}
-	for _, el := range f.exprLocs[rel] {
-		vec[el.idx] = el.pct
-	}
-	return tableCard, relCard, f.rels.widths[rel]
-}
-
-// closeBuildInto writes src extended by a hash-join build stage into dst
-// (dst and src must not overlap): the build side's open pipeline now ends by
-// materializing its hash table.
-func (f *t3feat) closeBuildInto(dst, src []float64, bCard, bSrcCard, bWidth float64) {
+// closeBuildInto writes b's open pipeline src, ended by the build stage of a
+// hash join keyed on a column keyW bytes wide, into dst (dst and src must not
+// overlap). DPSizeBatched prices one close row for every join over the same
+// build side and key width, so the stage carries what those determine only:
+// the default spec's HashJoin_Build features read nothing else.
+func (e *encoder) closeBuildInto(dst, src []float64, b subtree, keyW float64) {
 	copy(dst, src)
-	if f.locBuildCount >= 0 {
-		dst[f.locBuildCount]++
-	}
-	if f.locBuildCard >= 0 {
-		dst[f.locBuildCard] += bCard
-	}
-	if f.locBuildSize >= 0 {
-		dst[f.locBuildSize] += bWidth
-	}
-	if f.locBuildPct >= 0 && bSrcCard > 0 {
-		dst[f.locBuildPct] += bCard / bSrcCard
-	}
+	st := feature.StageStats{In: b.card, HTCard: b.card, MatWidth: b.width + keyW}
+	e.reg.AddStage(dst, buildKey, &st, b.src)
 }
 
-// extendProbeInto writes src extended by a hash-join probe stage into dst
-// (dst and src must not overlap): the probe side's open pipeline now flows
-// through the new join.
-func (f *t3feat) extendProbeInto(dst, src []float64, bCard, bWidth, pCard, pSrcCard, pWidth, outCard float64) {
+// extendProbeInto writes p's open pipeline src, extended by the probe stage
+// of the join of build side b and probe side p over set, into dst (dst and
+// src must not overlap), and returns the joined subtree. At the full set the
+// pipeline also ends in the aggregate's build stage.
+func (e *encoder) extendProbeInto(dst, src []float64, b, p subtree, set uint64, outCard, keyW float64) subtree {
 	copy(dst, src)
-	if f.locProbeCount >= 0 {
-		dst[f.locProbeCount]++
+	t := joined(b, p, outCard)
+	st := feature.StageStats{In: p.card, Out: outCard, OutWidth: t.width, HTCard: b.card, MatWidth: b.width + keyW}
+	e.reg.AddStage(dst, probeKey, &st, p.src)
+	if set == e.full {
+		e.finishInto(dst, t)
 	}
-	if f.locProbeHT >= 0 {
-		dst[f.locProbeHT] += bCard
+	return t
+}
+
+// finishInto appends to vec the build stage of the terminal aggregate over
+// the full join t: one group, fed by every tuple of t.
+func (e *encoder) finishInto(vec []float64, t subtree) {
+	st := feature.StageStats{In: t.card, Out: aggCard, OutWidth: e.aggWidth, HTCard: t.card, MatWidth: t.width}
+	e.reg.AddStage(vec, aggBuildKey, &st, t.src)
+}
+
+// aggScanInto writes into vec (zeroing it first) the pipeline scanning the
+// terminal aggregate, and returns that pipeline's clamped source cardinality.
+// It is the same for every join tree: only the full join's cardinality —
+// the oracle's, or a lone relation's estimate as leafInto takes it — and its
+// width enter.
+func (e *encoder) aggScanInto(vec []float64, oracle Oracle) float64 {
+	clear(vec)
+	card := e.rels.scans[0].Out
+	if e.full != 1 {
+		card = oracle.Card(e.full)
 	}
-	if f.locProbeRight >= 0 && pSrcCard > 0 {
-		dst[f.locProbeRight] += pCard / pSrcCard
-	}
-	if f.locProbeOut >= 0 && pSrcCard > 0 {
-		dst[f.locProbeOut] += outCard / pSrcCard
-	}
-	if f.locPOS >= 0 {
-		dst[f.locPOS] += pWidth + bWidth
-	}
+	st := feature.StageStats{In: aggCard, Out: aggCard, OutWidth: e.aggWidth, HTCard: card, MatWidth: e.rels.fullWidth}
+	e.reg.AddStage(vec, aggScanKey, &st, aggCard)
+	return aggCard
 }
 
 // specEstimates precomputes per-relation data shared by oracles and the T3
 // cost model.
 type specEstimates struct {
-	tableCards []float64
-	relCards   []float64 // after pushed predicates (estimated)
-	widths     []float64
-	exprPcts   []map[string]float64
-	edgeSels   []float64
+	// scans holds each relation's scan stage, as the serving encoder reads it
+	// off the estimated scan: In is the table cardinality, Out the estimated
+	// cardinality after pushed predicates.
+	scans     []feature.StageStats
+	edges     []workload.EdgeSpec
+	edgeSels  []float64
+	edgeKeyW  [][2]float64 // byte widths of each edge's A and B column
+	fullWidth float64      // output tuple width of the join of all relations
 }
 
 // newSpecEstimator derives relation-level estimates from instance
 // statistics.
 func newSpecEstimator(inst *workload.Instance, spec *workload.JoinSpec) *specEstimates {
 	est := &stats.Estimator{DB: inst.Stats}
-	se := &specEstimates{}
-	for _, rel := range spec.Rels {
+	se := &specEstimates{edges: spec.Edges}
+	schemas := make([][]plan.ColMeta, len(spec.Rels))
+	for r, rel := range spec.Rels {
 		scan := rel.Scan(inst)
 		est.Estimate(scan)
-		se.tableCards = append(se.tableCards, scan.ScanCard)
-		se.relCards = append(se.relCards, scan.OutCard.Est)
-		se.widths = append(se.widths, float64(scan.OutWidth()))
-		pcts := make(map[string]float64)
-		reach := 1.0
-		for i, pred := range scan.Predicates {
-			name := feature.FExprPrefix + pred.Class().String() + "_percentage"
-			pcts[name] += reach
-			reach *= scan.PredSel[i].Est
-		}
-		se.exprPcts = append(se.exprPcts, pcts)
+		schemas[r] = scan.Schema
+		var st feature.StageStats
+		st.Fill(&plan.Pipeline{Stages: []plan.StageRef{{Node: scan, Stage: plan.StageScan}}}, 0, plan.EstCards)
+		se.scans = append(se.scans, st)
+		se.fullWidth += st.OutWidth
 	}
 	for _, e := range spec.Edges {
 		ta := inst.Table(spec.Rels[e.A].Table)
@@ -303,6 +310,25 @@ func newSpecEstimator(inst *workload.Instance, spec *workload.JoinSpec) *specEst
 		da := float64(inst.Stats.Tables[ta.Name].Cols[spec.Rels[e.A].ScanCols[e.ACol]].Distinct)
 		db := float64(inst.Stats.Tables[tb.Name].Cols[spec.Rels[e.B].ScanCols[e.BCol]].Distinct)
 		se.edgeSels = append(se.edgeSels, 1/math.Max(math.Max(da, db), 1))
+		w := [2]float64{float64(schemas[e.A][e.ACol].Kind.Width()), float64(schemas[e.B][e.BCol].Kind.Width())}
+		se.edgeKeyW = append(se.edgeKeyW, w)
 	}
 	return se
+}
+
+// keyWidths returns the byte widths of the build keys TreeToPlan joins sets
+// a and b on, with a building and with b building: the building side's column
+// of the first spec edge crossing the two sets. Both orientations cross at the
+// same edge, so one scan of the edges serves both.
+func (se *specEstimates) keyWidths(a, b uint64) [2]float64 {
+	for i, e := range se.edges {
+		ea, eb := uint64(1)<<uint(e.A), uint64(1)<<uint(e.B)
+		switch w := se.edgeKeyW[i]; {
+		case a&ea != 0 && b&eb != 0:
+			return w
+		case a&eb != 0 && b&ea != 0:
+			return [2]float64{w[1], w[0]}
+		}
+	}
+	return [2]float64{}
 }

@@ -130,7 +130,9 @@ type EstOracle struct {
 func NewEstOracle(inst *workload.Instance, spec *workload.JoinSpec) *EstOracle {
 	o := &EstOracle{Spec: spec}
 	est := newSpecEstimator(inst, spec)
-	o.RelCard = est.relCards
+	for _, st := range est.scans {
+		o.RelCard = append(o.RelCard, st.Out)
+	}
 	o.EdgeSel = est.edgeSels
 	return o
 }
@@ -215,7 +217,11 @@ type dpEntry struct {
 type Result struct {
 	Tree *Tree
 	Cost float64
-	// ModelCalls counts cost-model invocations during optimization.
+	// ModelCalls counts cost-model invocations during optimization. For the
+	// T3 model these are the pipelines priced for join candidates (and, with
+	// one relation, its lone pipeline); the terminal aggregate's scan
+	// pipeline, priced once per spec and the same for every tree, is not
+	// counted, on either path, nor in T3CostModel.Calls.
 	ModelCalls int
 	// DPSteps counts candidate joins the dynamic program evaluated.
 	DPSteps int
@@ -394,11 +400,18 @@ func TreeToPlan(inst *workload.Instance, spec *workload.JoinSpec, t *Tree) *plan
 // the symmetric Cout function is not disadvantaged, §5.5 "Resulting Trees").
 func TreeToPlanSides(inst *workload.Instance, spec *workload.JoinSpec, t *Tree, oracle Oracle) *plan.Node {
 	node, _ := treeToPlan(inst, spec, t, oracle)
-	// Final aggregation to a single tuple, as in JOBJoinSpecs plans.
-	aggs := []plan.Agg{{Fn: plan.AggCount}}
-	names := []string{"cnt"}
-	return plan.NewGroupBy(node, nil, aggs, names)
+	return finalAgg(node)
 }
+
+// finalAgg is the aggregation to a single tuple every planned tree ends in,
+// as in JOBJoinSpecs plans.
+func finalAgg(in *plan.Node) *plan.Node {
+	return plan.NewGroupBy(in, nil, []plan.Agg{{Fn: plan.AggCount}}, []string{"cnt"})
+}
+
+// aggCard is finalAgg's output cardinality: a global aggregate yields one
+// group.
+const aggCard = 1.0
 
 // treeToPlan returns the plan and the column offset of each relation in the
 // output schema (-1 when absent).

@@ -190,16 +190,15 @@ func BenchmarkTreeKernels(b *testing.B) {
 	// masks/vector is the kernel's work as a count (Packed.MaskCounts): mask
 	// applications and checkpoint entries, those shared by a block counted
 	// once.
-	perVectorMasks := func(b *testing.B, shared, own int) {
+	perVectorMasks := func(b *testing.B, w treec.Work) {
 		perVector(b)
-		b.ReportMetric(float64(shared+own)/float64(len(vecs)), "masks/vector")
+		b.ReportMetric(float64(w.Shared+w.Own)/float64(len(vecs)), "masks/vector")
 	}
 	b.Run("rows", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			packed.PredictRowsInto(rows, stride, out, nil)
 		}
-		shared, own, _ := packed.MaskCounts(rows, stride, len(vecs))
-		perVectorMasks(b, shared, own)
+		perVectorMasks(b, packed.MaskCounts(rows, stride, len(vecs), nil))
 	})
 	b.Run("rows-short", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
@@ -209,12 +208,12 @@ func BenchmarkTreeKernels(b *testing.B) {
 				at = end
 			}
 		}
-		shared, own, at := 0, 0, 0
+		var w treec.Work
+		at := 0
 		for _, end := range ends {
-			s, o, _ := packed.MaskCounts(rows[at*stride:], stride, end-at)
-			shared, own, at = shared+s, own+o, end
+			w, at = w.Plus(packed.MaskCounts(rows[at*stride:], stride, end-at, nil)), end
 		}
-		perVectorMasks(b, shared, own)
+		perVectorMasks(b, w)
 	})
 }
 
@@ -223,7 +222,11 @@ func BenchmarkTreeKernels(b *testing.B) {
 // DPSizeBatched on the calling goroutine, the oracle's memo warm. ns/row is
 // the elapsed time over the rows the enumerator sent to the model
 // (Result.ModelCalls) — featurization and the dynamic program included, so it
-// is an upper bound on what the kernel takes per candidate.
+// is an upper bound on what the kernel takes per candidate. masks/row and
+// lists/row are the kernel's work over the same rows as a count
+// (joinorder.KernelWork): mask applications and checkpoint entries, those a
+// block shares counted once, and scan-list searches, building the
+// enumeration's starts included.
 func BenchmarkJoinEnum(b *testing.B) {
 	m, err := t3.Load("models/t3_default.json")
 	if err != nil {
@@ -249,12 +252,18 @@ func BenchmarkJoinEnum(b *testing.B) {
 				}
 				return res
 			}
-			calls := enumerate().ModelCalls
+			res, work, err := joinorder.KernelWork(spec, m.Packed(), m.Registry(), inst, oracle, joinorder.BatchConfig{Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			calls := res.ModelCalls
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				enumerate()
 			}
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/row")
+			b.ReportMetric(float64(work.Shared+work.Own)/float64(calls), "masks/row")
+			b.ReportMetric(float64(work.Lists)/float64(calls), "lists/row")
 		})
 	}
 }

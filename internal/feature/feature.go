@@ -226,6 +226,17 @@ func (r *Registry) Location(k StageKey, feature string) int {
 	return i
 }
 
+// StageFeatures returns the vector indices of the features the registry
+// declares for stage k, in spec order: every slot AddStage can write for k.
+func (r *Registry) StageFeatures(k StageKey) []int {
+	es := r.entries[k.Op][k.Stage]
+	idx := make([]int, len(es))
+	for i, e := range es {
+		idx[i] = e.idx
+	}
+	return idx
+}
+
 // effectiveSourceCard clamps the pipeline input cardinality to at least one
 // tuple so that per-tuple targets stay defined for empty pipelines.
 func effectiveSourceCard(p *plan.Pipeline, mode plan.CardMode) float64 {

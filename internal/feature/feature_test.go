@@ -53,6 +53,27 @@ func TestRegistryLocation(t *testing.T) {
 	}
 }
 
+// TestStageFeatures: a stage's features are the slots Location gives its
+// declared names, in spec order, and a stage the spec does not declare has
+// none.
+func TestStageFeatures(t *testing.T) {
+	r := NewDefaultRegistry()
+	for k, names := range DefaultSpec() {
+		got := r.StageFeatures(k)
+		if len(got) != len(names) {
+			t.Fatalf("%s: %d features, spec declares %d", k, len(got), len(names))
+		}
+		for i, name := range names {
+			if got[i] != r.Location(k, name) {
+				t.Errorf("%s: feature %d is slot %d, Location(%s) %d", k, i, got[i], name, r.Location(k, name))
+			}
+		}
+	}
+	if got := r.StageFeatures(StageKey{Op: plan.TableScanOp, Stage: plan.StageBuild}); len(got) != 0 {
+		t.Errorf("TableScan_Build: features %v, want none", got)
+	}
+}
+
 // q5LikeTable builds a small table shaped like the paper's customer example.
 func q5LikeTable() *storage.Table {
 	n := 10000

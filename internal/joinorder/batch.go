@@ -29,11 +29,14 @@ import (
 //     closeBuildInto / extendProbeInto, each one feature.Registry.AddStage
 //     call), so they are equal by construction. Copy-on-extend happens
 //     directly into the arena.
-//   - Packed.PredictRowsInto takes the arena up to eight rows at a time and
-//     applies the decision nodes all of them fail once, but it still adds
-//     every row's tree contributions to that row's own sum in tree order,
-//     independent of blocking, flush boundaries, and worker count, so every
-//     prediction is bit-identical to a scalar Packed.Predict of the same row.
+//   - Packed.PredictRowsFrom takes the arena up to eight rows at a time,
+//     begins each row from its scan relation's start (the leaf vector's
+//     bitvectors; the row equals that vector outside startFeatures) and
+//     applies the decision nodes all rows of a block fail once, but it still
+//     adds every row's tree contributions to that row's own sum in tree
+//     order, independent of blocking, flush boundaries, and worker count, so
+//     every prediction is bit-identical to a scalar Packed.Predict of the
+//     same row.
 //   - Seconds are accumulated in the scalar path's exact float order:
 //     closed = (build.closed + probe.closed) + closePred; total = (closed +
 //     openPred) + tail, both via the shared scaleSeconds, where tail is the
@@ -65,14 +68,16 @@ import (
 // BatchConfig.MaxBatch is zero. Chunked flushing keeps each packed-tier call
 // cache-friendly on clique-shaped graphs whose waves hold thousands of rows.
 //
-// Batching pays twice. It is one kernel call for a wave instead of one per
-// candidate; and the rows of a wave are neighbours — extensions of the same
+// Batching pays three times. It is one kernel call for a wave instead of one
+// per candidate; the rows of a wave are neighbours — extensions of the same
 // few subplans, equal in most features, and placed next to each other — which
 // the kernel scores in blocks of up to eight that share every node all of
-// them fail (treec/quickscorer.go): with the kernel's checkpoints, a
-// candidate priced in a wave pays about a fifth of its false nodes in mask
-// applications. Only the one to three rows a flush leaves past a multiple of
-// eight share nothing.
+// them fail (treec/quickscorer.go); and every row begins from its scan
+// relation's start, so the scan stage's nodes are applied once per relation
+// and enumeration. On plan_enum's four graphs a row fails 2 651 nodes and the
+// kernel applies 323 masks for it, starts and checkpoints included, where
+// scoring every list from all leaves applies 515. Only the one to three rows
+// a flush leaves past a multiple of eight share no block.
 const DefaultMaxBatch = 2048
 
 // BatchConfig tunes the level-batched enumerator.
@@ -139,12 +144,23 @@ type batchEnum struct {
 	// the current wave (-1 when absent); closeTouched lists the slots to reset.
 	closeRowOf   []int32
 	closeTouched []int32
+	// starts holds, per relation, its leaf vector's start in the kernel
+	// (treec.Starts, over startFeatures); start[r] is arena row r's, the
+	// relation whose scan starts the row's pipeline. startsOf is the model
+	// and registry starts was made for.
+	starts   *treec.Starts
+	startsOf struct {
+		pred *treec.Packed
+		reg  *feature.Registry
+	}
+	start []int32
 }
 
 var batchPool sync.Pool
 
 // getBatchEnum checks scratch out of the pool and sizes it for the run.
-func getBatchEnum(stride, maxRows, n int) *batchEnum {
+func getBatchEnum(pred *treec.Packed, reg *feature.Registry, maxRows, n int) *batchEnum {
+	stride := reg.NumFeatures()
 	e, _ := batchPool.Get().(*batchEnum)
 	if e == nil {
 		e = &batchEnum{dp: make(map[uint64]int32, 1<<8)}
@@ -162,6 +178,12 @@ func getBatchEnum(stride, maxRows, n int) *batchEnum {
 	e.slots = e.slots[:0]
 	e.slotVec = e.slotVec[:0]
 	e.closeTouched = e.closeTouched[:0]
+	if e.startsOf.pred != pred || e.startsOf.reg != reg {
+		e.starts = pred.NewStarts(startFeatures(reg))
+		e.startsOf.pred, e.startsOf.reg = pred, reg
+	}
+	e.starts.Reset()
+	e.start = e.start[:0]
 	clear(e.dp)
 	if cap(e.bySize) < n+1 {
 		e.bySize = make([][]uint64, n+1)
@@ -174,6 +196,19 @@ func getBatchEnum(stride, maxRows, n int) *batchEnum {
 }
 
 func putBatchEnum(e *batchEnum) { batchPool.Put(e) }
+
+// startFeatures returns the features on which a row DPSizeBatched prices can
+// differ from the leaf vector of the relation whose scan starts its pipeline:
+// the features of the stages the encoder adds to a leaf — a hash join's build
+// and probe and the aggregate's build. On every other feature the row is that
+// leaf vector bit for bit, so the kernel starts it from the leaf's start.
+func startFeatures(reg *feature.Registry) []int {
+	var fs []int
+	for _, k := range []feature.StageKey{buildKey, probeKey, aggBuildKey} {
+		fs = append(fs, reg.StageFeatures(k)...)
+	}
+	return fs
+}
 
 // newSlot appends a fresh slot with slab-backed vector storage and returns
 // its index.
@@ -220,10 +255,12 @@ func (e *batchEnum) row(r int32) []float64 {
 
 // rowKey packs a wave candidate for ordering the arena: the relation whose
 // scan starts slot si's open pipeline, then si, then the candidate index,
-// which the low 32 bits keep. Rows of one key prefix carry the same scan
-// stage (and, per slot, the same whole pipeline), so the kernel's blocks of
-// them share most nodes they fail. Any order is sound — a wave's replay is
-// order-free — so a slot index past 26 bits only loosens the grouping.
+// which the low 32 bits keep. Rows of one key prefix begin from the same
+// start (the scan relation's) and carry the same probe-side pipeline per
+// slot, so a block of them takes the start as its shared bitvectors instead
+// of one copy per lane and shares most nodes its rows fail. Any order is
+// sound — a wave's replay is order-free — so a slot index past 26 bits only
+// loosens the grouping.
 func (e *batchEnum) rowKey(si, ci int32) uint64 {
 	return uint64(e.slots[si].scan)<<58 | uint64(si)<<32 | uint64(uint32(ci))
 }
@@ -290,6 +327,22 @@ func (e *batchEnum) orderLevel(levelSlotLo int32, nslots int) {
 // tree as that scalar reference for any BatchConfig (see the determinism
 // contract above).
 func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, oracle Oracle, cfg BatchConfig) (*Result, error) {
+	return dpSizeBatched(spec, pred, reg, inst, oracle, cfg, nil)
+}
+
+// KernelWork is DPSizeBatched that also counts what its kernel calls do, as
+// treec.Packed.MaskCounts counts it, the building of the enumeration's starts
+// included. The counts do not depend on cfg.Workers: the pool splits a flush
+// where the kernel's blocks do.
+func KernelWork(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, oracle Oracle, cfg BatchConfig) (*Result, treec.Work, error) {
+	var w treec.Work
+	res, err := dpSizeBatched(spec, pred, reg, inst, oracle, cfg, &w)
+	return res, w, err
+}
+
+// dpSizeBatched is DPSizeBatched, adding its kernel work to work if that is
+// not nil.
+func dpSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, oracle Oracle, cfg BatchConfig, work *treec.Work) (*Result, error) {
 	n := len(spec.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("joinorder: empty spec")
@@ -308,7 +361,7 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 	enc := newEncoder(reg, inst, spec)
 	stride := reg.NumFeatures()
 
-	e := getBatchEnum(stride, maxRows, n)
+	e := getBatchEnum(pred, reg, maxRows, n)
 	defer putBatchEnum(e)
 
 	start := time.Now()
@@ -325,10 +378,12 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		return scaleSeconds(pred.Predict(row), src)
 	}
 
-	// Leaves: one slot per relation, vector written straight into the slab.
+	// Leaves: one slot per relation, vector written straight into the slab,
+	// and its start: start r.
 	for r := 0; r < n; r++ {
 		si := e.newSlot()
 		t := enc.leafInto(e.slotVecOf(si), r)
+		e.starts.Add(e.slotVecOf(si))
 		s := &e.slots[si]
 		s.subtree = t
 		s.hasWinner = true
@@ -389,11 +444,12 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 			// candidate keyed otherwise (only on specs whose join columns
 			// differ in width) gets a close row of its own.
 			slices.Sort(e.wave)
-			e.rows = e.rows[:0]
+			e.rows, e.start = e.rows[:0], e.start[:0]
 			for _, wv := range e.wave {
 				c := &e.cands[uint32(wv)]
 				b, p := &e.slots[c.buildSlot], &e.slots[c.probeSlot]
 				enc.extendProbeInto(e.row(e.addRow()), e.slotVecOf(c.probeSlot), b.subtree, p.subtree, c.bs|c.ps, c.outCard, c.keyW)
+				e.start = append(e.start, int32(p.scan))
 			}
 			for _, wv := range e.wave {
 				c := &e.cands[uint32(wv)]
@@ -404,6 +460,7 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 				}
 				c.closeRow = e.addRow()
 				enc.closeBuildInto(e.row(c.closeRow), e.slotVecOf(c.buildSlot), b.subtree, c.keyW)
+				e.start = append(e.start, int32(b.scan))
 				if !b.buildPredOK && cr < 0 {
 					b.buildKeyW = c.keyW
 					e.closeRowOf[c.buildSlot] = c.closeRow
@@ -418,7 +475,10 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 			out := e.out[:nrows]
 			for lo := 0; lo < nrows; lo += maxRows {
 				hi := min(lo+maxRows, nrows)
-				pred.PredictRowsInto(e.rows[lo*stride:hi*stride], stride, out[lo:hi], pool)
+				pred.PredictRowsFrom(e.rows[lo*stride:hi*stride], stride, e.starts, e.start[lo:hi], out[lo:hi], pool)
+				if work != nil {
+					*work = work.Plus(pred.MaskCounts(e.rows[lo*stride:], stride, hi-lo, e.starts))
+				}
 				res.Batches++
 				if hi-lo > res.MaxBatch {
 					res.MaxBatch = hi - lo
@@ -531,6 +591,9 @@ func DPSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 	res.Tree = e.rebuildTree(full)
 	res.Cost = e.slots[si].total
 	res.DPSteps = steps
+	if work != nil {
+		*work = work.Plus(e.starts.Work())
+	}
 	recordEnumeration(res, time.Since(start))
 	return res, nil
 }

@@ -126,7 +126,11 @@ func sameVectors(reg *feature.Registry, got, want [][]float64) string {
 //     bit for bit;
 //   - its cost is what t3.Model.PredictPlan predicts for the plan: within
 //     1 ns of the sum of PredictPlan's per-pipeline seconds, and within 1 ns
-//     per pipeline of its total, which truncates each pipeline to whole ns.
+//     per pipeline of its total, which truncates each pipeline to whole ns;
+//   - every row the enumerator prices for the tree equals, outside the start
+//     set (StartFeatures), the leaf vector of the relation whose scan starts
+//     its pipeline, bit for bit — the precondition under which the kernel may
+//     begin the row from that leaf's start (treec.Starts).
 //
 // It holds for seeded random trees over contractCases' graphs, for the tree
 // DPSize chooses (which DPSizeBatched must choose too), and — on a small
@@ -176,9 +180,11 @@ func TestPlannerMatchesPredictPlan(t *testing.T) {
 				t.Fatalf("%s: %s", where, d)
 			}
 			checkPredictPlan(t, model, root, cost, where)
+			checkStartPrecondition(t, model.Registry(), cm, tree, where)
 
 			for i, reg := range regs {
 				cmr := joinorder.NewT3Cost(packs[i], reg, c.inst, c.spec, oracle)
+				checkStartPrecondition(t, reg, cmr, tree, where+", "+names[i])
 				vecs, cost := joinorder.PlannerPricing(cmr, tree)
 				want, ps := reg.PlanVectors(root, plan.EstCards)
 				if d := sameVectors(reg, vecs, want); d != "" {
@@ -196,6 +202,25 @@ func TestPlannerMatchesPredictPlan(t *testing.T) {
 		}
 	}
 	t.Logf("%d random trees over %d graphs, %d registries", checked, len(cases), 1+len(regs))
+}
+
+// checkStartPrecondition holds every row the enumerator prices for tree to
+// its scan relation's leaf vector on each feature outside the start set.
+func checkStartPrecondition(t *testing.T, reg *feature.Registry, cm *joinorder.T3CostModel, tree *joinorder.Tree, where string) {
+	t.Helper()
+	inSet := make([]bool, reg.NumFeatures())
+	for _, f := range joinorder.StartFeatures(reg) {
+		inSet[f] = true
+	}
+	rows, leaves := joinorder.PricedRows(cm, tree)
+	for i, row := range rows {
+		for f, x := range row {
+			if !inSet[f] && math.Float64bits(x) != math.Float64bits(leaves[i][f]) {
+				t.Fatalf("%s: priced row %d has %s = %v outside the start set, its scan relation's leaf vector %v",
+					where, i, reg.Names()[f], x, leaves[i][f])
+			}
+		}
+	}
 }
 
 // checkPredictPlan holds a planner cost (seconds) to PredictPlan of its plan.

@@ -22,8 +22,32 @@ func PlannerPricing(cm *T3CostModel, tree *Tree) (vecs [][]float64, cost float64
 	return append(vecs, root.openVec, aggScan), cm.Total(root)
 }
 
+// PricedRows replays a join tree through cm and returns the rows
+// DPSizeBatched prices for it — per join, its build side's close row and its
+// extended probe row — each with the leaf vector of the relation whose scan
+// starts the row's pipeline: the vector whose kernel start the row begins from.
+func PricedRows(cm *T3CostModel, tree *Tree) (rows, leaves [][]float64) {
+	var walk func(t *Tree) *t3State
+	walk = func(t *Tree) *t3State {
+		if t.Left == nil {
+			return cm.Leaf(t.Rel).(*t3State)
+		}
+		bs, ps := t.Left.Rels(), t.Right.Rels()
+		b, p := walk(t.Left), walk(t.Right)
+		closed := make([]float64, len(b.openVec))
+		cm.enc.closeBuildInto(closed, b.openVec, b.subtree, cm.enc.rels.keyWidths(bs, ps)[0])
+		j := cm.Join(b, p, bs, ps).(*t3State)
+		rows = append(rows, closed, j.openVec)
+		leaves = append(leaves, cm.Leaf(b.scan).(*t3State).openVec, cm.Leaf(j.scan).(*t3State).openVec)
+		return j
+	}
+	walk(tree)
+	return rows, leaves
+}
+
 // Test helpers the external tests share.
 var (
 	PlannerModel   = plannerModel
 	MixedWidthSpec = mixedWidthSpec
+	StartFeatures  = startFeatures
 )

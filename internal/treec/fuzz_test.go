@@ -223,10 +223,101 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	}
 	check(nil)
 	check(par.Sized(3))
+
+	checkStarts(t, rng, seed, m, packed, vs)
+}
+
+// checkStarts holds the start form to the same contract: PredictRowsFrom
+// over rows that equal a base vector outside a random feature set, each
+// starting from its base's start, gives Predict's and the interpreter's bits.
+// The set is empty (every row is its base, all work in the start), every
+// feature (the starts are all ones) or a random subset; there are one to four
+// bases, edge values planted on both sides of the set; rows take their bases
+// in runs or at random, so one block of eight holds one start or several. The
+// batch is scored whole, in its first one to eleven rows (tails of one to
+// three rows and narrow blocks), and repeated past two pool chunks, serially
+// and on three workers.
+func checkStarts(t *testing.T, rng *rand.Rand, seed int64, m *gbdt.Model, packed *Packed, vs [][]float64) {
+	t.Helper()
+	nf := m.NumFeatures
+	in := make([]bool, nf)
+	var set []int
+	mode := rng.Intn(6) // 0: the empty set, 1: every feature, else a random one
+	for f := range in {
+		if mode == 1 || mode > 1 && rng.Intn(2) == 0 {
+			in[f], set = true, append(set, f)
+		}
+	}
+	plant := func(v []float64, inSet bool) {
+		for c := rng.Intn(3); c > 0; c-- {
+			if f := rng.Intn(nf); in[f] == inSet {
+				v[f] = edgeValues[rng.Intn(len(edgeValues))]
+			}
+		}
+	}
+	s := packed.NewStarts(set)
+	bases := make([][]float64, 1+rng.Intn(4))
+	for i := range bases {
+		bases[i] = slices.Clone(vs[rng.Intn(len(vs))])
+		plant(bases[i], false)
+		if got := s.Add(bases[i]); got != int32(i) {
+			t.Fatalf("seed=%d: Add returned start %d, want %d", seed, got, i)
+		}
+	}
+
+	n := len(vs)
+	rows := make([]float64, 0, n*nf)
+	start := make([]int32, n)
+	runs := rng.Intn(2) == 0
+	for i, v := range vs {
+		if !runs || i == 0 || rng.Intn(6) == 0 {
+			start[i] = int32(rng.Intn(len(bases)))
+		} else {
+			start[i] = start[i-1]
+		}
+		row := slices.Clone(bases[start[i]])
+		for _, f := range set {
+			row[f] = v[f]
+		}
+		plant(row, true)
+		rows = append(rows, row...)
+	}
+	check := func(n int, pool *par.Pool) {
+		out := make([]float64, n)
+		packed.PredictRowsFrom(rows[:n*nf], nf, s, start[:n], out, pool)
+		for i := range out {
+			v := rows[i*nf : (i+1)*nf]
+			want, ref := packed.Predict(v), refFoldPredict(m, v)
+			if math.Float64bits(out[i]) != math.Float64bits(want) || math.Float64bits(out[i]) != math.Float64bits(ref) {
+				t.Fatalf("seed=%d set=%v rows=%d row=%d start=%d workers=%d: PredictRowsFrom=%v Predict=%v interpreter=%v v=%v",
+					seed, set, n, i, start[i], pool.Workers(), out[i], want, ref, v)
+			}
+		}
+	}
+	check(n, nil)
+	for k := 1; k <= min(11, n-1); k++ {
+		check(k, nil)
+	}
+	if w := packed.MaskCounts(rows, nf, n, s); len(set) == 0 && w != (Work{}) {
+		t.Fatalf("seed=%d: no feature in the set, but the rows' work is %+v", seed, w)
+	}
+	if len(set) == nf {
+		if w, all := packed.MaskCounts(rows, nf, n, s), packed.MaskCounts(rows, nf, n, nil); w != all {
+			t.Fatalf("seed=%d: every feature in the set, work %+v, PredictRowsInto's %+v", seed, w, all)
+		}
+	}
+	for len(start) <= 2*rowsPerTask {
+		rows = append(rows, rows[:n*nf]...)
+		start = append(start, start[:n]...)
+	}
+	check(len(start), nil)
+	check(len(start), par.Sized(3))
 }
 
 // FuzzTreeTiers fuzzes the reference/packed/rows equivalence contract over
-// random models and threshold-adversarial probe vectors. The named corpus
+// random models and threshold-adversarial probe vectors, in both of the rows
+// kernel's forms: from all leaves (PredictRowsInto) and from starts
+// (PredictRowsFrom, checkStarts). The named corpus
 // files under testdata/fuzz pin the shapes the bitvector kernel has limits on: one, exactly-full and three blocks of trees, a 63-leaf tree,
 // an oversized tree (walker fallback), and NaN, ±Inf and ±0 thresholds tied on
 // one feature; and the batches its block split turns on (shapeBatch):

@@ -42,6 +42,8 @@ type Packed struct {
 	// nil when a tree has more leaves than a bitvector holds, and
 	// PredictRowsInto then scores every row through Predict.
 	quick []qsBlock
+	// all is PredictRowsInto's one start: every leaf, before every list.
+	all *Starts
 }
 
 // Pack compiles a model into the packed form. It panics if the model exceeds
@@ -120,6 +122,12 @@ func Pack(m *gbdt.Model) *Packed {
 		}
 		p.quick = quick
 	}
+	every := make([]int, p.NumFeatures)
+	for f := range every {
+		every[f] = f
+	}
+	p.all = p.NewStarts(every)
+	p.all.Add(make([]float64, p.NumFeatures))
 	return p
 }
 
@@ -151,23 +159,38 @@ func (p *Packed) Predict(v []float64) float64 {
 // or single-worker runs serially and allocation-free). Every row's tree
 // contributions are added in tree order regardless of chunking or worker
 // count, so each out[i] is bit-identical to Predict(row i) — the determinism
-// contract the level-batched join enumerator is built on.
+// contract the level-batched join enumerator is built on. It is
+// PredictRowsFrom with every row starting from all leaves and searching every
+// scan list.
 func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool *par.Pool) {
-	nrows := len(out)
-	if nrows == 0 {
-		return
+	p.checkRows("PredictRowsInto", rows, stride, len(out))
+	p.predictRows(rows, stride, p.all, nil, out, pool)
+}
+
+// PredictRowsFrom is PredictRowsInto for rows that each equal a base vector
+// of s outside s's feature set: row i begins from start[i] of s and searches
+// only the set's scan lists. It is bit-identical to Predict as long as that
+// holds; a row that differs from its base elsewhere gets a wrong sum.
+func (p *Packed) PredictRowsFrom(rows []float64, stride int, s *Starts, start []int32, out []float64, pool *par.Pool) {
+	p.checkRows("PredictRowsFrom", rows, stride, len(out))
+	if s.p != p || len(start) < len(out) {
+		panic(fmt.Sprintf("treec: PredictRowsFrom has %d starts for %d rows, or starts of another ensemble", len(start), len(out)))
 	}
-	if stride < p.NumFeatures || len(rows) < nrows*stride {
-		panic(fmt.Sprintf("treec: PredictRowsInto rows has %d floats, want >= %d x %d at a stride of >= %d features",
-			len(rows), nrows, stride, p.NumFeatures))
+	for _, i := range start[:len(out)] {
+		if uint32(i) >= uint32(s.n) {
+			panic(fmt.Sprintf("treec: PredictRowsFrom row starts from %d of %d starts", i, s.n))
+		}
 	}
-	if pool.Workers() > 1 && nrows >= 2*rowsPerTask {
-		pool.For(nrows, rowsPerTask, func(lo, hi int) {
-			p.predictRows(rows[lo*stride:hi*stride], stride, out[lo:hi])
-		})
-		return
+	p.predictRows(rows, stride, s, start, out, pool)
+}
+
+// checkRows panics, naming fn, unless rows holds n rows at stride, each with
+// room for a feature vector. An empty batch passes whatever stride says.
+func (p *Packed) checkRows(fn string, rows []float64, stride, n int) {
+	if n > 0 && (stride < p.NumFeatures || len(rows) < n*stride) {
+		panic(fmt.Sprintf("treec: %s rows has %d floats, want >= %d x %d at a stride of >= %d features",
+			fn, len(rows), n, stride, p.NumFeatures))
 	}
-	p.predictRows(rows, stride, out)
 }
 
 // rowsPerTask is the pool split of PredictRowsInto: at 1 to 1.5 µs a row one
@@ -178,11 +201,28 @@ func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool
 // count.
 const rowsPerTask = 64
 
-// predictRows scores rows serially: the block-wise bitvector kernel when the
-// ensemble fits it, one Predict per row otherwise.
-func (p *Packed) predictRows(rows []float64, stride int, out []float64) {
+// predictRows scores rows from their starts, fanned across the pool in chunks
+// of rowsPerTask when there are enough of them.
+func (p *Packed) predictRows(rows []float64, stride int, s *Starts, start []int32, out []float64, pool *par.Pool) {
+	nrows := len(out)
+	if pool.Workers() > 1 && nrows >= 2*rowsPerTask {
+		pool.For(nrows, rowsPerTask, func(lo, hi int) {
+			var st []int32
+			if start != nil {
+				st = start[lo:hi]
+			}
+			p.predictSerial(rows[lo*stride:hi*stride], stride, s, st, out[lo:hi])
+		})
+		return
+	}
+	p.predictSerial(rows, stride, s, start, out)
+}
+
+// predictSerial scores rows serially: the block-wise bitvector kernel when
+// the ensemble fits it, one Predict per row otherwise, starts ignored.
+func (p *Packed) predictSerial(rows []float64, stride int, s *Starts, start []int32, out []float64) {
 	if p.quick != nil {
-		p.scoreRows(rows, stride, out)
+		p.scoreRows(rows, stride, s, start, out)
 		return
 	}
 	for r := range out {

@@ -34,6 +34,12 @@ import (
 // lanes; its last one to three go through the one-row kernel, which for so
 // few is faster than a block's eight-lane set-up and read-out.
 //
+// A row need not start from all leaves. Rows that equal a base vector on every
+// feature outside a set can start from the base's start (Starts): the
+// bitvectors its nodes on those features leave. They then search the set's
+// lists only. PredictRowsInto is the case of one all-ones start and every
+// list.
+//
 // Trees are grouped into blocks of at most qsBlockTrees so one block's
 // bitvectors, fixed arrays in the kernel's frame, stay in L1 and a tree id
 // fits a byte.
@@ -45,17 +51,24 @@ const (
 	qsCkStride   = 32
 )
 
-// qsList is one feature's scan list: nodes [previous list's end, end) of the
-// block's arrays. first repeats the list's first threshold, so a row that
-// passes the whole list — a zero feature, mostly — is told by one compare
-// against this small array, the node arrays untouched. ck is the index in
-// ckOff of the list's first checkpoint.
+// qsList is one feature's scan list: nodes [begin, end) of the block's
+// arrays, end being the next list's begin. first repeats the list's first
+// threshold, so a row that passes the whole list — a zero feature, mostly — is
+// told by one compare against this small array, the node arrays untouched. ck
+// is the index in ckOff of the list's first checkpoint: a block has at most
+// qsBlockTrees*(qsMaxLeaves-1)/qsCkStride of them, so it fits 16 bits, and a
+// list 16 bytes.
 type qsList struct {
 	first float32
 	feat  uint16
-	ck    int32
+	ck    uint16
+	begin int32
 	end   int32
 }
+
+// A block's checkpoint count fits qsList.ck; the conversion fails to compile
+// otherwise.
+const _ = uint16(qsBlockTrees * (qsMaxLeaves - 1) / qsCkStride)
 
 // qsBlock holds up to qsBlockTrees consecutive multi-node trees: their
 // decision nodes as parallel arrays (13 bytes a node) cut into one scan list
@@ -134,7 +147,7 @@ func (b *qsBlock) seal() {
 	for i, o := range order {
 		thr[i], tree[i], mask[i] = b.thr[o], b.tree[o], b.mask[o]
 		if i == 0 || b.feat[o] != b.feat[order[i-1]] {
-			b.lists = append(b.lists, qsList{first: thr[i], feat: b.feat[o]})
+			b.lists = append(b.lists, qsList{first: thr[i], feat: b.feat[o], begin: int32(i)})
 		}
 		b.lists[len(b.lists)-1].end = int32(i + 1)
 	}
@@ -153,7 +166,7 @@ func (b *qsBlock) seal() {
 		at := 0
 		for i := range b.lists {
 			l := &b.lists[i]
-			l.ck = int32(len(b.ckOff) - 1)
+			l.ck = uint16(len(b.ckOff) - 1)
 			for t := range and {
 				and[t] = ^uint64(0)
 			}
@@ -184,10 +197,11 @@ func (b *qsBlock) seal() {
 // qsCkStride, failed to its end, starts from the one before.
 func checkpoint(k, n int) int { return min(k, n-1) / qsCkStride }
 
-// prefix splits the first k nodes of list l, which begins at node at, into
-// the runs that apply them: the entries of its checkpoint (none for a prefix
-// shorter than a stride), then the nodes [from, at+k) past it.
-func (b *qsBlock) prefix(l qsList, at, k int) (ckTree []uint8, ckMask []uint64, from int) {
+// prefix splits the first k nodes of list l into the runs that apply them:
+// the entries of its checkpoint (none for a prefix shorter than a stride),
+// then the nodes [from, l.begin+k) past it.
+func (b *qsBlock) prefix(l qsList, k int) (ckTree []uint8, ckMask []uint64, from int) {
+	at := int(l.begin)
 	c := checkpoint(k, int(l.end)-at)
 	if c == 0 {
 		return nil, nil, at
@@ -200,34 +214,34 @@ func (b *qsBlock) prefix(l qsList, at, k int) (ckTree []uint8, ckMask []uint64, 
 // prefixCost is the number of ANDs that apply the first k nodes of list l
 // through prefix: never more than k, since a checkpoint has at most one entry
 // per node it stands for.
-func (b *qsBlock) prefixCost(l qsList, at, k int) int {
-	ckTree, _, from := b.prefix(l, at, k)
-	return len(ckTree) + at + k - from
+func (b *qsBlock) prefixCost(l qsList, k int) int {
+	ckTree, _, from := b.prefix(l, k)
+	return len(ckTree) + int(l.begin) + k - from
 }
 
-// andPrefix applies the first k nodes of list l, which begins at node at, to
-// the bitvectors bv.
-func (b *qsBlock) andPrefix(bv *[qsBlockTrees]uint64, l qsList, at, k int) {
-	ckTree, ckMask, from := b.prefix(l, at, k)
+// andPrefix applies the first k nodes of list l to the bitvectors bv.
+func (b *qsBlock) andPrefix(bv *[qsBlockTrees]uint64, l qsList, k int) {
+	ckTree, ckMask, from := b.prefix(l, k)
 	if len(ckTree) > 0 {
 		andMasks(bv, ckTree, ckMask)
 	}
-	if from < at+k {
-		andMasks(bv, b.tree[from:at+k], b.mask[from:at+k])
+	if end := int(l.begin) + k; from < end {
+		andMasks(bv, b.tree[from:end], b.mask[from:end])
 	}
 }
 
-// falseCount returns how many nodes of scan list l, which begins at thr[at],
-// are false for the feature value x. It searches on the walker's own
-// predicate, not its complement: x <= float64(thr) is false along a prefix
-// and true from there on (NaN thresholds sort first), and never true for a
-// NaN x, which so fails the whole list and goes right at every node, as in
-// Predict.
-func falseCount(thr []float32, at int, l qsList, x float64) int {
-	if x <= float64(l.first) {
+// falseCount returns how many nodes of a scan list — thr[at:end], the first
+// of them first — are false for the feature value x. It searches on the
+// walker's own predicate, not its complement: x <= float64(thr) is false along
+// a prefix and true from there on (NaN thresholds sort first), and never true
+// for a NaN x, which so fails the whole list and goes right at every node, as
+// in Predict. It takes the list's fields, not the qsList: passed whole, the
+// list was copied through the stack on every call of the kernels' loops.
+func falseCount(thr []float32, first float32, at, end int, x float64) int {
+	if x <= float64(first) {
 		return 0
 	}
-	lo, hi := at+1, int(l.end)
+	lo, hi := at+1, end
 	for lo < hi {
 		mid := int(uint(lo+hi) >> 1)
 		if x <= float64(thr[mid]) {
@@ -239,13 +253,14 @@ func falseCount(thr []float32, at int, l qsList, x float64) int {
 	return lo - at
 }
 
-// falseCounts is falseCount for the len(k) rows at v, a stride apart: k[r]
-// for row r, and the least of them — the block split, the prefix of the list
-// that every row fails.
-func falseCounts(thr []float32, at int, l qsList, v []float64, stride int, k []int) (minK int) {
-	minK = int(l.end) - at
+// falseCounts is falseCount on list l for the len(k) rows at v, a stride
+// apart: k[r] for row r, and the least of them — the block split, the prefix
+// of the list that every row fails.
+func falseCounts(thr []float32, l qsList, v []float64, stride int, k []int) (minK int) {
+	first, at, end, feat := l.first, int(l.begin), int(l.end), int(l.feat)
+	minK = end - at
 	for r := range k {
-		k[r] = falseCount(thr, at, l, v[r*stride+int(l.feat)])
+		k[r] = falseCount(thr, first, at, end, v[r*stride+feat])
 		minK = min(minK, k[r])
 	}
 	return minK
@@ -277,21 +292,117 @@ func andMasksLane(bv *[qsBlockTrees][qsRows]uint64, lane uint, tree []uint8, mas
 	}
 }
 
-// scoreRows is the kernel behind PredictRowsInto: blocks of qsRows rows, the
-// last of them as short as the batch leaves it if that is at least qsMinBlock
-// rows, and otherwise those last rows one by one through scoreOne. Either way
-// a row's leaves are added to Base in tree order, so every sum is
-// bit-identical to Predict's.
-func (p *Packed) scoreRows(rows []float64, stride int, out []float64) {
+// Starts are start bitvectors for rows that each equal one of a few base
+// vectors on every feature outside a fixed set. The start of a base vector is,
+// per tree, the leaves its decision nodes on the features outside the set
+// leave standing; a row that begins from its base's start walks only the scan
+// lists of the set's features. That is exact: outside the set the row's values
+// are its base's bit for bit, so it fails the nodes there that the base does,
+// and AND is commutative and idempotent, so applying those nodes once, before
+// the row's own, leaves every bitvector — and every sum, still taken in tree
+// order — what the full walk gives.
+//
+// The join enumerator uses them: every row it prices is a relation's scan
+// pipeline plus join and aggregate stages, so it builds one start per relation
+// and per enumeration, and its rows search only the lists of those stages'
+// features. A Starts belongs to the Packed that made it; Add must not run
+// while the kernel reads it.
+type Starts struct {
+	p     *Packed
+	walk  [][]qsList // per kernel block, the lists on the set's features: what rows search
+	rest  [][]qsList // per kernel block, the other lists: what Add applies
+	trees int        // bitvectors a start holds, one per tree of the kernel
+	bv    []uint64   // start i's, from i*trees; kernel block bi's from bi*qsBlockTrees in it
+	n     int32      // starts added since Reset
+	work  Work       // what Add applied since Reset
+}
+
+// NewStarts returns an empty Starts for rows that may differ from their base
+// vector on the features feats lists (indices below NumFeatures) and no
+// other. For an ensemble the kernel does not hold, starts hold nothing and
+// the rows go through Predict.
+func (p *Packed) NewStarts(feats []int) *Starts {
+	in := make([]bool, p.NumFeatures)
+	for _, f := range feats {
+		in[f] = true
+	}
+	s := &Starts{p: p}
+	for bi := range p.quick {
+		b := &p.quick[bi]
+		var walk, rest []qsList
+		for _, l := range b.lists {
+			if in[l.feat] {
+				walk = append(walk, l)
+			} else {
+				rest = append(rest, l)
+			}
+		}
+		s.walk, s.rest = append(s.walk, walk), append(s.rest, rest)
+		s.trees += len(b.leafOff)
+	}
+	return s
+}
+
+// Reset drops every start, keeping the storage.
+func (s *Starts) Reset() {
+	s.bv, s.n, s.work = s.bv[:0], 0, Work{}
+}
+
+// Add computes the start of base, a vector of at least NumFeatures values,
+// and returns its index: 0 for the first since Reset, then 1, 2, ....
+func (s *Starts) Add(base []float64) int32 {
+	var bv [qsBlockTrees]uint64
+	for bi := range s.p.quick {
+		b := &s.p.quick[bi]
+		for t := range b.leafOff {
+			bv[uint8(t)] = ^uint64(0)
+		}
+		for _, l := range s.rest[bi] {
+			k := falseCount(b.thr, l.first, int(l.begin), int(l.end), base[l.feat])
+			if k > 0 {
+				b.andPrefix(&bv, l, k)
+			}
+			s.work = s.work.Plus(Work{Own: b.prefixCost(l, k), PerRow: k, Lists: 1})
+		}
+		s.bv = append(s.bv, bv[:len(b.leafOff)]...)
+	}
+	s.n++
+	return s.n - 1
+}
+
+// Work returns what Add applied since Reset, in MaskCounts' terms: each
+// start is one row scored alone over the lists outside the set.
+func (s *Starts) Work() Work { return s.work }
+
+// block returns start i's bitvectors for kernel block bi.
+func (s *Starts) block(i int32, bi int) []uint64 {
+	at := int(i)*s.trees + bi*qsBlockTrees
+	return s.bv[at : at+len(s.p.quick[bi].leafOff)]
+}
+
+// startOf is row r's start: start[r], or 0 for every row when start is nil.
+func startOf(start []int32, r int) int32 {
+	if start == nil {
+		return 0
+	}
+	return start[r]
+}
+
+// scoreRows is the kernel behind PredictRowsInto and PredictRowsFrom: blocks
+// of qsRows rows, the last of them as short as the batch leaves it if that is
+// at least qsMinBlock rows, and otherwise those last rows one by one through
+// scoreOne, every row from its start in s. Either way a row's leaves are added
+// to Base in tree order, so every sum is bit-identical to Predict's.
+func (p *Packed) scoreRows(rows []float64, stride int, s *Starts, start []int32, out []float64) {
 	n := len(out)
 	if tail := n % qsRows; tail < qsMinBlock {
 		n -= tail
 		for r := n; r < len(out); r++ {
-			out[r] = p.scoreOne(rows[r*stride:])
+			out[r] = p.scoreOne(rows[r*stride:], s, startOf(start, r))
 		}
 	}
 	if n > 0 {
-		p.scoreBlocks(rows, stride, out[:n])
+		p.scoreBlocks(rows, stride, s, start, out[:n])
 	}
 }
 
@@ -299,17 +410,33 @@ func (p *Packed) scoreRows(rows []float64, stride int, out []float64) {
 // qsMinBlock of them, as one narrower block. The bitvectors are tree-major,
 // so one cache line holds a tree's eight rows, and the eight sums are locals,
 // not an array, so they stay in registers; a narrower block's unused lanes
-// keep every leaf and are summed and dropped.
-func (p *Packed) scoreBlocks(rows []float64, stride int, out []float64) {
+// keep the start of its last row and are summed and dropped. A block whose
+// rows share one start, as every block of PredictRowsInto does, takes it as
+// its shared bitvectors; otherwise each lane copies its own start.
+func (p *Packed) scoreBlocks(rows []float64, stride int, s *Starts, start []int32, out []float64) {
 	var shared [qsBlockTrees]uint64
 	var own [qsBlockTrees][qsRows]uint64
 	for r0 := 0; r0 < len(out); r0 += qsRows {
 		m := min(qsRows, len(out)-r0)
 		v := rows[r0*stride : (r0+m-1)*stride+p.NumFeatures]
+		var lane [qsRows]int32 // each lane's start
+		uniform := true
+		if start != nil {
+			for r := range lane {
+				lane[r] = start[r0+min(r, m-1)]
+				uniform = uniform && lane[r] == lane[0]
+			}
+		}
 		s0, s1, s2, s3, s4, s5, s6, s7 := p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base, p.Base
 		for bi := range p.quick {
 			b := &p.quick[bi]
-			b.failBlock(v, stride, m, &shared, &own)
+			var from [qsRows][]uint64
+			if from[0] = s.block(lane[0], bi); !uniform {
+				for r, i := range lane {
+					from[r] = s.block(i, bi)
+				}
+			}
+			b.failBlock(s.walk[bi], v, stride, m, &from, uniform, &shared, &own)
 			leaves := b.leaves
 			for t, off := range b.leafOff {
 				sh, o, lv := shared[uint8(t)], &own[uint8(t)], leaves[off:]
@@ -334,31 +461,47 @@ func (p *Packed) scoreBlocks(rows []float64, stride int, out []float64) {
 }
 
 // failBlock sets the bitvectors of the block's trees for the m <= qsRows rows
-// at v: all leaves, minus those the rows' false nodes rule out — in shared the
-// nodes every row fails, in own[t][r] the rest of row r's, or all of them
-// when that is fewer ANDs.
-func (b *qsBlock) failBlock(v []float64, stride, m int, shared *[qsBlockTrees]uint64, own *[qsBlockTrees][qsRows]uint64) {
-	var all [qsRows]uint64
-	for r := range all {
-		all[r] = ^uint64(0)
-	}
-	for t := range b.leafOff {
-		shared[uint8(t)], own[uint8(t)] = ^uint64(0), all
+// at v, lane r starting from from[r]: those leaves, minus the ones the rows'
+// false nodes on lists rule out — in shared the nodes every row fails, in
+// own[t][r] the rest of row r's, or all of them when that is fewer ANDs. When
+// uniform, every lane's start is from[0] and becomes shared; otherwise lane
+// r's becomes own[t][r], written word by word: building a tree's eight lanes
+// in a temporary and copying it stalled on every copy and took an eighth of
+// the join enumerator's time.
+func (b *qsBlock) failBlock(lists []qsList, v []float64, stride, m int, from *[qsRows][]uint64, uniform bool, shared *[qsBlockTrees]uint64, own *[qsBlockTrees][qsRows]uint64) {
+	nt := len(b.leafOff)
+	if uniform {
+		var all [qsRows]uint64
+		for r := range all {
+			all[r] = ^uint64(0)
+		}
+		copy(shared[:nt], from[0])
+		for t := range own[:nt] {
+			own[t] = all
+		}
+	} else {
+		f0, f1, f2, f3 := from[0][:nt], from[1][:nt], from[2][:nt], from[3][:nt]
+		f4, f5, f6, f7 := from[4][:nt], from[5][:nt], from[6][:nt], from[7][:nt]
+		for t := range own[:nt] {
+			shared[t] = ^uint64(0)
+			o := &own[t]
+			o[0], o[1], o[2], o[3], o[4], o[5], o[6], o[7] = f0[t], f1[t], f2[t], f3[t], f4[t], f5[t], f6[t], f7[t]
+		}
 	}
 	thr, tree, mask := b.thr, b.tree, b.mask
-	at := 0
-	for _, l := range b.lists {
+	for _, l := range lists {
 		var k [qsRows]int
-		minK := falseCounts(thr, at, l, v, stride, k[:m])
+		minK := falseCounts(thr, l, v, stride, k[:m])
 		if minK > 0 {
-			b.andPrefix(shared, l, at, minK)
+			b.andPrefix(shared, l, minK)
 		}
+		at := int(l.begin)
 		for r, kr := range k[:m] {
 			if kr == minK {
 				continue
 			}
 			lo := at + minK
-			if ckTree, ckMask, from := b.prefix(l, at, kr); len(ckTree)+at+kr-from < kr-minK {
+			if ckTree, ckMask, from := b.prefix(l, kr); len(ckTree)+at+kr-from < kr-minK {
 				andMasksLane(own, uint(r), ckTree, ckMask)
 				lo = from
 			}
@@ -366,65 +509,82 @@ func (b *qsBlock) failBlock(v []float64, stride, m int, shared *[qsBlockTrees]ui
 				andMasksLane(own, uint(r), tree[lo:at+kr], mask[lo:at+kr])
 			}
 		}
-		at = int(l.end)
 	}
 }
 
-// scoreOne scores the one row v: the same search, each list's whole prefix
-// applied through its checkpoint to one bitvector per tree. Its frame is a
-// ninth of scoreBlocks's, which a short call would otherwise clear.
-func (p *Packed) scoreOne(v []float64) float64 {
+// scoreOne scores the one row v from start i of s: the same search, each
+// list's whole prefix applied through its checkpoint to one bitvector per
+// tree. Its frame is a ninth of scoreBlocks's, which a short call would
+// otherwise clear.
+func (p *Packed) scoreOne(v []float64, s *Starts, i int32) float64 {
 	var bv [qsBlockTrees]uint64
-	s := p.Base
+	sum := p.Base
 	for bi := range p.quick {
 		b := &p.quick[bi]
-		for t := range b.leafOff {
-			bv[uint8(t)] = ^uint64(0)
-		}
-		at := 0
-		for _, l := range b.lists {
-			if k := falseCount(b.thr, at, l, v[l.feat]); k > 0 {
-				b.andPrefix(&bv, l, at, k)
+		copy(bv[:], s.block(i, bi))
+		for _, l := range s.walk[bi] {
+			if k := falseCount(b.thr, l.first, int(l.begin), int(l.end), v[l.feat]); k > 0 {
+				b.andPrefix(&bv, l, k)
 			}
-			at = int(l.end)
 		}
 		leaves := b.leaves
 		for t, off := range b.leafOff {
-			s += leaves[int(off)+bits.TrailingZeros64(bv[uint8(t)])]
+			sum += leaves[int(off)+bits.TrailingZeros64(bv[uint8(t)])]
 		}
 	}
-	return s
+	return sum
+}
+
+// Work is the kernel's work as counts, not time.
+type Work struct {
+	// Shared counts the masks, checkpoint entries included, applied once for
+	// a whole block of up to qsRows rows.
+	Shared int
+	// Own counts the masks applied to a single row's bitvectors; rows scored
+	// one by one count all theirs here.
+	Own int
+	// PerRow is what a kernel with neither the block split nor the
+	// checkpoints applies: every row's false nodes on the lists it searches,
+	// Σ k.
+	PerRow int
+	// Lists counts the list searches: one per row and list searched.
+	Lists int
+}
+
+// Plus returns the sum of two counts.
+func (w Work) Plus(o Work) Work {
+	return Work{Shared: w.Shared + o.Shared, Own: w.Own + o.Own, PerRow: w.PerRow + o.PerRow, Lists: w.Lists + o.Lists}
 }
 
 // MaskCounts runs the kernel's search, block split and checkpoint choices
-// over n rows laid out as for PredictRowsInto, without scoring them, and
-// returns how many masks the kernel applies — checkpoint entries included:
-// shared, once for a whole block of up to qsRows rows, and own, to a single
-// row's bitvector; the rows scored one by one count all theirs as own.
-// perRow is what a kernel with neither the split nor the checkpoints applies
-// — every row's false nodes, Σ k. An ensemble the kernel does not hold counts nothing.
-func (p *Packed) MaskCounts(rows []float64, stride, n int) (shared, own, perRow int) {
+// over n rows laid out as for PredictRowsFrom with starts s (nil: every list,
+// as PredictRowsInto), without scoring them, and returns the work. What the
+// starts themselves applied is s.Work, counted once for all the rows that
+// begin from them. An ensemble the kernel does not hold counts nothing.
+func (p *Packed) MaskCounts(rows []float64, stride, n int, s *Starts) (w Work) {
+	if s == nil {
+		s = p.all
+	}
 	for bi := range p.quick {
 		b := &p.quick[bi]
-		at := 0
-		for _, l := range b.lists {
+		for _, l := range s.walk[bi] {
 			for r0 := 0; r0 < n; r0 += qsRows {
 				var k [qsRows]int
 				m := min(qsRows, n-r0)
-				minK := falseCounts(b.thr, at, l, rows[r0*stride:], stride, k[:m])
+				minK := falseCounts(b.thr, l, rows[r0*stride:], stride, k[:m])
+				w.Lists += m
 				if m < qsMinBlock {
 					for _, kr := range k[:m] {
-						own, perRow = own+b.prefixCost(l, at, kr), perRow+kr
+						w.Own, w.PerRow = w.Own+b.prefixCost(l, kr), w.PerRow+kr
 					}
 					continue
 				}
-				shared += b.prefixCost(l, at, minK)
+				w.Shared += b.prefixCost(l, minK)
 				for _, kr := range k[:m] {
-					own, perRow = own+min(kr-minK, b.prefixCost(l, at, kr)), perRow+kr
+					w.Own, w.PerRow = w.Own+min(kr-minK, b.prefixCost(l, kr)), w.PerRow+kr
 				}
 			}
-			at = int(l.end)
 		}
 	}
-	return shared, own, perRow
+	return w
 }

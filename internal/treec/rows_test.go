@@ -299,6 +299,53 @@ func TestPredictRowsIntoArguments(t *testing.T) {
 	}
 }
 
+// TestPredictRowsFromArguments: PredictRowsFrom checks the rows as
+// PredictRowsInto does, and panics explicitly when there are fewer starts
+// than rows, when a row names a start that was not added, or when the starts
+// belong to another ensemble.
+func TestPredictRowsFromArguments(t *testing.T) {
+	p, q := Pack(trainToy(t, 5, 4, 40)), Pack(trainToy(t, 5, 4, 41)) // 3 features
+	s := p.NewStarts([]int{1})
+	s.Add([]float64{1, 2, 3})
+	s.Add([]float64{4, 5, 6})
+	rows := []float64{1, 7, 3, 4, 8, 6}
+	for _, tc := range []struct {
+		name   string
+		p      *Packed
+		start  []int32
+		rows   int
+		panics string
+	}{
+		{"two rows, two starts", p, []int32{0, 1}, 2, ""},
+		{"no rows, no starts", p, nil, 0, ""},
+		{"one start short", p, []int32{0}, 2, "treec: PredictRowsFrom has"},
+		{"a start not added", p, []int32{0, 2}, 2, "treec: PredictRowsFrom row starts from 2 of 2"},
+		{"negative start", p, []int32{-1, 0}, 2, "treec: PredictRowsFrom row starts from -1"},
+		{"another ensemble's starts", q, []int32{0, 1}, 2, "treec: PredictRowsFrom has"},
+		{"short rows", p, []int32{0, 1, 0}, 3, "treec: PredictRowsFrom rows"},
+	} {
+		msg := func() (msg string) {
+			defer func() {
+				if r := recover(); r != nil {
+					msg = fmt.Sprint(r)
+				}
+			}()
+			tc.p.PredictRowsFrom(rows, 3, s, tc.start, make([]float64, tc.rows), nil)
+			return ""
+		}()
+		if (tc.panics == "") != (msg == "") || !strings.HasPrefix(msg, tc.panics) {
+			t.Errorf("%s: panic %q, want one starting %q", tc.name, msg, tc.panics)
+		}
+	}
+	out := make([]float64, 2)
+	p.PredictRowsFrom(rows, 3, s, []int32{0, 1}, out, nil)
+	for i := range out {
+		if want := p.Predict(rows[i*3 : i*3+3]); out[i] != want {
+			t.Errorf("row %d: PredictRowsFrom %v, Predict %v", i, out[i], want)
+		}
+	}
+}
+
 func parPool(workers int) *par.Pool { return par.Sized(workers) }
 
 // loneRowMasks counts, from the sorted layout and the walker's predicate but
@@ -352,14 +399,18 @@ func TestMaskCountsSharedPrefix(t *testing.T) {
 	unshared := 0
 	for r := range alone {
 		want, perRow := loneRowMasks(p, rows[r*stride:(r+1)*stride])
-		shared, own, gotPerRow := p.MaskCounts(rows[r*stride:], stride, 1)
-		if shared != 0 || own != want || gotPerRow != perRow {
-			t.Fatalf("row %d alone: shared %d, own %d, perRow %d, want 0, %d, %d", r, shared, own, gotPerRow, want, perRow)
+		w := p.MaskCounts(rows[r*stride:], stride, 1, nil)
+		if w.Shared != 0 || w.Own != want || w.PerRow != perRow {
+			t.Fatalf("row %d alone: shared %d, own %d, perRow %d, want 0, %d, %d", r, w.Shared, w.Own, w.PerRow, want, perRow)
 		}
 		alone[r], unshared = want, unshared+perRow
 	}
 
-	shared, own, perRow := p.MaskCounts(rows, stride, n)
+	w := p.MaskCounts(rows, stride, n, nil)
+	shared, own, perRow := w.Shared, w.Own, w.PerRow
+	if w.Lists != n*len(p.quick[0].lists) {
+		t.Fatalf("%d rows: %d list searches, want %d: every row searches every list", n, w.Lists, n*len(p.quick[0].lists))
+	}
 	if perRow != unshared {
 		t.Fatalf("%d rows: perRow %d, but the rows fail %d nodes", n, perRow, unshared)
 	}
@@ -372,7 +423,8 @@ func TestMaskCountsSharedPrefix(t *testing.T) {
 	// costs alone; from there on, near-duplicates share.
 	for m := 1; m <= qsRows; m++ {
 		for r0 := 0; r0+m <= n; r0 += 37 {
-			shared, own, _ := p.MaskCounts(rows[r0*stride:], stride, m)
+			w := p.MaskCounts(rows[r0*stride:], stride, m, nil)
+			shared, own := w.Shared, w.Own
 			sum := 0
 			for _, a := range alone[r0 : r0+m] {
 				sum += a
@@ -387,21 +439,64 @@ func TestMaskCountsSharedPrefix(t *testing.T) {
 	// The pool cuts a batch at multiples of rowsPerTask, a multiple of the
 	// block: no cut moves a row into another block, so the counts add up.
 	const long = 200 // 25 blocks; cut also where the second part is 8 rows
-	s0, o0, p0 := p.MaskCounts(rows, stride, long)
+	w0 := p.MaskCounts(rows, stride, long, nil)
 	for cut := rowsPerTask; cut < long; cut += rowsPerTask {
-		s1, o1, p1 := p.MaskCounts(rows, stride, cut)
-		s2, o2, p2 := p.MaskCounts(rows[cut*stride:], stride, long-cut)
-		if s1+s2 != s0 || o1+o2 != o0 || p1+p2 != p0 {
-			t.Fatalf("cut at %d: (%d, %d, %d) + (%d, %d, %d) != (%d, %d, %d)", cut, s1, o1, p1, s2, o2, p2, s0, o0, p0)
+		w1 := p.MaskCounts(rows, stride, cut, nil)
+		w2 := p.MaskCounts(rows[cut*stride:], stride, long-cut, nil)
+		if w1.Plus(w2) != w0 {
+			t.Fatalf("cut at %d: %+v + %+v != %+v", cut, w1, w2, w0)
 		}
 	}
 	if rowsPerTask%qsRows != 0 {
 		t.Fatalf("rowsPerTask %d is not a multiple of the block of %d rows: a chunk boundary would make a partial block", rowsPerTask, qsRows)
 	}
 
-	if allocs := testing.AllocsPerRun(10, func() { p.MaskCounts(rows, stride, n) }); allocs != 0 {
+	if allocs := testing.AllocsPerRun(10, func() { p.MaskCounts(rows, stride, n, nil) }); allocs != 0 {
 		t.Fatalf("MaskCounts allocates %.1f objects per run, want 0", allocs)
 	}
+}
+
+// TestMaskCountsStarts splits the work of rows that equal their base outside
+// a feature set: the rows search the set's lists only, and the false nodes
+// they no longer search are their base's, found once by Starts.Add — so the
+// rows' Σ k from their starts plus the base's Σ k outside the set, once per
+// row, is the Σ k of scoring them from all leaves, node for node.
+func TestMaskCountsStarts(t *testing.T) {
+	const stride, n = 64, 200
+	rng := rand.New(rand.NewSource(23))
+	m := &gbdt.Model{BaseScore: 1, NumFeatures: stride}
+	for i := 0; i < 200; i++ {
+		m.Trees = append(m.Trees, wideTree(rng, 30, stride))
+	}
+	p := Pack(m)
+	var set []int
+	for f := 0; f < stride; f += 4 {
+		set = append(set, f)
+	}
+	rows := nearDuplicateRows(rng, n, stride) // one base, redrawn features anywhere
+	base := slices.Clone(rows[:stride])
+	for r := 1; r < n; r++ {
+		for f := range base {
+			if f%4 != 0 {
+				rows[r*stride+f] = base[f]
+			}
+		}
+	}
+	s := p.NewStarts(set)
+	s.Add(base)
+	from, all := p.MaskCounts(rows, stride, n, s), p.MaskCounts(rows, stride, n, nil)
+	if want := n * len(s.walk[0]); from.Lists != want || len(s.walk[0]) >= len(p.quick[0].lists) {
+		t.Fatalf("rows from starts search %d lists, want %d of the %d", from.Lists, want, len(p.quick[0].lists))
+	}
+	if got := from.PerRow + n*s.Work().PerRow; got != all.PerRow {
+		t.Fatalf("Σ k from starts %d + %d rows × %d in the start = %d, from all leaves %d", from.PerRow, n, s.Work().PerRow, got, all.PerRow)
+	}
+	if s.Work().Lists != len(s.rest[0]) || from.Shared+from.Own >= all.Shared+all.Own {
+		t.Fatalf("start searched %d lists, want %d; masks from starts %d, from all leaves %d",
+			s.Work().Lists, len(s.rest[0]), from.Shared+from.Own, all.Shared+all.Own)
+	}
+	t.Logf("masks a row: %.1f from starts (+ %d once for the start) against %.1f from all leaves",
+		float64(from.Shared+from.Own)/n, s.Work().Own, float64(all.Shared+all.Own)/n)
 }
 
 // TestCheckpointLayout checks what seal records against the sorted nodes:
@@ -501,8 +596,8 @@ func TestCheckpointListEnds(t *testing.T) {
 		for r := 0; r < total; r++ {
 			v := rows[r*stride : (r+1)*stride]
 			want, _ := loneRowMasks(p, v)
-			if _, own, _ := p.MaskCounts(v, stride, 1); own != want {
-				t.Fatalf("%d nodes, row %v: %d masks, want %d", nodes, v, own, want)
+			if w := p.MaskCounts(v, stride, 1, nil); w.Own != want {
+				t.Fatalf("%d nodes, row %v: %d masks, want %d", nodes, v, w.Own, want)
 			}
 		}
 		for n := 1; n <= total; n++ {

@@ -45,6 +45,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzExecDifferential$$' -fuzztime $(FUZZTIME) ./internal/engine/exec/
 	go test -run xxx -fuzz '^FuzzTreeTiers$$' -fuzztime $(FUZZTIME) ./internal/treec/
 	go test -run xxx -fuzz '^FuzzGrow$$' -fuzztime $(FUZZTIME) ./internal/gbdt/
+	go test -run xxx -fuzz '^FuzzModelJSON$$' -fuzztime $(FUZZTIME) ./internal/gbdt/
 	go test -run xxx -fuzz '^FuzzRegistryDecode$$' -fuzztime $(FUZZTIME) ./internal/registry/
 	go test -run xxx -fuzz '^FuzzPlanIO$$' -fuzztime $(FUZZTIME) ./internal/planio/
 	go test -run xxx -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME) ./internal/sql/

@@ -12,6 +12,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"os"
 	"sync"
 	"testing"
 	"time"
@@ -128,6 +129,51 @@ func BenchmarkTable1_ModelEvalPacked(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		packed.Predict(vs[i%len(vs)])
 	}
+}
+
+// BenchmarkLoad times what a model load does with models/t3_default.json, step
+// by step: decode the document, encode it again (what a registry Put writes),
+// Pack it, and the whole t3.Load from the file.
+func BenchmarkLoad(b *testing.B) {
+	const path = "models/t3_default.json"
+	data, err := os.ReadFile(path)
+	if err != nil {
+		b.Fatal(err)
+	}
+	m, err := gbdt.DecodeJSON(data)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("decode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := gbdt.DecodeJSON(data); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("encode", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := m.AppendJSON(nil); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+	b.Run("pack", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			treec.Pack(m)
+		}
+	})
+	b.Run("t3.Load", func(b *testing.B) {
+		b.ReportAllocs()
+		for b.Loop() {
+			if _, err := t3.Load(path); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // BenchmarkTreeKernels is the regenerable half of EXPERIMENTS.md "Tree

@@ -1,6 +1,7 @@
 package t3
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/binary"
 	"encoding/hex"
@@ -49,9 +50,10 @@ func TestDefaultModelPackedGolden(t *testing.T) {
 }
 
 // TestCorpusModelGolden pins the model DefaultParams trains on the checked-in
-// corpus (testutil.SmallCorpus): the SHA-256 of its JSON, and the q-error
-// p50/p90/mean of its predictions on the training plans and on the held-out
-// TPC-DS plans, exactly. Training is deterministic for any worker count, so
+// corpus (testutil.SmallCorpus): the SHA-256 of its JSON, as json.Marshal and
+// the model's own AppendJSON both write it, and the q-error p50/p90/mean of
+// its predictions on the training plans and on the held-out TPC-DS plans,
+// exactly. Training is deterministic for any worker count, so
 // any change is a change to the trainer, the features or the served function.
 // A change that moves the q-errors updates them here and puts before → after
 // in CHANGES.md.
@@ -72,6 +74,11 @@ func TestCorpusModelGolden(t *testing.T) {
 	js, err := json.Marshal(m.Boosted())
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The pin is on the bytes the registry and Save write, which are
+	// encoding/json's.
+	if own, err := m.Boosted().AppendJSON(nil); err != nil || !bytes.Equal(own, js) {
+		t.Errorf("AppendJSON = %d bytes (err %v), json.Marshal %d bytes: they differ", len(own), err, len(js))
 	}
 	sum := sha256.Sum256(js)
 	if got := hex.EncodeToString(sum[:]); got != wantJSON {

@@ -1,19 +1,18 @@
 package gbdt
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"os"
 )
 
-// MarshalJSON-based persistence: models serialize to a self-contained JSON
-// document (thresholds are real values, so no binner state is needed for
-// prediction).
+// Models persist as a self-contained JSON document (thresholds are real
+// values, so no binner state is needed for prediction), read and written by
+// the codec in codec.go.
 
 // Save writes the model as JSON to path.
 func (m *Model) Save(path string) error {
-	data, err := json.Marshal(m)
+	data, err := m.AppendJSON(nil)
 	if err != nil {
 		return fmt.Errorf("gbdt: marshal model: %w", err)
 	}
@@ -29,14 +28,14 @@ func Load(path string) (*Model, error) {
 	if err != nil {
 		return nil, fmt.Errorf("gbdt: read model: %w", err)
 	}
-	var m Model
-	if err := json.Unmarshal(data, &m); err != nil {
+	m, err := DecodeJSON(data)
+	if err != nil {
 		return nil, fmt.Errorf("gbdt: parse model %s: %w", path, err)
 	}
 	if err := m.Validate(); err != nil {
 		return nil, fmt.Errorf("gbdt: invalid model %s: %w", path, err)
 	}
-	return &m, nil
+	return m, nil
 }
 
 // Validate checks the structure every evaluator and compiler downstream

@@ -102,7 +102,7 @@ func Encode(a *Artifact) ([]byte, error) {
 	if err != nil {
 		return nil, fmt.Errorf("registry: marshal meta: %w", err)
 	}
-	gbmJSON, err := json.Marshal(a.GBM)
+	gbmJSON, err := a.GBM.AppendJSON(nil)
 	if err != nil {
 		return nil, fmt.Errorf("registry: marshal model: %w", err)
 	}
@@ -151,8 +151,7 @@ func Decode(data []byte) (*Artifact, error) {
 	if len(rest) != 0 {
 		return nil, fmt.Errorf("registry: %d trailing bytes in artifact body", len(rest))
 	}
-	a.GBM = &gbdt.Model{}
-	if err := json.Unmarshal(gbmJSON, a.GBM); err != nil {
+	if a.GBM, err = gbdt.DecodeJSON(gbmJSON); err != nil {
 		return nil, fmt.Errorf("registry: parse model: %w", err)
 	}
 	if err := a.GBM.Validate(); err != nil {

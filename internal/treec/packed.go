@@ -3,6 +3,7 @@ package treec
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"t3/internal/gbdt"
 	"t3/internal/par"
@@ -55,6 +56,14 @@ func Pack(m *gbdt.Model) *Packed {
 		panic(fmt.Sprintf("treec: %d features exceed packed uint16 feature ids", m.NumFeatures))
 	}
 	p := &Packed{Base: m.BaseScore, NumFeatures: m.NumFeatures}
+	nodes, leaves := 0, 0
+	for ti := range m.Trees {
+		nodes, leaves = nodes+len(m.Trees[ti].Nodes), leaves+len(m.Trees[ti].Leaves)
+	}
+	p.Nodes, p.Leaves = make([]PackedNode, 0, nodes), make([]float64, 0, leaves)
+	// bfs[i] is the original index of the node at packed position nodeOff+i,
+	// pos its inverse; both are reused from tree to tree.
+	var bfs, pos []int32
 	var quick []qsBlock
 	fits := true // every tree so far has a bitvector's worth of leaves or fewer
 	for ti := range m.Trees {
@@ -68,13 +77,11 @@ func Pack(m *gbdt.Model) *Packed {
 		leafOff := int32(len(p.Leaves))
 		p.Roots = append(p.Roots, nodeOff)
 
-		// Breadth-first relabeling: bfs[i] is the original index of the node
-		// at packed position nodeOff+i. Root-first BFS keeps the top levels —
-		// the nodes every prediction visits — contiguous at the front of each
+		// Breadth-first relabeling: root-first BFS keeps the top levels — the
+		// nodes every prediction visits — contiguous at the front of each
 		// tree's block.
-		bfs := make([]int32, 0, len(t.Nodes))
-		pos := make([]int32, len(t.Nodes))
-		bfs = append(bfs, 0)
+		bfs = append(bfs[:0], 0)
+		pos = slices.Grow(pos[:0], len(t.Nodes))[:len(t.Nodes)]
 		for i := 0; i < len(bfs); i++ {
 			n := &t.Nodes[bfs[i]]
 			pos[bfs[i]] = int32(i)
@@ -113,7 +120,7 @@ func Pack(m *gbdt.Model) *Packed {
 		// Every reachable node has two children, so the tree has one more
 		// leaf than len(bfs) nodes.
 		if fits = fits && len(bfs) < qsMaxLeaves; fits {
-			quick = qsAdd(quick, t)
+			quick = qsAdd(quick, m.Trees[ti:])
 		}
 	}
 	if fits {

@@ -1,7 +1,10 @@
 package treec
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"math/rand"
 	"slices"
 	"strings"
 	"testing"
@@ -153,6 +156,47 @@ func TestPackDeterministic(t *testing.T) {
 		}
 		if int(at) != len(blk.thr) || len(blk.tree) != len(blk.thr) || len(blk.mask) != len(blk.thr) {
 			t.Fatalf("lists end at %d of %d/%d/%d nodes", at, len(blk.thr), len(blk.tree), len(blk.mask))
+		}
+	}
+}
+
+// TestSealOrder: seal's integer sort puts every block's nodes in the order of
+// the comparator it stands for — feature, then cmp.Compare on the threshold
+// (NaN first, ±0 tied), then the order qsAdd met them — on random models
+// whose edge thresholds include NaN, ±0 and ±Inf, up to three blocks each.
+func TestSealOrder(t *testing.T) {
+	for seed := int64(0); seed < 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		m := genModel(rng, uint64(rng.Intn(128)))
+		var blocks []qsBlock
+		for ti := range m.Trees {
+			if tr := &m.Trees[ti]; len(tr.Nodes) > 0 && len(tr.Leaves) <= qsMaxLeaves {
+				blocks = qsAdd(blocks, m.Trees[ti:])
+			}
+		}
+		for bi := range blocks {
+			b := &blocks[bi]
+			order := make([]int, len(b.thr))
+			for i := range order {
+				order[i] = i
+			}
+			slices.SortFunc(order, func(x, y int) int {
+				return cmp.Or(cmp.Compare(b.feat[x], b.feat[y]), cmp.Compare(b.thr[x], b.thr[y]), cmp.Compare(x, y))
+			})
+			var thr []uint32
+			var tree []uint8
+			var mask []uint64
+			for _, o := range order {
+				thr = append(thr, math.Float32bits(b.thr[o]))
+				tree, mask = append(tree, b.tree[o]), append(mask, b.mask[o])
+			}
+			b.seal()
+			for i := range thr {
+				if math.Float32bits(b.thr[i]) != thr[i] || b.tree[i] != tree[i] || b.mask[i] != mask[i] {
+					t.Fatalf("seed %d block %d position %d: sealed (%v, tree %d), want (%v, tree %d)",
+						seed, bi, i, b.thr[i], b.tree[i], math.Float32frombits(thr[i]), tree[i])
+				}
+			}
 		}
 	}
 }

@@ -1,7 +1,7 @@
 package treec
 
 import (
-	"cmp"
+	"math"
 	"math/bits"
 	"slices"
 
@@ -94,101 +94,162 @@ type qsBlock struct {
 	feat []uint16 // per node while the block is built; seal turns it into lists
 }
 
-// qsAdd appends a multi-node tree of at most qsMaxLeaves leaves to the last
-// block, opening a new one when that is full. Nodes are left in the order
-// met; seal sorts them.
-func qsAdd(blocks []qsBlock, t *gbdt.Tree) []qsBlock {
-	if n := len(blocks); n == 0 || len(blocks[n-1].leafOff) == qsBlockTrees {
-		blocks = append(blocks, qsBlock{})
-	}
-	b := &blocks[len(blocks)-1]
-	tree := uint8(len(b.leafOff))
-	first := len(b.leaves)
-	b.leafOff = append(b.leafOff, int32(first))
-	// number lays out the leaves under child c from left to right; a node's
-	// left subtree is then the bit range [lo, mid) of its tree.
-	var number func(c int32)
-	number = func(c int32) {
-		if c < 0 {
-			b.leaves = append(b.leaves, t.Leaves[^c])
-			return
+// qsAdd appends trees[0], a multi-node tree of at most qsMaxLeaves leaves,
+// to the last block, opening a new one when that is full; the trees after it
+// are those the next calls add, so that a new block is made with room for
+// the nodes and leaves of all it will hold. Nodes are left in the order met;
+// seal sorts them.
+func qsAdd(blocks []qsBlock, trees []gbdt.Tree) []qsBlock {
+	if k := len(blocks); k == 0 || len(blocks[k-1].leafOff) == qsBlockTrees {
+		held, nodes, leaves := 0, 0, 0
+		for i := 0; i < len(trees) && held < qsBlockTrees; i++ {
+			if n := len(trees[i].Nodes); n > 0 {
+				held, nodes, leaves = held+1, nodes+n, leaves+len(trees[i].Leaves)
+			}
 		}
-		n := &t.Nodes[c]
-		at := len(b.mask)
-		b.thr = append(b.thr, float32(n.Threshold))
-		b.feat = append(b.feat, uint16(n.Feature))
-		b.tree = append(b.tree, tree)
-		b.mask = append(b.mask, 0)
-		lo := len(b.leaves) - first
-		number(n.Left)
-		mid := len(b.leaves) - first
-		number(n.Right)
-		b.mask[at] = ^((uint64(1)<<(mid-lo) - 1) << lo)
+		blocks = append(blocks, qsBlock{
+			thr: make([]float32, 0, nodes), tree: make([]uint8, 0, nodes), mask: make([]uint64, 0, nodes),
+			feat: make([]uint16, 0, nodes), leafOff: make([]int32, 0, held), leaves: make([]float64, 0, leaves),
+		})
 	}
-	number(0)
+	t := &trees[0]
+	b := &blocks[len(blocks)-1]
+	b.leafOff = append(b.leafOff, int32(len(b.leaves)))
+	b.number(t, 0)
 	return blocks
+}
+
+// number lays out the leaves under child c of t, the block's last tree, from
+// left to right; a node's left subtree is then the bit range [lo, mid) of its
+// tree.
+func (b *qsBlock) number(t *gbdt.Tree, c int32) {
+	if c < 0 {
+		b.leaves = append(b.leaves, t.Leaves[^c])
+		return
+	}
+	n := &t.Nodes[c]
+	at, first := len(b.mask), int(b.leafOff[len(b.leafOff)-1])
+	b.thr = append(b.thr, float32(n.Threshold))
+	b.feat = append(b.feat, uint16(n.Feature))
+	b.tree = append(b.tree, uint8(len(b.leafOff)-1))
+	b.mask = append(b.mask, 0)
+	lo := len(b.leaves) - first
+	b.number(t, n.Left)
+	mid := len(b.leaves) - first
+	b.number(t, n.Right)
+	b.mask[at] = ^((uint64(1)<<(mid-lo) - 1) << lo)
 }
 
 // seal sorts the block's nodes into its scan lists: by feature, then
 // ascending threshold, ties staying in the order the trees were added, so the
-// layout is deterministic. cmp.Compare orders floats the way the search
-// needs: ±0 tie, and NaN — false for every row, since the walker's v <= NaN
-// never holds — sorts before all others, where every false prefix covers it.
-// Then it records every list's checkpoints.
+// layout is deterministic. The order is cmp.Compare's on floats, which is the
+// one the search needs: ±0 tie, and NaN — false for every row, since the
+// walker's v <= NaN never holds — sorts before all others, where every false
+// prefix covers it. A counting pass buckets the nodes by feature; each bucket
+// is then sorted as integers, thrKey above the node index, so the sort needs
+// no comparison closure and ties keep node order. Then seal records every
+// list's checkpoints.
 func (b *qsBlock) seal() {
-	order := make([]int32, len(b.thr))
-	for i := range order {
-		order[i] = int32(i)
+	var nfeat int
+	for _, f := range b.feat {
+		nfeat = max(nfeat, int(f)+1)
 	}
-	slices.SortFunc(order, func(x, y int32) int {
-		return cmp.Or(cmp.Compare(b.feat[x], b.feat[y]), cmp.Compare(b.thr[x], b.thr[y]), cmp.Compare(x, y))
-	})
-	thr, tree, mask := make([]float32, len(order)), make([]uint8, len(order)), make([]uint64, len(order))
-	for i, o := range order {
-		thr[i], tree[i], mask[i] = b.thr[o], b.tree[o], b.mask[o]
-		if i == 0 || b.feat[o] != b.feat[order[i-1]] {
-			b.lists = append(b.lists, qsList{first: thr[i], feat: b.feat[o], begin: int32(i)})
+	end := make([]int32, nfeat) // per feature, the end of its bucket in keys
+	for _, f := range b.feat {
+		end[f]++
+	}
+	for f := 1; f < nfeat; f++ {
+		end[f] += end[f-1]
+	}
+	keys := make([]uint64, len(b.feat))
+	for i := len(b.feat) - 1; i >= 0; i-- {
+		f := b.feat[i]
+		end[f]--
+		keys[end[f]] = uint64(thrKey(b.thr[i]))<<32 | uint64(i)
+	}
+	// end[f] is now the start of bucket f.
+	thr, tree, mask := make([]float32, len(keys)), make([]uint8, len(keys)), make([]uint64, len(keys))
+	for f, begin := range end {
+		stop := int32(len(keys))
+		if f+1 < nfeat {
+			stop = end[f+1]
 		}
-		b.lists[len(b.lists)-1].end = int32(i + 1)
+		if begin == stop {
+			continue
+		}
+		slices.Sort(keys[begin:stop])
+		for i := begin; i < stop; i++ {
+			o := uint32(keys[i])
+			thr[i], tree[i], mask[i] = b.thr[o], b.tree[o], b.mask[o]
+		}
+		b.lists = append(b.lists, qsList{first: thr[begin], feat: uint16(f), begin: begin, end: stop})
 	}
 	b.thr, b.tree, b.mask, b.feat = thr, tree, mask, nil
 
-	// A mask clears at least one leaf, so a tree no node has touched yet is
-	// the one whose AND is still all ones. The walk runs twice: the first
-	// counts the entries, so that the second fills arrays of their final size.
+	// and[t] is the AND of tree t's masks among the list's nodes so far, for
+	// the trees set in touched, which a checkpoint lists in tree order. The
+	// walk runs twice: the first counts the entries, so that the second fills
+	// arrays of their final size. They are built in locals: appending to the
+	// block's own fields would store a slice header to the heap, under a
+	// write barrier, per entry.
 	var and [qsBlockTrees]uint64
+	var touched [qsBlockTrees / 64]uint64
+	var ckOff []int32
+	var ckTree []uint8
+	var ckMask []uint64
 	entries, cks := 0, 0
 	for _, fill := range []bool{false, true} {
 		if fill {
-			b.ckOff = make([]int32, 1, cks+1)
-			b.ckTree, b.ckMask = make([]uint8, 0, entries), make([]uint64, 0, entries)
+			ckOff = make([]int32, 1, cks+1)
+			ckTree, ckMask = make([]uint8, 0, entries), make([]uint64, 0, entries)
 		}
-		at := 0
 		for i := range b.lists {
 			l := &b.lists[i]
-			l.ck = uint16(len(b.ckOff) - 1)
-			for t := range and {
-				and[t] = ^uint64(0)
-			}
-			for j := at; j < int(l.end); j++ {
-				if p := j - at; p > 0 && p%qsCkStride == 0 {
-					for t, m := range and[:len(b.leafOff)] {
-						if m == ^uint64(0) {
+			l.ck = uint16(len(ckOff) - 1)
+			touched = [qsBlockTrees / 64]uint64{}
+			for j := int(l.begin); j < int(l.end); j++ {
+				if p := j - int(l.begin); p > 0 && p%qsCkStride == 0 {
+					cks++
+					for w, set := range touched {
+						if !fill {
+							entries += bits.OnesCount64(set)
 							continue
 						}
-						if entries++; fill {
-							b.ckTree, b.ckMask = append(b.ckTree, uint8(t)), append(b.ckMask, m)
+						for ; set != 0; set &= set - 1 {
+							t := w*64 + bits.TrailingZeros64(set)
+							ckTree, ckMask = append(ckTree, uint8(t)), append(ckMask, and[t])
 						}
 					}
-					if cks++; fill {
-						b.ckOff = append(b.ckOff, int32(len(b.ckTree)))
+					if fill {
+						ckOff = append(ckOff, int32(len(ckTree)))
 					}
 				}
-				and[tree[j]] &= mask[j]
+				t := tree[j]
+				if touched[t/64]&(1<<(t%64)) == 0 {
+					touched[t/64] |= 1 << (t % 64)
+					and[t] = ^uint64(0)
+				}
+				and[t] &= mask[j]
 			}
-			at = int(l.end)
 		}
 	}
+	b.ckOff, b.ckTree, b.ckMask = ckOff, ckTree, ckMask
+}
+
+// thrKey maps a threshold to an integer whose order is cmp.Compare's: NaN
+// lowest, -0 equal to +0, then ascending.
+func thrKey(t float32) uint32 {
+	if t != t {
+		return 0
+	}
+	if t == 0 {
+		t = 0 // -0 becomes +0
+	}
+	u := math.Float32bits(t)
+	if u>>31 != 0 {
+		return ^u // negative: a larger magnitude is a smaller key
+	}
+	return u | 1<<31
 }
 
 // checkpoint returns the checkpoint that a false prefix of k nodes of an

@@ -48,7 +48,6 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzModelJSON$$' -fuzztime $(FUZZTIME) ./internal/gbdt/
 	go test -run xxx -fuzz '^FuzzRegistryDecode$$' -fuzztime $(FUZZTIME) ./internal/registry/
 	go test -run xxx -fuzz '^FuzzPlanIO$$' -fuzztime $(FUZZTIME) ./internal/planio/
-	go test -run xxx -fuzz '^FuzzSQL$$' -fuzztime $(FUZZTIME) ./internal/sql/
 	go test -run xxx -fuzz '^FuzzHistogramMerge$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	go test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/wire/
 	go test -run xxx -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME) ./internal/serve/

@@ -1,7 +1,7 @@
 // Command t3workload generates and prints the random query workload for an
-// instance, rendered as SQL (via the plan unparser). Useful for inspecting
-// what the 16 structure groups produce and for exporting workloads to other
-// systems.
+// instance, one physical plan tree per query (plan.Node.Explain). Useful for
+// inspecting what the 16 structure groups produce; internal/planio's JSON is
+// the format for handing plans to other programs.
 //
 // With -collect it instead executes the workload through the parallel
 // label-collection runner, fanning queries out across -workers workers —
@@ -28,7 +28,6 @@ import (
 
 	"t3/internal/engine/plan"
 	"t3/internal/obs"
-	"t3/internal/sql"
 	"t3/internal/workload"
 )
 
@@ -122,13 +121,8 @@ func main() {
 		if *group != "" && string(q.Group) != *group {
 			continue
 		}
-		text, err := sql.Unparse(q.Root)
-		if err != nil {
-			log.Printf("-- %s: cannot unparse: %v", q.Name, err)
-			continue
-		}
-		fmt.Printf("-- %s (group %s, %d pipelines)\n%s;\n\n",
-			q.Name, q.Group, len(plan.Decompose(q.Root)), text)
+		fmt.Printf("-- %s (group %s, %d pipelines)\n%s\n",
+			q.Name, q.Group, len(plan.Decompose(q.Root)), q.Root.Explain())
 		printed++
 	}
 	log.Printf("%d queries", printed)

@@ -9,10 +9,7 @@
 // Umbra.
 package storage
 
-import (
-	"fmt"
-	"sort"
-)
+import "fmt"
 
 // Type enumerates the column types supported by the engine.
 type Type uint8
@@ -272,16 +269,6 @@ func (db *Database) Table(name string) *Table {
 		return nil
 	}
 	return db.Tables[i]
-}
-
-// TableNames returns the sorted names of all tables.
-func (db *Database) TableNames() []string {
-	names := make([]string, 0, len(db.Tables))
-	for _, t := range db.Tables {
-		names = append(names, t.Name)
-	}
-	sort.Strings(names)
-	return names
 }
 
 // TotalRows returns the sum of row counts over all tables.

@@ -91,10 +91,6 @@ func TestDatabase(t *testing.T) {
 	if db.TotalRows() != 3 {
 		t.Errorf("total rows = %d", db.TotalRows())
 	}
-	names := db.TableNames()
-	if len(names) != 2 || names[0] != "a" || names[1] != "b" {
-		t.Errorf("names = %v", names)
-	}
 	if err := db.AddTable(MustNewTable("c", Column{Name: "x", Kind: Int64, Ints: nil})); err != nil {
 		t.Errorf("add table: %v", err)
 	}

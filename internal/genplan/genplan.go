@@ -1,5 +1,5 @@
-// Package genplan generates random but valid (schema, data, physical plan,
-// SQL) cases for differential testing of the execution engine against the
+// Package genplan generates random but valid (schema, data, physical plan)
+// cases for differential testing of the execution engine against the
 // refexec reference interpreter.
 //
 // Every case is a pure function of (seed, scenario): the generator draws all
@@ -37,7 +37,6 @@ import (
 	"t3/internal/engine/expr"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/storage"
-	"t3/internal/sql"
 )
 
 // Scenario selects the interesting state a generated case pins down.
@@ -93,9 +92,6 @@ type Case struct {
 	// Root is a valid physical plan over DB, with (possibly hostile)
 	// cardinality annotations.
 	Root *plan.Node
-	// SQL is an equivalent SQL rendering when the plan is expressible
-	// (sql.Unparse succeeded), "" otherwise.
-	SQL string
 	// FiniteCards is false when hostile NaN/±Inf annotations were injected
 	// (JSON plan serialization cannot represent those).
 	FiniteCards bool
@@ -166,10 +162,6 @@ func Generate(seed int64, sc Scenario) *Case {
 
 	g.annotate(c.Root)
 	c.FiniteCards = !g.nonFinite
-
-	if s, err := sql.Unparse(c.Root); err == nil {
-		c.SQL = s
-	}
 	return c
 }
 
@@ -644,7 +636,7 @@ func (g *gen) cardValue(hostile bool) float64 {
 	}
 }
 
-// Bytes renders the full case — data, plan, annotations, SQL — as a
+// Bytes renders the full case — data, plan, annotations — as a
 // deterministic byte string for replayability tests.
 func (c *Case) Bytes() []byte {
 	var b bytes.Buffer
@@ -661,6 +653,5 @@ func (c *Case) Bytes() []byte {
 	c.Root.Walk(func(n *plan.Node) {
 		fmt.Fprintf(&b, "node %s out=(%g,%g)\n", n, n.OutCard.True, n.OutCard.Est)
 	})
-	fmt.Fprintf(&b, "sql=%s\n", c.SQL)
 	return b.Bytes()
 }

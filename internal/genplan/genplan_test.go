@@ -199,22 +199,3 @@ func TestFiniteCardsFlag(t *testing.T) {
 		t.Fatalf("want both finite (%d) and hostile (%d) annotation cases", finite, hostile)
 	}
 }
-
-// TestSQLGeneratedForSimpleShapes checks the generator does produce SQL for
-// a reasonable fraction of cases (plans within sql.Unparse's supported
-// shapes).
-func TestSQLGeneratedForSimpleShapes(t *testing.T) {
-	withSQL := 0
-	total := 0
-	for seed := int64(0); seed < 80; seed++ {
-		for sc := Scenario(0); sc < NumScenarios; sc++ {
-			if Generate(seed, sc).SQL != "" {
-				withSQL++
-			}
-			total++
-		}
-	}
-	if withSQL < total/4 {
-		t.Fatalf("only %d/%d cases carry SQL", withSQL, total)
-	}
-}

@@ -77,19 +77,6 @@ func BenchmarkTable1_T3Interpreted(b *testing.B) {
 	}
 }
 
-func BenchmarkTable1_ZeroShotNN(b *testing.B) {
-	e := env(b)
-	nn, err := e.ZeroShot()
-	if err != nil {
-		b.Fatal(err)
-	}
-	_, test := benchQueries(b)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		nn.PredictSeconds(test[i%len(test)].Root, plan.TrueCards)
-	}
-}
-
 // Model-only evaluation on the checked-in default model: interpreted node
 // walking (the reference) vs the packed serving tier's scalar walker. This
 // isolates the 22us -> 4us contrast of the paper's Table 1; the tier's batch

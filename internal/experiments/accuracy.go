@@ -6,7 +6,6 @@ import (
 	"strings"
 
 	"t3"
-	"t3/internal/baselines"
 	"t3/internal/benchdata"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/stats"
@@ -374,7 +373,7 @@ func (e *Env) RunFig12() (*Fig12, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn, err := e.ZeroShot()
+	nn, err := e.zeroShot()
 	if err != nil {
 		return nil, err
 	}
@@ -392,7 +391,7 @@ func (e *Env) RunFig12() (*Fig12, error) {
 		}
 		t3es := qerrors(t3Predict(m, plan.EstCards), test)
 		nnes := qerrors(func(b *workload.Label) float64 {
-			return nn.PredictSeconds(b.Root, plan.EstCards)
+			return nn.predictSeconds(b.Root, plan.EstCards)
 		}, test)
 		st, sn := qerror.Summarize(t3es), qerror.Summarize(nnes)
 		f.T3P50 = append(f.T3P50, st.P50)
@@ -440,20 +439,20 @@ func (e *Env) RunFig13() (*Fig13, error) {
 	f := &Fig13{}
 	f.PerTuple = qerror.Summarize(qerrors(t3Predict(m, plan.TrueCards), test))
 
-	direct, err := baselines.TrainPerPipelineDirect(c.AllTrain(), plan.TrueCards, e.Params())
+	direct, err := trainPerPipelineDirect(c.AllTrain(), plan.TrueCards, e.Params())
 	if err != nil {
 		return nil, err
 	}
 	f.PerPipeline = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
-		return direct.PredictSeconds(b.Root, plan.TrueCards)
+		return direct.predictSeconds(b.Root, plan.TrueCards)
 	}, test))
 
-	pq, err := e.PerQueryDT()
+	pq, err := e.perQueryDT()
 	if err != nil {
 		return nil, err
 	}
 	f.PerQuery = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
-		return pq.PredictSeconds(b.Root, plan.TrueCards)
+		return pq.predictSeconds(b.Root, plan.TrueCards)
 	}, test))
 	return f, nil
 }

@@ -12,13 +12,11 @@ import (
 	"time"
 
 	"t3"
-	"t3/internal/baselines"
 	"t3/internal/benchdata"
 	"t3/internal/engine/plan"
 	"t3/internal/gbdt"
 	"t3/internal/qerror"
 	"t3/internal/workload"
-	"t3/internal/zeroshot"
 )
 
 // Config sizes the experiment suite: QuickConfig is cmd/t3bench's default
@@ -94,10 +92,10 @@ type Env struct {
 	t3Err  error
 
 	nnOnce sync.Once
-	nnm    *zeroshot.Model
+	nnm    *zeroShotModel
 
 	dtOnce sync.Once
-	dtm    *baselines.PerQuery
+	dtm    *perQueryModel
 	dtErr  error
 
 	deepOnce sync.Once
@@ -148,9 +146,9 @@ func (e *Env) T3() (*t3.Model, error) {
 	return e.t3m, e.t3Err
 }
 
-// ZeroShot trains (once) and returns the NN baseline on the full training
+// zeroShot trains (once) and returns the NN baseline on the full training
 // corpus.
-func (e *Env) ZeroShot() (*zeroshot.Model, error) {
+func (e *Env) zeroShot() (*zeroShotModel, error) {
 	var err error
 	e.nnOnce.Do(func() {
 		var c *benchdata.Corpus
@@ -158,10 +156,7 @@ func (e *Env) ZeroShot() (*zeroshot.Model, error) {
 		if err != nil {
 			return
 		}
-		cfg := zeroshot.DefaultTrainConfig()
-		cfg.Epochs = e.Cfg.NNEpochs
-		cfg.Seed = e.Cfg.Corpus.Seed
-		e.nnm = zeroshot.Train(c.AllTrain(), plan.TrueCards, cfg)
+		e.nnm = trainZeroShot(c.AllTrain(), plan.TrueCards, e.Cfg.NNEpochs, e.Cfg.Corpus.Seed, nil)
 	})
 	if e.nnm == nil {
 		return nil, fmt.Errorf("experiments: zero-shot training unavailable: %v", err)
@@ -169,15 +164,15 @@ func (e *Env) ZeroShot() (*zeroshot.Model, error) {
 	return e.nnm, nil
 }
 
-// PerQueryDT trains (once) and returns the AutoWLM-style baseline.
-func (e *Env) PerQueryDT() (*baselines.PerQuery, error) {
+// perQueryDT trains (once) and returns the AutoWLM-style baseline.
+func (e *Env) perQueryDT() (*perQueryModel, error) {
 	e.dtOnce.Do(func() {
 		c, err := e.Corpus()
 		if err != nil {
 			e.dtErr = err
 			return
 		}
-		e.dtm, e.dtErr = baselines.TrainPerQuery(c.AllTrain(), plan.TrueCards, e.Params())
+		e.dtm, e.dtErr = trainPerQuery(c.AllTrain(), plan.TrueCards, e.Params())
 	})
 	return e.dtm, e.dtErr
 }

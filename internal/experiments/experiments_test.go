@@ -306,7 +306,7 @@ func TestSchedulingExtension(t *testing.T) {
 	if _, err := e.T3(); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := e.ZeroShot(); err != nil {
+	if _, err := e.zeroShot(); err != nil {
 		t.Fatal(err)
 	}
 	plans0, batches0 := obs.Predictions.Value(), obs.PredictBatches.Value()

@@ -11,7 +11,6 @@ import (
 	"t3/internal/joinorder"
 	"t3/internal/qerror"
 	"t3/internal/workload"
-	"t3/internal/zeroshot"
 )
 
 // jobEnv bundles the artifacts of the JOB experiments: the imdb-lite
@@ -22,7 +21,7 @@ type jobEnv struct {
 	specs  []*workload.JoinSpec
 	labels []*workload.Label
 	t3m    *t3.Model
-	nn     *zeroshot.Model
+	nn     *zeroShotModel
 }
 
 // jobState caches the JOB environment on Env.
@@ -76,10 +75,7 @@ func (e *Env) jobOnceDo() {
 			e.jobErr = err
 			return
 		}
-		cfg := zeroshot.DefaultTrainConfig()
-		cfg.Epochs = e.Cfg.NNEpochs
-		cfg.Seed = e.Cfg.Corpus.Seed + 3
-		nn := zeroshot.Train(train, plan.TrueCards, cfg)
+		nn := trainZeroShot(train, plan.TrueCards, e.Cfg.NNEpochs, e.Cfg.Corpus.Seed+3, nil)
 
 		e.job = &jobEnv{inst: inst, specs: specs, labels: labels.Labels, t3m: t3m, nn: nn}
 	})
@@ -102,7 +98,7 @@ func (e *Env) RunFig10() (*Fig10, error) {
 	f := &Fig10{}
 	f.T3 = qerror.Summarize(qerrors(t3Predict(job.t3m, plan.TrueCards), job.labels))
 	f.ZeroShot = qerror.Summarize(qerrors(func(b *workload.Label) float64 {
-		return job.nn.PredictSeconds(b.Root, plan.TrueCards)
+		return job.nn.predictSeconds(b.Root, plan.TrueCards)
 	}, job.labels))
 	return f, nil
 }

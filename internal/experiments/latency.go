@@ -13,7 +13,6 @@ import (
 	"t3/internal/engine/plan"
 	"t3/internal/par"
 	"t3/internal/qerror"
-	"t3/internal/stage"
 	"t3/internal/workload"
 )
 
@@ -69,7 +68,7 @@ type Table1 struct {
 }
 
 // latencyPercentiles times f once per (query, rep) pair and returns the p50
-// and p99 of the per-call latency distribution.
+// and p99 of the per-call latency distribution, by nearest rank.
 func latencyPercentiles(test []*workload.Label, reps int, f func(*workload.Label)) (p50, p99 time.Duration) {
 	ds := make([]time.Duration, 0, len(test)*reps)
 	for r := 0; r < reps; r++ {
@@ -80,7 +79,7 @@ func latencyPercentiles(test []*workload.Label, reps int, f func(*workload.Label
 		}
 	}
 	sort.Slice(ds, func(i, j int) bool { return ds[i] < ds[j] })
-	return ds[len(ds)/2], ds[len(ds)*99/100]
+	return nearestRank(ds, 50), nearestRank(ds, 99)
 }
 
 // RunTable1 measures single-query prediction latency for every model tier.
@@ -93,11 +92,11 @@ func (e *Env) RunTable1() (*Table1, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn, err := e.ZeroShot()
+	nn, err := e.zeroShot()
 	if err != nil {
 		return nil, err
 	}
-	dt, err := e.PerQueryDT()
+	dt, err := e.perQueryDT()
 	if err != nil {
 		return nil, err
 	}
@@ -185,29 +184,29 @@ func (e *Env) RunTable1() (*Table1, error) {
 			}
 		}
 	}) / time.Duration(len(test)*inner)
-	res.ZeroShotNN = perQuery(func(b *workload.Label) { nn.PredictSeconds(b.Root, plan.TrueCards) })
-	res.StageDT = perQuery(func(b *workload.Label) { dt.PredictSeconds(b.Root, plan.TrueCards) })
+	res.ZeroShotNN = perQuery(func(b *workload.Label) { nn.predictSeconds(b.Root, plan.TrueCards) })
+	res.StageDT = perQuery(func(b *workload.Label) { dt.predictSeconds(b.Root, plan.TrueCards) })
 
 	// Stage: realized behaviour on a workload where half the submissions
 	// repeat already-seen plans (hitting the cache tier).
-	h := stage.New(dt, nn, 4)
+	h := newStage(dt, nn)
 	for _, b := range test[:len(test)/2] {
-		h.Observe(b.Root, plan.TrueCards, b.MedianTotal().Seconds())
+		h.observe(b.Root, plan.TrueCards, b.MedianTotal().Seconds())
 	}
-	res.StageCache = perQuery(func(b *workload.Label) { stage.PlanHash(b.Root, plan.TrueCards) })
-	res.StageAvg = perQuery(func(b *workload.Label) { h.Predict(b.Root, plan.TrueCards) })
+	res.StageCache = perQuery(func(b *workload.Label) { planHash(b.Root, plan.TrueCards) })
+	res.StageAvg = perQuery(func(b *workload.Label) { h.predict(b.Root, plan.TrueCards) })
 
 	// NN tier latency measured on the complex plans only.
 	var complexQ []*workload.Label
 	for _, b := range test {
-		if len(b.Pipelines) > 4 {
+		if len(b.Pipelines) > stageMaxDTPipelines {
 			complexQ = append(complexQ, b)
 		}
 	}
 	if len(complexQ) > 0 {
 		saved := test
 		test = complexQ
-		res.StageNN = perQuery(func(b *workload.Label) { nn.PredictSeconds(b.Root, plan.TrueCards) })
+		res.StageNN = perQuery(func(b *workload.Label) { nn.predictSeconds(b.Root, plan.TrueCards) })
 		test = saved
 	} else {
 		res.StageNN = res.ZeroShotNN
@@ -257,7 +256,7 @@ func (e *Env) RunTable2() (*Table2, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn, err := e.ZeroShot()
+	nn, err := e.zeroShot()
 	if err != nil {
 		return nil, err
 	}
@@ -327,7 +326,7 @@ func (e *Env) RunTable2() (*Table2, error) {
 	// EXPERIMENTS.md).
 	singleN := timeIt(3, func() {
 		for _, b := range test {
-			nn.PredictSeconds(b.Root, plan.TrueCards)
+			nn.predictSeconds(b.Root, plan.TrueCards)
 		}
 	})
 	t2.Rows = append(t2.Rows, Table2Row{"Zero Shot NN", qps(singleN, len(test)), qps(singleN, len(test))})
@@ -373,11 +372,11 @@ func (e *Env) RunFig1() (*Fig1, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn, err := e.ZeroShot()
+	nn, err := e.zeroShot()
 	if err != nil {
 		return nil, err
 	}
-	dt, err := e.PerQueryDT()
+	dt, err := e.perQueryDT()
 	if err != nil {
 		return nil, err
 	}
@@ -391,10 +390,10 @@ func (e *Env) RunFig1() (*Fig1, error) {
 	add("T3 (compiled)", t1.T3Compiled, qerrors(t3Predict(m, plan.TrueCards), test))
 	add("T3 interpreted", t1.T3Interp, qerrors(t3Predict(m, plan.TrueCards), test))
 	add("AutoWLM-style DT", t1.StageDT, qerrors(func(b *workload.Label) float64 {
-		return dt.PredictSeconds(b.Root, plan.TrueCards)
+		return dt.predictSeconds(b.Root, plan.TrueCards)
 	}, test))
 	add("Zero Shot NN", t1.ZeroShotNN, qerrors(func(b *workload.Label) float64 {
-		return nn.PredictSeconds(b.Root, plan.TrueCards)
+		return nn.predictSeconds(b.Root, plan.TrueCards)
 	}, test))
 	return f, nil
 }

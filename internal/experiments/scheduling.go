@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"t3/internal/engine/plan"
-	"t3/internal/sched"
 )
 
 // Scheduling quantifies the paper's motivating use-case (§1): how much do
@@ -23,7 +22,7 @@ type Scheduling struct {
 // SchedulingRow is one predictor's outcome.
 type SchedulingRow struct {
 	Predictor string
-	Result    sched.Result
+	Result    schedResult
 }
 
 // RunScheduling simulates LPT scheduling with each predictor. Prediction
@@ -37,7 +36,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	if err != nil {
 		return nil, err
 	}
-	nn, err := e.ZeroShot()
+	nn, err := e.zeroShot()
 	if err != nil {
 		return nil, err
 	}
@@ -46,16 +45,11 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	const clusters = 8
 	res := &Scheduling{Clusters: clusters}
 
-	mkJobs := func(predict func(i int) (time.Duration, time.Duration)) []sched.Job {
-		jobs := make([]sched.Job, len(test))
+	mkJobs := func(predict func(i int) (time.Duration, time.Duration)) []schedJob {
+		jobs := make([]schedJob, len(test))
 		for i, b := range test {
 			p, lat := predict(i)
-			jobs[i] = sched.Job{
-				ID:          b.Name,
-				Actual:      b.MedianTotal(),
-				Predicted:   p,
-				PredLatency: lat,
-			}
+			jobs[i] = schedJob{actual: b.MedianTotal(), predicted: p, predLatency: lat}
 		}
 		return jobs
 	}
@@ -64,7 +58,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	oracleJobs := mkJobs(func(i int) (time.Duration, time.Duration) {
 		return test[i].MedianTotal(), 0
 	})
-	res.Rows = append(res.Rows, SchedulingRow{"oracle", sched.Simulate(oracleJobs, clusters, sched.LongestFirst)})
+	res.Rows = append(res.Rows, SchedulingRow{"oracle", simulate(oracleJobs, clusters, longestFirst)})
 
 	// T3: measured per-query prediction and latency.
 	t3Jobs := mkJobs(func(i int) (time.Duration, time.Duration) {
@@ -72,7 +66,7 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 		p, _ := m.PredictPlan(test[i].Root, plan.TrueCards)
 		return p, time.Since(start)
 	})
-	res.Rows = append(res.Rows, SchedulingRow{"T3", sched.Simulate(t3Jobs, clusters, sched.LongestFirst)})
+	res.Rows = append(res.Rows, SchedulingRow{"T3", simulate(t3Jobs, clusters, longestFirst)})
 
 	// T3, batched dispatch: the dispatcher prices the whole queue with one
 	// packed-tier batch call and pays its measured latency once.
@@ -86,19 +80,19 @@ func (e *Env) RunScheduling() (*Scheduling, error) {
 	batchLat := time.Since(batchStart)
 	batchJobs := mkJobs(func(i int) (time.Duration, time.Duration) { return preds[i], 0 })
 	res.Rows = append(res.Rows, SchedulingRow{"T3 (batched dispatch)",
-		sched.SimulateBatchDispatch(batchJobs, clusters, sched.LongestFirst, batchLat)})
+		simulateBatchDispatch(batchJobs, clusters, longestFirst, batchLat)})
 
 	// Zero Shot NN.
 	nnJobs := mkJobs(func(i int) (time.Duration, time.Duration) {
 		start := time.Now()
-		p := nn.PredictSeconds(test[i].Root, plan.TrueCards)
+		p := nn.predictSeconds(test[i].Root, plan.TrueCards)
 		return time.Duration(p * float64(time.Second)), time.Since(start)
 	})
-	res.Rows = append(res.Rows, SchedulingRow{"Zero Shot NN", sched.Simulate(nnJobs, clusters, sched.LongestFirst)})
+	res.Rows = append(res.Rows, SchedulingRow{"Zero Shot NN", simulate(nnJobs, clusters, longestFirst)})
 
 	// No predictor: round-robin placement.
 	plainJobs := mkJobs(func(int) (time.Duration, time.Duration) { return 0, 0 })
-	res.Rows = append(res.Rows, SchedulingRow{"none (round-robin)", sched.Simulate(plainJobs, clusters, sched.RoundRobin)})
+	res.Rows = append(res.Rows, SchedulingRow{"none (round-robin)", simulate(plainJobs, clusters, roundRobin)})
 	return res, nil
 }
 

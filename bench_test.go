@@ -259,7 +259,10 @@ func BenchmarkTreeKernels(b *testing.B) {
 // lists/row are the kernel's work over the same rows as a count
 // (joinorder.KernelWork): mask applications and checkpoint entries, those a
 // block shares counted once, and scan-list searches, building the
-// enumeration's starts included.
+// enumeration's starts included. scalar/<graph> is DPSize over a fresh
+// NewT3Cost on the same graphs — one kernel call per candidate row, its
+// starts built per enumeration — and ns/call is its elapsed time over its
+// model calls.
 func BenchmarkJoinEnum(b *testing.B) {
 	m, err := t3.Load("models/t3_default.json")
 	if err != nil {
@@ -297,6 +300,22 @@ func BenchmarkJoinEnum(b *testing.B) {
 			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/row")
 			b.ReportMetric(float64(work.Shared+work.Own)/float64(calls), "masks/row")
 			b.ReportMetric(float64(work.Lists)/float64(calls), "lists/row")
+		})
+		b.Run("scalar/"+g.name, func(b *testing.B) {
+			inst, spec := workload.SyntheticJoinBench(g.shape, g.n, 4000, g.seed)
+			oracle := joinorder.NewMemoOracle(joinorder.NewEstOracle(inst, spec), g.n)
+			calls := 0
+			for i := 0; i < b.N+1; i++ {
+				if i == 1 {
+					b.ResetTimer() // the first run warms the oracle's memo
+				}
+				res, err := joinorder.DPSize(spec, joinorder.NewT3Cost(m.Packed(), m.Registry(), inst, spec, oracle))
+				if err != nil {
+					b.Fatal(err)
+				}
+				calls = res.ModelCalls
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*calls), "ns/call")
 		})
 	}
 }

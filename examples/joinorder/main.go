@@ -85,10 +85,3 @@ func main() {
 	fmt.Println("of times, but a trivial cost function yields comparable join orders —")
 	fmt.Println("performance prediction is not the compelling use-case for join ordering.")
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -29,14 +29,15 @@ import (
 //     closeBuildInto / extendProbeInto, each one feature.Registry.AddStage
 //     call), so they are equal by construction. Copy-on-extend happens
 //     directly into the arena.
-//   - Packed.PredictRowsFrom takes the arena up to eight rows at a time,
-//     begins each row from its scan relation's start (the leaf vector's
-//     bitvectors; the row equals that vector outside startFeatures) and
-//     applies the decision nodes all rows of a block fail once, but it still
-//     adds every row's tree contributions to that row's own sum in tree
-//     order, independent of blocking, flush boundaries, and worker count, so
-//     every prediction is bit-identical to a scalar Packed.Predict of the
-//     same row.
+//   - Both price through Packed.PredictRowsFrom, each row beginning from its
+//     scan relation's start (the leaf vector's bitvectors; the row equals
+//     that vector outside startFeatures): the scalar path one row per call,
+//     this one up to eight rows at a time, applying the decision nodes all
+//     rows of a block fail once. The kernel still adds every row's tree
+//     contributions to that row's own sum in tree order, independent of
+//     blocking, flush boundaries, and worker count, so every prediction is
+//     bit-identical to the scalar path's, and to Packed.Predict of the same
+//     row.
 //   - Seconds are accumulated in the scalar path's exact float order:
 //     closed = (build.closed + probe.closed) + closePred; total = (closed +
 //     openPred) + tail, both via the shared scaleSeconds, where tail is the
@@ -375,7 +376,8 @@ func dpSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		e.rows = e.rows[:0]
 		row := e.row(e.addRow())
 		src := enc.aggScanInto(row, oracle)
-		return scaleSeconds(pred.Predict(row), src)
+		pred.PredictRowsInto(row, stride, e.out[:1], nil)
+		return scaleSeconds(e.out[0], src)
 	}
 
 	// Leaves: one slot per relation, vector written straight into the slab,
@@ -585,7 +587,8 @@ func dpSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 		// Single relation: its open pipeline ends in the aggregate.
 		s := &e.slots[si]
 		res.ModelCalls++
-		s.openPred = scaleSeconds(pred.Predict(e.slotVecOf(si)), s.src)
+		pred.PredictRowsInto(e.slotVecOf(si), stride, e.out[:1], nil)
+		s.openPred = scaleSeconds(e.out[0], s.src)
 		s.total = s.closedSeconds + s.openPred + aggScan()
 	}
 	res.Tree = e.rebuildTree(full)

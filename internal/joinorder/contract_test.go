@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"t3"
-	"t3/internal/benchdata"
 	"t3/internal/engine/plan"
 	"t3/internal/engine/stats"
 	"t3/internal/experiments"
@@ -124,6 +123,9 @@ func sameVectors(reg *feature.Registry, got, want [][]float64) string {
 //
 //   - the planner's pipeline vectors are Registry.PlanVectors of that plan,
 //     bit for bit;
+//   - its cost is what the walker (treec.Packed.Predict) gives the tree,
+//     added in the planner's order, bit for bit (WalkerPricing): the kernel
+//     the planner prices on is held to an evaluator other than itself;
 //   - its cost is what t3.Model.PredictPlan predicts for the plan: within
 //     1 ns of the sum of PredictPlan's per-pipeline seconds, and within 1 ns
 //     per pipeline of its total, which truncates each pipeline to whole ns;
@@ -134,8 +136,9 @@ func sameVectors(reg *feature.Registry, got, want [][]float64) string {
 //
 // It holds for seeded random trees over contractCases' graphs, for the tree
 // DPSize chooses (which DPSizeBatched must choose too), and — on a small
-// model per registry — under every feature-ablation registry, which leaves
-// stages without features the planner fills.
+// model per registry, for those trees and the one DPSize chooses under it —
+// under every feature-ablation registry, which leaves stages without features
+// the planner fills.
 func TestPlannerMatchesPredictPlan(t *testing.T) {
 	model, err := t3.Load("../../models/t3_default.json")
 	if err != nil {
@@ -168,7 +171,17 @@ func TestPlannerMatchesPredictPlan(t *testing.T) {
 			t.Errorf("%s: batched %v %s, scalar %v %s", c.spec.Name, batched.Cost, batched.Tree, res.Cost, res.Tree)
 		}
 		chosen := annotatedPlan(c, oracle, res.Tree)
+		checkWalker(t, cm, res.Tree, res.Cost, c.spec.Name+" chosen")
 		checkPredictPlan(t, model, chosen, res.Cost, c.spec.Name+" chosen "+res.Tree.String())
+		cms := make([]*joinorder.T3CostModel, len(regs))
+		for i, reg := range regs {
+			cms[i] = joinorder.NewT3Cost(packs[i], reg, c.inst, c.spec, oracle)
+			res, err := joinorder.DPSize(c.spec, cms[i])
+			if err != nil {
+				t.Fatal(err)
+			}
+			checkWalker(t, cms[i], res.Tree, res.Cost, c.spec.Name+" chosen, "+names[i])
+		}
 
 		for k := 0; k < trees; k++ {
 			tree := randomTree(c.spec, rng)
@@ -179,24 +192,18 @@ func TestPlannerMatchesPredictPlan(t *testing.T) {
 			if d := sameVectors(model.Registry(), vecs, want); d != "" {
 				t.Fatalf("%s: %s", where, d)
 			}
+			checkWalker(t, cm, tree, cost, where)
 			checkPredictPlan(t, model, root, cost, where)
 			checkStartPrecondition(t, model.Registry(), cm, tree, where)
 
 			for i, reg := range regs {
-				cmr := joinorder.NewT3Cost(packs[i], reg, c.inst, c.spec, oracle)
-				checkStartPrecondition(t, reg, cmr, tree, where+", "+names[i])
-				vecs, cost := joinorder.PlannerPricing(cmr, tree)
-				want, ps := reg.PlanVectors(root, plan.EstCards)
+				checkStartPrecondition(t, reg, cms[i], tree, where+", "+names[i])
+				vecs, cost := joinorder.PlannerPricing(cms[i], tree)
+				want, _ := reg.PlanVectors(root, plan.EstCards)
 				if d := sameVectors(reg, vecs, want); d != "" {
 					t.Fatalf("%s, %s: %s", where, names[i], d)
 				}
-				sum := 0.0
-				for j, v := range want {
-					sum += benchdata.InverseTarget(packs[i].Predict(v)) * feature.SourceCard(ps[j], plan.EstCards)
-				}
-				if math.Abs(cost-sum) > 1e-9 {
-					t.Fatalf("%s, %s: planner cost %v s, the plan's pipelines %v s", where, names[i], cost, sum)
-				}
+				checkWalker(t, cms[i], tree, cost, where+", "+names[i])
 			}
 			checked++
 		}
@@ -220,6 +227,15 @@ func checkStartPrecondition(t *testing.T, reg *feature.Registry, cm *joinorder.T
 					where, i, reg.Names()[f], x, leaves[i][f])
 			}
 		}
+	}
+}
+
+// checkWalker holds a planner cost (seconds) of tree to WalkerPricing's, bit
+// for bit.
+func checkWalker(t *testing.T, cm *joinorder.T3CostModel, tree *joinorder.Tree, cost float64, where string) {
+	t.Helper()
+	if w := joinorder.WalkerPricing(cm, tree); math.Float64bits(cost) != math.Float64bits(w) {
+		t.Fatalf("%s %s: planner cost %v s, the walker's %v s", where, tree, cost, w)
 	}
 }
 

@@ -91,23 +91,47 @@ type t3State struct {
 // pipeline the first time Total compares it. The terminal aggregate's scan
 // pipeline, the same for every tree, is priced once, when the model is built,
 // and is not counted in Calls (see Result.ModelCalls).
+//
+// Each call is the kernel's one-row path (treec.Packed.PredictRowsFrom),
+// beginning from the start of the relation whose scan starts the row's
+// pipeline, as DPSizeBatched prices its rows: the two enumerators share the
+// kernel entry point and the starts, and differ only in how they run the
+// dynamic program.
 type T3CostModel struct {
 	pred   *treec.Packed
 	enc    *encoder
 	oracle Oracle
 	calls  int
 	tail   float64 // the aggregate's scan pipeline in seconds
+	// starts holds, per relation, its leaf vector's start in the kernel
+	// (over startFeatures); start and out are one kernel call's row start and
+	// result. closeVec is a scratch row: the closed build vector Join prices
+	// and drops, and NewT3Cost's leaf and aggregate scan rows.
+	starts   *treec.Starts
+	start    [1]int32
+	out      [1]float64
+	closeVec []float64
 }
 
 // NewT3Cost builds the T3 cost model over the packed evaluator pred and its
 // registry reg; the oracle supplies subset cardinalities. Pricing the
 // aggregate's scan pipeline asks it for the full join's.
 func NewT3Cost(pred *treec.Packed, reg *feature.Registry, inst *workload.Instance, spec *workload.JoinSpec, oracle Oracle) *T3CostModel {
-	m := &T3CostModel{pred: pred, enc: newEncoder(reg, inst, spec), oracle: oracle}
+	m := &T3CostModel{
+		pred:     pred,
+		enc:      newEncoder(reg, inst, spec),
+		oracle:   oracle,
+		starts:   pred.NewStarts(startFeatures(reg)),
+		closeVec: make([]float64, reg.NumFeatures()),
+	}
+	for r := range spec.Rels {
+		m.enc.leafInto(m.closeVec, r)
+		m.starts.Add(m.closeVec)
+	}
 	if len(spec.Rels) > 0 {
-		vec := make([]float64, reg.NumFeatures())
-		src := m.enc.aggScanInto(vec, oracle)
-		m.tail = scaleSeconds(pred.Predict(vec), src)
+		src := m.enc.aggScanInto(m.closeVec, oracle)
+		pred.PredictRowsInto(m.closeVec, len(m.closeVec), m.out[:], nil)
+		m.tail = scaleSeconds(m.out[0], src)
 	}
 	return m
 }
@@ -115,11 +139,14 @@ func NewT3Cost(pred *treec.Packed, reg *feature.Registry, inst *workload.Instanc
 // Name identifies the model.
 func (m *T3CostModel) Name() string { return "T3" }
 
-// predict evaluates the compiled model for one pipeline vector and scales to
+// predict evaluates the compiled model for one pipeline vector, from the
+// start of relation scan, whose scan starts the pipeline, and scales to
 // seconds.
-func (m *T3CostModel) predict(vec []float64, src float64) float64 {
+func (m *T3CostModel) predict(vec []float64, src float64, scan int) float64 {
 	m.calls++
-	return scaleSeconds(m.pred.Predict(vec), src)
+	m.start[0] = int32(scan)
+	m.pred.PredictRowsFrom(vec, len(vec), m.starts, m.start[:], m.out[:], nil)
+	return scaleSeconds(m.out[0], src)
 }
 
 // tailFor returns the seconds the terminal aggregate's scan pipeline adds to
@@ -147,9 +174,8 @@ func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State 
 	keyW := m.enc.rels.keyWidths(buildSet, probeSet)[0]
 
 	// Close the build pipeline: append the hash-join build stage.
-	bvec := make([]float64, len(b.openVec))
-	m.enc.closeBuildInto(bvec, b.openVec, b.subtree, keyW)
-	closed := b.closedSeconds + p.closedSeconds + m.predict(bvec, b.src)
+	m.enc.closeBuildInto(m.closeVec, b.openVec, b.subtree, keyW)
+	closed := b.closedSeconds + p.closedSeconds + m.predict(m.closeVec, b.src, b.scan)
 
 	// Extend the probe pipeline.
 	set := buildSet | probeSet
@@ -167,7 +193,7 @@ func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State 
 func (m *T3CostModel) Total(s State) float64 {
 	st := s.(*t3State)
 	if !st.openPredOK {
-		st.openPred = m.predict(st.openVec, st.src)
+		st.openPred = m.predict(st.openVec, st.src, st.scan)
 		st.openPredOK = true
 	}
 	return st.closedSeconds + st.openPred + st.tail

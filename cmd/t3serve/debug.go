@@ -38,10 +38,6 @@ type spanJSON struct {
 	Stage   string `json:"stage"`
 	StartNs int64  `json:"start_ns"`
 	DurNs   int64  `json:"dur_ns"`
-	// Pipeline shape, present on pipeline spans only.
-	Pipeline    int `json:"pipeline,omitempty"`
-	Morsels     int `json:"morsels,omitempty"`
-	Parallelism int `json:"parallelism,omitempty"`
 	// Arg is the raw stage argument (payload bytes, pipeline count, ...).
 	Arg uint32 `json:"arg,omitempty"`
 }
@@ -63,16 +59,7 @@ func renderTrace(t trace.Trace) traceJSON {
 		out.Fingerprint = fmt.Sprintf("%016x", t.Fingerprint)
 	}
 	for _, sp := range t.Spans[:t.NSpans] {
-		sj := spanJSON{Stage: sp.Stage.String(), StartNs: sp.StartNs, DurNs: sp.DurNs}
-		switch sp.Stage {
-		case trace.StagePipeline:
-			sj.Pipeline, sj.Morsels, sj.Parallelism = trace.UnpackPipelineArg(sp.Arg)
-		case trace.StageMerge:
-			sj.Pipeline = int(sp.Arg)
-		default:
-			sj.Arg = sp.Arg
-		}
-		out.Spans = append(out.Spans, sj)
+		out.Spans = append(out.Spans, spanJSON{Stage: sp.Stage.String(), StartNs: sp.StartNs, DurNs: sp.DurNs, Arg: sp.Arg})
 	}
 	return out
 }

@@ -1,5 +1,5 @@
 // Command t3serve serves a trained T3 model over HTTP and raw TCP:
-// prediction and execution endpoints, a high-throughput binary wire
+// prediction and drift-scoring endpoints, a high-throughput binary wire
 // protocol with a fingerprint-keyed prediction cache and per-connection
 // batching of cache misses, plus the full observability surface of
 // internal/obs.
@@ -24,13 +24,12 @@
 //	POST /predict.bin        binary wire frame in (see internal/wire), wire
 //	                         response frame out. Served through the
 //	                         caching core (internal/serve).
-//	POST /run                predict the plan and score the q-error into the
-//	                         drift histogram. ?actual_ns=N supplies the
-//	                         caller's measured execution time (the normal
-//	                         case: plans sent over the wire carry only
-//	                         annotations, never data). Without it the plan is
-//	                         executed on the in-memory engine, which requires
-//	                         bound tables and fails for decoded plans.
+//	POST /run?actual_ns=N    predict the plan and score the q-error against
+//	                         N, the caller's measured execution time, into
+//	                         the drift histogram and /debug/worst. The plan
+//	                         is never executed here: a plan sent over the
+//	                         wire carries annotations, not data. Without
+//	                         actual_ns the answer is 400.
 //	POST /reload             re-read the model file, atomically swap it in,
 //	                         and invalidate the prediction cache.
 //	GET  /metrics            Prometheus text exposition of every metric.
@@ -42,9 +41,10 @@
 //	GET  /debug/queries      the flight recorder: recent traced queries with
 //	                         per-stage span timelines (?n= caps the count).
 //	GET  /debug/worst        worst mispredictions by q-error, each with a
-//	                         replayable wire frame (/debug/worst/frame?rank=N
-//	                         downloads the raw frame; POST it to /predict.bin
-//	                         to reproduce the prediction).
+//	                         replayable wire frame.
+//	GET  /debug/worst/frame  ?rank=N downloads one exemplar's raw frame;
+//	                         POST it to /predict.bin to reproduce the
+//	                         prediction.
 //	GET  /debug/drift        windowed vs lifetime q-error quantiles and the
 //	                         drift alarm state (see -drift-* flags).
 //	GET  /debug/ctrl         the retrain control plane: live/previous registry
@@ -191,46 +191,34 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST a plan JSON")
 		return
 	}
+	// The caller executed the query elsewhere and reports the measured
+	// time; we score our prediction against it.
+	ns, err := strconv.ParseInt(r.URL.Query().Get("actual_ns"), 10, 64)
+	if err != nil || ns < 0 {
+		httpError(w, http.StatusBadRequest, "?actual_ns=N is required: N is the measured execution time in ns, a non-negative integer")
+		return
+	}
 	root, mode, err := readPlan(w, r)
 	if err != nil {
 		httpError(w, http.StatusBadRequest, err.Error())
 		return
 	}
-	m := s.model()
-	var predicted, actual time.Duration
-	var per []t3.PipelinePrediction
-	var q float64
-	if v := r.URL.Query().Get("actual_ns"); v != "" {
-		// The caller executed the query elsewhere and reports the measured
-		// time; we score our prediction against it.
-		ns, perr := strconv.ParseInt(v, 10, 64)
-		if perr != nil || ns < 0 {
-			httpError(w, http.StatusBadRequest, "actual_ns must be a non-negative integer")
-			return
-		}
-		actual = time.Duration(ns)
-		// Client-reported rounds carry real execution times, so they are
-		// always traced (ForceBegin bypasses sampling) on top of scoring
-		// the drift histogram and the exemplar store (/debug/worst).
-		tr := trace.Default.ForceBegin(trace.KindRun, uint8(mode))
-		var ps t3.PredictScratch
-		ps.AttachTrace(tr)
-		predicted, per = m.PredictPlanScratch(root, mode, &ps)
-		q = t3.RecordObservedPlan(root, mode, predicted, actual)
-		if tr != nil {
-			tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(root, mode))
-			tr.PredictedNs = predicted.Nanoseconds()
-			tr.ActualNs = actual.Nanoseconds()
-			if qm := q * 1000; qm >= 0 && qm < 1e18 {
-				tr.QErrorMilli = uint64(qm)
-			}
-			trace.Default.Publish(tr)
-		}
-	} else if predicted, per, actual, q, err = m.PredictAndRun(root, mode); err != nil {
-		httpError(w, http.StatusUnprocessableEntity,
-			err.Error()+" (plans decoded from JSON carry no data; pass ?actual_ns=N with the measured time instead)")
-		return
+	actual := time.Duration(ns)
+	// Client-reported rounds carry real execution times, so they are always
+	// traced (ForceBegin bypasses sampling) on top of scoring the drift
+	// histogram and the exemplar store (/debug/worst).
+	tr := trace.Default.ForceBegin(trace.KindRun, uint8(mode))
+	var ps t3.PredictScratch
+	ps.AttachTrace(tr)
+	predicted, per := s.model().PredictPlanScratch(root, mode, &ps)
+	q := t3.RecordObservedPlan(root, mode, predicted, actual)
+	tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(root, mode))
+	tr.PredictedNs = predicted.Nanoseconds()
+	tr.ActualNs = actual.Nanoseconds()
+	if qm := q * 1000; qm >= 0 && qm < 1e18 {
+		tr.QErrorMilli = uint64(qm)
 	}
+	trace.Default.Publish(tr)
 	writeJSON(w, runResponse{
 		predictResponse: predictResp(predicted, per),
 		ActualNs:        actual.Nanoseconds(),

@@ -253,16 +253,16 @@ func TestBatchedMixedKeyWidths(t *testing.T) {
 // closed build side) and one per Total (the open side, re-predicted on every
 // comparison). Its Calls is that count, so DPSize reports it as ModelCalls.
 type noMemoPrice struct {
-	CostModel
+	CostModel[*t3State]
 	calls int
 }
 
-func (c *noMemoPrice) Join(build, probe State, buildSet, probeSet uint64) State {
+func (c *noMemoPrice) Join(build, probe *t3State, buildSet, probeSet uint64) *t3State {
 	c.calls++
 	return c.CostModel.Join(build, probe, buildSet, probeSet)
 }
 
-func (c *noMemoPrice) Total(s State) float64 {
+func (c *noMemoPrice) Total(s *t3State) float64 {
 	c.calls++
 	return c.CostModel.Total(s)
 }

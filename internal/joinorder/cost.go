@@ -26,16 +26,16 @@ func NewCout(oracle Oracle) *CoutModel { return &CoutModel{oracle: oracle} }
 func (c *CoutModel) Name() string { return "Cout" }
 
 // Leaf costs nothing.
-func (c *CoutModel) Leaf(rel int) State { return float64(0) }
+func (c *CoutModel) Leaf(rel int) float64 { return 0 }
 
 // Join adds the new intermediate's cardinality.
-func (c *CoutModel) Join(build, probe State, buildSet, probeSet uint64) State {
+func (c *CoutModel) Join(build, probe float64, buildSet, probeSet uint64) float64 {
 	c.calls++
-	return build.(float64) + probe.(float64) + c.oracle.Card(buildSet|probeSet)
+	return build + probe + c.oracle.Card(buildSet|probeSet)
 }
 
 // Total returns the accumulated cost.
-func (c *CoutModel) Total(s State) float64 { return s.(float64) }
+func (c *CoutModel) Total(s float64) float64 { return s }
 
 // Calls reports model invocations.
 func (c *CoutModel) Calls() int { return c.calls }
@@ -159,7 +159,7 @@ func (m *T3CostModel) tailFor(set uint64) float64 {
 }
 
 // Leaf starts an open pipeline with the relation's scan stage.
-func (m *T3CostModel) Leaf(rel int) State {
+func (m *T3CostModel) Leaf(rel int) *t3State {
 	vec := make([]float64, m.enc.reg.NumFeatures())
 	t := m.enc.leafInto(vec, rel)
 	return &t3State{subtree: t, openVec: vec, tail: m.tailFor(uint64(1) << uint(rel))}
@@ -168,9 +168,7 @@ func (m *T3CostModel) Leaf(rel int) State {
 // Join closes the build side's pipeline with a build stage (one model call)
 // and extends the probe side's open pipeline with a probe stage (the second
 // model call happens lazily when Total first compares the new state).
-func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State {
-	b := build.(*t3State)
-	p := probe.(*t3State)
+func (m *T3CostModel) Join(b, p *t3State, buildSet, probeSet uint64) *t3State {
 	keyW := m.enc.rels.keyWidths(buildSet, probeSet)[0]
 
 	// Close the build pipeline: append the hash-join build stage.
@@ -190,8 +188,7 @@ func (m *T3CostModel) Join(build, probe State, buildSet, probeSet uint64) State 
 // prediction is computed once per state and memoized — states are immutable,
 // so repeated Total calls (the DP compares every candidate against the
 // running best) are lookups, not model runs.
-func (m *T3CostModel) Total(s State) float64 {
-	st := s.(*t3State)
+func (m *T3CostModel) Total(st *t3State) float64 {
 	if !st.openPredOK {
 		st.openPred = m.predict(st.openVec, st.src, st.scan)
 		st.openPredOK = true

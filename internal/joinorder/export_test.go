@@ -4,19 +4,19 @@ package joinorder
 // returns the pipeline vectors the planner's encoder writes for the tree, in
 // plan.Decompose's order, and the cost cm's Leaf, Join and Total give it.
 func PlannerPricing(cm *T3CostModel, tree *Tree) (vecs [][]float64, cost float64) {
-	var walk func(t *Tree) State
-	walk = func(t *Tree) State {
+	var walk func(t *Tree) *t3State
+	walk = func(t *Tree) *t3State {
 		if t.Left == nil {
 			return cm.Leaf(t.Rel)
 		}
 		bs, ps := t.Left.Rels(), t.Right.Rels()
-		b := walk(t.Left).(*t3State)
+		b := walk(t.Left)
 		closed := make([]float64, len(b.openVec))
 		cm.enc.closeBuildInto(closed, b.openVec, b.subtree, cm.enc.rels.keyWidths(bs, ps)[0])
 		vecs = append(vecs, closed)
 		return cm.Join(b, walk(t.Right), bs, ps)
 	}
-	root := walk(tree).(*t3State)
+	root := walk(tree)
 	aggScan := make([]float64, len(root.openVec))
 	cm.enc.aggScanInto(aggScan, cm.oracle)
 	return append(vecs, root.openVec, aggScan), cm.Total(root)
@@ -65,15 +65,15 @@ func PricedRows(cm *T3CostModel, tree *Tree) (rows, leaves [][]float64) {
 	var walk func(t *Tree) *t3State
 	walk = func(t *Tree) *t3State {
 		if t.Left == nil {
-			return cm.Leaf(t.Rel).(*t3State)
+			return cm.Leaf(t.Rel)
 		}
 		bs, ps := t.Left.Rels(), t.Right.Rels()
 		b, p := walk(t.Left), walk(t.Right)
 		closed := make([]float64, len(b.openVec))
 		cm.enc.closeBuildInto(closed, b.openVec, b.subtree, cm.enc.rels.keyWidths(bs, ps)[0])
-		j := cm.Join(b, p, bs, ps).(*t3State)
+		j := cm.Join(b, p, bs, ps)
 		rows = append(rows, closed, j.openVec)
-		leaves = append(leaves, cm.Leaf(b.scan).(*t3State).openVec, cm.Leaf(j.scan).(*t3State).openVec)
+		leaves = append(leaves, cm.Leaf(b.scan).openVec, cm.Leaf(j.scan).openVec)
 		return j
 	}
 	walk(tree)

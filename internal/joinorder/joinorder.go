@@ -191,25 +191,23 @@ func (o *MemoOracle) Card(set uint64) float64 {
 func (o *MemoOracle) OracleCalls() int { return len(o.memo) }
 
 // CostModel prices join trees during dynamic programming. Implementations
-// carry per-subtree state (opaque to the DP).
-type CostModel interface {
+// carry per-subtree state S, opaque to the DP and held by value, so a model
+// whose state is a plain number (Cout) allocates nothing per step.
+type CostModel[S any] interface {
 	Name() string
 	// Leaf returns the state of a single-relation subtree.
-	Leaf(rel int) State
+	Leaf(rel int) S
 	// Join combines two subtrees (build = left) into a new state.
-	Join(build, probe State, buildSet, probeSet uint64) State
+	Join(build, probe S, buildSet, probeSet uint64) S
 	// Total returns the comparable cost of a state.
-	Total(s State) float64
+	Total(s S) float64
 	// Calls returns the number of model invocations so far.
 	Calls() int
 }
 
-// State is a cost model's per-subtree memo.
-type State interface{}
-
 // dpEntry is the best plan found for a subset.
-type dpEntry struct {
-	state State
+type dpEntry[S any] struct {
+	state S
 	tree  *Tree
 }
 
@@ -236,7 +234,7 @@ type Result struct {
 
 // DPSize runs the DPsize dynamic program over the join graph, returning the
 // cheapest (bushy, connected, cross-product-free) join tree.
-func DPSize(spec *workload.JoinSpec, cm CostModel) (*Result, error) {
+func DPSize[S any](spec *workload.JoinSpec, cm CostModel[S]) (*Result, error) {
 	n := len(spec.Rels)
 	if n == 0 {
 		return nil, fmt.Errorf("joinorder: empty spec")
@@ -250,11 +248,11 @@ func DPSize(spec *workload.JoinSpec, cm CostModel) (*Result, error) {
 	start := time.Now()
 	startCalls := cm.Calls()
 	steps := 0
-	dp := make(map[uint64]dpEntry)
+	dp := make(map[uint64]dpEntry[S])
 	bySize := make([][]uint64, n+1)
 	for r := 0; r < n; r++ {
 		set := uint64(1) << uint(r)
-		dp[set] = dpEntry{state: cm.Leaf(r), tree: &Tree{Rel: r}}
+		dp[set] = dpEntry[S]{state: cm.Leaf(r), tree: &Tree{Rel: r}}
 		bySize[1] = append(bySize[1], set)
 	}
 
@@ -273,7 +271,7 @@ func DPSize(spec *workload.JoinSpec, cm CostModel) (*Result, error) {
 					// Try both build/probe assignments.
 					for _, pair := range [2][2]uint64{{a, b}, {b, a}} {
 						bs, ps := pair[0], pair[1]
-						var build, probe dpEntry
+						var build, probe dpEntry[S]
 						if bs == a {
 							build, probe = ea, eb
 						} else {
@@ -287,7 +285,7 @@ func DPSize(spec *workload.JoinSpec, cm CostModel) (*Result, error) {
 							if !ok {
 								bySize[size] = append(bySize[size], set)
 							}
-							dp[set] = dpEntry{
+							dp[set] = dpEntry[S]{
 								state: st,
 								tree:  &Tree{Left: build.tree, Right: probe.tree},
 							}

@@ -193,3 +193,33 @@ func TestDPSizeWithT3CostModel(t *testing.T) {
 		t.Fatal("no specs tested")
 	}
 }
+
+// coutEnumAllocBound bounds the allocations of one scalar DPSize enumeration
+// under Cout of the dense 8-relation clique below (6 050 DP steps, oracle
+// memo warm), as measured. What remains is the DP's own bookkeeping: the
+// subset map, the per-size lists and a Tree per improvement. A Cout state
+// boxed on the heap adds one per step (6 719 in all).
+const coutEnumAllocBound = 669
+
+// TestCoutEnumerationAllocs pins that Cout's per-step state costs no heap
+// allocation: the DP holds it by value.
+func TestCoutEnumerationAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts inflated under -race")
+	}
+	inst, sp := workload.SyntheticJoinBench(workload.ShapeClique, 8, 4000, 103)
+	oracle := NewMemoOracle(NewEstOracle(inst, sp), len(sp.Rels))
+	res, err := DPSize(sp, NewCout(oracle))
+	if err != nil {
+		t.Fatal(err)
+	}
+	avg := testing.AllocsPerRun(10, func() {
+		if _, err := DPSize(sp, NewCout(oracle)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("%.0f allocs/run over %d DP steps", avg, res.DPSteps)
+	if avg > coutEnumAllocBound {
+		t.Errorf("Cout enumeration allocates %.0f/run over %d DP steps, bound %d", avg, res.DPSteps, coutEnumAllocBound)
+	}
+}

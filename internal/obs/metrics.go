@@ -14,13 +14,10 @@ var (
 	// decompose + featurize + tree evaluation + per-pipeline sum.
 	PredictLatency = Default.NewHistogram("t3_predict_latency_seconds",
 		"End-to-end single-plan prediction latency (packed tier).", UnitNanoseconds)
-	// PredictInterpreted is the same latency on the interpreted tier
-	// (Model.PredictInterpreted), the slow tier of Table 1.
-	PredictInterpreted = Default.NewHistogram("t3_predict_interpreted_seconds",
-		"Single-plan prediction latency on the interpreted tier.", UnitNanoseconds)
-
-	// Per-stage spans of the predict hot path, sampled 1-in-8 (see
-	// StageSampler) so the extra clock reads stay off most predictions.
+	// Per-stage spans of the predict hot path, timed only on the
+	// predictions that record into a flight-recorder trace (see
+	// t3.Model.PredictPlanScratch), so the extra clock reads stay off most
+	// predictions.
 
 	// PredictDecompose times plan → pipeline decomposition.
 	PredictDecompose = Default.NewHistogram("t3_predict_stage_decompose_seconds",
@@ -32,8 +29,6 @@ var (
 	// per-pipeline sum.
 	PredictTreeEval = Default.NewHistogram("t3_predict_stage_treeeval_seconds",
 		"Sampled latency of the tree-evaluation stage.", UnitNanoseconds)
-	// StageSampler gates the per-stage spans above.
-	StageSampler = NewSampler(8)
 
 	// Batched prediction.
 

@@ -10,8 +10,8 @@
 // handles are package-level pointers resolved at init time (see
 // metrics.go), so instrumented code never performs a name lookup.
 //
-// Per-stage timing on the hot path is additionally gated behind a Sampler
-// so that the clock reads (two time.Now calls per stage) are paid only on
+// Per-stage timing on the hot path is additionally gated behind the flight
+// recorder's Sampler (internal/obs/trace) so that the clock reads (two time.Now calls per stage) are paid only on
 // a small fraction of predictions; the always-on whole-prediction counter
 // and latency histogram cost two clock reads and four atomic adds total.
 package obs

@@ -9,9 +9,7 @@
 //     values record begin/end span pairs with numeric stage ids — no
 //     strings, no maps, no allocation on the hot path — along the serving
 //     path (wire decode → cache lookup → batch evaluation, or for a
-//     lone miss decompose → featurize → tree eval) and the exec path
-//     (pipelines → morsel partitions → ordered merge, lifted from
-//     exec.PipelineTiming).
+//     lone miss decompose → featurize → tree eval).
 //     Completed traces are published into a lock-free ring of the most
 //     recent queries; sampling reuses obs.Sampler so the always-on cost of
 //     an untraced query is one atomic add.
@@ -59,19 +57,13 @@ const (
 	// StageTreeEval is packed-ensemble evaluation plus the per-pipeline sum
 	// (Arg carries the pipeline count).
 	StageTreeEval
-	// StagePipeline is one executed pipeline (Arg packs the pipeline index,
-	// morsel count, and parallelism — see PipelineArg).
-	StagePipeline
-	// StageMerge is the driver-side ordered merge of one parallel
-	// pipeline's partition partials (Arg is the pipeline index).
-	StageMerge
 	// NumStages is the number of defined stages.
 	NumStages
 )
 
 var stageNames = [NumStages]string{
 	"wire_decode", "cache_lookup", "batch_eval", "decompose", "featurize",
-	"tree_eval", "pipeline", "merge",
+	"tree_eval",
 }
 
 // String returns the export name of the stage.
@@ -91,7 +83,8 @@ const (
 	KindPredict Kind = iota
 	// KindServeBin is the binary serving path (/predict.bin or raw TCP).
 	KindServeBin
-	// KindRun is a predict-then-execute round (PredictAndRun, /run).
+	// KindRun is a prediction scored against a caller-measured execution
+	// time (cmd/t3serve's /run).
 	KindRun
 	// NumKinds is the number of defined kinds.
 	NumKinds
@@ -114,7 +107,7 @@ const (
 	// FlagBatched marks a request whose miss was priced together with
 	// other misses of the same read (see StageBatchEval).
 	FlagBatched
-	// FlagError marks a request that failed (decode or execution error).
+	// FlagError marks a request whose plan failed to decode.
 	FlagError
 )
 
@@ -134,42 +127,22 @@ func FlagNames(flags uint8) []string {
 }
 
 // MaxSpans is the fixed span capacity of a trace; spans past the capacity
-// are dropped (queries deep enough to overflow still keep their earliest —
-// outermost — spans).
-const MaxSpans = 24
+// are dropped (a trace that overflows still keeps its earliest — outermost
+// — spans). The deepest path records five: a traced lone serve miss
+// (decode, lookup, decompose, featurize, tree eval).
+const MaxSpans = 8
 
 // Span is one begin/end pair inside a trace. Offsets are relative to the
 // trace start, so spans nest visibly without absolute timestamps.
 type Span struct {
 	// Stage identifies what was measured.
 	Stage Stage
-	// Arg is stage-specific payload (pipeline index, batch size, bytes).
+	// Arg is stage-specific payload (batch size, pipeline count, bytes).
 	Arg uint32
 	// StartNs is the span start offset from the trace start.
 	StartNs int64
 	// DurNs is the span duration.
 	DurNs int64
-}
-
-// PipelineArg packs a StagePipeline span argument: pipeline index in the
-// high 16 bits, morsel count in the middle 8, parallelism in the low 8
-// (all saturating).
-func PipelineArg(index, morsels, parallelism int) uint32 {
-	sat := func(v, max int) uint32 {
-		if v < 0 {
-			return 0
-		}
-		if v > max {
-			return uint32(max)
-		}
-		return uint32(v)
-	}
-	return sat(index, 0xffff)<<16 | sat(morsels, 0xff)<<8 | sat(parallelism, 0xff)
-}
-
-// UnpackPipelineArg reverses PipelineArg.
-func UnpackPipelineArg(arg uint32) (index, morsels, parallelism int) {
-	return int(arg >> 16), int(arg >> 8 & 0xff), int(arg & 0xff)
 }
 
 // Trace is one query's flight record: identity, outcome, and up to
@@ -195,7 +168,7 @@ type Trace struct {
 	Fingerprint uint64
 	// PredictedNs is the predicted execution time; 0 if none.
 	PredictedNs int64
-	// ActualNs is the measured execution time; 0 if never executed.
+	// ActualNs is the caller-measured execution time; 0 if none.
 	ActualNs int64
 	// QErrorMilli is the q-error vs ActualNs in 1/1000ths; 0 if unknown.
 	QErrorMilli uint64
@@ -212,19 +185,11 @@ func (t *Trace) Start() time.Time { return t.start }
 // Record appends a span that began at start and ends now. Safe to call on
 // a nil trace (no-op), so call sites gate only their clock reads.
 func (t *Trace) Record(stage Stage, start time.Time, arg uint32) {
-	if t == nil {
-		return
-	}
-	t.Add(stage, start.Sub(t.start).Nanoseconds(), time.Since(start).Nanoseconds(), arg)
-}
-
-// Add appends a span from explicit offsets — for timings measured
-// elsewhere (exec.PipelineTiming). Nil-safe like Record.
-func (t *Trace) Add(stage Stage, startNs, durNs int64, arg uint32) {
 	if t == nil || int(t.NSpans) >= MaxSpans {
 		return
 	}
-	t.Spans[t.NSpans] = Span{Stage: stage, Arg: arg, StartNs: startNs, DurNs: durNs}
+	t.Spans[t.NSpans] = Span{Stage: stage, Arg: arg,
+		StartNs: start.Sub(t.start).Nanoseconds(), DurNs: time.Since(start).Nanoseconds()}
 	t.NSpans++
 }
 
@@ -238,7 +203,8 @@ func KeyFingerprint(k wire.Key) uint64 {
 // Defaults of the package-level recorder.
 const (
 	// DefaultRingSize is how many recent traces the default recorder
-	// retains (~64 KiB of ring at 680 B per trace record).
+	// retains (~66 KiB of ring at 264 B per slot: 32 trace words and the
+	// slot's sequence word).
 	DefaultRingSize = 256
 	// DefaultSampleEvery is the default sampling rate: one traced query in
 	// every 16.
@@ -280,8 +246,8 @@ func (r *Recorder) Begin(kind Kind, mode uint8) *Trace {
 }
 
 // ForceBegin starts a trace unconditionally — for paths where every event
-// matters (predict-then-execute rounds are engine-execution-bound, so
-// tracing them all is free by comparison).
+// matters: a prediction scored against a measured execution time is ground
+// truth, and rare next to plain predictions.
 func (r *Recorder) ForceBegin(kind Kind, mode uint8) *Trace {
 	return r.begin(kind, mode)
 }

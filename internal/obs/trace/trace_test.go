@@ -28,34 +28,9 @@ func TestStageAndKindNames(t *testing.T) {
 	}
 }
 
-func TestPipelineArgRoundtrip(t *testing.T) {
-	cases := []struct{ idx, morsels, par int }{
-		{0, 0, 0}, {1, 1, 1}, {3, 16, 4}, {12, 255, 8},
-		{0xffff, 0xff, 0xff},  // at saturation
-		{1 << 20, 1000, 4000}, // past saturation
-		{-1, -5, -9},          // negative clamps to zero
-	}
-	for _, c := range cases {
-		idx, m, p := UnpackPipelineArg(PipelineArg(c.idx, c.morsels, c.par))
-		want := func(v, max int) int {
-			if v < 0 {
-				return 0
-			}
-			if v > max {
-				return max
-			}
-			return v
-		}
-		if idx != want(c.idx, 0xffff) || m != want(c.morsels, 0xff) || p != want(c.par, 0xff) {
-			t.Fatalf("PipelineArg(%v) -> (%d,%d,%d)", c, idx, m, p)
-		}
-	}
-}
-
 func TestNilTraceIsSafe(t *testing.T) {
 	var tr *Trace
 	tr.Record(StageWireDecode, time.Now(), 0) // must not panic
-	tr.Add(StagePipeline, 1, 2, 3)
 	r := NewRecorder(4, 16)
 	r.Publish(nil)
 	r.Discard(nil)
@@ -65,7 +40,7 @@ func TestSpanOverflowKeepsEarliest(t *testing.T) {
 	r := NewRecorder(4, 1)
 	tr := r.ForceBegin(KindPredict, 0)
 	for i := 0; i < MaxSpans+10; i++ {
-		tr.Add(StagePipeline, int64(i), 1, uint32(i))
+		tr.Record(StageTreeEval, tr.Start(), uint32(i))
 	}
 	if tr.NSpans != MaxSpans {
 		t.Fatalf("NSpans = %d, want %d", tr.NSpans, MaxSpans)
@@ -85,9 +60,12 @@ func TestRingRoundtrip(t *testing.T) {
 	tr.ActualNs = 23456
 	tr.QErrorMilli = 1900
 	start := tr.StartUnixNs
-	tr.Add(StageWireDecode, 10, 20, 0)
-	tr.Add(StageCacheLookup, 35, 5, 0)
-	tr.Add(StagePipeline, 50, 1000, PipelineArg(0, 16, 4))
+	wantSpans := []Span{
+		{StageWireDecode, 0, 10, 20},
+		{StageCacheLookup, 0, 35, 5},
+		{StageBatchEval, 32, 50, 1000},
+	}
+	tr.NSpans = uint8(copy(tr.Spans[:], wantSpans))
 	r.Publish(tr)
 
 	got := r.Snapshot(nil)
@@ -105,11 +83,6 @@ func TestRingRoundtrip(t *testing.T) {
 	if g.Fingerprint != 0xdeadbeefcafe || g.PredictedNs != 12345 ||
 		g.ActualNs != 23456 || g.QErrorMilli != 1900 {
 		t.Fatalf("outcome mangled: %+v", g)
-	}
-	wantSpans := []Span{
-		{StageWireDecode, 0, 10, 20},
-		{StageCacheLookup, 0, 35, 5},
-		{StagePipeline, PipelineArg(0, 16, 4), 50, 1000},
 	}
 	for i, w := range wantSpans {
 		if g.Spans[i] != w {
@@ -190,7 +163,8 @@ func TestConcurrentPublishSnapshot(t *testing.T) {
 				v := uint64(w)<<32 | uint64(i)
 				tr.Fingerprint = v
 				tr.PredictedNs = int64(v)
-				tr.Add(StageTreeEval, int64(v), int64(v), uint32(i))
+				tr.Spans[0] = Span{Stage: StageTreeEval, Arg: uint32(i), StartNs: int64(v), DurNs: int64(v)}
+				tr.NSpans = 1
 				r.Publish(tr)
 			}
 		}(w)

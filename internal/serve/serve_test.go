@@ -460,3 +460,62 @@ func TestServeRequestsAppearInFlightRecorder(t *testing.T) {
 		t.Fatalf("trace predicted %d ns", hit.PredictedNs)
 	}
 }
+
+// TestLoneMissTraceIsOneTimeline drives lone cache misses — each frame its
+// own batch, so PredictPlanScratch prices it on the request's attached trace
+// — until the sampler has traced some. Each such trace holds the deepest
+// path the flight recorder records, five spans on one timeline: wire
+// decode, cache lookup, then the model's decompose, featurize and tree
+// eval, each starting after the one before it ended. The server samples its
+// requests alone: a miss it did not trace begins no trace in the model, and
+// exactly the traced misses time their stages into the stage histograms.
+func TestLoneMissTraceIsOneTimeline(t *testing.T) {
+	s := newServer(t, Config{})
+	c := s.getConn()
+	frames := variantFrames(t, 64, plan.TrueCards)
+	var lastID uint64 // traces of earlier tests are still in the ring
+	for _, tr := range trace.Default.Snapshot(nil) {
+		lastID = max(lastID, tr.ID)
+	}
+	decompose0 := obs.PredictDecompose.Snapshot().Count
+	for _, f := range frames {
+		if _, err := s.predictPayload(c, f[wire.HeaderSize:], plan.TrueCards); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := []trace.Stage{trace.StageWireDecode, trace.StageCacheLookup,
+		trace.StageDecompose, trace.StageFeaturize, trace.StageTreeEval}
+	lone := 0
+	for _, tr := range trace.Default.Snapshot(nil) {
+		if tr.ID <= lastID {
+			continue
+		}
+		if tr.Kind != trace.KindServeBin || tr.Flags != 0 {
+			t.Fatalf("unexpected trace of a lone miss: %+v", tr)
+		}
+		spans := tr.Spans[:tr.NSpans]
+		if len(spans) != len(want) {
+			t.Fatalf("lone-miss trace has %d spans, want %v: %+v", len(spans), want, spans)
+		}
+		var end int64
+		for i, sp := range spans {
+			if sp.Stage != want[i] || sp.StartNs < end || sp.DurNs < 0 {
+				t.Fatalf("span %d of %+v: want %v starting at or after %d ns", i, spans, want[i], end)
+			}
+			end = sp.StartNs + sp.DurNs
+		}
+		if spans[4].Arg == 0 || end > tr.TotalNs || tr.PredictedNs <= 0 {
+			t.Fatalf("lone-miss trace: %d pipelines, spans end at %d of %d ns, predicted %d ns",
+				spans[4].Arg, end, tr.TotalNs, tr.PredictedNs)
+		}
+		lone++
+	}
+	// 64 requests at 1-in-16 sampling.
+	if lone != len(frames)/trace.DefaultSampleEvery {
+		t.Fatalf("%d lone-miss serve traces in the flight recorder after %d misses, want %d",
+			lone, len(frames), len(frames)/trace.DefaultSampleEvery)
+	}
+	if got := obs.PredictDecompose.Snapshot().Count - decompose0; got != uint64(lone) {
+		t.Errorf("decompose stage timed %d times, want once per traced miss (%d)", got, lone)
+	}
+}

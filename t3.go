@@ -29,7 +29,6 @@ import (
 	"time"
 
 	"t3/internal/benchdata"
-	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
 	"t3/internal/feature"
 	"t3/internal/gbdt"
@@ -80,9 +79,8 @@ type Model struct {
 	// workers sizes the pool PredictBatch fans out over (0 = the shared
 	// GOMAXPROCS-sized pool).
 	workers int
-	// scratches recycles PredictScratch values across internal prediction
-	// calls (PredictBatchInto, PredictAndRun) so their steady state is
-	// allocation-free.
+	// scratches recycles PredictScratch values across PredictBatchInto
+	// calls so their steady state is allocation-free.
 	scratches sync.Pool
 }
 
@@ -171,10 +169,12 @@ type PipelinePrediction struct {
 type PredictScratch struct {
 	feat  feature.Scratch
 	preds []PipelinePrediction
-	// tr, when set, receives the per-stage spans of the next prediction
-	// instead of an independently sampled flight-recorder trace (see
+	// tr, when set, receives the per-stage spans of the next prediction.
+	// attached says a caller samples the scratch's predictions itself, so
+	// none begins an independently sampled flight-recorder trace (see
 	// AttachTrace).
-	tr *trace.Trace
+	tr       *trace.Trace
+	attached bool
 	// Batch state (PredictBatchScratch): where each plan's rows end in the
 	// feature scratch's row arena, and the kernel's output per row.
 	ends  []int
@@ -188,10 +188,11 @@ type PredictScratch struct {
 
 // AttachTrace routes the next prediction's stage spans into a caller-owned
 // flight-recorder trace — the serving tier attaches its request trace so
-// decode, cache, and model stages land on one timeline. Pass nil to detach.
-// While a trace is attached the prediction path does not begin (or publish)
-// its own.
-func (s *PredictScratch) AttachTrace(tr *trace.Trace) { s.tr = tr }
+// decode, cache, and model stages land on one timeline. A caller that
+// attaches samples its own requests: from then on a prediction on this
+// scratch records into the attached trace, or into none after
+// AttachTrace(nil), and never begins (or publishes) one of its own.
+func (s *PredictScratch) AttachTrace(tr *trace.Trace) { s.tr, s.attached = tr, true }
 
 // PredictPlanScratch is PredictPlan over a caller-owned scratch: after the
 // scratch warms up (one call), featurize → predict → per-pipeline sum run
@@ -199,23 +200,20 @@ func (s *PredictScratch) AttachTrace(tr *trace.Trace) { s.tr = tr }
 // are valid only until its next use.
 //
 // The path is instrumented: every call counts into obs.Predictions and
-// records its end-to-end latency; one in every few calls (obs.StageSampler)
-// additionally records decompose/featurize/tree-eval spans into the stage
-// histograms, and an independently sampled subset records the same spans
-// into the flight recorder (trace.Default) — unless the caller attached its
-// own trace via AttachTrace, which then receives the spans instead. All
+// records its end-to-end latency. A call that records spans into a
+// flight-recorder trace — its own, sampled one in trace.DefaultSampleEvery
+// (trace.Default), or the one the caller attached (AttachTrace) — also times
+// decompose/featurize/tree-eval into the stage histograms. All
 // recording is atomic adds on preallocated histograms and pooled trace
 // buffers, so the zero-alloc guarantee holds with observability on.
 func (m *Model) PredictPlanScratch(root *Plan, mode CardMode, s *PredictScratch) (time.Duration, []PipelinePrediction) {
 	start := time.Now()
-	sampled := obs.StageSampler.Sample()
 	tr := s.tr
 	owned := false
-	if tr == nil {
+	if !s.attached {
 		tr = trace.Default.Begin(trace.KindPredict, uint8(mode))
 		owned = tr != nil
 	}
-	timed := sampled || tr != nil
 	t0 := start
 	if owned {
 		// The trace's clock started inside Begin, after start was taken;
@@ -223,18 +221,14 @@ func (m *Model) PredictPlanScratch(root *Plan, mode CardMode, s *PredictScratch)
 		t0 = tr.Start()
 	}
 	pipelines := plan.DecomposeInto(root, &s.feat.Pipes)
-	if timed {
-		if sampled {
-			obs.PredictDecompose.Since(t0)
-		}
+	if tr != nil {
+		obs.PredictDecompose.Since(t0)
 		tr.Record(trace.StageDecompose, t0, 0)
 		t0 = time.Now()
 	}
 	vecs := m.reg.EncodeDecomposed(&s.feat, pipelines, mode)
-	if timed {
-		if sampled {
-			obs.PredictFeaturize.Since(t0)
-		}
+	if tr != nil {
+		obs.PredictFeaturize.Since(t0)
 		tr.Record(trace.StageFeaturize, t0, 0)
 		t0 = time.Now()
 	}
@@ -246,10 +240,8 @@ func (m *Model) PredictPlanScratch(root *Plan, mode CardMode, s *PredictScratch)
 		total += pred.Total
 		s.preds = append(s.preds, pred)
 	}
-	if timed {
-		if sampled {
-			obs.PredictTreeEval.Since(t0)
-		}
+	if tr != nil {
+		obs.PredictTreeEval.Since(t0)
 		tr.Record(trace.StageTreeEval, t0, uint32(len(vecs)))
 	}
 	obs.Predictions.Inc()
@@ -375,14 +367,12 @@ func (m *Model) predictVec(v []float64, p *Pipeline, mode CardMode) PipelinePred
 // walking) evaluator instead of the packed one — the "T3 interpreted" row
 // of Table 1, and the reference the benchmark checks predictions against.
 func (m *Model) PredictInterpreted(root *Plan, mode CardMode) time.Duration {
-	start := time.Now()
 	vecs, pipelines := m.reg.PlanVectors(root, mode)
 	var total float64
 	for i, v := range vecs {
 		perTuple := benchdata.InverseTarget(m.gbm.Predict(v))
 		total += perTuple * feature.SourceCard(pipelines[i], mode)
 	}
-	obs.PredictInterpreted.Since(start)
 	return time.Duration(total * float64(time.Second))
 }
 
@@ -406,60 +396,6 @@ func RecordObservedPlan(root *Plan, mode CardMode, predicted, actual time.Durati
 	q := RecordObserved(predicted, actual)
 	trace.Exemplars.Offer(root, mode, predicted.Nanoseconds(), actual.Nanoseconds(), time.Now())
 	return q
-}
-
-// PredictAndRun predicts the plan, then actually executes it on the
-// in-memory engine and feeds the resulting q-error into the drift
-// histogram and the exemplar store via RecordObservedPlan. It returns the
-// prediction with its per-pipeline breakdown (as PredictPlan does), the
-// measured execution time, and the q-error between the two totals.
-//
-// Every round records a full flight-recorder trace (predict stages, one
-// span per executed pipeline with its morsel/parallelism shape, merge
-// spans): rounds are engine-execution-bound, so tracing them all costs
-// nothing by comparison and /debug/queries always shows ground truth.
-func (m *Model) PredictAndRun(root *Plan, mode CardMode) (predicted time.Duration, pipelines []PipelinePrediction, actual time.Duration, q float64, err error) {
-	tr := trace.Default.ForceBegin(trace.KindRun, uint8(mode))
-	s := m.getScratch()
-	s.tr = tr
-	predicted, per := m.PredictPlanScratch(root, mode, s)
-	pipelines = append(pipelines, per...) // per aliases the pooled scratch
-	s.tr = nil
-	m.scratches.Put(s)
-
-	execStart := time.Now()
-	res, err := exec.Run(root, false)
-	if err != nil {
-		tr.Flags |= trace.FlagError
-		tr.PredictedNs = predicted.Nanoseconds()
-		trace.Default.Publish(tr)
-		return predicted, pipelines, 0, 0, fmt.Errorf("t3: executing plan: %w", err)
-	}
-	actual = res.Total
-	q = RecordObservedPlan(root, mode, predicted, actual)
-
-	// Lift the engine's pipeline timings into the trace: pipelines ran
-	// back to back from execStart, so cumulative durations are offsets.
-	off := execStart.Sub(tr.Start()).Nanoseconds()
-	for _, pt := range res.Pipelines {
-		d := pt.Duration.Nanoseconds()
-		tr.Add(trace.StagePipeline, off,
-			d, trace.PipelineArg(pt.Index, pt.Morsels, pt.Parallelism))
-		if pt.Merge > 0 {
-			// The merge is the tail of the pipeline's duration.
-			tr.Add(trace.StageMerge, off+d-pt.Merge.Nanoseconds(),
-				pt.Merge.Nanoseconds(), uint32(pt.Index))
-		}
-		off += d
-	}
-	tr.Fingerprint = trace.KeyFingerprint(wire.PlanKey(root, mode))
-	tr.PredictedNs = predicted.Nanoseconds()
-	tr.ActualNs = actual.Nanoseconds()
-	if qm := q * 1000; qm >= 0 && qm < 1e18 { // guard degenerate q-errors
-		tr.QErrorMilli = uint64(qm)
-	}
-	trace.Default.Publish(tr)
-	return predicted, pipelines, actual, q, nil
 }
 
 // Save writes the model to a JSON file.

@@ -9,13 +9,12 @@ import (
 	"time"
 
 	"t3/internal/benchdata"
-	"t3/internal/engine/exec"
 	"t3/internal/feature"
 	"t3/internal/gbdt"
 	"t3/internal/obs"
+	"t3/internal/obs/trace"
 	"t3/internal/qerror"
 	"t3/internal/testutil"
-	"t3/internal/workload"
 )
 
 func trainSmall(t *testing.T, c *benchdata.Corpus) *Model {
@@ -366,7 +365,7 @@ func TestPackedTierServesPredictions(t *testing.T) {
 
 // TestObservabilityIntegration pins that the prediction, batch, and drift
 // paths feed the obs registry: counters advance, the latency histogram
-// fills, and PredictAndRun scores q-errors against real engine executions.
+// fills, and RecordObservedPlan scores q-errors against measured executions.
 func TestObservabilityIntegration(t *testing.T) {
 	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
@@ -394,33 +393,34 @@ func TestObservabilityIntegration(t *testing.T) {
 		t.Fatal("batch counter did not advance")
 	}
 
-	// PredictAndRun needs a plan whose tables are still bound (the shared
-	// corpus releases them), so build a tiny live instance.
-	in := workload.MustGenerate(workload.TPCHSpec("obs_tpch", 0.01, 7))
-	root := workload.TPCHBenchmarkQueries(in)[0].Root
-	if err := exec.AnnotateTrueCards(root); err != nil {
-		t.Fatal(err)
-	}
+	// A prediction scored against a measured execution time — the label's,
+	// timed by the engine when the corpus was collected — feeds its q-error
+	// into the drift histogram.
+	b := test[0]
 	driftBefore := obs.QErrorDrift.Snapshot().Count
-	pred, per, actual, q, err := m.PredictAndRun(root, TrueCards)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var sum time.Duration
-	for _, p := range per {
-		sum += p.Total
-	}
-	if sum != pred || len(per) == 0 {
-		t.Fatalf("PredictAndRun: %d pipelines summing to %v, predicted %v", len(per), sum, pred)
-	}
+	pred, _ := m.PredictPlan(b.Root, TrueCards)
+	actual := b.MedianTotal()
+	q := RecordObservedPlan(b.Root, TrueCards, pred, actual)
 	if pred <= 0 || actual <= 0 || q < 1 {
-		t.Fatalf("implausible PredictAndRun result: pred=%v actual=%v q=%v", pred, actual, q)
+		t.Fatalf("implausible observation: pred=%v actual=%v q=%v", pred, actual, q)
 	}
 	if wantQ := qerror.QError(pred.Seconds(), actual.Seconds()); q != wantQ {
 		t.Fatalf("q-error %v, want %v", q, wantQ)
 	}
 	if got := obs.QErrorDrift.Snapshot().Count - driftBefore; got < 1 {
 		t.Fatal("drift histogram did not record the observation")
+	}
+
+	// A prediction recording into an attached trace times its stages into
+	// the stage histograms as well.
+	d0 := obs.PredictDecompose.Snapshot().Count
+	tr := trace.Default.ForceBegin(trace.KindPredict, 0)
+	var ps PredictScratch
+	ps.AttachTrace(tr)
+	m.PredictPlanScratch(b.Root, TrueCards, &ps)
+	trace.Default.Discard(tr)
+	if got := obs.PredictDecompose.Snapshot().Count - d0; got < 1 {
+		t.Fatal("a traced prediction did not time its decompose stage")
 	}
 
 	// The sampled stage spans must stay consistent: decompose + featurize +

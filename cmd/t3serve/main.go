@@ -7,15 +7,7 @@
 // Usage:
 //
 //	t3serve [-addr :8080] [-tcp :8091] [-model models/t3_default.json]
-//	        [-cache 65536] [-log text|json]
-//	        [-drift-tick 5s] [-drift-window 12] [-drift-threshold 2.0]
-//	        [-drift-quantile 0.9]
-//	        [-retrain-registry dir] [-retrain-instance tpch|tpcds|imdb]
-//	        [-retrain-scale 0.01] [-retrain-pergroup 1] [-retrain-runs 3]
-//	        [-retrain-workers 0] [-retrain-seed 1] [-retrain-holdout 0.25]
-//	        [-retrain-quantile 0.9] [-retrain-promote-ratio 0.95]
-//	        [-retrain-min-interval 10m] [-retrain-rollback-window 0]
-//	        [-retrain-keep 8]
+//	        [-cache 65536] [-log text|json] [-v] [-retrain-registry dir]
 //
 // Endpoints:
 //
@@ -31,7 +23,9 @@
 //	                         wire carries annotations, not data. Without
 //	                         actual_ns the answer is 400.
 //	POST /reload             re-read the model file, atomically swap it in,
-//	                         and invalidate the prediction cache.
+//	                         and invalidate the prediction cache. With
+//	                         -retrain-registry the registry owns the served
+//	                         model and the answer is 409: use /debug/ctrl.
 //	GET  /metrics            Prometheus text exposition of every metric.
 //	GET  /metrics.json       the same registry as a JSON snapshot (the
 //	                         schema t3predict/t3bench -json also emit).
@@ -46,20 +40,25 @@
 //	                         POST it to /predict.bin to reproduce the
 //	                         prediction.
 //	GET  /debug/drift        windowed vs lifetime q-error quantiles and the
-//	                         drift alarm state (see -drift-* flags).
+//	                         drift alarm state.
 //	GET  /debug/ctrl         the retrain control plane: live/previous registry
 //	                         versions, episode counts, last shadow comparison.
 //	                         POST ?action=retrain starts an episode by hand,
 //	                         POST ?action=rollback restores the previous
 //	                         registry version. Requires -retrain-registry.
 //
-// With -retrain-registry the drift alarm closes the loop: the controller
-// (internal/ctrl) collects fresh labels from the configured workload,
-// retrains, shadow-evaluates the candidate against the live model on
-// held-out labels plus the worst-misprediction exemplars, and promotes
-// winners through the same atomic swap /reload uses — writing every
-// promoted model to the versioned registry first so a rollback can restore
-// the prior version bit-identically.
+// The drift detector ticks every 5 s over a 12-epoch window and raises its
+// alarm when the windowed p90 q-error exceeds 2 (trace.DetectorConfig's
+// defaults). With -retrain-registry the alarm closes the loop: t3serve
+// serves the registry's latest version, and on an alarm the controller
+// (internal/ctrl) collects fresh labels from a TPC-H-lite workload (scale
+// 0.01, one query per structure group, three timing runs), retrains,
+// shadow-evaluates the candidate against the live model on held-out labels
+// plus the worst-misprediction exemplars, and promotes winners through the
+// same atomic swap /reload uses — writing every promoted model to the
+// versioned registry first so a rollback can restore the prior version
+// bit-identically. The episode runs on the detector's goroutine, at most
+// one every 10 minutes.
 //
 // With -tcp the same binary wire protocol is served on a raw TCP listener:
 // any number of length-prefixed request frames per connection, one response
@@ -101,6 +100,19 @@ import (
 	"t3/internal/serve"
 	"t3/internal/wire"
 	"t3/internal/workload"
+)
+
+// The drift and retraining policy every deployment runs.
+const (
+	// driftTick is the drift detector's epoch period.
+	driftTick = 5 * time.Second
+	// The retraining workload: a TPC-H-lite instance at retrainScale, each
+	// episode collecting retrainPerGroup queries per structure group, each
+	// timed retrainRuns times, on GOMAXPROCS workers.
+	retrainScale    = 0.01
+	retrainSeed     = 1
+	retrainPerGroup = 1
+	retrainRuns     = 3
 )
 
 // HTTP serving metrics, alongside the built-in T3 metrics on obs.Default.
@@ -234,6 +246,11 @@ func (s *server) handleReload(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusMethodNotAllowed, "POST to reload")
 		return
 	}
+	if s.ctrl != nil {
+		// A model that bypassed the registry would have no rollback target.
+		httpError(w, http.StatusConflict, "the model registry owns the served model: POST /debug/ctrl?action=rollback or ?action=retrain")
+		return
+	}
 	s.reloadMu.Lock()
 	defer s.reloadMu.Unlock()
 	model, err := t3.Load(s.modelPath)
@@ -299,53 +316,29 @@ func instrument(log *slog.Logger, name string, h http.HandlerFunc) http.HandlerF
 	}
 }
 
-func main() {
-	var (
-		addr         = flag.String("addr", ":8080", "HTTP listen address")
-		tcpAddr      = flag.String("tcp", "", "raw TCP wire-protocol listen address (empty = disabled)")
-		modelPath    = flag.String("model", "models/t3_default.json", "trained model (JSON)")
-		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "prediction cache entries (0 disables)")
-		logFormat    = flag.String("log", "text", "log format: text|json")
-		verbose      = flag.Bool("v", false, "debug logging (per-request access logs)")
+// config is what t3serve's flags select besides its listeners and logging.
+type config struct {
+	modelPath    string
+	cacheEntries int
+	// registryDir enables drift-triggered retraining ("" = off).
+	registryDir string
+}
 
-		driftTick      = flag.Duration("drift-tick", 5*time.Second, "drift detector epoch period")
-		driftWindow    = flag.Int("drift-window", 12, "drift window size in epochs (span = (epochs-1) x tick)")
-		driftThreshold = flag.Float64("drift-threshold", 2.0, "windowed q-error quantile that raises t3_drift_alarm")
-		driftQuantile  = flag.Float64("drift-quantile", 0.9, "watched q-error quantile")
-
-		retrainRegistry = flag.String("retrain-registry", "", "model registry directory; enables drift-triggered retraining")
-		retrainInstance = flag.String("retrain-instance", "tpch", "retraining workload schema: tpch|tpcds|imdb")
-		retrainScale    = flag.Float64("retrain-scale", 0.01, "retraining instance scale factor")
-		retrainPerGroup = flag.Int("retrain-pergroup", 1, "retraining queries per structure group")
-		retrainRuns     = flag.Int("retrain-runs", 3, "timing runs per retraining query")
-		retrainWorkers  = flag.Int("retrain-workers", 0, "label-collection workers (0 = GOMAXPROCS)")
-		retrainSeed     = flag.Int64("retrain-seed", 1, "retraining workload generation seed")
-		retrainHoldout  = flag.Float64("retrain-holdout", 0.25, "fraction of labels held out for shadow evaluation")
-		retrainQuantile = flag.Float64("retrain-quantile", 0.9, "shadow q-error quantile candidates are judged on")
-		retrainPromote  = flag.Float64("retrain-promote-ratio", 0.95, "promote when candidate quantile <= ratio x live quantile")
-		retrainInterval = flag.Duration("retrain-min-interval", 10*time.Minute, "minimum spacing between retrain episodes")
-		retrainRollback = flag.Duration("retrain-rollback-window", 0, "drift alarm within this span after a promotion rolls it back (0 disables)")
-		retrainKeep     = flag.Int("retrain-keep", 8, "registry versions kept by GC")
-	)
-	flag.Parse()
-	logger := obs.SetupLogging(os.Stderr, *logFormat, *verbose)
-
-	model, err := t3.Load(*modelPath)
+// newServer assembles t3serve: the serving core over the model file, the
+// q-error drift detector and, with a registry directory, the retrain
+// controller attached to it, which swaps in the registry's latest version.
+// It registers every handler on mux. The caller ticks the detector.
+func newServer(cfg config, logger *slog.Logger, mux *http.ServeMux) (*server, error) {
+	model, err := t3.Load(cfg.modelPath)
 	if err != nil {
-		logger.Error("loading model", "path", *modelPath, "err", err)
-		os.Exit(1)
+		return nil, fmt.Errorf("loading model %s: %w", cfg.modelPath, err)
 	}
-
-	cfg := serve.Config{CacheEntries: *cacheEntries}
-	if *cacheEntries <= 0 {
-		cfg.CacheEntries = -1
+	scfg := serve.Config{CacheEntries: cfg.cacheEntries}
+	if cfg.cacheEntries <= 0 {
+		scfg.CacheEntries = -1
 	}
-	core := serve.New(model, cfg)
-	drift := trace.NewQErrorDetector(trace.DetectorConfig{
-		Epochs:    *driftWindow,
-		Quantile:  *driftQuantile,
-		Threshold: *driftThreshold,
-	})
+	core := serve.New(model, scfg)
+	drift := trace.NewQErrorDetector(trace.DetectorConfig{})
 	drift.OnAlarm(func(ev trace.DriftEvent) {
 		if ev.Raised {
 			logger.Warn("drift alarm raised", "qerror", ev.Quantile,
@@ -355,90 +348,87 @@ func main() {
 				"window_observations", ev.Count)
 		}
 	})
-	s := &server{core: core, modelPath: *modelPath, log: logger, drift: drift}
+	s := &server{core: core, modelPath: cfg.modelPath, log: logger, drift: drift}
 
-	if *retrainRegistry != "" {
-		var spec workload.InstanceSpec
-		switch *retrainInstance {
-		case "tpch":
-			spec = workload.TPCHSpec("tpch_retrain", *retrainScale, *retrainSeed)
-		case "tpcds":
-			spec = workload.TPCDSSpec("tpcds_retrain", *retrainScale*20, *retrainSeed)
-		case "imdb":
-			spec = workload.IMDBSpec("imdb_retrain", *retrainScale, *retrainSeed)
-		default:
-			logger.Error("unknown -retrain-instance", "instance", *retrainInstance)
-			os.Exit(1)
-		}
-		logger.Info("generating retraining instance", "schema", *retrainInstance, "scale", *retrainScale)
-		inst, err := workload.Generate(spec)
+	if cfg.registryDir != "" {
+		logger.Info("generating retraining instance", "schema", "tpch", "scale", retrainScale)
+		inst, err := workload.Generate(workload.TPCHSpec("tpch_retrain", retrainScale, retrainSeed))
 		if err != nil {
-			logger.Error("generating retraining instance", "err", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("generating retraining instance: %w", err)
 		}
-		reg, err := registry.Open(*retrainRegistry)
+		reg, err := registry.Open(cfg.registryDir)
 		if err != nil {
-			logger.Error("opening model registry", "dir", *retrainRegistry, "err", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("opening model registry: %w", err)
 		}
 		s.ctrl, err = ctrl.New(ctrl.Config{
 			Registry: reg,
 			Source: &ctrl.WorkloadSource{
 				Instance: inst,
 				Config: workload.CollectConfig{
-					Workers: *retrainWorkers, Runs: *retrainRuns,
-					PerGroup: *retrainPerGroup, Seed: *retrainSeed,
+					Runs: retrainRuns, PerGroup: retrainPerGroup, Seed: retrainSeed,
 				},
 			},
-			Swapper:         core,
-			Exemplars:       trace.Exemplars,
-			HoldoutFraction: *retrainHoldout,
-			ShadowQuantile:  *retrainQuantile,
-			PromoteRatio:    *retrainPromote,
-			MinInterval:     *retrainInterval,
-			RollbackWindow:  *retrainRollback,
-			KeepVersions:    *retrainKeep,
+			Swapper:   core,
+			Exemplars: trace.Exemplars,
 		})
 		if err != nil {
-			logger.Error("starting retrain controller", "err", err)
-			os.Exit(1)
+			return nil, fmt.Errorf("starting retrain controller: %w", err)
 		}
 		s.ctrl.Attach(drift)
 		logger.Info("retrain control plane enabled", "registry", reg.Dir(),
-			"instance", *retrainInstance, "promote_ratio", *retrainPromote)
+			"live_version", s.ctrl.Status().LiveVersion)
+	}
+
+	mux.HandleFunc("/predict", instrument(logger, "predict", s.handlePredict))
+	mux.HandleFunc("/predict.bin", core.PredictBinHandler())
+	mux.HandleFunc("/run", instrument(logger, "run", s.handleRun))
+	mux.HandleFunc("/reload", instrument(logger, "reload", s.handleReload))
+	mux.HandleFunc("/metrics", instrument(logger, "metrics", handleMetrics))
+	mux.HandleFunc("/metrics.json", instrument(logger, "metrics.json", handleMetricsJSON))
+	mux.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
+		_, _ = io.WriteString(w, "ok\n")
+	})
+	mux.HandleFunc("/debug/queries", instrument(logger, "debug.queries", handleDebugQueries))
+	mux.HandleFunc("/debug/worst", instrument(logger, "debug.worst", handleDebugWorst))
+	mux.HandleFunc("/debug/worst/frame", instrument(logger, "debug.worst.frame", handleDebugWorstFrame))
+	mux.HandleFunc("/debug/drift", instrument(logger, "debug.drift", s.handleDebugDrift))
+	mux.HandleFunc("/debug/ctrl", instrument(logger, "debug.ctrl", s.handleDebugCtrl))
+	return s, nil
+}
+
+func main() {
+	var (
+		addr         = flag.String("addr", ":8080", "HTTP listen address")
+		tcpAddr      = flag.String("tcp", "", "raw TCP wire-protocol listen address (empty = disabled)")
+		modelPath    = flag.String("model", "models/t3_default.json", "trained model (JSON)")
+		cacheEntries = flag.Int("cache", serve.DefaultCacheEntries, "prediction cache entries (0 disables)")
+		logFormat    = flag.String("log", "text", "log format: text|json")
+		verbose      = flag.Bool("v", false, "debug logging (per-request access logs)")
+		registryDir  = flag.String("retrain-registry", "", "model registry directory; serves its latest version and enables drift-triggered retraining")
+	)
+	flag.Parse()
+	logger := obs.SetupLogging(os.Stderr, *logFormat, *verbose)
+
+	// The default mux already holds /debug/pprof/* and /debug/vars, which
+	// the net/http/pprof and expvar imports register.
+	s, err := newServer(config{modelPath: *modelPath, cacheEntries: *cacheEntries, registryDir: *registryDir},
+		logger, http.DefaultServeMux)
+	if err != nil {
+		logger.Error("starting t3serve", "err", err)
+		os.Exit(1)
 	}
 
 	// The metrics snapshot doubles as an expvar, so stock expvar tooling
 	// (and /debug/vars) sees the same numbers as /metrics.
 	expvar.Publish("t3_metrics", expvar.Func(func() any { return obs.Default.Snapshot() }))
 
-	// Register on the default mux, which net/http/pprof and expvar already
-	// populated with /debug/pprof/* and /debug/vars.
-	http.HandleFunc("/predict", instrument(logger, "predict", s.handlePredict))
-	http.HandleFunc("/predict.bin", core.PredictBinHandler())
-	http.HandleFunc("/run", instrument(logger, "run", s.handleRun))
-	http.HandleFunc("/reload", instrument(logger, "reload", s.handleReload))
-	http.HandleFunc("/metrics", instrument(logger, "metrics", handleMetrics))
-	http.HandleFunc("/metrics.json", instrument(logger, "metrics.json", handleMetricsJSON))
-	http.HandleFunc("/healthz", func(w http.ResponseWriter, _ *http.Request) {
-		_, _ = io.WriteString(w, "ok\n")
-	})
-	http.HandleFunc("/debug/queries", instrument(logger, "debug.queries", handleDebugQueries))
-	http.HandleFunc("/debug/worst", instrument(logger, "debug.worst", handleDebugWorst))
-	http.HandleFunc("/debug/worst/frame", instrument(logger, "debug.worst.frame", handleDebugWorstFrame))
-	http.HandleFunc("/debug/drift", instrument(logger, "debug.drift", s.handleDebugDrift))
-	http.HandleFunc("/debug/ctrl", instrument(logger, "debug.ctrl", s.handleDebugCtrl))
-
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
 
 	// Drift detection runs for the life of the process; ctx.Done doubles as
-	// its stop signal during shutdown. The retrain controller (if enabled)
-	// services drift triggers on its own goroutine the same way.
-	go drift.Run(*driftTick, ctx.Done())
-	if s.ctrl != nil {
-		go s.ctrl.Run(ctx.Done())
-	}
+	// its stop signal during shutdown. A raised alarm runs its retrain
+	// episode on this goroutine.
+	go s.drift.Run(driftTick, ctx.Done())
 
 	srv := &http.Server{
 		Addr:              *addr,
@@ -459,13 +449,13 @@ func main() {
 		}
 		logger.Info("t3serve wire listener", "addr", tcpLn.Addr().String())
 		go func() {
-			if err := core.ServeTCP(tcpLn); err != nil {
+			if err := s.core.ServeTCP(tcpLn); err != nil {
 				errc <- fmt.Errorf("tcp server: %w", err)
 			}
 		}()
 	}
 
-	logger.Info("t3serve listening", "addr", *addr, "model", *modelPath, "cache", cfg.CacheEntries)
+	logger.Info("t3serve listening", "addr", *addr, "model", *modelPath, "cache", *cacheEntries)
 	go func() {
 		if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 			errc <- fmt.Errorf("http server: %w", err)

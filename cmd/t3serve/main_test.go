@@ -9,29 +9,24 @@ import (
 	"net/http/httptest"
 	"os"
 	"regexp"
+	"strings"
 	"testing"
+	"time"
 
 	"t3"
+	"t3/internal/ctrl"
 	"t3/internal/engine/exec"
 	"t3/internal/obs"
 	"t3/internal/obs/trace"
 	"t3/internal/planio"
+	"t3/internal/registry"
 	"t3/internal/serve"
 	"t3/internal/workload"
 )
 
-// testServer returns a handler-level server over the default model and the
-// JSON body of an annotated TPC-H plan.
-func testServer(t *testing.T) (*server, []byte) {
+// testPlan returns an annotated TPC-H plan and its JSON body.
+func testPlan(t *testing.T) (*t3.Plan, []byte) {
 	t.Helper()
-	model, err := t3.Load("../../models/t3_default.json")
-	if err != nil {
-		t.Fatal(err)
-	}
-	s := &server{
-		core: serve.New(model, serve.Config{}),
-		log:  slog.New(slog.NewTextHandler(io.Discard, nil)),
-	}
 	in := workload.MustGenerate(workload.TPCHSpec("tpch_t3serve", 0.01, 3))
 	root := workload.TPCHBenchmarkQueries(in)[0].Root
 	if err := exec.AnnotateTrueCards(root); err != nil {
@@ -41,6 +36,22 @@ func testServer(t *testing.T) (*server, []byte) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return root, body
+}
+
+const testModel = "../../models/t3_default.json"
+
+func discardLogger() *slog.Logger { return slog.New(slog.NewTextHandler(io.Discard, nil)) }
+
+// testServer returns t3serve as main assembles it over the default model,
+// without a registry, and the JSON body of an annotated TPC-H plan.
+func testServer(t *testing.T) (*server, []byte) {
+	t.Helper()
+	s, err := newServer(config{modelPath: testModel, cacheEntries: serve.DefaultCacheEntries}, discardLogger(), http.NewServeMux())
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, body := testPlan(t)
 	return s, body
 }
 
@@ -106,9 +117,10 @@ func TestRunRequiresActual(t *testing.T) {
 // TestUsageNamesRegisteredFlags keeps the package comment's usage block, the
 // drift and retrain flags README.md and DESIGN.md name, and the flags main
 // registers from drifting apart: Go's flag package matches names exactly, so
-// a documented -retrain-promote that is really -retrain-promote-ratio is a
-// command line that does not start. It holds the package comment's Endpoints
-// block to the paths main registers the same way, both ways round.
+// a documented flag main does not register is a command line that does not
+// start. The usage block lists every registered flag, and only those. It
+// holds the package comment's Endpoints block to the paths newServer
+// registers the same way, both ways round.
 func TestUsageNamesRegisteredFlags(t *testing.T) {
 	src, err := os.ReadFile("main.go")
 	if err != nil {
@@ -122,20 +134,26 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 	if start < 0 || end < start {
 		t.Fatal("package comment has no Usage block before Endpoints")
 	}
-	used := regexp.MustCompile(`\[-([a-z][a-z-]*)`).FindAllSubmatch(src[start:end], -1)
-	if len(used) < 10 || len(registered) < len(used) {
-		t.Fatalf("found %d flags in the usage block and %d registered", len(used), len(registered))
-	}
-	for _, m := range used {
+	used := map[string]bool{}
+	for _, m := range regexp.MustCompile(`\[-([a-z][a-z-]*)`).FindAllSubmatch(src[start:end], -1) {
+		used[string(m[1])] = true
 		if !registered[string(m[1])] {
 			t.Errorf("usage documents -%s, which main does not register", m[1])
+		}
+	}
+	if len(registered) == 0 {
+		t.Fatal("found no registered flags")
+	}
+	for f := range registered {
+		if !used[f] {
+			t.Errorf("main registers -%s, which the usage block does not document", f)
 		}
 	}
 	// Every endpoint the package comment lists is registered, and every
 	// registered one is listed. /debug/vars and /debug/pprof/ are the
 	// exceptions: the expvar and net/http/pprof imports register them.
 	paths := map[string]bool{}
-	for _, m := range regexp.MustCompile(`http\.HandleFunc\("([^"]+)"`).FindAllSubmatch(src, -1) {
+	for _, m := range regexp.MustCompile(`mux\.HandleFunc\("([^"]+)"`).FindAllSubmatch(src, -1) {
 		paths[string(m[1])] = true
 	}
 	byImport := map[string]bool{"/debug/vars": true, "/debug/pprof/": true}
@@ -177,5 +195,103 @@ func TestUsageNamesRegisteredFlags(t *testing.T) {
 				t.Errorf("%s documents -%s, which main does not register", doc, m[1])
 			}
 		}
+	}
+}
+
+// TestServerBootsFromRegistry drives the assembly main runs on a temporary
+// registry whose latest version is not the -model file: t3serve serves that
+// version and reports it in /debug/ctrl, refuses /reload with 409 (which
+// without a registry still swaps the file in), and two
+// drifted detector ticks after a baseline run exactly one retrain episode,
+// which is over when the second Tick returns.
+func TestServerBootsFromRegistry(t *testing.T) {
+	boot, err := t3.Load(testModel)
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg, err := registry.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	half := *boot.Boosted()
+	half.Trees = half.Trees[:len(half.Trees)/2]
+	half.BestIteration = len(half.Trees)
+	for _, a := range []*registry.Artifact{
+		{Meta: registry.Meta{Source: "test"}, GBM: boot.Boosted()},
+		{Meta: registry.Meta{Source: "test", ParentVersion: 1}, GBM: &half},
+	} {
+		if _, err := reg.Put(a); err != nil {
+			t.Fatal(err)
+		}
+	}
+	latest, err := t3.NewModel(&half)
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	mux := http.NewServeMux()
+	s, err := newServer(config{modelPath: testModel, cacheEntries: serve.DefaultCacheEntries, registryDir: reg.Dir()},
+		discardLogger(), mux)
+	if err != nil {
+		t.Fatal(err)
+	}
+	root, _ := testPlan(t)
+	served, _ := s.core.Model().PredictPlan(root, t3.TrueCards)
+	want, _ := latest.PredictPlan(root, t3.TrueCards)
+	fromFile, _ := boot.PredictPlan(root, t3.TrueCards)
+	if served != want || served == fromFile {
+		t.Fatalf("serves a model predicting %v; registry version 2 predicts %v, the -model file %v", served, want, fromFile)
+	}
+
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/ctrl", nil))
+	var st ctrl.Status
+	if err := json.Unmarshal(rec.Body.Bytes(), &st); err != nil {
+		t.Fatalf("/debug/ctrl: %v: %s", err, rec.Body)
+	}
+	if st.LiveVersion != 2 || st.PreviousVersion != 1 {
+		t.Fatalf("/debug/ctrl reports live %d previous %d, want 2 and 1", st.LiveVersion, st.PreviousVersion)
+	}
+
+	// /reload would serve a model with no rollback target. Without a
+	// registry it swaps the model file in.
+	plain, _ := testServer(t)
+	before := plain.core.Model()
+	rec = httptest.NewRecorder()
+	plain.handleReload(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
+	if rec.Code != http.StatusOK || plain.core.Model() == before {
+		t.Fatalf("/reload without a registry: status %d, swapped %v: %s", rec.Code, plain.core.Model() != before, rec.Body)
+	}
+	live := s.core.Model()
+	rec = httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/reload", nil))
+	if rec.Code != http.StatusConflict || !strings.Contains(rec.Body.String(), "/debug/ctrl") {
+		t.Fatalf("/reload with a registry: status %d: %s", rec.Code, rec.Body)
+	}
+	if s.core.Model() != live {
+		t.Fatal("refused /reload swapped the model")
+	}
+
+	// A baseline tick, then two epochs of 4x-slow observations: the
+	// detector raises on the second drifted tick and the episode runs on
+	// this goroutine, inside Tick.
+	now := time.Now()
+	s.drift.Tick(now)
+	for epoch := 1; epoch <= 2; epoch++ {
+		if n := s.ctrl.Status().Episodes; n != 0 {
+			t.Fatalf("%d episodes before the alarm", n)
+		}
+		pred, _ := s.core.Model().PredictPlan(root, t3.TrueCards)
+		for range 50 {
+			t3.RecordObserved(pred, 4*pred)
+		}
+		s.drift.Tick(now.Add(time.Duration(epoch) * driftTick))
+	}
+	if !s.drift.Status().Raised {
+		t.Fatalf("drift alarm did not raise: %+v", s.drift.Status())
+	}
+	st = s.ctrl.Status()
+	if st.Episodes != 1 || st.State != "idle" || st.Promotions+st.ShadowRejects+st.Failures != 1 {
+		t.Fatalf("after the alarm: %+v, want one finished episode", st)
 	}
 }

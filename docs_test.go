@@ -13,7 +13,9 @@ import (
 
 // The docs-consistency checks read files only. They hold DESIGN.md's
 // package inventory and fuzz table, and the Makefile's fuzz-smoke target
-// (what CI's fuzz job runs), to the packages and fuzz targets that exist.
+// (what CI's fuzz job runs), to the packages and fuzz targets that exist,
+// and the command lines README.md and DESIGN.md show to the flags the
+// commands register.
 
 // modulePackages returns the module's directories that hold non-test Go
 // files, as slash paths relative to the root ("." for the root), and every
@@ -208,4 +210,113 @@ func fuzzSmokeTargets(t *testing.T) map[string]string {
 		targets[m[1]] = m[2]
 	}
 	return targets
+}
+
+// commandFlags maps each command under cmd/ to the flags its non-test
+// sources register with the flag package.
+func commandFlags(t *testing.T) map[string]map[string]bool {
+	t.Helper()
+	dirs, err := os.ReadDir("cmd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	decl := regexp.MustCompile(`\bflag\.\w+\("([^"]+)"`)
+	cmds := map[string]map[string]bool{}
+	for _, d := range dirs {
+		if !d.IsDir() {
+			continue
+		}
+		files, err := filepath.Glob(filepath.Join("cmd", d.Name(), "*.go"))
+		if err != nil {
+			t.Fatal(err)
+		}
+		flags := map[string]bool{}
+		for _, f := range files {
+			if strings.HasSuffix(f, "_test.go") {
+				continue
+			}
+			src, err := os.ReadFile(f)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, m := range decl.FindAllSubmatch(src, -1) {
+				flags[string(m[1])] = true
+			}
+		}
+		cmds[d.Name()] = flags
+	}
+	return cmds
+}
+
+// docCommandLines returns the shell command lines inside the fenced code
+// blocks of a markdown file, with backslash continuations joined and
+// comments dropped, each keyed by the line it starts on.
+func docCommandLines(t *testing.T, path string) map[int]string {
+	t.Helper()
+	src, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	comment := regexp.MustCompile(`(^|\s)#.*$`)
+	lines := map[int]string{}
+	inBlock, start, joined := false, 0, ""
+	for i, line := range strings.Split(string(src), "\n") {
+		if strings.HasPrefix(strings.TrimSpace(line), "```") {
+			inBlock, joined = !inBlock, ""
+			continue
+		}
+		if !inBlock {
+			continue
+		}
+		if joined == "" {
+			start = i + 1
+		}
+		line = comment.ReplaceAllString(line, "")
+		if cont, ok := strings.CutSuffix(strings.TrimRight(line, " \t"), `\`); ok {
+			joined += cont + " "
+			continue
+		}
+		lines[start] = joined + line
+		joined = ""
+	}
+	return lines
+}
+
+// TestDocsCommandFlags holds every command line README.md and DESIGN.md show
+// for one of the module's commands (go run ./cmd/X or a built X) to the
+// flags X registers, so the docs cannot name a flag that was deleted or
+// renamed: Go's flag package refuses an unknown flag, and the command does
+// not start.
+func TestDocsCommandFlags(t *testing.T) {
+	cmds := commandFlags(t)
+	separator := regexp.MustCompile(`\|\||&&|[|;&]`)
+	flagArg := regexp.MustCompile(`^--?([A-Za-z][\w-]*)`)
+	checked := 0
+	for _, doc := range []string{"README.md", "DESIGN.md"} {
+		lines := docCommandLines(t, doc)
+		for _, line := range slices.Sorted(maps.Keys(lines)) {
+			for _, segment := range separator.Split(lines[line], -1) {
+				args := strings.Fields(segment)
+				if len(args) >= 3 && args[0] == "go" && args[1] == "run" {
+					args = args[2:]
+				}
+				if len(args) == 0 {
+					continue
+				}
+				flags, ok := cmds[filepath.Base(args[0])]
+				if !ok {
+					continue
+				}
+				checked++
+				for _, a := range args[1:] {
+					if m := flagArg.FindStringSubmatch(a); m != nil && !flags[m[1]] {
+						t.Errorf("%s:%d: %s has no flag -%s: %s", doc, line, filepath.Base(args[0]), m[1], strings.Join(args, " "))
+					}
+				}
+			}
+		}
+	}
+	if checked < 10 {
+		t.Fatalf("found %d command lines in README.md and DESIGN.md code blocks", checked)
+	}
 }

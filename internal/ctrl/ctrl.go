@@ -7,14 +7,16 @@
 // One retrain episode runs: collect fresh labels → deterministic
 // train/holdout split → train a candidate → shadow-evaluate candidate vs
 // live on the held-out labels plus the worst-misprediction exemplars →
-// promote only on a configurable q-error win, writing the artifact to the
-// registry first so rollback can restore the previous version
-// bit-identically. Every stage failure leaves the live model untouched and
-// increments a t3_ctrl_* counter.
+// promote only on a q-error win, writing the artifact to the registry first
+// so rollback can restore the previous version bit-identically. Every stage
+// failure leaves the live model untouched and increments a t3_ctrl_*
+// counter.
 //
-// The controller is testable-first: its clock, label source, trainer, and
-// swap target are all injected, so the whole drift → retrain → shadow →
-// promote → rollback loop runs deterministically in-process with no sleeps.
+// A raised alarm runs its episode inline, on the goroutine that ticks the
+// detector: there is one episode path, and it is the one the tests drive.
+// The clock, label source, trainer and swap target are injected, so the
+// whole drift → retrain → shadow → promote → rollback loop runs
+// deterministically in-process with no sleeps.
 package ctrl
 
 import (
@@ -96,9 +98,24 @@ type Swapper interface {
 	SetModel(*t3.Model)
 }
 
-// TrainFunc builds a candidate model from training labels. The default wraps
-// t3.Train; tests inject failures and degenerate models.
+// TrainFunc builds a candidate model from training labels. The default is
+// t3.Train with default parameters; tests inject small or pinned parameters,
+// failures and degenerate models.
 type TrainFunc func(labels []*workload.Label) (*t3.Model, error)
+
+// The episode's fixed policy.
+const (
+	// holdoutFraction of collected labels is held out of training and used
+	// for shadow evaluation.
+	holdoutFraction = 0.25
+	// shadowQuantile is the q-error quantile the shadow comparison judges on.
+	shadowQuantile = 0.9
+	// minInterval debounces drift-triggered episodes.
+	minInterval = 10 * time.Minute
+	// keepVersions bounds the registry via GC after each promotion; the live
+	// and previous versions are kept beyond it.
+	keepVersions = 8
+)
 
 // Config configures a Controller. Zero fields take defaults.
 type Config struct {
@@ -112,38 +129,17 @@ type Config struct {
 	// Clock supplies time for debounce and artifact timestamps. Default
 	// clock.Real.
 	Clock clock.Clock
-	// Train builds the candidate model. Default: t3.Train with
-	// TrainOptions.
+	// Train builds the candidate model. Default: t3.Train with default
+	// parameters.
 	Train TrainFunc
-	// TrainOptions parameterize the default trainer.
-	TrainOptions t3.TrainOptions
 	// Exemplars is the misprediction store whose frames are replayed during
 	// shadow evaluation (nil disables replay; trace.Exemplars is the
 	// process-wide store).
 	Exemplars *trace.ExemplarStore
-	// HoldoutFraction of collected labels is held out of training and used
-	// for shadow evaluation. Default 0.25, clamped to [0, 0.5].
-	HoldoutFraction float64
-	// ShadowQuantile is the q-error quantile the shadow comparison judges
-	// on. Default 0.9.
-	ShadowQuantile float64
 	// PromoteRatio gates promotion: the candidate wins when its shadow
 	// quantile is <= PromoteRatio x the live model's. Default 0.95; values
 	// > 1 accept mild regressions, < 1 demand improvement.
 	PromoteRatio float64
-	// MinInterval debounces drift-triggered retrains. Default 1m (tests
-	// with fake clocks set it explicitly).
-	MinInterval time.Duration
-	// RollbackWindow: a drift alarm raised within this span after a
-	// promotion rolls the promotion back instead of retraining again (the
-	// shadow gate passed but production disagreed). Default 0 = disabled.
-	RollbackWindow time.Duration
-	// KeepVersions bounds the registry via GC after each write. Default 8.
-	KeepVersions int
-	// Synchronous makes drift alarms run the episode inline in the alarm
-	// callback instead of waking a background goroutine — the deterministic
-	// test mode.
-	Synchronous bool
 }
 
 func (c *Config) defaults() error {
@@ -154,25 +150,12 @@ func (c *Config) defaults() error {
 		c.Clock = clock.Real
 	}
 	if c.Train == nil {
-		opts := c.TrainOptions
 		c.Train = func(labels []*workload.Label) (*t3.Model, error) {
-			return t3.Train(labels, opts)
+			return t3.Train(labels, t3.TrainOptions{})
 		}
-	}
-	if c.HoldoutFraction == 0 {
-		c.HoldoutFraction = 0.25
-	}
-	if c.ShadowQuantile == 0 {
-		c.ShadowQuantile = 0.9
 	}
 	if c.PromoteRatio == 0 {
 		c.PromoteRatio = 0.95
-	}
-	if c.MinInterval == 0 {
-		c.MinInterval = time.Minute
-	}
-	if c.KeepVersions == 0 {
-		c.KeepVersions = 8
 	}
 	return nil
 }
@@ -215,24 +198,20 @@ type Controller struct {
 	// busy serializes episodes: alarms arriving mid-episode are dropped
 	// (the running episode already reflects the drifted workload).
 	busy bool
-	// lastEpisode and lastPromotion drive debounce and rollback-window
-	// decisions on the controller clock.
-	lastEpisode   time.Time
-	lastPromotion time.Time
-
-	// trigger wakes the background loop in asynchronous mode (capacity 1:
-	// coalescing, never blocking the alarm path).
-	trigger chan string
+	// lastEpisode debounces drift alarms on the controller clock.
+	lastEpisode time.Time
 }
 
-// New builds a controller. If the registry is empty and the swapper already
-// serves a boot model, that model is registered as version 1 so the first
-// rollback target exists.
+// New builds a controller. A registry that holds versions is the source of
+// truth: its latest version is loaded, verified and swapped in, replacing
+// whatever the swapper served at boot, and the version it was promoted over
+// becomes the rollback target. An empty registry is seeded with the boot
+// model as version 1, so the first rollback target exists.
 func New(cfg Config) (*Controller, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
-	c := &Controller{cfg: cfg, trigger: make(chan string, 1)}
+	c := &Controller{cfg: cfg}
 	c.status.State = "idle"
 
 	latest, ok, err := cfg.Registry.Latest()
@@ -241,7 +220,13 @@ func New(cfg Config) (*Controller, error) {
 		return nil, fmt.Errorf("ctrl: reading registry: %w", err)
 	}
 	if ok {
+		m, meta, err := c.load(latest)
+		if err != nil {
+			return nil, err
+		}
+		cfg.Swapper.SetModel(m)
 		c.status.LiveVersion = latest
+		c.status.PreviousVersion = meta.ParentVersion
 	} else if boot := cfg.Swapper.Model(); boot != nil {
 		ver, err := cfg.Registry.Put(&registry.Artifact{
 			Meta: registry.Meta{
@@ -262,8 +247,8 @@ func New(cfg Config) (*Controller, error) {
 }
 
 // Attach subscribes the controller to a drift detector: raised alarms
-// trigger retrain episodes (or a rollback, inside the rollback window).
-// Clear transitions are ignored.
+// run retrain episodes on the goroutine that ticks d. Clear transitions are
+// ignored.
 func (c *Controller) Attach(d *trace.Detector) {
 	d.OnAlarm(func(ev trace.DriftEvent) {
 		if !ev.Raised {
@@ -273,58 +258,18 @@ func (c *Controller) Attach(d *trace.Detector) {
 	})
 }
 
-// OnDrift handles one raised drift alarm: debounce, rollback-window check,
-// then either an inline episode (Synchronous) or a wakeup of Run's loop.
+// OnDrift handles one raised drift alarm: unless an episode started less
+// than minInterval ago, it runs one inline and returns when it is over. An
+// alarm that finds an episode running is dropped.
 func (c *Controller) OnDrift(ev trace.DriftEvent) {
 	now := c.cfg.Clock.Now()
-
 	c.mu.Lock()
-	if c.busy {
-		c.mu.Unlock()
-		return
-	}
-	// A drift alarm shortly after a promotion means the shadow gate passed
-	// but production regressed: undo the promotion instead of training
-	// again on the same evidence.
-	rollback := c.cfg.RollbackWindow > 0 && !c.lastPromotion.IsZero() &&
-		now.Sub(c.lastPromotion) <= c.cfg.RollbackWindow && c.status.PreviousVersion != 0
-	if !rollback && !c.lastEpisode.IsZero() && now.Sub(c.lastEpisode) < c.cfg.MinInterval {
-		c.mu.Unlock()
-		return
-	}
-	if rollback {
-		// The rollback consumes this drift evidence; restart the debounce
-		// so the next alarm doesn't immediately retrain on the same signal.
-		c.lastEpisode = now
-	}
+	debounced := !c.lastEpisode.IsZero() && now.Sub(c.lastEpisode) < minInterval
 	c.mu.Unlock()
-
-	if rollback {
-		_, _ = c.Rollback()
+	if debounced {
 		return
 	}
-	reason := fmt.Sprintf("drift q%.2f=%.3f over %d obs", c.cfg.ShadowQuantile, ev.Quantile, ev.Count)
-	if c.cfg.Synchronous {
-		_, _ = c.Retrain(reason)
-		return
-	}
-	select {
-	case c.trigger <- reason:
-	default: // an episode is already queued
-	}
-}
-
-// Run services asynchronous drift triggers until stop closes. Synchronous
-// controllers never need it.
-func (c *Controller) Run(stop <-chan struct{}) {
-	for {
-		select {
-		case reason := <-c.trigger:
-			_, _ = c.Retrain(reason)
-		case <-stop:
-			return
-		}
-	}
+	_, _ = c.Retrain(fmt.Sprintf("drift q%.2f=%.3f over %d obs", shadowQuantile, ev.Quantile, ev.Count))
 }
 
 // Status returns the controller's current view.
@@ -399,7 +344,7 @@ func (c *Controller) Retrain(reason string) (RetrainResult, error) {
 	if err != nil {
 		return RetrainResult{}, c.fail("collecting labels", err)
 	}
-	trainSet, holdout := labels.Split(c.cfg.HoldoutFraction)
+	trainSet, holdout := labels.Split(holdoutFraction)
 	if len(trainSet.Labels) == 0 {
 		return RetrainResult{}, c.fail("collecting labels", errors.New("empty label set"))
 	}
@@ -457,7 +402,7 @@ func (c *Controller) Retrain(reason string) (RetrainResult, error) {
 	}
 	c.cfg.Swapper.SetModel(cand)
 	Promotions.Inc()
-	if _, err := c.cfg.Registry.GC(c.cfg.KeepVersions); err != nil {
+	if _, err := c.cfg.Registry.GC(keepVersions, ver, parent); err != nil {
 		RegistryErrors.Inc()
 	}
 
@@ -469,7 +414,6 @@ func (c *Controller) Retrain(reason string) (RetrainResult, error) {
 	c.status.PreviousVersion = parent
 	c.status.LiveVersion = ver
 	c.status.LastPromotionUnixNs = now.UnixNano()
-	c.lastPromotion = now
 	c.mu.Unlock()
 	LiveVersion.Set(float64(ver))
 
@@ -498,15 +442,9 @@ func (c *Controller) Rollback() (int, error) {
 		return 0, errors.New("ctrl: no previous version to roll back to")
 	}
 
-	art, err := c.cfg.Registry.Load(prev)
+	m, _, err := c.load(prev)
 	if err != nil {
-		RegistryErrors.Inc()
-		return 0, fmt.Errorf("ctrl: loading version %d: %w", prev, err)
-	}
-	m, err := t3.NewModel(art.GBM)
-	if err != nil {
-		RegistryErrors.Inc()
-		return 0, fmt.Errorf("ctrl: rebuilding version %d: %w", prev, err)
+		return 0, err
 	}
 	c.cfg.Swapper.SetModel(m)
 	Rollbacks.Inc()
@@ -515,10 +453,23 @@ func (c *Controller) Rollback() (int, error) {
 	c.status.Rollbacks++
 	c.status.LiveVersion = prev
 	c.status.PreviousVersion = cur
-	// A rollback consumes the promotion it undid: further alarms retrain.
-	c.lastPromotion = time.Time{}
-	c.status.LastPromotionUnixNs = 0
 	c.mu.Unlock()
 	LiveVersion.Set(float64(prev))
 	return prev, nil
+}
+
+// load reads and verifies one registry version (full checksum and
+// structural validation) and rebuilds it into a serving model.
+func (c *Controller) load(version int) (*t3.Model, registry.Meta, error) {
+	art, err := c.cfg.Registry.Load(version)
+	if err != nil {
+		RegistryErrors.Inc()
+		return nil, registry.Meta{}, fmt.Errorf("ctrl: loading version %d: %w", version, err)
+	}
+	m, err := t3.NewModel(art.GBM)
+	if err != nil {
+		RegistryErrors.Inc()
+		return nil, registry.Meta{}, fmt.Errorf("ctrl: rebuilding version %d: %w", version, err)
+	}
+	return m, art.Meta, nil
 }

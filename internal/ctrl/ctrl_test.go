@@ -81,8 +81,7 @@ func TestRetrainArtifactDeterministicAcrossWorkers(t *testing.T) {
 			cfg.Source = &scaledSource{inst: ctrlInstance(t), scale: 4, workers: workers}
 			p := testParams()
 			p.Workers = workers
-			cfg.TrainOptions = t3.TrainOptions{Params: p}
-			cfg.Train = nil // rebuild the default trainer from TrainOptions
+			cfg.Train = trainWith(p)
 		})
 		res, err := c.Retrain("determinism probe")
 		if err != nil {
@@ -260,44 +259,93 @@ func TestRollbackRejectsCorruptArtifact(t *testing.T) {
 	}
 }
 
-func TestOnDriftDebounceAndRollbackWindow(t *testing.T) {
-	c, sw, fake := newHarness(t, func(cfg *Config) {
-		cfg.MinInterval = time.Minute
-		cfg.RollbackWindow = 5 * time.Minute
-	})
+// TestOnDriftDebounce pins that a raised alarm runs one episode inline and
+// that alarms within minInterval (10 m) of the last episode's start are
+// dropped.
+func TestOnDriftDebounce(t *testing.T) {
+	c, _, fake := newHarness(t, nil)
 	ev := driftEvent()
 
-	// First alarm: retrains and promotes.
+	// First alarm: the episode has run, and promoted, when OnDrift returns.
 	c.OnDrift(ev)
-	if st := c.Status(); st.Episodes != 1 || st.Promotions != 1 {
+	if st := c.Status(); st.Episodes != 1 || st.Promotions != 1 || st.State != "idle" {
 		t.Fatalf("first alarm: %+v", st)
 	}
-	promoted := sw.Model()
 
-	// A second alarm inside the rollback window undoes the promotion
-	// instead of training again.
+	// Alarms inside the debounce interval do nothing, up to its last
+	// nanosecond.
 	fake.Advance(2 * time.Minute)
 	c.OnDrift(ev)
-	st := c.Status()
-	if st.Rollbacks != 1 || st.Episodes != 1 {
-		t.Fatalf("alarm inside rollback window: %+v", st)
-	}
-	if sw.Model() == promoted {
-		t.Fatal("rollback window alarm did not swap the model back")
-	}
-
-	// Immediately after (inside MinInterval since the last episode): the
-	// alarm is debounced.
+	fake.Advance(8*time.Minute - time.Nanosecond)
 	c.OnDrift(ev)
-	if st := c.Status(); st.Episodes != 1 || st.Rollbacks != 1 {
+	if st := c.Status(); st.Episodes != 1 || st.Rollbacks != 0 {
 		t.Fatalf("debounced alarm still acted: %+v", st)
 	}
 
-	// Past the debounce, with the rollback consumed: a fresh episode runs.
-	fake.Advance(10 * time.Minute)
+	// Ten minutes after the last episode began, an alarm runs the next.
+	fake.Advance(time.Nanosecond)
 	c.OnDrift(ev)
 	if st := c.Status(); st.Episodes != 2 {
 		t.Fatalf("post-debounce alarm did not retrain: %+v", st)
+	}
+}
+
+// TestNewServesLatestRegistryVersion pins that a controller opened on a
+// registry that already holds promotions serves the latest version, not the
+// model the server booted with, and can roll back to the version that one
+// was promoted over.
+func TestNewServesLatestRegistryVersion(t *testing.T) {
+	first, sw, _ := newHarness(t, nil)
+	if res, err := first.Retrain("promote before restart"); err != nil || !res.Promoted {
+		t.Fatalf("setup promotion = (%+v, %v)", res, err)
+	}
+	roots := samplePlans(t)
+	promoted := predictAll(sw.Model(), roots)
+
+	// A restart: a fresh server boots on the seed model again.
+	boot := seedModel(t)
+	rebooted := &fakeSwapper{m: boot}
+	c, err := New(Config{
+		Registry: first.cfg.Registry,
+		Source:   first.cfg.Source,
+		Swapper:  rebooted,
+		Clock:    first.cfg.Clock,
+		Train:    first.cfg.Train,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st := c.Status(); st.LiveVersion != 2 || st.PreviousVersion != 1 {
+		t.Fatalf("status after restart: %+v, want live 2 previous 1", st)
+	}
+	if rebooted.swaps != 1 || !equalDurations(predictAll(rebooted.Model(), roots), promoted) {
+		t.Fatalf("restart does not serve registry version 2 (swaps=%d)", rebooted.swaps)
+	}
+	if ver, err := c.Rollback(); err != nil || ver != 1 {
+		t.Fatalf("rollback after restart = (%d,%v), want (1,nil)", ver, err)
+	}
+	if !equalDurations(predictAll(rebooted.Model(), roots), predictAll(boot, roots)) {
+		t.Fatal("rollback after restart does not restore the seed model")
+	}
+}
+
+// TestGCSparesRollbackTarget pins that registry GC never deletes the
+// version a rollback would restore: eight promote → rollback rounds from
+// version 1 leave nine versions, more than keepVersions, and version 1 is
+// still the rollback target of every one of them.
+func TestGCSparesRollbackTarget(t *testing.T) {
+	c, _, _ := newHarness(t, nil)
+	for round := 1; round <= keepVersions; round++ {
+		res, err := c.Retrain("promote")
+		if err != nil || !res.Promoted {
+			t.Fatalf("round %d: promotion = (%+v, %v)", round, res, err)
+		}
+		if ver, err := c.Rollback(); err != nil || ver != 1 {
+			t.Fatalf("round %d: rollback = (%d,%v), want (1,nil)", round, ver, err)
+		}
+	}
+	if st := c.Status(); st.LiveVersion != 1 || st.PreviousVersion != keepVersions+1 {
+		t.Fatalf("status after %d rounds: %+v", keepVersions, st)
 	}
 }
 

@@ -53,14 +53,12 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 	}
 
 	c, err := New(Config{
-		Registry:     openRegistry(t),
-		Source:       &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
-		Swapper:      srv,
-		Clock:        fake,
-		TrainOptions: t3.TrainOptions{Params: testParams()},
-		Exemplars:    store,
-		MinInterval:  time.Minute,
-		Synchronous:  true,
+		Registry:  openRegistry(t),
+		Source:    &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
+		Swapper:   srv,
+		Clock:     fake,
+		Train:     trainWith(testParams()),
+		Exemplars: store,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -20,7 +20,7 @@ import (
 // function of the plan times a drift scale, so "the workload got 4x slower"
 // is literally scale=4 — the executor still runs (annotating true
 // cardinalities), only the measured times are synthetic. Combined with the
-// fake clock and Synchronous mode, a full drift → retrain → shadow →
+// fake clock and the inline episode, a full drift → retrain → shadow →
 // promote episode is bit-reproducible.
 
 var ctrlInstOnce sync.Once
@@ -91,6 +91,13 @@ func testParams() t3.Params {
 	return p
 }
 
+// trainWith is the default trainer at the given parameters.
+func trainWith(p t3.Params) TrainFunc {
+	return func(labels []*workload.Label) (*t3.Model, error) {
+		return t3.Train(labels, t3.TrainOptions{Params: p})
+	}
+}
+
 // seedModel trains the "live at boot" model on scale-1 labels.
 func seedModel(t testing.TB) *t3.Model {
 	t.Helper()
@@ -135,20 +142,18 @@ func openRegistry(t testing.TB) *registry.Registry {
 	return r
 }
 
-// newHarness builds a Synchronous controller around a seed model serving
+// newHarness builds a controller around a seed model serving
 // scale-1 predictions, with a drifted (scale-4) label source.
 func newHarness(t testing.TB, mut func(*Config)) (*Controller, *fakeSwapper, *clock.Fake) {
 	t.Helper()
 	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
 	sw := &fakeSwapper{m: seedModel(t)}
 	cfg := Config{
-		Registry:     openRegistry(t),
-		Source:       &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
-		Swapper:      sw,
-		Clock:        fake,
-		TrainOptions: t3.TrainOptions{Params: testParams()},
-		MinInterval:  time.Minute,
-		Synchronous:  true,
+		Registry: openRegistry(t),
+		Source:   &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
+		Swapper:  sw,
+		Clock:    fake,
+		Train:    trainWith(testParams()),
 	}
 	if mut != nil {
 		mut(&cfg)

@@ -15,7 +15,7 @@ import (
 // Shadow evaluation: before a candidate model may replace the live one,
 // both predict the same evidence — the held-out labels of the fresh
 // collection plus the replayed worst-misprediction exemplars — and the
-// candidate must win the watched q-error quantile by the configured ratio.
+// candidate must win the watched q-error quantile by the promote ratio.
 // The holdout catches candidates that merely memorized the training split;
 // the exemplars catch candidates that fixed the average but not the plans
 // production actually mispredicts.
@@ -52,7 +52,7 @@ func (r ShadowResult) Win(promoteRatio float64) bool {
 // mode's plans in one PredictBatchScratch call, whose nanoseconds are
 // PredictPlan's.
 func (c *Controller) shadowEval(live, cand *t3.Model, holdout *workload.LabelSet) ShadowResult {
-	res := ShadowResult{Quantile: c.cfg.ShadowQuantile}
+	res := ShadowResult{Quantile: shadowQuantile}
 	var roots [2][]*plan.Node // by plan.CardMode
 	var actuals [2][]float64  // seconds, beside roots
 	add := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {

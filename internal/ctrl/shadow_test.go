@@ -17,7 +17,7 @@ import (
 // shadowEvalPerPlan is the reference for shadowEval: the same evidence,
 // scored one PredictPlanScratch per model per plan in the order it arrives.
 func shadowEvalPerPlan(c *Controller, live, cand *t3.Model, holdout *workload.LabelSet) ShadowResult {
-	res := ShadowResult{Quantile: c.cfg.ShadowQuantile}
+	res := ShadowResult{Quantile: shadowQuantile}
 	var liveQs, candQs []float64
 	var liveScratch, candScratch t3.PredictScratch
 	score := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {

@@ -16,8 +16,6 @@ import (
 	"t3/internal/serve"
 	"t3/internal/wire"
 	"t3/internal/workload"
-
-	t3 "t3"
 )
 
 // driftingSource makes every retrain attempt see a different workload
@@ -49,15 +47,14 @@ func TestConcurrentTrafficAcrossControllerSwaps(t *testing.T) {
 	go func() { _ = srv.ServeTCP(l) }()
 
 	c, err := New(Config{
-		Registry:     openRegistry(t),
-		Source:       &driftingSource{inst: ctrlInstance(t), workers: 2},
-		Swapper:      srv,
-		Clock:        clock.NewFake(time.Unix(1_700_000_000, 0)),
-		TrainOptions: t3.TrainOptions{Params: testParams()},
+		Registry: openRegistry(t),
+		Source:   &driftingSource{inst: ctrlInstance(t), workers: 2},
+		Swapper:  srv,
+		Clock:    clock.NewFake(time.Unix(1_700_000_000, 0)),
+		Train:    trainWith(testParams()),
 		// The point is swap pressure, not model quality: accept every
 		// candidate so each episode drives a swap.
 		PromoteRatio: 100,
-		Synchronous:  true,
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -336,9 +337,11 @@ func (r *Registry) Latest() (version int, ok bool, err error) {
 	return vs[len(vs)-1], true, nil
 }
 
-// GC deletes all but the newest keep versions and returns how many were
-// removed. keep < 1 is a no-op: a registry is never emptied by GC.
-func (r *Registry) GC(keep int) (removed int, err error) {
+// GC deletes every version older than the newest keep, except those named
+// in spare, and returns how many it removed. The controller spares its live
+// and previous versions, so a rollback target outlives any number of newer
+// promotions. keep < 1 is a no-op: a registry is never emptied by GC.
+func (r *Registry) GC(keep int, spare ...int) (removed int, err error) {
 	if keep < 1 {
 		return 0, nil
 	}
@@ -348,12 +351,14 @@ func (r *Registry) GC(keep int) (removed int, err error) {
 	if err != nil {
 		return 0, err
 	}
-	for len(vs) > keep {
-		if err := os.Remove(r.Path(vs[0])); err != nil {
-			return removed, fmt.Errorf("registry: gc version %d: %w", vs[0], err)
+	for _, v := range vs[:max(len(vs)-keep, 0)] {
+		if slices.Contains(spare, v) {
+			continue
+		}
+		if err := os.Remove(r.Path(v)); err != nil {
+			return removed, fmt.Errorf("registry: gc version %d: %w", v, err)
 		}
 		removed++
-		vs = vs[1:]
 	}
 	return removed, nil
 }

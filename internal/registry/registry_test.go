@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -205,6 +206,36 @@ func TestVersionsListLatestGC(t *testing.T) {
 	// GC(0) never empties the registry.
 	if n, err := r.GC(0); err != nil || n != 0 {
 		t.Fatalf("GC(0) = (%d,%v), want no-op", n, err)
+	}
+}
+
+// TestGCSparesNamedVersions pins that GC never deletes a version it is told
+// to spare, however old: the controller passes its live and previous
+// versions, and a rollback target older than the newest keep must survive.
+func TestGCSparesNamedVersions(t *testing.T) {
+	r := openTemp(t)
+	for i := 0; i < 6; i++ {
+		if _, err := r.Put(&Artifact{Meta: Meta{Source: "test"}, GBM: handModel()}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	removed, err := r.GC(2, 1, 6, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != 3 {
+		t.Fatalf("GC removed %d, want 3 (versions 2-4)", removed)
+	}
+	metas, err := r.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var kept []int
+	for _, m := range metas {
+		kept = append(kept, m.Version)
+	}
+	if !slices.Equal(kept, []int{1, 5, 6}) {
+		t.Fatalf("GC(2, spare 1 6 9) kept versions %v, want [1 5 6]", kept)
 	}
 }
 

@@ -142,18 +142,15 @@ func main() {
 		if err != nil {
 			fail("opening registry", err)
 		}
-		ver, err := reg.Put(&registry.Artifact{
-			Meta: registry.Meta{
-				CreatedUnixNs:      time.Now().UnixNano(),
-				Source:             "t3train",
-				TrainLabels:        len(corpus.AllTrain()),
-				HoldoutLabels:      len(test),
-				HoldoutFingerprint: (&workload.LabelSet{Labels: test}).Fingerprint(),
-				Note: fmt.Sprintf("t3train -scale %g -pergroup %d -runs %d -rounds %d -seed %d (zero-shot p50 %.3f p90 %.3f)",
-					*scale, *perGroup, *runs, *rounds, *seed, s.P50, s.P90),
-			},
-			GBM: model.Boosted(),
-		})
+		ver, err := register(reg, registry.Meta{
+			CreatedUnixNs:      time.Now().UnixNano(),
+			Source:             "t3train",
+			TrainLabels:        len(corpus.AllTrain()),
+			HoldoutLabels:      len(test),
+			HoldoutFingerprint: (&workload.LabelSet{Labels: test}).Fingerprint(),
+			Note: fmt.Sprintf("t3train -scale %g -pergroup %d -runs %d -rounds %d -seed %d (zero-shot p50 %.3f p90 %.3f)",
+				*scale, *perGroup, *runs, *rounds, *seed, s.P50, s.P90),
+		}, model)
 		if err != nil {
 			fail("registering model", err)
 		}
@@ -162,4 +159,12 @@ func main() {
 	if *stats {
 		fmt.Fprint(os.Stderr, obs.Default.DumpText())
 	}
+}
+
+// register writes m to the registry as its next version. The registry's
+// latest version, the one a server booting from it would have served, is
+// recorded as the parent, so the new version has a rollback target.
+func register(reg *registry.Registry, meta registry.Meta, m *t3.Model) (int, error) {
+	meta.ParentVersion = registry.ParentLatest
+	return reg.Put(&registry.Artifact{Meta: meta, GBM: m.Boosted()})
 }

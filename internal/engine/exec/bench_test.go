@@ -88,7 +88,7 @@ func BenchmarkHashJoin(b *testing.B) {
 	})
 	bh, ph := benchHashes(10000, 100000, 4)
 	b.Run("kernel-open", func(b *testing.B) {
-		var ht hashTab
+		ht := hashTab{ar: &arena{}}
 		sink := int32(0)
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
@@ -141,7 +141,7 @@ func BenchmarkGroupBy(b *testing.B) {
 	})
 	rows, _ := benchHashes(100000, 0, 50) // 100k rows over 2k groups
 	b.Run("kernel-open", func(b *testing.B) {
-		var ht hashTab
+		ht := hashTab{ar: &arena{}}
 		groups := 0
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {

@@ -3,7 +3,6 @@ package exec
 import (
 	"fmt"
 	"math"
-	"slices"
 	"sort"
 
 	"t3/internal/engine/expr"
@@ -117,6 +116,7 @@ type joinState struct {
 	payload []storage.Column // payload columns, one row per build tuple
 	ht      *hashTab
 	rows    int
+	ar      *arena // the columns grow through it
 }
 
 // joinPartial is one morsel partition's contribution to a hash-join build:
@@ -129,19 +129,7 @@ type joinPartial struct {
 	keyCols []storage.Column
 	payload []storage.Column
 	rows    int
-}
-
-// appendVal appends value at row i of src to dst: one value, such as a newly
-// discovered group's key.
-func appendVal(dst, src *storage.Column, i int) {
-	switch src.Kind {
-	case storage.Int64:
-		dst.Ints = append(dst.Ints, src.Ints[i])
-	case storage.Float64:
-		dst.Flts = append(dst.Flts, src.Flts[i])
-	case storage.String:
-		dst.Strs = append(dst.Strs, src.Strs[i])
-	}
+	ar      *arena // the arrays grow through it
 }
 
 // newJoinState checks a join build state out of the scratch and shapes it
@@ -150,9 +138,10 @@ func (rt *runtime) newJoinState(n *plan.Node) *joinState {
 	in := n.Left
 	st := rt.scratch.joinState()
 	// Presize from the build input's cardinality annotation so steady-state
-	// builds (label collection re-executing annotated plans) never rehash,
-	// clamped to what the input can actually produce.
-	st.ht = rt.scratch.table(presize(in.OutCard, in))
+	// builds (label collection re-executing annotated plans) never rehash or
+	// regrow, clamped to what the input can actually produce.
+	expected := presize(in.OutCard, in)
+	st.ht = rt.scratch.table(expected)
 	st.rows = 0
 	st.keyCols = shapeCols(st.keyCols, len(n.BuildKeys))
 	for k, ci := range n.BuildKeys {
@@ -162,6 +151,9 @@ func (rt *runtime) newJoinState(n *plan.Node) *joinState {
 	for k, ci := range n.BuildPayload {
 		st.payload[k].Name, st.payload[k].Kind = in.Schema[ci].Name, in.Schema[ci].Kind
 	}
+	st.ar = rt.scratch.arena()
+	st.ar.drawCols(st.keyCols, expected)
+	st.ar.drawCols(st.payload, expected)
 	return st
 }
 
@@ -174,22 +166,22 @@ func (st *joinState) buildBatch(n *plan.Node, b *expr.Batch, hs []uint64) {
 	for _, h := range hs {
 		st.ht.insert(h)
 	}
-	appendCols(st.keyCols, b.Cols, n.BuildKeys, b.N)
-	appendCols(st.payload, b.Cols, n.BuildPayload, b.N)
+	st.ar.appendCols(st.keyCols, b.Cols, n.BuildKeys, b.N)
+	st.ar.appendCols(st.payload, b.Cols, n.BuildPayload, b.N)
 	st.rows += b.N
 }
 
 // appendCols bulk-appends the first n rows of the columns idxs of src to dst,
-// dst[k] receiving src[idxs[k]].
-func appendCols(dst, src []storage.Column, idxs []int, n int) {
+// dst[k] receiving src[idxs[k]], growing dst through a.
+func (a *arena) appendCols(dst, src []storage.Column, idxs []int, n int) {
 	for k, ci := range idxs {
-		appendCol(&dst[k], &src[ci], n)
+		a.appendCol(&dst[k], &src[ci], n)
 	}
 }
 
-// shape prepares a partition-local join partial matching st's layout.
-func (p *joinPartial) shape(st *joinState) {
-	p.hashes = p.hashes[:0]
+// shape prepares a partition-local join partial matching st's layout, its
+// arrays drawn from a with room for rows rows.
+func (p *joinPartial) shape(st *joinState, a *arena, rows int) {
 	p.rows = 0
 	p.keyCols = shapeCols(p.keyCols, len(st.keyCols))
 	for k := range st.keyCols {
@@ -199,16 +191,22 @@ func (p *joinPartial) shape(st *joinState) {
 	for k := range st.payload {
 		p.payload[k].Kind = st.payload[k].Kind
 	}
+	p.ar = a
+	a.mu.Lock()
+	p.hashes = a.hashes.get(rows)
+	a.mu.Unlock()
+	a.drawCols(p.keyCols, rows)
+	a.drawCols(p.payload, rows)
 }
 
 // buildBatch folds one batch into the partition-local join partial: the key
 // hashes straight into the tail of p.hashes, the columns in bulk.
 func (p *joinPartial) buildBatch(n *plan.Node, b *expr.Batch) {
 	at := len(p.hashes)
-	p.hashes = slices.Grow(p.hashes, b.N)[:at+b.N]
+	p.hashes = room(p.ar, &p.ar.hashes, p.hashes, b.N)[:at+b.N]
 	hashCols(b.Cols, n.BuildKeys, p.hashes[at:])
-	appendCols(p.keyCols, b.Cols, n.BuildKeys, b.N)
-	appendCols(p.payload, b.Cols, n.BuildPayload, b.N)
+	p.ar.appendCols(p.keyCols, b.Cols, n.BuildKeys, b.N)
+	p.ar.appendCols(p.payload, b.Cols, n.BuildPayload, b.N)
 	p.rows += b.N
 }
 
@@ -220,10 +218,10 @@ func (st *joinState) merge(p *joinPartial) {
 		st.ht.insert(h)
 	}
 	for k := range st.keyCols {
-		appendCol(&st.keyCols[k], &p.keyCols[k], p.rows)
+		st.ar.appendCol(&st.keyCols[k], &p.keyCols[k], p.rows)
 	}
 	for k := range st.payload {
-		appendCol(&st.payload[k], &p.payload[k], p.rows)
+		st.ar.appendCol(&st.payload[k], &p.payload[k], p.rows)
 	}
 	st.rows += p.rows
 }
@@ -246,7 +244,7 @@ func (rt *runtime) makeProbe(n *plan.Node, sink pushFn) (pushFn, error) {
 	// One reusable output buffer for the whole probe stage: sinks consume
 	// batches synchronously and never retain them, so the buffer can be
 	// refilled after every flush.
-	out := rt.scratch.batchMeta(n.Schema)
+	out := rt.scratch.batchMeta(n.Schema, rt.batchSize)
 	hs := rt.scratch.hashBuf(rt.batchSize)
 	rows := rt.scratch.idxBuf(rt.batchSize)
 	entries := rt.scratch.idxBuf(rt.batchSize)
@@ -300,90 +298,57 @@ type groupState struct {
 	// a string column get a per-group value slice; all others stay nil.
 	strMin [][]string
 	strMax [][]string
+	ar     *arena // the arrays grow through it
 }
 
 // addGroup appends zeroed accumulator slots for a newly discovered group.
 func (st *groupState) addGroup(aggs []plan.Agg) {
 	st.groups++
+	ar := st.ar
 	for a, agg := range aggs {
-		st.sums[a] = append(st.sums[a], initialAcc(agg.Fn))
-		st.counts[a] = append(st.counts[a], 0)
+		st.sums[a] = append(room(ar, &ar.flts, st.sums[a], 1), initialAcc(agg.Fn))
+		st.counts[a] = append(room(ar, &ar.ints, st.counts[a], 1), 0)
 		if st.strMin[a] != nil {
-			st.strMin[a] = append(st.strMin[a], "")
-			st.strMax[a] = append(st.strMax[a], "")
+			st.strMin[a] = append(room(ar, &ar.strs, st.strMin[a], 1), "")
+			st.strMax[a] = append(room(ar, &ar.strs, st.strMax[a], 1), "")
 		}
 	}
 }
 
 // newGroupState checks a group state out of the scratch and shapes it for n,
-// presizing the table for `expected` groups.
+// presizing the table and every per-group array for `expected` groups.
 func (rt *runtime) newGroupState(n *plan.Node, expected int) *groupState {
 	in := n.Left
 	st := rt.scratch.groupState()
 	st.ht = rt.scratch.table(expected)
 	st.groups = 0
-	st.hashes = st.hashes[:0]
 	st.keyCols = shapeCols(st.keyCols, len(n.GroupCols))
 	for k, ci := range n.GroupCols {
 		st.keyCols[k].Name, st.keyCols[k].Kind = in.Schema[ci].Name, in.Schema[ci].Kind
 	}
-	st.sums = truncAccF(st.sums, len(n.Aggs))
-	st.counts = truncAccI(st.counts, len(n.Aggs))
-	st.strMin = truncAccS(st.strMin, len(n.Aggs))
-	st.strMax = truncAccS(st.strMax, len(n.Aggs))
-	for a, agg := range n.Aggs {
+	a := rt.scratch.arena()
+	st.ar = a
+	a.drawCols(st.keyCols, expected)
+	// The accumulator slices hold no arrays (release took them).
+	st.sums = resize(st.sums, len(n.Aggs))
+	st.counts = resize(st.counts, len(n.Aggs))
+	st.strMin = resize(st.strMin, len(n.Aggs))
+	st.strMax = resize(st.strMax, len(n.Aggs))
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	st.hashes = a.hashes.get(expected)
+	for i, agg := range n.Aggs {
+		st.sums[i] = a.flts.get(expected)
+		st.counts[i] = a.ints.get(expected)
 		if (agg.Fn == plan.AggMin || agg.Fn == plan.AggMax) && in.Schema[agg.Col].Kind == storage.String {
-			if st.strMin[a] == nil {
-				st.strMin[a] = []string{}
-				st.strMax[a] = []string{}
+			// Non-nil marks a string MIN/MAX, even with room for no group.
+			st.strMin[i], st.strMax[i] = a.strs.get(expected), a.strs.get(expected)
+			if expected <= 0 {
+				st.strMin[i], st.strMax[i] = []string{}, []string{}
 			}
-		} else {
-			st.strMin[a] = nil
-			st.strMax[a] = nil
 		}
 	}
 	return st
-}
-
-func truncAccF(s [][]float64, n int) [][]float64 {
-	if cap(s) < n {
-		next := make([][]float64, n)
-		copy(next, s)
-		s = next
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-func truncAccI(s [][]int64, n int) [][]int64 {
-	if cap(s) < n {
-		next := make([][]int64, n)
-		copy(next, s)
-		s = next
-	}
-	s = s[:n]
-	for i := range s {
-		s[i] = s[i][:0]
-	}
-	return s
-}
-
-func truncAccS(s [][]string, n int) [][]string {
-	if cap(s) < n {
-		next := make([][]string, n)
-		copy(next, s)
-		s = next
-	}
-	s = s[:n]
-	for i := range s {
-		if s[i] != nil {
-			s[i] = s[i][:0]
-		}
-	}
-	return s
 }
 
 // update folds one batch into the group state in two passes. The first
@@ -404,9 +369,9 @@ func (st *groupState) update(n *plan.Node, b *expr.Batch, hs []uint64, gids []in
 		}
 		if gi < 0 {
 			gi = st.ht.insert(h) // entry id == st.groups (sequential)
-			st.hashes = append(st.hashes, h)
+			st.hashes = append(room(st.ar, &st.ar.hashes, st.hashes, 1), h)
 			for k, ci := range n.GroupCols {
-				appendVal(&st.keyCols[k], &b.Cols[ci], i)
+				st.ar.appendVal(&st.keyCols[k], &b.Cols[ci], i)
 			}
 			st.addGroup(n.Aggs)
 		}
@@ -432,9 +397,9 @@ func (st *groupState) merge(n *plan.Node, src *groupState) {
 		}
 		if gi < 0 {
 			gi = st.ht.insert(h)
-			st.hashes = append(st.hashes, h)
+			st.hashes = append(room(st.ar, &st.ar.hashes, st.hashes, 1), h)
 			for k := range st.keyCols {
-				appendVal(&st.keyCols[k], &src.keyCols[k], sg)
+				st.ar.appendVal(&st.keyCols[k], &src.keyCols[k], sg)
 			}
 			st.addGroup(n.Aggs)
 		}
@@ -497,13 +462,13 @@ func (rt *runtime) finalizeGroup(n *plan.Node, st *groupState) {
 	if len(n.GroupCols) == 0 && st.groups == 0 {
 		st.addGroup(n.Aggs)
 	}
-	out := rt.scratch.mat(n.Schema)
+	out := rt.scratch.mat(n.Schema, st.groups)
 	ng := len(n.GroupCols)
 	// Copy the key columns rather than aliasing st.keyCols: both the state
 	// and the output buffer are pooled, and aliasing would let a future
 	// checkout of one corrupt the other.
 	for k := range st.keyCols {
-		appendCol(&out.Cols[k], &st.keyCols[k], st.groups)
+		out.ar.appendCol(&out.Cols[k], &st.keyCols[k], st.groups)
 	}
 	for a, agg := range n.Aggs {
 		col := &out.Cols[ng+a]
@@ -748,7 +713,7 @@ func sortPerm(buf *Materialized, keys []int, desc []bool, perm []int32) []int32 
 // applyPerm materializes buf reordered by perm into a pooled buffer with the
 // given schema. Schema columns beyond buf's width come out empty.
 func (rt *runtime) applyPerm(buf *Materialized, perm []int32, schema []plan.ColMeta) *Materialized {
-	out := rt.scratch.mat(schema)
+	out := rt.scratch.mat(schema, len(perm))
 	for c := range buf.Cols {
 		gatherCol(&out.Cols[c], &buf.Cols[c], perm)
 	}

@@ -57,11 +57,16 @@ type Executor struct {
 	// Reuse makes Run recycle the RunResult and the output Materialized
 	// across calls: the returned result and its Output remain valid only
 	// until the next Run on this executor. The executor also keeps its
-	// execution scratch — the run's own and one per morsel partition — instead
-	// of checking it out of the process-wide pool, which every GC empties. An
-	// executor with Reuse set must not be shared between goroutines.
-	// Label-collection workers set it to keep the steady-state loop
-	// allocation-free.
+	// execution scratch — the run's own and one per morsel partition — and
+	// the one buffer arena they all draw their arrays from, instead of
+	// checking scratch out of the process-wide pool, which every GC empties.
+	// The arena keeps one query's worth of arrays by type and size, not
+	// every buffer position's largest array. An analyze run (annotate set)
+	// of a plan without cardinalities grows its arrays past what later runs
+	// need, so it runs on pooled scratch and returns a fresh result
+	// instead. An executor with Reuse set must not be shared between
+	// goroutines. Label-collection workers set it to keep the steady-state
+	// loop allocation-free.
 	Reuse bool
 
 	res     RunResult
@@ -96,12 +101,14 @@ type PipelineTiming struct {
 type Materialized struct {
 	Cols []storage.Column
 	N    int
+
+	ar *arena // the columns grow through it; nil for a result that escapes
 }
 
 // appendBatch copies all rows of b into m.
 func (m *Materialized) appendBatch(b *expr.Batch) {
 	for c := range m.Cols {
-		appendCol(&m.Cols[c], &b.Cols[c], b.N)
+		m.ar.appendCol(&m.Cols[c], &b.Cols[c], b.N)
 	}
 	m.N += b.N
 }
@@ -109,7 +116,7 @@ func (m *Materialized) appendBatch(b *expr.Batch) {
 // appendMat bulk-appends all rows of src to m (same schema).
 func (m *Materialized) appendMat(src *Materialized) {
 	for c := range m.Cols {
-		appendCol(&m.Cols[c], &src.Cols[c], src.N)
+		m.ar.appendCol(&m.Cols[c], &src.Cols[c], src.N)
 	}
 	m.N += src.N
 }
@@ -153,8 +160,13 @@ func (e *Executor) Run(root *plan.Node, annotate bool) (*RunResult, error) {
 	if morsel <= 0 {
 		morsel = DefaultMorselRows
 	}
+	// An analyze run of a plan without cardinalities grows its arrays by
+	// doubling, up to twice what it needs, and plain runs would go on
+	// drawing those arrays: it runs on pooled scratch, so that a Reuse
+	// executor's arena only holds arrays sized from measured cardinalities.
+	reuse := e.Reuse && !annotate
 	var scratch *execScratch
-	if e.Reuse {
+	if reuse {
 		if e.scratch == nil {
 			e.scratch = &execScratch{}
 		}
@@ -164,6 +176,10 @@ func (e *Executor) Run(root *plan.Node, annotate bool) (*RunResult, error) {
 		defer scratchPool.Put(scratch)
 	}
 	scratch.begin()
+	if reuse {
+		// The previous result is released with the previous run.
+		scratch.arena().returnCols(e.out.Cols)
+	}
 	pipelines := plan.DecomposeInto(root, &scratch.pipes)
 	rt := &runtime{
 		batchSize: batchSize,
@@ -175,7 +191,7 @@ func (e *Executor) Run(root *plan.Node, annotate bool) (*RunResult, error) {
 		pool:      pool,
 	}
 	res := &RunResult{}
-	if e.Reuse {
+	if reuse {
 		res = &e.res
 		*res = RunResult{Pipelines: res.Pipelines[:0]}
 		rt.own = e
@@ -288,12 +304,13 @@ func (rt *runtime) count(n *plan.Node) *nodeCount {
 	return c
 }
 
-// resultMat returns the Materialized that receives the query result: the
-// executor-owned reusable buffer in Reuse mode, a fresh allocation otherwise
-// (the result escapes the run, so it cannot come from pooled scratch).
-func (rt *runtime) resultMat(schema []plan.ColMeta) *Materialized {
+// resultMat returns the Materialized that receives the query result of
+// expected rows: the executor-owned reusable buffer, its arrays drawn from
+// the arena, in Reuse mode; a fresh allocation otherwise (the result escapes
+// the run, so it cannot come from pooled scratch).
+func (rt *runtime) resultMat(schema []plan.ColMeta, rows int) *Materialized {
 	if rt.own != nil {
-		matShape(&rt.own.out, schema)
+		rt.scratch.arena().shapeMat(&rt.own.out, schema, rows)
 		return &rt.own.out
 	}
 	return newMaterialized(schema)
@@ -353,6 +370,7 @@ func (rt *runtime) runPipeline(p *plan.Pipeline, root *plan.Node) (int, error) {
 		return 0, err
 	}
 	rt.finalize()
+	rt.scratch.releaseStages()
 	if parts > 1 {
 		rt.lastMerge = time.Since(tail)
 		obs.ExecMergeTime.Observe(rt.lastMerge)
@@ -394,17 +412,25 @@ type terminal struct {
 // openTerminal sets up pipeline p's terminal as rt.term, on rt's scratch.
 // With shared nil it is the pipeline's own, registered where probes and
 // later pipelines look for it; otherwise it is a partial of shared for a
-// block of rows source rows.
+// block of rows source rows. Its buffers are sized from the cardinality
+// annotation of what it receives, a partial's to at most its block's rows.
 func (rt *runtime) openTerminal(p *plan.Pipeline, root *plan.Node, shared *terminal, rows int) error {
 	t := &rt.term
 	*t = terminal{}
+	expected := func(c plan.Card, input *plan.Node) int {
+		e := presize(c, input)
+		if shared == nil {
+			return e
+		}
+		return min(e, rows)
+	}
 	last := p.Stages[len(p.Stages)-1]
 	if last.Stage != plan.StageBuild {
 		if shared == nil {
-			rt.result = rt.resultMat(root.Schema)
+			rt.result = rt.resultMat(root.Schema, expected(root.OutCard, root))
 			t.mat = rt.result
 		} else {
-			t.mat = rt.scratch.mat(root.Schema)
+			t.mat = rt.scratch.mat(root.Schema, expected(root.OutCard, root))
 		}
 		return nil
 	}
@@ -417,23 +443,19 @@ func (rt *runtime) openTerminal(p *plan.Pipeline, root *plan.Node, shared *termi
 			rt.states[n] = t.join
 		} else {
 			t.jp = rt.scratch.joinPart()
-			t.jp.shape(shared.join)
+			t.jp.shape(shared.join, rt.scratch.arena(), expected(n.Left.OutCard, n.Left))
 		}
 	case plan.GroupByOp:
 		// Presize from the group-by's own output-cardinality annotation; a
 		// block's state cannot discover more groups than the block has rows.
-		expected := presize(n.OutCard, n.Left)
-		if shared != nil {
-			expected = min(expected, rows)
-		}
-		t.group = rt.newGroupState(n, expected)
+		t.group = rt.newGroupState(n, expected(n.OutCard, n.Left))
 		if shared == nil {
 			// finalize replaces the state with the materialized output, and
 			// a premature scan fails source's *Materialized assertion.
 			rt.states[n] = t.group
 		}
 	case plan.SortOp, plan.WindowOp, plan.MaterializeOp:
-		t.mat = rt.scratch.mat(n.Left.Schema)
+		t.mat = rt.scratch.mat(n.Left.Schema, expected(n.Left.OutCard, n.Left))
 	default:
 		return fmt.Errorf("node %v has no build stage", n.Op)
 	}
@@ -510,7 +532,7 @@ func (rt *runtime) finalize() {
 func (rt *runtime) scanTableRange(n *plan.Node, sink pushFn, lo, hi int) {
 	t := n.Table
 	nc := rt.count(n)
-	bb := rt.scratch.batchMeta(n.Schema)
+	bb := rt.scratch.batchMeta(n.Schema, rt.batchSize)
 	var (
 		view *expr.Batch
 		sel  []bool
@@ -611,7 +633,7 @@ func selectedRows(sel []bool, idx []int32) []int32 {
 // batches. The breaker's out count was already recorded when its state
 // materialized.
 func (rt *runtime) scanMatRange(n *plan.Node, m *Materialized, sink pushFn, lo, hi int) {
-	bb := rt.scratch.batch(m.Cols)
+	bb := rt.scratch.batch(len(m.Cols), func(i int) (string, storage.Type) { return m.Cols[i].Name, m.Cols[i].Kind }, rt.batchSize)
 	for off := lo; off < hi && !rt.stop; off += rt.batchSize {
 		end := min(off+rt.batchSize, hi)
 		// Copy for the same reason as scanTableRange: downstream stages
@@ -653,24 +675,25 @@ func (rt *runtime) makeStage(s plan.StageRef, sink pushFn) (pushFn, error) {
 	case n.Op == plan.MapOp:
 		nc := rt.count(n)
 		comps := compileMapExprs(n)
-		// cols retains one compute column per map expression; outCols
-		// retains the published column-header slice. Both are reused across
-		// batches: downstream sinks consume each batch synchronously and
-		// never hold onto its column headers.
-		cols := make([]storage.Column, len(n.MapExprs))
-		outCols := make([]storage.Column, 0, len(n.Schema))
+		// A batch buffer of the scratch holds one compute column per map
+		// expression in cols and the published column headers in hdr. Both
+		// are reused across batches: downstream sinks consume each batch
+		// synchronously and never hold onto its column headers.
+		mb := rt.scratch.batch(len(n.MapExprs), func(i int) (string, storage.Type) {
+			return n.MapNames[i], n.MapExprs[i].Kind()
+		}, rt.batchSize)
 		return func(b *expr.Batch) {
-			outCols = outCols[:0]
+			out := mb.hdr[:0]
 			if !n.MapReplaces() {
-				outCols = append(outCols, b.Cols...)
+				out = append(out, b.Cols...)
 			}
 			for i := range n.MapExprs {
-				dst := &cols[i]
+				dst := &mb.cols[i]
 				comps[i](b, dst)
-				dst.Name = n.MapNames[i]
-				outCols = append(outCols, *dst)
+				out = append(out, *dst)
 			}
-			b.Cols = outCols
+			mb.hdr = out
+			b.Cols = out
 			nc.out += int64(b.N)
 			sink(b)
 		}, nil

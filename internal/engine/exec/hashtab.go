@@ -28,7 +28,8 @@ type hashTab struct {
 	slots []htSlot
 	next  []int32 // chain arena: next[entry] = next entry with equal hash
 	mask  uint64
-	used  int // occupied slots (distinct hashes)
+	used  int    // occupied slots (distinct hashes)
+	ar    *arena // every array comes from it and goes back to it
 }
 
 // htSlot is one 16-byte table slot. head < 0 marks an empty slot.
@@ -48,22 +49,24 @@ func nextPow2(n int) int {
 	return c
 }
 
-// reset prepares the table for a build expecting `expected` entries,
-// reusing the previous allocation when large enough.
+// reset prepares the table for a build expecting `expected` entries: its
+// arrays go back to the arena, and it draws a slot array and a chain arena
+// that fit.
 func (t *hashTab) reset(expected int) {
 	// Size for a load factor <= 1/2 at the expected entry count; inserts
 	// still grow on demand if the annotation undershoots.
 	capacity := nextPow2(2 * expected)
-	if cap(t.slots) >= capacity {
-		t.slots = t.slots[:capacity]
-	} else {
-		t.slots = make([]htSlot, capacity)
-	}
+	a := t.ar
+	a.mu.Lock()
+	a.slots.put(t.slots)
+	a.chains.put(t.next)
+	t.slots = a.slots.get(capacity)[:capacity]
+	t.next = a.chains.get(expected)
+	a.mu.Unlock()
 	for i := range t.slots {
 		t.slots[i].head = -1
 	}
 	t.mask = uint64(capacity) - 1
-	t.next = t.next[:0]
 	t.used = 0
 }
 
@@ -71,7 +74,7 @@ func (t *hashTab) reset(expected int) {
 // hash h and returns it. Entries with equal hash chain in insertion order.
 func (t *hashTab) insert(h uint64) int32 {
 	e := int32(len(t.next))
-	t.next = append(t.next, -1)
+	t.next = append(room(t.ar, &t.ar.chains, t.next, 1), -1)
 	if 4*t.used >= 3*len(t.slots) {
 		t.grow()
 	}
@@ -111,8 +114,10 @@ func (t *hashTab) lookup(h uint64) int32 {
 // grow doubles the slot array and repositions slots; chains are untouched
 // because they live in the entry-indexed arena.
 func (t *hashTab) grow() {
-	old := t.slots
-	t.slots = make([]htSlot, 2*len(old))
+	old, a := t.slots, t.ar
+	a.mu.Lock()
+	t.slots = a.slots.get(2 * len(old))[:2*len(old)]
+	a.mu.Unlock()
 	for i := range t.slots {
 		t.slots[i].head = -1
 	}
@@ -127,6 +132,9 @@ func (t *hashTab) grow() {
 		}
 		t.slots[i] = s
 	}
+	a.mu.Lock()
+	a.slots.put(old)
+	a.mu.Unlock()
 }
 
 // maxPresize caps annotation-driven hash-table presizing so a wild

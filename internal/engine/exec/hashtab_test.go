@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"unsafe"
 
 	"t3/internal/engine/plan"
 	"t3/internal/engine/storage"
@@ -21,7 +22,7 @@ func (t *hashTab) chain(h uint64) []int32 {
 }
 
 func TestHashTabBasic(t *testing.T) {
-	var ht hashTab
+	ht := hashTab{ar: &arena{}}
 	ht.reset(0)
 	if got := ht.lookup(42); got != -1 {
 		t.Fatalf("lookup in empty table = %d, want -1", got)
@@ -58,7 +59,7 @@ func TestHashTabVsMap(t *testing.T) {
 		if rng.Intn(2) == 0 {
 			expected = n
 		}
-		var ht hashTab
+		ht := hashTab{ar: &arena{}}
 		ht.reset(expected)
 		ref := map[uint64][]int32{}
 		for i := 0; i < n; i++ {
@@ -90,7 +91,7 @@ func TestHashTabVsMap(t *testing.T) {
 
 // TestHashTabResetReuse verifies a pooled table is fully usable after reset.
 func TestHashTabResetReuse(t *testing.T) {
-	var ht hashTab
+	ht := hashTab{ar: &arena{}}
 	for round := 0; round < 3; round++ {
 		ht.reset(4)
 		for i := 0; i < 100; i++ {
@@ -354,7 +355,7 @@ func TestJoinPresizeFromAnnotations(t *testing.T) {
 		t.Fatalf("expectedCard = %d, want 3000", got)
 	}
 	// Presized capacity covers the annotated build rows at <= 1/2 load.
-	var ht hashTab
+	ht := hashTab{ar: &arena{}}
 	ht.reset(expectedCard(sb.OutCard))
 	if len(ht.slots) < 2*3000 {
 		t.Fatalf("presized capacity %d < 2x annotated rows", len(ht.slots))
@@ -399,25 +400,33 @@ func TestExpectedCard(t *testing.T) {
 	}
 }
 
-// TestExecScratchArenaReuse verifies the arena contract: begin() makes
-// previously handed-out buffers available again, buffers keep their backing
-// allocations, and distinct checkouts within one run never alias.
+// TestExecScratchArenaReuse verifies the arena contract: checkouts within
+// one run are distinct objects holding distinct arrays, begin() hands every
+// array back, and a later run's checkout that fits in a returned array draws
+// that array instead of allocating. Arrays belong to the arena, not to a
+// checkout position: which checkout receives a returned array depends only
+// on kind and size.
 func TestExecScratchArenaReuse(t *testing.T) {
 	s := &execScratch{}
 	meta := []plan.ColMeta{{Name: "k", Kind: storage.Int64}, {Name: "w", Kind: storage.String}}
-	var firstB *batchBuf
-	var firstT *hashTab
+	var firstInts *int64
+	var firstSlots *htSlot
 	for round := 0; round < 3; round++ {
 		s.begin()
-		bb := s.batchMeta(meta)
+		bb := s.batchMeta(meta, 64)
 		ht := s.table(100)
-		if round == 0 {
-			firstB, firstT = bb, ht
-		} else if bb != firstB || ht != firstT {
-			t.Fatal("scratch arena did not reuse buffers across runs")
+		if len(bb.cols) != 2 || bb.cols[0].Kind != storage.Int64 || len(bb.cols[0].Ints) != 0 ||
+			cap(bb.cols[0].Ints) < 64 || cap(bb.cols[1].Strs) < 64 {
+			t.Fatalf("round %d: buffer not shaped clean: %+v", round, bb.cols)
 		}
-		if len(bb.cols) != 2 || bb.cols[0].Kind != storage.Int64 || len(bb.cols[0].Ints) != 0 {
-			t.Fatalf("round %d: buffer not reshaped clean: %+v", round, bb.cols)
+		if bb.cols[0].Flts != nil || bb.cols[0].Strs != nil || bb.cols[1].Ints != nil {
+			t.Fatalf("round %d: a column holds an array of another kind", round)
+		}
+		ints, slots := unsafe.SliceData(bb.cols[0].Ints[:1]), unsafe.SliceData(ht.slots)
+		if round == 0 {
+			firstInts, firstSlots = ints, slots
+		} else if ints != firstInts || slots != firstSlots {
+			t.Fatal("a checkout that fits a returned array did not reuse it across runs")
 		}
 		bb.cols[0].Ints = append(bb.cols[0].Ints, 1, 2, 3)
 		bb.cols[1].Strs = append(bb.cols[1].Strs, "a", "b", "c")
@@ -430,17 +439,31 @@ func TestExecScratchArenaReuse(t *testing.T) {
 		}
 		ht.insert(7)
 	}
-	// Distinct checkouts within one run must hand out distinct objects.
+	// Releasing clears the published headers with the arrays.
 	s.begin()
-	if a, b := s.table(1), s.table(1); a == b {
+	if got := s.arena().freeBytes(); got == 0 {
+		t.Fatal("begin returned no array to the arena")
+	}
+	for _, bb := range s.batches {
+		if len(bb.hdr) != 0 || bb.b.Cols != nil || bb.cols[0].Ints != nil {
+			t.Fatal("a released batch buffer still reaches an array")
+		}
+	}
+	// Distinct checkouts within one run hand out distinct objects and
+	// arrays, even when one array would fit both.
+	if a, b := s.table(1), s.table(1); a == b || unsafe.SliceData(a.slots) == unsafe.SliceData(b.slots) {
 		t.Fatal("two checkouts in one run alias the same table")
 	}
-	if a, b := s.batchMeta(meta), s.batchMeta(meta); a == b {
+	x, y := s.batchMeta(meta, 8), s.batchMeta(meta, 8)
+	if x == y || unsafe.SliceData(x.cols[0].Ints[:1]) == unsafe.SliceData(y.cols[0].Ints[:1]) {
 		t.Fatal("two checkouts in one run alias the same batch buffer")
 	}
-	// Selection vectors are checkouts too: distinct within a run (a scan and
-	// the filter stages it feeds hold theirs simultaneously), retained with
-	// their capacity across runs.
+	if h1, h2 := s.hashBuf(4), s.hashBuf(4); &h1[0] == &h2[0] {
+		t.Fatal("hashBuf checkouts alias each other")
+	}
+	// Selection vectors stay with their checkout position: distinct within a
+	// run (a scan and the filter stages it feeds hold theirs simultaneously),
+	// retained with their capacity across runs.
 	small := s.selBuf(8)
 	big := s.selBuf(1024)
 	if len(big) != 1024 {
@@ -541,7 +564,7 @@ func TestPresizeClampedByInput(t *testing.T) {
 		if got > 3 {
 			t.Fatalf("presize with annotation %v = %d, want <= 3 (input rows)", hostile, got)
 		}
-		var ht hashTab
+		ht := hashTab{ar: &arena{}}
 		ht.reset(got)
 		if len(ht.slots) != htMinCap {
 			t.Fatalf("annotation %v: presized %d slots, want minimum %d", hostile, len(ht.slots), htMinCap)

@@ -107,7 +107,7 @@ func (rt *runtime) runMorsels(p *plan.Pipeline, root *plan.Node, srcMat *Materia
 	)
 	if o := rt.own; o != nil {
 		for len(o.parts) < parts {
-			o.parts = append(o.parts, &execScratch{})
+			o.parts = append(o.parts, &execScratch{ar: o.scratch.arena()})
 		}
 	}
 	rt.pool.Do(parts, func(k int) {
@@ -134,6 +134,9 @@ func (rt *runtime) runMorsels(p *plan.Pipeline, root *plan.Node, srcMat *Materia
 		if res.err == nil {
 			res.err = res.rt.feed(p, srcMat, lo, hi)
 		}
+		// Only the partial waits for the merge; the stages' buffers go
+		// back to the arena for the blocks still to scan.
+		scratch.releaseStages()
 		res.end = time.Now()
 		obs.ExecPartitionTime.Observe(res.end.Sub(start))
 		res.done.Store(true)
@@ -151,14 +154,15 @@ func (rt *runtime) runMorsels(p *plan.Pipeline, root *plan.Node, srcMat *Materia
 	})
 
 	defer func() {
-		// Partition partials live in their scratches; return pooled ones
-		// only after the merge copied everything out.
-		if rt.own != nil {
-			return
-		}
+		// Partition partials live in their scratches; release them, and
+		// return pooled ones, only after the merge copied everything out.
+		// Merged blocks were released already.
 		for i := range results {
-			if results[i].scratch != nil {
-				scratchPool.Put(results[i].scratch)
+			if s := results[i].scratch; s != nil {
+				s.release()
+				if rt.own == nil {
+					scratchPool.Put(s)
+				}
 			}
 		}
 	}()
@@ -199,6 +203,9 @@ func (rt *runtime) mergeParts(results []partResult, from int) int {
 		for node, pc := range results[k].rt.counts {
 			rt.count(node).add(pc)
 		}
+		// The partial's arrays go back to the arena for the blocks still
+		// to come.
+		results[k].scratch.release()
 	}
 	return k
 }

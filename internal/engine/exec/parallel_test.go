@@ -566,6 +566,16 @@ func TestReuseOwnsScratch(t *testing.T) {
 	if own == nil || len(parts) < 2 {
 		t.Fatalf("after a morsel run the executor owns a run scratch: %v, and %d partition scratches", own != nil, len(parts))
 	}
+	// Release keeps a batch buffer's column names; stamp them, so that only
+	// a checkout in the second run can rename them.
+	const stale = "from run 1"
+	for _, s := range append([]*execScratch{own}, parts...) {
+		for _, bb := range s.batches {
+			for i := range bb.cols {
+				bb.cols[i].Name = stale
+			}
+		}
+	}
 	run(a)
 	if a.scratch != own {
 		t.Fatal("second run replaced the run scratch")
@@ -573,11 +583,21 @@ func TestReuseOwnsScratch(t *testing.T) {
 	if !slices.Equal(a.parts, parts) {
 		t.Fatal("second run replaced a partition scratch")
 	}
-	// The run used them: a scratch's cursors stay where its last run left
-	// them until the next run begins.
+	// The second run used every scratch, and all of them draw from one
+	// arena. A partition scratch keeps the objects it handed out, but its
+	// block's partial went back to the arena when the block was merged:
+	// between runs it holds no array.
 	for k, s := range append([]*execScratch{own}, parts...) {
-		if s.nb == 0 {
-			t.Fatalf("scratch %d handed out no batch buffer in the run", k)
+		if len(s.batches) == 0 || s.batches[0].cols[0].Name == stale {
+			t.Fatalf("scratch %d handed out no batch buffer in the second run", k)
+		}
+		if s.ar != own.ar {
+			t.Fatalf("scratch %d draws from an arena of its own", k)
+		}
+	}
+	for k, s := range parts {
+		if s.nb+s.nh+s.nm+s.nj+s.ng+s.np+s.nt != 0 {
+			t.Fatalf("partition scratch %d still holds checkouts after the run", k)
 		}
 	}
 

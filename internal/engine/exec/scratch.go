@@ -14,37 +14,46 @@ import (
 // counters, the pipeline decomposition, and the runtime's node maps. An
 // Executor with Reuse set owns one for the run itself and one per morsel
 // partition index, kept across runs; every other run checks one out of a
-// process-wide pool (per partition too) and returns it when done. Either way
-// steady-state execution reuses the same arenas run after run instead of
-// reallocating them per query.
+// process-wide pool (per partition too) and returns it when done.
 //
-// Every buffer is handed out through a cursor-based checkout: begin() resets
-// the cursors, and buffers handed out during a run stay checked out until the
-// run ends (pipeline states outlive their pipeline), so reuse happens across
-// runs, not within one.
+// The scratch keeps the objects it hands out, but not the arrays they fill:
+// every column, hash vector and hash table draws its backing arrays from the
+// scratch's arena (arena.go), sized for the rows it will hold, and release
+// gives them all back. Selection and index vectors are batch-sized and stay
+// with their checkout position.
+//
+// Every object is handed out through a cursor-based checkout: buffers handed
+// out during a run stay checked out until the scratch is released (pipeline
+// states outlive their pipeline), so reuse happens across runs and, for
+// partition scratches, across the blocks of one pipeline.
 type execScratch struct {
+	ar *arena // created on first use when the owner set none
+
+	// Stage buffers; the cursors count those handed out since the last
+	// release.
 	sels    [][]bool
-	ns      int // selection vectors handed out this run
+	ns      int
 	hashes  [][]uint64
-	nh      int // hash vectors handed out this run
+	nh      int
 	idxs    [][]int32
-	ni      int // index vectors handed out this run
+	ni      int
 	batches []*batchBuf
-	nb      int // batches handed out this run
+	nb      int
 	views   []*expr.Batch
-	nv      int // scan views handed out this run
-	tabs    []*hashTab
-	nt      int // tables handed out this run
-	mats    []*Materialized
-	nm      int // materialized buffers handed out this run
-	joins   []*joinState
-	nj      int // join states handed out this run
-	groups  []*groupState
-	ng      int // group states handed out this run
-	jparts  []*joinPartial
-	np      int // join partials handed out this run
-	ncs     []*nodeCount
-	nn      int // node counters handed out this run
+	nv      int
+
+	tabs   []*hashTab
+	nt     int // tables handed out this run
+	mats   []*Materialized
+	nm     int // materialized buffers handed out this run
+	joins  []*joinState
+	nj     int // join states handed out this run
+	groups []*groupState
+	ng     int // group states handed out this run
+	jparts []*joinPartial
+	np     int // join partials handed out this run
+	ncs    []*nodeCount
+	nn     int // node counters handed out this run
 
 	perm  []int32
 	pipes plan.PipelineScratch
@@ -56,9 +65,18 @@ type execScratch struct {
 
 var scratchPool = sync.Pool{New: func() any { return &execScratch{} }}
 
-// begin resets the check-out cursors and node maps for a new run.
+// arena returns the scratch's buffer arena.
+func (s *execScratch) arena() *arena {
+	if s.ar == nil {
+		s.ar = &arena{}
+	}
+	return s.ar
+}
+
+// begin releases the previous run's buffers and resets the node maps for a
+// new run.
 func (s *execScratch) begin() {
-	s.ns, s.nh, s.ni, s.nb, s.nv, s.nt, s.nm, s.nj, s.ng, s.np, s.nn = 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0
+	s.release()
 	if s.states == nil {
 		s.states = make(map[*plan.Node]any)
 	} else {
@@ -69,6 +87,63 @@ func (s *execScratch) begin() {
 	} else {
 		clear(s.counts)
 	}
+}
+
+// release returns every array the checked-out objects hold to the arena and
+// resets the check-out cursors. Published batch headers are cleared with
+// them, so no batch still reaches a released array.
+func (s *execScratch) release() {
+	s.releaseStages()
+	a := s.arena()
+	a.mu.Lock()
+	for _, t := range s.tabs[:s.nt] {
+		a.slots.put(t.slots)
+		a.chains.put(t.next)
+		t.slots, t.next = nil, nil
+	}
+	for _, m := range s.mats[:s.nm] {
+		a.putCols(m.Cols)
+		m.N = 0
+	}
+	for _, st := range s.joins[:s.nj] {
+		a.putCols(st.keyCols)
+		a.putCols(st.payload)
+		st.ht = nil
+	}
+	for _, st := range s.groups[:s.ng] {
+		a.putCols(st.keyCols)
+		a.hashes.put(st.hashes)
+		putVecs(&a.flts, st.sums)
+		putVecs(&a.ints, st.counts)
+		putVecs(&a.strs, st.strMin)
+		putVecs(&a.strs, st.strMax)
+		st.hashes, st.ht = nil, nil
+	}
+	for _, p := range s.jparts[:s.np] {
+		a.hashes.put(p.hashes)
+		a.putCols(p.keyCols)
+		a.putCols(p.payload)
+		p.hashes = nil
+	}
+	a.mu.Unlock()
+	s.nt, s.nm, s.nj, s.ng, s.np, s.nn = 0, 0, 0, 0, 0, 0
+}
+
+// releaseStages releases what only the stages of a pipeline use — batch
+// buffers, scan views, selection, index and hash vectors — and keeps the
+// pipeline states later pipelines read.
+func (s *execScratch) releaseStages() {
+	a := s.arena()
+	a.mu.Lock()
+	putVecs(&a.hashes, s.hashes[:s.nh])
+	for _, bb := range s.batches[:s.nb] {
+		a.putCols(bb.cols)
+		clear(bb.hdr[:cap(bb.hdr)])
+		bb.hdr = bb.hdr[:0]
+		bb.b = expr.Batch{}
+	}
+	a.mu.Unlock()
+	s.ns, s.nh, s.ni, s.nb, s.nv = 0, 0, 0, 0, 0
 }
 
 // take hands out the next object of a checkout list, allocating one when the
@@ -98,48 +173,66 @@ func takeVec[T any](list *[][]T, cursor *int, n int) []T {
 // selBuf hands out a selection vector of length n.
 func (s *execScratch) selBuf(n int) []bool { return takeVec(&s.sels, &s.ns, n) }
 
-// hashBuf hands out a hash vector of length n.
-func (s *execScratch) hashBuf(n int) []uint64 { return takeVec(&s.hashes, &s.nh, n) }
-
 // idxBuf hands out an index vector of length n: selected rows, probe/build
 // row pairs, or group ids.
 func (s *execScratch) idxBuf(n int) []int32 { return takeVec(&s.idxs, &s.ni, n) }
 
-// batch hands out a reusable batch buffer shaped like the given columns
-// (data is not copied, only names and kinds).
-func (s *execScratch) batch(like []storage.Column) *batchBuf {
+// hashBuf hands out a hash vector of length n, drawn from the arena.
+func (s *execScratch) hashBuf(n int) []uint64 {
+	if s.nh == len(s.hashes) {
+		s.hashes = append(s.hashes, nil)
+	}
+	a := s.arena()
+	a.mu.Lock()
+	v := a.hashes.get(n)[:n]
+	a.mu.Unlock()
+	s.hashes[s.nh] = v
+	s.nh++
+	return v
+}
+
+// batch hands out a batch buffer of n columns, column i named and typed by
+// meta(i), with room for rows rows per column.
+func (s *execScratch) batch(n int, meta func(i int) (string, storage.Type), rows int) *batchBuf {
 	bb := take(&s.batches, &s.nb)
-	bb.shape(len(like), func(i int) (string, storage.Type) { return like[i].Name, like[i].Kind })
+	bb.cols = shapeCols(bb.cols, n)
+	for i := range bb.cols {
+		c := &bb.cols[i]
+		c.Name, c.Kind = meta(i)
+	}
+	s.arena().drawCols(bb.cols, rows)
 	return bb
 }
 
 // batchMeta is batch for a plan schema.
-func (s *execScratch) batchMeta(schema []plan.ColMeta) *batchBuf {
-	bb := take(&s.batches, &s.nb)
-	bb.shape(len(schema), func(i int) (string, storage.Type) { return schema[i].Name, schema[i].Kind })
-	return bb
+func (s *execScratch) batchMeta(schema []plan.ColMeta, rows int) *batchBuf {
+	return s.batch(len(schema), func(i int) (string, storage.Type) { return schema[i].Name, schema[i].Kind }, rows)
 }
 
 // view hands out a batch with n columns for read-only views of base-table
 // rows. Views live in a list of their own, so no writable batch buffer ever
-// holds a slice of a base table; the scan clears the view when it ends.
+// holds a slice of a base table, and no base-table array ever reaches the
+// arena; the scan clears the view when it ends.
 func (s *execScratch) view(n int) *expr.Batch {
 	v := take(&s.views, &s.nv)
 	v.Cols = resize(v.Cols, n)
 	return v
 }
 
-// table hands out a reusable hash table presized for `expected` entries.
+// table hands out a hash table presized for `expected` entries, its slot and
+// chain arrays drawn from the arena.
 func (s *execScratch) table(expected int) *hashTab {
 	t := take(&s.tabs, &s.nt)
+	t.ar = s.arena()
 	t.reset(expected)
 	return t
 }
 
-// mat hands out a reusable materialized buffer shaped to the schema, emptied.
-func (s *execScratch) mat(schema []plan.ColMeta) *Materialized {
+// mat hands out an empty materialized buffer shaped to the schema, with room
+// for rows rows per column.
+func (s *execScratch) mat(schema []plan.ColMeta, rows int) *Materialized {
 	m := take(&s.mats, &s.nm)
-	matShape(m, schema)
+	s.arena().shapeMat(m, schema, rows)
 	return m
 }
 
@@ -189,49 +282,15 @@ func zeroInt64(s []int64, n int) []int64 {
 	return s
 }
 
-// matShape configures a reusable Materialized for the schema, truncating
-// every retained column to zero rows.
-func matShape(m *Materialized, schema []plan.ColMeta) {
-	if cap(m.Cols) < len(schema) {
-		cols := make([]storage.Column, len(schema))
-		copy(cols, m.Cols)
-		m.Cols = cols
-	}
-	m.Cols = m.Cols[:len(schema)]
-	for i := range m.Cols {
-		c := &m.Cols[i]
-		c.Name, c.Kind = schema[i].Name, schema[i].Kind
-		c.Ints, c.Flts, c.Strs, c.Nulls = c.Ints[:0], c.Flts[:0], c.Strs[:0], nil
-	}
-	m.N = 0
-}
-
-// shapeCols resizes a retained column slice to n columns, truncating each to
-// zero rows while keeping backing arrays. Callers set names and kinds.
+// shapeCols resizes a retained column-header slice to n columns. The
+// columns hold no arrays (release took them); callers set names and kinds.
 func shapeCols(cols []storage.Column, n int) []storage.Column {
 	if cap(cols) < n {
 		next := make([]storage.Column, n)
 		copy(next, cols)
 		cols = next
 	}
-	cols = cols[:n]
-	for i := range cols {
-		c := &cols[i]
-		c.Ints, c.Flts, c.Strs, c.Nulls = c.Ints[:0], c.Flts[:0], c.Strs[:0], nil
-	}
-	return cols
-}
-
-// appendCol bulk-appends the first n rows of src to dst (same kind).
-func appendCol(dst, src *storage.Column, n int) {
-	switch dst.Kind {
-	case storage.Int64:
-		dst.Ints = append(dst.Ints, src.Ints[:n]...)
-	case storage.Float64:
-		dst.Flts = append(dst.Flts, src.Flts[:n]...)
-	case storage.String:
-		dst.Strs = append(dst.Strs, src.Strs[:n]...)
-	}
+	return cols[:n]
 }
 
 // copyRows sets dst to rows [lo, hi) of src, null flags included.
@@ -294,27 +353,15 @@ func resize[T any](s []T, n int) []T {
 	return s[:n]
 }
 
-// batchBuf is a reusable batch buffer. The retained columns in cols own the
-// backing arrays; callers truncate and append into cols, then call attach to
-// publish the filled columns into the batch handed downstream. Downstream
-// stages may shrink or replace b.Cols freely — the next refill starts from
-// the retained cols again.
+// batchBuf is a reusable batch buffer. The columns in cols hold the arena
+// arrays of the checkout; callers truncate and append into cols, then call
+// attach to publish the filled columns into the batch handed downstream.
+// Downstream stages may shrink or replace b.Cols freely — the next refill
+// starts from cols again.
 type batchBuf struct {
 	b    expr.Batch
 	cols []storage.Column
 	hdr  []storage.Column // what attach publishes as b.Cols
-}
-
-// shape configures the buffer's column count, names, and kinds, truncating
-// every column to zero rows while retaining backing arrays from previous
-// uses.
-func (bb *batchBuf) shape(n int, meta func(i int) (string, storage.Type)) {
-	bb.cols = shapeCols(bb.cols, n)
-	for i := range bb.cols {
-		c := &bb.cols[i]
-		c.Name, c.Kind = meta(i)
-	}
-	bb.b.N = 0
 }
 
 // attach publishes the retained columns (filled by the caller) as the

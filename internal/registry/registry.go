@@ -79,7 +79,8 @@ type Meta struct {
 	// for t3train), so an artifact records what judged it.
 	HoldoutFingerprint uint64 `json:"holdout_fingerprint,omitempty"`
 	// ParentVersion is the version that was live when this artifact was
-	// promoted (0 = none/unknown) — the rollback target.
+	// promoted (0 = none/unknown) — the rollback target. ParentLatest asks
+	// Put for the newest stored version.
 	ParentVersion int `json:"parent_version,omitempty"`
 	// Note is free-form provenance (flags, drift episode, ...).
 	Note string `json:"note,omitempty"`
@@ -230,6 +231,12 @@ func (r *Registry) versions() ([]int, error) {
 	return vs, nil
 }
 
+// ParentLatest, as an artifact's ParentVersion, makes Put record the newest
+// stored version as the parent (0 when there is none). Put picks it under
+// the lock that assigns the new version, so no concurrent Put can slip in
+// between.
+const ParentLatest = -1
+
 // Put assigns the next version number, stamps it into the metadata, and
 // writes the artifact atomically (temp file + rename). It returns the
 // assigned version. The caller fills every other Meta field — in
@@ -247,6 +254,9 @@ func (r *Registry) Put(a *Artifact) (int, error) {
 		next = vs[len(vs)-1] + 1
 	}
 	a.Meta.Version = next
+	if a.Meta.ParentVersion == ParentLatest {
+		a.Meta.ParentVersion = next - 1
+	}
 	a.Meta.FormatVersion = FormatVersion
 	if a.GBM != nil {
 		a.Meta.Trees = len(a.GBM.Trees)

@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"slices"
 	"strings"
+	"sync"
 	"testing"
 
 	"t3/internal/gbdt"
@@ -236,6 +237,37 @@ func TestGCSparesNamedVersions(t *testing.T) {
 	}
 	if !slices.Equal(kept, []int{1, 5, 6}) {
 		t.Fatalf("GC(2, spare 1 6 9) kept versions %v, want [1 5 6]", kept)
+	}
+}
+
+// TestPutParentLatest: puts asking for ParentLatest, four writers at once,
+// chain every version to the one before it, and the first to none.
+func TestPutParentLatest(t *testing.T) {
+	r := openTemp(t)
+	var wg sync.WaitGroup
+	for w := 0; w < 4; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := 0; i < 3; i++ {
+				if _, err := r.Put(&Artifact{Meta: Meta{Source: "test", ParentVersion: ParentLatest}, GBM: handModel()}); err != nil {
+					t.Error(err)
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	metas, err := r.List()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(metas) != 12 {
+		t.Fatalf("%d versions, want 12", len(metas))
+	}
+	for _, m := range metas {
+		if m.ParentVersion != m.Version-1 {
+			t.Fatalf("version %d records parent %d, want %d", m.Version, m.ParentVersion, m.Version-1)
+		}
 	}
 }
 

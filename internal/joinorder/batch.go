@@ -155,6 +155,8 @@ type batchEnum struct {
 		reg  *feature.Registry
 	}
 	start []int32
+	// fan is what a flush's rows go out over the cfg.Workers pool through.
+	fan treec.Fan
 }
 
 var batchPool sync.Pool
@@ -358,12 +360,12 @@ func dpSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 	if maxRows < 2 {
 		maxRows = 2
 	}
-	pool := par.Sized(cfg.Workers)
 	enc := newEncoder(reg, inst, spec)
 	stride := reg.NumFeatures()
 
 	e := getBatchEnum(pred, reg, maxRows, n)
 	defer putBatchEnum(e)
+	e.fan.Pool = par.Sized(cfg.Workers)
 
 	start := time.Now()
 	res := &Result{}
@@ -477,7 +479,7 @@ func dpSizeBatched(spec *workload.JoinSpec, pred *treec.Packed, reg *feature.Reg
 			out := e.out[:nrows]
 			for lo := 0; lo < nrows; lo += maxRows {
 				hi := min(lo+maxRows, nrows)
-				pred.PredictRowsFrom(e.rows[lo*stride:hi*stride], stride, e.starts, e.start[lo:hi], out[lo:hi], pool)
+				pred.PredictRowsFrom(e.rows[lo*stride:hi*stride], stride, e.starts, e.start[lo:hi], out[lo:hi], &e.fan)
 				if work != nil {
 					*work = work.Plus(pred.MaskCounts(e.rows[lo*stride:], stride, hi-lo, e.starts))
 				}

@@ -3,14 +3,16 @@
 // query execution.
 //
 // A Pool owns workers-1 long-lived goroutines parked on an unbuffered
-// channel. Do pulls work: every participant — the calling goroutine and each
-// pool worker that accepts the call — takes the next index from one atomic
-// cursor until none is left. The caller offers the call to the workers that
-// are parked at that moment, never waits for a busy one, and pulls whatever
-// the others have not taken, so a slow-to-wake worker costs at most the
-// index it is running, nested Do calls cannot deadlock, a one-worker pool
+// channel. Work is pulled: every participant in a Job — the calling goroutine
+// and each pool worker that accepts it — takes the next index from the job's
+// atomic cursor until none is left. The caller offers the job to the workers
+// that are parked at that moment, never waits for a busy one, and pulls
+// whatever the others have not taken, so a slow-to-wake worker costs at most
+// the index it is running, nested jobs cannot deadlock, a one-worker pool
 // stays allocation- and synchronization-free, and a nil *Pool acts as a
-// serial executor.
+// serial executor. Job.Do is the one dispatch loop; Do, DoState, For and
+// MapReduce wrap it, and a caller that keeps its own Job and Task dispatches
+// without allocating.
 //
 // Determinism: Do and For guarantee nothing about execution order, but chunk
 // *boundaries* in For and MapReduce depend only on (n, chunk) — never on the
@@ -30,7 +32,7 @@ import (
 // Pool is a fixed-size worker pool for fork-join parallelism.
 type Pool struct {
 	workers int
-	tasks   chan *job
+	tasks   chan *Job
 	close   sync.Once
 	// persistent marks the process-wide cached pools of Sized, whose
 	// goroutines must outlive any single caller; Close is a no-op on them.
@@ -45,7 +47,7 @@ func New(workers int) *Pool {
 	}
 	p := &Pool{workers: workers}
 	if workers > 1 {
-		p.tasks = make(chan *job)
+		p.tasks = make(chan *Job)
 		// workers-1 goroutines; the Do caller is the final worker.
 		for i := 1; i < workers; i++ {
 			go func() {
@@ -120,43 +122,60 @@ func (p *Pool) Close() {
 	p.close.Do(func() { close(p.tasks) })
 }
 
-// job is one Do call as its participants share it: the index cursor they
-// pull from, and the pool workers that joined it.
-type job struct {
+// Task is the body of a Job: Run(w, i) runs index i as participant w.
+type Task interface {
+	Run(w, i int)
+}
+
+// taskFunc adapts a function to Task.
+type taskFunc func(w, i int)
+
+func (f taskFunc) Run(w, i int) { f(w, i) }
+
+// Job is one fork-join dispatch as its participants share it: the index
+// cursor they pull from and the pool workers that joined it. A Job is
+// caller-owned and reusable, one Do at a time: a hot path that keeps one in
+// its scratch, with a Task that lives there too, dispatches without
+// allocating. Pool.Do, DoState, For and MapReduce each run a Job of their own.
+type Job struct {
+	t       Task
 	n       int
-	fn      func(w, i int)
 	next    atomic.Int64 // next index to hand out
 	helpers atomic.Int32 // participant ids handed to pool workers so far
 	wg      sync.WaitGroup
 }
 
-// pull runs fn(w, i) for every index i it takes from the cursor, until the
-// cursor passes n.
-func (j *job) pull(w int) {
+// pull runs t.Run(w, i) for every index i it takes from the cursor, until
+// the cursor passes n.
+func (j *Job) pull(w int) {
 	for i := int(j.next.Add(1) - 1); i < j.n; i = int(j.next.Add(1) - 1) {
-		j.fn(w, i)
+		j.t.Run(w, i)
 	}
 }
 
 // help is a pool worker's part in a job it accepted: pull under the next
 // participant id, then report done.
-func (j *job) help() {
+func (j *Job) help() {
 	j.pull(int(j.helpers.Add(1)))
 	j.wg.Done()
 }
 
-// run is the pull loop behind Do and DoState: fn(w, i) for every i in
-// [0, n), where w < min(Workers, n) identifies the participant running the
-// call — 0 for the caller, 1, 2, … for the pool workers that joined — so a
-// participant runs its calls one after another under one w.
-func (p *Pool) run(n int, fn func(w, i int)) {
-	if p == nil || p.tasks == nil || n == 1 {
+// Do runs t.Run(w, i) for every i in [0, n) over p and returns once all
+// have completed. w < min(p.Workers(), n) identifies the participant
+// running the call — 0 for the caller, 1, 2, … for the pool workers that
+// joined — so a participant runs its calls one after another under one w.
+// On a nil or single-worker pool, or for n == 1, every call runs inline on
+// the caller as participant 0. Execution order is unspecified.
+func (j *Job) Do(p *Pool, n int, t Task) {
+	if !p.fans(n) {
 		for i := 0; i < n; i++ {
-			fn(0, i)
+			t.Run(0, i)
 		}
 		return
 	}
-	j := &job{n: n, fn: fn}
+	j.t, j.n = t, n
+	j.next.Store(0)
+	j.helpers.Store(0)
 	// Offer the job to every parked worker, one send each. A failed send
 	// means none is parked now: the caller does not wait for a busy worker
 	// (it may be running the caller's own parent job) but pulls the rest
@@ -173,22 +192,25 @@ offer:
 	}
 	j.pull(0)
 	j.wg.Wait()
+	j.t = nil
 }
+
+// fans reports whether n calls are spread over p's workers rather than run
+// inline on the caller.
+func (p *Pool) fans(n int) bool { return p != nil && p.tasks != nil && n > 1 }
 
 // Do runs fn(0) … fn(n-1), distributing calls across the pool, and returns
 // once all have completed. On a nil or single-worker pool every call runs
-// inline on the caller. Tasks must not depend on execution order.
+// inline on the caller, allocation-free. Tasks must not depend on execution
+// order.
 func (p *Pool) Do(n int, fn func(i int)) {
-	if n <= 0 {
-		return
-	}
-	if p == nil || p.tasks == nil || n == 1 {
+	if !p.fans(n) {
 		for i := 0; i < n; i++ {
 			fn(i)
 		}
 		return
 	}
-	p.run(n, func(_, i int) { fn(i) })
+	new(Job).Do(p, n, taskFunc(func(_, i int) { fn(i) }))
 }
 
 // DoState runs fn(state, 0) … fn(state, n-1) across the pool like Do, but
@@ -206,7 +228,7 @@ func DoState[S any](p *Pool, n int, newState func() S, fn func(st S, i int)) {
 	for w := range states {
 		states[w] = newState()
 	}
-	p.run(n, func(w, i int) { fn(states[w], i) })
+	new(Job).Do(p, n, taskFunc(func(w, i int) { fn(states[w], i) }))
 }
 
 // For splits [0, n) into chunks of the given size and runs body(lo, hi) for

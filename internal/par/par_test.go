@@ -34,7 +34,7 @@ func finishes(t *testing.T, what string, f func()) {
 // release waits until the worker has let go of the job.
 func holdWorker(p *Pool) (release func()) {
 	hold := make(chan struct{})
-	j := &job{n: 1, fn: func(_, _ int) { <-hold }}
+	j := &Job{n: 1, t: taskFunc(func(_, _ int) { <-hold })}
 	j.wg.Add(1)
 	p.tasks <- j // blocks until a worker takes it
 	return func() {
@@ -321,5 +321,80 @@ func TestDoStateNilPool(t *testing.T) {
 	DoState(p, 5, func() int { states++; return 100 }, func(st, i int) { sum += st + i })
 	if states != 1 || sum != 510 {
 		t.Fatalf("nil pool DoState: states=%d sum=%d", states, sum)
+	}
+}
+
+// countTask counts how often each index runs.
+type countTask struct{ counts []int32 }
+
+func (c *countTask) Run(_, i int) { atomic.AddInt32(&c.counts[i], 1) }
+
+// TestJobReuseRunsEveryIndexOnce: one caller-owned Job, dispatched 10 000
+// times at several sizes, runs every index of every dispatch exactly once —
+// no participant of one dispatch leaks into the next.
+func TestJobReuseRunsEveryIndexOnce(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		var j Job
+		task := &countTask{counts: make([]int32, 67)}
+		for r := range 10000 {
+			n := 1 + r%len(task.counts)
+			clear(task.counts)
+			j.Do(p, n, task)
+			for i, c := range task.counts {
+				if want := int32(min(1, max(0, n-i))); c != want {
+					t.Fatalf("workers=%d reuse %d n=%d: index %d ran %d times, want %d", workers, r, n, i, c, want)
+				}
+			}
+		}
+		p.Close()
+	}
+}
+
+// nestedTask starts a Job of its own from inside every task of an outer one.
+type nestedTask struct {
+	p     *Pool
+	inner []Job
+	count *countTask
+	per   int
+}
+
+func (n *nestedTask) Run(_, i int) {
+	n.inner[i].Do(n.p, n.per, &countTask{counts: n.count.counts[i*n.per : (i+1)*n.per]})
+}
+
+// TestJobNestedInPoolTask: a Job started from inside a pool task — while the
+// pool's workers are busy with the outer job — completes, every index once.
+func TestJobNestedInPoolTask(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		const outer, per = 16, 9
+		nt := &nestedTask{p: p, inner: make([]Job, outer), count: &countTask{counts: make([]int32, outer*per)}, per: per}
+		finishes(t, fmt.Sprintf("a job nested in a %d-worker pool task", workers), func() {
+			var j Job
+			j.Do(p, outer, nt)
+		})
+		for i, c := range nt.count.counts {
+			if c != 1 {
+				t.Fatalf("workers=%d: index %d ran %d times", workers, i, c)
+			}
+		}
+		p.Close()
+	}
+}
+
+// TestJobDoZeroAlloc: dispatching a warm Job over a pool whose workers join
+// it allocates nothing. testing.AllocsPerRun pins GOMAXPROCS to 1, but New(n)
+// has n-1 parked workers whatever GOMAXPROCS is, so the fanned path runs.
+func TestJobDoZeroAlloc(t *testing.T) {
+	for _, workers := range []int{2, 4} {
+		p := New(workers)
+		var j Job
+		task := &countTask{counts: make([]int32, 64)}
+		j.Do(p, len(task.counts), task)
+		if allocs := testing.AllocsPerRun(200, func() { j.Do(p, len(task.counts), task) }); allocs != 0 {
+			t.Errorf("workers=%d: a warm Job allocates %.1f objects per dispatch, want 0", workers, allocs)
+		}
+		p.Close()
 	}
 }

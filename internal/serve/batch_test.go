@@ -156,8 +156,29 @@ func chunked(rng *rand.Rand, stream []byte) [][]byte {
 // seeded sequence mixes misses, hits (a key seen earlier), duplicates (the
 // same key twice in a row, so both may sit in one batch), both card modes,
 // malformed plans, and sometimes a bad header with more frames behind it.
+//
+// It runs on the served model and on one whose batches fan their kernel rows
+// over two workers, so a batch's answers are the same whichever worker scored
+// which of its rows.
 func TestBatchedResponsesEqualSequentialReference(t *testing.T) {
-	m := loadModel(t)
+	t.Run("default workers", func(t *testing.T) { checkBatchedResponses(t, loadModel(t)) })
+	t.Run("two workers", func(t *testing.T) { checkBatchedResponses(t, twoWorkerModel(t)) })
+}
+
+// twoWorkerModel is a fresh copy of the default model whose batches fan out
+// over par.Sized(2): two workers whatever GOMAXPROCS is, so the fanned path
+// runs even where testing.AllocsPerRun pins GOMAXPROCS to 1.
+func twoWorkerModel(t testing.TB) *t3.Model {
+	t.Helper()
+	m, err := t3.Load("../../models/t3_default.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	m.SetWorkers(2)
+	return m
+}
+
+func checkBatchedResponses(t *testing.T, m *t3.Model) {
 	pool := append(variantFrames(t, 96, plan.TrueCards), variantFrames(t, 24, plan.EstCards)...)
 	sequences := 1000
 	if testing.Short() {
@@ -408,7 +429,12 @@ func TestBatchIsOneModelCallAndOneObservationPerRequest(t *testing.T) {
 // too rarely for the small cache to still hold them.
 func allocsPerFrame(t *testing.T, cfg Config, per, writes int) float64 {
 	t.Helper()
-	s := newServer(t, cfg)
+	return allocsPerFrameOn(t, newServer(t, cfg), per, writes)
+}
+
+// allocsPerFrameOn is allocsPerFrame against a server of the caller's.
+func allocsPerFrameOn(t *testing.T, s *Server, per, writes int) float64 {
+	t.Helper()
 	frames := variantFrames(t, 512, plan.TrueCards)
 	var msgs [][]byte
 	for i := 0; i+per <= len(frames); i += per {
@@ -465,6 +491,40 @@ func TestMissPathIsAllocationFree(t *testing.T) {
 		{"32-frame batch, cache off", Config{CacheEntries: -1}, 32, 1},
 	} {
 		if allocs := allocsPerFrame(t, tc.cfg, tc.per, tc.writes); allocs != 0 {
+			t.Errorf("%s: %.3f allocs per frame, want 0", tc.name, allocs)
+		}
+	}
+}
+
+// TestFannedMissPathIsAllocationFree is TestMissPathIsAllocationFree's batch
+// shape on a model whose batches fan out over two workers. Every 32-frame
+// message holds at least two of the kernel's 32-row tasks, so each batch is
+// offered to the pool's parked worker: the offer, the worker's share and the
+// wait for it must allocate nothing either.
+func TestFannedMissPathIsAllocationFree(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	m := twoWorkerModel(t)
+	roots := benchPlans(t)
+	for first := range roots {
+		rows := 0
+		for i := range 32 {
+			_, pipes := m.PredictPlan(roots[(first+i)%len(roots)], plan.TrueCards)
+			rows += len(pipes)
+		}
+		if rows < 64 {
+			t.Fatalf("a 32-frame batch from plan %d has %d pipeline rows, too few to fan out", first, rows)
+		}
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"32-frame batch over two workers, cache on", Config{CacheEntries: 16}},
+		{"32-frame batch over two workers, cache off", Config{CacheEntries: -1}},
+	} {
+		if allocs := allocsPerFrameOn(t, New(m, tc.cfg), 32, 1); allocs != 0 {
 			t.Errorf("%s: %.3f allocs per frame, want 0", tc.name, allocs)
 		}
 	}

@@ -3,11 +3,11 @@
 // fingerprint-keyed prediction cache, per-connection batching of cache
 // misses into one model call, and atomic model hot-swapping.
 //
-// A connection is the unit of parallelism. Its goroutine owns a scratch
-// (read buffer, plan-decode arena, prediction scratch, response buffer) and
-// nothing on the request path leaves that goroutine: no timer, no hand-over,
-// no worker pool. After each blocking read the connection answers every
-// complete frame the read brought in, at most maxBatchFrames, as one batch:
+// Each connection has a goroutine that owns a scratch (read buffer,
+// plan-decode arena, prediction scratch, response buffer); no timer and no
+// hand-over to another goroutine stand between a frame and its answer. After
+// each blocking read the connection answers every complete frame the read
+// brought in, at most maxBatchFrames, as one batch:
 //
 //  1. Decode each frame into its own region of the connection's arena
 //     (wire.Decoder.DecodeNext — no steady-state allocation).
@@ -16,10 +16,12 @@
 //  3. Price all misses of the batch in one model call on the connection's
 //     own scratch — Model.PredictBatchScratch, one batch-kernel call over
 //     every pipeline of every missed plan, scored in blocks of eight rows
-//     that share the tree nodes all eight fail; a lone miss takes
-//     Model.PredictPlanScratch, as /predict.bin's single frame does — and
-//     insert the results under the cache generation read before the model
-//     was loaded.
+//     that share the tree nodes all eight fail, whose 32-row tasks the
+//     connection's goroutine shares with whichever of the model's pool
+//     workers are parked (Model.SetWorkers; a busy pool leaves them all to
+//     the connection); a lone miss takes Model.PredictPlanScratch, as
+//     /predict.bin's single frame does — and insert the results under the
+//     cache generation read before the model was loaded.
 //  4. Append the responses in request order and write them once.
 //
 // A client that sends one frame and waits gets exactly that frame's path and
@@ -32,7 +34,10 @@
 // kernel's wake-ups and queueing for a core — 28 % is the server's read and
 // write, and wire decode, fingerprint, cache probe and response encoding
 // together are 1.5 %. A cache miss adds the model on top: about two thirds of
-// what the server spends on one.
+// what the server spends on one. Fanning a batch's kernel rows over the pool
+// answers serve_batch_miss's 32-frame writes a fifth to a quarter sooner on
+// two cores, and costs nothing when every core is already busy with a
+// connection (EXPERIMENTS.md, "Served-batch fan-out").
 //
 // Model swaps (SetModel) are an atomic pointer store plus one cache
 // generation bump: in-flight requests finish against whichever model they
@@ -266,9 +271,9 @@ func (s *Server) lookup(c *connScratch) (misses int) {
 }
 
 // price answers the batch's misses from the model: all of a card mode's in
-// one PredictBatchScratch call on the connection's scratch, a lone one
-// through PredictPlanScratch, whose decompose, featurize and tree-eval spans
-// land on the request's own trace.
+// one PredictBatchScratch call on the connection's scratch, whose kernel rows
+// fan out over the model's pool, a lone one through PredictPlanScratch, whose
+// decompose, featurize and tree-eval spans land on the request's own trace.
 func (s *Server) price(c *connScratch) {
 	// The generation is read before the model: an answer computed on a model
 	// that SetModel has since replaced then carries a generation the swap

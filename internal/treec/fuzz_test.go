@@ -209,7 +209,7 @@ func checkTreeTiers(t *testing.T, seed int64, nvec uint64) {
 	}
 	check := func(pool *par.Pool) {
 		out := make([]float64, len(want))
-		packed.PredictRowsInto(rows, nFeatures, out, pool)
+		packed.PredictRowsInto(rows, nFeatures, out, &Fan{Pool: pool})
 		for i := range out {
 			if math.Float64bits(out[i]) != math.Float64bits(want[i]) {
 				t.Fatalf("seed=%d rows=%d vec=%d workers=%d: PredictRowsInto=%v Predict=%v", seed, len(out), i%len(vs), pool.Workers(), out[i], want[i])
@@ -284,7 +284,7 @@ func checkStarts(t *testing.T, rng *rand.Rand, seed int64, m *gbdt.Model, packed
 	}
 	check := func(n int, pool *par.Pool) {
 		out := make([]float64, n)
-		packed.PredictRowsFrom(rows[:n*nf], nf, s, start[:n], out, pool)
+		packed.PredictRowsFrom(rows[:n*nf], nf, s, start[:n], out, &Fan{Pool: pool})
 		for i := range out {
 			v := rows[i*nf : (i+1)*nf]
 			want, ref := packed.Predict(v), refFoldPredict(m, v)

@@ -162,23 +162,24 @@ func (p *Packed) Predict(v []float64) float64 {
 
 // PredictRowsInto evaluates nrows = len(out) row-major feature vectors stored
 // contiguously in rows (row i is rows[i*stride : (i+1)*stride]) into the
-// caller-owned out slice, fanning chunks of rows across the given pool (nil
-// or single-worker runs serially and allocation-free). Every row's tree
-// contributions are added in tree order regardless of chunking or worker
-// count, so each out[i] is bit-identical to Predict(row i) — the determinism
-// contract the level-batched join enumerator is built on. It is
-// PredictRowsFrom with every row starting from all leaves and searching every
-// scan list.
-func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, pool *par.Pool) {
+// caller-owned out slice, fanning tasks of rowsPerTask rows over the fan's
+// pool (a nil fan, or one over a nil or single-worker pool, runs serially).
+// It allocates nothing, fanned or not, once the fan has dispatched once.
+// Every row's tree contributions are added in tree order regardless of
+// chunking or worker count, so each out[i] is bit-identical to Predict(row i)
+// — the determinism contract the level-batched join enumerator is built on.
+// It is PredictRowsFrom with every row starting from all leaves and searching
+// every scan list.
+func (p *Packed) PredictRowsInto(rows []float64, stride int, out []float64, fan *Fan) {
 	p.checkRows("PredictRowsInto", rows, stride, len(out))
-	p.predictRows(rows, stride, p.all, nil, out, pool)
+	p.predictRows(rows, stride, p.all, nil, out, fan)
 }
 
 // PredictRowsFrom is PredictRowsInto for rows that each equal a base vector
 // of s outside s's feature set: row i begins from start[i] of s and searches
 // only the set's scan lists. It is bit-identical to Predict as long as that
 // holds; a row that differs from its base elsewhere gets a wrong sum.
-func (p *Packed) PredictRowsFrom(rows []float64, stride int, s *Starts, start []int32, out []float64, pool *par.Pool) {
+func (p *Packed) PredictRowsFrom(rows []float64, stride int, s *Starts, start []int32, out []float64, fan *Fan) {
 	p.checkRows("PredictRowsFrom", rows, stride, len(out))
 	if s.p != p || len(start) < len(out) {
 		panic(fmt.Sprintf("treec: PredictRowsFrom has %d starts for %d rows, or starts of another ensemble", len(start), len(out)))
@@ -188,7 +189,7 @@ func (p *Packed) PredictRowsFrom(rows []float64, stride int, s *Starts, start []
 			panic(fmt.Sprintf("treec: PredictRowsFrom row starts from %d of %d starts", i, s.n))
 		}
 	}
-	p.predictRows(rows, stride, s, start, out, pool)
+	p.predictRows(rows, stride, s, start, out, fan)
 }
 
 // checkRows panics, naming fn, unless rows holds n rows at stride, each with
@@ -200,29 +201,60 @@ func (p *Packed) checkRows(fn string, rows []float64, stride, n int) {
 	}
 }
 
-// rowsPerTask is the pool split of PredictRowsInto: at 1 to 1.5 µs a row one
-// task is 60 to 100 µs of work, well over what handing it to a worker and
-// waking that worker cost. It is a multiple of the kernel's block of qsRows
-// rows, so a chunk boundary never cuts a block into tails, and the rows that
-// share a block — and with it their prefixes — are the same at any worker
-// count.
-const rowsPerTask = 64
+// rowsPerTask is the pool split of PredictRowsInto. A served row measures
+// 2.0 to 2.6 µs on the kernel, so one task is 60 to 85 µs of work, well over
+// what handing it to a parked worker and waking that worker cost, and a
+// 32-plan batch (some 90 rows) already splits three ways. It is a multiple of
+// the kernel's block of qsRows rows, so a task boundary never cuts a block
+// into tails, and the rows that share a block — and with it their prefixes —
+// are the same at any worker count.
+const rowsPerTask = 32
 
-// predictRows scores rows from their starts, fanned across the pool in chunks
-// of rowsPerTask when there are enough of them.
-func (p *Packed) predictRows(rows []float64, stride int, s *Starts, start []int32, out []float64, pool *par.Pool) {
+// Fan is what a caller owns to let PredictRowsInto and PredictRowsFrom fan a
+// call's rows out over a pool: the par.Job its tasks go through and the call
+// they belong to. A Fan serves one call at a time and is reused across calls;
+// dispatching through a warm one allocates nothing.
+type Fan struct {
+	// Pool is what the rows fan out over; nil or a single-worker pool keeps
+	// them on the caller.
+	Pool *par.Pool
+	job  par.Job
+	call rowsCall
+}
+
+// rowsCall is one predictRows call as the fan's tasks see it; task t scores
+// rows [t*rowsPerTask, (t+1)*rowsPerTask).
+type rowsCall struct {
+	p      *Packed
+	rows   []float64
+	stride int
+	s      *Starts
+	start  []int32
+	out    []float64
+}
+
+// Run scores task t's rows.
+func (c *rowsCall) Run(_, t int) {
+	lo := t * rowsPerTask
+	hi := min(lo+rowsPerTask, len(c.out))
+	var st []int32
+	if c.start != nil {
+		st = c.start[lo:hi]
+	}
+	c.p.predictSerial(c.rows[lo*c.stride:hi*c.stride], c.stride, c.s, st, c.out[lo:hi])
+}
+
+// predictRows scores rows from their starts, in tasks of rowsPerTask rows
+// over the fan's pool when there are at least two tasks' worth.
+func (p *Packed) predictRows(rows []float64, stride int, s *Starts, start []int32, out []float64, fan *Fan) {
 	nrows := len(out)
-	if pool.Workers() > 1 && nrows >= 2*rowsPerTask {
-		pool.For(nrows, rowsPerTask, func(lo, hi int) {
-			var st []int32
-			if start != nil {
-				st = start[lo:hi]
-			}
-			p.predictSerial(rows[lo*stride:hi*stride], stride, s, st, out[lo:hi])
-		})
+	if fan == nil || fan.Pool.Workers() < 2 || nrows < 2*rowsPerTask {
+		p.predictSerial(rows, stride, s, start, out)
 		return
 	}
-	p.predictSerial(rows, stride, s, start, out)
+	fan.call = rowsCall{p: p, rows: rows, stride: stride, s: s, start: start, out: out}
+	fan.job.Do(fan.Pool, (nrows+rowsPerTask-1)/rowsPerTask, &fan.call)
+	fan.call = rowsCall{}
 }
 
 // predictSerial scores rows serially: the block-wise bitvector kernel when

@@ -15,13 +15,14 @@ import (
 // TestPredictRowsIntoMatchesPredict pins the flat-row batch kernel's
 // determinism contract: every row of a contiguous row-major arena must score
 // bit-identically to a scalar Predict of the same vector, for any row count
-// (the pool's 64-row split boundaries included) and any worker pool.
+// (the pool's 32-row task boundaries and the 64-row fan-out threshold
+// included) and any worker pool.
 func TestPredictRowsIntoMatchesPredict(t *testing.T) {
 	m := trainToy(t, 30, 12, 36)
 	p := Pack(m)
 	rng := rand.New(rand.NewSource(37))
 	const stride = 3
-	for _, n := range []int{0, 1, 7, 8, 9, 16, 100, 127, 128, 129, 1000} {
+	for _, n := range []int{0, 1, 7, 8, 9, 16, 31, 32, 33, 63, 64, 65, 66, 97, 98, 99, 100, 127, 128, 129, 1000} {
 		rows := make([]float64, n*stride)
 		for i := 0; i < n; i++ {
 			rows[i*stride+0] = rng.Float64() * 8
@@ -37,7 +38,7 @@ func TestPredictRowsIntoMatchesPredict(t *testing.T) {
 		}
 		for _, workers := range []int{1, 2, 5, 8} {
 			par := make([]float64, n)
-			p.PredictRowsInto(rows, stride, par, parPool(workers))
+			p.PredictRowsInto(rows, stride, par, fanOver(workers))
 			for i := range out {
 				if par[i] != out[i] {
 					t.Fatalf("n=%d workers=%d row %d: %v != %v", n, workers, i, par[i], out[i])
@@ -167,7 +168,7 @@ func checkRowsMatchWalker(t *testing.T, label string, m *gbdt.Model, rng *rand.R
 		for kind, rows := range [][]float64{independent, waveRows(rng, n, stride)} {
 			for _, workers := range []int{1, 3} {
 				out := make([]float64, n)
-				p.PredictRowsInto(rows, stride, out, par.Sized(workers))
+				p.PredictRowsInto(rows, stride, out, fanOver(workers))
 				for i := range out {
 					v := rows[i*stride : (i+1)*stride]
 					if want := p.Predict(v); math.Float64bits(out[i]) != math.Float64bits(want) {
@@ -346,7 +347,8 @@ func TestPredictRowsFromArguments(t *testing.T) {
 	}
 }
 
-func parPool(workers int) *par.Pool { return par.Sized(workers) }
+// fanOver is a fresh Fan over the cached pool of the given size.
+func fanOver(workers int) *Fan { return &Fan{Pool: par.Sized(workers)} }
 
 // loneRowMasks counts, from the sorted layout and the walker's predicate but
 // not from the checkpoints, what the kernel should apply for row v alone: per

@@ -76,16 +76,18 @@ type Model struct {
 	gbm *gbdt.Model
 	// packed is the one evaluator every prediction runs on.
 	packed *treec.Packed
-	// workers sizes the pool PredictBatch fans out over (0 = the shared
-	// GOMAXPROCS-sized pool).
+	// workers sizes the pool every batch's kernel rows fan out over (0 = the
+	// shared GOMAXPROCS-sized pool).
 	workers int
 	// scratches recycles PredictScratch values across PredictBatchInto
 	// calls so their steady state is allocation-free.
 	scratches sync.Pool
 }
 
-// SetWorkers configures how many workers PredictBatch uses (0 = GOMAXPROCS
-// via the process-wide shared pool).
+// SetWorkers configures how many workers every batch prediction
+// (PredictBatch, PredictBatchInto, PredictBatchScratch) fans its kernel rows
+// out over (0 = GOMAXPROCS via the process-wide shared pool; 1 = the calling
+// goroutine alone).
 func (m *Model) SetWorkers(n int) { m.workers = n }
 
 // Registry returns the feature registry used by the model.
@@ -176,14 +178,11 @@ type PredictScratch struct {
 	tr       *trace.Trace
 	attached bool
 	// Batch state (PredictBatchScratch): where each plan's rows end in the
-	// feature scratch's row arena, and the kernel's output per row.
+	// feature scratch's row arena, the kernel's output per row, and the fan
+	// its rows go out over the model's pool through.
 	ends  []int
 	evals []float64
-	// pool is what the row kernel may fan a batch's rows over. It is nil in
-	// a caller's own scratch, which keeps the whole batch on the calling
-	// goroutine; PredictBatchInto sets the model's pool on the scratch it
-	// borrows.
-	pool *par.Pool
+	fan   treec.Fan
 }
 
 // AttachTrace routes the next prediction's stage spans into a caller-owned
@@ -272,8 +271,8 @@ func (m *Model) getScratch() *PredictScratch {
 }
 
 // PredictBatch predicts the execution time of many plans at once through
-// the batch kernel (see PredictBatchScratch), fanning large batches
-// across the worker pool (see SetWorkers). out[i] corresponds to roots[i].
+// the batch kernel (see PredictBatchScratch), its rows fanned across the
+// worker pool (see SetWorkers). out[i] corresponds to roots[i].
 // For throughput-bound callers — schedulers admitting a queue of queries,
 // join enumeration over candidate plans — this replaces the
 // one-plan-at-a-time PredictPlan loop.
@@ -285,20 +284,19 @@ func (m *Model) PredictBatch(roots []*Plan, mode CardMode) []time.Duration {
 
 // PredictBatchInto is PredictBatch into a caller-owned output slice
 // (len(out) must equal len(roots)): PredictBatchScratch over a recycled
-// scratch, with the row kernel free to fan the batch's rows over the
-// model's worker pool (see SetWorkers). Nothing is constructed per call.
+// scratch. Nothing is constructed per call.
 func (m *Model) PredictBatchInto(roots []*Plan, mode CardMode, out []time.Duration) {
 	s := m.getScratch()
-	s.pool = par.Sized(m.workers)
 	m.PredictBatchScratch(roots, mode, out, s)
-	s.pool = nil
 	m.scratches.Put(s)
 }
 
-// PredictBatchScratch is PredictBatchInto over a caller-owned scratch, on
-// the calling goroutine alone — what a server whose connections are already
-// its unit of parallelism wants. After the scratch warms up it allocates
-// nothing.
+// PredictBatchScratch is PredictBatchInto over a caller-owned scratch. The
+// kernel's rows fan out over the model's worker pool (see SetWorkers) in
+// tasks of 32 rows once there are two tasks' worth; the caller runs tasks
+// too, and takes every task no parked worker does, so a busy pool costs it
+// nothing but the offer. After the scratch warms up it allocates nothing,
+// fanned or not.
 //
 // The batch is priced in three passes: every plan is decomposed and
 // featurized into one row-major arena, one row per pipeline, with the row's
@@ -307,7 +305,8 @@ func (m *Model) PredictBatchInto(roots []*Plan, mode CardMode, out []time.Durati
 // a time, the decision nodes all eight fail applied once for the eight — so
 // a plan's pipelines, adjacent in the arena, and neighbouring plans of a
 // kind cost less together than apart; one scalar pass transforms, scales and
-// sums the rows of each plan. The kernel's rows are bit-identical to
+// sums the rows of each plan. Which task, and so which worker, scores a row
+// changes nothing about its value. The kernel's rows are bit-identical to
 // Packed.Predict whatever block they fall in and the last pass adds
 // pipelines in PredictPlan's order, so out[i] equals PredictPlan(roots[i])
 // to the nanosecond.
@@ -333,7 +332,8 @@ func (m *Model) PredictBatchScratch(roots []*Plan, mode CardMode, out []time.Dur
 		s.evals = make([]float64, len(cards), 2*len(cards))
 	}
 	s.evals = s.evals[:len(cards)]
-	m.packed.PredictRowsInto(rows, m.reg.NumFeatures(), s.evals, s.pool)
+	s.fan.Pool = par.Sized(m.workers)
+	m.packed.PredictRowsInto(rows, m.reg.NumFeatures(), s.evals, &s.fan)
 
 	r := 0
 	for i, end := range s.ends {

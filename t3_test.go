@@ -264,11 +264,67 @@ func TestPredictBatchIntoZeroAlloc(t *testing.T) {
 	}
 }
 
+// TestPredictBatchFannedZeroAlloc: with SetWorkers(2) a batch of more than
+// two kernel tasks' rows is offered to the pool's parked worker — testing.
+// AllocsPerRun pins GOMAXPROCS to 1, but par.Sized(2) has its worker whatever
+// GOMAXPROCS is — and neither PredictBatchInto nor PredictBatchScratch on a
+// caller-owned scratch allocates on that path.
+func TestPredictBatchFannedZeroAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates inside sync.Pool")
+	}
+	c := testutil.SmallCorpus(t)
+	m := trainSmall(t, c)
+	m.SetWorkers(2)
+	defer m.SetWorkers(0)
+	var roots []*Plan
+	for _, b := range c.AllTest()[:48] {
+		roots = append(roots, b.Root)
+	}
+	out := make([]time.Duration, len(roots))
+	var own PredictScratch
+	m.PredictBatchScratch(roots, TrueCards, out, &own) // warm the scratch
+	if len(own.evals) < 64 {
+		t.Fatalf("the batch has %d rows, too few to fan out", len(own.evals))
+	}
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.PredictBatchScratch(roots, TrueCards, out, &own)
+	}); allocs != 0 {
+		t.Errorf("fanned PredictBatchScratch allocates %.1f objects per run, want 0", allocs)
+	}
+	m.PredictBatchInto(roots, TrueCards, out) // warm the pooled scratch
+	if allocs := testing.AllocsPerRun(100, func() {
+		m.PredictBatchInto(roots, TrueCards, out)
+	}); allocs != 0 {
+		t.Errorf("fanned PredictBatchInto allocates %.1f objects per run, want 0", allocs)
+	}
+}
+
+// rootsWithRows picks, in order, plans from roots whose pipelines add up to
+// exactly want kernel rows, skipping any plan that would overshoot.
+func rootsWithRows(t *testing.T, m *Model, roots []*Plan, want int) []*Plan {
+	t.Helper()
+	var picked []*Plan
+	rows := 0
+	for _, r := range roots {
+		_, pipes := m.PredictPlan(r, TrueCards)
+		if rows+len(pipes) <= want {
+			picked = append(picked, r)
+			rows += len(pipes)
+		}
+		if rows == want {
+			return picked
+		}
+	}
+	t.Fatalf("no run of the test plans has exactly %d pipeline rows", want)
+	return nil
+}
+
 // TestPredictBatchIntoMatchesPredictPlan: the arena path — all plans' rows
 // through one kernel call, then a scalar pass per plan — answers every plan
 // exactly as PredictPlan does, from a batch of one plan to one with rows
 // enough for the pool to split, with the rows on one goroutine or fanned
-// over a pool, and through a caller's own scratch.
+// over a pool, and through a caller's own scratch at every fan-out edge.
 func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 	c := testutil.SmallCorpus(t)
 	m := trainSmall(t, c)
@@ -303,6 +359,33 @@ func TestPredictBatchIntoMatchesPredictPlan(t *testing.T) {
 			out := make([]time.Duration, size)
 			m.PredictBatchScratch(roots[off:off+size], TrueCards, out, &own)
 			check("own scratch", off, out)
+		}
+	}
+
+	// The kernel fans out from 64 rows on, in tasks of 32: batches just
+	// under, at and over that threshold, and batches whose last task holds
+	// one to three rows past a full block, priced on the caller's own
+	// scratch over one, two and eight workers.
+	index := map[*Plan]int{}
+	for i, r := range roots {
+		if _, ok := index[r]; !ok {
+			index[r] = i
+		}
+	}
+	for _, rows := range []int{63, 64, 65, 97, 98, 99, 161} {
+		batch := rootsWithRows(t, m, roots, rows)
+		for _, workers := range []int{1, 2, 8} {
+			m.SetWorkers(workers)
+			out := make([]time.Duration, len(batch))
+			m.PredictBatchScratch(batch, TrueCards, out, &own)
+			if len(own.evals) != rows {
+				t.Fatalf("the batch scored %d rows, want %d", len(own.evals), rows)
+			}
+			for i, r := range batch {
+				if w := want[index[r]]; out[i] != w {
+					t.Fatalf("%d rows over %d workers, plan %d: batch %v != single %v", rows, workers, i, out[i], w)
+				}
+			}
 		}
 	}
 }

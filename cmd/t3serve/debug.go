@@ -179,11 +179,11 @@ func (s *server) handleDebugDrift(w http.ResponseWriter, _ *http.Request) {
 		LifetimeCount:    st.LifetimeCount,
 		Ticks:            st.Ticks,
 		LastTransition:   nilIfZero(st.LastTransition),
-		WatchedQuantile:  st.Config.Quantile,
-		Threshold:        st.Config.Threshold,
-		Clear:            st.Config.Clear,
-		MinCount:         st.Config.MinCount,
-		Epochs:           st.Config.Epochs,
+		WatchedQuantile:  trace.DriftQuantile,
+		Threshold:        trace.DriftThreshold,
+		Clear:            trace.DriftClear,
+		MinCount:         trace.DriftMinCount,
+		Epochs:           trace.DriftEpochs,
 	})
 }
 
@@ -198,7 +198,7 @@ func (s *server) handleDebugCtrl(w http.ResponseWriter, r *http.Request) {
 	if r.Method == http.MethodPost {
 		switch action := r.URL.Query().Get("action"); action {
 		case "retrain":
-			res, err := s.ctrl.Retrain("manual via /debug/ctrl")
+			res, err := s.ctrl.Retrain(time.Now(), "manual via /debug/ctrl")
 			if err != nil {
 				httpError(w, http.StatusConflict, err.Error())
 				return

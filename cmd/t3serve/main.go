@@ -21,7 +21,7 @@
 //	                         the drift histogram and /debug/worst. The plan
 //	                         is never executed here: a plan sent over the
 //	                         wire carries annotations, not data. Without
-//	                         actual_ns the answer is 400.
+//	                         a positive actual_ns the answer is 400.
 //	POST /reload             re-read the model file, atomically swap it in,
 //	                         and invalidate the prediction cache. With
 //	                         -retrain-registry the registry owns the served
@@ -48,17 +48,16 @@
 //	                         registry version. Requires -retrain-registry.
 //
 // The drift detector ticks every 5 s over a 12-epoch window and raises its
-// alarm when the windowed p90 q-error exceeds 2 (trace.DetectorConfig's
-// defaults). With -retrain-registry the alarm closes the loop: t3serve
-// serves the registry's latest version, and on an alarm the controller
-// (internal/ctrl) collects fresh labels from a TPC-H-lite workload (scale
-// 0.01, one query per structure group, three timing runs), retrains,
-// shadow-evaluates the candidate against the live model on held-out labels
-// plus the worst-misprediction exemplars, and promotes winners through the
-// same atomic swap /reload uses — writing every promoted model to the
-// versioned registry first so a rollback can restore the prior version
-// bit-identically. The episode runs on the detector's goroutine, at most
-// one every 10 minutes.
+// alarm when the windowed p90 q-error exceeds 2. With -retrain-registry
+// the alarm closes the loop: t3serve serves the registry's latest version,
+// and on an alarm the controller (internal/ctrl) collects fresh labels from
+// a TPC-H-lite workload (scale 0.01, one query per structure group, three
+// timing runs), retrains, shadow-evaluates the candidate against the live
+// model on held-out labels plus the worst-misprediction exemplars, and
+// promotes winners through the same atomic swap /reload uses — writing
+// every promoted model to the versioned registry first so a rollback can
+// restore the prior version bit-identically. The episode runs on the
+// detector's goroutine, at most one every 10 minutes.
 //
 // With -tcp the same binary wire protocol is served on a raw TCP listener:
 // any number of length-prefixed request frames per connection, one response
@@ -206,8 +205,8 @@ func (s *server) handleRun(w http.ResponseWriter, r *http.Request) {
 	// The caller executed the query elsewhere and reports the measured
 	// time; we score our prediction against it.
 	ns, err := strconv.ParseInt(r.URL.Query().Get("actual_ns"), 10, 64)
-	if err != nil || ns < 0 {
-		httpError(w, http.StatusBadRequest, "?actual_ns=N is required: N is the measured execution time in ns, a non-negative integer")
+	if err != nil || ns <= 0 {
+		httpError(w, http.StatusBadRequest, "?actual_ns=N is required: N is the measured execution time in ns, a positive integer")
 		return
 	}
 	root, mode, err := readPlan(w, r)
@@ -338,11 +337,11 @@ func newServer(cfg config, logger *slog.Logger, mux *http.ServeMux) (*server, er
 		scfg.CacheEntries = -1
 	}
 	core := serve.New(model, scfg)
-	drift := trace.NewQErrorDetector(trace.DetectorConfig{})
+	drift := trace.NewDetector(obs.QErrorDrift)
 	drift.OnAlarm(func(ev trace.DriftEvent) {
 		if ev.Raised {
 			logger.Warn("drift alarm raised", "qerror", ev.Quantile,
-				"threshold", ev.Threshold, "window_observations", ev.Count)
+				"threshold", trace.DriftThreshold, "window_observations", ev.Count)
 		} else {
 			logger.Info("drift alarm cleared", "qerror", ev.Quantile,
 				"window_observations", ev.Count)

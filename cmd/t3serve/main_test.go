@@ -94,12 +94,15 @@ func TestHandlersPredictOnce(t *testing.T) {
 }
 
 // TestRunRequiresActual pins that /run only scores a time the caller
-// measured: without a usable actual_ns it answers 400 before it decodes or
-// predicts anything, and publishes no flight-recorder trace.
+// measured: without a usable actual_ns — a positive integer; a zero time
+// would score a q-error of a billion — it answers 400 before it decodes or
+// predicts anything, publishes no flight-recorder trace and records nothing
+// into the drift histogram.
 func TestRunRequiresActual(t *testing.T) {
 	s, body := testServer(t)
-	for _, url := range []string{"/run", "/run?actual_ns=", "/run?actual_ns=-1", "/run?actual_ns=1.5ms"} {
+	for _, url := range []string{"/run", "/run?actual_ns=", "/run?actual_ns=-1", "/run?actual_ns=0", "/run?actual_ns=1.5ms"} {
 		preds, published := obs.Predictions.Value(), trace.Published.Value()
+		drift := obs.QErrorDrift.Snapshot().Count
 		rec := httptest.NewRecorder()
 		s.handleRun(rec, httptest.NewRequest(http.MethodPost, url, bytes.NewReader(body)))
 		if rec.Code != http.StatusBadRequest {
@@ -110,6 +113,39 @@ func TestRunRequiresActual(t *testing.T) {
 		}
 		if n := trace.Published.Value() - published; n != 0 {
 			t.Errorf("%s: published %d traces for a rejected request", url, n)
+		}
+		if n := obs.QErrorDrift.Snapshot().Count - drift; n != 0 {
+			t.Errorf("%s: recorded %d q-errors into the drift histogram for a rejected request", url, n)
+		}
+	}
+}
+
+// TestDebugDriftReportsPolicy pins what /debug/drift shows an operator of
+// the detector's fixed policy: the field names, and the values of the
+// constants.
+func TestDebugDriftReportsPolicy(t *testing.T) {
+	mux := http.NewServeMux()
+	if _, err := newServer(config{modelPath: testModel, cacheEntries: serve.DefaultCacheEntries}, discardLogger(), mux); err != nil {
+		t.Fatal(err)
+	}
+	rec := httptest.NewRecorder()
+	mux.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, "/debug/drift", nil))
+	if rec.Code != http.StatusOK {
+		t.Fatalf("/debug/drift: status %d: %s", rec.Code, rec.Body)
+	}
+	var got map[string]any
+	if err := json.Unmarshal(rec.Body.Bytes(), &got); err != nil {
+		t.Fatalf("/debug/drift: %v: %s", err, rec.Body)
+	}
+	for field, want := range map[string]float64{
+		"watched_quantile": trace.DriftQuantile,
+		"threshold":        trace.DriftThreshold,
+		"clear":            trace.DriftClear,
+		"min_observations": trace.DriftMinCount,
+		"window_epochs":    trace.DriftEpochs,
+	} {
+		if v, ok := got[field]; !ok || v != want {
+			t.Errorf("/debug/drift %q = %v (present %v), want %v", field, v, ok, want)
 		}
 	}
 }

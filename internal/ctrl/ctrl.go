@@ -14,9 +14,10 @@
 //
 // A raised alarm runs its episode inline, on the goroutine that ticks the
 // detector: there is one episode path, and it is the one the tests drive.
-// The clock, label source, trainer and swap target are injected, so the
-// whole drift → retrain → shadow → promote → rollback loop runs
-// deterministically in-process with no sleeps.
+// Time comes in as an argument (the alarm's tick time, or the caller's) and
+// the label source, trainer and swap target are injected, so the whole
+// drift → retrain → shadow → promote → rollback loop runs deterministically
+// in-process with no sleeps.
 package ctrl
 
 import (
@@ -25,7 +26,6 @@ import (
 	"sync"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/obs"
 	"t3/internal/obs/trace"
 	"t3/internal/registry"
@@ -110,6 +110,9 @@ const (
 	holdoutFraction = 0.25
 	// shadowQuantile is the q-error quantile the shadow comparison judges on.
 	shadowQuantile = 0.9
+	// promoteRatio gates promotion: the candidate wins when its shadow
+	// quantile is <= promoteRatio x the live model's.
+	promoteRatio = 0.95
 	// minInterval debounces drift-triggered episodes.
 	minInterval = 10 * time.Minute
 	// keepVersions bounds the registry via GC after each promotion; the live
@@ -126,9 +129,6 @@ type Config struct {
 	// Swapper is the serving tier whose model the controller manages.
 	// Required.
 	Swapper Swapper
-	// Clock supplies time for debounce and artifact timestamps. Default
-	// clock.Real.
-	Clock clock.Clock
 	// Train builds the candidate model. Default: t3.Train with default
 	// parameters.
 	Train TrainFunc
@@ -136,26 +136,16 @@ type Config struct {
 	// shadow evaluation (nil disables replay; trace.Exemplars is the
 	// process-wide store).
 	Exemplars *trace.ExemplarStore
-	// PromoteRatio gates promotion: the candidate wins when its shadow
-	// quantile is <= PromoteRatio x the live model's. Default 0.95; values
-	// > 1 accept mild regressions, < 1 demand improvement.
-	PromoteRatio float64
 }
 
 func (c *Config) defaults() error {
 	if c.Registry == nil || c.Source == nil || c.Swapper == nil {
 		return errors.New("ctrl: Registry, Source, and Swapper are required")
 	}
-	if c.Clock == nil {
-		c.Clock = clock.Real
-	}
 	if c.Train == nil {
 		c.Train = func(labels []*workload.Label) (*t3.Model, error) {
 			return t3.Train(labels, t3.TrainOptions{})
 		}
-	}
-	if c.PromoteRatio == 0 {
-		c.PromoteRatio = 0.95
 	}
 	return nil
 }
@@ -179,8 +169,7 @@ type Status struct {
 	Rollbacks     int `json:"rollbacks"`
 	// LastShadow is the most recent shadow comparison (zero until one ran).
 	LastShadow ShadowResult `json:"last_shadow"`
-	// LastEpisodeUnixNs is when the last episode started (controller
-	// clock), 0 if none.
+	// LastEpisodeUnixNs is when the last episode started, 0 if none.
 	LastEpisodeUnixNs int64 `json:"last_episode_unix_ns"`
 	// LastPromotionUnixNs is when the last promotion happened, 0 if none.
 	LastPromotionUnixNs int64 `json:"last_promotion_unix_ns"`
@@ -198,7 +187,8 @@ type Controller struct {
 	// busy serializes episodes: alarms arriving mid-episode are dropped
 	// (the running episode already reflects the drifted workload).
 	busy bool
-	// lastEpisode debounces drift alarms on the controller clock.
+	// lastEpisode is the start time of the last episode, against which
+	// drift alarms are debounced.
 	lastEpisode time.Time
 }
 
@@ -230,7 +220,7 @@ func New(cfg Config) (*Controller, error) {
 	} else if boot := cfg.Swapper.Model(); boot != nil {
 		ver, err := cfg.Registry.Put(&registry.Artifact{
 			Meta: registry.Meta{
-				CreatedUnixNs: cfg.Clock.Now().UnixNano(),
+				CreatedUnixNs: time.Now().UnixNano(),
 				Source:        "seed",
 				Note:          "boot model registered by the controller",
 			},
@@ -259,17 +249,17 @@ func (c *Controller) Attach(d *trace.Detector) {
 }
 
 // OnDrift handles one raised drift alarm: unless an episode started less
-// than minInterval ago, it runs one inline and returns when it is over. An
-// alarm that finds an episode running is dropped.
+// than minInterval before the alarm's tick time ev.At, it runs one inline,
+// starting at ev.At, and returns when it is over. An alarm that finds an
+// episode running is dropped.
 func (c *Controller) OnDrift(ev trace.DriftEvent) {
-	now := c.cfg.Clock.Now()
 	c.mu.Lock()
-	debounced := !c.lastEpisode.IsZero() && now.Sub(c.lastEpisode) < minInterval
+	debounced := !c.lastEpisode.IsZero() && ev.At.Sub(c.lastEpisode) < minInterval
 	c.mu.Unlock()
 	if debounced {
 		return
 	}
-	_, _ = c.Retrain(fmt.Sprintf("drift q%.2f=%.3f over %d obs", shadowQuantile, ev.Quantile, ev.Count))
+	_, _ = c.Retrain(ev.At, fmt.Sprintf("drift q%.2f=%.3f over %d obs", trace.DriftQuantile, ev.Quantile, ev.Count))
 }
 
 // Status returns the controller's current view.
@@ -328,12 +318,11 @@ type RetrainResult struct {
 	HoldoutLabels int `json:"holdout_labels"`
 }
 
-// Retrain runs one full episode: collect → split → train → shadow →
-// promote/reject. It is safe to call from any goroutine; concurrent calls
-// beyond the first return ErrBusy. Failures at any stage leave the live
-// model untouched.
-func (c *Controller) Retrain(reason string) (RetrainResult, error) {
-	now := c.cfg.Clock.Now()
+// Retrain runs one full episode, started at now: collect → split → train →
+// shadow → promote/reject. now stamps the episode and a promoted artifact.
+// It is safe to call from any goroutine; concurrent calls beyond the first
+// return ErrBusy. Failures at any stage leave the live model untouched.
+func (c *Controller) Retrain(now time.Time, reason string) (RetrainResult, error) {
 	if !c.begin(now) {
 		return RetrainResult{}, ErrBusy
 	}
@@ -367,7 +356,7 @@ func (c *Controller) Retrain(reason string) (RetrainResult, error) {
 		HoldoutLabels: len(holdout.Labels),
 	}
 
-	if live != nil && !shadow.Win(c.cfg.PromoteRatio) {
+	if live != nil && !shadow.Win() {
 		ShadowRejects.Inc()
 		c.mu.Lock()
 		c.busy = false

@@ -14,11 +14,11 @@ import (
 )
 
 func TestRetrainPromotesOnShadowWin(t *testing.T) {
-	c, sw, _ := newHarness(t, nil)
+	c, sw := newHarness(t, nil)
 	boot := sw.Model()
 
 	retrains0, promotions0 := Retrains.Value(), Promotions.Value()
-	res, err := c.Retrain("test drift")
+	res, err := c.Retrain(t0, "test drift")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,18 +72,18 @@ func TestRetrainPromotesOnShadowWin(t *testing.T) {
 }
 
 func TestRetrainArtifactDeterministicAcrossWorkers(t *testing.T) {
-	// Two controllers, identical fake time and seeds, different collection
-	// and training worker counts: the promoted artifact files must be
-	// byte-identical.
+	// Two controllers, identical episode time and seeds, different
+	// collection and training worker counts: the promoted artifact files
+	// must be byte-identical.
 	var files [][]byte
 	for _, workers := range []int{1, 4} {
-		c, _, _ := newHarness(t, func(cfg *Config) {
+		c, _ := newHarness(t, func(cfg *Config) {
 			cfg.Source = &scaledSource{inst: ctrlInstance(t), scale: 4, workers: workers}
 			p := testParams()
 			p.Workers = workers
 			cfg.Train = trainWith(p)
 		})
-		res, err := c.Retrain("determinism probe")
+		res, err := c.Retrain(t0, "determinism probe")
 		if err != nil {
 			t.Fatalf("workers=%d: %v", workers, err)
 		}
@@ -103,13 +103,13 @@ func TestRetrainArtifactDeterministicAcrossWorkers(t *testing.T) {
 
 func TestRetrainFailsOnLabelCollectionError(t *testing.T) {
 	boom := errors.New("storage offline")
-	c, sw, _ := newHarness(t, func(cfg *Config) {
+	c, sw := newHarness(t, func(cfg *Config) {
 		cfg.Source = &scaledSource{err: boom}
 	})
 	boot := sw.Model()
 
 	fails0 := RetrainFailures.Value()
-	if _, err := c.Retrain("doomed"); !errors.Is(err, boom) {
+	if _, err := c.Retrain(t0, "doomed"); !errors.Is(err, boom) {
 		t.Fatalf("Retrain error = %v, want wrapped %v", err, boom)
 	}
 	if RetrainFailures.Value()-fails0 != 1 {
@@ -124,7 +124,7 @@ func TestRetrainFailsOnLabelCollectionError(t *testing.T) {
 	}
 	// The controller recovers: fix the source, retrain succeeds.
 	c.cfg.Source = &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2}
-	if res, err := c.Retrain("recovered"); err != nil || !res.Promoted {
+	if res, err := c.Retrain(t0, "recovered"); err != nil || !res.Promoted {
 		t.Fatalf("post-failure retrain = (%+v, %v)", res, err)
 	}
 }
@@ -133,7 +133,7 @@ func TestShadowRegressionRejectsCandidate(t *testing.T) {
 	// A trainer that learns from durations inflated 50x produces a model
 	// predicting far slower than reality: it must lose the shadow
 	// comparison and never reach serving.
-	c, sw, _ := newHarness(t, func(cfg *Config) {
+	c, sw := newHarness(t, func(cfg *Config) {
 		cfg.Train = func(labels []*workload.Label) (*t3.Model, error) {
 			for _, l := range labels {
 				for r := range l.PipelineRuns {
@@ -149,7 +149,7 @@ func TestShadowRegressionRejectsCandidate(t *testing.T) {
 	boot := sw.Model()
 
 	rejects0 := ShadowRejects.Value()
-	res, err := c.Retrain("bad candidate")
+	res, err := c.Retrain(t0, "bad candidate")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -175,12 +175,57 @@ func TestShadowRegressionRejectsCandidate(t *testing.T) {
 	}
 }
 
+// zeroedSource collects the harness's labels and zeroes every measured
+// query total, as a source whose timer broke would.
+type zeroedSource struct{ scaledSource }
+
+func (s *zeroedSource) CollectLabels(attempt int) (*workload.LabelSet, error) {
+	ls, err := s.scaledSource.CollectLabels(attempt)
+	if err != nil {
+		return nil, err
+	}
+	for _, l := range ls.Labels {
+		clear(l.Totals)
+	}
+	return ls, nil
+}
+
+// TestShadowWithoutEvidenceRejectsCandidate pins that a hold-out whose
+// measured times are all zero is no evidence: nothing is scored, the
+// candidate is not promoted, and the live model and the registry stay as
+// they were.
+func TestShadowWithoutEvidenceRejectsCandidate(t *testing.T) {
+	c, sw := newHarness(t, func(cfg *Config) {
+		cfg.Source = &zeroedSource{scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2}}
+	})
+	boot := sw.Model()
+
+	rejects0 := ShadowRejects.Value()
+	res, err := c.Retrain(t0, "no evidence")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Promoted || res.HoldoutLabels == 0 || res.Shadow.HoldoutN != 0 || res.Shadow.ExemplarN != 0 {
+		t.Fatalf("zero-duration hold-out of %d labels: promoted %v, shadow %+v, want nothing scored and no promotion",
+			res.HoldoutLabels, res.Promoted, res.Shadow)
+	}
+	if ShadowRejects.Value()-rejects0 != 1 {
+		t.Fatal("t3_ctrl_shadow_rejects_total did not advance")
+	}
+	if sw.Model() != boot || sw.swaps != 0 {
+		t.Fatal("a candidate with no evidence reached the live model")
+	}
+	if v, ok, err := c.cfg.Registry.Latest(); err != nil || !ok || v != 1 {
+		t.Fatalf("registry after reject: (%d,%v,%v), want boot-only", v, ok, err)
+	}
+}
+
 func TestRollbackRestoresPreviousVersionBitIdentically(t *testing.T) {
-	c, sw, _ := newHarness(t, nil)
+	c, sw := newHarness(t, nil)
 	roots := samplePlans(t)
 	bootPreds := predictAll(sw.Model(), roots)
 
-	if res, err := c.Retrain("promote first"); err != nil || !res.Promoted {
+	if res, err := c.Retrain(t0, "promote first"); err != nil || !res.Promoted {
 		t.Fatalf("setup promotion failed: %v", err)
 	}
 	promoted := sw.Model()
@@ -217,8 +262,8 @@ func TestRollbackRestoresPreviousVersionBitIdentically(t *testing.T) {
 }
 
 func TestRollbackRejectsCorruptArtifact(t *testing.T) {
-	c, sw, _ := newHarness(t, nil)
-	if res, err := c.Retrain("promote"); err != nil || !res.Promoted {
+	c, sw := newHarness(t, nil)
+	if res, err := c.Retrain(t0, "promote"); err != nil || !res.Promoted {
 		t.Fatalf("setup promotion failed: %v", err)
 	}
 	live := sw.Model()
@@ -260,31 +305,28 @@ func TestRollbackRejectsCorruptArtifact(t *testing.T) {
 }
 
 // TestOnDriftDebounce pins that a raised alarm runs one episode inline and
-// that alarms within minInterval (10 m) of the last episode's start are
-// dropped.
+// that alarms ticked within minInterval (10 m) of the last episode's start
+// are dropped. Time is the alarm's own: DriftEvent.At.
 func TestOnDriftDebounce(t *testing.T) {
-	c, _, fake := newHarness(t, nil)
-	ev := driftEvent()
+	c, _ := newHarness(t, nil)
 
 	// First alarm: the episode has run, and promoted, when OnDrift returns.
-	c.OnDrift(ev)
-	if st := c.Status(); st.Episodes != 1 || st.Promotions != 1 || st.State != "idle" {
-		t.Fatalf("first alarm: %+v", st)
+	c.OnDrift(driftEvent(t0))
+	// It started at the alarm's tick time.
+	if st := c.Status(); st.Episodes != 1 || st.Promotions != 1 || st.State != "idle" || st.LastEpisodeUnixNs != t0.UnixNano() {
+		t.Fatalf("first alarm at %d ns: %+v", t0.UnixNano(), st)
 	}
 
 	// Alarms inside the debounce interval do nothing, up to its last
 	// nanosecond.
-	fake.Advance(2 * time.Minute)
-	c.OnDrift(ev)
-	fake.Advance(8*time.Minute - time.Nanosecond)
-	c.OnDrift(ev)
+	c.OnDrift(driftEvent(t0.Add(2 * time.Minute)))
+	c.OnDrift(driftEvent(t0.Add(10*time.Minute - time.Nanosecond)))
 	if st := c.Status(); st.Episodes != 1 || st.Rollbacks != 0 {
 		t.Fatalf("debounced alarm still acted: %+v", st)
 	}
 
 	// Ten minutes after the last episode began, an alarm runs the next.
-	fake.Advance(time.Nanosecond)
-	c.OnDrift(ev)
+	c.OnDrift(driftEvent(t0.Add(10 * time.Minute)))
 	if st := c.Status(); st.Episodes != 2 {
 		t.Fatalf("post-debounce alarm did not retrain: %+v", st)
 	}
@@ -295,8 +337,8 @@ func TestOnDriftDebounce(t *testing.T) {
 // model the server booted with, and can roll back to the version that one
 // was promoted over.
 func TestNewServesLatestRegistryVersion(t *testing.T) {
-	first, sw, _ := newHarness(t, nil)
-	if res, err := first.Retrain("promote before restart"); err != nil || !res.Promoted {
+	first, sw := newHarness(t, nil)
+	if res, err := first.Retrain(t0, "promote before restart"); err != nil || !res.Promoted {
 		t.Fatalf("setup promotion = (%+v, %v)", res, err)
 	}
 	roots := samplePlans(t)
@@ -309,7 +351,6 @@ func TestNewServesLatestRegistryVersion(t *testing.T) {
 		Registry: first.cfg.Registry,
 		Source:   first.cfg.Source,
 		Swapper:  rebooted,
-		Clock:    first.cfg.Clock,
 		Train:    first.cfg.Train,
 	})
 	if err != nil {
@@ -334,9 +375,9 @@ func TestNewServesLatestRegistryVersion(t *testing.T) {
 // version 1 leave nine versions, more than keepVersions, and version 1 is
 // still the rollback target of every one of them.
 func TestGCSparesRollbackTarget(t *testing.T) {
-	c, _, _ := newHarness(t, nil)
+	c, _ := newHarness(t, nil)
 	for round := 1; round <= keepVersions; round++ {
-		res, err := c.Retrain("promote")
+		res, err := c.Retrain(t0, "promote")
 		if err != nil || !res.Promoted {
 			t.Fatalf("round %d: promotion = (%+v, %v)", round, res, err)
 		}
@@ -350,7 +391,7 @@ func TestGCSparesRollbackTarget(t *testing.T) {
 }
 
 func TestNewSeedsRegistryFromBootModel(t *testing.T) {
-	c, sw, _ := newHarness(t, nil)
+	c, sw := newHarness(t, nil)
 	v, ok, err := c.cfg.Registry.Latest()
 	if err != nil || !ok || v != 1 {
 		t.Fatalf("registry after New = (%d,%v,%v), want seeded v1", v, ok, err)

@@ -7,9 +7,9 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
+	"t3/internal/obs"
 	"t3/internal/obs/trace"
 	"t3/internal/serve"
 	"t3/internal/wire"
@@ -21,14 +21,14 @@ import (
 // end and fully deterministic: a serving tier answers binary predict
 // requests from a seed model; drifted observations flow through
 // t3.RecordObserved into the online q-error histogram; the drift detector
-// (ticked from a fake clock) raises its alarm; the attached controller
+// (ticked with fixed times) raises its alarm; the attached controller
 // collects fresh labels, trains a candidate, shadow-evaluates it against
 // the live model on held-out labels plus replayed exemplars, and promotes
 // it through the server's atomic swap — after which the same request bytes
 // get a different prediction and the cache generation has advanced. No
-// sleeps, no wall-clock time.
+// sleeps: every time the loop acts on is a tick time the test chose.
 func TestDriftToPromotionEndToEnd(t *testing.T) {
-	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
+	now := t0
 	live := seedModel(t)
 	srv := serve.New(live, serve.Config{})
 	h := httptest.NewServer(srv.PredictBinHandler())
@@ -46,7 +46,7 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 			t.Fatal(err)
 		}
 		pred, _ := live.PredictPlan(root, plan.TrueCards)
-		store.Offer(root, plan.TrueCards, pred.Nanoseconds(), res.Total.Nanoseconds(), fake.Now())
+		store.Offer(root, plan.TrueCards, pred.Nanoseconds(), res.Total.Nanoseconds(), now)
 	}
 	if store.Len() == 0 {
 		t.Fatal("no exemplars captured; drift evidence is incomplete")
@@ -56,7 +56,6 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 		Registry:  openRegistry(t),
 		Source:    &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
 		Swapper:   srv,
-		Clock:     fake,
 		Train:     trainWith(testParams()),
 		Exemplars: store,
 	})
@@ -64,10 +63,7 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	det := trace.NewQErrorDetector(trace.DetectorConfig{
-		Epochs: 4, Threshold: 2.0, MinCount: 10,
-		FireAfter: 2, ClearAfter: 2, Clock: fake,
-	})
+	det := trace.NewDetector(obs.QErrorDrift)
 	c.Attach(det)
 
 	// A served prediction before the swap, via the real binary endpoint.
@@ -76,12 +72,12 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 	before := postPredict(t, h.URL, frame)
 	gen0 := srv.CacheGeneration()
 
-	// Baseline tick, then two epochs of 4x-slow observations: FireAfter=2
+	// Baseline tick, then two epochs of 4x-slow observations: the detector
 	// raises the alarm on the second drifted tick, which runs the whole
 	// retrain episode inline.
 	tick := func() {
-		fake.Advance(time.Second)
-		det.Tick(fake.Now())
+		now = now.Add(time.Second)
+		det.Tick(now)
 	}
 	tick()
 	for epoch := 0; epoch < 2; epoch++ {
@@ -107,6 +103,14 @@ func TestDriftToPromotionEndToEnd(t *testing.T) {
 	}
 	if v, ok, err := c.cfg.Registry.Latest(); err != nil || !ok || v != 2 {
 		t.Fatalf("registry after promotion: (%d,%v,%v), want v2", v, ok, err)
+	}
+	// The episode ran at the alarm's tick time, and the artifact says so.
+	art, err := c.cfg.Registry.Load(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if art.Meta.CreatedUnixNs != now.UnixNano() {
+		t.Fatalf("promoted artifact created at %d ns, want the alarm's tick time %d", art.Meta.CreatedUnixNs, now.UnixNano())
 	}
 
 	// The swap invalidated the cache and changed what the same bytes get.

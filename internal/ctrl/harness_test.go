@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/engine/exec"
 	"t3/internal/engine/plan"
 	"t3/internal/obs/trace"
@@ -19,9 +18,9 @@ import (
 // The deterministic test harness: every duration in these tests is a pure
 // function of the plan times a drift scale, so "the workload got 4x slower"
 // is literally scale=4 — the executor still runs (annotating true
-// cardinalities), only the measured times are synthetic. Combined with the
-// fake clock and the inline episode, a full drift → retrain → shadow →
-// promote episode is bit-reproducible.
+// cardinalities), only the measured times are synthetic. Combined with a
+// fixed episode time and the inline episode, a full drift → retrain →
+// shadow → promote episode is bit-reproducible.
 
 var ctrlInstOnce sync.Once
 var ctrlInst *workload.Instance
@@ -142,17 +141,18 @@ func openRegistry(t testing.TB) *registry.Registry {
 	return r
 }
 
+// t0 is the time the tests start their episodes at.
+var t0 = time.Unix(1_700_000_000, 0)
+
 // newHarness builds a controller around a seed model serving
 // scale-1 predictions, with a drifted (scale-4) label source.
-func newHarness(t testing.TB, mut func(*Config)) (*Controller, *fakeSwapper, *clock.Fake) {
+func newHarness(t testing.TB, mut func(*Config)) (*Controller, *fakeSwapper) {
 	t.Helper()
-	fake := clock.NewFake(time.Unix(1_700_000_000, 0))
 	sw := &fakeSwapper{m: seedModel(t)}
 	cfg := Config{
 		Registry: openRegistry(t),
 		Source:   &scaledSource{inst: ctrlInstance(t), scale: 4, workers: 2},
 		Swapper:  sw,
-		Clock:    fake,
 		Train:    trainWith(testParams()),
 	}
 	if mut != nil {
@@ -162,12 +162,12 @@ func newHarness(t testing.TB, mut func(*Config)) (*Controller, *fakeSwapper, *cl
 	if err != nil {
 		t.Fatal(err)
 	}
-	return c, sw, fake
+	return c, sw
 }
 
-// driftEvent is a canned raised alarm for OnDrift tests.
-func driftEvent() trace.DriftEvent {
-	return trace.DriftEvent{Raised: true, Quantile: 4.2, Count: 120, Threshold: 2}
+// driftEvent is a canned raised alarm for OnDrift tests, ticked at at.
+func driftEvent(at time.Time) trace.DriftEvent {
+	return trace.DriftEvent{Raised: true, At: at, Quantile: 4.2, Count: 120}
 }
 
 // samplePlans returns annotated plans for comparing model outputs.

@@ -28,16 +28,17 @@ type ShadowResult struct {
 	// the same evidence.
 	LiveQ      float64 `json:"live_q"`
 	CandidateQ float64 `json:"candidate_q"`
-	// HoldoutN and ExemplarN count the evidence: holdout labels scored and
-	// exemplar frames replayed.
+	// HoldoutN and ExemplarN count the evidence: holdout labels and
+	// replayed exemplar frames scored, each with a plan and a measured time
+	// above zero.
 	HoldoutN  int `json:"holdout_n"`
 	ExemplarN int `json:"exemplar_n"`
 }
 
 // Win reports whether the candidate's quantile beats the live model's by
-// the promote ratio. With no evidence at all the candidate loses: an empty
+// promoteRatio. With no evidence at all the candidate loses: an empty
 // shadow set proves nothing, and the safe default is the incumbent.
-func (r ShadowResult) Win(promoteRatio float64) bool {
+func (r ShadowResult) Win() bool {
 	if r.HoldoutN+r.ExemplarN == 0 {
 		return false
 	}
@@ -55,17 +56,19 @@ func (c *Controller) shadowEval(live, cand *t3.Model, holdout *workload.LabelSet
 	res := ShadowResult{Quantile: shadowQuantile}
 	var roots [2][]*plan.Node // by plan.CardMode
 	var actuals [2][]float64  // seconds, beside roots
-	add := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {
+	// add keeps one piece of evidence and counts it in *n, unless it has no
+	// plan or no measured time to score against.
+	add := func(n *int, root *plan.Node, mode plan.CardMode, actual time.Duration) {
 		if root == nil || actual <= 0 {
 			return
 		}
 		roots[mode] = append(roots[mode], root)
 		actuals[mode] = append(actuals[mode], actual.Seconds())
+		*n++
 	}
 
 	for _, l := range holdout.Labels {
-		add(l.Root, plan.TrueCards, l.MedianTotal())
-		res.HoldoutN++
+		add(&res.HoldoutN, l.Root, plan.TrueCards, l.MedianTotal())
 	}
 
 	if c.cfg.Exemplars != nil {
@@ -82,8 +85,7 @@ func (c *Controller) shadowEval(live, cand *t3.Model, holdout *workload.LabelSet
 			if err != nil {
 				continue
 			}
-			add(root, mode, time.Duration(e.ActualNs))
-			res.ExemplarN++
+			add(&res.ExemplarN, root, mode, time.Duration(e.ActualNs))
 		}
 	}
 

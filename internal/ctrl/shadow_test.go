@@ -20,10 +20,11 @@ func shadowEvalPerPlan(c *Controller, live, cand *t3.Model, holdout *workload.La
 	res := ShadowResult{Quantile: shadowQuantile}
 	var liveQs, candQs []float64
 	var liveScratch, candScratch t3.PredictScratch
-	score := func(root *plan.Node, mode plan.CardMode, actual time.Duration) {
+	score := func(n *int, root *plan.Node, mode plan.CardMode, actual time.Duration) {
 		if root == nil || actual <= 0 {
 			return
 		}
+		*n++
 		cp, _ := cand.PredictPlanScratch(root, mode, &candScratch)
 		candQs = append(candQs, qerror.QError(cp.Seconds(), actual.Seconds()))
 		if live != nil {
@@ -32,8 +33,7 @@ func shadowEvalPerPlan(c *Controller, live, cand *t3.Model, holdout *workload.La
 		}
 	}
 	for _, l := range holdout.Labels {
-		score(l.Root, plan.TrueCards, l.MedianTotal())
-		res.HoldoutN++
+		score(&res.HoldoutN, l.Root, plan.TrueCards, l.MedianTotal())
 	}
 	if c.cfg.Exemplars != nil {
 		var dec wire.Decoder
@@ -46,8 +46,7 @@ func shadowEvalPerPlan(c *Controller, live, cand *t3.Model, holdout *workload.La
 			if err != nil {
 				continue
 			}
-			score(root, mode, time.Duration(e.ActualNs))
-			res.ExemplarN++
+			score(&res.ExemplarN, root, mode, time.Duration(e.ActualNs))
 		}
 	}
 	res.CandidateQ = quantileOf(candQs, res.Quantile)
@@ -100,7 +99,7 @@ func TestShadowEvalMatchesPerPlanLoop(t *testing.T) {
 		{"no live model", nil, store},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			c, _, _ := newHarness(t, func(cfg *Config) { cfg.Exemplars = tc.exemplars })
+			c, _ := newHarness(t, func(cfg *Config) { cfg.Exemplars = tc.exemplars })
 			got := c.shadowEval(tc.live, cand, holdout)
 			want := shadowEvalPerPlan(c, tc.live, cand, holdout)
 			if got != want {

@@ -11,22 +11,22 @@ import (
 	"testing"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/engine/plan"
 	"t3/internal/serve"
 	"t3/internal/wire"
 	"t3/internal/workload"
 )
 
-// driftingSource makes every retrain attempt see a different workload
-// speed, so every promoted model is genuinely different from the last.
+// driftingSource makes every retrain attempt see a slower workload than the
+// last, starting from twice the seed model's, so every candidate wins the
+// shadow comparison and every promoted model is genuinely different.
 type driftingSource struct {
 	inst    *workload.Instance
 	workers int
 }
 
 func (s *driftingSource) CollectLabels(attempt int) (*workload.LabelSet, error) {
-	cfg := collectConfig(float64(1+attempt), s.workers)
+	cfg := collectConfig(float64(2+attempt), s.workers)
 	return workload.CollectLabels(s.inst, cfg)
 }
 
@@ -50,11 +50,7 @@ func TestConcurrentTrafficAcrossControllerSwaps(t *testing.T) {
 		Registry: openRegistry(t),
 		Source:   &driftingSource{inst: ctrlInstance(t), workers: 2},
 		Swapper:  srv,
-		Clock:    clock.NewFake(time.Unix(1_700_000_000, 0)),
 		Train:    trainWith(testParams()),
-		// The point is swap pressure, not model quality: accept every
-		// candidate so each episode drives a swap.
-		PromoteRatio: 100,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -153,7 +149,7 @@ func TestConcurrentTrafficAcrossControllerSwaps(t *testing.T) {
 	gen0 := srv.CacheGeneration()
 	const episodes = 4
 	for i := 0; i < episodes; i++ {
-		res, err := c.Retrain("swap pressure")
+		res, err := c.Retrain(t0, "swap pressure")
 		if err != nil {
 			t.Fatalf("episode %d: %v", i, err)
 		}

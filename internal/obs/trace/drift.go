@@ -4,14 +4,13 @@ import (
 	"sync"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/obs"
 )
 
 // Drift detection: a Detector watches a windowed quantile of the online
 // q-error histogram (t3_qerror_drift, fed by t3.RecordObserved) and trips
 // an alarm when recent accuracy degrades past a threshold. Hysteresis on
-// both edges — FireAfter consecutive bad ticks to raise, ClearAfter good
+// both edges — fireAfter consecutive bad ticks to raise, clearAfter good
 // ticks to clear, and a minimum observation count per window — keeps a
 // single slow outlier query or an idle window from flapping the alarm.
 
@@ -35,60 +34,26 @@ var (
 		"Drift alarm raise transitions.")
 )
 
-// DetectorConfig configures a drift Detector. Zero fields take defaults.
-type DetectorConfig struct {
-	// Epochs is the number of snapshots the window retains; with tick
-	// period p the sliding span is (Epochs-1) x p. Default 12.
-	Epochs int
-	// Quantile is the watched q-error quantile. Default 0.9.
-	Quantile float64
-	// Threshold raises the alarm when the windowed quantile exceeds it.
-	// Default 2.0 (predictions off by more than 2x at the watched tail).
-	Threshold float64
-	// Clear re-arms the alarm when the windowed quantile falls below it.
-	// Default 0.8 x Threshold; must be <= Threshold.
-	Clear float64
-	// MinCount is the minimum observations a window needs before its
+// The detector's fixed policy. /debug/drift reports the exported values.
+const (
+	// DriftEpochs is the number of snapshots the window retains; with tick
+	// period p the sliding span is (DriftEpochs-1) x p.
+	DriftEpochs = 12
+	// DriftQuantile is the watched q-error quantile.
+	DriftQuantile = 0.9
+	// DriftThreshold raises the alarm when the windowed quantile exceeds it:
+	// predictions off by more than 2x at the watched tail.
+	DriftThreshold = 2.0
+	// DriftClear re-arms the alarm when the windowed quantile falls below it.
+	DriftClear = 1.6
+	// DriftMinCount is the minimum observations a window needs before its
 	// quantile is trusted; sparser windows hold the previous state.
-	// Default 20.
-	MinCount uint64
-	// FireAfter is how many consecutive over-threshold ticks raise the
-	// alarm. Default 2.
-	FireAfter int
-	// ClearAfter is how many consecutive under-clear ticks clear it.
-	// Default 2.
-	ClearAfter int
-	// Clock supplies time to Run's ticker. Default clock.Real; tests and
-	// the retrain controller's deterministic harness inject a fake.
-	Clock clock.Clock `json:"-"`
-}
-
-func (c *DetectorConfig) defaults() {
-	if c.Epochs == 0 {
-		c.Epochs = 12
-	}
-	if c.Quantile == 0 {
-		c.Quantile = 0.9
-	}
-	if c.Threshold == 0 {
-		c.Threshold = 2.0
-	}
-	if c.Clear == 0 || c.Clear > c.Threshold {
-		c.Clear = 0.8 * c.Threshold
-	}
-	if c.MinCount == 0 {
-		c.MinCount = 20
-	}
-	if c.FireAfter == 0 {
-		c.FireAfter = 2
-	}
-	if c.ClearAfter == 0 {
-		c.ClearAfter = 2
-	}
-	if c.Clock == nil {
-		c.Clock = clock.Real
-	}
-}
+	DriftMinCount = 20
+	// fireAfter consecutive over-threshold ticks raise the alarm, and
+	// clearAfter consecutive under-clear ticks clear it.
+	fireAfter  = 2
+	clearAfter = 2
+)
 
 // DriftEvent describes one alarm transition, passed to OnAlarm callbacks.
 type DriftEvent struct {
@@ -100,8 +65,6 @@ type DriftEvent struct {
 	Quantile float64
 	// Count is the window's observation count at the transition.
 	Count uint64
-	// Threshold is the configured raise threshold.
-	Threshold float64
 }
 
 // DriftStatus is a point-in-time view of the detector, for /debug/drift.
@@ -124,36 +87,26 @@ type DriftStatus struct {
 	// LastTransition is the time of the most recent raise/clear (zero if
 	// none yet).
 	LastTransition time.Time
-	// Config echoes the resolved configuration.
-	Config DetectorConfig
 }
 
 // Detector watches a windowed quantile of a histogram and raises/clears an
 // alarm with hysteresis. Drive it with Tick from one ticker goroutine;
 // Status and OnAlarm are safe from any goroutine.
 type Detector struct {
-	cfg    DetectorConfig
 	window *Window
 
 	mu        sync.Mutex
 	raised    bool
-	overRuns  int // consecutive ticks over Threshold
-	underRuns int // consecutive ticks under Clear
+	overRuns  int // consecutive ticks over DriftThreshold
+	underRuns int // consecutive ticks under DriftClear
 	last      DriftStatus
 	callbacks []func(DriftEvent)
 }
 
-// NewDetector builds a detector over src (normally obs.QErrorDrift) with
-// the given config (zero fields take defaults).
-func NewDetector(src *obs.Histogram, cfg DetectorConfig) *Detector {
-	cfg.defaults()
-	return &Detector{cfg: cfg, window: NewWindow(src, cfg.Epochs)}
-}
-
-// NewQErrorDetector is NewDetector over the online q-error histogram — the
-// drift signal of record.
-func NewQErrorDetector(cfg DetectorConfig) *Detector {
-	return NewDetector(obs.QErrorDrift, cfg)
+// NewDetector builds a detector over src: obs.QErrorDrift, the online
+// q-error histogram, in production; a private histogram in tests.
+func NewDetector(src *obs.Histogram) *Detector {
+	return &Detector{window: NewWindow(src, DriftEpochs)}
 }
 
 // OnAlarm registers a callback invoked (synchronously, from Tick) on every
@@ -173,13 +126,12 @@ func (d *Detector) Tick(now time.Time) {
 	d.mu.Lock()
 	d.last.Ticks++
 	life := d.window.Lifetime()
-	d.last.LifetimeQuantile = life.Quantile(d.cfg.Quantile)
+	d.last.LifetimeQuantile = life.Quantile(DriftQuantile)
 	d.last.LifetimeCount = life.Count
-	d.last.Config = d.cfg
 
 	var q float64
 	if ok {
-		q = delta.Quantile(d.cfg.Quantile)
+		q = delta.Quantile(DriftQuantile)
 		d.last.WindowQuantile = q
 		d.last.WindowCount = delta.Count
 		d.last.WindowSpan = span
@@ -189,11 +141,11 @@ func (d *Detector) Tick(now time.Time) {
 
 	var fired []func(DriftEvent)
 	var ev DriftEvent
-	if ok && delta.Count >= d.cfg.MinCount {
-		if q > d.cfg.Threshold {
+	if ok && delta.Count >= DriftMinCount {
+		if q > DriftThreshold {
 			d.overRuns++
 			d.underRuns = 0
-		} else if q < d.cfg.Clear {
+		} else if q < DriftClear {
 			d.underRuns++
 			d.overRuns = 0
 		} else {
@@ -201,24 +153,18 @@ func (d *Detector) Tick(now time.Time) {
 			d.overRuns, d.underRuns = 0, 0
 		}
 		transition := false
-		if !d.raised && d.overRuns >= d.cfg.FireAfter {
+		if !d.raised && d.overRuns >= fireAfter {
 			d.raised = true
 			transition = true
 			DriftAlarms.Inc()
-		} else if d.raised && d.underRuns >= d.cfg.ClearAfter {
+		} else if d.raised && d.underRuns >= clearAfter {
 			d.raised = false
 			transition = true
 		}
 		if transition {
 			d.overRuns, d.underRuns = 0, 0
 			d.last.LastTransition = now
-			ev = DriftEvent{
-				Raised:    d.raised,
-				At:        now,
-				Quantile:  q,
-				Count:     delta.Count,
-				Threshold: d.cfg.Threshold,
-			}
+			ev = DriftEvent{Raised: d.raised, At: now, Quantile: q, Count: delta.Count}
 			fired = append(fired, d.callbacks...)
 		}
 	}
@@ -244,17 +190,16 @@ func (d *Detector) Status() DriftStatus {
 }
 
 // Run ticks the detector every period until the stop channel closes —
-// convenience wrapper for servers. Time comes from the configured Clock, so
-// a fake clock drives the whole loop deterministically in tests.
+// convenience wrapper for servers. Tests call Tick with the time they want.
 func (d *Detector) Run(period time.Duration, stop <-chan struct{}) {
 	if period <= 0 {
 		period = time.Second
 	}
-	t := d.cfg.Clock.NewTicker(period)
+	t := time.NewTicker(period)
 	defer t.Stop()
 	for {
 		select {
-		case now := <-t.C():
+		case now := <-t.C:
 			d.Tick(now)
 		case <-stop:
 			return

@@ -1,92 +1,118 @@
 package trace
 
 import (
+	"math"
 	"testing"
 	"time"
 
-	"t3/internal/clock"
 	"t3/internal/obs"
 )
 
-// driftHarness drives a detector over a private q-error histogram with a
-// deterministic clock.
+// The drift tests run the detector at its production policy and spell that
+// policy out in literals, so each test fails if the constant it covers
+// changes. The histogram's octave buckets place the q-error 0.9 in
+// [0.512, 1.024), 1.5 in [1.024, 2.048), 3 in [2.048, 4.096), and 8 and 100
+// far above; a quantile interpolates linearly inside its bucket, which is
+// how the mixes below aim at a windowed p90.
+
+// driftHarness drives a detector over a private q-error histogram, one
+// second per tick.
 type driftHarness struct {
 	h   *obs.Histogram
 	d   *Detector
 	now time.Time
 }
 
-func newDriftHarness(cfg DetectorConfig) *driftHarness {
+func newDriftHarness() *driftHarness {
 	h := obs.NewHistogram("t3_test_drift", "test", obs.UnitMilli)
-	return &driftHarness{h: h, d: NewDetector(h, cfg), now: time.Unix(10000, 0)}
+	return &driftHarness{h: h, d: NewDetector(h), now: time.Unix(10000, 0)}
 }
 
 // tick records n q-error observations of value q, then advances one epoch.
 func (dh *driftHarness) tick(n int, q float64) {
-	for i := 0; i < n; i++ {
-		dh.h.ObserveFloat(q)
+	dh.mix(map[float64]int{q: n})
+}
+
+// idle advances one epoch with no observations.
+func (dh *driftHarness) idle() { dh.mix(nil) }
+
+// mix records count observations of each q-error value, then advances one
+// epoch.
+func (dh *driftHarness) mix(counts map[float64]int) {
+	for q, n := range counts {
+		for i := 0; i < n; i++ {
+			dh.h.ObserveFloat(q)
+		}
 	}
 	dh.now = dh.now.Add(time.Second)
 	dh.d.Tick(dh.now)
 }
 
-func TestDriftDetectorFiresAndClears(t *testing.T) {
-	// Threshold 4 with the default clear (3.2): healthy q-errors around 2
-	// land safely below, drifted ones around 8 safely above, even at the
-	// histogram's one-octave resolution.
-	cfg := DetectorConfig{
-		Epochs: 4, Quantile: 0.9, Threshold: 4.0,
-		MinCount: 10, FireAfter: 2, ClearAfter: 2,
+// raise takes a fresh harness to a raised alarm: a baseline tick, then two
+// ticks whose window holds 200 q-errors of 8.
+func (dh *driftHarness) raise(t *testing.T) {
+	t.Helper()
+	dh.idle()
+	dh.tick(200, 8)
+	dh.idle()
+	if !dh.d.Status().Raised {
+		t.Fatalf("setup: alarm not raised: %+v", dh.d.Status())
 	}
-	dh := newDriftHarness(cfg)
+}
 
+// wantWindowQ fails unless the last tick's windowed p90 is want, to the
+// precision the mixes aim at.
+func wantWindowQ(t *testing.T, st DriftStatus, want float64) {
+	t.Helper()
+	if math.Abs(st.WindowQuantile-want) > 0.001 {
+		t.Fatalf("setup: windowed p90 %.4f, want %.4f", st.WindowQuantile, want)
+	}
+}
+
+func TestDriftDetectorFiresAndClears(t *testing.T) {
+	dh := newDriftHarness()
 	var events []DriftEvent
 	dh.d.OnAlarm(func(ev DriftEvent) { events = append(events, ev) })
 
 	// Healthy regime: three epochs of accurate predictions.
 	for i := 0; i < 3; i++ {
-		dh.tick(100, 1.8)
+		dh.tick(100, 0.9)
 		if st := dh.d.Status(); st.Raised {
 			t.Fatalf("alarm raised on healthy tick %d: %+v", i, st)
 		}
 	}
 
-	// Drift: two epochs dominated by 8x mispredictions. FireAfter=2 means
-	// the first bad tick arms, the second fires.
-	dh.tick(200, 8.0)
+	// Drift: two epochs dominated by 8x mispredictions. The first bad tick
+	// arms, the second fires: two ticks, no fewer.
+	dh.tick(200, 8)
 	if dh.d.Status().Raised {
-		t.Fatal("alarm fired after one bad tick despite FireAfter=2")
+		t.Fatal("alarm fired after one bad tick")
 	}
-	dh.tick(200, 8.0)
+	dh.tick(200, 8)
 	st := dh.d.Status()
 	if !st.Raised {
 		t.Fatalf("alarm did not fire after two bad ticks: %+v", st)
 	}
-	if st.WindowQuantile <= cfg.Threshold {
-		t.Fatalf("fired with window quantile %v <= threshold", st.WindowQuantile)
+	if st.WindowQuantile <= 2 {
+		t.Fatalf("fired with window quantile %v <= 2", st.WindowQuantile)
 	}
-	if len(events) != 1 || !events[0].Raised {
+	if len(events) != 1 || !events[0].Raised || !events[0].At.Equal(dh.now) {
 		t.Fatalf("events after fire: %+v", events)
 	}
 	if DriftAlarm.Value() != 1 {
 		t.Fatalf("t3_drift_alarm = %v after fire, want 1", DriftAlarm.Value())
 	}
 
-	// Recovery: healthy epochs. The drifted mass must first slide out of
-	// the 3-tick window, then ClearAfter=2 good ticks clear the alarm.
-	cleared := -1
-	for i := 0; i < 8; i++ {
-		dh.tick(400, 1.8)
-		if !dh.d.Status().Raised {
-			cleared = i
-			break
-		}
+	// Recovery: 4000 healthy q-errors outweigh the 400 drifted ones still
+	// in the window, so the window is under the clear level at once; the
+	// alarm clears on the second such tick, no sooner and no later.
+	dh.tick(4000, 0.9)
+	if st := dh.d.Status(); !st.Raised || st.WindowQuantile >= 1.6 {
+		t.Fatalf("after one healthy tick: %+v, want raised under 1.6", st)
 	}
-	if cleared < 0 {
-		t.Fatalf("alarm never cleared during recovery: %+v", dh.d.Status())
-	}
-	if cleared < 2 {
-		t.Fatalf("alarm cleared after only %d healthy ticks; drifted mass was still in the window", cleared+1)
+	dh.idle()
+	if st := dh.d.Status(); st.Raised {
+		t.Fatalf("alarm did not clear after two healthy ticks: %+v", st)
 	}
 	if len(events) != 2 || events[1].Raised {
 		t.Fatalf("events after clear: %+v", events)
@@ -96,98 +122,134 @@ func TestDriftDetectorFiresAndClears(t *testing.T) {
 	}
 }
 
+// TestDriftDetectorHoldsOnSparseWindow pins the minimum count: a window of
+// 19 terrible q-errors holds, one of 20 counts.
 func TestDriftDetectorHoldsOnSparseWindow(t *testing.T) {
-	cfg := DetectorConfig{
-		Epochs: 3, Quantile: 0.9, Threshold: 4.0,
-		MinCount: 50, FireAfter: 1, ClearAfter: 1,
+	dh := newDriftHarness()
+	dh.idle()
+	dh.tick(19, 100)
+	dh.idle()
+	if st := dh.d.Status(); st.Raised || st.WindowCount != 19 {
+		t.Fatalf("two ticks over a 19-observation window: %+v, want held", st)
 	}
-	dh := newDriftHarness(cfg)
-	// Terrible q-errors, but below MinCount per window: no alarm.
-	for i := 0; i < 6; i++ {
-		dh.tick(10, 100.0)
-		if dh.d.Status().Raised {
-			t.Fatalf("alarm fired on a %d-observation window with MinCount=%d",
-				dh.d.Status().WindowCount, cfg.MinCount)
-		}
+	// The twentieth observation makes the window count: two ticks over it
+	// fire.
+	dh.tick(1, 100)
+	if st := dh.d.Status(); st.Raised || st.WindowCount != 20 {
+		t.Fatalf("one tick over a 20-observation window: %+v, want armed only", st)
 	}
-	// Same values at volume: fires immediately (FireAfter=1).
-	dh.tick(200, 100.0)
+	dh.idle()
 	if !dh.d.Status().Raised {
-		t.Fatal("alarm did not fire once the window met MinCount")
+		t.Fatal("alarm did not fire on two ticks over a 20-observation window")
 	}
 }
 
-func TestDriftDetectorDefaults(t *testing.T) {
-	d := NewQErrorDetector(DetectorConfig{})
-	st := d.Status()
-	c := d.cfg
-	if c.Epochs != 12 || c.Quantile != 0.9 || c.Threshold != 2.0 ||
-		c.Clear != 1.6 || c.MinCount != 20 || c.FireAfter != 2 || c.ClearAfter != 2 {
-		t.Fatalf("defaults = %+v", c)
+// TestDriftDetectorLevels pins the threshold (2) and the clear level (1.6)
+// from both sides: a windowed p90 of 1.98 never raises and 2.02 does; once
+// raised, 1.62 holds the alarm and 1.58 clears it. Each window holds 1000
+// q-errors for two ticks.
+func TestDriftDetectorLevels(t *testing.T) {
+	for _, tc := range []struct {
+		counts map[float64]int
+		q      float64
+		raised bool
+	}{
+		{map[float64]int{1.5: 964, 3: 36}, 1.9800, false},
+		{map[float64]int{1.5: 925, 3: 75}, 2.0203, true},
+	} {
+		dh := newDriftHarness()
+		dh.idle()
+		dh.mix(tc.counts)
+		dh.idle()
+		st := dh.d.Status()
+		wantWindowQ(t, st, tc.q)
+		if st.Raised != tc.raised {
+			t.Errorf("fresh detector at p90 %.4f: raised %v, want %v", st.WindowQuantile, st.Raised, tc.raised)
+		}
 	}
-	if st.Raised || st.Ticks != 0 {
+	for _, tc := range []struct {
+		counts map[float64]int
+		q      float64
+		raised bool
+	}{
+		{map[float64]int{0.9: 761, 1.5: 239}, 1.6196, true},
+		{map[float64]int{0.9: 781, 1.5: 219}, 1.5804, false},
+	} {
+		dh := newDriftHarness()
+		dh.raise(t)
+		// Ten empty ticks slide the drifted mass out of the window, whose
+		// empty view holds the alarm.
+		for i := 0; i < 10; i++ {
+			dh.idle()
+		}
+		if st := dh.d.Status(); !st.Raised || st.WindowCount != 0 {
+			t.Fatalf("setup: after the drifted mass left: %+v", st)
+		}
+		dh.mix(tc.counts)
+		dh.idle()
+		st := dh.d.Status()
+		wantWindowQ(t, st, tc.q)
+		if st.Raised != tc.raised {
+			t.Errorf("raised detector at p90 %.4f: raised %v, want %v", st.WindowQuantile, st.Raised, tc.raised)
+		}
+	}
+}
+
+// TestDriftDetectorWindowSpan pins the window at 12 epochs: observations
+// count for the 11 ticks after the one that follows them, and not after.
+func TestDriftDetectorWindowSpan(t *testing.T) {
+	dh := newDriftHarness()
+	dh.idle()
+	dh.tick(50, 0.9)
+	for i := 1; i <= 10; i++ {
+		dh.idle()
+		if st := dh.d.Status(); st.WindowCount != 50 || st.WindowSpan != time.Duration(i+1)*time.Second {
+			t.Fatalf("%d ticks after the observations: window %d observations over %v, want 50 over %v",
+				i+1, st.WindowCount, st.WindowSpan, time.Duration(i+1)*time.Second)
+		}
+	}
+	dh.idle()
+	if st := dh.d.Status(); st.WindowCount != 0 || st.WindowSpan != 11*time.Second {
+		t.Fatalf("12 ticks after the observations: window %d observations over %v, want 0 over 11s",
+			st.WindowCount, st.WindowSpan)
+	}
+}
+
+// TestDriftDetectorDefaults pins the policy constants and a fresh
+// detector's state.
+func TestDriftDetectorDefaults(t *testing.T) {
+	if DriftEpochs != 12 || DriftQuantile != 0.9 || DriftThreshold != 2.0 || DriftClear != 1.6 ||
+		DriftMinCount != 20 || fireAfter != 2 || clearAfter != 2 {
+		t.Fatalf("policy = epochs %d, p%v, threshold %v, clear %v, min %d, fire after %d, clear after %d",
+			DriftEpochs, DriftQuantile, DriftThreshold, DriftClear, DriftMinCount, fireAfter, clearAfter)
+	}
+	d := NewDetector(obs.QErrorDrift)
+	if d.window.Span() != 11 {
+		t.Fatalf("window spans %d ticks, want 11", d.window.Span())
+	}
+	if st := d.Status(); st.Raised || st.Ticks != 0 {
 		t.Fatalf("fresh detector status = %+v", st)
 	}
 }
 
+// TestDriftDetectorRunStops pins that Run ticks until stop closes, then
+// returns.
 func TestDriftDetectorRunStops(t *testing.T) {
-	d := NewQErrorDetector(DetectorConfig{Epochs: 2})
+	d := NewDetector(obs.NewHistogram("t3_test_drift_run", "test", obs.UnitMilli))
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() { d.Run(time.Millisecond, stop); close(done) }()
-	time.Sleep(10 * time.Millisecond)
+	for deadline := time.Now().Add(time.Second); d.Status().Ticks == 0; {
+		if time.Now().After(deadline) {
+			t.Fatal("Run never ticked")
+		}
+		time.Sleep(time.Millisecond)
+	}
 	close(stop)
 	select {
 	case <-done:
 	case <-time.After(time.Second):
 		t.Fatal("Run did not stop")
-	}
-	if d.Status().Ticks == 0 {
-		t.Fatal("Run never ticked")
-	}
-}
-
-// TestDriftDetectorRunFakeClock drives Run entirely from a fake clock: no
-// sleeps, every tick accounted for.
-func TestDriftDetectorRunFakeClock(t *testing.T) {
-	fake := clock.NewFake(time.Unix(5000, 0))
-	h := obs.NewHistogram("t3_test_drift_fake", "test", obs.UnitMilli)
-	d := NewDetector(h, DetectorConfig{Epochs: 2, Clock: fake})
-
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() { d.Run(time.Second, stop); close(done) }()
-
-	// Wait until Run has built its ticker — an Advance before that fires
-	// nothing.
-	for deadline := time.Now().Add(time.Second); fake.Tickers() == 0; {
-		if time.Now().After(deadline) {
-			t.Fatal("Run never created its ticker")
-		}
-		time.Sleep(50 * time.Microsecond)
-	}
-
-	// Each Advance fires at most one buffered tick; poll Status so the
-	// runner goroutine has drained the previous one before the next fires.
-	const ticks = 5
-	for i := 0; i < ticks; i++ {
-		fake.Advance(time.Second)
-		deadline := time.Now().Add(time.Second)
-		for d.Status().Ticks != uint64(i+1) {
-			if time.Now().After(deadline) {
-				t.Fatalf("tick %d not processed: status %+v", i+1, d.Status())
-			}
-			time.Sleep(50 * time.Microsecond)
-		}
-	}
-	close(stop)
-	select {
-	case <-done:
-	case <-time.After(time.Second):
-		t.Fatal("Run did not stop under fake clock")
-	}
-	if got := d.Status().Ticks; got != ticks {
-		t.Fatalf("Run processed %d ticks, want %d", got, ticks)
 	}
 }
 
@@ -200,7 +262,7 @@ func TestDetectorTickZeroAlloc(t *testing.T) {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	h := obs.NewHistogram("t3_test_drift_alloc", "test", obs.UnitMilli)
-	d := NewDetector(h, DetectorConfig{Epochs: 4, MinCount: 10})
+	d := NewDetector(h)
 	for i := 0; i < 500; i++ {
 		h.ObserveFloat(1.5)
 	}

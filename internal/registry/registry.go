@@ -62,8 +62,8 @@ type Meta struct {
 	FormatVersion int `json:"format_version"`
 	// Version is the registry-assigned version number (dense, ascending).
 	Version int `json:"version"`
-	// CreatedUnixNs is when the artifact was written, on the writer's
-	// (possibly injected) clock.
+	// CreatedUnixNs is the writer's timestamp for the artifact; for a
+	// controller promotion, the start time of the episode.
 	CreatedUnixNs int64 `json:"created_unix_ns"`
 	// Source names the writer: "t3train", "ctrl", "seed", ...
 	Source string `json:"source"`

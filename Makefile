@@ -51,6 +51,7 @@ fuzz-smoke:
 	go test -run xxx -fuzz '^FuzzPlanIO$$' -fuzztime $(FUZZTIME) ./internal/planio/
 	go test -run xxx -fuzz '^FuzzHistogramMerge$$' -fuzztime $(FUZZTIME) ./internal/obs/
 	go test -run xxx -fuzz '^FuzzWireDecode$$' -fuzztime $(FUZZTIME) ./internal/wire/
+	go test -run xxx -fuzz '^FuzzPredcache$$' -fuzztime $(FUZZTIME) ./internal/predcache/
 	go test -run xxx -fuzz '^FuzzServeConn$$' -fuzztime $(FUZZTIME) ./internal/serve/
 
 # Rebuild the checked-in model.

@@ -10,9 +10,15 @@
 // Design constraints, in order:
 //
 //   - The hit path must be allocation-free and short: one shard lock, one
-//     map probe, one intrusive-list splice. Entries live in a fixed slot
-//     arena per shard; the LRU list is index-linked, so recency updates
+//     map probe, one intrusive-list splice. Entries live in a slot arena per
+//     shard; the LRU list is index-linked, so recency updates and evictions
 //     never touch the allocator.
+//   - Memory grows with the most entries ever held, up to the bound, and is
+//     never given back: a shard's arena and index start empty and grow on
+//     insert, the arena by doubling, clipped at the shard's bound; neither
+//     shrinks after Invalidate or when the working set does. A cold insert
+//     below the bound may allocate, amortized, until the working set is
+//     cached; an empty cache of any bound costs about a kilobyte.
 //   - Model swaps must invalidate atomically without blocking readers on a
 //     global lock: a generation counter is bumped once; entries stamped
 //     with an older generation read as misses and are reclaimed lazily.
@@ -60,12 +66,13 @@ type entry struct {
 }
 
 type shard struct {
-	mu   sync.Mutex
-	idx  map[Key]int32
-	ents []entry
-	head int32 // most recently used
-	tail int32 // least recently used
-	free int32 // free-slot list, linked through next
+	mu    sync.Mutex
+	idx   map[Key]int32
+	ents  []entry // slots in use or freed; grows up to bound
+	bound int     // the shard's capacity in entries
+	head  int32   // most recently used
+	tail  int32   // least recently used
+	free  int32   // freed-slot list, linked through next
 }
 
 // Cache is a sharded, bounded, generation-invalidated LRU. The zero value
@@ -75,8 +82,9 @@ type Cache struct {
 	gen    atomic.Uint64
 }
 
-// New returns a cache holding up to capacity entries (rounded up to a
-// multiple of the shard count; minimum one entry per shard).
+// New returns a cache holding up to capacity entries (rounded down to a
+// multiple of the shard count; minimum one entry per shard). It allocates no
+// slots: those come with the entries.
 func New(capacity int) *Cache {
 	per := capacity / numShards
 	if per < 1 {
@@ -85,15 +93,9 @@ func New(capacity int) *Cache {
 	c := &Cache{}
 	for i := range c.shards {
 		s := &c.shards[i]
-		s.idx = make(map[Key]int32, per)
-		s.ents = make([]entry, per)
-		s.head, s.tail = none, none
-		// Thread all slots onto the free list.
-		s.free = 0
-		for j := range s.ents {
-			s.ents[j].next = int32(j + 1)
-		}
-		s.ents[per-1].next = none
+		s.idx = make(map[Key]int32)
+		s.bound = per
+		s.head, s.tail, s.free = none, none, none
 	}
 	return c
 }
@@ -170,10 +172,14 @@ func (c *Cache) PutGen(gen uint64, k Key, v time.Duration) {
 		s.mu.Unlock()
 		return
 	}
+	// A freed slot first (LIFO), then a never-used one, then the LRU tail's.
 	i := s.free
-	if i != none {
+	switch {
+	case i != none:
 		s.free = s.ents[i].next
-	} else {
+	case len(s.ents) < s.bound:
+		i = s.grow()
+	default:
 		// Full: evict the LRU tail and reuse its slot.
 		i = s.tail
 		s.unlink(i)
@@ -216,6 +222,23 @@ func (c *Cache) Len() int {
 		s.mu.Unlock()
 	}
 	return n
+}
+
+// minSlots is the arena a shard allocates on its first insert.
+const minSlots = 8
+
+// grow appends a never-used slot to the arena and returns its index. When
+// the arena is full it doubles, clipped at the bound, so a shard never holds
+// more slots than it may fill. Callers ensure len(s.ents) < s.bound.
+func (s *shard) grow() int32 {
+	n := len(s.ents)
+	if n == cap(s.ents) {
+		ents := make([]entry, n, min(max(2*n, minSlots), s.bound))
+		copy(ents, s.ents)
+		s.ents = ents
+	}
+	s.ents = s.ents[:n+1]
+	return int32(n)
 }
 
 // unlink removes slot i from the shard's LRU list.

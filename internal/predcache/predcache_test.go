@@ -1,6 +1,8 @@
 package predcache
 
 import (
+	"math"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
@@ -215,6 +217,91 @@ func TestSteadyStateChurnIsNearlyAllocationFree(t *testing.T) {
 	})
 	if allocs > 0.5 {
 		t.Fatalf("churn allocates %.2f allocs/op, want ~0", allocs)
+	}
+}
+
+// fillAndChurn puts 2^18 distinct keys, filling the cache and then evicting
+// through it, as a serving core under a key space larger than its bound does.
+func fillAndChurn(c *Cache) {
+	for i := uint64(0); i < 1<<18; i++ {
+		c.Put(key(i, i*0x9e3779b97f4a7c15), time.Duration(i))
+	}
+}
+
+// heapGrowth returns how much live heap build adds; what build returns is
+// kept alive until after the count.
+func heapGrowth(build func() any) int64 {
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	x := build()
+	runtime.GC()
+	runtime.ReadMemStats(&after)
+	runtime.KeepAlive(x)
+	return int64(after.HeapAlloc) - int64(before.HeapAlloc)
+}
+
+// presized gives every shard of a new cache the layout a cache that
+// preallocates has at boot: an index presized to the shard's bound and a
+// slot arena of the bound's capacity.
+func presized(c *Cache) *Cache {
+	for i := range c.shards {
+		s := &c.shards[i]
+		s.idx = make(map[Key]int32, s.bound)
+		s.ents = make([]entry, 0, s.bound)
+	}
+	return c
+}
+
+// TestEmptyCacheHoldsNoSlots: a cache of the serving default's bound
+// (serve.DefaultCacheEntries, 65 536) costs almost nothing until it holds
+// something.
+func TestEmptyCacheHoldsNoSlots(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under -race")
+	}
+	if b := heapGrowth(func() any { return New(1 << 16) }); b > 64<<10 {
+		t.Fatalf("an empty 65536-entry cache holds %d B of heap, want <= 64 KiB", b)
+	}
+}
+
+// TestFullCacheFootprint: once filled and churned, a cache that grew on
+// demand holds at most 5 % more heap than one that preallocated its bound,
+// so growing never overshoots the bound by much. 10 000 entries are 625 a
+// shard, which doubling from 8 slots passes.
+func TestFullCacheFootprint(t *testing.T) {
+	if raceEnabled {
+		t.Skip("heap accounting is unreliable under -race")
+	}
+	for _, n := range []int{1 << 13, 10000, 1 << 16} {
+		grown := heapGrowth(func() any { c := New(n); fillAndChurn(c); return c })
+		pre := heapGrowth(func() any { c := presized(New(n)); fillAndChurn(c); return c })
+		if float64(grown) > 1.05*float64(pre) {
+			t.Errorf("%d entries: grown cache holds %d B, preallocated %d B (> 1.05x)", n, grown, pre)
+		}
+		t.Logf("%d entries: grown %d B, preallocated %d B", n, grown, pre)
+	}
+}
+
+// TestFillAndChurnAllocations pins how many allocations building an
+// 8192-entry cache and filling and churning it takes: slot arenas doubling
+// to their bound and index maps growing with them. It must not rise. The
+// pin, 465, was measured with go1.24.0's maps; a toolchain bump can move it
+// with no change here, so measure it again then. A map's hash seed is
+// random, and once in about 1500 runs churn leaves one map enough
+// tombstones to grow once more (+5), so the test takes the fewest
+// allocations of eight single runs, each on a new cache.
+func TestFillAndChurnAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are unreliable under -race")
+	}
+	const pinned = 465
+	fewest := math.Inf(1)
+	for range 8 {
+		fewest = min(fewest, testing.AllocsPerRun(1, func() { fillAndChurn(New(1 << 13)) }))
+	}
+	if fewest > pinned {
+		t.Fatalf("filling and churning an 8192-entry cache made %.0f allocations, want <= %d", fewest, pinned)
 	}
 }
 

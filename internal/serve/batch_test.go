@@ -425,17 +425,17 @@ func TestBatchIsOneModelCallAndOneObservationPerRequest(t *testing.T) {
 
 // allocsPerFrame drives a live connection from an allocation-free client:
 // every run writes `writes` messages of `per` frames each, reading the
-// answers of one before it sends the next, over frames whose keys come round
-// too rarely for the small cache to still hold them.
-func allocsPerFrame(t *testing.T, cfg Config, per, writes int) float64 {
+// answers of one before it sends the next, over `keys` frames whose keys come
+// round too rarely for the cache to still hold them.
+func allocsPerFrame(t *testing.T, cfg Config, keys, per, writes int) float64 {
 	t.Helper()
-	return allocsPerFrameOn(t, newServer(t, cfg), per, writes)
+	return allocsPerFrameOn(t, newServer(t, cfg), keys, per, writes)
 }
 
 // allocsPerFrameOn is allocsPerFrame against a server of the caller's.
-func allocsPerFrameOn(t *testing.T, s *Server, per, writes int) float64 {
+func allocsPerFrameOn(t *testing.T, s *Server, keys, per, writes int) float64 {
 	t.Helper()
-	frames := variantFrames(t, 512, plan.TrueCards)
+	frames := variantFrames(t, keys, plan.TrueCards)
 	var msgs [][]byte
 	for i := 0; i+per <= len(frames); i += per {
 		var msg []byte
@@ -475,22 +475,25 @@ func allocsPerFrameOn(t *testing.T, s *Server, per, writes int) float64 {
 // connection — one frame per read (PredictPlanScratch) and a 32-frame batch
 // (PredictBatchScratch) — with the cache filling and evicting, and without
 // one: zero heap allocations per frame, read loop and response write
-// included.
+// included. The last case is serve_batch_miss's shape: an 8192-entry cache
+// that grew its slots and index on demand, warmed past its bound by twice as
+// many keys, evicting on every insert.
 func TestMissPathIsAllocationFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are unreliable under -race")
 	}
 	for _, tc := range []struct {
-		name        string
-		cfg         Config
-		per, writes int
+		name              string
+		cfg               Config
+		keys, per, writes int
 	}{
-		{"one frame per read, cache on", Config{CacheEntries: 16}, 1, 32},
-		{"one frame per read, cache off", Config{CacheEntries: -1}, 1, 32},
-		{"32-frame batch, cache on", Config{CacheEntries: 16}, 32, 1},
-		{"32-frame batch, cache off", Config{CacheEntries: -1}, 32, 1},
+		{"one frame per read, cache on", Config{CacheEntries: 16}, 512, 1, 32},
+		{"one frame per read, cache off", Config{CacheEntries: -1}, 512, 1, 32},
+		{"32-frame batch, cache on", Config{CacheEntries: 16}, 512, 32, 1},
+		{"32-frame batch, cache off", Config{CacheEntries: -1}, 512, 32, 1},
+		{"32-frame batch, 8192-entry cache past its bound", Config{CacheEntries: 8192}, 16384, 32, 1},
 	} {
-		if allocs := allocsPerFrame(t, tc.cfg, tc.per, tc.writes); allocs != 0 {
+		if allocs := allocsPerFrame(t, tc.cfg, tc.keys, tc.per, tc.writes); allocs != 0 {
 			t.Errorf("%s: %.3f allocs per frame, want 0", tc.name, allocs)
 		}
 	}
@@ -524,7 +527,7 @@ func TestFannedMissPathIsAllocationFree(t *testing.T) {
 		{"32-frame batch over two workers, cache on", Config{CacheEntries: 16}},
 		{"32-frame batch over two workers, cache off", Config{CacheEntries: -1}},
 	} {
-		if allocs := allocsPerFrameOn(t, New(m, tc.cfg), 32, 1); allocs != 0 {
+		if allocs := allocsPerFrameOn(t, New(m, tc.cfg), 512, 32, 1); allocs != 0 {
 			t.Errorf("%s: %.3f allocs per frame, want 0", tc.name, allocs)
 		}
 	}

@@ -29,6 +29,11 @@
 // by what it sent rather than by a timer. The server never waits on the
 // socket while it owes an answer.
 //
+// The scratch, all but the read buffer, is pooled across connections. A warm
+// connection allocates nothing per frame, hit or miss; the only allocations
+// left are the cache's inserts while it grows toward its bound (amortized,
+// see internal/predcache), which stop once the working set is cached.
+//
 // Where a hot round trip goes (bench/README.md, serve_rtt_hot on two cores):
 // 70 % of it is outside the server — the client's own socket calls, the
 // kernel's wake-ups and queueing for a core — 28 % is the server's read and
@@ -72,8 +77,11 @@ type Config struct {
 	CacheEntries int
 }
 
-// DefaultCacheEntries is the default prediction-cache bound. At 40 bytes a
-// slot this is ~2.6 MiB — small against the model itself.
+// DefaultCacheEntries is the default prediction-cache bound. The cache's
+// memory grows with the most entries it has ever held, up to the bound, and
+// is not given back: a held entry costs about 93 B (its 40 B slot, the rest
+// its index), so a full cache takes about 6 MiB, and an empty one about a
+// kilobyte.
 const DefaultCacheEntries = 1 << 16
 
 const (

@@ -32,8 +32,8 @@ bench:
 
 # The testing.B loops of every package (ns/op, allocs/op): the single-step
 # numbers behind cmd/t3bench's Table 1 and Figure 5, the exec and treec
-# kernels, label collection, training by worker count, and served 32-frame
-# miss batches from 1, 2 and 4 connections (BenchmarkServeBatchMiss).
+# kernels, label collection, training, and served 32-frame miss batches
+# from 1, 2 and 4 connections (BenchmarkServeBatchMiss).
 microbench:
 	go test -run xxx -bench . -benchmem ./...
 

@@ -2,14 +2,13 @@ package t3_test
 
 // Micro-benchmarks (`make microbench`): the single steps behind the paper's
 // latency results — Table 1's prediction and model-evaluation tiers, Figure
-// 5's scaling by pipeline count — plus training by worker count and batched
-// prediction, each a b.N loop reporting ns/op and allocs/op. The paper's
-// tables and figures themselves are printed by cmd/t3bench; every system
-// number (latency over a socket, throughput, enumeration, execution,
-// retraining) is a metric of bench/.
+// 5's scaling by pipeline count — plus training and batched prediction,
+// each a b.N loop reporting ns/op and allocs/op. The paper's tables and
+// figures themselves are printed by cmd/t3bench; every system number
+// (latency over a socket, throughput, enumeration, execution, retraining) is
+// a metric of bench/.
 
 import (
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -439,10 +438,11 @@ func BenchmarkFig5_InterpretedMT_1000(b *testing.B) {
 	}
 }
 
-// --- Parallel training and batched prediction ---------------------------------
+// --- Training and batched prediction ------------------------------------------
 
-// trainCorpus generates a fixed synthetic regression problem large enough for
-// per-feature histogram fan-out to matter.
+// trainCorpus generates a fixed synthetic regression problem of uniformly
+// dense features: every cell is off its feature's most frequent bin, so
+// histogram builds skip nothing.
 func trainCorpus(n int) ([][]float64, []float64) {
 	rng := rand.New(rand.NewSource(3))
 	xs := make([][]float64, n)
@@ -462,20 +462,18 @@ func trainCorpus(n int) ([][]float64, []float64) {
 	return xs, ys
 }
 
-// BenchmarkTrain measures GBDT training wall-clock by worker count; models
-// are bit-for-bit identical across the worker counts of one data set. The
-// corpus rows are real pipeline vectors (the checked-in experiments corpus),
-// where most cells sit at their feature's most frequent value and histogram
-// builds skip them: cells/row is how many a build writes per row it scans,
-// out of the vector's 55. The eight uniformly dense synthetic features are
-// the parity check — nothing to skip, so nothing should be gained or lost.
+// BenchmarkTrain measures GBDT training wall-clock. The corpus rows are real
+// pipeline vectors (the checked-in experiments corpus), where most cells sit
+// at their feature's most frequent value and histogram builds skip them:
+// cells/row is how many a build writes per row it scans, out of the vector's
+// 55. The eight uniformly dense synthetic features are the parity check —
+// nothing to skip, so nothing should be gained or lost.
 func BenchmarkTrain(b *testing.B) {
-	run := func(name string, xs [][]float64, ys []float64, rounds, workers int) {
-		b.Run(fmt.Sprintf("%s/workers=%d", name, workers), func(b *testing.B) {
+	run := func(name string, xs [][]float64, ys []float64, rounds int) {
+		b.Run(name, func(b *testing.B) {
 			p := gbdt.DefaultParams()
 			p.NumRounds = rounds
 			p.Seed = 5
-			p.Workers = workers
 			var res *gbdt.TrainResult
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
@@ -492,13 +490,9 @@ func BenchmarkTrain(b *testing.B) {
 		b.Fatal(err)
 	}
 	cx, cy := benchdata.Examples(feature.NewDefaultRegistry(), c.AllTrain(), plan.TrueCards, 0)
-	for _, workers := range []int{1, 2} {
-		run("corpus", cx, cy, 40, workers)
-	}
+	run("corpus", cx, cy, 40)
 	dx, dy := trainCorpus(16000)
-	for _, workers := range []int{1, 2, 4, 8} {
-		run("dense", dx, dy, 20, workers)
-	}
+	run("dense", dx, dy, 20)
 }
 
 // BenchmarkPredictBatch measures batched whole-plan prediction (featurization

@@ -80,7 +80,7 @@ type jsonOutput struct {
 
 func main() {
 	full := flag.Bool("full", false, "run the paper-scale configuration (slower)")
-	workers := flag.Int("workers", 0, "parallel workers for training and batched prediction (0 = GOMAXPROCS)")
+	workers := flag.Int("workers", 0, "parallel workers for batched prediction (0 = GOMAXPROCS)")
 	list := flag.Bool("list", false, "list available experiments")
 	stats := flag.Bool("stats", false, "dump the observability registry to stderr on exit")
 	jsonOut := flag.Bool("json", false, "emit experiment list + metrics snapshot as JSON instead of tables")

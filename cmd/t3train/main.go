@@ -42,7 +42,7 @@ func main() {
 		perGroup   = flag.Int("pergroup", 8, "generated queries per structure group per instance (paper: 40)")
 		runs       = flag.Int("runs", 3, "timing runs per query (paper: 10)")
 		rounds     = flag.Int("rounds", 200, "boosting rounds")
-		workers    = flag.Int("workers", 0, "parallel workers for training and prediction (0 = GOMAXPROCS)")
+		workers    = flag.Int("workers", 0, "parallel workers for held-out batched prediction (0 = GOMAXPROCS)")
 		seed       = flag.Int64("seed", 1, "generator seed")
 		out        = flag.String("o", "models/t3_default.json", "output model path")
 		cardMode   = flag.String("cards", "true", "cardinality mode to train on: true|est")
@@ -103,7 +103,6 @@ func main() {
 	}
 	params := t3.DefaultParams()
 	params.NumRounds = *rounds
-	params.Workers = *workers
 	trainStart := time.Now()
 	model, err := t3.Train(corpus.AllTrain(), t3.TrainOptions{Params: params, CardMode: mode})
 	if err != nil {

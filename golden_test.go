@@ -53,8 +53,8 @@ func TestDefaultModelPackedGolden(t *testing.T) {
 // corpus (testutil.SmallCorpus): the SHA-256 of its JSON, as json.Marshal and
 // the model's own AppendJSON both write it, and the q-error p50/p90/mean of
 // its predictions on the training plans and on the held-out TPC-DS plans,
-// exactly. Training is deterministic for any worker count, so
-// any change is a change to the trainer, the features or the served function.
+// exactly. Training is deterministic, so any change is a change to the
+// trainer, the features or the served function.
 // A change that moves the q-errors updates them here and puts before → after
 // in CHANGES.md.
 func TestCorpusModelGolden(t *testing.T) {

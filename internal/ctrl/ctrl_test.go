@@ -72,16 +72,13 @@ func TestRetrainPromotesOnShadowWin(t *testing.T) {
 }
 
 func TestRetrainArtifactDeterministicAcrossWorkers(t *testing.T) {
-	// Two controllers, identical episode time and seeds, different
-	// collection and training worker counts: the promoted artifact files
-	// must be byte-identical.
+	// Two controllers, identical episode time and seeds, different label
+	// collection worker counts: the promoted artifact files must be
+	// byte-identical.
 	var files [][]byte
 	for _, workers := range []int{1, 4} {
 		c, _ := newHarness(t, func(cfg *Config) {
 			cfg.Source = &scaledSource{inst: ctrlInstance(t), scale: 4, workers: workers}
-			p := testParams()
-			p.Workers = workers
-			cfg.Train = trainWith(p)
 		})
 		res, err := c.Retrain(t0, "determinism probe")
 		if err != nil {

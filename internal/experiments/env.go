@@ -40,9 +40,8 @@ type Config struct {
 	// and Figure 14.
 	DeepRunInstances int
 	DeepRuns         int
-	// Workers is the worker count for parallel training and batched
-	// prediction (0 = GOMAXPROCS). Trained models are identical for any
-	// value, so experiment results stay reproducible.
+	// Workers is the worker count for batched prediction and the
+	// multi-threaded Figure 5 series (0 = GOMAXPROCS). Training is serial.
 	Workers int
 }
 
@@ -110,14 +109,12 @@ type Env struct {
 // NewEnv creates an environment with the given config.
 func NewEnv(cfg Config) *Env { return &Env{Cfg: cfg} }
 
-// Params returns the boosting parameters for the configured round count and
-// worker count.
+// Params returns the boosting parameters for the configured round count.
 func (e *Env) Params() gbdt.Params {
 	p := gbdt.DefaultParams()
 	if e.Cfg.Rounds > 0 {
 		p.NumRounds = e.Cfg.Rounds
 	}
-	p.Workers = e.Cfg.Workers
 	return p
 }
 

@@ -98,7 +98,6 @@ func checkEncode(t *testing.T, m *Model) {
 		t.Fatalf("DecodeJSON(AppendJSON(m)): %v\n%s", err, want)
 	}
 	read := *m
-	read.Params.Workers = 0
 	if len(read.FeatureNames) == 0 {
 		read.FeatureNames = nil
 	} else {
@@ -172,7 +171,6 @@ func randomModel(rng *rand.Rand) *Model {
 		NumRounds: int(i64()), NumLeaves: int(i64()), LearningRate: float(), MinDataInLeaf: int(i64()),
 		Lambda: float(), MaxBins: int(i64()), Objective: Objective(str()), ValidationFraction: float(),
 		EarlyStoppingRounds: int(i64()), FeatureFraction: float(), BaggingFraction: float(), Seed: i64(),
-		Workers: int(i64()),
 	}
 	return m
 }

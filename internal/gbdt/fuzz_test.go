@@ -77,10 +77,10 @@ func checkGrow(t *testing.T, data []byte) {
 	if err := c.p.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	bnr := newBinner(nil, c.xs, len(c.xs[0]), c.p.MaxBins)
-	td := newTrainData(nil, bnr, c.xs, make([]float64, len(c.xs)))
+	bnr := newBinner(c.xs, len(c.xs[0]), c.p.MaxBins)
+	td := newTrainData(bnr, c.xs, make([]float64, len(c.xs)))
 	seed := c.rng.Int63()
-	prod := newGrower(td, bnr, c.p, rand.New(rand.NewSource(seed)), nil)
+	prod := newGrower(td, bnr, c.p, rand.New(rand.NewSource(seed)))
 	ref := &refGrower{td: td, bnr: bnr, p: c.p, rng: rand.New(rand.NewSource(seed))}
 
 	m := &Model{NumFeatures: td.f, Params: c.p}

@@ -26,7 +26,6 @@ import (
 	"time"
 
 	"t3/internal/obs"
-	"t3/internal/par"
 )
 
 // Objective selects the training loss.
@@ -71,11 +70,6 @@ type Params struct {
 	BaggingFraction float64
 	// Seed drives all random sampling during training.
 	Seed int64
-	// Workers is the number of parallel workers used while training
-	// (0 = GOMAXPROCS). Training is bit-for-bit deterministic for a fixed
-	// Seed regardless of the worker count, so Workers is an execution
-	// detail, not a model property — it is excluded from serialization.
-	Workers int `json:"-"`
 }
 
 // Validate reports whether the parameters can train a model. The zero Params
@@ -102,8 +96,6 @@ func (p Params) Validate() error {
 		return fmt.Errorf("gbdt: FeatureFraction must be in (0,1], got %v", p.FeatureFraction)
 	case p.BaggingFraction <= 0 || p.BaggingFraction > 1:
 		return fmt.Errorf("gbdt: BaggingFraction must be in (0,1], got %v", p.BaggingFraction)
-	case p.Workers < 0:
-		return fmt.Errorf("gbdt: Workers must be >= 0, got %d", p.Workers)
 	}
 	switch p.Objective {
 	case ObjectiveL2, ObjectiveMAPE, "":
@@ -232,11 +224,10 @@ type binner struct {
 	edges [][]float64
 }
 
-// newBinner computes per-feature quantile cut points from the data. Features
-// are independent, so cut-point computation fans out across the pool.
-func newBinner(pool *par.Pool, xs [][]float64, numFeatures, maxBins int) *binner {
+// newBinner computes per-feature quantile cut points from the data.
+func newBinner(xs [][]float64, numFeatures, maxBins int) *binner {
 	b := &binner{edges: make([][]float64, numFeatures)}
-	pool.Do(numFeatures, func(f int) {
+	for f := range numFeatures {
 		vals := make([]float64, 0, len(xs))
 		for _, x := range xs {
 			vals = append(vals, x[f])
@@ -267,7 +258,7 @@ func newBinner(pool *par.Pool, xs [][]float64, numFeatures, maxBins int) *binner
 			}
 		}
 		b.edges[f] = edges
-	})
+	}
 	return b
 }
 
@@ -325,12 +316,12 @@ type trainData struct {
 	cells   []int32
 }
 
-func newTrainData(pool *par.Pool, b *binner, xs [][]float64, ys []float64) *trainData {
+func newTrainData(b *binner, xs [][]float64, ys []float64) *trainData {
 	n := len(xs)
 	f := len(b.edges)
 	td := &trainData{y: ys, n: n, f: f, bins: make([][]uint8, f),
 		featOff: make([]int32, f+1), defBin: make([]uint8, f), cellOff: make([]int32, n+1)}
-	pool.Do(f, func(fi int) {
+	for fi := range f {
 		col := make([]uint8, n)
 		counts := make([]int, b.numBins(fi))
 		for i, x := range xs {
@@ -343,7 +334,7 @@ func newTrainData(pool *par.Pool, b *binner, xs [][]float64, ys []float64) *trai
 				td.defBin[fi] = uint8(bin)
 			}
 		}
-	})
+	}
 	for fi := 0; fi < f; fi++ {
 		td.featOff[fi+1] = td.featOff[fi] + int32(b.numBins(fi))
 		for range b.numBins(fi) {
@@ -384,8 +375,11 @@ func gradients(obj Objective, preds, ys, g, h []float64) {
 	}
 }
 
-// lossSum computes the summed objective value over a slice range.
-func lossSum(obj Objective, preds, ys []float64) float64 {
+// loss computes the mean objective value for reporting/early stopping.
+func loss(obj Objective, preds, ys []float64) float64 {
+	if len(ys) == 0 {
+		return 0
+	}
 	s := 0.0
 	switch obj {
 	case ObjectiveMAPE:
@@ -398,18 +392,6 @@ func lossSum(obj Objective, preds, ys []float64) float64 {
 			s += d * d
 		}
 	}
-	return s
-}
-
-// loss computes the objective value for reporting/early stopping, reducing
-// fixed-size chunks in order so the result is worker-count independent.
-func loss(pool *par.Pool, obj Objective, preds, ys []float64) float64 {
-	if len(ys) == 0 {
-		return 0
-	}
-	s := par.MapReduce(pool, len(ys), rowChunk, func(lo, hi int) float64 {
-		return lossSum(obj, preds[lo:hi], ys[lo:hi])
-	}, func(a, b float64) float64 { return a + b }, 0)
 	return s / float64(len(ys))
 }
 
@@ -421,21 +403,15 @@ type TrainResult struct {
 	// RowsScanned and CellUpdates count, over all rounds, the rows histogram
 	// builds visited and the cells (one feature of one row) they wrote: a
 	// build touches only the cells outside their feature's most frequent
-	// bin. Both depend on (Params, xs, ys) only, not on the worker count.
+	// bin. Both depend on (Params, xs, ys) only.
 	RowsScanned int64
 	CellUpdates int64
 }
 
-// rowChunk is the fixed chunk size of the parallel row loops in Train.
-// Chunking by a constant (rather than by worker count) keeps every
-// floating-point reduction order identical no matter how many workers run,
-// which is what makes parallel training bit-for-bit deterministic.
-const rowChunk = 4096
-
 // Train fits a model on xs/ys. When valX is nil, ValidationFraction of the
 // training data is sampled for validation (matching the paper's use of
-// LightGBM's automatic 20% split). Training parallelizes across
-// Params.Workers and produces identical models for any worker count.
+// LightGBM's automatic 20% split). Training runs on the calling goroutine
+// and the model is a pure function of (p, xs, ys, valX, valY).
 func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []float64) (*Model, *TrainResult, error) {
 	if len(xs) == 0 {
 		return nil, nil, errors.New("gbdt: empty training set")
@@ -449,7 +425,6 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 	trainStart := time.Now()
 	obs.TrainSessions.Inc()
 	rng := rand.New(rand.NewSource(p.Seed))
-	pool := par.Sized(p.Workers)
 
 	if valX == nil && p.ValidationFraction > 0 && len(xs) >= 10 {
 		perm := rng.Perm(len(xs))
@@ -471,8 +446,8 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 	}
 
 	numFeatures := len(xs[0])
-	bnr := newBinner(pool, xs, numFeatures, p.MaxBins)
-	td := newTrainData(pool, bnr, xs, ys)
+	bnr := newBinner(xs, numFeatures, p.MaxBins)
+	td := newTrainData(bnr, xs, ys)
 
 	m := &Model{NumFeatures: numFeatures, Params: p}
 	// Base score: mean target.
@@ -493,12 +468,12 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 			valPreds[i] = m.BaseScore
 		}
 		valBins = make([][]uint8, numFeatures)
-		pool.Do(numFeatures, func(f int) {
+		for f := range numFeatures {
 			valBins[f] = make([]uint8, len(valX))
 			for i, x := range valX {
 				valBins[f][i] = bnr.bin(f, x[f])
 			}
-		})
+		}
 	}
 
 	g := make([]float64, td.n)
@@ -506,30 +481,24 @@ func Train(p Params, xs [][]float64, ys []float64, valX [][]float64, valY []floa
 	res := &TrainResult{}
 	bestVal := math.Inf(1)
 	bestIter := 0
-	grower := newGrower(td, bnr, p, rng, pool)
+	grower := newGrower(td, bnr, p, rng)
 
 	for round := 0; round < p.NumRounds; round++ {
 		roundStart := time.Now()
-		// Gradient/hessian computation writes disjoint per-row slots, so
-		// chunked fan-out cannot change the result.
-		pool.For(td.n, rowChunk, func(lo, hi int) {
-			gradients(p.Objective, preds[lo:hi], ys[lo:hi], g[lo:hi], h[lo:hi])
-		})
+		gradients(p.Objective, preds, ys, g, h)
 		growStart := time.Now()
 		tree := grower.grow(g, h)
 		obs.TrainGrowTime.Since(growStart)
 		m.Trees = append(m.Trees, *tree)
 
 		grower.addScores(tree, preds)
-		res.TrainLoss = append(res.TrainLoss, loss(pool, p.Objective, preds, ys))
+		res.TrainLoss = append(res.TrainLoss, loss(p.Objective, preds, ys))
 		stop := false
 		if valX != nil {
-			pool.For(len(valX), 256, func(lo, hi int) {
-				for i := lo; i < hi; i++ {
-					valPreds[i] += grower.predictBinned(tree, valBins, i)
-				}
-			})
-			vl := loss(pool, p.Objective, valPreds, valY)
+			for i := range valPreds {
+				valPreds[i] += grower.predictBinned(tree, valBins, i)
+			}
+			vl := loss(p.Objective, valPreds, valY)
 			res.ValLoss = append(res.ValLoss, vl)
 			if vl < bestVal {
 				bestVal = vl

@@ -223,6 +223,42 @@ func TestTrainErrors(t *testing.T) {
 	}
 }
 
+func TestParamsValidate(t *testing.T) {
+	if err := DefaultParams().Validate(); err != nil {
+		t.Fatalf("default params invalid: %v", err)
+	}
+	if err := (Params{}).Validate(); err == nil {
+		t.Error("zero params should be invalid")
+	}
+	bad := []func(*Params){
+		func(p *Params) { p.NumRounds = 0 },
+		func(p *Params) { p.NumLeaves = 1 },
+		func(p *Params) { p.MaxBins = 1 },
+		func(p *Params) { p.MaxBins = 256 },
+		func(p *Params) { p.LearningRate = 0 },
+		func(p *Params) { p.LearningRate = -1 },
+		func(p *Params) { p.MinDataInLeaf = 0 },
+		func(p *Params) { p.Lambda = -0.1 },
+		func(p *Params) { p.ValidationFraction = 1 },
+		func(p *Params) { p.ValidationFraction = -0.1 },
+		func(p *Params) { p.EarlyStoppingRounds = -1 },
+		func(p *Params) { p.FeatureFraction = 0 },
+		func(p *Params) { p.FeatureFraction = 1.5 },
+		func(p *Params) { p.BaggingFraction = 0 },
+		func(p *Params) { p.Objective = "huber" },
+	}
+	for i, mutate := range bad {
+		p := DefaultParams()
+		mutate(&p)
+		if err := p.Validate(); err == nil {
+			t.Errorf("case %d: invalid params %+v accepted", i, p)
+		}
+		if _, _, err := Train(p, [][]float64{{1}, {2}}, []float64{1, 2}, nil, nil); err == nil {
+			t.Errorf("case %d: Train accepted invalid params", i)
+		}
+	}
+}
+
 func TestDeterministicTraining(t *testing.T) {
 	xs, ys := synth(1500, 8)
 	p := DefaultParams()
@@ -245,7 +281,7 @@ func TestDeterministicTraining(t *testing.T) {
 
 func TestBinnerMonotonic(t *testing.T) {
 	xs, _ := synth(2000, 9)
-	b := newBinner(nil, xs, 4, 64)
+	b := newBinner(xs, 4, 64)
 	// Property: binning preserves order.
 	f := func(a, c float64) bool {
 		a = math.Mod(math.Abs(a), 10)
@@ -268,7 +304,7 @@ func TestBinnerMonotonic(t *testing.T) {
 // below sits in it.
 func TestBinnerThresholdConsistent(t *testing.T) {
 	xs, _ := synth(500, 10)
-	b := newBinner(nil, xs, 4, 32)
+	b := newBinner(xs, 4, 32)
 	for f := 0; f < 4; f++ {
 		for bin := 0; bin < b.numBins(f)-1; bin++ {
 			edge, thr := b.edges[f][bin], b.threshold(f, uint8(bin))
@@ -283,7 +319,7 @@ func TestBinnerThresholdConsistent(t *testing.T) {
 
 	// 0.1 is not a float32, and its round-up is a distinct training value.
 	up := float64(roundThreshold32(0.1))
-	g := newBinner(nil, [][]float64{{0.1}, {up}, {0.5}}, 1, 32)
+	g := newBinner([][]float64{{0.1}, {up}, {0.5}}, 1, 32)
 	if g.threshold(0, 0) != up || g.bin(0, up) != 1 {
 		t.Fatalf("edge 0.1: threshold %v, bin(%v) = %d; want threshold %v and bin 1 — trained right, stored left",
 			g.threshold(0, 0), up, g.bin(0, up), up)

@@ -1,10 +1,6 @@
 package gbdt
 
-import (
-	"math/rand"
-
-	"t3/internal/par"
-)
+import "math/rand"
 
 // leafCand is a tree leaf that may still be split.
 type leafCand struct {
@@ -47,11 +43,10 @@ type histSet struct {
 
 // grower grows one tree per boosting round, reusing its buffers.
 type grower struct {
-	td   *trainData
-	bnr  *binner
-	p    Params
-	rng  *rand.Rand
-	pool *par.Pool
+	td  *trainData
+	bnr *binner
+	p   Params
+	rng *rand.Rand
 
 	idx  []int32 // row partition
 	tmp  []int32 // partition scratch
@@ -65,12 +60,10 @@ type grower struct {
 
 	// sets is the histSet arena, reset (cursor only, buffers kept) at the
 	// start of every grow. Each split retires the parent's set to one child
-	// and draws at most one fresh set for the other, plus one per extra row
-	// chunk while a build runs, so the arena never holds more than
-	// NumLeaves + ⌈n/rowChunk⌉ sets.
+	// and draws at most one fresh set for the other, so the arena never
+	// holds more than NumLeaves sets.
 	sets  []*histSet
 	nsets int
-	parts []*histSet // per-chunk sets of the build in progress
 
 	// rowsScanned and cellUpdates count the rows histogram builds visited
 	// and the cells they wrote, over the grower's lifetime.
@@ -81,8 +74,8 @@ type grower struct {
 	nodeBins []uint8
 }
 
-func newGrower(td *trainData, bnr *binner, p Params, rng *rand.Rand, pool *par.Pool) *grower {
-	g := &grower{td: td, bnr: bnr, p: p, rng: rng, pool: pool}
+func newGrower(td *trainData, bnr *binner, p Params, rng *rand.Rand) *grower {
+	g := &grower{td: td, bnr: bnr, p: p, rng: rng}
 	g.idx = make([]int32, td.n)
 	g.tmp = make([]int32, td.n)
 	g.cands = make([]leafCand, 0, p.NumLeaves)
@@ -155,20 +148,10 @@ func (gr *grower) grow(grad, hess []float64) *Tree {
 	minSplit := 2 * p.MinDataInLeaf
 
 	root := leafCand{lo: 0, hi: n, parent: -1}
-	// Root gradient sums: fixed-size chunks folded in order, so the
-	// floating-point result is identical for every worker count.
-	rs := par.MapReduce(gr.pool, n, rowChunk, func(lo, hi int) [2]float64 {
-		var g, h float64
-		for i := lo; i < hi; i++ {
-			r := gr.idx[i]
-			g += grad[r]
-			h += hess[r]
-		}
-		return [2]float64{g, h}
-	}, func(a, b [2]float64) [2]float64 {
-		return [2]float64{a[0] + b[0], a[1] + b[1]}
-	}, [2]float64{})
-	root.sumG, root.sumH = rs[0], rs[1]
+	for _, r := range gr.idx[:n] {
+		root.sumG += grad[r]
+		root.sumH += hess[r]
+	}
 	// The root is always built by a row scan; subtraction needs a parent.
 	if n >= minSplit {
 		root.hist = gr.newHistSet()
@@ -287,30 +270,10 @@ func (gr *grower) partition(lo, hi, f int, b uint8) int {
 }
 
 // buildHist fills the candidate's (freshly drawn) set from the non-default
-// cells of its rows. A leaf of more than rowChunk rows is built chunk by
-// chunk — the first chunk into the set itself, every further one into its
-// own set from the arena — and the chunk sets are folded in ascending chunk
-// order, so the sums do not depend on the worker count.
+// cells of its rows, in partition order.
 func (gr *grower) buildHist(c *leafCand, grad, hess []float64) {
-	n := c.hi - c.lo
-	rows := gr.idx[c.lo:c.hi]
-	gr.rowsScanned += int64(n)
-	if n <= rowChunk {
-		gr.cellUpdates += gr.td.accumulate(c.hist, rows, grad, hess)
-		return
-	}
-	mark := gr.nsets
-	gr.parts = append(gr.parts[:0], c.hist)
-	for lo := rowChunk; lo < n; lo += rowChunk {
-		gr.parts = append(gr.parts, gr.newHistSet())
-	}
-	gr.cellUpdates += par.MapReduce(gr.pool, n, rowChunk, func(lo, hi int) int64 {
-		return gr.td.accumulate(gr.parts[lo/rowChunk], rows[lo:hi], grad, hess)
-	}, func(a, b int64) int64 { return a + b }, 0)
-	for _, part := range gr.parts[1:] {
-		addHist(gr.td, c.hist, part)
-	}
-	gr.nsets = mark // the chunk sets go back to the arena
+	gr.rowsScanned += int64(c.hi - c.lo)
+	gr.cellUpdates += gr.td.accumulate(c.hist, gr.idx[c.lo:c.hi], grad, hess)
 }
 
 // accumulate adds the non-default cells of the given rows to hs and returns
@@ -334,21 +297,6 @@ func (td *trainData) accumulate(hs *histSet, rows []int32, grad, hess []float64)
 		}
 	}
 	return cells
-}
-
-// addHist folds a chunk's set into dst over the features the chunk wrote.
-func addHist(td *trainData, dst, part *histSet) {
-	for _, f := range part.feats {
-		if dst.nd[f] == 0 {
-			dst.feats = append(dst.feats, f)
-		}
-		dst.nd[f] += part.nd[f]
-		for i := td.featOff[f]; i < td.featOff[f+1]; i++ {
-			dst.bins[i].g += part.bins[i].g
-			dst.bins[i].h += part.bins[i].h
-			dst.bins[i].c += part.bins[i].c
-		}
-	}
 }
 
 // subtractHist turns parent's histograms into the sibling's in place:
@@ -451,12 +399,9 @@ func (gr *grower) addScores(tree *Tree, preds []float64) {
 			preds[r] += w
 		}
 	}
-	oob := gr.idx[gr.inBag:]
-	gr.pool.For(len(oob), rowChunk, func(lo, hi int) {
-		for _, r := range oob[lo:hi] {
-			preds[r] += gr.predictBinned(tree, gr.td.bins, int(r))
-		}
-	})
+	for _, r := range gr.idx[gr.inBag:] {
+		preds[r] += gr.predictBinned(tree, gr.td.bins, int(r))
+	}
 }
 
 // predictBinned evaluates the freshly grown tree for row r of the

@@ -179,8 +179,8 @@ func refTrain(t testing.TB, p Params, xs [][]float64, ys []float64) *Model {
 	if p.ValidationFraction != 0 || p.EarlyStoppingRounds != 0 {
 		t.Fatal("refTrain: validation split and early stopping are not mirrored")
 	}
-	bnr := newBinner(nil, xs, len(xs[0]), p.MaxBins)
-	td := newTrainData(nil, bnr, xs, ys)
+	bnr := newBinner(xs, len(xs[0]), p.MaxBins)
+	td := newTrainData(bnr, xs, ys)
 	gr := &refGrower{td: td, bnr: bnr, p: p, rng: rand.New(rand.NewSource(p.Seed))}
 	m := &Model{NumFeatures: len(xs[0]), Params: p}
 	for _, y := range ys {

@@ -3,6 +3,7 @@ package gbdt
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,8 +13,8 @@ import (
 // a column's cells hold one value, which is not the column's smallest, so the
 // default bin sits inside the prefix scan; columns 0 and 1 are constant (at
 // zero and not), column 2 leaves its default in a single row, column 3 only
-// in the last third of the rows (in row order, no chunk but the last writes
-// it), and the last column has exactly 255 distinct values, one bin each at
+// in the last third of the rows (in row order, a set first lists it late),
+// and the last column has exactly 255 distinct values, one bin each at
 // MaxBins 255.
 func sparseSynth(n, f int, seed int64) [][]float64 {
 	rng := rand.New(rand.NewSource(seed))
@@ -55,9 +56,9 @@ func growBoth(t *testing.T, xs [][]float64, bagging float64, rounds int, check f
 		t.Fatal(err)
 	}
 
-	bnr := newBinner(nil, xs, len(xs[0]), p.MaxBins)
-	td := newTrainData(nil, bnr, xs, ys)
-	prod := newGrower(td, bnr, p, rand.New(rand.NewSource(11)), nil)
+	bnr := newBinner(xs, len(xs[0]), p.MaxBins)
+	td := newTrainData(bnr, xs, ys)
+	prod := newGrower(td, bnr, p, rand.New(rand.NewSource(11)))
 	ref := &refGrower{td: td, bnr: bnr, p: p, rng: rand.New(rand.NewSource(11))}
 
 	grng := rand.New(rand.NewSource(99))
@@ -74,10 +75,9 @@ func growBoth(t *testing.T, xs [][]float64, bagging float64, rounds int, check f
 // TestHistSubtractionBitIdenticalDyadic grows many trees under exactly
 // representable gradients, on dense rows and on sparse ones, and asserts the
 // production grower — non-default cells, derived default bin, feature lists,
-// subtraction, chunked builds — and the brute-force reference produce
-// bit-identical trees: with exact sums they are the same arithmetic. The
-// sparse rows span several row chunks; unbagged, the chunks hold them in row
-// order.
+// subtraction — and the brute-force reference produce bit-identical trees:
+// with exact sums they are the same arithmetic. Unbagged, the sparse rows are
+// built in row order.
 func TestHistSubtractionBitIdenticalDyadic(t *testing.T) {
 	dense, _ := synth(3000, 5)
 	sparse := sparseSynth(9000, 14, 6)
@@ -98,38 +98,44 @@ func TestHistSubtractionBitIdenticalDyadic(t *testing.T) {
 }
 
 // TestHistSubtractionBitIdenticalTrain asserts full-model bit identity
-// through the public Train path. One boosting round over 2^k rows with
-// dyadic targets keeps every gradient, the base score, and all histogram
-// sums exact, so the serialized models must match byte for byte.
+// through the public Train path — root sums, loss, histogram builds. One
+// boosting round over 2^k rows with dyadic targets keeps every gradient, the
+// base score, and all histogram sums exact, so the serialized models must
+// match byte for byte. 8192 and 16384 rows put the root and the first
+// leaves at two and four times 4096 rows, the size above which the trainer
+// once built histograms in chunks.
 func TestHistSubtractionBitIdenticalTrain(t *testing.T) {
-	const n = 2048 // power of two: the base-score mean stays exact
-	rng := rand.New(rand.NewSource(17))
-	xs := make([][]float64, n)
-	ys := make([]float64, n)
-	for i := range xs {
-		xs[i] = []float64{rng.Float64() * 10, rng.Float64(), float64(rng.Intn(7))}
-		ys[i] = float64(rng.Intn(129)) / 4 // dyadic targets in [0, 32]
-	}
-	p := DefaultParams()
-	p.NumRounds = 1
-	p.Objective = ObjectiveL2
-	p.Seed = 3
-	p.MinDataInLeaf = 5
-	p.ValidationFraction = 0 // keep all 2^k rows: the mean stays exact
-	m, _, err := Train(p, xs, ys, nil, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prod, err := json.Marshal(m)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ref, err := json.Marshal(refTrain(t, p, xs, ys))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(prod, ref) {
-		t.Fatal("Train and the reference trainer differ under exact gradients")
+	for _, n := range []int{2048, 8192, 16384} { // powers of two: the base-score mean stays exact
+		t.Run(fmt.Sprintf("n=%d", n), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(17))
+			xs := make([][]float64, n)
+			ys := make([]float64, n)
+			for i := range xs {
+				xs[i] = []float64{rng.Float64() * 10, rng.Float64(), float64(rng.Intn(7))}
+				ys[i] = float64(rng.Intn(129)) / 4 // dyadic targets in [0, 32]
+			}
+			p := DefaultParams()
+			p.NumRounds = 1
+			p.Objective = ObjectiveL2
+			p.Seed = 3
+			p.MinDataInLeaf = 5
+			p.ValidationFraction = 0 // keep all 2^k rows: the mean stays exact
+			m, _, err := Train(p, xs, ys, nil, nil)
+			if err != nil {
+				t.Fatal(err)
+			}
+			prod, err := json.Marshal(m)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref, err := json.Marshal(refTrain(t, p, xs, ys))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(prod, ref) {
+				t.Fatal("Train and the reference trainer differ under exact gradients")
+			}
+		})
 	}
 }
 
@@ -168,8 +174,8 @@ func TestTrainDataNonDefaultLayout(t *testing.T) {
 	for i := range xs {
 		xs[i][4] = float64(i % 2) // a tie between two bins: the lower one is the default
 	}
-	bnr := newBinner(nil, xs, len(xs[0]), 255)
-	td := newTrainData(nil, bnr, xs, make([]float64, len(xs)))
+	bnr := newBinner(xs, len(xs[0]), 255)
+	td := newTrainData(bnr, xs, make([]float64, len(xs)))
 	if len(td.binFeat) != int(td.featOff[td.f]) {
 		t.Fatalf("featOff ends at %d, binFeat has %d entries", td.featOff[td.f], len(td.binFeat))
 	}

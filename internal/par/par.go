@@ -1,6 +1,5 @@
-// Package par provides the shared worker-pool abstraction behind parallel
-// GBDT training, batched prediction, label collection and morsel-driven
-// query execution.
+// Package par provides the shared worker-pool abstraction behind batched
+// prediction, label collection and morsel-driven query execution.
 //
 // A Pool owns workers-1 long-lived goroutines parked on an unbuffered
 // channel. Work is pulled: every participant in a Job — the calling goroutine
@@ -10,17 +9,14 @@
 // whatever the others have not taken, so a slow-to-wake worker costs at most
 // the index it is running, nested jobs cannot deadlock, a one-worker pool
 // stays allocation- and synchronization-free, and a nil *Pool acts as a
-// serial executor. Job.Do is the one dispatch loop; Do, DoState, For and
-// MapReduce wrap it, and a caller that keeps its own Job and Task dispatches
-// without allocating.
+// serial executor. Job.Do is the one dispatch loop; Do, DoState and For wrap
+// it, and a caller that keeps its own Job and Task dispatches without
+// allocating.
 //
 // Determinism: Do and For guarantee nothing about execution order, but chunk
-// *boundaries* in For and MapReduce depend only on (n, chunk) — never on the
-// worker count — and MapReduce folds partial results in ascending chunk
-// order on the calling goroutine. Any computation whose tasks write disjoint
-// output slots, or that reduces exclusively through MapReduce with a fixed
-// chunk size, therefore produces bit-for-bit identical results for every
-// worker count. The gbdt trainer relies on exactly this contract.
+// *boundaries* in For depend only on (n, chunk) — never on the worker count.
+// Any computation whose tasks write disjoint, index-keyed output slots
+// therefore produces bit-for-bit identical results for every worker count.
 package par
 
 import (
@@ -136,7 +132,7 @@ func (f taskFunc) Run(w, i int) { f(w, i) }
 // cursor they pull from and the pool workers that joined it. A Job is
 // caller-owned and reusable, one Do at a time: a hot path that keeps one in
 // its scratch, with a Task that lives there too, dispatches without
-// allocating. Pool.Do, DoState, For and MapReduce each run a Job of their own.
+// allocating. Pool.Do, DoState and For each run a Job of their own.
 type Job struct {
 	t       Task
 	n       int
@@ -248,30 +244,4 @@ func (p *Pool) For(n, chunk int, body func(lo, hi int)) {
 		hi := min(lo+chunk, n)
 		body(lo, hi)
 	})
-}
-
-// MapReduce splits [0, n) into fixed-size chunks, evaluates mapFn on every
-// chunk in parallel, and folds the partial results in ascending chunk order
-// on the calling goroutine. Because both the chunking and the fold order are
-// independent of the worker count, non-associative reductions (floating-point
-// sums in particular) are bit-for-bit deterministic.
-func MapReduce[T any](p *Pool, n, chunk int, mapFn func(lo, hi int) T, fold func(acc, x T) T, zero T) T {
-	if n <= 0 {
-		return zero
-	}
-	if chunk < 1 {
-		chunk = 1
-	}
-	nc := (n + chunk - 1) / chunk
-	parts := make([]T, nc)
-	p.Do(nc, func(c int) {
-		lo := c * chunk
-		hi := min(lo+chunk, n)
-		parts[c] = mapFn(lo, hi)
-	})
-	acc := zero
-	for _, x := range parts {
-		acc = fold(acc, x)
-	}
-	return acc
 }

@@ -95,51 +95,6 @@ func TestForCoversRangeExactly(t *testing.T) {
 	}
 }
 
-func TestMapReduceFoldsInChunkOrder(t *testing.T) {
-	// String concatenation is non-commutative: any out-of-order fold or
-	// worker-count-dependent chunking changes the result.
-	want := ""
-	for c := 0; c*3 < 20; c++ {
-		lo := c * 3
-		hi := min(lo+3, 20)
-		want += fmt.Sprintf("[%d,%d)", lo, hi)
-	}
-	for _, workers := range []int{1, 2, 8} {
-		p := New(workers)
-		got := MapReduce(p, 20, 3, func(lo, hi int) string {
-			return fmt.Sprintf("[%d,%d)", lo, hi)
-		}, func(a, b string) string { return a + b }, "")
-		p.Close()
-		if got != want {
-			t.Fatalf("workers=%d: fold order broken:\ngot  %s\nwant %s", workers, got, want)
-		}
-	}
-}
-
-func TestMapReduceFloatDeterminism(t *testing.T) {
-	xs := make([]float64, 10000)
-	for i := range xs {
-		xs[i] = 1.0 / float64(i+3)
-	}
-	sum := func(workers int) float64 {
-		p := New(workers)
-		defer p.Close()
-		return MapReduce(p, len(xs), 512, func(lo, hi int) float64 {
-			s := 0.0
-			for i := lo; i < hi; i++ {
-				s += xs[i]
-			}
-			return s
-		}, func(a, b float64) float64 { return a + b }, 0)
-	}
-	base := sum(1)
-	for _, w := range []int{2, 3, 8} {
-		if got := sum(w); got != base {
-			t.Fatalf("workers=%d sum %v != workers=1 sum %v", w, got, base)
-		}
-	}
-}
-
 func TestNestedDo(t *testing.T) {
 	p := New(4)
 	defer p.Close()
